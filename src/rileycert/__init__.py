@@ -14,7 +14,8 @@ from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,  # noqa: E
                     word_double_twist, word_from_signs, word_kl)
 from .riley import (RileyPolynomial, alpha_dt, lambda_dt, riley_double_twist,  # noqa: E402
                     riley_for_knot, riley_generic, riley_kl)
-from .certify import (RootCertificate, ScanReport, find_root_gt2, lo_set,  # noqa: E402
+from .certify import (MalformedCertificate, RootCertificate, ScanReport,  # noqa: E402
+                      find_root_gt2, lo_set,
                       solve_lambda_witness, verify_certificate,
                       witness_plan_for, xn_enclosure)
 
@@ -29,7 +30,7 @@ __all__ = [
     "word_double_twist", "word_from_signs", "word_kl",
     "RileyPolynomial", "alpha_dt", "lambda_dt", "riley_double_twist",
     "riley_for_knot", "riley_generic", "riley_kl",
-    "RootCertificate", "ScanReport", "find_root_gt2", "lo_set",
+    "MalformedCertificate", "RootCertificate", "ScanReport", "find_root_gt2", "lo_set",
     "solve_lambda_witness", "verify_certificate", "witness_plan_for",
     "xn_enclosure",
 ]

@@ -27,6 +27,10 @@ class HashMismatch(ValueError):
     """Certificate does not belong to the supplied polynomial."""
 
 
+class MalformedCertificate(ValueError):
+    """A certificate record has a missing or malformed field."""
+
+
 def xn_enclosure(n: int, precision: int) -> DyadicInterval:
     """Enclosure of x_n = 2cos(pi/n) of width <= 2**-precision.
 
@@ -178,13 +182,40 @@ class RootCertificate:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RootCertificate":
-        return cls(knot=obj["knot"], n=int(obj["n"]),
-                   a=Dyadic.from_json(obj["bracket"]["a"]),
-                   b=Dyadic.from_json(obj["bracket"]["b"]),
-                   sign_a=1 if obj["signs"][0] == "+" else -1,
-                   sign_b=1 if obj["signs"][1] == "+" else -1,
-                   precision=int(obj["precision"]), y_max=int(obj["y_max"]),
-                   poly_hash=obj["poly_hash"])
+        """Parse a record written by to_json_dict.
+
+        Raises MalformedCertificate for a missing or malformed field; signs
+        must be exactly "+" or "-".
+        """
+        sign_a, sign_b = _field(obj, "signs", _parse_signs)
+        a, b = _field(obj, "bracket", lambda br: (Dyadic.from_json(br["a"]),
+                                                  Dyadic.from_json(br["b"])))
+        return cls(knot=_field(obj, "knot", _parse_str), n=_field(obj, "n", int),
+                   a=a, b=b, sign_a=sign_a, sign_b=sign_b,
+                   precision=_field(obj, "precision", int),
+                   y_max=_field(obj, "y_max", int),
+                   poly_hash=_field(obj, "poly_hash", _parse_str))
+
+
+def _field(obj: dict, key: str, parse):
+    try:
+        return parse(obj[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedCertificate(
+            f"certificate field {key!r} is missing or malformed") from exc
+
+
+def _parse_str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _parse_signs(value) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(s in ("+", "-") for s in value)):
+        raise ValueError(f'expected two of "+"/"-", got {value!r}')
+    return tuple(1 if s == "+" else -1 for s in value)
 
 
 @dataclass(frozen=True)
@@ -224,6 +255,10 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *, y_max: int = DEFAULT_Y_MAX,
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if y_max <= 2:
+        raise ValueError("need y_max > 2")
+    if precision < 1:
+        raise ValueError("need precision >= 1")
     poly = phi.poly
     state = {"prec": precision, "xn": xn_enclosure(n, precision),
              "escalations": 0, "evals": 0, "indefinite": 0}

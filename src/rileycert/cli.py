@@ -13,8 +13,9 @@ import os
 import sys
 
 from . import __version__
-from .certify import (DEFAULT_PRECISION, DEFAULT_Y_MAX, DEFAULT_Y_MAX_CAP,
-                      find_root_gt2, verify_certificate, witness_plan_for)
+from .certify import (DEFAULT_PRECISION, DEFAULT_PRECISION_CAP, DEFAULT_Y_MAX,
+                      DEFAULT_Y_MAX_CAP, find_root_gt2, verify_certificate,
+                      witness_plan_for)
 from .chebyshev import cheb_eval, cheb_poly
 from .knots import (DoubleTwistKnot, KlKnot, ReductionInapplicable,
                     TwoBridgeFraction, expand, hm_reduce, kl_fraction,
@@ -43,6 +44,35 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
+
+
+def _int_in_range(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi] (hi=None: no upper limit)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            limits = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"{value} is out of range ({limits})")
+        return value
+    return parse
+
+
+_cover_index = _int_in_range(2)
+_y_bound = _int_in_range(3)
+_precision = _int_in_range(1, DEFAULT_PRECISION_CAP)
+
+
+def _default_precision() -> int:
+    text = os.environ.get(PREC_ENV_VAR)
+    if text is None:
+        return DEFAULT_PRECISION
+    try:
+        return _precision(text)
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"environment variable {PREC_ENV_VAR}: {exc}") from None
 
 
 def parse_knot_spec(text: str):
@@ -130,14 +160,13 @@ def cmd_signs(args) -> int:
     return EXIT_OK
 
 
-def _scan(args, knot, n: int):
-    phi = riley_for_knot(knot)
+def _scan(args, knot, phi, n: int):
     report = find_root_gt2(phi, n, y_max=args.ymax, precision=args.prec,
                            witness=witness_plan_for(knot),
                            y_max_cap=args.ymax_cap)
     if report.certified and not verify_certificate(report.certificate, phi):
         raise CliError("internal error: fresh certificate failed verification")
-    return phi, report
+    return report
 
 
 def _report_payload(report) -> dict:
@@ -151,7 +180,8 @@ def _report_payload(report) -> dict:
 
 def cmd_certify(args) -> int:
     knot = _knot_from_args(args)
-    phi, report = _scan(args, knot, args.n)
+    phi = riley_for_knot(knot)
+    report = _scan(args, knot, phi, args.n)
     payload = {"knot": phi.knot, "n": args.n, **_report_payload(report)}
     if report.certified:
         cert = report.certificate
@@ -175,7 +205,7 @@ def cmd_lo_set(args) -> int:
     phi = riley_for_knot(knot)
     reports = {}
     for n in range(2, args.n_max + 1):
-        _, reports[n] = _scan(args, knot, n)
+        reports[n] = _scan(args, knot, phi, n)
     payload = {"knot": phi.knot, "poly_hash": phi.content_hash,
                "reports": {str(n): _report_payload(r) for n, r in reports.items()}}
     certified = [n for n, r in reports.items() if r.certified]
@@ -241,7 +271,7 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_prec = int(os.environ.get(PREC_ENV_VAR, DEFAULT_PRECISION))
+    default_prec = _default_precision()
     parser = _Parser(
         prog="rileycert",
         description="Riley polynomials of two-bridge knots and rigorous "
@@ -268,26 +298,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_signs.set_defaults(func=cmd_signs)
 
     def add_scan_args(p):
-        p.add_argument("--ymax", type=int, default=DEFAULT_Y_MAX,
-                       help=f"initial search bound (default {DEFAULT_Y_MAX})")
-        p.add_argument("--ymax-cap", type=int, default=DEFAULT_Y_MAX_CAP,
-                       help="bound to which --ymax doubles "
+        p.add_argument("--ymax", type=_y_bound, default=DEFAULT_Y_MAX,
+                       help=f"initial search bound, >= 3 (default {DEFAULT_Y_MAX})")
+        p.add_argument("--ymax-cap", type=_y_bound, default=DEFAULT_Y_MAX_CAP,
+                       help="bound to which --ymax doubles, >= --ymax "
                             f"(default {DEFAULT_Y_MAX_CAP})")
-        p.add_argument("--prec", type=int, default=default_prec,
-                       help=f"precision in bits (default {default_prec}; "
-                            f"env {PREC_ENV_VAR})")
+        p.add_argument("--prec", type=_precision, default=default_prec,
+                       help=f"precision in bits, 1..{DEFAULT_PRECISION_CAP} "
+                            f"(default {default_prec}; env {PREC_ENV_VAR})")
+        p.set_defaults(scan_parser=p)  # reports the --ymax-cap >= --ymax check
 
     p_cert = sub.add_parser("certify",
                             help="certify a root y_n > 2 of phi(x_n, .)")
     add_knot_args(p_cert)
-    p_cert.add_argument("--n", type=int, required=True, help="cover index n >= 2")
+    p_cert.add_argument("--n", type=_cover_index, required=True,
+                        help="cover index n >= 2")
     add_scan_args(p_cert)
     p_cert.set_defaults(func=cmd_certify)
 
     p_lo = sub.add_parser("lo-set",
                           help="scan n = 2..n-max and report certified covers")
     add_knot_args(p_lo)
-    p_lo.add_argument("--n-max", type=int, required=True)
+    p_lo.add_argument("--n-max", type=_cover_index, required=True,
+                      help="largest cover index, >= 2")
     add_scan_args(p_lo)
     p_lo.set_defaults(func=cmd_lo_set)
 
@@ -301,9 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
+        if "scan_parser" in args and args.ymax_cap < args.ymax:
+            args.scan_parser.error("--ymax-cap must be >= --ymax")
         return args.func(args)
     except SystemExit as exc:  # --help/--version, or remapped usage errors
         return exc.code or 0

@@ -311,35 +311,96 @@ def compose_univariate(outer: Sequence[int], inner: XYPoly) -> XYPoly:
     return acc
 
 
+def _scaled(iv: DyadicInterval) -> tuple[int, int, int]:
+    """(lo, hi, e) with iv = [lo * 2**e, hi * 2**e]."""
+    lo, hi = iv.lo, iv.hi
+    e = min(lo.e, hi.e)
+    return lo.m << (lo.e - e), hi.m << (hi.e - e), e
+
+
+def _mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Interval product: the min and max of the four endpoint products."""
+    alo, ahi, ae = a
+    blo, bhi, be = b
+    c1, c2, c3, c4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    return min(c1, c2, c3, c4), max(c1, c2, c3, c4), ae + be
+
+
+def _add(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    alo, ahi, ae = a
+    blo, bhi, be = b
+    if ae > be:
+        d = ae - be
+        return (alo << d) + blo, (ahi << d) + bhi, be
+    d = be - ae
+    return alo + (blo << d), ahi + (bhi << d), ae
+
+
+def _round(a: tuple[int, int, int], precision: int | None) -> tuple[int, int, int]:
+    """Outward to multiples of 2**-precision: floor the low end, ceil the high."""
+    lo, hi, e = a
+    if precision is None or e >= -precision:
+        return a
+    shift = -precision - e
+    return lo >> shift, -((-hi) >> shift), -precision
+
+
+def _point_y_coeffs(p: XYPoly, y: Dyadic) -> dict[int, tuple[int, int, int]]:
+    """Exact b_i = sum_j a_ij * y**j for y = m / 2**k, all over 2**(k*D).
+
+    With D = deg_y, y**j = m**j * 2**(k*(D - j)) / 2**(k*D), so every term is
+    one integer product against a shared weight.
+    """
+    m, k = (y.m, -y.e) if y.e < 0 else (y.m << y.e, 0)
+    deg = p.deg_y()
+    weights = [1 << (k * deg)]
+    for _ in range(deg):
+        weights.append(weights[-1] * m >> k)
+    b: dict[int, int] = {}
+    for (i, j), c in p._terms.items():
+        b[i] = b.get(i, 0) + c * weights[j]
+    e = -k * deg
+    return {i: (v, v, e) for i, v in b.items()}
+
+
+def _horner_y(coeffs: dict[int, int], y: tuple[int, int, int],
+              precision: int | None) -> tuple[int, int, int]:
+    acc = (0, 0, 0)
+    for j in range(max(coeffs), -1, -1):
+        c = coeffs.get(j, 0)
+        acc = _round(_add(_mul(acc, y), (c, c, 0)), precision)
+    return acc
+
+
 def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval,
                   precision: int | None = None) -> DyadicInterval:
     """Interval enclosing {p(u, v) : u in x, v in y}, Horner in y then x.
 
+    Exact integer arithmetic on (lo, hi, e) triples meaning [lo, hi] * 2**e.
     Dyadics are closed under +/-/*, so with precision=None the only width in
-    the result comes from the input intervals; a precision rounds outward
-    after every step to cap mantissa growth.
+    the result comes from the input intervals, and a point y gives exact
+    x-coefficients; a precision rounds outward after every step to cap
+    mantissa growth.
     """
-    slices: dict[int, dict[int, int]] = {}
-    for i, j, c in p.terms():
-        slices.setdefault(i, {})[j] = c
-    if not slices:
+    if not p._terms:
         return DyadicInterval.point(0)
-
-    def rnd(iv: DyadicInterval) -> DyadicInterval:
-        return iv if precision is None else iv.round_outward(precision)
-
-    def horner_y(coeffs: dict[int, int]) -> DyadicInterval:
-        acc = DyadicInterval.point(0)
-        for j in range(max(coeffs), -1, -1):
-            acc = rnd(acc * y + coeffs.get(j, 0))
-        return acc
-
-    acc = DyadicInterval.point(0)
-    for i in range(max(slices), -1, -1):
-        acc = rnd(acc * x)
-        if i in slices:
-            acc = rnd(acc + horner_y(slices[i]))
-    return acc
+    if precision is None and y.is_point():
+        # unrounded Horner in y at a point is exact: same coefficients
+        coeffs = _point_y_coeffs(p, y.lo)
+    else:
+        slices: dict[int, dict[int, int]] = {}
+        for (i, j), c in p._terms.items():
+            slices.setdefault(i, {})[j] = c
+        y_s = _scaled(y)
+        coeffs = {i: _horner_y(s, y_s, precision) for i, s in slices.items()}
+    x_s = _scaled(x)
+    acc = (0, 0, 0)
+    for i in range(max(coeffs), -1, -1):
+        acc = _round(_mul(acc, x_s), precision)
+        if i in coeffs:
+            acc = _round(_add(acc, coeffs[i]), precision)
+    lo, hi, e = acc
+    return DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
 
 
 def leading_y_term(p: XYPoly) -> tuple[int, XYPoly]:

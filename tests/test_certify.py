@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from rileycert.certify import (CosRatio, HashMismatch, PreconditionUnverifiable,
-                               RootCertificate, ScanReport, find_root_gt2,
+from rileycert.certify import (CosRatio, HashMismatch, MalformedCertificate,
+                               PreconditionUnverifiable, RootCertificate, ScanReport, find_root_gt2,
                                lo_set, solve_lambda_witness, verify_certificate,
                                witness_plan_for, xn_enclosure)
 from rileycert.dyadic import Dyadic, DyadicInterval
@@ -190,6 +190,36 @@ def test_certificate_serialization_round_trip():
     assert verify_certificate(restored, phi)
     signs = cert.to_json_dict()["signs"]
     assert set(signs) == {"+", "-"}
+
+
+def test_certificate_parsing_is_strict():
+    knot = DoubleTwistKnot(2, 3)
+    phi = riley_for_knot(knot)
+    record = find_root_gt2(phi, 5, witness=witness_plan_for(knot),
+                           y_max_cap=64).certificate.to_json_dict()
+    assert verify_certificate(RootCertificate.from_json_dict(record), phi)
+    for signs in (["?", "+"], ["-", "plus"], ["-"], ["-", "+", "+"], "-+", None):
+        with pytest.raises(MalformedCertificate, match="signs"):
+            RootCertificate.from_json_dict({**record, "signs": signs})
+    for key in record:
+        if key == "tool_version":
+            continue
+        with pytest.raises(MalformedCertificate, match=key):
+            RootCertificate.from_json_dict({k: v for k, v in record.items() if k != key})
+    bad_fields = {"n": "five", "precision": None, "knot": 7, "poly_hash": [],
+                  "bracket": {"a": record["bracket"]["a"]}}
+    for key, value in bad_fields.items():
+        with pytest.raises(MalformedCertificate, match=key):
+            RootCertificate.from_json_dict({**record, key: value})
+    with pytest.raises(MalformedCertificate):
+        RootCertificate.from_json_dict([])
+
+
+def test_find_root_rejects_degenerate_arguments():
+    phi = riley_for_knot(DoubleTwistKnot(1, 2))
+    for kwargs in ({"y_max": 2}, {"y_max": 0}, {"precision": 0}, {"precision": -8}):
+        with pytest.raises(ValueError):
+            find_root_gt2(phi, 2, **kwargs)
 
 
 def test_lo_set_deterministic_and_correct():

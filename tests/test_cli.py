@@ -124,3 +124,28 @@ def test_error_exits(capsys):
     assert code == 1 and "error" in err
     code, _, _ = run(capsys, "--version")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--knot", "J:1,2", "--n", "2", "--ymax", "0", "--ymax-cap", "64"),
+    ("certify", "--knot", "J:1,2", "--n", "2", "--prec", "0"),
+    ("certify", "--knot", "J:2,3", "--n", "5", "--ymax", "2"),
+    ("certify", "--knot", "J:2,3", "--n", "5", "--ymax", "64", "--ymax-cap", "32"),
+    ("certify", "--knot", "J:2,3", "--n", "5", "--prec", "4097"),
+    ("certify", "--knot", "J:2,3", "--n", "5", "--prec", "abc"),
+    ("certify", "--knot", "J:2,3", "--n", "1"),
+    ("lo-set", "--knot", "J:2,3", "--n-max", "1"),
+])
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "error:" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "4097", ""])
+def test_bad_precision_environment_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("RILEYCERT_PREC", value)
+    code, out, err = run(capsys, "certify", "--knot", "J:2,3", "--n", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: environment variable RILEYCERT_PREC")
+    assert len(err.splitlines()) == 1

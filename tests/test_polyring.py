@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rileycert.chebyshev import cheb_eval, cheb_poly
 from rileycert.dyadic import Dyadic, DyadicInterval
@@ -198,6 +199,70 @@ def test_eval_interval_width_shrinks():
     narrow = eval_interval(p, DyadicInterval(Dyadic(3, -1), Dyadic(25, -4)),
                            DyadicInterval.point(2))
     assert narrow.width() < wide.width()
+
+
+def reference_eval_interval(p, x, y, precision=None):
+    """Horner in y then x on DyadicInterval objects, rounding after each step.
+
+    The reference for eval_interval, which must return exactly this interval
+    for every input.
+    """
+    slices = {}
+    for i, j, c in p.terms():
+        slices.setdefault(i, {})[j] = c
+    if not slices:
+        return DyadicInterval.point(0)
+
+    def rnd(iv):
+        return iv if precision is None else iv.round_outward(precision)
+
+    def horner_y(coeffs):
+        acc = DyadicInterval.point(0)
+        for j in range(max(coeffs), -1, -1):
+            acc = rnd(acc * y + coeffs.get(j, 0))
+        return acc
+
+    acc = DyadicInterval.point(0)
+    for i in range(max(slices), -1, -1):
+        acc = rnd(acc * x)
+        if i in slices:
+            acc = rnd(acc + horner_y(slices[i]))
+    return acc
+
+
+sparse_polys = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-60, 60)),
+    max_size=12).map(XYPoly.from_terms)
+dyadics = st.builds(Dyadic, st.integers(-(1 << 24), 1 << 24), st.integers(-40, 6))
+intervals = st.one_of(
+    dyadics.map(DyadicInterval.point),
+    st.tuples(dyadics, dyadics).map(lambda ds: DyadicInterval(min(ds), max(ds))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_polys, intervals, intervals,
+       st.sampled_from([None, 1, 3, 8, 24, 64]),
+       st.fractions(0, 1), st.fractions(0, 1))
+def test_eval_interval_matches_reference(p, x, y, precision, tx, ty):
+    iv = eval_interval(p, x, y, precision)
+    assert iv == reference_eval_interval(p, x, y, precision)
+    u = x.lo.as_fraction() + tx * x.width().as_fraction()
+    v = y.lo.as_fraction() + ty * y.width().as_fraction()
+    assert iv.contains_fraction(p.eval_fraction(u, v))
+
+
+def test_eval_interval_matches_reference_on_riley():
+    from rileycert.certify import xn_enclosure
+    phi = riley_double_twist(2, -3).poly
+    for n, prec in ((2, 128), (5, 128), (7, 256)):
+        xn = xn_enclosure(n, prec)
+        for y in (Dyadic(2), Dyadic(17, -3), Dyadic(2 ** 130 + 12345, -128)):
+            point = DyadicInterval.point(y)
+            assert eval_interval(phi, xn, point) == reference_eval_interval(phi, xn, point)
+        y_iv = DyadicInterval(Dyadic(9, -2), Dyadic(19, -3))
+        for precision in (None, 64):
+            assert (eval_interval(phi, xn, y_iv, precision)
+                    == reference_eval_interval(phi, xn, y_iv, precision))
 
 
 def test_poly_matrix_ops():

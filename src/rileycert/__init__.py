@@ -5,8 +5,8 @@ of phi_K(2cos(pi/n), y)."""
 __version__ = "0.1.0"
 
 from .dyadic import Dyadic, DyadicInterval  # noqa: E402
-from .polyring import (SYPoly, XYPoly, compose_univariate, eval_interval,  # noqa: E402
-                       leading_y_term, symmetric_rewrite)
+from .polyring import (SYPoly, XYPoly, eval_interval, leading_y_term,  # noqa: E402
+                       symmetric_rewrite)
 from .chebyshev import (cheb_eval, cheb_poly, cheb_root_enclosures,  # noqa: E402
                         sl2_power, solve_recurrence)
 from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,  # noqa: E402
@@ -21,7 +21,7 @@ from .certify import (MalformedCertificate, RootCertificate, ScanReport,  # noqa
 
 __all__ = [
     "Dyadic", "DyadicInterval",
-    "SYPoly", "XYPoly", "compose_univariate", "eval_interval",
+    "SYPoly", "XYPoly", "eval_interval",
     "leading_y_term", "symmetric_rewrite",
     "cheb_eval", "cheb_poly", "cheb_root_enclosures", "sl2_power",
     "solve_recurrence",

@@ -9,6 +9,8 @@ that no root exists.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -108,23 +110,17 @@ def witness_plan_for(knot) -> WitnessPlan | None:
 
 
 def solve_lambda_witness(lam: XYPoly, x: DyadicInterval, c: CosRatio,
-                         precision: int, *, n: int | None = None,
+                         precision: int, *, n: int,
                          require_c_le_1: bool = False) -> DyadicInterval:
-    """Enclosure of some y_c >= 2 with lambda(x, y_c) = c.
+    """Enclosure of some y_c >= 2 with lambda(x, y_c) = c, x enclosing x_n.
 
-    The bracket exists because lambda(x, 2) = x^2 - 2 >= c (certified exactly
-    through the cosine-angle comparison when n is known, by intervals
-    otherwise; grid corners like m=3/n=4 hit equality, where only the exact
-    route can succeed) and lambda -> -infinity as y grows.
+    The bracket exists because lambda(x_n, 2) = x_n^2 - 2 >= c, certified
+    exactly through the cosine-angle comparison (grid corners like m=3/n=4
+    hit equality, which no interval test could certify), and lambda ->
+    -infinity as y grows.
     """
-    if n is not None:
-        if not c.le_xn_squared_minus_2(n):
-            raise PreconditionUnverifiable(
-                f"c = 2cos({c.num}pi/{c.den}) > x_{n}^2 - 2")
-    else:
-        x_sq_minus_2 = x * x - 2
-        if not c.enclosure(precision).hi <= x_sq_minus_2.lo:
-            raise PreconditionUnverifiable("c <= x^2 - 2 not interval-definite")
+    if not c.le_xn_squared_minus_2(n):
+        raise PreconditionUnverifiable(f"c = 2cos({c.num}pi/{c.den}) > x_{n}^2 - 2")
     if require_c_le_1 and not c.le_one():
         raise PreconditionUnverifiable(f"c = 2cos({c.num}pi/{c.den}) > 1")
     c_enc = c.enclosure(precision + 8)
@@ -184,25 +180,69 @@ class RootCertificate:
     def from_json_dict(cls, obj: dict) -> "RootCertificate":
         """Parse a record written by to_json_dict.
 
-        Raises MalformedCertificate for a missing or malformed field; signs
-        must be exactly "+" or "-".
+        Raises MalformedCertificate for a missing or malformed field: signs
+        must be exactly "+" or "-"; n, precision and y_max JSON integers with
+        n >= 2, precision in 1..DEFAULT_PRECISION_CAP and y_max >= 3; each
+        bracket exponent within _max_endpoint_exponent(precision), so that a
+        hostile record cannot make the verifier build huge integers.
         """
         sign_a, sign_b = _field(obj, "signs", _parse_signs)
-        a, b = _field(obj, "bracket", lambda br: (Dyadic.from_json(br["a"]),
-                                                  Dyadic.from_json(br["b"])))
-        return cls(knot=_field(obj, "knot", _parse_str), n=_field(obj, "n", int),
-                   a=a, b=b, sign_a=sign_a, sign_b=sign_b,
-                   precision=_field(obj, "precision", int),
-                   y_max=_field(obj, "y_max", int),
+        precision = _field(obj, "precision", _int_parser(1, DEFAULT_PRECISION_CAP))
+        bound = _max_endpoint_exponent(precision)
+        a, b = _field(obj, "bracket", lambda br: (_parse_endpoint(br["a"], bound),
+                                                  _parse_endpoint(br["b"], bound)))
+        return cls(knot=_field(obj, "knot", _parse_str),
+                   n=_field(obj, "n", _int_parser(2)),
+                   a=a, b=b, sign_a=sign_a, sign_b=sign_b, precision=precision,
+                   y_max=_field(obj, "y_max", _int_parser(3)),
                    poly_hash=_field(obj, "poly_hash", _parse_str))
+
+
+def _max_endpoint_exponent(precision: int) -> int:
+    """Bound on |exponent| of every bracket endpoint a scan emits whose
+    certificate records this precision (which is >= the starting one, P).
+
+    An endpoint is a probe point refined by bisection.  A probe point carries
+    at most 2P + 5 fractional bits (the alpha-sign-point midpoint of
+    x_n^2 - 1, x_n having P + 2) and a bracket starts narrower than 2**70
+    (solve_lambda_witness stops doubling below 2 + 2**70; grid brackets are
+    1/8 wide).  Each bisection step adds at most 2 fractional bits and shrinks
+    the bracket by 3/4 or more until it is 2**-P wide: fewer than
+    2 + 2(P + 70)/log2(4/3) < 4.82P + 340 bits in all, so |exponent| <
+    6.82P + 345.  Values stay below 2**70 or y_max_cap, far inside the same
+    bound.
+    """
+    return 7 * precision + 350
 
 
 def _field(obj: dict, key: str, parse):
     try:
         return parse(obj[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedCertificate(
             f"certificate field {key!r} is missing or malformed") from exc
+
+
+def _int_parser(lo: int, hi: int | None = None):
+    """A JSON integer (not a bool, float or string) in [lo, hi]."""
+    def parse(value) -> int:
+        if type(value) is not int:
+            raise TypeError(f"expected an integer, got {type(value).__name__}")
+        if value < lo or (hi is not None and value > hi):
+            raise ValueError(f"{value} is out of range")
+        return value
+    return parse
+
+
+def _parse_endpoint(value, bound: int) -> Dyadic:
+    """{"mantissa": decimal string, "exponent": JSON integer}, the exponent
+    (once normalized) within +-bound."""
+    if not (isinstance(value["mantissa"], str) and type(value["exponent"]) is int):
+        raise TypeError(f"malformed endpoint {value!r}")
+    d = Dyadic.from_json(value)
+    if abs(d.e) > bound:
+        raise ValueError(f"exponent {d.e} is beyond +-{bound}")
+    return d
 
 
 def _parse_str(value) -> str:
@@ -241,152 +281,141 @@ DEFAULT_PRECISION_CAP = 4096
 GRID_STEP = Dyadic(1, -3)  # 1/8
 
 
+class _SignOracle:
+    """Signs of phi(x_n, y), raising the x_n precision on demand, with the
+    evaluation, escalation and indefinite counts of the scan trace."""
+
+    def __init__(self, poly: XYPoly, n: int, precision: int):
+        self.poly, self.n, self.precision = poly, n, precision
+        self.xn = xn_enclosure(n, precision)
+        self.evaluations = self.escalations = self.indefinite = 0
+
+    def sign(self, y: Dyadic) -> int | None:
+        """Definite sign, 0 for an exact zero, None if still indefinite once
+        the precision would pass DEFAULT_PRECISION_CAP."""
+        while True:
+            self.evaluations += 1
+            s = eval_interval(self.poly, self.xn, DyadicInterval.point(y)).sign()
+            if s is not None:
+                return s
+            self.indefinite += 1
+            if self.precision * 2 > DEFAULT_PRECISION_CAP:
+                return None
+            self.precision *= 2
+            self.xn = xn_enclosure(self.n, self.precision)
+            self.escalations += 1
+
+
+def _witness_point(witness: WitnessPlan | None, oracle: _SignOracle, n: int,
+                   precision: int, min_a: Dyadic) -> tuple[Dyadic | None, int]:
+    """(y, sign) of the witness probe, evaluated before the grid; sign 0 when
+    there is no plan, its precondition fails, or the sign is not definite."""
+    if witness is None:
+        return None, 0
+    if witness.kind == "lambda-preimage":
+        try:
+            candidate = solve_lambda_witness(
+                witness.lam, oracle.xn, witness.target, precision, n=n,
+                require_c_le_1=witness.require_c_le_1).midpoint()
+        except PreconditionUnverifiable:
+            return None, 0
+    else:  # alpha-sign-point
+        candidate = (oracle.xn * oracle.xn - 1).midpoint()
+    y = max(candidate, min_a)
+    return y, oracle.sign(y) or 0
+
+
+def _grid(min_a: Dyadic, y_max_cap: int):
+    """min_a, then 2 + k/8 for k = 1, 2, ... up to y_max_cap.  The first
+    sample sits at the strictness margin so sign information at y = 2 itself
+    (e.g. phi(x_n, 2) > 0 for m = 2, n >= 5) is not lost to the spacing."""
+    yield min_a
+    y = Dyadic(2) + GRID_STEP
+    while y <= y_max_cap:
+        yield y
+        y = y + GRID_STEP
+
+
+def _bisect(oracle: _SignOracle, a: Dyadic, sa: int, b: Dyadic, precision: int):
+    """Shrink the bracket (a, b), sign sa at a, to width <= 2**-precision,
+    cutting at 1/2, else 1/4, else 3/4 of the way; None when all three cut
+    points are exact zeros or indefinite at the precision cap."""
+    width_target = Dyadic(1, -precision)
+    while (b - a) > width_target:
+        for num, shift in ((1, 1), (1, 2), (3, 2)):
+            mid = a + (b - a) * Dyadic(num, -shift)
+            s = oracle.sign(mid)
+            if s == sa:
+                a = mid
+                break
+            if s == -sa:
+                b = mid
+                break
+        else:
+            return None
+    return a, b
+
+
+def _reported_bound(b: Dyadic, y_max: int, y_max_cap: int) -> int:
+    """The first of y_max, 2*y_max, 4*y_max, ... that is >= b, capped at
+    y_max_cap: the search window reported for a bracket ending at b."""
+    ratio = math.ceil(b.as_fraction() / y_max)
+    return min(y_max << (ratio - 1).bit_length(), y_max_cap)
+
+
 def find_root_gt2(phi: RileyPolynomial, n: int, *, y_max: int = DEFAULT_Y_MAX,
                   precision: int = DEFAULT_PRECISION,
                   witness: WitnessPlan | None = None,
-                  y_max_cap: int = DEFAULT_Y_MAX_CAP,
-                  precision_cap: int = DEFAULT_PRECISION_CAP) -> ScanReport:
-    """Scan (2, y_max] for a certified bracket of a root of phi(x_n, .).
+                  y_max_cap: int = DEFAULT_Y_MAX_CAP) -> ScanReport:
+    """Search (2, y_max_cap] for a certified bracket of a root of phi(x_n, .).
 
-    Witness-derived points are probed first, then the 1/8 grid; y_max doubles
-    up to y_max_cap and the x_n precision doubles when an evaluation is
-    sign-indefinite.  The left bracket endpoint keeps the strictness margin
-    a >= 2 + 2**-(precision/2): a bracket touching 2 is never emitted.
+    The witness point, if the plan gives one, is evaluated first; then the
+    1/8 grid walks up to y_max_cap in one pass with the witness point merged
+    in, so a bracket is two consecutive-by-y probes of opposite sign.  y_max
+    only sets the reported bound: the first of y_max, 2*y_max, ... (capped at
+    y_max_cap) that reaches the bracket, or y_max_cap when none is found.
+    The x_n precision doubles, up to DEFAULT_PRECISION_CAP, whenever an
+    evaluation is sign-indefinite.  The left bracket endpoint keeps the
+    strictness margin a >= 2 + 2**-(precision/2): a bracket touching 2 is
+    never emitted.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if y_max <= 2:
         raise ValueError("need y_max > 2")
-    if precision < 1:
-        raise ValueError("need precision >= 1")
-    poly = phi.poly
-    state = {"prec": precision, "xn": xn_enclosure(n, precision),
-             "escalations": 0, "evals": 0, "indefinite": 0}
+    if y_max_cap < y_max:
+        raise ValueError("need y_max_cap >= y_max")
+    if not 1 <= precision <= DEFAULT_PRECISION_CAP:
+        raise ValueError(f"need 1 <= precision <= {DEFAULT_PRECISION_CAP}")
+    oracle = _SignOracle(phi.poly, n, precision)
     min_a = Dyadic(2) + Dyadic(1, -(precision // 2))
-
-    def refine_xn() -> bool:
-        if state["prec"] * 2 > precision_cap:
-            return False
-        state["prec"] *= 2
-        state["xn"] = xn_enclosure(n, state["prec"])
-        state["escalations"] += 1
-        return True
-
-    def sign_at(y_pt: Dyadic):
-        """Definite sign of phi(x_n, y_pt), escalating precision as needed;
-        0 for an exact zero, None if indefinite at the precision cap."""
-        while True:
-            state["evals"] += 1
-            s = eval_interval(poly, state["xn"], DyadicInterval.point(y_pt)).sign()
-            if s is not None:
-                return s
-            state["indefinite"] += 1
-            if not refine_xn():
-                return None
-
-    def bisect(a: Dyadic, sa: int, b: Dyadic, sb: int):
-        width_target = Dyadic(1, -precision)
-        while (b - a) > width_target:
-            moved = False
-            for num, shift in ((1, 1), (1, 2), (3, 2)):
-                mid = a + (b - a) * Dyadic(num, -shift)
-                s = sign_at(mid)
-                if s == sa:
-                    a, moved = mid, True
-                    break
-                if s == -sa:
-                    b, moved = mid, True
-                    break
-                # exact zero or indefinite at the cap: try the other cut points
-            if not moved:
-                return None
-        return a, sa, b, sb
-
-    def finish(bracket) -> ScanReport | None:
-        refined = bisect(*bracket)
-        if refined is None:
-            return None
-        a, sa, b, sb = refined
-        cert = RootCertificate(knot=phi.knot, n=n, a=a, b=b, sign_a=sa,
-                               sign_b=sb, precision=state["prec"],
-                               y_max=cur_max, poly_hash=phi.content_hash)
-        return ScanReport("certified", cert, {
-            "grid_step": "1/8", "y_max_reached": cur_max,
-            "precision_escalations": state["escalations"],
-            "evaluations": state["evals"],
-            "witness": witness.description if witness else None,
-        })
-
-    cur_max = y_max
-    # (i) witness-derived probe points, evaluated up front
-    witness_signs: list[tuple[Dyadic, int]] = []
-    if witness is not None:
-        candidate = None
-        if witness.kind == "lambda-preimage":
-            try:
-                y_c = solve_lambda_witness(witness.lam, state["xn"],
-                                           witness.target, precision, n=n,
-                                           require_c_le_1=witness.require_c_le_1)
-                candidate = y_c.midpoint()
-            except PreconditionUnverifiable:
-                candidate = None
-        elif witness.kind == "alpha-sign-point":
-            candidate = (state["xn"] * state["xn"] - 1).midpoint()
-        if candidate is not None:
-            y_pt = max(candidate, min_a)
-            s = sign_at(y_pt)
-            if s is not None and s != 0:
-                witness_signs.append((y_pt, s))
-    witness_ys = {y_pt.as_fraction() for y_pt, _ in witness_signs}
-
-    # (ii) uniform grid, doubling y_max up to the cap, merged with the
-    # witness points so a bracket means consecutive-by-y opposite signs.
-    # The first sample sits at the strictness margin so sign information at
-    # y = 2 itself (e.g. phi(x_n, 2) > 0 for m = 2, n >= 5) is not lost to
-    # the 1/8 spacing.
-    prev: tuple[Dyadic, int] | None = None
-    bracket = None
-
-    def push(y_pt: Dyadic, s):
-        nonlocal prev, bracket
-        if s is None or s == 0:
-            return
+    wy, ws = _witness_point(witness, oracle, n, precision, min_a)
+    trace = {"grid_step": "1/8", "witness": witness.description if witness else None}
+    probes = _grid(min_a, y_max_cap)
+    if ws:
+        probes = heapq.merge(probes, [wy])
+    prev = None
+    for y in probes:
+        s = ws if ws and y == wy else oracle.sign(y)
+        if not s:
+            continue  # exact zero or indefinite at the cap: no sign to use
         if prev is not None and s == -prev[1]:
-            bracket = (prev[0], prev[1], y_pt, s)
-        prev = (y_pt, s)
-
-    wi = 0
-    y = Dyadic(2)
-    grid_pt: Dyadic | None = min_a
-    while True:
-        while wi < len(witness_signs) and (grid_pt is None
-                                           or witness_signs[wi][0] < grid_pt):
-            push(*witness_signs[wi])
-            wi += 1
-        if bracket is None and grid_pt is not None \
-                and grid_pt.as_fraction() not in witness_ys:
-            push(grid_pt, sign_at(grid_pt))
-        if bracket is not None:
-            report = finish(bracket)
-            if report is not None:
-                return report
-            bracket = None
-        if grid_pt is None:
-            break
-        y = y + GRID_STEP
-        if y > cur_max:
-            if cur_max >= y_max_cap:
-                grid_pt = None  # flush any witness points beyond the cap
-                continue
-            cur_max = min(cur_max * 2, y_max_cap)
-        grid_pt = y
-    return ScanReport("inconclusive", None, {
-        "grid_step": "1/8", "y_max_reached": cur_max,
-        "precision_escalations": state["escalations"],
-        "evaluations": state["evals"], "indefinite": state["indefinite"],
-        "witness": witness.description if witness else None,
-        "note": "no bracket found; this does not assert absence of a root",
-    })
+            refined = _bisect(oracle, prev[0], prev[1], y, precision)
+            if refined is not None:
+                bound = _reported_bound(y, y_max, y_max_cap)
+                cert = RootCertificate(knot=phi.knot, n=n, a=refined[0],
+                                       b=refined[1], sign_a=prev[1], sign_b=s,
+                                       precision=oracle.precision, y_max=bound,
+                                       poly_hash=phi.content_hash)
+                trace.update(y_max_reached=bound,
+                             precision_escalations=oracle.escalations,
+                             evaluations=oracle.evaluations)
+                return ScanReport("certified", cert, trace)
+        prev = (y, s)
+    trace.update(y_max_reached=y_max_cap, precision_escalations=oracle.escalations,
+                 evaluations=oracle.evaluations, indefinite=oracle.indefinite,
+                 note="no bracket found; this does not assert absence of a root")
+    return ScanReport("inconclusive", None, trace)
 
 
 def lo_set(knot, n_max: int, *, y_max: int = DEFAULT_Y_MAX,

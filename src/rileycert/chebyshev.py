@@ -9,10 +9,9 @@ recurrence is exact in any commutative ring and O(n).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
-from .polyring import PolyMatrix, SYPoly, XYPoly
+from .polyring import PolyMatrix, SYPoly
 
 
 class NotUnimodular(ValueError):
@@ -35,23 +34,11 @@ def cheb_poly(n: int) -> tuple[int, ...]:
     return tuple(cur)
 
 
-def _one_like(t):
-    if isinstance(t, int):
-        return 1
-    if isinstance(t, Fraction):
-        return Fraction(1)
-    if isinstance(t, Dyadic):
-        return Dyadic(1)
-    if isinstance(t, DyadicInterval):
-        return DyadicInterval.point(1)
-    if isinstance(t, (XYPoly, SYPoly)):
-        return type(t).one()
-    raise TypeError(f"no ring unit known for {type(t).__name__}")
-
-
 def _cheb_pair(n: int, t):
-    """(S_{n-1}(t), S_n(t)) by the recurrence, with S_{-1} = 0."""
-    prev, cur = 0 * t, _one_like(t)
+    """(S_{n-1}(t), S_n(t)) by the recurrence, with S_{-1} = 0, in the ring
+    of t (int, Fraction, Dyadic(Interval), or a polynomial)."""
+    prev = 0 * t
+    cur = prev + 1
     for _ in range(n):
         prev, cur = cur, t * cur - prev
     return prev, cur
@@ -72,27 +59,16 @@ def solve_recurrence(a0, a1, c, n: int):
     return s_cur * a1 - s_prev * a0
 
 
-def sl2_power(M, n: int):
-    """M**n for det(M) = 1, via M^n = S_n(tr M) I - S_{n-1}(tr M) M^-1.
-
-    Accepts a PolyMatrix or a 2x2 of exact rationals; returns the same kind.
-    """
+def sl2_power(M: PolyMatrix, n: int) -> PolyMatrix:
+    """M**n for det(M) = 1, via M^n = S_n(tr M) I - S_{n-1}(tr M) M^-1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if isinstance(M, PolyMatrix):
-        if M.det() != SYPoly.one():
-            raise NotUnimodular("determinant is not the ring unit")
-        s_prev, s_cur = _cheb_pair(n, M.trace())
-        inv = M.adjugate()
-        return PolyMatrix(s_cur - s_prev * inv.e11, -(s_prev * inv.e12),
-                          -(s_prev * inv.e21), s_cur - s_prev * inv.e22)
-    (a, b), (c, d) = M
-    a, b, c, d = (Fraction(v) for v in (a, b, c, d))
-    if a * d - b * c != 1:
-        raise NotUnimodular("determinant is not 1")
-    s_prev, s_cur = _cheb_pair(n, a + d)
-    return ((s_cur - s_prev * d, s_prev * b),
-            (s_prev * c, s_cur - s_prev * a))
+    if M.det() != SYPoly.one():
+        raise NotUnimodular("determinant is not the ring unit")
+    s_prev, s_cur = _cheb_pair(n, M.trace())
+    inv = M.adjugate()
+    return PolyMatrix(s_cur - s_prev * inv.e11, -(s_prev * inv.e12),
+                      -(s_prev * inv.e21), s_cur - s_prev * inv.e22)
 
 
 def _definite_sign_at(n: int, t: Dyadic) -> int:

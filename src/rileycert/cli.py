@@ -299,9 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_scan_args(p):
         p.add_argument("--ymax", type=_y_bound, default=DEFAULT_Y_MAX,
-                       help=f"initial search bound, >= 3 (default {DEFAULT_Y_MAX})")
+                       help="first reported search bound, >= 3; a bracket "
+                            "reports the first of ymax, 2*ymax, ... that "
+                            f"reaches it (default {DEFAULT_Y_MAX})")
         p.add_argument("--ymax-cap", type=_y_bound, default=DEFAULT_Y_MAX_CAP,
-                       help="bound to which --ymax doubles, >= --ymax "
+                       help="end of the 1/8 grid, walked in one pass, >= --ymax "
                             f"(default {DEFAULT_Y_MAX_CAP})")
         p.add_argument("--prec", type=_precision, default=default_prec,
                        help=f"precision in bits, 1..{DEFAULT_PRECISION_CAP} "

@@ -173,6 +173,14 @@ class _SparsePoly:
     def from_triples(cls, triples: Iterable[Sequence]):
         return cls.from_terms((int(i), int(j), int(c)) for i, j, c in triples)
 
+    def eval_fraction(self, u: Fraction, y: Fraction) -> Fraction:
+        """Exact rational value at (x or s, y) = (u, y): the oracle for
+        interval evaluation."""
+        total = Fraction(0)
+        for i, j, c in self.terms():
+            total += c * u**i * y**j
+        return total
+
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
@@ -234,13 +242,6 @@ class XYPoly(_SparsePoly):
             acc = acc * x_image + SYPoly(slices.get(i, {}))
         return acc
 
-    def eval_fraction(self, x: Fraction, y: Fraction) -> Fraction:
-        """Exact rational evaluation (the oracle for interval evaluation)."""
-        total = Fraction(0)
-        for i, j, c in self.terms():
-            total += c * x**i * y**j
-        return total
-
 
 class SYPoly(_SparsePoly):
     """Element of Z[s, 1/s, y]; the s-exponent may be negative."""
@@ -262,12 +263,6 @@ class SYPoly(_SparsePoly):
 
     def is_symmetric(self) -> bool:
         return self._terms == self.invert_s()._terms
-
-    def eval_fraction(self, s: Fraction, y: Fraction) -> Fraction:
-        total = Fraction(0)
-        for i, j, c in self.terms():
-            total += c * s**i * y**j
-        return total
 
 
 def symmetric_rewrite(p: SYPoly) -> XYPoly:
@@ -299,16 +294,6 @@ def symmetric_rewrite(p: SYPoly) -> XYPoly:
     if result.to_sy() != p:
         raise AssertionError("symmetric rewrite failed back-substitution check")
     return result
-
-
-def compose_univariate(outer: Sequence[int], inner: XYPoly) -> XYPoly:
-    """Substitute inner for the variable of outer (ascending int coefficients)."""
-    if len(outer) == 0:
-        raise ValueError("outer polynomial must have degree >= 0")
-    acc = XYPoly.const(outer[-1])
-    for c in reversed(outer[:-1]):
-        acc = acc * inner + c
-    return acc
 
 
 def _scaled(iv: DyadicInterval) -> tuple[int, int, int]:

@@ -12,14 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .chebyshev import cheb_eval, cheb_poly, sl2_power
+from .chebyshev import _cheb_pair, sl2_power
 from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,
                     sign_sequence, word_double_twist, word_from_signs, word_kl)
-from .polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly,
-                       compose_univariate, symmetric_rewrite)
-
-# symmetric_rewrite signals this when the relator is malformed
-SymmetryViolation = NotSymmetric
+from .polyring import PolyMatrix, SYPoly, XYPoly, symmetric_rewrite
 
 
 class StructureViolation(ValueError):
@@ -103,8 +99,7 @@ def alpha_dt(k: int) -> XYPoly:
     if k < 1:
         raise ValueError("k must be >= 1")
     x, y = XYPoly.x(), XYPoly.y()
-    s_k = cheb_eval(k, y)
-    s_km1 = cheb_eval(k - 1, y)
+    s_km1, s_k = _cheb_pair(k, y)
     return XYPoly.one() + (y + 2 - x * x) * s_km1 * (s_k - s_km1)
 
 
@@ -113,8 +108,7 @@ def lambda_dt(k: int) -> XYPoly:
     if k < 1:
         raise ValueError("k must be >= 1")
     x, y = XYPoly.x(), XYPoly.y()
-    s_k = cheb_eval(k, y)
-    s_km1 = cheb_eval(k - 1, y)
+    s_km1, s_k = _cheb_pair(k, y)
     return x * x - y - (y - 2) * (y + 2 - x * x) * s_k * s_km1
 
 
@@ -134,11 +128,11 @@ def riley_double_twist(k: int, m: int) -> RileyPolynomial:
         return RileyPolynomial(alpha, knot,
                                "closed-form (m=1, out of convention: phi = alpha)")
     if m > 0:
-        phi = compose_univariate(cheb_poly(m - 1), lam) * alpha \
-            - compose_univariate(cheb_poly(m - 2), lam)
+        s_prev, s_cur = _cheb_pair(m - 1, lam)
+        phi = s_cur * alpha - s_prev
     else:
-        phi = compose_univariate(cheb_poly(-m), lam) \
-            - compose_univariate(cheb_poly(-m - 1), lam) * alpha
+        s_prev, s_cur = _cheb_pair(-m, lam)
+        phi = s_cur - s_prev * alpha
     return RileyPolynomial(phi, knot, "closed-form")
 
 
@@ -198,8 +192,8 @@ def riley_kl(l: int) -> RileyPolynomial:
     """Closed form for K_l: S_{l-1}(lam)*alpha - S_{l-2}(lam)*beta."""
     knot = KlKnot(l)
     lam, alpha, beta = kl_named_polys()
-    phi = compose_univariate(cheb_poly(l - 1), lam) * alpha \
-        - compose_univariate(cheb_poly(l - 2), lam) * beta
+    s_prev, s_cur = _cheb_pair(l - 1, lam)
+    phi = s_cur * alpha - s_prev * beta
     return RileyPolynomial(phi, knot.spec_string(), "closed-form")
 
 

@@ -102,11 +102,6 @@ def test_solve_lambda_witness_precondition_failures():
     with pytest.raises(PreconditionUnverifiable):
         solve_lambda_witness(lam, xn_enclosure(8, 128), CosRatio(1, 4), 128,
                              n=8, require_c_le_1=True)  # c > 1
-    # interval route (no n): strict case passes, boundary case cannot certify
-    solve_lambda_witness(lambda_dt(1), xn_enclosure(5, 128), CosRatio(1, 2), 128)
-    with pytest.raises(PreconditionUnverifiable):
-        solve_lambda_witness(lambda_dt(1), xn_enclosure(4, 128),
-                             CosRatio(1, 2), 128)
 
 
 def test_find_root_examples_m2():
@@ -215,9 +210,33 @@ def test_certificate_parsing_is_strict():
         RootCertificate.from_json_dict([])
 
 
+def test_certificate_fields_are_bounded():
+    # hostile records are rejected by the parser alone, never verified: a
+    # 2**40 exponent would make a 2**40-bit shift, a 10**7 precision a
+    # 10**7-bit pi
+    knot = DoubleTwistKnot(2, 3)
+    record = find_root_gt2(riley_for_knot(knot), 5, witness=witness_plan_for(knot),
+                           y_max_cap=64).certificate.to_json_dict()
+    bad_values = {"precision": (10**7, 4097, 0, -128, float("inf"), 128.5, True, "128"),
+                  "n": (1, 0, -5, 5.5, "5"), "y_max": (2, -3, 64.0, "64")}
+    for key, values in bad_values.items():
+        for value in values:
+            with pytest.raises(MalformedCertificate, match=f"'{key}'"):
+                RootCertificate.from_json_dict({**record, key: value})
+    endpoints = [{"mantissa": "1", "exponent": e} for e in (-2**40, 2**40, -10**4)]
+    endpoints += [{"mantissa": "5", "exponent": -1.5}, {"mantissa": 5, "exponent": -1},
+                  {"mantissa": "5", "exponent": True}]
+    for end in ("a", "b"):
+        for endpoint in endpoints:
+            bracket = {**record["bracket"], end: endpoint}
+            with pytest.raises(MalformedCertificate, match="bracket"):
+                RootCertificate.from_json_dict({**record, "bracket": bracket})
+
+
 def test_find_root_rejects_degenerate_arguments():
     phi = riley_for_knot(DoubleTwistKnot(1, 2))
-    for kwargs in ({"y_max": 2}, {"y_max": 0}, {"precision": 0}, {"precision": -8}):
+    for kwargs in ({"y_max": 2}, {"y_max": 0}, {"precision": 0}, {"precision": -8},
+                   {"y_max": 40, "y_max_cap": 8}, {"precision": 8000}):
         with pytest.raises(ValueError):
             find_root_gt2(phi, 2, **kwargs)
 

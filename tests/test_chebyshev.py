@@ -7,7 +7,7 @@ from rileycert.chebyshev import (NotUnimodular, cheb_eval, cheb_poly,
                                  cheb_root_enclosures, sl2_power,
                                  solve_recurrence)
 from rileycert.dyadic import Dyadic, DyadicInterval
-from rileycert.knots import DoubleTwistKnot, word_double_twist
+from rileycert.knots import DoubleTwistKnot, Word, word_double_twist
 from rileycert.polyring import PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word
 
@@ -133,49 +133,28 @@ def test_solve_recurrence_examples_and_oracle():
             assert solve_recurrence(a0, a1, c, n) == seq[n + 1]
 
 
-def _matmul(a, b):
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
-
-
-def test_sl2_power_rational():
-    ident = ((1, 0), (0, 1))
-    for n in (1, 2, 5):
-        assert sl2_power(ident, n) == ((Fraction(1), Fraction(0)),
-                                       (Fraction(0), Fraction(1)))
-    assert sl2_power(((1, 1), (0, 1)), 3) == ((Fraction(1), Fraction(3)),
-                                              (Fraction(0), Fraction(1)))
-    rng = random.Random(53)
-    for _ in range(20):
-        # build unimodular matrices as products of elementary shears
-        m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        for _ in range(3):
-            t = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
-            shear = ((Fraction(1), t), (Fraction(0), Fraction(1))) \
-                if rng.random() < 0.5 else \
-                ((Fraction(1), Fraction(0)), (t, Fraction(1)))
-            m = _matmul(m, shear)
-        n = rng.randrange(1, 7)
-        direct = m
-        for _ in range(n - 1):
-            direct = _matmul(direct, m)
-        assert sl2_power(m, n) == direct
-    with pytest.raises(NotUnimodular):
-        sl2_power(((2, 0), (0, 1)), 2)
-    with pytest.raises(ValueError):
-        sl2_power(ident, 0)
-
-
 def test_sl2_power_poly_matrix():
+    ident = PolyMatrix.identity()
+    for n in (1, 2, 5):
+        assert sl2_power(ident, n) == ident
+    # random words: powers 1..7 of V and of V^-1 against repeated products
+    rng = random.Random(53)
+    for _ in range(3):
+        letters = [(rng.choice("ab"), rng.choice((-1, 1))) for _ in range(3)]
+        mat = evaluate_word(Word.from_letters(letters))
+        for base in (mat, mat.adjugate()):
+            direct = base
+            for n in range(1, 8):
+                assert sl2_power(base, n) == direct, (letters, n)
+                direct = direct @ base
     w, _ = word_double_twist(DoubleTwistKnot(1, 2))
     mat = evaluate_word(w)
-    assert sl2_power(mat, 2) == mat @ mat
     assert sl2_power(mat, 3) == mat @ mat @ mat
     bad = PolyMatrix(SYPoly.s(1), SYPoly.zero(), SYPoly.zero(), SYPoly.s(1))
     with pytest.raises(NotUnimodular):
         sl2_power(bad, 2)
+    with pytest.raises(ValueError):
+        sl2_power(ident, 0)
 
 
 def test_eval_on_dyadic_interval():

@@ -4,13 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rileycert.chebyshev import cheb_eval, cheb_poly
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly,
-                                ZeroPolynomial, compose_univariate,
-                                eval_interval, leading_y_term,
+                                ZeroPolynomial, eval_interval, leading_y_term,
                                 symmetric_rewrite)
-from rileycert.riley import lambda_dt, riley_double_twist
+from rileycert.riley import riley_double_twist
 
 X, Y = XYPoly.x(), XYPoly.y()
 
@@ -123,19 +121,6 @@ def test_symmetric_rewrite_round_trip_random():
         p = SYPoly.from_terms(terms)
         f = symmetric_rewrite(p)
         assert f.to_sy() == p
-
-
-def test_compose_univariate():
-    assert compose_univariate((0, 0, 1), X + Y) == X ** 2 + 2 * X * Y + Y ** 2
-    assert compose_univariate(cheb_poly(2), Y) == Y ** 2 - 1
-    # S_3 composed with the double-twist trace polynomial, checked at a point
-    lam = lambda_dt(1)
-    composed = compose_univariate(cheb_poly(3), lam)
-    at_point = composed.eval_fraction(Fraction(1), Fraction(2))
-    assert lam.eval_fraction(Fraction(1), Fraction(2)) == -1
-    assert at_point == cheb_eval(3, Fraction(-1))
-    with pytest.raises(ValueError):
-        compose_univariate((), X)
 
 
 def test_leading_y_term():

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from rileycert.chebyshev import cheb_poly
 from rileycert.knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,
                              sign_sequence, word_double_twist,
                              word_from_signs, word_kl)
 from rileycert.polyring import (PolyMatrix, SYPoly, XYPoly, leading_y_term,
                                 symmetric_rewrite)
-from rileycert.riley import (StructureViolation, SymmetryViolation, alpha_dt,
+from rileycert.riley import (StructureViolation, alpha_dt,
                              evaluate_word, generator_images,
                              kl_alpha_derivative_check, kl_cross_check,
                              kl_named_polys, lambda_dt, riley_double_twist,
@@ -77,6 +78,29 @@ def test_engine_matches_closed_forms():
         assert riley_generic(word_kl(KlKnot(l))).poly == riley_kl(l).poly
 
 
+def _compose(coeffs, inner):
+    """inner substituted into an ascending coefficient tuple, by Horner."""
+    acc = XYPoly.const(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * inner + c
+    return acc
+
+
+def test_closed_forms_match_coefficient_composition():
+    # the closed forms with S_j(lambda) from the expanded coefficients of S_j
+    for k in range(1, 5):
+        lam, alpha = lambda_dt(k), alpha_dt(k)
+        for m in (2, 3, 4, 5, 6):
+            assert riley_double_twist(k, m).poly == \
+                _compose(cheb_poly(m - 1), lam) * alpha - _compose(cheb_poly(m - 2), lam)
+            assert riley_double_twist(k, -m).poly == \
+                _compose(cheb_poly(m), lam) - _compose(cheb_poly(m - 1), lam) * alpha
+    lam, alpha, beta = kl_named_polys()
+    for l in range(2, 7):
+        assert riley_kl(l).poly == _compose(cheb_poly(l - 1), lam) * alpha \
+            - _compose(cheb_poly(l - 2), lam) * beta
+
+
 def test_m_one_boundary_convention():
     w, _ = word_double_twist(DoubleTwistKnot(1, 2))
     assert riley_double_twist(1, 1).poly == alpha_dt(1)
@@ -91,7 +115,6 @@ def test_m_one_boundary_convention():
 def test_structure_violation_on_malformed_word():
     with pytest.raises(StructureViolation):
         riley_generic(Word.parse_text("a"))
-    assert SymmetryViolation is not None
 
 
 def _fraction_matrix_r12(word, s, y):

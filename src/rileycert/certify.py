@@ -36,8 +36,8 @@ class MalformedCertificate(ValueError):
 def xn_enclosure(n: int, precision: int) -> DyadicInterval:
     """Enclosure of x_n = 2cos(pi/n) of width <= 2**-precision.
 
-    Exact for n = 2, 3; algebraic bisection against t^2 - 2 / t^2 - 3 for
-    n = 4, 6; certified pi enclosure plus Taylor remainder otherwise.
+    Exact for n = 2, 3; the integer square root of 2 or 3 for n = 4, 6; the
+    fixed-point cosine series on a certified pi enclosure otherwise.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -277,6 +277,7 @@ class ScanReport:
 DEFAULT_Y_MAX = 64
 DEFAULT_PRECISION = 128
 DEFAULT_Y_MAX_CAP = 1 << 16
+MAX_Y_MAX_CAP = 1 << 20  # the grid walk costs 8 evaluations per unit of y_max_cap
 DEFAULT_PRECISION_CAP = 4096
 GRID_STEP = Dyadic(1, -3)  # 1/8
 
@@ -383,8 +384,8 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *, y_max: int = DEFAULT_Y_MAX,
         raise ValueError("need n >= 2")
     if y_max <= 2:
         raise ValueError("need y_max > 2")
-    if y_max_cap < y_max:
-        raise ValueError("need y_max_cap >= y_max")
+    if not y_max <= y_max_cap <= MAX_Y_MAX_CAP:
+        raise ValueError(f"need y_max <= y_max_cap <= {MAX_Y_MAX_CAP}")
     if not 1 <= precision <= DEFAULT_PRECISION_CAP:
         raise ValueError(f"need 1 <= precision <= {DEFAULT_PRECISION_CAP}")
     oracle = _SignOracle(phi.poly, n, precision)

@@ -14,8 +14,8 @@ import sys
 
 from . import __version__
 from .certify import (DEFAULT_PRECISION, DEFAULT_PRECISION_CAP, DEFAULT_Y_MAX,
-                      DEFAULT_Y_MAX_CAP, find_root_gt2, verify_certificate,
-                      witness_plan_for)
+                      DEFAULT_Y_MAX_CAP, MAX_Y_MAX_CAP, find_root_gt2,
+                      verify_certificate, witness_plan_for)
 from .chebyshev import cheb_eval, cheb_poly
 from .knots import (DoubleTwistKnot, KlKnot, ReductionInapplicable,
                     TwoBridgeFraction, expand, hm_reduce, kl_fraction,
@@ -62,6 +62,7 @@ def _int_in_range(lo: int, hi: int | None = None):
 
 _cover_index = _int_in_range(2)
 _y_bound = _int_in_range(3)
+_y_cap = _int_in_range(3, MAX_Y_MAX_CAP)
 _precision = _int_in_range(1, DEFAULT_PRECISION_CAP)
 
 
@@ -302,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="first reported search bound, >= 3; a bracket "
                             "reports the first of ymax, 2*ymax, ... that "
                             f"reaches it (default {DEFAULT_Y_MAX})")
-        p.add_argument("--ymax-cap", type=_y_bound, default=DEFAULT_Y_MAX_CAP,
+        p.add_argument("--ymax-cap", type=_y_cap, default=DEFAULT_Y_MAX_CAP,
                        help="end of the 1/8 grid, walked in one pass, >= --ymax "
-                            f"(default {DEFAULT_Y_MAX_CAP})")
+                            f"and <= {MAX_Y_MAX_CAP} (default {DEFAULT_Y_MAX_CAP})")
         p.add_argument("--prec", type=_precision, default=default_prec,
                        help=f"precision in bits, 1..{DEFAULT_PRECISION_CAP} "
                             f"(default {default_prec}; env {PREC_ENV_VAR})")

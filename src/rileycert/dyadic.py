@@ -3,10 +3,16 @@
 Dyadic numbers m * 2**e are closed under +, -, *, so interval arithmetic here
 is exact unless a rounding precision is requested explicitly.  Rounding, when
 asked for, always moves lower endpoints down and upper endpoints up.
+
+The enclosures of pi, sqrt(2), sqrt(3) and 2cos(num*pi/den) are fixed-point
+work on plain integers scaled by a power of two: every floor division is
+counted in a stated error budget, in ulps, and the result is rounded
+outward.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -118,7 +124,7 @@ class Dyadic:
         return (self.m > 0) - (self.m < 0)
 
     def __float__(self):
-        return self.m * 2.0 ** self.e
+        return float(self.as_fraction())  # m * 2.0**e overflows once m > 2**1024
 
     def as_json(self) -> dict:
         return {"mantissa": str(self.m), "exponent": self.e}
@@ -146,11 +152,6 @@ class DyadicInterval:
     def point(cls, value) -> "DyadicInterval":
         d = Dyadic._coerce(value)
         return cls(d, d)
-
-    @classmethod
-    def from_fractions(cls, lo: Fraction, hi: Fraction, precision: int) -> "DyadicInterval":
-        return cls(Dyadic.from_fraction_floor(lo, precision),
-                   Dyadic.from_fraction_ceil(hi, precision))
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -249,10 +250,13 @@ def _atan_inv_scaled(q: int, work: int) -> tuple[int, int]:
     return total, terms + 1
 
 
+_GUARD_BITS = 32
+
+
 @lru_cache(maxsize=None)
 def pi_bounds(precision: int) -> tuple[Fraction, Fraction]:
     """Rational lo <= pi <= hi with hi - lo <= 2**-precision (Machin's formula)."""
-    work = precision + 32
+    work = precision + _GUARD_BITS
     v5, e5 = _atan_inv_scaled(5, work)
     v239, e239 = _atan_inv_scaled(239, work)
     value = 16 * v5 - 4 * v239
@@ -263,59 +267,81 @@ def pi_bounds(precision: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _cos_bounds(t: Fraction, precision: int) -> tuple[Fraction, Fraction]:
-    """Rational bounds on cos(t) for 0 <= t <= 8/5, width <= 2**-precision.
+def _cos_scaled(t: int, work: int) -> tuple[int, int]:
+    """cos(t / 2**work) * 2**work as an integer, plus an error bound in ulps,
+    for 0 <= t <= (8/5) * 2**work.
 
-    Taylor terms t^(2j)/(2j)! decrease strictly from j = 1 on for t <= 8/5,
-    so the first omitted term bounds the truncation error.
+    Fixed-point Taylor series: with s = floor(t*t / 2**work), term
+    c_j = floor(c_{j-1} * s / ((2j-1)(2j) * 2**work)) stands for
+    a_j = tau**(2j) / (2j)! * 2**work, tau = t / 2**work.  The ratio
+    rho_j = tau**2 / ((2j-1)(2j)) is <= 1.28 at j = 1 and <= 0.22 after, so
+    |c_j - a_j| <= rho_j |c_{j-1} - a_{j-1}| + c_{j-1} / ((2j-1)(2j) 2**work) + 1
+    (the floor of s, then the floor of the division) stays <= 3 ulps for
+    every term: 1.5 at j = 1, at most 0.22*3 + 1.3/12 + 1 < 3 after.  The
+    terms decrease from j = 1 on, so the alternating tail after the last
+    summed term is below the first omitted one, a_J <= c_J + 3 < 4 ulps,
+    because the sum stops at the first J >= 2 with c_J = 0.
     """
-    if not (0 <= t <= Fraction(8, 5)):
-        raise ValueError(f"cos bounds need t in [0, 8/5], got {t}")
-    eps = Fraction(1, 1 << (precision + 2))
-    t2 = t * t
-    total = Fraction(1)
-    term = Fraction(1)
+    s = (t * t) >> work
+    total = term = 1 << work
     j = 0
     while True:
         j += 1
-        term = term * t2 / ((2 * j - 1) * (2 * j))
-        if j >= 2 and term < eps:
-            break
+        term = term * s // ((2 * j - 1) * (2 * j) << work)
+        if j >= 2 and term == 0:
+            return total, 3 * (j - 1) + 4
         total += term if j % 2 == 0 else -term
-    return total - term, total + term
 
 
 @lru_cache(maxsize=None)
 def sqrt_enclosure(n: int, precision: int) -> DyadicInterval:
-    """Enclose sqrt(n) for 1 < n < 4 by exact bisection of t**2 - n.
+    """Enclose sqrt(n), n = 2 or 3, between consecutive multiples of
+    2**-(precision + 1).
 
-    Endpoint signs of t**2 - n stay opposite throughout, certifying the root.
+    m = isqrt(n * 4**(precision + 1)) has m**2 < n * 4**(precision + 1) <
+    (m + 1)**2, since n is not a perfect square: the interval that
+    precision + 1 bisection steps of t**2 - n on [1, 2] arrive at.
     """
     if not 1 < n < 4:
         raise ValueError("sqrt_enclosure handles radicands strictly between 1 and 4")
-    lo, hi = Dyadic(1), Dyadic(2)
-    for _ in range(precision + 1):
-        mid = (lo + hi).half()
-        s = (mid * mid - n).sign()
-        if s == 0:
-            return DyadicInterval.point(mid)
-        if s < 0:
-            lo = mid
-        else:
-            hi = mid
-    return DyadicInterval(lo, hi)
+    bits = precision + 1
+    m = math.isqrt(n << 2 * bits)
+    return DyadicInterval(Dyadic(m, -bits), Dyadic(m + 1, -bits))
 
 
 _EXACT_TWO_COS = {Fraction(0): 2, Fraction(1, 3): 1, Fraction(1, 2): 0}
+
+
+def _two_cos_scaled(num: int, den: int, precision: int) -> tuple[int, int]:
+    """Integers lo <= 2cos(num*pi/den) * 2**W <= hi, W = precision + 32, for
+    0 < num/den < 1/2.
+
+    t = pi*num/den is scaled by 2**W outward from pi_bounds(precision):
+    floored at the lower pi bound, ceiled at the upper one.  cos decreases on
+    [0, pi/2], so its lower bound comes from the upper t and vice versa.
+    pi_bounds(precision), computed at the same W, is less than 2**15 ulps
+    of 2**-W wide for precision <= 4096 and each series is within 3J + 1
+    ulps, so hi - lo is far below 2**(W - precision - 1).
+    """
+    work = precision + _GUARD_BITS
+    pi_lo, pi_hi = pi_bounds(precision)
+    t_lo = (pi_lo.numerator * num << work) // (pi_lo.denominator * den)
+    t_hi = -((-pi_hi.numerator * num << work) // (pi_hi.denominator * den))
+    c_lo, err_lo = _cos_scaled(t_hi, work)
+    c_hi, err_hi = _cos_scaled(t_lo, work)
+    return 2 * (c_lo - err_lo), 2 * (c_hi + err_hi)
 
 
 @lru_cache(maxsize=None)
 def two_cos_pi_ratio(num: int, den: int, precision: int) -> DyadicInterval:
     """Enclose 2*cos(num*pi/den) with width <= 2**-precision, 0 <= num <= den.
 
-    Exact for ratios 0, 1/3, 1/2 (and their reflections); sqrt bisection for
-    1/4 and 1/6; otherwise a certified pi enclosure plus the Taylor series,
-    after reflecting cos(t) = -cos(pi - t) into [0, pi/2].
+    Exact for ratios 0, 1/3, 1/2 (and their reflections); an integer square
+    root for 1/4 and 1/6; otherwise, after reflecting cos(t) = -cos(pi - t)
+    into [0, pi/2), one fixed-point pass on integers scaled by
+    2**(precision + 32) (_two_cos_scaled), rounded outward to
+    precision + 2 bits.  The scaled bounds are less than 2**-(precision + 1)
+    apart and the rounding adds at most 2**-(precision + 1).
     """
     if den < 1 or not 0 <= num <= den:
         raise ValueError(f"need 0 <= num <= den, got {num}/{den}")
@@ -328,14 +354,9 @@ def two_cos_pi_ratio(num: int, den: int, precision: int) -> DyadicInterval:
         return sqrt_enclosure(2, precision)
     if r == Fraction(1, 6):
         return sqrt_enclosure(3, precision)
-    work = precision + 16
-    target = Dyadic(1, -precision)
-    while True:
-        pi_lo, pi_hi = pi_bounds(work)
-        # cos is decreasing on [0, pi/2], so bound at the swapped endpoints
-        c_lo = _cos_bounds(pi_hi * r, work)[0]
-        c_hi = _cos_bounds(pi_lo * r, work)[1]
-        iv = DyadicInterval.from_fractions(2 * c_lo, 2 * c_hi, precision + 2)
-        if iv.width() <= target:
-            return iv
-        work *= 2
+    lo, hi = _two_cos_scaled(num, den, precision)
+    shift = _GUARD_BITS - 2
+    iv = DyadicInterval(Dyadic(lo >> shift, -(precision + 2)),
+                        Dyadic(-(-hi >> shift), -(precision + 2)))
+    assert iv.width() <= Dyadic(1, -precision)
+    return iv

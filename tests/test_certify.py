@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rileycert.certify import (CosRatio, HashMismatch, MalformedCertificate,
+from rileycert.certify import (MAX_Y_MAX_CAP, CosRatio, HashMismatch, MalformedCertificate,
                                PreconditionUnverifiable, RootCertificate, ScanReport, find_root_gt2,
                                lo_set, solve_lambda_witness, verify_certificate,
                                witness_plan_for, xn_enclosure)
@@ -32,6 +32,9 @@ def test_xn_series_cases():
         iv = xn_enclosure(n, 128)
         assert iv.width() <= Dyadic(1, -128)
         assert abs(float(iv.midpoint()) - 2 * math.cos(math.pi / n)) < 1e-12
+    iv = xn_enclosure(7, 4096)
+    assert iv.width() <= Dyadic(1, -4096)
+    assert abs(float(iv.midpoint()) - 2 * math.cos(math.pi / 7)) < 1e-12
     with pytest.raises(ValueError):
         xn_enclosure(1, 64)
 
@@ -233,10 +236,22 @@ def test_certificate_fields_are_bounded():
                 RootCertificate.from_json_dict({**record, "bracket": bracket})
 
 
+def test_verifying_a_record_at_the_precision_cap():
+    # a record may claim any precision up to the cap; re-checking it at 4096
+    # bits must stay cheap (the x_n enclosure dominates)
+    knot = DoubleTwistKnot(2, 3)
+    phi = riley_for_knot(knot)
+    record = find_root_gt2(phi, 5, witness=witness_plan_for(knot),
+                           y_max_cap=64).certificate.to_json_dict()
+    record["precision"] = 4096
+    assert verify_certificate(RootCertificate.from_json_dict(record), phi) is True
+
+
 def test_find_root_rejects_degenerate_arguments():
     phi = riley_for_knot(DoubleTwistKnot(1, 2))
     for kwargs in ({"y_max": 2}, {"y_max": 0}, {"precision": 0}, {"precision": -8},
-                   {"y_max": 40, "y_max_cap": 8}, {"precision": 8000}):
+                   {"y_max": 40, "y_max_cap": 8}, {"precision": 8000},
+                   {"y_max_cap": MAX_Y_MAX_CAP + 1}):
         with pytest.raises(ValueError):
             find_root_gt2(phi, 2, **kwargs)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rileycert.certify import RootCertificate, verify_certificate
+from rileycert.certify import MAX_Y_MAX_CAP, RootCertificate, verify_certificate
 from rileycert.cli import main, parse_knot_spec
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
 from rileycert.riley import riley_for_knot
@@ -131,6 +131,8 @@ def test_error_exits(capsys):
     ("certify", "--knot", "J:1,2", "--n", "2", "--prec", "0"),
     ("certify", "--knot", "J:2,3", "--n", "5", "--ymax", "2"),
     ("certify", "--knot", "J:2,3", "--n", "5", "--ymax", "64", "--ymax-cap", "32"),
+    ("certify", "--knot", "J:1,2", "--n", "2", "--ymax-cap", str(MAX_Y_MAX_CAP + 1)),
+    ("lo-set", "--knot", "J:1,2", "--n-max", "3", "--ymax-cap", str(MAX_Y_MAX_CAP << 20)),
     ("certify", "--knot", "J:2,3", "--n", "5", "--prec", "4097"),
     ("certify", "--knot", "J:2,3", "--n", "5", "--prec", "abc"),
     ("certify", "--knot", "J:2,3", "--n", "1"),
@@ -140,6 +142,13 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("usage:") and "error:" in err
+
+
+def test_ymax_cap_limit_itself_is_accepted(capsys):
+    # J:2,3 n=5 brackets a root early, so the cap is never walked
+    code, _, err = run(capsys, "certify", "--knot", "J:2,3", "--n", "5",
+                       "--ymax-cap", str(MAX_Y_MAX_CAP))
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "4097", ""])

@@ -18,7 +18,7 @@ from . import __version__
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from .knots import DoubleTwistKnot, KlKnot
 from .polyring import XYPoly, eval_interval
-from .riley import RileyPolynomial, kl_named_polys, lambda_dt, riley_for_knot
+from .riley import RileyPolynomial, kl_named_polys, lambda_dt
 
 
 class PreconditionUnverifiable(ValueError):
@@ -419,18 +419,6 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *, y_max: int = DEFAULT_Y_MAX,
     return ScanReport("inconclusive", None, trace)
 
 
-def lo_set(knot, n_max: int, *, y_max: int = DEFAULT_Y_MAX,
-           precision: int = DEFAULT_PRECISION,
-           y_max_cap: int = DEFAULT_Y_MAX_CAP) -> dict[int, ScanReport]:
-    """Independent per-n scan reports for n = 2..n_max (the certified subset
-    of the left-orderable branched-cover indices)."""
-    phi = riley_for_knot(knot)
-    witness = witness_plan_for(knot)
-    return {n: find_root_gt2(phi, n, y_max=y_max, precision=precision,
-                             witness=witness, y_max_cap=y_max_cap)
-            for n in range(2, n_max + 1)}
-
-
 def verify_certificate(cert: RootCertificate, phi: RileyPolynomial) -> bool:
     """Re-check a certificate from its record alone.
 
@@ -439,6 +427,8 @@ def verify_certificate(cert: RootCertificate, phi: RileyPolynomial) -> bool:
     """
     if cert.poly_hash != phi.content_hash:
         raise HashMismatch("certificate does not match this polynomial")
+    if cert.knot != phi.knot:
+        return False
     if not (Dyadic(2) < cert.a < cert.b):
         return False
     if cert.sign_a != -cert.sign_b or cert.sign_a not in (1, -1):

@@ -93,14 +93,12 @@ def parse_knot_spec(text: str):
 
 
 def _knot_from_args(args):
-    if getattr(args, "knot", None):
+    """The knot of --knot or --fraction; argparse requires exactly one."""
+    if getattr(args, "knot", None) is not None:
         return parse_knot_spec(args.knot)
-    if getattr(args, "fraction", None):
-        spec = args.fraction
-        if "/" not in spec:
-            raise CliError(f"invalid fraction {spec!r}")
-        return parse_knot_spec(spec)
-    raise CliError("one of --knot or --fraction is required")
+    if "/" not in args.fraction:
+        raise CliError(f"invalid fraction {args.fraction!r}")
+    return parse_knot_spec(args.fraction)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -217,7 +215,7 @@ def cmd_lo_set(args) -> int:
     return EXIT_OK
 
 
-def _selftest_checks(quick: bool, corrupt_kl_lambda: bool):
+def _selftest_checks(quick: bool):
     yield ("chebyshev endpoint values",
            lambda: all(cheb_eval(n, 2) == n + 1
                        and cheb_eval(n, -2) == (-1) ** n * (n + 1)
@@ -242,8 +240,7 @@ def _selftest_checks(quick: bool, corrupt_kl_lambda: bool):
                        for l in range(2, 7)))
     if quick:
         return
-    yield ("K_l named polynomials vs engine",
-           lambda: kl_cross_check(_corrupt=corrupt_kl_lambda))
+    yield ("K_l named polynomials vs engine", kl_cross_check)
     yield ("K_l alpha derivative and discriminant", kl_alpha_derivative_check)
 
     def engine_equivalence():
@@ -260,7 +257,7 @@ def _selftest_checks(quick: bool, corrupt_kl_lambda: bool):
 
 def cmd_selftest(args) -> int:
     failures = 0
-    for name, check in _selftest_checks(args.quick, args.corrupt_kl_lambda):
+    for name, check in _selftest_checks(args.quick):
         ok = check()
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         failures += 0 if ok else 1
@@ -281,9 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_knot_args(p, fraction_only=False):
+        knot = p.add_mutually_exclusive_group(required=True)
         if not fraction_only:
-            p.add_argument("--knot", help="family spec: J:k,m for J(2k+1,2m), or Kl:l")
-        p.add_argument("--fraction", help="two-bridge fraction p/q (p odd, q odd, 0<q<p)")
+            knot.add_argument("--knot",
+                              help="family spec: J:k,m for J(2k+1,2m), or Kl:l")
+        knot.add_argument("--fraction",
+                          help="two-bridge fraction p/q (p odd, q odd, 0<q<p)")
         p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p_riley = sub.add_parser("riley", help="print a Riley polynomial")
@@ -330,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="run the built-in identity suite")
     p_self.add_argument("--quick", action="store_true",
                         help="Chebyshev and sign-sequence suites only")
-    p_self.add_argument("--corrupt-kl-lambda", action="store_true",
-                        help=argparse.SUPPRESS)  # mutation test mode
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

@@ -32,15 +32,6 @@ class Dyadic:
         self.m = m
         self.e = e
 
-    @classmethod
-    def from_fraction_floor(cls, fr: Fraction, precision: int) -> "Dyadic":
-        """Largest multiple of 2**-precision that is <= fr."""
-        return cls((fr.numerator << precision) // fr.denominator, -precision)
-
-    @classmethod
-    def from_fraction_ceil(cls, fr: Fraction, precision: int) -> "Dyadic":
-        return cls(-((-fr.numerator << precision) // fr.denominator), -precision)
-
     def as_fraction(self) -> Fraction:
         if self.e >= 0:
             return Fraction(self.m << self.e)

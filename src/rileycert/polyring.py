@@ -321,15 +321,6 @@ def _add(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, in
     return alo + (blo << d), ahi + (bhi << d), ae
 
 
-def _round(a: tuple[int, int, int], precision: int | None) -> tuple[int, int, int]:
-    """Outward to multiples of 2**-precision: floor the low end, ceil the high."""
-    lo, hi, e = a
-    if precision is None or e >= -precision:
-        return a
-    shift = -precision - e
-    return lo >> shift, -((-hi) >> shift), -precision
-
-
 def _point_y_coeffs(p: XYPoly, y: Dyadic) -> dict[int, tuple[int, int, int]]:
     """Exact b_i = sum_j a_ij * y**j for y = m / 2**k, all over 2**(k*D).
 
@@ -348,42 +339,38 @@ def _point_y_coeffs(p: XYPoly, y: Dyadic) -> dict[int, tuple[int, int, int]]:
     return {i: (v, v, e) for i, v in b.items()}
 
 
-def _horner_y(coeffs: dict[int, int], y: tuple[int, int, int],
-              precision: int | None) -> tuple[int, int, int]:
+def _horner_y(coeffs: dict[int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
     acc = (0, 0, 0)
     for j in range(max(coeffs), -1, -1):
         c = coeffs.get(j, 0)
-        acc = _round(_add(_mul(acc, y), (c, c, 0)), precision)
+        acc = _add(_mul(acc, y), (c, c, 0))
     return acc
 
 
-def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval,
-                  precision: int | None = None) -> DyadicInterval:
+def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval) -> DyadicInterval:
     """Interval enclosing {p(u, v) : u in x, v in y}, Horner in y then x.
 
     Exact integer arithmetic on (lo, hi, e) triples meaning [lo, hi] * 2**e.
-    Dyadics are closed under +/-/*, so with precision=None the only width in
-    the result comes from the input intervals, and a point y gives exact
-    x-coefficients; a precision rounds outward after every step to cap
-    mantissa growth.
+    Dyadics are closed under +/-/*, so the only width in the result comes
+    from the input intervals, and a point y gives exact x-coefficients.
     """
     if not p._terms:
         return DyadicInterval.point(0)
-    if precision is None and y.is_point():
-        # unrounded Horner in y at a point is exact: same coefficients
+    if y.is_point():
+        # Horner in y at a point is exact: same coefficients
         coeffs = _point_y_coeffs(p, y.lo)
     else:
         slices: dict[int, dict[int, int]] = {}
         for (i, j), c in p._terms.items():
             slices.setdefault(i, {})[j] = c
         y_s = _scaled(y)
-        coeffs = {i: _horner_y(s, y_s, precision) for i, s in slices.items()}
+        coeffs = {i: _horner_y(s, y_s) for i, s in slices.items()}
     x_s = _scaled(x)
     acc = (0, 0, 0)
     for i in range(max(coeffs), -1, -1):
-        acc = _round(_mul(acc, x_s), precision)
+        acc = _mul(acc, x_s)
         if i in coeffs:
-            acc = _round(_add(acc, coeffs[i]), precision)
+            acc = _add(acc, coeffs[i])
     lo, hi, e = acc
     return DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
 

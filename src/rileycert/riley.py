@@ -78,8 +78,7 @@ def _riley_from_matrix(v: PolyMatrix, knot: str, presentation: str) -> RileyPoly
     return RileyPolynomial(symmetric_rewrite(r.e12), knot, presentation)
 
 
-def riley_generic(v: Word, m: int | None = None, *, knot: str = "",
-                  presentation: str | None = None) -> RileyPolynomial:
+def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:
     """phi from the relator word: V = rho(v), or rho(v)^m when m is given
     (negative m powers the adjugate inverse)."""
     w = evaluate_word(v)
@@ -90,7 +89,7 @@ def riley_generic(v: Word, m: int | None = None, *, knot: str = "",
     else:
         base = w if m > 0 else w.adjugate()
         V = base if abs(m) == 1 else sl2_power(base, abs(m))
-    tag = presentation or f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
+    tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
     return _riley_from_matrix(V, knot, tag)
 
 
@@ -166,15 +165,12 @@ def kl_named_polys() -> tuple[XYPoly, XYPoly, XYPoly]:
     return lam, alpha, beta
 
 
-def kl_cross_check(_corrupt: bool = False) -> bool:
+def kl_cross_check() -> bool:
     """Recover lambda, alpha, beta from the engine and compare with the
     transcriptions: lambda = rewrite(tr C), alpha from (DA - BD)_12, beta
-    from (C^-1 D A - B C^-1 D)_12.  _corrupt perturbs lambda to demonstrate
-    that the check actually bites (selftest mutation mode)."""
+    from (C^-1 D A - B C^-1 D)_12."""
     from .knots import KL_WORD_C, KL_WORD_D
     lam, alpha, beta = kl_named_polys()
-    if _corrupt:
-        lam = lam + 1
     images = generator_images()
     c = evaluate_word(KL_WORD_C)
     d = evaluate_word(KL_WORD_D)

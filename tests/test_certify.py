@@ -7,8 +7,8 @@ import pytest
 
 from rileycert.certify import (MAX_Y_MAX_CAP, CosRatio, HashMismatch, MalformedCertificate,
                                PreconditionUnverifiable, RootCertificate, ScanReport, find_root_gt2,
-                               lo_set, solve_lambda_witness, verify_certificate,
-                               witness_plan_for, xn_enclosure)
+                               solve_lambda_witness, verify_certificate, witness_plan_for,
+                               xn_enclosure)
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
 from rileycert.polyring import eval_interval
@@ -170,6 +170,8 @@ def test_certificate_tampering_detected():
         replace(cert, sign_a=cert.sign_b, sign_b=cert.sign_a), phi)
     # a <= 2 is rejected outright
     assert not verify_certificate(replace(cert, a=Dyadic(2)), phi)
+    # a record relabelled as another knot does not verify
+    assert not verify_certificate(replace(cert, knot="Kl:6"), phi)
     with pytest.raises(HashMismatch):
         verify_certificate(replace(cert, poly_hash="0" * 64), phi)
     other = riley_for_knot(DoubleTwistKnot(1, 3))
@@ -257,9 +259,15 @@ def test_find_root_rejects_degenerate_arguments():
 
 
 def test_lo_set_deterministic_and_correct():
+    # the per-n scan behind the lo-set command
     knot = DoubleTwistKnot(1, -3)
-    first = lo_set(knot, 5, y_max_cap=64)
-    second = lo_set(knot, 5, y_max_cap=64)
+    phi = riley_for_knot(knot)
+
+    def scan_all():
+        return {n: find_root_gt2(phi, n, witness=witness_plan_for(knot), y_max_cap=64)
+                for n in range(2, 6)}
+
+    first, second = scan_all(), scan_all()
     assert set(first) == {2, 3, 4, 5}
     for n in first:
         assert first[n].status == second[n].status
@@ -267,6 +275,7 @@ def test_lo_set_deterministic_and_correct():
     # m <= -3: certified from n = 3 on
     assert not first[2].certified
     assert all(first[n].certified for n in (3, 4, 5))
+    assert all(verify_certificate(first[n].certificate, phi) for n in (3, 4, 5))
 
 
 def test_scan_report_shape():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rileycert import riley
 from rileycert.certify import MAX_Y_MAX_CAP, RootCertificate, verify_certificate
 from rileycert.cli import main, parse_knot_spec
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
@@ -99,15 +100,34 @@ def test_lo_set(capsys):
                        "--ymax-cap", "64")
     assert code == 0
     assert "n=4: certified" in out and "n=3: inconclusive" in out
+    # deterministic, and every certificate verifies on its own
+    argv = ("lo-set", "--knot", "J:1,-3", "--n-max", "5", "--ymax-cap", "64",
+            "--format", "structured")
+    code1, out1, _ = run(capsys, *argv)
+    code2, out2, _ = run(capsys, *argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    reports = json.loads(out1)["reports"]
+    # m <= -3: certified from n = 3 on
+    assert {n: r["status"] for n, r in reports.items()} == {
+        "2": "inconclusive", "3": "certified", "4": "certified", "5": "certified"}
+    phi = riley_for_knot(DoubleTwistKnot(1, -3))
+    for n in ("3", "4", "5"):
+        cert = RootCertificate.from_json_dict(reports[n]["certificate"])
+        assert cert.n == int(n)
+        assert verify_certificate(cert, phi)
 
 
-def test_selftest(capsys):
+def test_selftest(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 0
     assert "all checks passed" in out
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    code, out, _ = run(capsys, "selftest", "--corrupt-kl-lambda")
+    # a slip in the transcribed K_l lambda must make the cross-check fail
+    lam, alpha, beta = riley.kl_named_polys()
+    monkeypatch.setattr(riley, "kl_named_polys", lambda: (lam + 1, alpha, beta))
+    code, out, _ = run(capsys, "selftest")
     assert code == 1
     assert "FAIL  K_l named polynomials vs engine" in out
 
@@ -137,6 +157,11 @@ def test_error_exits(capsys):
     ("certify", "--knot", "J:2,3", "--n", "5", "--prec", "abc"),
     ("certify", "--knot", "J:2,3", "--n", "1"),
     ("lo-set", "--knot", "J:2,3", "--n-max", "1"),
+    ("certify", "--knot", "J:1,3", "--fraction", "5/3", "--n", "5", "--ymax-cap", "64"),
+    ("certify", "--n", "5", "--ymax-cap", "64"),
+    ("lo-set", "--fraction", "5/3", "--knot", "J:1,3", "--n-max", "3"),
+    ("riley", "--knot", "J:1,3", "--fraction", "5/3"),
+    ("riley",),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -132,8 +132,8 @@ def test_leading_y_term():
 
 def test_eval_interval_contains_sqrt3_root():
     p = X ** 2 - 3
-    x = DyadicInterval(Dyadic.from_fraction_floor(Fraction(17320, 10000), 20),
-                       Dyadic.from_fraction_ceil(Fraction(17321, 10000), 20))
+    # 1.7320 floored and 1.7321 ceiled to multiples of 2**-20
+    x = DyadicInterval(Dyadic(1816133, -20), Dyadic(1816239, -20))
     iv = eval_interval(p, x, DyadicInterval.point(0))
     assert iv.lo.sign() <= 0 <= iv.hi.sign()
 
@@ -162,9 +162,6 @@ def test_eval_interval_monotone_inclusion():
         outer = eval_interval(p, x_outer, y_outer)
         inner = eval_interval(p, x_inner, y_inner)
         assert outer.contains(inner)
-        # rounding only ever widens
-        rounded = eval_interval(p, x_outer, y_outer, precision=12)
-        assert rounded.contains(outer)
 
 
 def test_eval_interval_riley_at_exact_point():
@@ -186,8 +183,8 @@ def test_eval_interval_width_shrinks():
     assert narrow.width() < wide.width()
 
 
-def reference_eval_interval(p, x, y, precision=None):
-    """Horner in y then x on DyadicInterval objects, rounding after each step.
+def reference_eval_interval(p, x, y):
+    """Horner in y then x on DyadicInterval objects.
 
     The reference for eval_interval, which must return exactly this interval
     for every input.
@@ -198,20 +195,17 @@ def reference_eval_interval(p, x, y, precision=None):
     if not slices:
         return DyadicInterval.point(0)
 
-    def rnd(iv):
-        return iv if precision is None else iv.round_outward(precision)
-
     def horner_y(coeffs):
         acc = DyadicInterval.point(0)
         for j in range(max(coeffs), -1, -1):
-            acc = rnd(acc * y + coeffs.get(j, 0))
+            acc = acc * y + coeffs.get(j, 0)
         return acc
 
     acc = DyadicInterval.point(0)
     for i in range(max(slices), -1, -1):
-        acc = rnd(acc * x)
+        acc = acc * x
         if i in slices:
-            acc = rnd(acc + horner_y(slices[i]))
+            acc = acc + horner_y(slices[i])
     return acc
 
 
@@ -225,12 +219,10 @@ intervals = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(sparse_polys, intervals, intervals,
-       st.sampled_from([None, 1, 3, 8, 24, 64]),
-       st.fractions(0, 1), st.fractions(0, 1))
-def test_eval_interval_matches_reference(p, x, y, precision, tx, ty):
-    iv = eval_interval(p, x, y, precision)
-    assert iv == reference_eval_interval(p, x, y, precision)
+@given(sparse_polys, intervals, intervals, st.fractions(0, 1), st.fractions(0, 1))
+def test_eval_interval_matches_reference(p, x, y, tx, ty):
+    iv = eval_interval(p, x, y)
+    assert iv == reference_eval_interval(p, x, y)
     u = x.lo.as_fraction() + tx * x.width().as_fraction()
     v = y.lo.as_fraction() + ty * y.width().as_fraction()
     assert iv.contains_fraction(p.eval_fraction(u, v))
@@ -245,9 +237,7 @@ def test_eval_interval_matches_reference_on_riley():
             point = DyadicInterval.point(y)
             assert eval_interval(phi, xn, point) == reference_eval_interval(phi, xn, point)
         y_iv = DyadicInterval(Dyadic(9, -2), Dyadic(19, -3))
-        for precision in (None, 64):
-            assert (eval_interval(phi, xn, y_iv, precision)
-                    == reference_eval_interval(phi, xn, y_iv, precision))
+        assert eval_interval(phi, xn, y_iv) == reference_eval_interval(phi, xn, y_iv)
 
 
 def test_poly_matrix_ops():

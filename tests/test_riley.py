@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rileycert import riley
 from rileycert.chebyshev import cheb_poly
 from rileycert.knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,
                              sign_sequence, word_double_twist,
@@ -190,9 +191,11 @@ def test_kl_named_polys_identities():
     assert beta.substitute_y(x2m1) == XYPoly.zero()
 
 
-def test_kl_cross_check_bites():
+def test_kl_cross_check_bites(monkeypatch):
     assert kl_cross_check()
-    assert not kl_cross_check(_corrupt=True)
+    lam, alpha, beta = kl_named_polys()
+    monkeypatch.setattr(riley, "kl_named_polys", lambda: (lam + 1, alpha, beta))
+    assert not kl_cross_check()
 
 
 def test_kl_alpha_derivative_and_discriminant():

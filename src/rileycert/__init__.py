@@ -15,8 +15,7 @@ from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,  # noqa: E
 from .riley import (RileyPolynomial, alpha_dt, lambda_dt, riley_double_twist,  # noqa: E402
                     riley_for_knot, riley_generic, riley_kl)
 from .certify import (MalformedCertificate, RootCertificate, ScanReport,  # noqa: E402
-                      find_root_gt2, solve_lambda_witness,
-                      verify_certificate, witness_plan_for, xn_enclosure)
+                      find_root_gt2, verify_certificate, xn_enclosure)
 
 __all__ = [
     "Dyadic", "DyadicInterval",
@@ -30,6 +29,5 @@ __all__ = [
     "RileyPolynomial", "alpha_dt", "lambda_dt", "riley_double_twist",
     "riley_for_knot", "riley_generic", "riley_kl",
     "MalformedCertificate", "RootCertificate", "ScanReport", "find_root_gt2",
-    "solve_lambda_witness", "verify_certificate", "witness_plan_for",
-    "xn_enclosure",
+    "verify_certificate", "xn_enclosure",
 ]

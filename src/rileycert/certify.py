@@ -1,4 +1,4 @@
-"""Rigorous root certificates for phi_K(x_n, y) on (2, y_max].
+"""Rigorous root certificates for phi_K(x_n, y) on (2, y_max_cap].
 
 A certificate is a dyadic bracket (a, b) with 2 < a < b whose endpoint
 evaluations are sign-definite intervals of opposite sign; any verifier can
@@ -9,20 +9,12 @@ that no root exists.
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import __version__
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
-from .knots import DoubleTwistKnot, KlKnot
-from .polyring import XYPoly, eval_interval
-from .riley import RileyPolynomial, kl_named_polys, lambda_dt
-
-
-class PreconditionUnverifiable(ValueError):
-    """The witness inequality c <= x_n^2 - 2 (or c <= 1) cannot be certified."""
+from .polyring import XYPoly, eval_interval, y_coefficient_bounds
+from .riley import RileyPolynomial
 
 
 class HashMismatch(ValueError):
@@ -42,111 +34,6 @@ def xn_enclosure(n: int, precision: int) -> DyadicInterval:
     if n < 2:
         raise ValueError("need n >= 2")
     return two_cos_pi_ratio(1, n, precision)
-
-
-@dataclass(frozen=True)
-class CosRatio:
-    """The algebraic target 2cos(num*pi/den), 0 <= num <= den.
-
-    Both witness targets and x_n^2 - 2 = 2cos(2pi/n) have this shape, so
-    order comparisons reduce to exact integer arithmetic: cos decreases on
-    [0, pi], hence 2cos(a*pi) <= 2cos(b*pi) iff a >= b.
-    """
-
-    num: int
-    den: int
-
-    def __post_init__(self):
-        if not (self.den >= 1 and 0 <= self.num <= self.den):
-            raise ValueError(f"need 0 <= num <= den, got {self.num}/{self.den}")
-
-    def enclosure(self, precision: int) -> DyadicInterval:
-        return two_cos_pi_ratio(self.num, self.den, precision)
-
-    def le_xn_squared_minus_2(self, n: int) -> bool:
-        return Fraction(self.num, self.den) >= Fraction(2, n)
-
-    def le_one(self) -> bool:
-        return Fraction(self.num, self.den) >= Fraction(1, 3)
-
-
-@dataclass(frozen=True)
-class WitnessPlan:
-    """Where to look first for a y-value at which the sign of phi is forced
-    by the family structure.
-
-    lambda-preimage: probe near a y_c >= 2 with lambda(x_n, y_c) = c, c a
-    Chebyshev root determined by the family.  alpha-sign-point: probe near
-    y = x_n^2 - 1 where the l = 2 closed form evaluates to -1.
-    """
-
-    kind: str
-    target: CosRatio | None = None
-    lam: XYPoly | None = None
-    require_c_le_1: bool = False
-    description: str = ""
-
-
-def witness_plan_for(knot) -> WitnessPlan | None:
-    if isinstance(knot, DoubleTwistKnot):
-        if knot.m >= 3:
-            return WitnessPlan("lambda-preimage", CosRatio(knot.m - 2, knot.m - 1),
-                               lambda_dt(knot.k),
-                               description=f"c = 2cos({knot.m - 2}pi/{knot.m - 1})")
-        if knot.m <= -2:
-            a = -knot.m
-            return WitnessPlan("lambda-preimage", CosRatio(a - 1, a),
-                               lambda_dt(knot.k),
-                               description=f"c' = 2cos({a - 1}pi/{a})")
-        return None  # m = 2: phi(x_n, 2) > 0 for n >= 5, the grid sees it
-    if isinstance(knot, KlKnot):
-        lam, _, _ = kl_named_polys()
-        if knot.l == 2:
-            return WitnessPlan("alpha-sign-point", description="y = x_n^2 - 1")
-        return WitnessPlan("lambda-preimage", CosRatio(knot.l - 2, knot.l - 1),
-                           lam, require_c_le_1=True,
-                           description=f"c = 2cos({knot.l - 2}pi/{knot.l - 1})")
-    return None
-
-
-def solve_lambda_witness(lam: XYPoly, x: DyadicInterval, c: CosRatio,
-                         precision: int, *, n: int,
-                         require_c_le_1: bool = False) -> DyadicInterval:
-    """Enclosure of some y_c >= 2 with lambda(x, y_c) = c, x enclosing x_n.
-
-    The bracket exists because lambda(x_n, 2) = x_n^2 - 2 >= c, certified
-    exactly through the cosine-angle comparison (grid corners like m=3/n=4
-    hit equality, which no interval test could certify), and lambda ->
-    -infinity as y grows.
-    """
-    if not c.le_xn_squared_minus_2(n):
-        raise PreconditionUnverifiable(f"c = 2cos({c.num}pi/{c.den}) > x_{n}^2 - 2")
-    if require_c_le_1 and not c.le_one():
-        raise PreconditionUnverifiable(f"c = 2cos({c.num}pi/{c.den}) > 1")
-    c_enc = c.enclosure(precision + 8)
-
-    def g_sign(y_pt: Dyadic):
-        return (eval_interval(lam, x, DyadicInterval.point(y_pt)) - c_enc).sign()
-
-    hi = Dyadic(3)
-    for _ in range(70):
-        if g_sign(hi) == -1:
-            break
-        hi = (hi - 2) * 2 + 2
-    else:
-        raise PreconditionUnverifiable("no definitely-negative value of lambda - c found")
-    lo = Dyadic(2)  # g(2) >= 0 holds by the certified precondition
-    target = Dyadic(1, -precision)
-    while (hi - lo) > target:
-        mid = (lo + hi).half()
-        s = g_sign(mid)
-        if s == 1:
-            lo = mid
-        elif s == -1:
-            hi = mid
-        else:
-            break  # mid is (indistinguishably close to) the preimage itself
-    return DyadicInterval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -202,15 +89,15 @@ def _max_endpoint_exponent(precision: int) -> int:
     """Bound on |exponent| of every bracket endpoint a scan emits whose
     certificate records this precision (which is >= the starting one, P).
 
-    An endpoint is a probe point refined by bisection.  A probe point carries
-    at most 2P + 5 fractional bits (the alpha-sign-point midpoint of
-    x_n^2 - 1, x_n having P + 2) and a bracket starts narrower than 2**70
-    (solve_lambda_witness stops doubling below 2 + 2**70; grid brackets are
-    1/8 wide).  Each bisection step adds at most 2 fractional bits and shrinks
-    the bracket by 3/4 or more until it is 2**-P wide: fewer than
-    2 + 2(P + 70)/log2(4/3) < 4.82P + 340 bits in all, so |exponent| <
-    6.82P + 345.  Values stay below 2**70 or y_max_cap, far inside the same
-    bound.
+    An endpoint is an isolation node end refined by bisection.  A node end
+    is min_a + i * 2**-k: min_a = 2 + 2**-(P//2) has P//2 fractional bits,
+    and nodes are no narrower than BRACKET_WIDTH = 2**-32, so k <= 32.  An
+    isolating node lies in (2, 2**20] (MAX_Y_MAX_CAP), so it is at most 2**19
+    wide.  Each bisection step adds at most 2 fractional bits and shrinks the
+    bracket by 3/4 or more until it is 2**-32 wide: at most
+    1 + 51/log2(4/3) < 124 steps, so fewer than max(P/2, 32) + 248 fractional
+    bits in all, while values up to 2**20 have positive exponents up to 20.
+    Hence |exponent| < P/2 + 280, far inside the bound below.
     """
     return 7 * precision + 350
 
@@ -274,22 +161,32 @@ class ScanReport:
         return self.status == "certified"
 
 
-DEFAULT_Y_MAX = 64
 DEFAULT_PRECISION = 128
 DEFAULT_Y_MAX_CAP = 1 << 16
-MAX_Y_MAX_CAP = 1 << 20  # the grid walk costs 8 evaluations per unit of y_max_cap
+MAX_Y_MAX_CAP = 1 << 20  # keeps bracket endpoints within _max_endpoint_exponent
 DEFAULT_PRECISION_CAP = 4096
-GRID_STEP = Dyadic(1, -3)  # 1/8
+BRACKET_WIDTH = Dyadic(1, -32)  # bisection target and isolation node floor
 
 
 class _SignOracle:
-    """Signs of phi(x_n, y), raising the x_n precision on demand, with the
-    evaluation, escalation and indefinite counts of the scan trace."""
+    """Signs of phi(x_n, y) and the x_n enclosure the root isolation reads,
+    raising the x_n precision on demand, with the counts of the scan trace."""
 
     def __init__(self, poly: XYPoly, n: int, precision: int):
         self.poly, self.n, self.precision = poly, n, precision
         self.xn = xn_enclosure(n, precision)
-        self.evaluations = self.escalations = self.indefinite = 0
+        self.evaluations = self.escalations = self.indefinite = self.nodes = 0
+
+    def escalate(self) -> bool:
+        """Count an indefinite result and double the x_n precision; False,
+        with the precision unchanged, once it would pass DEFAULT_PRECISION_CAP."""
+        self.indefinite += 1
+        if self.precision * 2 > DEFAULT_PRECISION_CAP:
+            return False
+        self.precision *= 2
+        self.xn = xn_enclosure(self.n, self.precision)
+        self.escalations += 1
+        return True
 
     def sign(self, y: Dyadic) -> int | None:
         """Definite sign, 0 for an exact zero, None if still indefinite once
@@ -299,50 +196,91 @@ class _SignOracle:
             s = eval_interval(self.poly, self.xn, DyadicInterval.point(y)).sign()
             if s is not None:
                 return s
-            self.indefinite += 1
-            if self.precision * 2 > DEFAULT_PRECISION_CAP:
+            if not self.escalate():
                 return None
-            self.precision *= 2
-            self.xn = xn_enclosure(self.n, self.precision)
-            self.escalations += 1
 
 
-def _witness_point(witness: WitnessPlan | None, oracle: _SignOracle, n: int,
-                   precision: int, min_a: Dyadic) -> tuple[Dyadic | None, int]:
-    """(y, sign) of the witness probe, evaluated before the grid; sign 0 when
-    there is no plan, its precondition fails, or the sign is not definite."""
-    if witness is None:
-        return None, 0
-    if witness.kind == "lambda-preimage":
-        try:
-            candidate = solve_lambda_witness(
-                witness.lam, oracle.xn, witness.target, precision, n=n,
-                require_c_le_1=witness.require_c_le_1).midpoint()
-        except PreconditionUnverifiable:
-            return None, 0
-    else:  # alpha-sign-point
-        candidate = (oracle.xn * oracle.xn - 1).midpoint()
-    y = max(candidate, min_a)
-    return y, oracle.sign(y) or 0
+def _taylor_shift(c: list[int]) -> list[int]:
+    """Coefficients (constant first) of q(t + 1) from those of q(t)."""
+    c = list(c)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    return c
 
 
-def _grid(min_a: Dyadic, y_max_cap: int):
-    """min_a, then 2 + k/8 for k = 1, 2, ... up to y_max_cap.  The first
-    sample sits at the strictness margin so sign information at y = 2 itself
-    (e.g. phi(x_n, 2) > 0 for m = 2, n >= 5) is not lost to the spacing."""
-    yield min_a
-    y = Dyadic(2) + GRID_STEP
-    while y <= y_max_cap:
-        yield y
-        y = y + GRID_STEP
+def _scale(c: list[int], k: int) -> list[int]:
+    """Coefficients of q(2**k t), times 2**(-k d) when k < 0 to stay integral."""
+    d = len(c) - 1
+    return [cj << (k * j if k >= 0 else -k * (d - j)) for j, cj in enumerate(c)]
 
 
-def _bisect(oracle: _SignOracle, a: Dyadic, sa: int, b: Dyadic, precision: int):
-    """Shrink the bracket (a, b), sign sa at a, to width <= 2**-precision,
+def _variations(lo: list[int], hi: list[int]) -> int | None:
+    """Sign variations of (1 + t)**d q(1/(1 + t)), the same for every q with
+    lo <= coefficients <= hi, or None when a coefficient sign is not fixed.
+
+    By Descartes' rule the count bounds the roots of q in (0, 1) and has
+    their parity: 0 means none, 1 exactly one.  Reversal and the shift have
+    nonnegative weights, so lo and hi bound the transformed q as well.
+    """
+    count, last = 0, 0
+    for l, h in zip(_taylor_shift(lo[::-1]), _taylor_shift(hi[::-1])):
+        if l > 0 or h < 0:
+            s = 1 if l > 0 else -1
+            count += last == -s
+            last = s
+        elif l or h:
+            return None
+    return count
+
+
+def _isolating_brackets(oracle: _SignOracle, h: int, y_max_cap: int):
+    """Yield, left to right, intervals (a, b) in (2 + 2**-h, y_max_cap] that
+    hold exactly one root of phi(x_n, .), by Vincent-Collins-Akritas bisection.
+
+    A node (a, a + 2**k) keeps integer bounds lo, hi on the coefficients of
+    q(t) = phi(x_n, a + 2**k t) up to a positive factor; its halves are
+    2**d q(t/2) and that shifted by 1, maps with nonnegative weights.  A node
+    with no root is dropped, one with a single root inside the window is
+    yielded, and any other is split unless it is no wider than
+    BRACKET_WIDTH.  An indefinite variation count doubles the x_n precision
+    and restarts; at DEFAULT_PRECISION_CAP it counts as undecided and splits.
+    """
+    k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
+    while True:
+        lo, hi, _ = y_coefficient_bounds(oracle.poly, oracle.xn)
+        # phi(x_n, 2 + 2**-h (1 + 2**(k_root + h) t)), times 2**(h d)
+        root = [_scale(_taylor_shift(_scale(_taylor_shift(_taylor_shift(c)), -h)),
+                       k_root + h) for c in (lo, hi)]
+        stack = [(Dyadic(2) + Dyadic(1, -h), k_root, *root, False)]
+        while stack:
+            a, k, lo, hi, shift = stack.pop()
+            if a >= y_max_cap:
+                continue
+            if shift:  # right halves are shifted only when visited
+                lo, hi = _taylor_shift(lo), _taylor_shift(hi)
+            oracle.nodes += 1
+            v = _variations(lo, hi)
+            if v is None:
+                if oracle.escalate():
+                    break
+                v = 2
+            width = Dyadic(1, k)
+            if v == 1 and a + width <= y_max_cap:
+                yield a, a + width
+            elif v and width > BRACKET_WIDTH:
+                lo, hi = _scale(lo, -1), _scale(hi, -1)
+                stack.append((a + width.half(), k - 1, lo, hi, True))
+                stack.append((a, k - 1, lo, hi, False))
+        else:
+            return
+
+
+def _bisect(oracle: _SignOracle, a: Dyadic, sa: int, b: Dyadic):
+    """Shrink the bracket (a, b), sign sa at a, to width <= BRACKET_WIDTH,
     cutting at 1/2, else 1/4, else 3/4 of the way; None when all three cut
     points are exact zeros or indefinite at the precision cap."""
-    width_target = Dyadic(1, -precision)
-    while (b - a) > width_target:
+    while (b - a) > BRACKET_WIDTH:
         for num, shift in ((1, 1), (1, 2), (3, 2)):
             mid = a + (b - a) * Dyadic(num, -shift)
             s = oracle.sign(mid)
@@ -357,65 +295,44 @@ def _bisect(oracle: _SignOracle, a: Dyadic, sa: int, b: Dyadic, precision: int):
     return a, b
 
 
-def _reported_bound(b: Dyadic, y_max: int, y_max_cap: int) -> int:
-    """The first of y_max, 2*y_max, 4*y_max, ... that is >= b, capped at
-    y_max_cap: the search window reported for a bracket ending at b."""
-    ratio = math.ceil(b.as_fraction() / y_max)
-    return min(y_max << (ratio - 1).bit_length(), y_max_cap)
-
-
-def find_root_gt2(phi: RileyPolynomial, n: int, *, y_max: int = DEFAULT_Y_MAX,
+def find_root_gt2(phi: RileyPolynomial, n: int, *,
                   precision: int = DEFAULT_PRECISION,
-                  witness: WitnessPlan | None = None,
                   y_max_cap: int = DEFAULT_Y_MAX_CAP) -> ScanReport:
-    """Search (2, y_max_cap] for a certified bracket of a root of phi(x_n, .).
+    """Search (min_a, y_max_cap] for a certified bracket of a root of
+    phi(x_n, .), where min_a = 2 + 2**-(precision//2) keeps every bracket
+    strictly above 2.
 
-    The witness point, if the plan gives one, is evaluated first; then the
-    1/8 grid walks up to y_max_cap in one pass with the witness point merged
-    in, so a bracket is two consecutive-by-y probes of opposite sign.  y_max
-    only sets the reported bound: the first of y_max, 2*y_max, ... (capped at
-    y_max_cap) that reaches the bracket, or y_max_cap when none is found.
-    The x_n precision doubles, up to DEFAULT_PRECISION_CAP, whenever an
-    evaluation is sign-indefinite.  The left bracket endpoint keeps the
-    strictness margin a >= 2 + 2**-(precision/2): a bracket touching 2 is
-    never emitted.
+    Descartes' rule isolates the roots in the window from the left
+    (_isolating_brackets); the first isolating interval whose endpoint
+    signs eval_interval finds definite and opposite is bisected to width
+    BRACKET_WIDTH and becomes the certificate, so the bracket holds the
+    smallest root in the window that the isolation reaches.  The x_n
+    precision doubles, up to DEFAULT_PRECISION_CAP, whenever a variation
+    count or an evaluation is indefinite.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if y_max <= 2:
-        raise ValueError("need y_max > 2")
-    if not y_max <= y_max_cap <= MAX_Y_MAX_CAP:
-        raise ValueError(f"need y_max <= y_max_cap <= {MAX_Y_MAX_CAP}")
+    if not 3 <= y_max_cap <= MAX_Y_MAX_CAP:
+        raise ValueError(f"need 3 <= y_max_cap <= {MAX_Y_MAX_CAP}")
     if not 1 <= precision <= DEFAULT_PRECISION_CAP:
         raise ValueError(f"need 1 <= precision <= {DEFAULT_PRECISION_CAP}")
     oracle = _SignOracle(phi.poly, n, precision)
-    min_a = Dyadic(2) + Dyadic(1, -(precision // 2))
-    wy, ws = _witness_point(witness, oracle, n, precision, min_a)
-    trace = {"grid_step": "1/8", "witness": witness.description if witness else None}
-    probes = _grid(min_a, y_max_cap)
-    if ws:
-        probes = heapq.merge(probes, [wy])
-    prev = None
-    for y in probes:
-        s = ws if ws and y == wy else oracle.sign(y)
-        if not s:
-            continue  # exact zero or indefinite at the cap: no sign to use
-        if prev is not None and s == -prev[1]:
-            refined = _bisect(oracle, prev[0], prev[1], y, precision)
-            if refined is not None:
-                bound = _reported_bound(y, y_max, y_max_cap)
-                cert = RootCertificate(knot=phi.knot, n=n, a=refined[0],
-                                       b=refined[1], sign_a=prev[1], sign_b=s,
-                                       precision=oracle.precision, y_max=bound,
-                                       poly_hash=phi.content_hash)
-                trace.update(y_max_reached=bound,
-                             precision_escalations=oracle.escalations,
-                             evaluations=oracle.evaluations)
-                return ScanReport("certified", cert, trace)
-        prev = (y, s)
-    trace.update(y_max_reached=y_max_cap, precision_escalations=oracle.escalations,
-                 evaluations=oracle.evaluations, indefinite=oracle.indefinite,
-                 note="no bracket found; this does not assert absence of a root")
+    cert = None
+    for a, b in _isolating_brackets(oracle, precision // 2, y_max_cap):
+        sa, sb = oracle.sign(a), oracle.sign(b)
+        refined = _bisect(oracle, a, sa, b) if sa and sb == -sa else None
+        if refined is not None:
+            cert = RootCertificate(knot=phi.knot, n=n, a=refined[0], b=refined[1],
+                                   sign_a=sa, sign_b=sb, precision=oracle.precision,
+                                   y_max=y_max_cap, poly_hash=phi.content_hash)
+            break
+    trace = {"y_max_reached": y_max_cap, "nodes": oracle.nodes,
+             "evaluations": oracle.evaluations,
+             "precision_escalations": oracle.escalations,
+             "indefinite": oracle.indefinite}
+    if cert is not None:
+        return ScanReport("certified", cert, trace)
+    trace["note"] = "no bracket found; this does not assert absence of a root"
     return ScanReport("inconclusive", None, trace)
 
 

@@ -13,9 +13,9 @@ import os
 import sys
 
 from . import __version__
-from .certify import (DEFAULT_PRECISION, DEFAULT_PRECISION_CAP, DEFAULT_Y_MAX,
+from .certify import (DEFAULT_PRECISION, DEFAULT_PRECISION_CAP,
                       DEFAULT_Y_MAX_CAP, MAX_Y_MAX_CAP, find_root_gt2,
-                      verify_certificate, witness_plan_for)
+                      verify_certificate)
 from .chebyshev import cheb_eval, cheb_poly
 from .knots import (DoubleTwistKnot, KlKnot, ReductionInapplicable,
                     TwoBridgeFraction, expand, hm_reduce, kl_fraction,
@@ -38,7 +38,11 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad arguments; 2 means inconclusive
-    here, so usage errors are remapped to the error exit code."""
+    here, so usage errors are remapped to the error exit code.  Prefixes of
+    options are not expanded, so --ymax is an unknown option, not --ymax-cap."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -61,7 +65,6 @@ def _int_in_range(lo: int, hi: int | None = None):
 
 
 _cover_index = _int_in_range(2)
-_y_bound = _int_in_range(3)
 _y_cap = _int_in_range(3, MAX_Y_MAX_CAP)
 _precision = _int_in_range(1, DEFAULT_PRECISION_CAP)
 
@@ -93,7 +96,8 @@ def parse_knot_spec(text: str):
 
 
 def _knot_from_args(args):
-    """The knot of --knot or --fraction; argparse requires exactly one."""
+    """The knot of --knot or --fraction; argparse requires exactly one (for
+    `signs`, --fraction)."""
     if getattr(args, "knot", None) is not None:
         return parse_knot_spec(args.knot)
     if "/" not in args.fraction:
@@ -159,10 +163,8 @@ def cmd_signs(args) -> int:
     return EXIT_OK
 
 
-def _scan(args, knot, phi, n: int):
-    report = find_root_gt2(phi, n, y_max=args.ymax, precision=args.prec,
-                           witness=witness_plan_for(knot),
-                           y_max_cap=args.ymax_cap)
+def _scan(args, phi, n: int):
+    report = find_root_gt2(phi, n, precision=args.prec, y_max_cap=args.ymax_cap)
     if report.certified and not verify_certificate(report.certificate, phi):
         raise CliError("internal error: fresh certificate failed verification")
     return report
@@ -180,7 +182,7 @@ def _report_payload(report) -> dict:
 def cmd_certify(args) -> int:
     knot = _knot_from_args(args)
     phi = riley_for_knot(knot)
-    report = _scan(args, knot, phi, args.n)
+    report = _scan(args, phi, args.n)
     payload = {"knot": phi.knot, "n": args.n, **_report_payload(report)}
     if report.certified:
         cert = report.certificate
@@ -204,7 +206,7 @@ def cmd_lo_set(args) -> int:
     phi = riley_for_knot(knot)
     reports = {}
     for n in range(2, args.n_max + 1):
-        reports[n] = _scan(args, knot, phi, n)
+        reports[n] = _scan(args, phi, n)
     payload = {"knot": phi.knot, "poly_hash": phi.content_hash,
                "reports": {str(n): _report_payload(r) for n, r in reports.items()}}
     certified = [n for n, r in reports.items() if r.certified]
@@ -277,13 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_knot_args(p, fraction_only=False):
+    fraction_help = "two-bridge fraction p/q (p odd, q odd, 0<q<p)"
+
+    def add_knot_args(p):
         knot = p.add_mutually_exclusive_group(required=True)
-        if not fraction_only:
-            knot.add_argument("--knot",
-                              help="family spec: J:k,m for J(2k+1,2m), or Kl:l")
-        knot.add_argument("--fraction",
-                          help="two-bridge fraction p/q (p odd, q odd, 0<q<p)")
+        knot.add_argument("--knot",
+                          help="family spec: J:k,m for J(2k+1,2m), or Kl:l")
+        knot.add_argument("--fraction", help=fraction_help)
         p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p_riley = sub.add_parser("riley", help="print a Riley polynomial")
@@ -293,23 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_riley.set_defaults(func=cmd_riley)
 
     p_signs = sub.add_parser("signs", help="print the sign sequence of a fraction")
-    add_knot_args(p_signs, fraction_only=True)
+    p_signs.add_argument("--fraction", required=True, help=fraction_help)
+    p_signs.add_argument("--format", choices=("text", "structured"), default="text")
     p_signs.add_argument("--reduce", action="store_true",
                          help="print the reduction chain down to a base case")
     p_signs.set_defaults(func=cmd_signs)
 
     def add_scan_args(p):
-        p.add_argument("--ymax", type=_y_bound, default=DEFAULT_Y_MAX,
-                       help="first reported search bound, >= 3; a bracket "
-                            "reports the first of ymax, 2*ymax, ... that "
-                            f"reaches it (default {DEFAULT_Y_MAX})")
         p.add_argument("--ymax-cap", type=_y_cap, default=DEFAULT_Y_MAX_CAP,
-                       help="end of the 1/8 grid, walked in one pass, >= --ymax "
-                            f"and <= {MAX_Y_MAX_CAP} (default {DEFAULT_Y_MAX_CAP})")
+                       help="end of the searched window (2, ymax-cap], 3.."
+                            f"{MAX_Y_MAX_CAP} (default {DEFAULT_Y_MAX_CAP})")
         p.add_argument("--prec", type=_precision, default=default_prec,
                        help=f"precision in bits, 1..{DEFAULT_PRECISION_CAP} "
                             f"(default {default_prec}; env {PREC_ENV_VAR})")
-        p.set_defaults(scan_parser=p)  # reports the --ymax-cap >= --ymax check
 
     p_cert = sub.add_parser("certify",
                             help="certify a root y_n > 2 of phi(x_n, .)")
@@ -338,8 +336,6 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if "scan_parser" in args and args.ymax_cap < args.ymax:
-            args.scan_parser.error("--ymax-cap must be >= --ymax")
         return args.func(args)
     except SystemExit as exc:  # --help/--version, or remapped usage errors
         return exc.code or 0

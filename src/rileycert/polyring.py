@@ -339,11 +339,12 @@ def _point_y_coeffs(p: XYPoly, y: Dyadic) -> dict[int, tuple[int, int, int]]:
     return {i: (v, v, e) for i, v in b.items()}
 
 
-def _horner_y(coeffs: dict[int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+def _horner(coeffs: dict[int, int], u: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Interval value of sum_k coeffs[k] * u**k, Horner in the one variable."""
     acc = (0, 0, 0)
-    for j in range(max(coeffs), -1, -1):
-        c = coeffs.get(j, 0)
-        acc = _add(_mul(acc, y), (c, c, 0))
+    for k in range(max(coeffs), -1, -1):
+        c = coeffs.get(k, 0)
+        acc = _add(_mul(acc, u), (c, c, 0))
     return acc
 
 
@@ -364,7 +365,7 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval) -> DyadicInte
         for (i, j), c in p._terms.items():
             slices.setdefault(i, {})[j] = c
         y_s = _scaled(y)
-        coeffs = {i: _horner_y(s, y_s) for i, s in slices.items()}
+        coeffs = {i: _horner(s, y_s) for i, s in slices.items()}
     x_s = _scaled(x)
     acc = (0, 0, 0)
     for i in range(max(coeffs), -1, -1):
@@ -373,6 +374,20 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval) -> DyadicInte
             acc = _add(acc, coeffs[i])
     lo, hi, e = acc
     return DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
+
+
+def y_coefficient_bounds(p: XYPoly, x: DyadicInterval) -> tuple[list[int], list[int], int]:
+    """(lo, hi, e) with lo[j] * 2**e <= c_j(u) <= hi[j] * 2**e for every u in
+    x, where p = sum_j c_j(x) y**j: each c_j by Horner in x, then all brought
+    to the smallest exponent."""
+    slices: dict[int, dict[int, int]] = {}
+    for (i, j), c in p._terms.items():
+        slices.setdefault(j, {})[i] = c
+    x_s = _scaled(x)
+    coeffs = [_horner(slices.get(j, {0: 0}), x_s) for j in range(p.deg_y() + 1)]
+    e = min(ce for _, _, ce in coeffs)
+    return ([lo << (ce - e) for lo, _, ce in coeffs],
+            [hi << (ce - e) for _, hi, ce in coeffs], e)
 
 
 def leading_y_term(p: XYPoly) -> tuple[int, XYPoly]:

@@ -11,8 +11,8 @@ import random
 import warnings
 from fractions import Fraction
 
-from rileycert.certify import (find_root_gt2, verify_certificate,
-                               witness_plan_for, xn_enclosure)
+from rileycert.certify import (RootCertificate, find_root_gt2,
+                               verify_certificate, xn_enclosure)
 from rileycert.chebyshev import cheb_eval, cheb_poly, cheb_root_enclosures
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction,
@@ -55,12 +55,11 @@ def _run_grid(knots_with_ranges, label):
     ok = True
     for knot, n_min in knots_with_ranges:
         phi = riley_for_knot(knot)
-        witness = witness_plan_for(knot)
         for n in range(n_min, 13):
-            report = find_root_gt2(phi, n, y_max=64, precision=128,
-                                   witness=witness, y_max_cap=64)
-            if not (report.certified
-                    and verify_certificate(report.certificate, phi)):
+            report = find_root_gt2(phi, n, precision=128, y_max_cap=64)
+            if not (report.certified and verify_certificate(
+                    RootCertificate.from_json_dict(report.certificate.to_json_dict()),
+                    phi)):
                 ok = False
                 print(f"  grid failure: {knot} n={n} -> {report.status}")
     _report(label, ok)
@@ -75,6 +74,19 @@ def test_criterion_2_certificate_grid_double_twist():
 def test_criterion_3_certificate_grid_kl():
     knots = [(KlKnot(l), KL_THRESHOLDS[l]) for l in KL_THRESHOLDS]
     _run_grid(knots, "criterion 3 (K_l certificate grid, n <= 12)")
+
+
+def test_no_certificate_below_the_thresholds():
+    # the 64 family cases n = 2 .. threshold - 1, where phi(x_n, .) has no
+    # root above 2 (an mpmath root count at 60 digits agrees): a certificate
+    # here is wrong
+    cases = [(DoubleTwistKnot(k, m), n) for k in range(1, 5)
+             for m, t in J_THRESHOLDS.items() for n in range(2, t)]
+    cases += [(KlKnot(l), n) for l, t in KL_THRESHOLDS.items() for n in range(2, t)]
+    assert len(cases) == 64
+    for knot, n in cases:
+        report = find_root_gt2(riley_for_knot(knot), n, y_max_cap=64)
+        assert report.certificate is None, (knot, n)
 
 
 def test_criterion_4_symbolic_identities():
@@ -211,8 +223,7 @@ def test_criterion_9_soft_expectations_n2():
     ok = True
     for knot in (DoubleTwistKnot(1, 2), DoubleTwistKnot(1, 4), KlKnot(2)):
         phi = riley_for_knot(knot)
-        report = find_root_gt2(phi, 2, y_max=64, y_max_cap=64,
-                               witness=witness_plan_for(knot))
+        report = find_root_gt2(phi, 2, y_max_cap=64)
         if report.certified:
             ok = False
             print(f"  unexpected certificate at n=2 for {knot}")

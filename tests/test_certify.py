@@ -1,18 +1,84 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
-from rileycert.certify import (MAX_Y_MAX_CAP, CosRatio, HashMismatch, MalformedCertificate,
-                               PreconditionUnverifiable, RootCertificate, ScanReport, find_root_gt2,
-                               solve_lambda_witness, verify_certificate, witness_plan_for,
-                               xn_enclosure)
-from rileycert.dyadic import Dyadic, DyadicInterval
+from rileycert.certify import (MAX_Y_MAX_CAP, HashMismatch,
+                               MalformedCertificate, RootCertificate, ScanReport,
+                               find_root_gt2, verify_certificate, xn_enclosure)
+from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
-from rileycert.polyring import eval_interval
-from rileycert.riley import kl_named_polys, lambda_dt, riley_for_knot
+from rileycert.polyring import XYPoly, eval_interval
+from rileycert.riley import RileyPolynomial, kl_named_polys, lambda_dt, riley_for_knot
+
+
+# The witness lemmas of the double-twist and K_l families: at a y_c >= 2
+# with lambda(x_n, y_c) = c, a Chebyshev root fixed by the family, the sign
+# of phi (of alpha, for K_l) is forced.  The root scan does not rest on
+# them; this test-local solver keeps the lemmas checked.
+
+class PreconditionUnverifiable(ValueError):
+    """The witness inequality c <= x_n^2 - 2 (or c <= 1) cannot be certified."""
+
+
+@dataclass(frozen=True)
+class CosRatio:
+    """The target 2cos(num*pi/den), 0 <= num <= den.  cos decreases on
+    [0, pi], so 2cos(a*pi) <= 2cos(b*pi) iff a >= b, decided exactly."""
+
+    num: int
+    den: int
+
+    def __post_init__(self):
+        if not (self.den >= 1 and 0 <= self.num <= self.den):
+            raise ValueError(f"need 0 <= num <= den, got {self.num}/{self.den}")
+
+    def enclosure(self, precision: int) -> DyadicInterval:
+        return two_cos_pi_ratio(self.num, self.den, precision)
+
+    def le_xn_squared_minus_2(self, n: int) -> bool:
+        return Fraction(self.num, self.den) >= Fraction(2, n)
+
+    def le_one(self) -> bool:
+        return Fraction(self.num, self.den) >= Fraction(1, 3)
+
+
+def solve_lambda_witness(lam: XYPoly, x: DyadicInterval, c: CosRatio,
+                         precision: int, *, n: int,
+                         require_c_le_1: bool = False) -> DyadicInterval:
+    """Enclosure of some y_c >= 2 with lambda(x, y_c) = c, x enclosing x_n:
+    lambda(x_n, 2) = x_n^2 - 2 >= c, certified by the angle comparison, and
+    lambda -> -infinity as y grows, so bisection on lambda - c finds it."""
+    if not c.le_xn_squared_minus_2(n):
+        raise PreconditionUnverifiable(f"c = 2cos({c.num}pi/{c.den}) > x_{n}^2 - 2")
+    if require_c_le_1 and not c.le_one():
+        raise PreconditionUnverifiable(f"c = 2cos({c.num}pi/{c.den}) > 1")
+    c_enc = c.enclosure(precision + 8)
+
+    def g_sign(y_pt: Dyadic):
+        return (eval_interval(lam, x, DyadicInterval.point(y_pt)) - c_enc).sign()
+
+    hi = Dyadic(3)
+    for _ in range(70):
+        if g_sign(hi) == -1:
+            break
+        hi = (hi - 2) * 2 + 2
+    else:
+        raise PreconditionUnverifiable("no definitely-negative value of lambda - c found")
+    lo = Dyadic(2)  # g(2) >= 0 holds by the certified precondition
+    target = Dyadic(1, -precision)
+    while (hi - lo) > target:
+        mid = (lo + hi).half()
+        s = g_sign(mid)
+        if s == 1:
+            lo = mid
+        elif s == -1:
+            hi = mid
+        else:
+            break  # mid is (indistinguishably close to) the preimage itself
+    return DyadicInterval(lo, hi)
 
 
 def test_xn_exact_cases():
@@ -111,21 +177,68 @@ def test_find_root_examples_m2():
     knot = DoubleTwistKnot(1, 2)
     phi = riley_for_knot(knot)
     for n in (5, 6):
-        report = find_root_gt2(phi, n, witness=witness_plan_for(knot))
+        report = find_root_gt2(phi, n)
         assert report.certified, n
         cert = report.certificate
         assert cert.a > 2
         assert cert.a >= Dyadic(2) + Dyadic(1, -64)  # strictness margin
-        assert cert.b - cert.a <= Dyadic(1, -128)
+        assert cert.b - cert.a <= Dyadic(1, -32)
         assert cert.sign_a == -cert.sign_b
         assert verify_certificate(cert, phi)
+
+
+def test_low_precision_certificates_keep_the_margin():
+    # the window starts at min_a = 2 + 2**-(P//2), which is 3 at P = 1 and
+    # 2.5 at P = 2, 3: no bracket may start below it, and each must verify
+    knots = [DoubleTwistKnot(1, m) for m in (2, 3, 4, 5, 6, -2, -3, -4, -5, -6)]
+    for knot in knots + [KlKnot(2), KlKnot(3)]:
+        phi = riley_for_knot(knot)
+        for n in range(2, 13):
+            for precision in range(1, 6):
+                cert = find_root_gt2(phi, n, precision=precision,
+                                     y_max_cap=64).certificate
+                if cert is not None:
+                    min_a = Dyadic(2) + Dyadic(1, -(precision // 2))
+                    assert min_a <= cert.a < cert.b, (knot, n, precision)
+                    assert verify_certificate(cert, phi), (knot, n, precision)
+
+
+def _root_factor(p: int, q: int) -> XYPoly:
+    """q y - p - x, whose root in y is (p + x_n) / q."""
+    return XYPoly.from_terms([(0, 1, q), (0, 0, -p), (1, 0, -1)])
+
+
+@pytest.mark.parametrize("factors, cap, expect", [
+    # a pair about 2.6e-6 apart, just above 2
+    ([(2001, 1000), (1999, 999), (9, 2)], 64, (2001, 1000)),
+    # a root below the margin 2**-64 is outside the window
+    ([(2**71 + 1, 2**70), (9, 2)], 64, (9, 2)),
+    # a double root has no sign change: the simple root above it is taken
+    ([(5, 2), (5, 2), (11, 3)], 64, (11, 3)),
+    # the only root lies above the cap
+    ([(40, 1)], 16, None),
+])
+def test_isolation_brackets_the_smallest_simple_root(factors, cap, expect):
+    poly = XYPoly.one()
+    for p, q in factors:
+        poly = poly * _root_factor(p, q)
+    phi = RileyPolynomial(poly, "test", "product of linear factors")
+    report = find_root_gt2(phi, 5, y_max_cap=cap)
+    if expect is None:
+        assert report.status == "inconclusive"
+        return
+    cert = report.certificate
+    assert verify_certificate(cert, phi)
+    # (p + x_5) / q lies in (a, b) iff q a - p < x_5 < q b - p, decided exactly
+    p, q = expect
+    xn = xn_enclosure(5, 256)
+    assert q * cert.a - p < xn.lo and xn.hi < q * cert.b - p
 
 
 def test_find_root_inconclusive_n2():
     knot = DoubleTwistKnot(1, 2)
     phi = riley_for_knot(knot)
-    report = find_root_gt2(phi, 2, y_max=64, y_max_cap=64,
-                           witness=witness_plan_for(knot))
+    report = find_root_gt2(phi, 2, y_max_cap=64)
     assert report.status == "inconclusive"
     assert report.certificate is None
     assert report.trace["y_max_reached"] == 64
@@ -144,8 +257,7 @@ def test_find_root_thresholds_sample():
              (KlKnot(4), 3, True)]
     for knot, n, expect in cases:
         phi = riley_for_knot(knot)
-        report = find_root_gt2(phi, n, witness=witness_plan_for(knot),
-                               y_max_cap=64)
+        report = find_root_gt2(phi, n, y_max_cap=64)
         assert report.certified == expect, (knot, n, report.status)
         if expect:
             assert verify_certificate(report.certificate, phi)
@@ -155,14 +267,14 @@ def test_find_root_generic_fraction():
     # figure-eight: double branched cover is a lens space, higher ones are
     # known not left-orderable; the scan must come back empty-handed
     phi = riley_for_knot(TwoBridgeFraction(5, 3))
-    report = find_root_gt2(phi, 3, y_max=16, y_max_cap=16)
+    report = find_root_gt2(phi, 3, y_max_cap=16)
     assert report.status == "inconclusive"
 
 
 def test_certificate_tampering_detected():
     knot = DoubleTwistKnot(1, 4)
     phi = riley_for_knot(knot)
-    cert = find_root_gt2(phi, 3, witness=witness_plan_for(knot)).certificate
+    cert = find_root_gt2(phi, 3).certificate
     assert verify_certificate(cert, phi)
     assert not verify_certificate(replace(cert, a=cert.b, b=cert.a), phi)
     assert not verify_certificate(replace(cert, a=Dyadic(1), b=cert.b), phi)
@@ -182,7 +294,7 @@ def test_certificate_tampering_detected():
 def test_certificate_serialization_round_trip():
     knot = KlKnot(3)
     phi = riley_for_knot(knot)
-    cert = find_root_gt2(phi, 4, witness=witness_plan_for(knot)).certificate
+    cert = find_root_gt2(phi, 4).certificate
     blob = json.dumps(cert.to_json_dict(), sort_keys=True)
     restored = RootCertificate.from_json_dict(json.loads(blob))
     assert restored == cert
@@ -195,8 +307,7 @@ def test_certificate_serialization_round_trip():
 def test_certificate_parsing_is_strict():
     knot = DoubleTwistKnot(2, 3)
     phi = riley_for_knot(knot)
-    record = find_root_gt2(phi, 5, witness=witness_plan_for(knot),
-                           y_max_cap=64).certificate.to_json_dict()
+    record = find_root_gt2(phi, 5, y_max_cap=64).certificate.to_json_dict()
     assert verify_certificate(RootCertificate.from_json_dict(record), phi)
     for signs in (["?", "+"], ["-", "plus"], ["-"], ["-", "+", "+"], "-+", None):
         with pytest.raises(MalformedCertificate, match="signs"):
@@ -220,8 +331,7 @@ def test_certificate_fields_are_bounded():
     # 2**40 exponent would make a 2**40-bit shift, a 10**7 precision a
     # 10**7-bit pi
     knot = DoubleTwistKnot(2, 3)
-    record = find_root_gt2(riley_for_knot(knot), 5, witness=witness_plan_for(knot),
-                           y_max_cap=64).certificate.to_json_dict()
+    record = find_root_gt2(riley_for_knot(knot), 5, y_max_cap=64).certificate.to_json_dict()
     bad_values = {"precision": (10**7, 4097, 0, -128, float("inf"), 128.5, True, "128"),
                   "n": (1, 0, -5, 5.5, "5"), "y_max": (2, -3, 64.0, "64")}
     for key, values in bad_values.items():
@@ -243,16 +353,15 @@ def test_verifying_a_record_at_the_precision_cap():
     # bits must stay cheap (the x_n enclosure dominates)
     knot = DoubleTwistKnot(2, 3)
     phi = riley_for_knot(knot)
-    record = find_root_gt2(phi, 5, witness=witness_plan_for(knot),
-                           y_max_cap=64).certificate.to_json_dict()
+    record = find_root_gt2(phi, 5, y_max_cap=64).certificate.to_json_dict()
     record["precision"] = 4096
     assert verify_certificate(RootCertificate.from_json_dict(record), phi) is True
 
 
 def test_find_root_rejects_degenerate_arguments():
     phi = riley_for_knot(DoubleTwistKnot(1, 2))
-    for kwargs in ({"y_max": 2}, {"y_max": 0}, {"precision": 0}, {"precision": -8},
-                   {"y_max": 40, "y_max_cap": 8}, {"precision": 8000},
+    for kwargs in ({"y_max_cap": 2}, {"y_max_cap": 0}, {"precision": 0}, {"precision": -8},
+                   {"y_max_cap": -64}, {"precision": 8000},
                    {"y_max_cap": MAX_Y_MAX_CAP + 1}):
         with pytest.raises(ValueError):
             find_root_gt2(phi, 2, **kwargs)
@@ -264,7 +373,7 @@ def test_lo_set_deterministic_and_correct():
     phi = riley_for_knot(knot)
 
     def scan_all():
-        return {n: find_root_gt2(phi, n, witness=witness_plan_for(knot), y_max_cap=64)
+        return {n: find_root_gt2(phi, n, y_max_cap=64)
                 for n in range(2, 6)}
 
     first, second = scan_all(), scan_all()
@@ -283,15 +392,20 @@ def test_scan_report_shape():
     assert not report.certified
     knot = DoubleTwistKnot(2, 2)
     phi = riley_for_knot(knot)
-    rep = find_root_gt2(phi, 6, witness=witness_plan_for(knot))
-    assert rep.certified and rep.trace["grid_step"] == "1/8"
+    # every scan's trace has the same counters, whatever its status
+    for n, status in ((6, "certified"), (2, "inconclusive")):
+        rep = find_root_gt2(phi, n, y_max_cap=64)
+        assert rep.status == status
+        assert {"y_max_reached", "nodes", "evaluations", "precision_escalations",
+                "indefinite"} <= set(rep.trace)
+        assert rep.trace["y_max_reached"] == 64
 
 
 def test_certificate_survives_precision_refinement():
     # a certificate valid at precision P stays valid at every P' > P
     knot = DoubleTwistKnot(1, 3)
     phi = riley_for_knot(knot)
-    cert = find_root_gt2(phi, 4, witness=witness_plan_for(knot)).certificate
+    cert = find_root_gt2(phi, 4).certificate
     for factor in (2, 4):
         finer = replace(cert, precision=cert.precision * factor)
         assert verify_certificate(finer, phi)
@@ -313,7 +427,7 @@ def test_alpha_exceeds_one_on_xn_enclosures():
 
 def test_witness_sign_consistency():
     # at y_c: (-1)^(m-1) phi(x_n, y_c) < 0 for the double twists, and the
-    # K_l alpha is negative-definite (what makes the witness probes work)
+    # K_l alpha is negative-definite
     for k in (1, 2):
         for m in (3, 4, 5):
             n_min = 4 if m == 3 else 3
@@ -332,15 +446,3 @@ def test_witness_sign_consistency():
             y_c = solve_lambda_witness(lam, xn, CosRatio(l - 2, l - 1), 128,
                                        n=n, require_c_le_1=True)
             assert eval_interval(alpha, xn, y_c).sign() == -1, (l, n)
-
-
-def test_witness_plans():
-    assert witness_plan_for(DoubleTwistKnot(1, 2)) is None
-    plan = witness_plan_for(DoubleTwistKnot(1, 3))
-    assert plan.kind == "lambda-preimage" and plan.target == CosRatio(1, 2)
-    plan = witness_plan_for(DoubleTwistKnot(2, -4))
-    assert plan.target == CosRatio(3, 4)
-    assert witness_plan_for(KlKnot(2)).kind == "alpha-sign-point"
-    plan = witness_plan_for(KlKnot(5))
-    assert plan.target == CosRatio(3, 4) and plan.require_c_le_1
-    assert witness_plan_for(TwoBridgeFraction(5, 3)) is None

@@ -63,6 +63,9 @@ def test_signs_command(capsys):
     code, out, err = run(capsys, "signs", "--fraction", "4/2")
     assert code == 1
     assert "error" in err
+    code, out, err = run(capsys, "signs")
+    assert code == 1 and out == ""
+    assert "error: the following arguments are required: --fraction" in err
 
 
 def test_certify_exit_codes_and_payload(capsys):
@@ -73,12 +76,31 @@ def test_certify_exit_codes_and_payload(capsys):
     assert payload["status"] == "certified"
     cert = RootCertificate.from_json_dict(payload["certificate"])
     assert verify_certificate(cert, riley_for_knot(DoubleTwistKnot(1, 4)))
-    code, out, _ = run(capsys, "certify", "--knot", "J:1,2", "--n", "2",
-                       "--ymax", "64", "--ymax-cap", "64")
+    # at the default cap of 2**16: the isolation drops the whole window at
+    # once, where a walk proportional to the cap would take seconds
+    code, out, _ = run(capsys, "certify", "--knot", "J:1,2", "--n", "2")
     assert code == 2
-    assert "inconclusive" in out
+    assert "inconclusive" in out and "searched y <= 65536" in out
     code, out, _ = run(capsys, "certify", "--knot", "Kl:3", "--n", "4")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, knot", [
+    # a root near y = 2.0075, closer to 2 than any fixed grid step
+    (("certify", "--fraction", "37/25", "--n", "3", "--ymax-cap", "64"),
+     TwoBridgeFraction(37, 25)),
+    # at --prec 1 the window starts at 3; J:1,-6's root near 2.17 lies below
+    (("certify", "--knot", "J:1,-6", "--n", "5", "--prec", "1"), DoubleTwistKnot(1, -6)),
+])
+def test_certify_close_roots_and_low_precision(capsys, argv, knot):
+    code, out, err = run(capsys, *argv, "--format", "structured")
+    payload = json.loads(out)
+    assert err == ""
+    assert (code, payload["status"]) in ((0, "certified"), (2, "inconclusive"))
+    if code == 0:
+        cert = RootCertificate.from_json_dict(payload["certificate"])
+        assert verify_certificate(cert, riley_for_knot(knot))
+    assert code == (0 if "37/25" in argv else 2)
 
 
 def test_certify_structured_deterministic(capsys):
@@ -147,10 +169,10 @@ def test_error_exits(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("certify", "--knot", "J:1,2", "--n", "2", "--ymax", "0", "--ymax-cap", "64"),
+    ("certify", "--knot", "J:1,2", "--n", "2", "--ymax", "64"),
     ("certify", "--knot", "J:1,2", "--n", "2", "--prec", "0"),
-    ("certify", "--knot", "J:2,3", "--n", "5", "--ymax", "2"),
-    ("certify", "--knot", "J:2,3", "--n", "5", "--ymax", "64", "--ymax-cap", "32"),
+    ("certify", "--knot", "J:2,3", "--n", "5", "--ymax-cap", "2"),
+    ("signs",),
     ("certify", "--knot", "J:1,2", "--n", "2", "--ymax-cap", str(MAX_Y_MAX_CAP + 1)),
     ("lo-set", "--knot", "J:1,2", "--n-max", "3", "--ymax-cap", str(MAX_Y_MAX_CAP << 20)),
     ("certify", "--knot", "J:2,3", "--n", "5", "--prec", "4097"),
@@ -170,7 +192,7 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
 
 
 def test_ymax_cap_limit_itself_is_accepted(capsys):
-    # J:2,3 n=5 brackets a root early, so the cap is never walked
+    # the root node of the isolation is then 2**20 wide
     code, _, err = run(capsys, "certify", "--knot", "J:2,3", "--n", "5",
                        "--ymax-cap", str(MAX_Y_MAX_CAP))
     assert code == 0 and err == ""

@@ -31,12 +31,12 @@ def golden_argvs() -> list[list[str]]:
     family += [(f"Kl:{l}", n) for l, n in KL_THRESHOLDS.items()]
     argvs = [["certify", "--knot", spec, "--n", str(n), "--ymax-cap", "64",
               "--format", "structured"] for spec, n in family]
-    argvs += [["certify", "--knot", spec, "--n", "2", "--ymax", "64",
-               "--ymax-cap", "64", "--format", "structured"]
+    argvs += [["certify", "--knot", spec, "--n", "2", "--ymax-cap", "64",
+               "--format", "structured"]
               for spec in ("J:1,2", "J:1,4", "Kl:2")]
-    argvs.append(["lo-set", "--knot", "J:1,3", "--n-max", "6", "--ymax", "8",
-                  "--ymax-cap", "64", "--format", "structured"])
-    argvs.append(["certify", "--knot", "J:1,4", "--n", "3", "--ymax", "4"])
+    argvs.append(["lo-set", "--knot", "J:1,3", "--n-max", "6", "--ymax-cap", "64",
+                  "--format", "structured"])
+    argvs.append(["certify", "--knot", "J:1,4", "--n", "3"])
     return argvs
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly,
                                 ZeroPolynomial, eval_interval, leading_y_term,
-                                symmetric_rewrite)
+                                symmetric_rewrite, y_coefficient_bounds)
 from rileycert.riley import riley_double_twist
 
 X, Y = XYPoly.x(), XYPoly.y()
@@ -226,6 +226,20 @@ def test_eval_interval_matches_reference(p, x, y, tx, ty):
     u = x.lo.as_fraction() + tx * x.width().as_fraction()
     v = y.lo.as_fraction() + ty * y.width().as_fraction()
     assert iv.contains_fraction(p.eval_fraction(u, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_polys, intervals, st.fractions(0, 1))
+def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx):
+    lo, hi, e = y_coefficient_bounds(p, x)
+    u = x.lo.as_fraction() + tx * x.width().as_fraction()
+    slices = p.y_slices()
+    assert len(lo) == len(hi) == p.deg_y() + 1
+    for j, (l, h) in enumerate(zip(lo, hi)):
+        c = slices[j].eval_fraction(u, Fraction(0)) if j in slices else 0
+        assert l * Fraction(2) ** e <= c <= h * Fraction(2) ** e
+        if x.is_point():
+            assert l == h
 
 
 def test_eval_interval_matches_reference_on_riley():

@@ -86,18 +86,20 @@ class RootCertificate:
 
 
 def _max_endpoint_exponent(precision: int) -> int:
-    """Bound on |exponent| of every bracket endpoint a scan emits whose
-    certificate records this precision (which is >= the starting one, P).
+    """Bound on |exponent| of the bracket endpoints of a record of this
+    precision.
 
-    An endpoint is an isolation node end refined by bisection.  A node end
-    is min_a + i * 2**-k: min_a = 2 + 2**-(P//2) has P//2 fractional bits,
-    and nodes are no narrower than BRACKET_WIDTH = 2**-32, so k <= 32.  An
-    isolating node lies in (2, 2**20] (MAX_Y_MAX_CAP), so it is at most 2**19
-    wide.  Each bisection step adds at most 2 fractional bits and shrinks the
-    bracket by 3/4 or more until it is 2**-32 wide: at most
-    1 + 51/log2(4/3) < 124 steps, so fewer than max(P/2, 32) + 248 fractional
-    bits in all, while values up to 2**20 have positive exponents up to 20.
-    Hence |exponent| < P/2 + 280, far inside the bound below.
+    An endpoint a scan emits is an isolation node end refined by bisection.
+    A node end is 2 + 2**-64 + i * 2**-k, with 64 fractional bits: nodes are
+    no narrower than BRACKET_WIDTH = 2**-32, so k <= 32.  An isolating node
+    lies in (2, 2**20] (MAX_Y_MAX_CAP), so it is at most 2**19 wide.  Each
+    bisection step adds at most 2 fractional bits and shrinks the bracket by
+    3/4 or more until it is 2**-32 wide: at most 1 + 51/log2(4/3) < 124
+    steps, so fewer than 64 + 248 fractional bits in all, while values up to
+    2**20 have positive exponents up to 20.  Hence |exponent| < 312, inside
+    the bound below at every precision.  The bound grows with the precision
+    because records from scans that started at P bits, with the window at
+    2 + 2**-(P//2), have |exponent| < P/2 + 280 and must still parse.
     """
     return 7 * precision + 350
 
@@ -166,15 +168,16 @@ DEFAULT_Y_MAX_CAP = 1 << 16
 MAX_Y_MAX_CAP = 1 << 20  # keeps bracket endpoints within _max_endpoint_exponent
 DEFAULT_PRECISION_CAP = 4096
 BRACKET_WIDTH = Dyadic(1, -32)  # bisection target and isolation node floor
+_MARGIN_BITS = 64  # the window starts at 2 + 2**-64, keeping brackets above 2
 
 
 class _SignOracle:
     """Signs of phi(x_n, y) and the x_n enclosure the root isolation reads,
     raising the x_n precision on demand, with the counts of the scan trace."""
 
-    def __init__(self, poly: XYPoly, n: int, precision: int):
-        self.poly, self.n, self.precision = poly, n, precision
-        self.xn = xn_enclosure(n, precision)
+    def __init__(self, poly: XYPoly, n: int):
+        self.poly, self.n, self.precision = poly, n, DEFAULT_PRECISION
+        self.xn = xn_enclosure(n, self.precision)
         self.evaluations = self.escalations = self.indefinite = self.nodes = 0
 
     def escalate(self) -> bool:
@@ -234,8 +237,8 @@ def _variations(lo: list[int], hi: list[int]) -> int | None:
     return count
 
 
-def _isolating_brackets(oracle: _SignOracle, h: int, y_max_cap: int):
-    """Yield, left to right, intervals (a, b) in (2 + 2**-h, y_max_cap] that
+def _isolating_brackets(oracle: _SignOracle, y_max_cap: int):
+    """Yield, left to right, intervals (a, b) in (2 + 2**-64, y_max_cap] that
     hold exactly one root of phi(x_n, .), by Vincent-Collins-Akritas bisection.
 
     A node (a, a + 2**k) keeps integer bounds lo, hi on the coefficients of
@@ -247,6 +250,7 @@ def _isolating_brackets(oracle: _SignOracle, h: int, y_max_cap: int):
     and restarts; at DEFAULT_PRECISION_CAP it counts as undecided and splits.
     """
     k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
+    h = _MARGIN_BITS
     while True:
         lo, hi, _ = y_coefficient_bounds(oracle.poly, oracle.xn)
         # phi(x_n, 2 + 2**-h (1 + 2**(k_root + h) t)), times 2**(h d)
@@ -296,29 +300,26 @@ def _bisect(oracle: _SignOracle, a: Dyadic, sa: int, b: Dyadic):
 
 
 def find_root_gt2(phi: RileyPolynomial, n: int, *,
-                  precision: int = DEFAULT_PRECISION,
                   y_max_cap: int = DEFAULT_Y_MAX_CAP) -> ScanReport:
-    """Search (min_a, y_max_cap] for a certified bracket of a root of
-    phi(x_n, .), where min_a = 2 + 2**-(precision//2) keeps every bracket
-    strictly above 2.
+    """Search (2 + 2**-64, y_max_cap] for a certified bracket of a root of
+    phi(x_n, .); the margin of 2**-64 keeps every bracket strictly above 2.
 
     Descartes' rule isolates the roots in the window from the left
     (_isolating_brackets); the first isolating interval whose endpoint
     signs eval_interval finds definite and opposite is bisected to width
     BRACKET_WIDTH and becomes the certificate, so the bracket holds the
     smallest root in the window that the isolation reaches.  The x_n
-    precision doubles, up to DEFAULT_PRECISION_CAP, whenever a variation
-    count or an evaluation is indefinite.
+    precision starts at DEFAULT_PRECISION and doubles, up to
+    DEFAULT_PRECISION_CAP, whenever a variation count or an evaluation is
+    indefinite.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not 3 <= y_max_cap <= MAX_Y_MAX_CAP:
         raise ValueError(f"need 3 <= y_max_cap <= {MAX_Y_MAX_CAP}")
-    if not 1 <= precision <= DEFAULT_PRECISION_CAP:
-        raise ValueError(f"need 1 <= precision <= {DEFAULT_PRECISION_CAP}")
-    oracle = _SignOracle(phi.poly, n, precision)
+    oracle = _SignOracle(phi.poly, n)
     cert = None
-    for a, b in _isolating_brackets(oracle, precision // 2, y_max_cap):
+    for a, b in _isolating_brackets(oracle, y_max_cap):
         sa, sb = oracle.sign(a), oracle.sign(b)
         refined = _bisect(oracle, a, sa, b) if sa and sb == -sa else None
         if refined is not None:

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
-from .certify import (DEFAULT_PRECISION, DEFAULT_PRECISION_CAP,
-                      DEFAULT_Y_MAX_CAP, MAX_Y_MAX_CAP, find_root_gt2,
+from .certify import (DEFAULT_Y_MAX_CAP, MAX_Y_MAX_CAP, find_root_gt2,
                       verify_certificate)
 from .chebyshev import cheb_eval, cheb_poly
 from .knots import (DoubleTwistKnot, KlKnot, ReductionInapplicable,
@@ -24,8 +22,6 @@ from .knots import (DoubleTwistKnot, KlKnot, ReductionInapplicable,
 from .riley import (kl_alpha_derivative_check, kl_cross_check,
                     riley_double_twist, riley_for_knot, riley_generic,
                     riley_kl)
-
-PREC_ENV_VAR = "RILEYCERT_PREC"
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -66,17 +62,6 @@ def _int_in_range(lo: int, hi: int | None = None):
 
 _cover_index = _int_in_range(2)
 _y_cap = _int_in_range(3, MAX_Y_MAX_CAP)
-_precision = _int_in_range(1, DEFAULT_PRECISION_CAP)
-
-
-def _default_precision() -> int:
-    text = os.environ.get(PREC_ENV_VAR)
-    if text is None:
-        return DEFAULT_PRECISION
-    try:
-        return _precision(text)
-    except argparse.ArgumentTypeError as exc:
-        raise CliError(f"environment variable {PREC_ENV_VAR}: {exc}") from None
 
 
 def parse_knot_spec(text: str):
@@ -96,10 +81,14 @@ def parse_knot_spec(text: str):
 
 
 def _knot_from_args(args):
-    """The knot of --knot or --fraction; argparse requires exactly one (for
-    `signs`, --fraction)."""
+    """The knot of --knot (a family spec) or --fraction (a fraction);
+    argparse requires exactly one (for `signs`, --fraction)."""
     if getattr(args, "knot", None) is not None:
-        return parse_knot_spec(args.knot)
+        knot = parse_knot_spec(args.knot)
+        if isinstance(knot, TwoBridgeFraction):
+            raise CliError(f"--knot takes J:k,m or Kl:l; give the fraction "
+                           f"{args.knot} with --fraction")
+        return knot
     if "/" not in args.fraction:
         raise CliError(f"invalid fraction {args.fraction!r}")
     return parse_knot_spec(args.fraction)
@@ -115,6 +104,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def cmd_riley(args) -> int:
     knot = _knot_from_args(args)
+    if args.cross_check and isinstance(knot, TwoBridgeFraction):
+        raise CliError("--cross-check applies to family knots (J:k,m or Kl:l)")
     phi = riley_for_knot(knot)
     payload = {
         "knot": phi.knot,
@@ -124,8 +115,6 @@ def cmd_riley(args) -> int:
     }
     lines = [phi.poly.to_text(), f"hash: {phi.content_hash}"]
     if args.cross_check:
-        if isinstance(knot, TwoBridgeFraction):
-            raise CliError("--cross-check applies to family knots (J:k,m or Kl:l)")
         other = riley_for_knot(knot, engine="generic")
         if other.poly != phi.poly:
             raise CliError("cross-check FAILED: engines disagree")
@@ -137,8 +126,6 @@ def cmd_riley(args) -> int:
 
 def cmd_signs(args) -> int:
     knot = _knot_from_args(args)
-    if not isinstance(knot, TwoBridgeFraction):
-        raise CliError("signs takes a fraction (--fraction p/q)")
     rs = run_length(sign_sequence(knot))
     chain = [rs]
     if args.reduce:
@@ -164,7 +151,7 @@ def cmd_signs(args) -> int:
 
 
 def _scan(args, phi, n: int):
-    report = find_root_gt2(phi, n, precision=args.prec, y_max_cap=args.ymax_cap)
+    report = find_root_gt2(phi, n, y_max_cap=args.ymax_cap)
     if report.certified and not verify_certificate(report.certificate, phi):
         raise CliError("internal error: fresh certificate failed verification")
     return report
@@ -271,7 +258,6 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_prec = _default_precision()
     parser = _Parser(
         prog="rileycert",
         description="Riley polynomials of two-bridge knots and rigorous "
@@ -303,11 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_scan_args(p):
         p.add_argument("--ymax-cap", type=_y_cap, default=DEFAULT_Y_MAX_CAP,
-                       help="end of the searched window (2, ymax-cap], 3.."
+                       help="end of the searched window (2 + 2^-64, ymax-cap], 3.."
                             f"{MAX_Y_MAX_CAP} (default {DEFAULT_Y_MAX_CAP})")
-        p.add_argument("--prec", type=_precision, default=default_prec,
-                       help=f"precision in bits, 1..{DEFAULT_PRECISION_CAP} "
-                            f"(default {default_prec}; env {PREC_ENV_VAR})")
 
     p_cert = sub.add_parser("certify",
                             help="certify a root y_n > 2 of phi(x_n, .)")

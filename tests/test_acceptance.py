@@ -11,7 +11,7 @@ import random
 import warnings
 from fractions import Fraction
 
-from rileycert.certify import (RootCertificate, find_root_gt2,
+from rileycert.certify import (BRACKET_WIDTH, RootCertificate, find_root_gt2,
                                verify_certificate, xn_enclosure)
 from rileycert.chebyshev import cheb_eval, cheb_poly, cheb_root_enclosures
 from rileycert.dyadic import Dyadic, DyadicInterval
@@ -35,6 +35,9 @@ J_THRESHOLDS = {-6: 3, -5: 3, -4: 3, -3: 3, -2: 4, 2: 5, 3: 4,
                      4: 3, 5: 3, 6: 3}
 KL_THRESHOLDS = {2: 5, 3: 4, 4: 3, 5: 3, 6: 3}
 
+# every bracket starts at least 2**-64 above 2, the start of the scan's window
+WINDOW_START = Dyadic(2) + Dyadic(1, -64)
+
 
 def _report(criterion: str, ok: bool) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}")
@@ -56,10 +59,11 @@ def _run_grid(knots_with_ranges, label):
     for knot, n_min in knots_with_ranges:
         phi = riley_for_knot(knot)
         for n in range(n_min, 13):
-            report = find_root_gt2(phi, n, precision=128, y_max_cap=64)
+            report = find_root_gt2(phi, n, y_max_cap=64)
+            cert = report.certificate
             if not (report.certified and verify_certificate(
-                    RootCertificate.from_json_dict(report.certificate.to_json_dict()),
-                    phi)):
+                    RootCertificate.from_json_dict(cert.to_json_dict()), phi)
+                    and cert.a >= WINDOW_START and cert.b - cert.a <= BRACKET_WIDTH):
                 ok = False
                 print(f"  grid failure: {knot} n={n} -> {report.status}")
     _report(label, ok)

@@ -187,22 +187,6 @@ def test_find_root_examples_m2():
         assert verify_certificate(cert, phi)
 
 
-def test_low_precision_certificates_keep_the_margin():
-    # the window starts at min_a = 2 + 2**-(P//2), which is 3 at P = 1 and
-    # 2.5 at P = 2, 3: no bracket may start below it, and each must verify
-    knots = [DoubleTwistKnot(1, m) for m in (2, 3, 4, 5, 6, -2, -3, -4, -5, -6)]
-    for knot in knots + [KlKnot(2), KlKnot(3)]:
-        phi = riley_for_knot(knot)
-        for n in range(2, 13):
-            for precision in range(1, 6):
-                cert = find_root_gt2(phi, n, precision=precision,
-                                     y_max_cap=64).certificate
-                if cert is not None:
-                    min_a = Dyadic(2) + Dyadic(1, -(precision // 2))
-                    assert min_a <= cert.a < cert.b, (knot, n, precision)
-                    assert verify_certificate(cert, phi), (knot, n, precision)
-
-
 def _root_factor(p: int, q: int) -> XYPoly:
     """q y - p - x, whose root in y is (p + x_n) / q."""
     return XYPoly.from_terms([(0, 1, q), (0, 0, -p), (1, 0, -1)])
@@ -360,11 +344,13 @@ def test_verifying_a_record_at_the_precision_cap():
 
 def test_find_root_rejects_degenerate_arguments():
     phi = riley_for_knot(DoubleTwistKnot(1, 2))
-    for kwargs in ({"y_max_cap": 2}, {"y_max_cap": 0}, {"precision": 0}, {"precision": -8},
-                   {"y_max_cap": -64}, {"precision": 8000},
+    for kwargs in ({"y_max_cap": 2}, {"y_max_cap": 0}, {"y_max_cap": -64},
                    {"y_max_cap": MAX_Y_MAX_CAP + 1}):
         with pytest.raises(ValueError):
             find_root_gt2(phi, 2, **kwargs)
+    # the scan always starts at DEFAULT_PRECISION; there is no keyword for it
+    with pytest.raises(TypeError):
+        find_root_gt2(phi, 2, precision=128)
 
 
 def test_lo_set_deterministic_and_correct():

@@ -1,12 +1,19 @@
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rileycert import riley
+from rileycert import cli, riley
 from rileycert.certify import MAX_Y_MAX_CAP, RootCertificate, verify_certificate
 from rileycert.cli import main, parse_knot_spec
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
 from rileycert.riley import riley_for_knot
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -43,6 +50,17 @@ def test_riley_cross_check(capsys):
     code, out, _ = run(capsys, "riley", "--knot", "Kl:2", "--cross-check")
     assert code == 0
     assert "cross-check: ok" in out
+
+
+def test_riley_cross_check_on_a_fraction_fails_first(capsys, monkeypatch):
+    # the option is refused before any polynomial is built
+    def engine(*args, **kwargs):
+        raise AssertionError("the Riley engine ran")
+
+    monkeypatch.setattr(cli, "riley_for_knot", engine)
+    code, out, err = run(capsys, "riley", "--fraction", "151/57", "--cross-check")
+    assert (code, out) == (1, "")
+    assert err == "error: --cross-check applies to family knots (J:k,m or Kl:l)\n"
 
 
 def test_riley_fraction(capsys):
@@ -89,18 +107,13 @@ def test_certify_exit_codes_and_payload(capsys):
     # a root near y = 2.0075, closer to 2 than any fixed grid step
     (("certify", "--fraction", "37/25", "--n", "3", "--ymax-cap", "64"),
      TwoBridgeFraction(37, 25)),
-    # at --prec 1 the window starts at 3; J:1,-6's root near 2.17 lies below
-    (("certify", "--knot", "J:1,-6", "--n", "5", "--prec", "1"), DoubleTwistKnot(1, -6)),
 ])
 def test_certify_close_roots_and_low_precision(capsys, argv, knot):
     code, out, err = run(capsys, *argv, "--format", "structured")
     payload = json.loads(out)
-    assert err == ""
-    assert (code, payload["status"]) in ((0, "certified"), (2, "inconclusive"))
-    if code == 0:
-        cert = RootCertificate.from_json_dict(payload["certificate"])
-        assert verify_certificate(cert, riley_for_knot(knot))
-    assert code == (0 if "37/25" in argv else 2)
+    assert (code, err, payload["status"]) == (0, "", "certified")
+    cert = RootCertificate.from_json_dict(payload["certificate"])
+    assert verify_certificate(cert, riley_for_knot(knot))
 
 
 def test_certify_structured_deterministic(capsys):
@@ -170,13 +183,13 @@ def test_error_exits(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("certify", "--knot", "J:1,2", "--n", "2", "--ymax", "64"),
-    ("certify", "--knot", "J:1,2", "--n", "2", "--prec", "0"),
+    ("certify", "--knot", "J:1,2", "--n", "2", "--prec", "128"),
     ("certify", "--knot", "J:2,3", "--n", "5", "--ymax-cap", "2"),
     ("signs",),
     ("certify", "--knot", "J:1,2", "--n", "2", "--ymax-cap", str(MAX_Y_MAX_CAP + 1)),
     ("lo-set", "--knot", "J:1,2", "--n-max", "3", "--ymax-cap", str(MAX_Y_MAX_CAP << 20)),
-    ("certify", "--knot", "J:2,3", "--n", "5", "--prec", "4097"),
-    ("certify", "--knot", "J:2,3", "--n", "5", "--prec", "abc"),
+    ("lo-set", "--knot", "J:2,3", "--n-max", "5", "--prec", "128"),
+    ("signs", "--fraction", "17/7", "--knot", "J:1,2"),
     ("certify", "--knot", "J:2,3", "--n", "1"),
     ("lo-set", "--knot", "J:2,3", "--n-max", "1"),
     ("certify", "--knot", "J:1,3", "--fraction", "5/3", "--n", "5", "--ymax-cap", "64"),
@@ -191,6 +204,25 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     assert err.startswith("usage:") and "error:" in err
 
 
+def test_knot_takes_only_family_specs(capsys):
+    # a fraction goes through --fraction only
+    for command in (("certify", "--n", "3", "--ymax-cap", "64"),
+                    ("lo-set", "--n-max", "3"), ("riley",)):
+        code, out, err = run(capsys, *command, "--knot", "5/3")
+        assert code == 1 and out == ""
+        assert err == ("error: --knot takes J:k,m or Kl:l; "
+                       "give the fraction 5/3 with --fraction\n")
+
+
+def test_help_lists_the_options(capsys):
+    for command in ((), ("riley",), ("signs",), ("certify",), ("lo-set",),
+                    ("selftest",)):
+        code, out, err = run(capsys, *command, "--help")
+        assert code == 0 and err == "" and out.startswith("usage: rileycert")
+        if command in (("certify",), ("lo-set",)):
+            assert "--ymax-cap" in out and "--prec" not in out
+
+
 def test_ymax_cap_limit_itself_is_accepted(capsys):
     # the root node of the isolation is then 2**20 wide
     code, _, err = run(capsys, "certify", "--knot", "J:2,3", "--n", "5",
@@ -198,10 +230,27 @@ def test_ymax_cap_limit_itself_is_accepted(capsys):
     assert code == 0 and err == ""
 
 
+ENV_PROBES = (("--version",), ("selftest", "--quick"),
+              ("certify", "--knot", "J:2,3", "--n", "5", "--format", "structured"))
+
+
+def _run_cli(argv, extra_env):
+    env = {key: value for key, value in os.environ.items()
+           if key != "RILEYCERT_PREC"}
+    env.update(extra_env, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "rileycert.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+@functools.cache
+def _run_cli_plain(argv):
+    return _run_cli(argv, {})
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "4097", ""])
-def test_bad_precision_environment_variable(capsys, monkeypatch, value):
-    monkeypatch.setenv("RILEYCERT_PREC", value)
-    code, out, err = run(capsys, "certify", "--knot", "J:2,3", "--n", "5")
-    assert code == 1 and out == ""
-    assert err.startswith("error: environment variable RILEYCERT_PREC")
-    assert len(err.splitlines()) == 1
+def test_bad_precision_environment_variable(value):
+    # the starting precision is a constant: RILEYCERT_PREC must change
+    # nothing, even when it is not a valid precision
+    for argv in ENV_PROBES:
+        assert _run_cli(argv, {"RILEYCERT_PREC": value}) == _run_cli_plain(argv), argv

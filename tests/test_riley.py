@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -162,6 +163,28 @@ def test_generic_engine_numeric_oracle_more_words():
             s = Fraction(rng.randrange(1, 12), rng.randrange(1, 12))
             y = Fraction(rng.randrange(-12, 12), rng.randrange(1, 12))
             assert phi.poly.eval_fraction(s + 1 / s, y) == _fraction_matrix_r12(v, s, y)
+
+
+def test_generic_engine_against_sympy():
+    # an oracle outside the package: sympy multiplies out the relator word
+    # of every fraction with p <= 13 and forms R = VA - BV symbolically
+    import sympy
+
+    s, y = sympy.symbols("s y")
+    a = sympy.Matrix([[s, 1], [0, 1 / s]])
+    b = sympy.Matrix([[s, 0], [2 - y, 1 / s]])
+    fractions = [TwoBridgeFraction(p, q) for p in range(3, 14, 2)
+                 for q in range(1, p, 2) if math.gcd(p, q) == 1]
+    assert len(fractions) == 20
+    for f in fractions:
+        v = sympy.eye(2)
+        for gen, exp in word_from_signs(sign_sequence(f)).letters:
+            v = v * (a if gen == "a" else b) ** exp
+        r = v * a - b * v
+        assert sympy.expand(r[0, 0]) == 0 and sympy.expand(r[1, 1]) == 0, f
+        phi = sum(c * (s + 1 / s) ** i * y ** j
+                  for i, j, c in riley_for_knot(f).poly.terms())
+        assert sympy.expand(phi - r[0, 1]) == 0, f
 
 
 def test_r_structure_identities():

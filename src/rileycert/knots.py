@@ -11,13 +11,23 @@ import math
 from dataclasses import dataclass
 
 
+# Largest accepted knot parameters.  The cost of phi grows with them (about
+# as p**4 for a fraction); at these limits `riley --cross-check`, or `riley`
+# for a fraction, takes at most about 35 s on a 2-core x86 host (see
+# ROADMAP.md), and one step beyond is refused before any work.
+P_MAX = 501
+K_MAX = 20
+M_MAX = 20
+L_MAX = 50
+
+
 class ReductionInapplicable(ValueError):
     """Hirasawa-Murasugi reduction needs floor(p/q) >= 2."""
 
 
 @dataclass(frozen=True)
 class TwoBridgeFraction:
-    """Fraction (p, q) of a two-bridge knot, normalized to 0 < q < p."""
+    """Fraction (p, q) of a two-bridge knot, normalized to 0 < q < p <= P_MAX."""
 
     p: int
     q: int
@@ -25,6 +35,8 @@ class TwoBridgeFraction:
     def __post_init__(self):
         if self.p <= 0 or self.p % 2 == 0:
             raise ValueError(f"p must be a positive odd integer, got {self.p}")
+        if self.p > P_MAX:
+            raise ValueError(f"p must be at most {P_MAX}, got {self.p}")
         if not 0 < self.q < self.p:
             raise ValueError(f"q must satisfy 0 < q < p, got {self.q}")
         if self.q % 2 == 0:
@@ -38,16 +50,16 @@ class TwoBridgeFraction:
 
 @dataclass(frozen=True)
 class DoubleTwistKnot:
-    """J(2k+1, 2m) with k >= 1 and |m| >= 2."""
+    """J(2k+1, 2m) with 1 <= k <= K_MAX and 2 <= |m| <= M_MAX."""
 
     k: int
     m: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if abs(self.m) < 2:
-            raise ValueError(f"|m| must be >= 2, got {self.m}")
+        if not 1 <= self.k <= K_MAX:
+            raise ValueError(f"k must lie in 1..{K_MAX}, got {self.k}")
+        if not 2 <= abs(self.m) <= M_MAX:
+            raise ValueError(f"|m| must lie in 2..{M_MAX}, got {self.m}")
 
     def spec_string(self) -> str:
         return f"J:{self.k},{self.m}"
@@ -58,13 +70,13 @@ class DoubleTwistKnot:
 
 @dataclass(frozen=True)
 class KlKnot:
-    """The l-th knot of the three-twist-region family, l >= 2."""
+    """The l-th knot of the three-twist-region family, 2 <= l <= L_MAX."""
 
     l: int
 
     def __post_init__(self):
-        if self.l < 2:
-            raise ValueError(f"l must be >= 2, got {self.l}")
+        if not 2 <= self.l <= L_MAX:
+            raise ValueError(f"l must lie in 2..{L_MAX}, got {self.l}")
 
     def spec_string(self) -> str:
         return f"Kl:{self.l}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dyadic import Dyadic, DyadicInterval
 
@@ -274,26 +274,113 @@ def symmetric_rewrite(p: SYPoly) -> XYPoly:
     """
     if not p.is_symmetric():
         raise NotSymmetric("polynomial is not invariant under s -> 1/s")
-    by_y: dict[int, dict[int, int]] = {}
-    max_k = 0
-    for i, j, c in p.terms():
-        by_y.setdefault(j, {})[i] = c
-        max_k = max(max_k, abs(i))
-    # p_k(x) for k = 0..max_k
-    basis = [XYPoly.const(2), XYPoly.x()]
+    max_k = max((abs(i) for i, _ in p._terms), default=0)
+    # p_k(x) for k = 0..max_k, as {x_deg: coeff}
+    basis = [{0: 2}, {1: 1}]
     while len(basis) <= max_k:
-        basis.append(XYPoly.x() * basis[-1] - basis[-2])
-    result = XYPoly.zero()
-    for j, coeffs in by_y.items():
-        fj = XYPoly.zero()
-        for k, c in coeffs.items():
-            if k < 0:
-                continue  # mirrored term is carried by its k > 0 partner
-            fj = fj + (XYPoly.const(c) if k == 0 else basis[k] * c)
-        result = result + fj * XYPoly({(0, j): 1})
-    if result.to_sy() != p:
+        nxt = {i + 1: c for i, c in basis[-1].items()}
+        for i, c in basis[-2].items():
+            nxt[i] = nxt.get(i, 0) - c
+        basis.append(nxt)
+    terms: dict = {}
+    for (k, j), c in p._terms.items():
+        if k < 0:
+            continue  # mirrored term is carried by its k > 0 partner
+        for i, b in (basis[k].items() if k else ((0, 1),)):
+            terms[(i, j)] = terms.get((i, j), 0) + b * c
+    result = XYPoly({key: c for key, c in terms.items() if c})
+    if not _substitutes_back(result, p):
         raise AssertionError("symmetric rewrite failed back-substitution check")
     return result
+
+
+def _substitutes_back(f: XYPoly, p: SYPoly) -> bool:
+    """f(s + 1/s, y) == p, one y-degree at a time on packed integers.
+
+    With deg covering deg_x(f) and every |s-exponent| of p, slice j of
+    s**deg * f(s + 1/s, y) is Horner in s + 1/s,
+    A -> A * (s**2 + 1) + s**(deg - i) * f_ij: two shifts and two adds per
+    x-degree.  An l1 recursion run first (each step at most doubles the
+    norm) sizes the slots for the difference with slice j of s**deg * p.
+    """
+    deg = max(f.deg_x(), max((abs(i) for i, _ in p._terms), default=0))
+    f_rows: dict[int, dict[int, int]] = {}
+    for (i, j), c in f._terms.items():
+        f_rows.setdefault(j, {})[i] = c
+    p_rows: dict[int, dict] = {}
+    for (i, j), c in p._terms.items():
+        p_rows.setdefault(j, {})[(i, 0)] = c
+    bound = 0
+    for j in f_rows.keys() | p_rows.keys():
+        row, norm = f_rows.get(j, {}), 0
+        for i in range(deg, -1, -1):
+            norm = 2 * norm + abs(row.get(i, 0))
+        bound = max(bound, norm + sum(abs(c) for c in p_rows.get(j, {}).values()))
+    packing = Packing.covering(deg, 2 * deg + 1, bound)
+    b = 8 * packing.nbytes
+    for j in f_rows.keys() | p_rows.keys():
+        row, acc = f_rows.get(j, {}), 0
+        for i in range(deg, -1, -1):
+            acc += acc << 2 * b
+            if i in row:
+                acc += row[i] << b * (deg - i)
+        if acc != packing.pack(p_rows.get(j, {})):
+            return False
+    return True
+
+
+class Packing(NamedTuple):
+    """Kronecker substitution s -> 2**(8*nbytes), y -> 2**(8*nbytes*slots).
+
+    A term c * s**i * y**j sits in slot (i + shift) + slots * j, so the
+    packed integer is s**shift * poly evaluated at those powers of two.  Slot
+    digits are signed: packing is faithful (and `unpack` its inverse) for
+    polynomials whose s-exponents lie in [-shift, slots - 1 - shift] and
+    whose coefficients are below 2**(8*nbytes - 1) in magnitude.  Integer
+    arithmetic on packed values is polynomial arithmetic at that point, so
+    only a value that is unpacked or compared must meet these bounds, not
+    the steps that made it.
+    """
+
+    shift: int
+    slots: int
+    nbytes: int
+
+    @classmethod
+    def covering(cls, shift: int, slots: int, bound: int) -> "Packing":
+        """Slots wide enough for every coefficient of magnitude <= bound."""
+        return cls(shift, slots, (bound.bit_length() + 8) // 8)
+
+    def _empty(self) -> bytes:
+        """One slot holding 0 once half a slot is added: the bias that
+        makes every signed digit a nonnegative one."""
+        return bytes(self.nbytes - 1) + b"\x80"
+
+    def pack(self, terms: dict) -> int:
+        """The integer of a {(s_exp, y_deg): coeff} term map."""
+        nb, half = self.nbytes, 1 << (8 * self.nbytes - 1)
+        shift, slots = self.shift, self.slots
+        count = max((i + shift + slots * j for i, j in terms), default=-1) + 1
+        buf = bytearray(self._empty() * count)
+        for (i, j), c in terms.items():
+            if not 0 <= i + shift < slots:
+                raise ValueError(f"s-exponent {i} outside the packing")
+            k = (i + shift + slots * j) * nb
+            buf[k:k + nb] = (c + half).to_bytes(nb, "little")
+        return int.from_bytes(buf, "little") - int.from_bytes(self._empty() * count, "little")
+
+    def unpack(self, value: int) -> dict:
+        """The {(s_exp, y_deg): coeff} term map of a packed integer."""
+        nb, half, empty = self.nbytes, 1 << (8 * self.nbytes - 1), self._empty()
+        count = value.bit_length() // (8 * nb) + 1
+        buf = (value + int.from_bytes(empty * count, "little")).to_bytes(count * nb, "little")
+        terms = {}
+        for k in range(0, count * nb, nb):
+            chunk = buf[k:k + nb]
+            if chunk != empty:
+                j, i = divmod(k // nb, self.slots)
+                terms[(i - self.shift, j)] = int.from_bytes(chunk, "little") - half
+        return terms
 
 
 def _scaled(iv: DyadicInterval) -> tuple[int, int, int]:
@@ -415,18 +502,6 @@ class PolyMatrix:
                           self.e11 * o.e12 + self.e12 * o.e22,
                           self.e21 * o.e11 + self.e22 * o.e21,
                           self.e21 * o.e12 + self.e22 * o.e22)
-
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            return self @ other
-        return PolyMatrix(self.e11 * other, self.e12 * other,
-                          self.e21 * other, self.e22 * other)
-
-    __rmul__ = __mul__
-
-    def __add__(self, o: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(self.e11 + o.e11, self.e12 + o.e12,
-                          self.e21 + o.e21, self.e22 + o.e22)
 
     def __sub__(self, o: "PolyMatrix") -> "PolyMatrix":
         return PolyMatrix(self.e11 - o.e11, self.e12 - o.e12,

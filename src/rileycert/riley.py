@@ -5,6 +5,19 @@ style generator images and rewrites the (1,2) entry of R = VA - BV in
 x = s + 1/s.  The closed forms build the same polynomials for J(2k+1, 2m)
 and for K_l out of Chebyshev compositions.  The routes cross-check each
 other: the engine is the trust anchor for the transcribed closed forms.
+
+The engine works on packed integers (Kronecker substitution, see
+`polyring.Packing`).  Each generator is scaled by s, so that a word of L
+letters has entries s**L * W_ij with s-exponents in [0, 2L], and each entry
+is one integer at s = 2**B, y = 2**(B*S).  A letter is then a column update
+of a few shifts and adds: sA = [[s^2, s], [0, 1]] maps the columns
+(c1, c2) to (s^2 c1, s c1 + c2).  The slot width B comes from an l1-norm
+recursion run over the word before any arithmetic: a letter adds one column,
+times s or (2 - y)s (l1 norm 1 or 3), to the other, so the norms bound every
+coefficient of V.  B covers 14 times the largest of them and S = 2L + 3 slots
+cover one more letter, so that R = VA - BV and R21 - (y - 2)R12, the values
+the structure checks compare, cannot overflow a slot either.  Only R12 is
+unpacked.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from functools import lru_cache
 from .chebyshev import _cheb_pair, sl2_power
 from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,
                     sign_sequence, word_double_twist, word_from_signs, word_kl)
-from .polyring import PolyMatrix, SYPoly, XYPoly, symmetric_rewrite
+from .polyring import Packing, PolyMatrix, SYPoly, XYPoly, symmetric_rewrite
 
 
 class StructureViolation(ValueError):
@@ -54,28 +67,102 @@ def generator_images() -> GeneratorImages:
     return GeneratorImages(a, b, a.adjugate(), b.adjugate())
 
 
+def _relator_packing(shift: int, bound: int) -> Packing:
+    """A packing for V = s**-shift * P, each entry P_ij of l1 norm <= bound,
+    that stays faithful for R = VA - BV and R21 - (y - 2) R12.  Scaled by
+    s**(shift + 1) these have s-exponents in [0, 2 * shift + 2]; R's entries
+    have l1 norm at most 5 * bound, so R21 - (y - 2) R12 at most 14 * bound."""
+    return Packing.covering(shift, 2 * shift + 3, 14 * bound)
+
+
+class PackedMatrix(PolyMatrix):
+    """A PolyMatrix held as four packed integers; the SYPoly entries are
+    unpacked on first read, so the engine, which reads only the packed
+    integers, never pays for them."""
+
+    __slots__ = ("packed", "packing", "_entries")
+
+    def __init__(self, packed: tuple[int, int, int, int], packing: Packing):
+        self.packed, self.packing = packed, packing
+        self._entries: list[SYPoly | None] = [None] * 4
+
+    @classmethod
+    def of(cls, m: PolyMatrix) -> "PackedMatrix":
+        if isinstance(m, PackedMatrix):
+            return m
+        entries = (m.e11, m.e12, m.e21, m.e22)
+        shift = max((abs(i) for e in entries for i, _ in e._terms), default=0)
+        bound = max(sum(map(abs, e._terms.values())) for e in entries)
+        packing = _relator_packing(shift, bound)
+        return cls(tuple(packing.pack(e._terms) for e in entries), packing)
+
+    def _entry(self, k: int) -> SYPoly:
+        if self._entries[k] is None:
+            self._entries[k] = SYPoly(self.packing.unpack(self.packed[k]))
+        return self._entries[k]
+
+    e11 = property(lambda self: self._entry(0))
+    e12 = property(lambda self: self._entry(1))
+    e21 = property(lambda self: self._entry(2))
+    e22 = property(lambda self: self._entry(3))
+
+    def adjugate(self) -> "PackedMatrix":
+        p11, p12, p21, p22 = self.packed
+        return PackedMatrix((p22, -p12, -p21, p11), self.packing)
+
+
 def evaluate_word(word: Word) -> PolyMatrix:
-    """Ordered product of generator images, exponents expanded."""
-    images = generator_images()
-    table = {("a", 1): images.a, ("a", -1): images.a_inv,
-             ("b", 1): images.b, ("b", -1): images.b_inv}
-    result = PolyMatrix.identity()
-    for gen, exp in word.letters:
-        factor = table[(gen, 1 if exp > 0 else -1)]
-        for _ in range(abs(exp)):
-            result = result @ factor
-    return result
+    """Ordered product of generator images, exponents expanded, as a
+    PackedMatrix: s**L times the product of the L letters, each scaled by s."""
+    letters = [(gen, exp > 0) for gen, exp in word.letters for _ in range(abs(exp))]
+    # l1 norms of the scaled entries, which bound their coefficients
+    n11, n12, n21, n22 = 1, 0, 0, 1
+    for gen, _ in letters:
+        if gen == "a":
+            n12, n22 = n12 + n11, n22 + n21
+        else:
+            n11, n21 = n11 + 3 * n12, n21 + 3 * n22
+    packing = _relator_packing(len(letters), max(n11, n12, n21, n22))
+    b = 8 * packing.nbytes
+    ys = b * packing.slots   # y = 2**ys
+    p11, p12, p21, p22 = 1, 0, 0, 1
+    for gen, positive in letters:
+        if gen == "a":
+            if positive:    # sA = [[s^2, s], [0, 1]]
+                p12 += p11 << b
+                p22 += p21 << b
+                p11 <<= 2 * b
+                p21 <<= 2 * b
+            else:           # sA^-1 = [[1, -s], [0, s^2]]
+                p12 = (p12 << 2 * b) - (p11 << b)
+                p22 = (p22 << 2 * b) - (p21 << b)
+        elif positive:      # sB = [[s^2, 0], [(2 - y)s, 1]]
+            p11 = (p11 << 2 * b) + (p12 << b + 1) - (p12 << b + ys)
+            p21 = (p21 << 2 * b) + (p22 << b + 1) - (p22 << b + ys)
+        else:               # sB^-1 = [[1, 0], [(y - 2)s, s^2]]
+            p11 += (p12 << b + ys) - (p12 << b + 1)
+            p21 += (p22 << b + ys) - (p22 << b + 1)
+            p12 <<= 2 * b
+            p22 <<= 2 * b
+    return PackedMatrix((p11, p12, p21, p22), packing)
 
 
 def _riley_from_matrix(v: PolyMatrix, knot: str, presentation: str) -> RileyPolynomial:
-    images = generator_images()
-    r = (v @ images.a) - (images.b @ v)
-    y_minus_2 = SYPoly.y() - SYPoly.const(2)
-    if r.e11 != SYPoly.zero() or r.e22 != SYPoly.zero():
+    v = PackedMatrix.of(v)
+    p11, p12, p21, p22 = v.packed
+    b = 8 * v.packing.nbytes
+    ys = b * v.packing.slots   # y = 2**ys
+    # V sA (a column update, as in evaluate_word) and sB V (a row update)
+    va = (p11 << 2 * b, (p11 << b) + p12, p21 << 2 * b, (p21 << b) + p22)
+    bv = (p11 << 2 * b, p12 << 2 * b,
+          (p11 << b + 1) - (p11 << b + ys) + p21, (p12 << b + 1) - (p12 << b + ys) + p22)
+    r11, r12, r21, r22 = (x - z for x, z in zip(va, bv))
+    if r11 or r22:
         raise StructureViolation("diagonal of VA - BV is not zero")
-    if r.e21 != y_minus_2 * r.e12:
+    if r21 != (r12 << ys) - (r12 << 1):
         raise StructureViolation("R_21 != (y - 2) R_12")
-    return RileyPolynomial(symmetric_rewrite(r.e12), knot, presentation)
+    e12 = v.packing._replace(shift=v.packing.shift + 1).unpack(r12)
+    return RileyPolynomial(symmetric_rewrite(SYPoly(e12)), knot, presentation)
 
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:

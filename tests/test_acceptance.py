@@ -15,7 +15,7 @@ from rileycert.certify import (BRACKET_WIDTH, RootCertificate, find_root_gt2,
                                verify_certificate, xn_enclosure)
 from rileycert.chebyshev import cheb_eval, cheb_poly, cheb_root_enclosures
 from rileycert.dyadic import Dyadic, DyadicInterval
-from rileycert.knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction,
+from rileycert.knots import (DoubleTwistKnot, KlKnot, SignSequence, TwoBridgeFraction,
                              expand, hm_reduce, kl_fraction, run_length,
                              sign_sequence, sign_sequence_raw,
                              word_double_twist, word_from_signs, word_kl)
@@ -177,10 +177,14 @@ def test_criterion_6_chebyshev_suite():
 
 
 def test_criterion_7_sign_sequence_suite():
+    # p runs past knots.P_MAX, which bounds the cost of phi, not of the
+    # signs: those are built from (p, q) directly
+    def signs(p, q):
+        return SignSequence(sign_sequence_raw(p, q), p, q)
+
     ok = True
     for s in range(1, 51):
-        f = TwoBridgeFraction(10 * s + 7, 4 * s + 3)
-        ok = ok and run_length(sign_sequence(f)).runs == \
+        ok = ok and run_length(signs(10 * s + 7, 4 * s + 3)).runs == \
             (2, -2) + (3, -2) * (2 * s) + (2,)
     rng = random.Random(73)
     count = 0
@@ -190,7 +194,7 @@ def test_criterion_7_sign_sequence_suite():
         if math.gcd(p, q) != 1 or p // q < 2:
             continue
         count += 1
-        rs = run_length(sign_sequence(TwoBridgeFraction(p, q)))
+        rs = run_length(signs(p, q))
         ok = ok and expand(hm_reduce(rs)).signs == sign_sequence_raw(p - 2 * q, q)
         mags = [abs(r) for r in rs.runs]
         ok = ok and sum(mags) == p - 1

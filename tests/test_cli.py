@@ -10,7 +10,8 @@ import pytest
 from rileycert import cli, riley
 from rileycert.certify import MAX_Y_MAX_CAP, RootCertificate, verify_certificate
 from rileycert.cli import main, parse_knot_spec
-from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
+from rileycert.knots import (K_MAX, L_MAX, M_MAX, P_MAX, DoubleTwistKnot, KlKnot,
+                             TwoBridgeFraction)
 from rileycert.riley import riley_for_knot
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -61,6 +62,29 @@ def test_riley_cross_check_on_a_fraction_fails_first(capsys, monkeypatch):
     code, out, err = run(capsys, "riley", "--fraction", "151/57", "--cross-check")
     assert (code, out) == (1, "")
     assert err == "error: --cross-check applies to family knots (J:k,m or Kl:l)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("riley", "--fraction", f"{P_MAX + 2}/3"),
+    ("riley", "--fraction", "1000001/3"),
+    ("signs", "--fraction", f"{P_MAX + 2}/3"),
+    ("certify", "--fraction", f"{P_MAX + 2}/3", "--n", "2"),
+    ("riley", "--knot", f"J:{K_MAX + 1},2", "--cross-check"),
+    ("riley", "--knot", f"J:1,{M_MAX + 1}"),
+    ("lo-set", "--knot", f"J:1,{-M_MAX - 1}", "--n-max", "3"),
+    ("riley", "--knot", f"Kl:{L_MAX + 1}", "--cross-check"),
+])
+def test_knot_parameters_past_the_limits_fail_first(capsys, monkeypatch, argv):
+    # refused when the spec is parsed, before any polynomial is built
+    def engine(*args, **kwargs):
+        raise AssertionError("the Riley engine ran")
+
+    monkeypatch.setattr(cli, "riley_for_knot", engine)
+    monkeypatch.setattr(cli, "sign_sequence", engine)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid knot spec")
+    assert "must be at most" in err or "must lie in" in err
 
 
 def test_riley_fraction(capsys):

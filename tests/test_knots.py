@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from rileycert.knots import (DoubleTwistKnot, KlKnot, ReductionInapplicable,
+from rileycert.knots import (K_MAX, L_MAX, M_MAX, P_MAX, DoubleTwistKnot, KlKnot,
+                             ReductionInapplicable,
                              RunSeq, SignSequence, TwoBridgeFraction, Word,
                              expand, hm_reduce, kl_fraction, run_length,
                              sign_sequence, sign_sequence_raw,
@@ -32,6 +33,18 @@ def test_family_validation():
     with pytest.raises(ValueError):
         KlKnot(1)
     assert DoubleTwistKnot(1, 2).name() == "J(3,4)"
+    # the limits themselves are accepted, one step beyond is not
+    assert TwoBridgeFraction(P_MAX, 5).p == P_MAX
+    assert DoubleTwistKnot(K_MAX, -M_MAX).k == K_MAX
+    assert KlKnot(L_MAX).l == L_MAX
+    assert kl_fraction(KlKnot(L_MAX)).p <= P_MAX
+    for make in (lambda: TwoBridgeFraction(P_MAX + 2, 3),
+                 lambda: DoubleTwistKnot(K_MAX + 1, 2),
+                 lambda: DoubleTwistKnot(1, M_MAX + 1),
+                 lambda: DoubleTwistKnot(1, -M_MAX - 1),
+                 lambda: KlKnot(L_MAX + 1)):
+        with pytest.raises(ValueError):
+            make()
     assert DoubleTwistKnot(1, -2).name() == "J(3,-4)"
 
 
@@ -40,6 +53,12 @@ def test_sign_sequence_examples():
     assert sign_sequence(TwoBridgeFraction(7, 3)).signs == (1, 1, -1, -1, 1, 1)
     want = (2, -2) + (3, -2) * 2 + (2,)
     assert run_length(sign_sequence(TwoBridgeFraction(17, 7))).runs == want
+
+
+def _signs(p, q):
+    """The sign sequence of p/q, also for p above knots.P_MAX: that limit
+    bounds the cost of phi, and these tests check the sign arithmetic."""
+    return SignSequence(sign_sequence_raw(p, q), p, q)
 
 
 def test_run_length_and_expand_inverse():
@@ -69,9 +88,8 @@ def test_runseq_validation_and_text():
 
 def test_closed_form_run_pattern():
     for s in range(1, 51):
-        f = TwoBridgeFraction(10 * s + 7, 4 * s + 3)
         want = (2, -2) + (3, -2) * (2 * s) + (2,)
-        assert run_length(sign_sequence(f)).runs == want, s
+        assert run_length(_signs(10 * s + 7, 4 * s + 3)).runs == want, s
 
 
 def test_hm_reduce_examples():
@@ -100,7 +118,7 @@ def test_hm_reduce_matches_modular_oracle():
         if math.gcd(p, q) != 1 or p // q < 2:
             continue
         count += 1
-        rs = run_length(sign_sequence(TwoBridgeFraction(p, q)))
+        rs = run_length(_signs(p, q))
         assert expand(hm_reduce(rs)).signs == sign_sequence_raw(p - 2 * q, q), (p, q)
 
 
@@ -113,7 +131,7 @@ def test_run_shape_constraints():
         if q >= p or math.gcd(p, q) != 1:
             continue
         count += 1
-        mags = [abs(r) for r in run_length(sign_sequence(TwoBridgeFraction(p, q))).runs]
+        mags = [abs(r) for r in run_length(_signs(p, q)).runs]
         assert sum(mags) == p - 1
         m = p // q
         # the run-shape law needs p = mq + r with 0 < r < q, so q = 1 is out

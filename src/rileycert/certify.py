@@ -172,13 +172,28 @@ _MARGIN_BITS = 64  # the window starts at 2 + 2**-64, keeping brackets above 2
 
 
 class _SignOracle:
-    """Signs of phi(x_n, y) and the x_n enclosure the root isolation reads,
-    raising the x_n precision on demand, with the counts of the scan trace."""
+    """Signs of phi(x_n, y) and the y-coefficient bounds the root isolation
+    reads, raising the x_n precision on demand, with the counts of the scan
+    trace.
+
+    bounds encloses each coefficient c_j(x_n) of phi = sum_j c_j(x) y**j,
+    computed once per precision and rounded outward to 2**(-2 * precision):
+    bits below that lie far under the width of x_n and only slow the
+    arithmetic.  Every sign is one eval_interval call given these bounds,
+    which answers from them when they fix the sign and else evaluates
+    exactly, so each sign is the one exact evaluation would give.
+    """
 
     def __init__(self, poly: XYPoly, n: int):
-        self.poly, self.n, self.precision = poly, n, DEFAULT_PRECISION
-        self.xn = xn_enclosure(n, self.precision)
+        self.poly, self.n = poly, n
+        self._set_precision(DEFAULT_PRECISION)
         self.evaluations = self.escalations = self.indefinite = self.nodes = 0
+
+    def _set_precision(self, precision: int) -> None:
+        self.precision = precision
+        self.xn = xn_enclosure(self.n, precision)
+        self.bounds = _round_outward(y_coefficient_bounds(self.poly, self.xn),
+                                     -2 * precision)
 
     def escalate(self) -> bool:
         """Count an indefinite result and double the x_n precision; False,
@@ -186,8 +201,7 @@ class _SignOracle:
         self.indefinite += 1
         if self.precision * 2 > DEFAULT_PRECISION_CAP:
             return False
-        self.precision *= 2
-        self.xn = xn_enclosure(self.n, self.precision)
+        self._set_precision(self.precision * 2)
         self.escalations += 1
         return True
 
@@ -196,11 +210,23 @@ class _SignOracle:
         the precision would pass DEFAULT_PRECISION_CAP."""
         while True:
             self.evaluations += 1
-            s = eval_interval(self.poly, self.xn, DyadicInterval.point(y)).sign()
+            s = eval_interval(self.poly, self.xn, DyadicInterval.point(y),
+                              y_bounds=self.bounds).sign()
             if s is not None:
                 return s
             if not self.escalate():
                 return None
+
+
+def _round_outward(bounds: tuple[list[int], list[int], int],
+                   e_min: int) -> tuple[list[int], list[int], int]:
+    """The bounds (lo, hi, e) on the exponent max(e, e_min): lo floored, hi
+    ceiled, so each [lo[j], hi[j]] * 2**e only widens."""
+    lo, hi, e = bounds
+    if e >= e_min:
+        return bounds
+    d = e_min - e
+    return [l >> d for l in lo], [-(-h >> d) for h in hi], e_min
 
 
 def _taylor_shift(c: list[int]) -> list[int]:
@@ -241,7 +267,8 @@ def _isolating_brackets(oracle: _SignOracle, y_max_cap: int):
     """Yield, left to right, intervals (a, b) in (2 + 2**-64, y_max_cap] that
     hold exactly one root of phi(x_n, .), by Vincent-Collins-Akritas bisection.
 
-    A node (a, a + 2**k) keeps integer bounds lo, hi on the coefficients of
+    The root node starts from the oracle's cached coefficient bounds.  A
+    node (a, a + 2**k) keeps integer bounds lo, hi on the coefficients of
     q(t) = phi(x_n, a + 2**k t) up to a positive factor; its halves are
     2**d q(t/2) and that shifted by 1, maps with nonnegative weights.  A node
     with no root is dropped, one with a single root inside the window is
@@ -252,7 +279,7 @@ def _isolating_brackets(oracle: _SignOracle, y_max_cap: int):
     k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
     h = _MARGIN_BITS
     while True:
-        lo, hi, _ = y_coefficient_bounds(oracle.poly, oracle.xn)
+        lo, hi, _ = oracle.bounds
         # phi(x_n, 2 + 2**-h (1 + 2**(k_root + h) t)), times 2**(h d)
         root = [_scale(_taylor_shift(_scale(_taylor_shift(_taylor_shift(c)), -h)),
                        k_root + h) for c in (lo, hi)]
@@ -311,7 +338,10 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
     smallest root in the window that the isolation reaches.  The x_n
     precision starts at DEFAULT_PRECISION and doubles, up to
     DEFAULT_PRECISION_CAP, whenever a variation count or an evaluation is
-    indefinite.
+    indefinite.  The isolation and every sign read the same y-coefficient
+    bounds, cached per precision by _SignOracle; a sign the bounds fix is
+    the exact evaluation's sign (see eval_interval), so the result is the
+    one exact evaluation alone would give.
     """
     if n < 2:
         raise ValueError("need n >= 2")

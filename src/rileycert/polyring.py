@@ -435,15 +435,44 @@ def _horner(coeffs: dict[int, int], u: tuple[int, int, int]) -> tuple[int, int, 
     return acc
 
 
-def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval) -> DyadicInterval:
+def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
+                  y_bounds: tuple[list[int], list[int], int] | None = None
+                  ) -> DyadicInterval:
     """Interval enclosing {p(u, v) : u in x, v in y}, Horner in y then x.
 
     Exact integer arithmetic on (lo, hi, e) triples meaning [lo, hi] * 2**e.
     Dyadics are closed under +/-/*, so the only width in the result comes
     from the input intervals, and a point y gives exact x-coefficients.
+
+    y_bounds = (lo, hi, e), when given, must bound the y-coefficients of p
+    over x: lo[j] * 2**e <= c_j(u) <= hi[j] * 2**e for u in x, as
+    y_coefficient_bounds gives them or any outward rounding of those.  For
+    a point y = m / 2**k >= 0 the enclosure [sum lo[j] y**j, sum hi[j] y**j]
+    is then formed by one integer Horner pass per end and returned when it
+    excludes 0 or is exactly [0, 0]; otherwise the exact path below runs,
+    and a non-point or negative y always takes it.  Such a result has the
+    sign the exact path gives: both paths are exact interval arithmetic, so
+    Horner in x of b_i = sum_j a_ij y**j (the exact path) lies inside
+    sum_j y**j * (Horner in x of c_j) by subdistributivity,
+    (A + B) * X within A * X + B * X, with y**j >= 0 a point factor; and
+    each Horner value of c_j lies in [lo[j], hi[j]] * 2**e.  So the exact
+    interval is inside the returned one, and a sign definite there, or an
+    exact zero, is the exact path's sign.
     """
     if not p._terms:
         return DyadicInterval.point(0)
+    if y_bounds is not None and y.is_point() and y.lo.m >= 0:
+        lo, hi, e = y_bounds
+        m, k = (y.lo.m, -y.lo.e) if y.lo.e < 0 else (y.lo.m << y.lo.e, 0)
+        # sum_j lo[j] * m**j * 2**(k*(D - j)), D = len(lo) - 1, and so for
+        # hi: y-Horner on integers, the result over 2**(k*D)
+        t_lo, t_hi, shift = lo[-1], hi[-1], 0
+        for j in range(len(lo) - 2, -1, -1):
+            shift += k
+            t_lo, t_hi = t_lo * m + (lo[j] << shift), t_hi * m + (hi[j] << shift)
+        if t_lo > 0 or t_hi < 0 or t_lo == t_hi == 0:
+            e -= shift
+            return DyadicInterval(Dyadic(t_lo, e), Dyadic(t_hi, e))
     if y.is_point():
         # Horner in y at a point is exact: same coefficients
         coeffs = _point_y_coeffs(p, y.lo)

@@ -4,12 +4,24 @@ Run with `pytest -s tests/test_acceptance.py -v` to see the lines as they
 complete.  Criterion 9 is a documented expectation, not a theorem: a failure
 there prints NEEDS-MANUAL-REVIEW and raises a warning instead of failing the
 suite.
+
+The criterion 2 and 3 grids and the below-threshold cases also check the
+SHA-256 of their scan reports (knot, n, status, certificate record and
+trace) against tests/data/acceptance_grid.json, so a change to the search
+must leave every bracket, sign, precision and counter as it was.  To
+re-record after an intended change, run
+
+    PYTHONPATH=src python tests/test_acceptance.py > tests/data/acceptance_grid.json
 """
 
+import hashlib
+import json
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 from rileycert.certify import (BRACKET_WIDTH, RootCertificate, find_root_gt2,
                                verify_certificate, xn_enclosure)
@@ -38,6 +50,49 @@ KL_THRESHOLDS = {2: 5, 3: 4, 4: 3, 5: 3, 6: 3}
 # every bracket starts at least 2**-64 above 2, the start of the scan's window
 WINDOW_START = Dyadic(2) + Dyadic(1, -64)
 
+GRID_DIGESTS = Path(__file__).resolve().parent / "data" / "acceptance_grid.json"
+
+
+def _grid_cases(knots_with_thresholds):
+    return [(knot, n) for knot, n_min in knots_with_thresholds
+            for n in range(n_min, 13)]
+
+
+# (knot, n) of each scan, by its key in GRID_DIGESTS
+SCANS = {
+    "criterion 2": _grid_cases((DoubleTwistKnot(k, m), J_THRESHOLDS[m])
+                               for k in range(1, 5) for m in J_THRESHOLDS),
+    "criterion 3": _grid_cases((KlKnot(l), KL_THRESHOLDS[l]) for l in KL_THRESHOLDS),
+    # the 64 family cases n = 2 .. threshold - 1, where phi(x_n, .) has no
+    # root above 2 (an mpmath root count at 60 digits agrees)
+    "below thresholds": [(DoubleTwistKnot(k, m), n) for k in range(1, 5)
+                         for m, t in J_THRESHOLDS.items() for n in range(2, t)]
+                        + [(KlKnot(l), n) for l, t in KL_THRESHOLDS.items()
+                           for n in range(2, t)],
+}
+
+
+def _scan(key):
+    """(phi, n, report) of each scan under key, cap 64, and the SHA-256 of
+    the reports."""
+    digest, out, phis = hashlib.sha256(), [], {}
+    for knot, n in SCANS[key]:
+        if knot not in phis:
+            phis[knot] = riley_for_knot(knot)
+        phi = phis[knot]
+        report = find_root_gt2(phi, n, y_max_cap=64)
+        cert = report.certificate
+        record = {"knot": phi.knot, "n": n, "status": report.status,
+                  "certificate": cert.to_json_dict() if cert else None,
+                  "trace": report.trace}
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        out.append((phi, n, report))
+    return out, digest.hexdigest()
+
+
+def _recorded_digest(key):
+    return json.loads(GRID_DIGESTS.read_text())[key]
+
 
 def _report(criterion: str, ok: bool) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}")
@@ -54,43 +109,37 @@ def test_criterion_1_engine_equivalence():
     _report("criterion 1 (engine equivalence, exact)", ok)
 
 
-def _run_grid(knots_with_ranges, label):
+def _run_grid(key, label):
+    scans, digest = _scan(key)
     ok = True
-    for knot, n_min in knots_with_ranges:
-        phi = riley_for_knot(knot)
-        for n in range(n_min, 13):
-            report = find_root_gt2(phi, n, y_max_cap=64)
-            cert = report.certificate
-            if not (report.certified and verify_certificate(
-                    RootCertificate.from_json_dict(cert.to_json_dict()), phi)
-                    and cert.a >= WINDOW_START and cert.b - cert.a <= BRACKET_WIDTH):
-                ok = False
-                print(f"  grid failure: {knot} n={n} -> {report.status}")
+    for phi, n, report in scans:
+        cert = report.certificate
+        if not (report.certified and verify_certificate(
+                RootCertificate.from_json_dict(cert.to_json_dict()), phi)
+                and cert.a >= WINDOW_START and cert.b - cert.a <= BRACKET_WIDTH):
+            ok = False
+            print(f"  grid failure: {phi.knot} n={n} -> {report.status}")
+    if digest != _recorded_digest(key):
+        ok = False
+        print(f"  grid reports changed: {key}")
     _report(label, ok)
 
 
 def test_criterion_2_certificate_grid_double_twist():
-    knots = [(DoubleTwistKnot(k, m), J_THRESHOLDS[m])
-             for k in range(1, 5) for m in J_THRESHOLDS]
-    _run_grid(knots, "criterion 2 (double-twist certificate grid, n <= 12)")
+    _run_grid("criterion 2", "criterion 2 (double-twist certificate grid, n <= 12)")
 
 
 def test_criterion_3_certificate_grid_kl():
-    knots = [(KlKnot(l), KL_THRESHOLDS[l]) for l in KL_THRESHOLDS]
-    _run_grid(knots, "criterion 3 (K_l certificate grid, n <= 12)")
+    _run_grid("criterion 3", "criterion 3 (K_l certificate grid, n <= 12)")
 
 
 def test_no_certificate_below_the_thresholds():
-    # the 64 family cases n = 2 .. threshold - 1, where phi(x_n, .) has no
-    # root above 2 (an mpmath root count at 60 digits agrees): a certificate
-    # here is wrong
-    cases = [(DoubleTwistKnot(k, m), n) for k in range(1, 5)
-             for m, t in J_THRESHOLDS.items() for n in range(2, t)]
-    cases += [(KlKnot(l), n) for l, t in KL_THRESHOLDS.items() for n in range(2, t)]
-    assert len(cases) == 64
-    for knot, n in cases:
-        report = find_root_gt2(riley_for_knot(knot), n, y_max_cap=64)
-        assert report.certificate is None, (knot, n)
+    # phi(x_n, .) has no root above 2 here: a certificate is wrong
+    assert len(SCANS["below thresholds"]) == 64
+    scans, digest = _scan("below thresholds")
+    for phi, n, report in scans:
+        assert report.certificate is None, (phi.knot, n)
+    assert digest == _recorded_digest("below thresholds")
 
 
 def test_criterion_4_symbolic_identities():
@@ -239,3 +288,8 @@ def test_criterion_9_soft_expectations_n2():
           f"{'PASS' if ok else 'NEEDS-MANUAL-REVIEW'}")
     if not ok:
         warnings.warn("criterion 9 expectation violated; manual review required")
+
+
+if __name__ == "__main__":
+    digests = {key: _scan(key)[1] for key in SCANS}
+    sys.stdout.write(json.dumps(digests, indent=1) + "\n")

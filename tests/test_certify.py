@@ -4,9 +4,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rileycert import certify
 from rileycert.certify import (MAX_Y_MAX_CAP, HashMismatch,
                                MalformedCertificate, RootCertificate, ScanReport,
+                               _scale, _taylor_shift, _variations,
                                find_root_gt2, verify_certificate, xn_enclosure)
 from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
@@ -219,6 +222,81 @@ def test_isolation_brackets_the_smallest_simple_root(factors, cap, expect):
     assert q * cert.a - p < xn.lo and xn.hi < q * cert.b - p
 
 
+# The isolation kernels against expansions written out here: q(t + 1) by
+# the binomial theorem, and (1 + t)**d q(1/(1 + t)) = sum_j c_j (1 + t)**(d - j).
+
+def _shifted(c):
+    return [sum(cj * math.comb(j, i) for j, cj in enumerate(c)) for i in range(len(c))]
+
+
+def _descartes_image(c):
+    d = len(c) - 1
+    return [sum(cj * math.comb(d - j, i) for j, cj in enumerate(c))
+            for i in range(d + 1)]
+
+
+def _sign_changes(c):
+    signs = [1 if v > 0 else -1 for v in c if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _from_roots(lead, roots):
+    """Integer coefficients, constant first, of lead * prod (den t - num)."""
+    c = [lead]
+    for r in roots:
+        num, den = r.numerator, r.denominator
+        c = [den * a - num * b for a, b in zip([0] + c, c + [0])]
+    return c
+
+
+coefficient_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_lists, st.integers(-6, 6))
+def test_taylor_shift_and_scale_match_their_expansions(c, k):
+    assert _taylor_shift(c) == _shifted(c)
+    d = len(c) - 1
+    t = Fraction(2) ** k
+    want = [cj * t ** j * (t ** -d if k < 0 else 1) for j, cj in enumerate(c)]
+    assert _scale(c, k) == want
+    assert _variations(c, c) == _sign_changes(_descartes_image(c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, -3]),
+       st.lists(st.fractions(-2, 3, max_denominator=9), max_size=5))
+def test_variations_bound_the_roots_in_the_unit_interval(lead, roots):
+    # Descartes: the count is at least the roots in (0, 1), with their parity
+    v = _variations(*[_from_roots(lead, roots)] * 2)
+    inside = sum(0 < r < 1 for r in roots)
+    assert v >= inside and (v - inside) % 2 == 0
+
+
+def test_variations_examples():
+    assert _variations([1, 1], [1, 1]) == 0                  # t + 1
+    assert _variations([-2, -1, 1], [-2, -1, 1]) == 0        # root 2 only
+    assert _variations([-1, 2], [-1, 2]) == 1                # root 1/2
+    node = _from_roots(1, [Fraction(1, 3), Fraction(5, 2)])  # one simple root
+    assert _variations(node, node) == 1
+    # bounds that fix every sign count as the polynomials between them
+    assert _variations([-3, 5], [-1, 7]) == 1
+    # a transformed coefficient whose sign the bounds leave open
+    assert _variations([-1, 2], [1, 2]) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 5),
+                          st.fractions(0, 1)), min_size=1, max_size=8))
+def test_variations_of_bounds_hold_for_every_polynomial_between(rows):
+    lo = [l for l, _, _ in rows]
+    hi = [l + w for l, w, _ in rows]
+    v = _variations(lo, hi)
+    if v is not None:
+        inner = [math.floor(l + t * w) for l, w, t in rows]
+        assert _variations(inner, inner) == v
+
+
 def test_find_root_inconclusive_n2():
     knot = DoubleTwistKnot(1, 2)
     phi = riley_for_knot(knot)
@@ -253,6 +331,27 @@ def test_find_root_generic_fraction():
     phi = riley_for_knot(TwoBridgeFraction(5, 3))
     report = find_root_gt2(phi, 3, y_max_cap=16)
     assert report.status == "inconclusive"
+
+
+def test_scan_signs_use_the_bounds_and_the_verifier_does_not(monkeypatch):
+    # every scan sign is one eval_interval call given the cached bounds (the
+    # trace counts them); the verifier shares only exact evaluation with
+    # the search, so it never passes y_bounds
+    calls = []
+    original = certify.eval_interval
+
+    def recording(p, x, y, **kwargs):
+        calls.append("y_bounds" in kwargs)
+        return original(p, x, y, **kwargs)
+
+    monkeypatch.setattr(certify, "eval_interval", recording)
+    phi = riley_for_knot(DoubleTwistKnot(2, -3))
+    report = find_root_gt2(phi, 7, y_max_cap=64)
+    assert report.certified
+    assert calls == [True] * report.trace["evaluations"]
+    calls.clear()
+    assert verify_certificate(report.certificate, phi)
+    assert calls == [False, False]
 
 
 def test_certificate_tampering_detected():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rileycert.certify import _round_outward
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly,
                                 ZeroPolynomial, eval_interval, leading_y_term,
@@ -240,6 +241,55 @@ def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx):
         assert l * Fraction(2) ** e <= c <= h * Fraction(2) ** e
         if x.is_point():
             assert l == h
+
+
+bounds_exponents = st.one_of(st.none(), st.integers(-90, 10))
+nonneg_points = st.builds(Dyadic, st.integers(0, 1 << 24),
+                          st.integers(-40, 6)).map(DyadicInterval.point)
+
+
+def _bounds(p, x, e_min):
+    """y_coefficient_bounds of p over x, rounded outward to e_min unless None."""
+    bounds = y_coefficient_bounds(p, x)
+    return bounds if e_min is None else _round_outward(bounds, e_min)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_polys, intervals, nonneg_points, bounds_exponents)
+def test_eval_interval_with_y_bounds_contains_the_exact_path(p, x, y, e_min):
+    fast = eval_interval(p, x, y, y_bounds=_bounds(p, x, e_min))
+    exact = eval_interval(p, x, y)
+    assert fast.contains(exact)
+    if fast.sign() is not None:
+        assert exact.sign() == fast.sign()
+    else:  # the bounds leave the sign open: the exact path answers
+        assert fast == exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_polys, intervals, intervals, bounds_exponents)
+def test_eval_interval_ignores_y_bounds_off_nonnegative_points(p, x, y, e_min):
+    if y.is_point() and y.lo.m >= 0:
+        y = DyadicInterval(y.lo, y.lo + 1) if y.lo.m else DyadicInterval.point(-1)
+    assert eval_interval(p, x, y, y_bounds=_bounds(p, x, e_min)) \
+        == eval_interval(p, x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_polys, intervals, st.integers(-90, 10))
+def test_round_outward_only_widens(p, x, e_min):
+    bounds = y_coefficient_bounds(p, x)
+    lo, hi, e = bounds
+    r_lo, r_hi, r_e = _round_outward(bounds, e_min)
+    if e >= e_min:
+        assert (r_lo, r_hi, r_e) == (lo, hi, e)
+        return
+    assert r_e == e_min and len(r_lo) == len(r_hi) == len(lo)
+    scale = Fraction(2) ** (e - e_min)
+    for l, h, rl, rh in zip(lo, hi, r_lo, r_hi):
+        # outward, and by less than one unit of the new exponent
+        assert rl <= l * scale < rl + 1
+        assert rh - 1 < h * scale <= rh
 
 
 def test_eval_interval_matches_reference_on_riley():

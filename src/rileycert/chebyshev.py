@@ -3,7 +3,12 @@ S_{n+1} = z*S_n - S_{n-1}, plus the matrix-power and recurrence closed forms
 built on it.
 
 Evaluation never expands the coefficient form for large n; the iterative
-recurrence is exact in any commutative ring and O(n).
+recurrence is exact in any commutative ring and O(n).  On polynomials it
+runs on Kronecker-packed integers (`polyring.Packing`): `_packed_cheb_pair`
+multiplies by t one term at a time, a shift and a small-integer multiple
+each, and `_cheb_norms` bounds the l1 norms in advance so that the caller
+can size the slots of whatever it unpacks or compares.  `sl2_power` works
+this way on the homogenised matrix and returns a `PackedMatrix`.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
-from .polyring import PolyMatrix, SYPoly
+from .polyring import PackedMatrix, PolyMatrix, _merge, _times
 
 
 class NotUnimodular(ValueError):
@@ -59,16 +64,58 @@ def solve_recurrence(a0, a1, c, n: int):
     return s_cur * a1 - s_prev * a0
 
 
-def sl2_power(M: PolyMatrix, n: int) -> PolyMatrix:
-    """M**n for det(M) = 1, via M^n = S_n(tr M) I - S_{n-1}(tr M) M^-1."""
+def _cheb_norms(n: int, t_norm: int) -> tuple[int, int]:
+    """Bounds (N_{n-1}, N_n) on the l1 norms of (H_{n-1}, H_n) for
+    H_{j+1} = t H_j - q H_{j-1}, H_0 = 1, H_{-1} = 0, with ||t||_1 <= t_norm
+    and q a monomial: N_{j+1} = t_norm * N_j + N_{j-1}."""
+    prev, cur = 0, 1
+    for _ in range(n):
+        prev, cur = cur, t_norm * cur + prev
+    return prev, cur
+
+
+def _packed_cheb_pair(n: int, t: list[tuple[int, int]], q_shift: int = 0) -> tuple[int, int]:
+    """(H_{n-1}, H_n) of H_{j+1} = t H_j - q H_{j-1}, H_0 = 1, H_{-1} = 0,
+    on packed integers: t as the (bit shift, coeff) pairs of
+    `Packing.multiplier`, q the monomial 2**q_shift (q_shift = 0 for q = 1).
+    With q = 1 this is _cheb_pair(n, t) at the packing's point."""
+    prev, cur = 0, 1
+    for _ in range(n):
+        prev, cur = cur, _times(cur, t) - (prev << q_shift)
+    return prev, cur
+
+
+def sl2_power(M: PolyMatrix, n: int) -> PackedMatrix:
+    """M**n for det(M) = 1, as a PackedMatrix, via the homogenised
+    M^n = S_n(tr M) I - S_{n-1}(tr M) M^-1.
+
+    With e the largest |s-exponent| in M, W = s**e M has s-exponents in
+    [0, 2e] and det W = s**2e, and H_j = s**(je) S_j(tr M) satisfies
+    H_{j+1} = tr(W) H_j - s**2e H_{j-1}, so the recurrence needs no negative
+    powers: s**(ne) M**n = H_n I - H_{n-1} adj(W), packed with shift ne.
+    Its slots, sized from `_cheb_norms`, are those of
+    `PackedMatrix.packing_for`, so the Riley relator of the result can be
+    formed and checked on the packed integers; they also hold det W, whose
+    coefficients are at most 2 * ||W_ij||_1**2 and whose s-exponents lie in
+    [0, 4e], so the determinant is checked there too.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    if M.det() != SYPoly.one():
+    maps = M.term_maps()
+    e = max((abs(i) for t in maps for i, _ in t), default=0)
+    w_norm = max(sum(map(abs, t.values())) for t in maps)
+    trace = _merge(maps[0], maps[3])
+    h_prev, h_cur = _cheb_norms(n, sum(map(abs, trace.values())))
+    packing = PackedMatrix.packing_for(n * e, max(h_cur + h_prev * w_norm, w_norm ** 2))
+    packing = packing._replace(slots=max(packing.slots, 4 * e + 1))
+    w_packing = packing._replace(shift=e)
+    w11, w12, w21, w22 = (w_packing.pack(t) for t in maps)
+    b = 8 * packing.nbytes
+    if w11 * w22 - w12 * w21 != 1 << 2 * e * b:
         raise NotUnimodular("determinant is not the ring unit")
-    s_prev, s_cur = _cheb_pair(n, M.trace())
-    inv = M.adjugate()
-    return PolyMatrix(s_cur - s_prev * inv.e11, -(s_prev * inv.e12),
-                      -(s_prev * inv.e21), s_cur - s_prev * inv.e22)
+    h_prev, h_cur = _packed_cheb_pair(n, w_packing.multiplier(trace), 2 * e * b)
+    w11, w12, w21, w22 = (_times(h_prev, w_packing.multiplier(t)) for t in maps)
+    return PackedMatrix((h_cur - w22, w12, w21, h_cur - w11), packing)
 
 
 def _definite_sign_at(n: int, t: Dyadic) -> int:

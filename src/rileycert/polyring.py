@@ -369,6 +369,16 @@ class Packing(NamedTuple):
             buf[k:k + nb] = (c + half).to_bytes(nb, "little")
         return int.from_bytes(buf, "little") - int.from_bytes(self._empty() * count, "little")
 
+    def multiplier(self, terms: dict) -> list[tuple[int, int]]:
+        """The (bit shift, coeff) pairs of s**shift * poly for the term map
+        of poly, each shift being where `pack` puts that term: a packed
+        value times s**shift * poly is the sum of coeff * (value << shift)
+        over the pairs, which `_times` forms.  s**shift * poly must have no
+        negative s-exponent."""
+        b = 8 * self.nbytes
+        shift, slots = self.shift, self.slots
+        return [(b * (i + shift + slots * j), c) for (i, j), c in terms.items()]
+
     def unpack(self, value: int) -> dict:
         """The {(s_exp, y_deg): coeff} term map of a packed integer."""
         nb, half, empty = self.nbytes, 1 << (8 * self.nbytes - 1), self._empty()
@@ -381,6 +391,21 @@ class Packing(NamedTuple):
                 j, i = divmod(k // nb, self.slots)
                 terms[(i - self.shift, j)] = int.from_bytes(chunk, "little") - half
         return terms
+
+
+def _times(value: int, multiplier: list[tuple[int, int]]) -> int:
+    """A packed value times a polynomial given as `Packing.multiplier`
+    pairs: one shift and one small-integer multiple per term, so that the
+    empty slots of a sparse factor cost nothing."""
+    out = 0
+    for shift, c in multiplier:
+        if c == 1:
+            out += value << shift
+        elif c == -1:
+            out -= value << shift
+        else:
+            out += value * c << shift
+    return out
 
 
 def _scaled(iv: DyadicInterval) -> tuple[int, int, int]:
@@ -555,6 +580,58 @@ class PolyMatrix:
     def __hash__(self):
         return hash((self.e11, self.e12, self.e21, self.e22))
 
+    def term_maps(self) -> tuple[dict, dict, dict, dict]:
+        """The {(s_exp, y_deg): coeff} maps of e11, e12, e21, e22; read only."""
+        return (self.e11._terms, self.e12._terms, self.e21._terms, self.e22._terms)
+
     def __repr__(self):
         return (f"PolyMatrix([{self.e11.to_text()!r}, {self.e12.to_text()!r}], "
                 f"[{self.e21.to_text()!r}, {self.e22.to_text()!r}])")
+
+
+class PackedMatrix(PolyMatrix):
+    """A PolyMatrix held as four packed integers; the SYPoly entries are
+    unpacked on first read, so code that reads only the packed integers
+    (the Riley engine, `chebyshev.sl2_power`) never pays for them."""
+
+    __slots__ = ("packed", "packing", "_entries")
+
+    def __init__(self, packed: tuple[int, int, int, int], packing: Packing):
+        self.packed, self.packing = packed, packing
+        self._entries: list[SYPoly | None] = [None] * 4
+
+    @staticmethod
+    def packing_for(shift: int, bound: int) -> Packing:
+        """A packing for V = s**-shift * P, each entry P_ij of l1 norm <=
+        bound, that stays faithful for the Riley relator R = VA - BV and for
+        R21 - (y - 2) R12 (A = [[s, 1], [0, 1/s]], B = [[s, 0], [2 - y, 1/s]]).
+        Scaled by s**(shift + 1) these have s-exponents in
+        [0, 2 * shift + 2]; R's entries have l1 norm at most 5 * bound, so
+        R21 - (y - 2) R12 at most 14 * bound."""
+        return Packing.covering(shift, 2 * shift + 3, 14 * bound)
+
+    @classmethod
+    def of(cls, m: PolyMatrix) -> "PackedMatrix":
+        if isinstance(m, PackedMatrix):
+            return m
+        maps = m.term_maps()
+        shift = max((abs(i) for t in maps for i, _ in t), default=0)
+        packing = cls.packing_for(shift, max(sum(map(abs, t.values())) for t in maps))
+        return cls(tuple(packing.pack(t) for t in maps), packing)
+
+    def _entry(self, k: int) -> SYPoly:
+        if self._entries[k] is None:
+            self._entries[k] = SYPoly(self.packing.unpack(self.packed[k]))
+        return self._entries[k]
+
+    e11 = property(lambda self: self._entry(0))
+    e12 = property(lambda self: self._entry(1))
+    e21 = property(lambda self: self._entry(2))
+    e22 = property(lambda self: self._entry(3))
+
+    def term_maps(self) -> tuple[dict, dict, dict, dict]:
+        return tuple(self.packing.unpack(p) for p in self.packed)
+
+    def adjugate(self) -> "PackedMatrix":
+        p11, p12, p21, p22 = self.packed
+        return PackedMatrix((p22, -p12, -p21, p11), self.packing)

@@ -18,6 +18,19 @@ coefficient of V.  B covers 14 times the largest of them and S = 2L + 3 slots
 cover one more letter, so that R = VA - BV and R21 - (y - 2)R12, the values
 the structure checks compare, cannot overflow a slot either.  Only R12 is
 unpacked.
+
+Both Chebyshev routes run the recurrence S_{j+1} = t S_j - q S_{j-1} on
+packed integers too, multiplying by t one term at a time (a shift and a
+small-integer multiple).  The closed forms pack x into the inner slots, as
+many as the result's x-degree, and y into the outer ones, with q = 1; the
+slots are sized before any arithmetic by N_{j+1} = ||t||_1 N_j + N_{j-1},
+which bounds the l1 norm of S_j(t), so the one value unpacked, phi, is
+faithful.  The engine's power V^m (`chebyshev.sl2_power`) is homogenised:
+with e the largest |s-exponent| of V, W = s**e V has no negative powers,
+H_j = s**(je) S_j(tr V) satisfies the recurrence with t = tr W and
+q = s**2e (one shift), and s**(me) V**m = H_m I - H_{m-1} adj(W) comes
+back as a PackedMatrix in the slots the structure checks above need, so
+the power is never unpacked either.
 """
 
 from __future__ import annotations
@@ -25,10 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .chebyshev import _cheb_pair, sl2_power
+from .chebyshev import _cheb_norms, _cheb_pair, _packed_cheb_pair, sl2_power
 from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,
                     sign_sequence, word_double_twist, word_from_signs, word_kl)
-from .polyring import Packing, PolyMatrix, SYPoly, XYPoly, symmetric_rewrite
+from .polyring import (Packing, PackedMatrix, PolyMatrix, SYPoly, XYPoly, _times,
+                       symmetric_rewrite)
 
 
 class StructureViolation(ValueError):
@@ -67,50 +81,6 @@ def generator_images() -> GeneratorImages:
     return GeneratorImages(a, b, a.adjugate(), b.adjugate())
 
 
-def _relator_packing(shift: int, bound: int) -> Packing:
-    """A packing for V = s**-shift * P, each entry P_ij of l1 norm <= bound,
-    that stays faithful for R = VA - BV and R21 - (y - 2) R12.  Scaled by
-    s**(shift + 1) these have s-exponents in [0, 2 * shift + 2]; R's entries
-    have l1 norm at most 5 * bound, so R21 - (y - 2) R12 at most 14 * bound."""
-    return Packing.covering(shift, 2 * shift + 3, 14 * bound)
-
-
-class PackedMatrix(PolyMatrix):
-    """A PolyMatrix held as four packed integers; the SYPoly entries are
-    unpacked on first read, so the engine, which reads only the packed
-    integers, never pays for them."""
-
-    __slots__ = ("packed", "packing", "_entries")
-
-    def __init__(self, packed: tuple[int, int, int, int], packing: Packing):
-        self.packed, self.packing = packed, packing
-        self._entries: list[SYPoly | None] = [None] * 4
-
-    @classmethod
-    def of(cls, m: PolyMatrix) -> "PackedMatrix":
-        if isinstance(m, PackedMatrix):
-            return m
-        entries = (m.e11, m.e12, m.e21, m.e22)
-        shift = max((abs(i) for e in entries for i, _ in e._terms), default=0)
-        bound = max(sum(map(abs, e._terms.values())) for e in entries)
-        packing = _relator_packing(shift, bound)
-        return cls(tuple(packing.pack(e._terms) for e in entries), packing)
-
-    def _entry(self, k: int) -> SYPoly:
-        if self._entries[k] is None:
-            self._entries[k] = SYPoly(self.packing.unpack(self.packed[k]))
-        return self._entries[k]
-
-    e11 = property(lambda self: self._entry(0))
-    e12 = property(lambda self: self._entry(1))
-    e21 = property(lambda self: self._entry(2))
-    e22 = property(lambda self: self._entry(3))
-
-    def adjugate(self) -> "PackedMatrix":
-        p11, p12, p21, p22 = self.packed
-        return PackedMatrix((p22, -p12, -p21, p11), self.packing)
-
-
 def evaluate_word(word: Word) -> PolyMatrix:
     """Ordered product of generator images, exponents expanded, as a
     PackedMatrix: s**L times the product of the L letters, each scaled by s."""
@@ -122,7 +92,7 @@ def evaluate_word(word: Word) -> PolyMatrix:
             n12, n22 = n12 + n11, n22 + n21
         else:
             n11, n21 = n11 + 3 * n12, n21 + 3 * n22
-    packing = _relator_packing(len(letters), max(n11, n12, n21, n22))
+    packing = PackedMatrix.packing_for(len(letters), max(n11, n12, n21, n22))
     b = 8 * packing.nbytes
     ys = b * packing.slots   # y = 2**ys
     p11, p12, p21, p22 = 1, 0, 0, 1
@@ -214,12 +184,27 @@ def riley_double_twist(k: int, m: int) -> RileyPolynomial:
         return RileyPolynomial(alpha, knot,
                                "closed-form (m=1, out of convention: phi = alpha)")
     if m > 0:
-        s_prev, s_cur = _cheb_pair(m - 1, lam)
-        phi = s_cur * alpha - s_prev
+        phi = _chebyshev_combination(m - 1, lam, alpha, XYPoly.one())
     else:
-        s_prev, s_cur = _cheb_pair(-m, lam)
-        phi = s_cur - s_prev * alpha
+        phi = _chebyshev_combination(-m, lam, XYPoly.one(), alpha)
     return RileyPolynomial(phi, knot, "closed-form")
+
+
+def _chebyshev_combination(n: int, lam: XYPoly, a: XYPoly, b: XYPoly) -> XYPoly:
+    """S_n(lam) * a - S_{n-1}(lam) * b for n >= 1, on packed integers: x in
+    the inner slots, as many as the result's x-degree needs, and y outer.
+    The slots cover the l1 bound N_n ||a||_1 + N_{n-1} ||b||_1 of
+    `_cheb_norms`, so the one value unpacked is faithful."""
+    def l1(f: XYPoly) -> int:
+        return sum(map(abs, f._terms.values()))
+
+    n_prev, n_cur = _cheb_norms(n, l1(lam))
+    deg_x = max(n * lam.deg_x() + a.deg_x(), (n - 1) * lam.deg_x() + b.deg_x())
+    packing = Packing.covering(0, deg_x + 1, n_cur * l1(a) + n_prev * l1(b))
+    s_prev, s_cur = _packed_cheb_pair(n, packing.multiplier(lam._terms))
+    phi = (_times(s_cur, packing.multiplier(a._terms))
+           - _times(s_prev, packing.multiplier(b._terms)))
+    return XYPoly(packing.unpack(phi))
 
 
 def _xy(triples) -> XYPoly:
@@ -275,8 +260,7 @@ def riley_kl(l: int) -> RileyPolynomial:
     """Closed form for K_l: S_{l-1}(lam)*alpha - S_{l-2}(lam)*beta."""
     knot = KlKnot(l)
     lam, alpha, beta = kl_named_polys()
-    s_prev, s_cur = _cheb_pair(l - 1, lam)
-    phi = s_cur * alpha - s_prev * beta
+    phi = _chebyshev_combination(l - 1, lam, alpha, beta)
     return RileyPolynomial(phi, knot.spec_string(), "closed-form")
 
 

@@ -8,7 +8,7 @@ from rileycert.chebyshev import (NotUnimodular, cheb_eval, cheb_poly,
                                  solve_recurrence)
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.knots import DoubleTwistKnot, Word, word_double_twist
-from rileycert.polyring import PolyMatrix, SYPoly, XYPoly
+from rileycert.polyring import PackedMatrix, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word
 
 
@@ -137,24 +137,65 @@ def test_sl2_power_poly_matrix():
     ident = PolyMatrix.identity()
     for n in (1, 2, 5):
         assert sl2_power(ident, n) == ident
-    # random words: powers 1..7 of V and of V^-1 against repeated products
+    # random words: powers 1..8 of V and of V^-1, packed and as dict
+    # matrices, against repeated products
     rng = random.Random(53)
     for _ in range(3):
         letters = [(rng.choice("ab"), rng.choice((-1, 1))) for _ in range(3)]
         mat = evaluate_word(Word.from_letters(letters))
-        for base in (mat, mat.adjugate()):
+        plain = PolyMatrix(mat.e11, mat.e12, mat.e21, mat.e22)
+        for base in (mat, mat.adjugate(), plain, plain.adjugate()):
             direct = base
-            for n in range(1, 8):
-                assert sl2_power(base, n) == direct, (letters, n)
+            for n in range(1, 9):
+                power = sl2_power(base, n)
+                assert isinstance(power, PackedMatrix)
+                assert power == direct, (letters, type(base).__name__, n)
                 direct = direct @ base
     w, _ = word_double_twist(DoubleTwistKnot(1, 2))
     mat = evaluate_word(w)
     assert sl2_power(mat, 3) == mat @ mat @ mat
-    bad = PolyMatrix(SYPoly.s(1), SYPoly.zero(), SYPoly.zero(), SYPoly.s(1))
-    with pytest.raises(NotUnimodular):
-        sl2_power(bad, 2)
     with pytest.raises(ValueError):
         sl2_power(ident, 0)
+
+
+def test_sl2_power_rejects_a_determinant_other_than_one():
+    one, zero, s = SYPoly.one(), SYPoly.zero(), SYPoly.s(1)
+    det_s2 = PolyMatrix(s, zero, zero, s)
+    det_minus_one = PolyMatrix(one, zero, zero, -one)
+    # det = -y/s
+    det_minus_y = PolyMatrix(s, SYPoly.y(), SYPoly.s(-1), zero)
+    mat = evaluate_word(Word.parse_text("abAB"))
+    # V times diag(1, 1 + y): det 1 + y
+    det_one_plus_y = PolyMatrix(mat.e11, mat.e12 * (1 + SYPoly.y()),
+                                mat.e21, mat.e22 * (1 + SYPoly.y()))
+    # det 1 + s**3 - y/s**6: s**6 (det - 1) = s**9 - y vanishes at
+    # s = 2**B, y = 2**(9B), so it takes more than the power's 2e + 3 = 9
+    # slots at n = 1 to tell it from 1
+    det_y_alias = PolyMatrix(1 + SYPoly.s(3), SYPoly.y() * SYPoly.s(-3),
+                             SYPoly.s(-3), one)
+    # det 1 - 1/s + 2**16/s**2: s**2 (det - 1) = 2**16 - s vanishes at
+    # s = 2**16, so it takes slots that hold ||entry||_1**2 = 2**16, not
+    # just the power's entries, to tell it from 1
+    det_width_alias = PolyMatrix(one, 256 * SYPoly.s(-1), -256 * SYPoly.s(-1),
+                                 1 - SYPoly.s(-1))
+    for bad in (det_s2, det_minus_one, det_minus_y, det_one_plus_y,
+                det_y_alias, det_width_alias):
+        for base in (bad, PackedMatrix.of(bad)):
+            for n in (1, 2, 7):
+                with pytest.raises(NotUnimodular):
+                    sl2_power(base, n)
+
+
+def test_sl2_power_small_trace_large_entries():
+    # tr M = y has l1 norm 1 while the entries reach about 10**6, so the
+    # off-diagonal entries of M**n, S_{n-1}(y) times an entry of M, outgrow
+    # S_n(y) by that factor: the slots must cover N_{n-1} ||M_ij||_1 too
+    u, y = 1000, SYPoly.y()
+    mat = PolyMatrix(y + u, SYPoly.one(), -1 - u * y - u * u, SYPoly.const(-u))
+    direct = mat
+    for n in range(1, 61):
+        assert sl2_power(mat, n) == direct, n
+        direct = direct @ mat
 
 
 def test_eval_on_dyadic_interval():

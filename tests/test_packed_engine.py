@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rileycert import polyring, riley
+from rileycert.chebyshev import sl2_power
 from rileycert.knots import (DoubleTwistKnot, TwoBridgeFraction, Word,
                              sign_sequence, word_double_twist, word_from_signs)
 from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly
@@ -97,6 +98,59 @@ def test_structure_checks_read_the_packed_relator(monkeypatch):
                             lambda word, bad=bad: PackedMatrix(bad, good.packing))
         with pytest.raises(riley.StructureViolation):
             riley.riley_generic(v)
+
+
+def test_power_path_reads_only_packed_integers(monkeypatch):
+    # riley_generic(w, m) builds no SYPoly entry of the word's matrix or of
+    # its power: the base is read once as term maps under the word's
+    # packing, and the one value unpacked under the power's packing is R12
+    w, _ = word_double_twist(DoubleTwistKnot(3, 2))
+    word_packing = evaluate_word(w).packing
+    closed = {m: riley.riley_double_twist(3, m).poly for m in (5, -5)}
+
+    def no_entry(self, k):
+        raise AssertionError("an entry of a PackedMatrix was unpacked")
+
+    unpack, seen = Packing.unpack, []
+
+    def spy(self, value):
+        seen.append(self)
+        return unpack(self, value)
+
+    monkeypatch.setattr(PackedMatrix, "_entry", no_entry)
+    monkeypatch.setattr(Packing, "unpack", spy)
+    for m in (5, -5):
+        seen.clear()
+        assert riley.riley_generic(w, m).poly == closed[m]
+        # the double-twist word's entries have |s-exponent| <= 2, so the
+        # power is packed with shift 5 * 2 and R12 with one more
+        assert seen[:4] == [word_packing] * 4
+        assert [pk.shift for pk in seen[4:]] == [11]
+
+
+def test_structure_checks_read_the_packed_power(monkeypatch):
+    w, _ = word_double_twist(DoubleTwistKnot(2, 2))
+    good = sl2_power(evaluate_word(w), 4)
+    p11, p12, p21, p22 = good.packed
+    for bad in ((p11, p12, p21 + 1, p22), (p11, p12 - 1, p21, p22)):
+        monkeypatch.setattr(riley, "sl2_power",
+                            lambda base, n, bad=bad: PackedMatrix(bad, good.packing))
+        with pytest.raises(riley.StructureViolation):
+            riley.riley_generic(w, 4)
+
+
+@pytest.mark.parametrize("k, m", [(1, 2), (3, 6), (6, -6), (10, 10)])
+def test_power_slots_cover_the_relator_bound(k, m):
+    # the Chebyshev norm recursion must bound the true norms of the power's
+    # entries: the slots hold 14 times the largest of them, and span
+    # s-exponents -shift .. shift + 2
+    w, _ = word_double_twist(DoubleTwistKnot(k, 2))
+    base = evaluate_word(w)
+    power = sl2_power(base if m > 0 else base.adjugate(), abs(m))
+    norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(power))
+    assert 14 * norm < 2 ** (8 * power.packing.nbytes - 1)
+    assert power.packing.shift == 2 * abs(m)
+    assert power.packing.slots >= 2 * power.packing.shift + 3
 
 
 def test_back_substitution_check_runs_on_every_build(monkeypatch):

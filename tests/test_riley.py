@@ -1,16 +1,19 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rileycert import riley
-from rileycert.chebyshev import cheb_poly
+from rileycert.chebyshev import _cheb_norms, _cheb_pair, _packed_cheb_pair, cheb_poly
 from rileycert.knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,
                              sign_sequence, word_double_twist,
                              word_from_signs, word_kl)
-from rileycert.polyring import (PolyMatrix, SYPoly, XYPoly, leading_y_term,
-                                symmetric_rewrite)
+from rileycert.polyring import (Packing, PolyMatrix, SYPoly, XYPoly,
+                                leading_y_term, symmetric_rewrite)
 from rileycert.riley import (StructureViolation, alpha_dt,
                              evaluate_word, generator_images,
                              kl_alpha_derivative_check, kl_cross_check,
@@ -101,6 +104,93 @@ def test_closed_forms_match_coefficient_composition():
     for l in range(2, 7):
         assert riley_kl(l).poly == _compose(cheb_poly(l - 1), lam) * alpha \
             - _compose(cheb_poly(l - 2), lam) * beta
+
+
+@pytest.mark.parametrize("k, m", [(8, 8), (8, -8), (10, -10)])
+def test_large_double_twist_closed_form_against_oracles(k, m):
+    # past the benchmark's k <= 4, |m| <= 6: the slot sizing of the packed
+    # recurrence against dict compositions and against the generic engine
+    lam, alpha = lambda_dt(k), alpha_dt(k)
+    if m > 0:
+        want = _compose(cheb_poly(m - 1), lam) * alpha - _compose(cheb_poly(m - 2), lam)
+    else:
+        want = _compose(cheb_poly(-m), lam) - _compose(cheb_poly(-m - 1), lam) * alpha
+    phi = riley_double_twist(k, m).poly
+    assert phi == want
+    w, _ = word_double_twist(DoubleTwistKnot(k, 2))
+    assert riley_generic(w, m).poly == phi
+
+
+def test_large_kl_closed_form_against_oracles():
+    lam, alpha, beta = kl_named_polys()
+    phi = riley_kl(10).poly
+    assert phi == _compose(cheb_poly(9), lam) * alpha - _compose(cheb_poly(8), lam) * beta
+    assert riley_generic(word_kl(KlKnot(10))).poly == phi
+
+
+FAMILY_HASHES = Path(__file__).resolve().parent / "data" / "family_hashes.json"
+
+
+def test_family_hashes_past_the_benchmark_sizes():
+    # term counts and content hashes recorded from the dict-arithmetic
+    # closed forms, which the generic engine agreed with; both routes must
+    # still reproduce them
+    knots = {"J:8,8": DoubleTwistKnot(8, 8), "J:8,-8": DoubleTwistKnot(8, -8),
+             "J:12,12": DoubleTwistKnot(12, 12), "Kl:10": KlKnot(10),
+             "Kl:20": KlKnot(20)}
+    records = json.loads(FAMILY_HASHES.read_text())
+    assert sorted(records) == sorted(knots)
+    for spec, knot in knots.items():
+        for engine in ("auto", "generic"):
+            phi = riley_for_knot(knot, engine=engine)
+            assert len(list(phi.poly.terms())) == records[spec]["terms"], (spec, engine)
+            assert phi.content_hash == records[spec]["content_hash"], (spec, engine)
+
+
+def _l1(terms: dict) -> int:
+    return sum(map(abs, terms.values()))
+
+
+_COEFFS = st.integers(-3, 3).filter(bool)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)), _COEFFS,
+                       max_size=5),
+       st.integers(0, 10))
+def test_packed_recurrence_equals_dict_recurrence_xy(terms, n):
+    # q = 1, x in the inner slots: the packing of the closed forms
+    t = XYPoly(terms)
+    deg = max((i for i, _ in terms), default=0)
+    packing = Packing.covering(0, n * deg + 1, max(_cheb_norms(n, _l1(terms))))
+    h_prev, h_cur = _packed_cheb_pair(n, packing.multiplier(terms))
+    s_prev, s_cur = _cheb_pair(n, t)
+    assert packing.unpack(h_cur) == s_cur._terms
+    assert packing.unpack(h_prev) == s_prev._terms
+    n_prev, n_cur = _cheb_norms(n, _l1(terms))
+    assert _l1(s_cur._terms) <= n_cur and _l1(s_prev._terms) <= n_prev
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda e: st.tuples(
+           st.just(e),
+           st.dictionaries(st.tuples(st.integers(-e, e), st.integers(0, 2)), _COEFFS,
+                           max_size=5))),
+       st.integers(0, 10))
+def test_packed_recurrence_equals_dict_recurrence_laurent(e_terms, n):
+    # q = s**2e on T = s**e t, the homogenised recurrence of sl2_power:
+    # H_j = s**(je) S_j(t), read back with shift je
+    e, terms = e_terms
+    t = SYPoly(terms)
+    packing = Packing.covering(n * e, 2 * n * e + 1, max(_cheb_norms(n, _l1(terms))))
+    b = 8 * packing.nbytes
+    h_prev, h_cur = _packed_cheb_pair(n, packing._replace(shift=e).multiplier(terms),
+                                      2 * e * b)
+    s_prev, s_cur = _cheb_pair(n, t)
+    assert packing.unpack(h_cur) == s_cur._terms
+    assert packing._replace(shift=max(n - 1, 0) * e).unpack(h_prev) == s_prev._terms
+    n_prev, n_cur = _cheb_norms(n, _l1(terms))
+    assert _l1(s_cur._terms) <= n_cur and _l1(s_prev._terms) <= n_prev
 
 
 def test_m_one_boundary_convention():

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
-from .polyring import PackedMatrix, PolyMatrix, _merge, _times
+from .polyring import PackedMatrix, PolyMatrix, XYPoly, _merge, _times
 
 
 class NotUnimodular(ValueError):
@@ -27,16 +27,8 @@ def cheb_poly(n: int) -> tuple[int, ...]:
     """Coefficients of S_n, ascending degree, exact."""
     if n < 0:
         raise ValueError("negative Chebyshev index")
-    prev = [1]
-    if n == 0:
-        return tuple(prev)
-    cur = [0, 1]
-    for _ in range(n - 1):
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return tuple(cur)
+    terms = _cheb_pair(n, XYPoly.x())[1]._terms
+    return tuple(terms.get((i, 0), 0) for i in range(n + 1))
 
 
 def _cheb_pair(n: int, t):
@@ -118,10 +110,6 @@ def sl2_power(M: PolyMatrix, n: int) -> PackedMatrix:
     return PackedMatrix((h_cur - w22, w12, w21, h_cur - w11), packing)
 
 
-def _definite_sign_at(n: int, t: Dyadic) -> int:
-    return cheb_eval(n, t).sign()
-
-
 def cheb_root_enclosures(n: int, precision: int) -> list[DyadicInterval]:
     """n disjoint enclosures of the roots 2cos(k*pi/(n+1)), ascending, each of
     width <= 2**-precision and certified by an exact sign change of S_n.
@@ -144,11 +132,11 @@ def cheb_root_enclosures(n: int, precision: int) -> list[DyadicInterval]:
         lo, hi = iv.lo, iv.hi
         if lo == hi:
             lo, hi = lo - nudge, hi + nudge
-        while _definite_sign_at(n, lo) == 0:
+        while cheb_eval(n, lo).sign() == 0:
             lo = lo - nudge
-        while _definite_sign_at(n, hi) == 0:
+        while cheb_eval(n, hi).sign() == 0:
             hi = hi + nudge
-        s_lo, s_hi = _definite_sign_at(n, lo), _definite_sign_at(n, hi)
+        s_lo, s_hi = cheb_eval(n, lo).sign(), cheb_eval(n, hi).sign()
         if s_lo == s_hi:
             raise AssertionError(f"no sign change around root {k} of S_{n}")
         out.append(DyadicInterval(lo, hi))

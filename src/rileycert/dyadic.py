@@ -85,9 +85,6 @@ class Dyadic:
     def __neg__(self):
         return Dyadic(-self.m, self.e)
 
-    def __abs__(self):
-        return Dyadic(abs(self.m), self.e)
-
     def half(self) -> "Dyadic":
         return Dyadic(self.m, self.e - 1)
 

@@ -14,7 +14,11 @@ from dataclasses import dataclass
 # Largest accepted knot parameters.  The cost of phi grows with them (about
 # as p**4 for a fraction); at these limits `riley --cross-check`, or `riley`
 # for a fraction, takes at most about 35 s on a 2-core x86 host (see
-# ROADMAP.md), and one step beyond is refused before any work.
+# ROADMAP.md), and one step beyond is refused before any work.  `certify`
+# costs more there, since the root isolation's Taylor shifts grow with phi:
+# at the default cap, one run each on that host, `certify --knot J:20,20`
+# took 114-123 s per n (n = 5, 7, 8, 12) and `certify --knot Kl:50` 4.6 s
+# at n = 3, 20 s at n = 4 and 74-83 s at n = 5, 6, 8, 12.
 P_MAX = 501
 K_MAX = 20
 M_MAX = 20
@@ -63,9 +67,6 @@ class DoubleTwistKnot:
 
     def spec_string(self) -> str:
         return f"J:{self.k},{self.m}"
-
-    def name(self) -> str:
-        return f"J({2 * self.k + 1},{2 * self.m})"
 
 
 @dataclass(frozen=True)

@@ -592,7 +592,12 @@ class PolyMatrix:
 class PackedMatrix(PolyMatrix):
     """A PolyMatrix held as four packed integers; the SYPoly entries are
     unpacked on first read, so code that reads only the packed integers
-    (the Riley engine, `chebyshev.sl2_power`) never pays for them."""
+    (the Riley engine, `chebyshev.sl2_power`) never pays for them.
+
+    This is the program's only matrix arithmetic.  The dict PolyMatrix
+    product stays beside it as the tests' independent oracle (the dict word
+    product, acceptance criterion 4), and a PackedMatrix compares equal to
+    the dict matrix with the same entries."""
 
     __slots__ = ("packed", "packing", "_entries")
 
@@ -609,15 +614,6 @@ class PackedMatrix(PolyMatrix):
         [0, 2 * shift + 2]; R's entries have l1 norm at most 5 * bound, so
         R21 - (y - 2) R12 at most 14 * bound."""
         return Packing.covering(shift, 2 * shift + 3, 14 * bound)
-
-    @classmethod
-    def of(cls, m: PolyMatrix) -> "PackedMatrix":
-        if isinstance(m, PackedMatrix):
-            return m
-        maps = m.term_maps()
-        shift = max((abs(i) for t in maps for i, _ in t), default=0)
-        packing = cls.packing_for(shift, max(sum(map(abs, t.values())) for t in maps))
-        return cls(tuple(packing.pack(t) for t in maps), packing)
 
     def _entry(self, k: int) -> SYPoly:
         if self._entries[k] is None:

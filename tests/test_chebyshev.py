@@ -158,6 +158,14 @@ def test_sl2_power_poly_matrix():
         sl2_power(ident, 0)
 
 
+def _packed(m: PolyMatrix) -> PackedMatrix:
+    """m packed as the Riley engine packs a word: slots for its relator."""
+    maps = m.term_maps()
+    shift = max((abs(i) for t in maps for i, _ in t), default=0)
+    packing = PackedMatrix.packing_for(shift, max(sum(map(abs, t.values())) for t in maps))
+    return PackedMatrix(tuple(packing.pack(t) for t in maps), packing)
+
+
 def test_sl2_power_rejects_a_determinant_other_than_one():
     one, zero, s = SYPoly.one(), SYPoly.zero(), SYPoly.s(1)
     det_s2 = PolyMatrix(s, zero, zero, s)
@@ -180,7 +188,7 @@ def test_sl2_power_rejects_a_determinant_other_than_one():
                                  1 - SYPoly.s(-1))
     for bad in (det_s2, det_minus_one, det_minus_y, det_one_plus_y,
                 det_y_alias, det_width_alias):
-        for base in (bad, PackedMatrix.of(bad)):
+        for base in (bad, _packed(bad)):
             for n in (1, 2, 7):
                 with pytest.raises(NotUnimodular):
                     sl2_power(base, n)

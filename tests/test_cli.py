@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from rileycert import cli, riley
 from rileycert.certify import MAX_Y_MAX_CAP, RootCertificate, verify_certificate
-from rileycert.cli import main, parse_knot_spec
+from rileycert.cli import MAX_N_MAX, main, parse_knot_spec
 from rileycert.knots import (K_MAX, L_MAX, M_MAX, P_MAX, DoubleTwistKnot, KlKnot,
                              TwoBridgeFraction)
 from rileycert.riley import riley_for_knot
@@ -177,15 +178,22 @@ def test_lo_set(capsys):
         assert verify_certificate(cert, phi)
 
 
-def test_selftest(capsys, monkeypatch):
-    code, out, _ = run(capsys, "selftest", "--quick")
-    assert code == 0
-    assert "all checks passed" in out
+def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    # a slip in the transcribed K_l lambda must make the cross-check fail
-    lam, alpha, beta = riley.kl_named_polys()
-    monkeypatch.setattr(riley, "kl_named_polys", lambda: (lam + 1, alpha, beta))
+    lines = out.splitlines()
+    assert len(lines) == 8 and all(line.startswith("PASS  ") for line in lines[:7])
+    assert lines[7] == "selftest: all checks passed"
+
+
+@pytest.mark.parametrize("slip", ["lambda", "alpha", "beta"])
+def test_selftest_detects_a_slip_in_each_transcription(capsys, monkeypatch, slip):
+    # lambda comes from the trace of C, alpha and beta from R_12 of D and
+    # of C^-1 D: a slip in any one must make the cross-check fail
+    named = list(riley.kl_named_polys())
+    k = ("lambda", "alpha", "beta").index(slip)
+    named[k] = named[k] + 1
+    monkeypatch.setattr(riley, "kl_named_polys", lambda: tuple(named))
     code, out, _ = run(capsys, "selftest")
     assert code == 1
     assert "FAIL  K_l named polynomials vs engine" in out
@@ -221,6 +229,8 @@ def test_error_exits(capsys):
     ("lo-set", "--fraction", "5/3", "--knot", "J:1,3", "--n-max", "3"),
     ("riley", "--knot", "J:1,3", "--fraction", "5/3"),
     ("riley",),
+    ("selftest", "--quick"),
+    ("lo-set", "--knot", "J:1,2", "--n-max", str(MAX_N_MAX + 1)),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -247,6 +257,24 @@ def test_help_lists_the_options(capsys):
             assert "--ymax-cap" in out and "--prec" not in out
 
 
+def test_n_max_limit_itself_is_accepted(capsys, monkeypatch):
+    # one scan per n up to the limit; the scan is stubbed, since the 1023
+    # real ones take about 30 s
+    scanned = []
+
+    def scan(phi, n, **kwargs):
+        scanned.append(n)
+        return SimpleNamespace(status="inconclusive", certificate=None, trace={},
+                               certified=False)
+
+    monkeypatch.setattr(cli, "find_root_gt2", scan)
+    code, out, err = run(capsys, "lo-set", "--knot", "J:1,2", "--n-max", str(MAX_N_MAX),
+                         "--format", "structured")
+    assert (code, err) == (0, "")
+    assert scanned == list(range(2, MAX_N_MAX + 1))
+    assert len(json.loads(out)["reports"]) == MAX_N_MAX - 1
+
+
 def test_ymax_cap_limit_itself_is_accepted(capsys):
     # the root node of the isolation is then 2**20 wide
     code, _, err = run(capsys, "certify", "--knot", "J:2,3", "--n", "5",
@@ -254,7 +282,7 @@ def test_ymax_cap_limit_itself_is_accepted(capsys):
     assert code == 0 and err == ""
 
 
-ENV_PROBES = (("--version",), ("selftest", "--quick"),
+ENV_PROBES = (("--version",), ("selftest",),
               ("certify", "--knot", "J:2,3", "--n", "5", "--format", "structured"))
 
 

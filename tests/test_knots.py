@@ -32,7 +32,7 @@ def test_family_validation():
         DoubleTwistKnot(1, 1)
     with pytest.raises(ValueError):
         KlKnot(1)
-    assert DoubleTwistKnot(1, 2).name() == "J(3,4)"
+    assert DoubleTwistKnot(1, 2).spec_string() == "J:1,2"
     # the limits themselves are accepted, one step beyond is not
     assert TwoBridgeFraction(P_MAX, 5).p == P_MAX
     assert DoubleTwistKnot(K_MAX, -M_MAX).k == K_MAX
@@ -45,7 +45,7 @@ def test_family_validation():
                  lambda: KlKnot(L_MAX + 1)):
         with pytest.raises(ValueError):
             make()
-    assert DoubleTwistKnot(1, -2).name() == "J(3,-4)"
+    assert DoubleTwistKnot(1, -2).spec_string() == "J:1,-2"
 
 
 def test_sign_sequence_examples():

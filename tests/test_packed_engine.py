@@ -78,14 +78,12 @@ def test_packing_round_trip(terms):
     assert packing.unpack(packing.pack(terms)) == terms
 
 
-def test_packed_matrix_of_dict_matrix():
+def test_packed_adjugate_equals_dict_adjugate():
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
     plain = reference_evaluate_word(w)
-    packed = PackedMatrix.of(plain)
-    assert PackedMatrix.of(packed) is packed
-    assert _entries(packed) == _entries(plain)
+    packed = evaluate_word(w)
+    assert isinstance(packed.adjugate(), PackedMatrix)
     assert _entries(packed.adjugate()) == _entries(plain.adjugate())
-    assert _entries(evaluate_word(w).adjugate()) == _entries(plain.adjugate())
 
 
 def test_structure_checks_read_the_packed_relator(monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from rileycert import riley
 from rileycert.chebyshev import _cheb_norms, _cheb_pair, _packed_cheb_pair, cheb_poly
-from rileycert.knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,
-                             sign_sequence, word_double_twist,
+from rileycert.knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot,
+                             TwoBridgeFraction, Word, sign_sequence, word_double_twist,
                              word_from_signs, word_kl)
 from rileycert.polyring import (Packing, PolyMatrix, SYPoly, XYPoly,
                                 leading_y_term, symmetric_rewrite)
@@ -307,8 +307,21 @@ def test_kl_named_polys_identities():
 def test_kl_cross_check_bites(monkeypatch):
     assert kl_cross_check()
     lam, alpha, beta = kl_named_polys()
-    monkeypatch.setattr(riley, "kl_named_polys", lambda: (lam + 1, alpha, beta))
-    assert not kl_cross_check()
+    for named in ((lam + 1, alpha, beta), (lam, alpha + 1, beta), (lam, alpha, beta + 1)):
+        monkeypatch.setattr(riley, "kl_named_polys", lambda named=named: named)
+        assert not kl_cross_check(), named
+
+
+def test_kl_transcriptions_match_the_dict_relator():
+    # the packed route of kl_cross_check against dict products of the
+    # generator images: tr C, (DA - BD)_12 and (C^-1 D A - B C^-1 D)_12
+    lam, alpha, beta = kl_named_polys()
+    g = generator_images()
+    c, d = evaluate_word(KL_WORD_C), evaluate_word(KL_WORD_D)
+    assert symmetric_rewrite(c.trace()) == lam
+    assert symmetric_rewrite(((d @ g.a) - (g.b @ d)).e12) == alpha
+    cinv_d = c.adjugate() @ d
+    assert symmetric_rewrite(((cinv_d @ g.a) - (g.b @ cinv_d)).e12) == beta
 
 
 def test_kl_alpha_derivative_and_discriminant():

@@ -92,14 +92,14 @@ def _max_endpoint_exponent(precision: int) -> int:
     An endpoint a scan emits is an isolation node end refined by bisection.
     A node end is 2 + 2**-64 + i * 2**-k, with 64 fractional bits: nodes are
     no narrower than BRACKET_WIDTH = 2**-32, so k <= 32.  An isolating node
-    lies in (2, 2**20] (MAX_Y_MAX_CAP), so it is at most 2**19 wide.  Each
-    bisection step adds at most 2 fractional bits and shrinks the bracket by
-    3/4 or more until it is 2**-32 wide: at most 1 + 51/log2(4/3) < 124
-    steps, so fewer than 64 + 248 fractional bits in all, while values up to
-    2**20 have positive exponents up to 20.  Hence |exponent| < 312, inside
-    the bound below at every precision.  The bound grows with the precision
-    because records from scans that started at P bits, with the window at
-    2 + 2**-(P//2), have |exponent| < P/2 + 280 and must still parse.
+    lies in (2, 2**20] (MAX_Y_MAX_CAP), so it is at most 2**19 wide, and at
+    most 51 halvings bring it to BRACKET_WIDTH; every midpoint is a node end
+    plus a multiple of 2**-32, so it keeps 64 fractional bits.  Values up to
+    2**20 have positive exponents up to 20, hence |exponent| <= 64, inside
+    the bound below at every precision.  The bound is looser and grows with
+    the precision because records from scans that started at P bits, with
+    the window at 2 + 2**-(P//2), have |exponent| < P/2 + 280 and must still
+    parse.
     """
     return 7 * precision + 350
 
@@ -263,18 +263,20 @@ def _variations(lo: list[int], hi: list[int]) -> int | None:
     return count
 
 
-def _isolating_brackets(oracle: _SignOracle, y_max_cap: int):
-    """Yield, left to right, intervals (a, b) in (2 + 2**-64, y_max_cap] that
-    hold exactly one root of phi(x_n, .), by Vincent-Collins-Akritas bisection.
+def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
+    """The first interval (a, b) in (2 + 2**-64, y_max_cap] that holds exactly
+    one root of phi(x_n, .), by left-first Vincent-Collins-Akritas bisection;
+    None when the window holds none or a count is indefinite at
+    DEFAULT_PRECISION_CAP.
 
     The root node starts from the oracle's cached coefficient bounds.  A
     node (a, a + 2**k) keeps integer bounds lo, hi on the coefficients of
     q(t) = phi(x_n, a + 2**k t) up to a positive factor; its halves are
     2**d q(t/2) and that shifted by 1, maps with nonnegative weights.  A node
-    with no root is dropped, one with a single root inside the window is
-    yielded, and any other is split unless it is no wider than
+    with no root is dropped, the first with a single root inside the window
+    is returned, and any other is split unless it is no wider than
     BRACKET_WIDTH.  An indefinite variation count doubles the x_n precision
-    and restarts; at DEFAULT_PRECISION_CAP it counts as undecided and splits.
+    and restarts the search.
     """
     k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
     h = _MARGIN_BITS
@@ -293,34 +295,31 @@ def _isolating_brackets(oracle: _SignOracle, y_max_cap: int):
             oracle.nodes += 1
             v = _variations(lo, hi)
             if v is None:
-                if oracle.escalate():
-                    break
-                v = 2
+                break
             width = Dyadic(1, k)
             if v == 1 and a + width <= y_max_cap:
-                yield a, a + width
-            elif v and width > BRACKET_WIDTH:
+                return a, a + width
+            if v and width > BRACKET_WIDTH:
                 lo, hi = _scale(lo, -1), _scale(hi, -1)
                 stack.append((a + width.half(), k - 1, lo, hi, True))
                 stack.append((a, k - 1, lo, hi, False))
         else:
-            return
+            return None
+        if not oracle.escalate():
+            return None
 
 
 def _bisect(oracle: _SignOracle, a: Dyadic, sa: int, b: Dyadic):
-    """Shrink the bracket (a, b), sign sa at a, to width <= BRACKET_WIDTH,
-    cutting at 1/2, else 1/4, else 3/4 of the way; None when all three cut
-    points are exact zeros or indefinite at the precision cap."""
+    """Shrink the bracket (a, b), sign sa at a and -sa at b, to width
+    BRACKET_WIDTH by cutting at the midpoint; None when a midpoint's sign is
+    not +-sa (an exact zero, or indefinite at the precision cap)."""
     while (b - a) > BRACKET_WIDTH:
-        for num, shift in ((1, 1), (1, 2), (3, 2)):
-            mid = a + (b - a) * Dyadic(num, -shift)
-            s = oracle.sign(mid)
-            if s == sa:
-                a = mid
-                break
-            if s == -sa:
-                b = mid
-                break
+        mid = (a + b).half()
+        s = oracle.sign(mid)
+        if s == sa:
+            a = mid
+        elif s == -sa:
+            b = mid
         else:
             return None
     return a, b
@@ -331,40 +330,41 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
     """Search (2 + 2**-64, y_max_cap] for a certified bracket of a root of
     phi(x_n, .); the margin of 2**-64 keeps every bracket strictly above 2.
 
-    Descartes' rule isolates the roots in the window from the left
-    (_isolating_brackets); the first isolating interval whose endpoint
-    signs eval_interval finds definite and opposite is bisected to width
-    BRACKET_WIDTH and becomes the certificate, so the bracket holds the
-    smallest root in the window that the isolation reaches.  The x_n
-    precision starts at DEFAULT_PRECISION and doubles, up to
-    DEFAULT_PRECISION_CAP, whenever a variation count or an evaluation is
-    indefinite.  The isolation and every sign read the same y-coefficient
-    bounds, cached per precision by _SignOracle; a sign the bounds fix is
-    the exact evaluation's sign (see eval_interval), so the result is the
-    one exact evaluation alone would give.
+    One straight line: Descartes' rule isolates the first root in the window
+    from the left (_isolating_bracket), eval_interval signs the two ends of
+    that interval, and when the signs are definite and opposite the interval
+    is bisected at midpoints to width BRACKET_WIDTH and becomes the
+    certificate, so the bracket holds the smallest root in the window that
+    the isolation reaches.  The x_n precision starts at DEFAULT_PRECISION
+    and doubles whenever a variation count or an evaluation is indefinite; a
+    count or a sign still undecided at DEFAULT_PRECISION_CAP, an exact zero,
+    or no isolating interval ends the scan inconclusive.  The isolation and
+    every sign read the same y-coefficient bounds, cached per precision by
+    _SignOracle; a sign the bounds fix is the exact evaluation's sign (see
+    eval_interval), so the result is the one exact evaluation alone would
+    give.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not 3 <= y_max_cap <= MAX_Y_MAX_CAP:
         raise ValueError(f"need 3 <= y_max_cap <= {MAX_Y_MAX_CAP}")
     oracle = _SignOracle(phi.poly, n)
-    cert = None
-    for a, b in _isolating_brackets(oracle, y_max_cap):
+    bracket = _isolating_bracket(oracle, y_max_cap)
+    if bracket is not None:
+        a, b = bracket
         sa, sb = oracle.sign(a), oracle.sign(b)
-        refined = _bisect(oracle, a, sa, b) if sa and sb == -sa else None
-        if refined is not None:
-            cert = RootCertificate(knot=phi.knot, n=n, a=refined[0], b=refined[1],
-                                   sign_a=sa, sign_b=sb, precision=oracle.precision,
-                                   y_max=y_max_cap, poly_hash=phi.content_hash)
-            break
+        bracket = _bisect(oracle, a, sa, b) if sa and sb == -sa else None
     trace = {"y_max_reached": y_max_cap, "nodes": oracle.nodes,
              "evaluations": oracle.evaluations,
              "precision_escalations": oracle.escalations,
              "indefinite": oracle.indefinite}
-    if cert is not None:
-        return ScanReport("certified", cert, trace)
-    trace["note"] = "no bracket found; this does not assert absence of a root"
-    return ScanReport("inconclusive", None, trace)
+    if bracket is None:
+        trace["note"] = "no bracket found; this does not assert absence of a root"
+        return ScanReport("inconclusive", None, trace)
+    cert = RootCertificate(knot=phi.knot, n=n, a=bracket[0], b=bracket[1],
+                           sign_a=sa, sign_b=sb, precision=oracle.precision,
+                           y_max=y_max_cap, poly_hash=phi.content_hash)
+    return ScanReport("certified", cert, trace)
 
 
 def verify_certificate(cert: RootCertificate, phi: RileyPolynomial) -> bool:

@@ -8,6 +8,7 @@ No timestamps are emitted, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -15,10 +16,10 @@ from . import __version__
 from .certify import (DEFAULT_Y_MAX_CAP, MAX_Y_MAX_CAP, find_root_gt2,
                       verify_certificate)
 from .chebyshev import cheb_eval, cheb_poly
-from .knots import (DoubleTwistKnot, KlKnot, ReductionInapplicable,
-                    TwoBridgeFraction, expand, hm_reduce, kl_fraction,
-                    run_length, sign_sequence, sign_sequence_raw,
-                    word_double_twist, word_from_signs, word_kl)
+from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, expand,
+                    hm_reduce, kl_fraction, run_length, sign_sequence,
+                    sign_sequence_raw, word_double_twist, word_from_signs,
+                    word_kl)
 from .riley import (kl_alpha_derivative_check, kl_cross_check,
                     riley_double_twist, riley_for_knot, riley_generic,
                     riley_kl)
@@ -28,8 +29,8 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
-class CliError(Exception):
-    pass
+class CliError(ValueError):
+    """A CLI argument the program cannot use; exits with EXIT_ERROR."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,7 +261,9 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by later ones."""
     parser = _Parser(
         prog="rileycert",
         description="Riley polynomials of two-bridge knots and rigorous "
@@ -318,15 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help/--version, or remapped usage errors
         return exc.code or 0
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, ReductionInapplicable) as exc:
+    except ValueError as exc:  # CliError, ReductionInapplicable, bad values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -184,19 +184,14 @@ def lambda_dt(k: int) -> XYPoly:
 
 def riley_double_twist(k: int, m: int) -> RileyPolynomial:
     """Closed form for J(2k+1, 2m): S_{m-1}(lam)*alpha - S_{m-2}(lam) for
-    m >= 2, and S_{|m|}(lam) - S_{|m|-1}(lam)*alpha for m <= -1.
+    m >= 2, and S_{|m|}(lam) - S_{|m|-1}(lam)*alpha for m <= -2.
 
-    m = 1 falls outside the family convention |m| >= 2; with S_{-1} = 0 the
-    formula degenerates to phi = alpha, and the presentation tag says so.
+    (k, m) must name a DoubleTwistKnot, which raises ValueError otherwise:
+    |m| <= 1 lies outside the family convention.
     """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    knot = DoubleTwistKnot(k, m).spec_string() if abs(m) >= 2 else f"J:{k},{m}"
+    knot = DoubleTwistKnot(k, m).spec_string()
     lam = lambda_dt(k)
     alpha = alpha_dt(k)
-    if m == 1:
-        return RileyPolynomial(alpha, knot,
-                               "closed-form (m=1, out of convention: phi = alpha)")
     if m > 0:
         phi = _chebyshev_combination(m - 1, lam, alpha, XYPoly.one())
     else:
@@ -289,7 +284,10 @@ def kl_alpha_derivative_check() -> bool:
 
 def riley_for_knot(knot, *, engine: str = "auto") -> RileyPolynomial:
     """Dispatch: families use their closed forms, fractions the generic
-    engine; engine="generic" forces the engine for families too."""
+    engine; engine="generic" forces the engine for families too.  Any other
+    engine is a ValueError."""
+    if engine not in ("auto", "generic"):
+        raise ValueError(f"engine must be 'auto' or 'generic', got {engine!r}")
     if isinstance(knot, DoubleTwistKnot):
         if engine == "generic":
             w, m = word_double_twist(knot)

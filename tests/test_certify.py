@@ -13,7 +13,7 @@ from rileycert.certify import (MAX_Y_MAX_CAP, HashMismatch,
                                find_root_gt2, verify_certificate, xn_enclosure)
 from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
-from rileycert.polyring import XYPoly, eval_interval
+from rileycert.polyring import XYPoly, eval_interval, leading_y_term
 from rileycert.riley import RileyPolynomial, kl_named_polys, lambda_dt, riley_for_knot
 
 
@@ -352,6 +352,61 @@ def test_scan_signs_use_the_bounds_and_the_verifier_does_not(monkeypatch):
     calls.clear()
     assert verify_certificate(report.certificate, phi)
     assert calls == [False, False]
+
+
+def test_an_undecided_count_at_the_precision_cap_ends_the_scan(monkeypatch):
+    # J:8,8 at n = 7 needs 256 bits (a golden record); with the cap at the
+    # starting precision its first variation count stays undecided, and the
+    # isolation gives up there instead of splitting nodes it cannot count
+    monkeypatch.setattr(certify, "DEFAULT_PRECISION_CAP", certify.DEFAULT_PRECISION)
+    report = find_root_gt2(riley_for_knot(DoubleTwistKnot(8, 8)), 7, y_max_cap=64)
+    assert report.status == "inconclusive" and report.certificate is None
+    assert report.trace["nodes"] <= 2
+    assert report.trace["indefinite"] >= 1
+    assert report.trace["precision_escalations"] == 0
+
+
+# the end signs take one evaluation each at 128 bits; an indefinite midpoint
+# is retried at 256, ..., 4096 bits (6 evaluations), an exact zero is not
+@pytest.mark.parametrize("value, evaluations, indefinite",
+                         [((-1, 1), 2 + 6, 6), ((0, 0), 2 + 1, 0)])
+def test_an_undecided_midpoint_sign_ends_the_scan(monkeypatch, value, evaluations,
+                                                  indefinite):
+    # after the two end signs of the isolating interval, every evaluation
+    # answers the interval `value`: indefinite at every precision, or an
+    # exact zero.  Bisection cuts at the midpoint only and gives up on the
+    # first such sign; no other cut point or later interval is tried.
+    original = certify.eval_interval
+    ends = []
+
+    def undecided_inside(p, x, y, **kwargs):
+        if len(ends) < 2 and y.lo not in ends:
+            ends.append(y.lo)
+        if y.lo in ends:
+            return original(p, x, y, **kwargs)
+        return DyadicInterval(Dyadic(value[0]), Dyadic(value[1]))
+
+    monkeypatch.setattr(certify, "eval_interval", undecided_inside)
+    report = find_root_gt2(riley_for_knot(DoubleTwistKnot(2, -3)), 7, y_max_cap=64)
+    assert report.status == "inconclusive" and report.certificate is None
+    assert len(ends) == 2
+    assert report.trace["evaluations"] == evaluations
+    assert report.trace["indefinite"] == indefinite
+
+
+def test_every_phi_has_a_unit_leading_y_coefficient():
+    # the premise that no scan sign is an exact zero: phi(x_n, .) is monic
+    # up to sign over the algebraic integers, so its roots are algebraic
+    # integers, while every point the scan evaluates, 2 + 2**-64 + i * 2**-32,
+    # has 64 fractional bits and so is not one
+    knots = [DoubleTwistKnot(k, m) for k in range(1, 7)
+             for m in range(-6, 7) if abs(m) >= 2]
+    knots += [KlKnot(l) for l in range(2, 9)]
+    knots += [TwoBridgeFraction(p, q) for p in range(3, 52, 2)
+              for q in range(1, p, 2) if math.gcd(p, q) == 1]
+    for knot in knots:
+        _, lead = leading_y_term(riley_for_knot(knot).poly)
+        assert [(i, abs(c)) for i, _, c in lead.terms()] == [(0, 1)], knot
 
 
 def test_certificate_tampering_detected():

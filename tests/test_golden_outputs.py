@@ -2,8 +2,10 @@
 invocations, recorded from a known-good tree.
 
 The set covers one structured `certify` per criterion 2/3 family knot at its
-threshold n, the three criterion 9 n = 2 scans, one `lo-set` and one
-text-format `certify`.  A refactor of the search must leave every digest
+threshold n, the three criterion 9 n = 2 scans, one `lo-set`, one
+text-format `certify`, and three `certify` scans that raise the x_n
+precision (J:8,8 at n = 7 and Kl:20 at n = 5 to 256 bits, J:10,10 at n = 5
+to 512).  A refactor of the search must leave every digest
 unchanged, and every certificate in these outputs must still parse.  To re-record after an intended change of output, run
 
     PYTHONPATH=src python tests/test_golden_outputs.py > tests/data/golden_outputs.json
@@ -37,6 +39,9 @@ def golden_argvs() -> list[list[str]]:
     argvs.append(["lo-set", "--knot", "J:1,3", "--n-max", "6", "--ymax-cap", "64",
                   "--format", "structured"])
     argvs.append(["certify", "--knot", "J:1,4", "--n", "3"])
+    argvs += [["certify", "--knot", spec, "--n", str(n), "--ymax-cap", "64",
+               "--format", "structured"]
+              for spec, n in (("J:8,8", 7), ("Kl:20", 5), ("J:10,10", 5))]
     return argvs
 
 

@@ -194,14 +194,15 @@ def test_packed_recurrence_equals_dict_recurrence_laurent(e_terms, n):
 
 
 def test_m_one_boundary_convention():
+    # the generic engine takes any nonzero power of the word; the closed
+    # form takes only the family's |m| >= 2, as DoubleTwistKnot does, and
+    # checks k against K_MAX before any recurrence runs
     w, _ = word_double_twist(DoubleTwistKnot(1, 2))
-    assert riley_double_twist(1, 1).poly == alpha_dt(1)
     assert riley_generic(w, 1).poly == alpha_dt(1)
-    assert riley_double_twist(1, -1).poly == lambda_dt(1) - alpha_dt(1)
     assert riley_generic(w, -1).poly == lambda_dt(1) - alpha_dt(1)
-    assert "out of convention" in riley_double_twist(1, 1).presentation
-    with pytest.raises(ValueError):
-        riley_double_twist(1, 0)
+    for k, m in ((1, 1), (1, -1), (1, 0), (10**6, 1), (10**6, 2), (0, 2)):
+        with pytest.raises(ValueError):
+            riley_double_twist(k, m)
 
 
 def test_structure_violation_on_malformed_word():
@@ -355,3 +356,8 @@ def test_riley_for_knot_dispatch():
     assert riley_for_knot(KlKnot(2)).poly == riley_kl(2).poly
     with pytest.raises(TypeError):
         riley_for_knot("J:1,2")
+    # a misspelt engine is an error, not the closed form
+    for engine in ("generc", "closed-form", "", "GENERIC"):
+        for knot in (DoubleTwistKnot(1, 2), KlKnot(2), TwoBridgeFraction(5, 3)):
+            with pytest.raises(ValueError, match="engine"):
+                riley_for_knot(knot, engine=engine)

@@ -8,7 +8,6 @@ No timestamps are emitted, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -261,9 +260,7 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on the first call and shared by later ones."""
     parser = _Parser(
         prog="rileycert",
         description="Riley polynomials of two-bridge knots and rigorous "

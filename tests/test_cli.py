@@ -213,29 +213,6 @@ def test_error_exits(capsys):
     assert code == 0
 
 
-def test_repeated_main_calls_share_one_parser(capsys, monkeypatch):
-    # building the parser costs about as much as a short command, so main
-    # builds it once per process, on the first call
-    built = []
-    init = cli._Parser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    cli.build_parser.cache_clear()
-    assert run(capsys, "signs", "--fraction", "5/3")[0] == 0
-    one_build = len(built)
-    assert one_build >= 1
-    assert run(capsys, "signs", "--fraction", "7/3")[0] == 0
-    assert run(capsys, "certify", "--knot", "J:1,2")[0] == 1  # usage error
-    assert run(capsys, "riley", "--knot", "bogus")[0] == 1    # CliError
-    assert run(capsys, "signs", "--help")[0] == 0
-    assert len(built) == one_build
-    assert cli.build_parser() is cli.build_parser()
-
-
 @pytest.mark.parametrize("argv", [
     ("certify", "--knot", "J:1,2", "--n", "2", "--ymax", "64"),
     ("certify", "--knot", "J:1,2", "--n", "2", "--prec", "128"),

@@ -95,13 +95,16 @@ def _max_endpoint_exponent(precision: int) -> int:
     lies in (2, 2**20] (MAX_Y_MAX_CAP), so it is at most 2**19 wide, and at
     most 51 halvings bring it to BRACKET_WIDTH; every midpoint is a node end
     plus a multiple of 2**-32, so it keeps 64 fractional bits.  Values up to
-    2**20 have positive exponents up to 20, hence |exponent| <= 64, inside
-    the bound below at every precision.  The bound is looser and grows with
-    the precision because records from scans that started at P bits, with
-    the window at 2 + 2**-(P//2), have |exponent| < P/2 + 280 and must still
-    parse.
+    2**20 have positive exponents up to 20, hence |exponent| <= 64.  Older
+    records must parse too: scans that started at P bits (at most the
+    recorded precision) put the window at 2 + 2**-(P//2) and took at most
+    124 bisection steps of at most 2 fractional bits each, so their
+    endpoints have |exponent| < P/2 + 280.  The 431 grid records of the
+    last version before the root isolation, at its default 128 bits, reach
+    254; one it wrote at a starting precision set above about 180 bits may
+    exceed the bound.
     """
-    return 7 * precision + 350
+    return precision // 2 + 280
 
 
 def _field(obj: dict, key: str, parse):

@@ -79,35 +79,45 @@ def _packed_cheb_pair(n: int, t: list[tuple[int, int]], q_shift: int = 0) -> tup
 
 def sl2_power(M: PolyMatrix, n: int) -> PackedMatrix:
     """M**n for det(M) = 1, as a PackedMatrix, via the homogenised
-    M^n = S_n(tr M) I - S_{n-1}(tr M) M^-1.
+    M^n = S_n(tr M) I - S_{n-1}(tr M) M^-1 in t = s**2.
 
-    With e the largest |s-exponent| in M, W = s**e M has s-exponents in
-    [0, 2e] and det W = s**2e, and H_j = s**(je) S_j(tr M) satisfies
-    H_{j+1} = tr(W) H_j - s**2e H_{j-1}, so the recurrence needs no negative
-    powers: s**(ne) M**n = H_n I - H_{n-1} adj(W), packed with shift ne.
-    Its slots, sized from `_cheb_norms`, are those of
-    `PackedMatrix.packing_for`, so the Riley relator of the result can be
-    formed and checked on the packed integers; they also hold det W, whose
-    coefficients are at most 2 * ||W_ij||_1**2 and whose s-exponents lie in
-    [0, 4e], so the determinant is checked there too.
+    M checkerboard (diagonal s-exponents of one parity, off-diagonal ones of
+    the other, as for every word) is used as it is; any other M becomes the
+    checkerboard D M(s**2) D^-1, D = diag(s, 1), whose n-th power is
+    D M**n(s**2) D^-1.  With e the largest |s-exponent| of a diagonal entry
+    and one more than that of an off-diagonal one (all of one parity),
+    W = s**e M has even diagonal s-exponents in [0, 2e], odd off-diagonal
+    ones and det W = t**e, and H_j = s**(je) S_j(tr M) satisfies
+    H_{j+1} = tr(W) H_j - t**e H_{j-1} in t: s**(ne) M**n = H_n I -
+    H_{n-1} adj(W), packed with shift ne.  Its slots, sized from
+    `_cheb_norms`, are those of `PackedMatrix.packing_for`, so the Riley
+    relator of the result can be formed and checked on the packed integers;
+    they also hold det W, whose coefficients are at most 2 * ||W_ij||_1**2
+    and whose t-exponents lie in [0, 2e], so the determinant is checked
+    there too.  For M not checkerboard the result holds D M**n(s**2) D^-1,
+    which `Packing.entries` reads back as M**n with step 1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    maps = M.term_maps()
-    e = max((abs(i) for t in maps for i, _ in t), default=0)
+    maps, off = M.term_maps(), (0, 1, 1, 0)
+    step = 2 if len({(i + d) % 2 for t, d in zip(maps, off) for i, _ in t}) < 2 else 1
+    if step == 1:
+        maps = [{(2 * i + d, j): c for (i, j), c in t.items()} for t, d in zip(maps, (0, 1, -1, 0))]
+    e = max((abs(i) + d for t, d in zip(maps, off) for i, _ in t), default=0)
     w_norm = max(sum(map(abs, t.values())) for t in maps)
     trace = _merge(maps[0], maps[3])
     h_prev, h_cur = _cheb_norms(n, sum(map(abs, trace.values())))
     packing = PackedMatrix.packing_for(n * e, max(h_cur + h_prev * w_norm, w_norm ** 2))
-    packing = packing._replace(slots=max(packing.slots, 4 * e + 1))
-    w_packing = packing._replace(shift=e)
-    w11, w12, w21, w22 = (w_packing.pack(t) for t in maps)
+    packing = packing._replace(slots=max(packing.slots, 2 * e + 1))
+    w = packing._replace(shift=e).entries()
+    w11, w12, w21, w22 = (p.pack(t) for p, t in zip(w, maps))
     b = 8 * packing.nbytes
-    if w11 * w22 - w12 * w21 != 1 << 2 * e * b:
+    if w11 * w22 - (w12 * w21 << b) != 1 << e * b:
         raise NotUnimodular("determinant is not the ring unit")
-    h_prev, h_cur = _packed_cheb_pair(n, w_packing.multiplier(trace), 2 * e * b)
-    w11, w12, w21, w22 = (_times(h_prev, w_packing.multiplier(t)) for t in maps)
-    return PackedMatrix((h_cur - w22, w12, w21, h_cur - w11), packing)
+    h_prev, h_cur = _packed_cheb_pair(n, w[0].multiplier(trace), e * b)
+    w11, w12, w21, w22 = (_times(h_prev, p.multiplier(t)) for p, t in zip(w, maps))
+    return PackedMatrix((h_cur - w22, w12, w21, h_cur - w11),
+                        packing if step == 2 else packing._replace(shift=n * e // 2, step=1))
 
 
 def cheb_root_enclosures(n: int, precision: int) -> list[DyadicInterval]:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 # Largest accepted knot parameters.  The cost of phi grows with them (about
 # as p**4 for a fraction); at these limits `riley --cross-check`, or `riley`
-# for a fraction, takes at most about 35 s on a 2-core x86 host (see
-# ROADMAP.md), and one step beyond is refused before any work.  `certify`
+# for a fraction, takes at most about 17 s on a 2-core x86 host (two runs
+# each: Kl:50 13-15 s, J:20,20 7-9 s, 501/7 11-17 s; see ROADMAP.md), and
+# one step beyond is refused before any work.  `certify`
 # costs more there, since the root isolation's Taylor shifts grow with phi:
 # at the default cap, one run each on that host, `certify --knot J:20,20`
 # took 114-123 s per n (n = 5, 7, 8, 12) and `certify --knot Kl:50` 4.6 s

@@ -330,13 +330,14 @@ def _substitutes_back(f: XYPoly, p: SYPoly) -> bool:
 
 
 class Packing(NamedTuple):
-    """Kronecker substitution s -> 2**(8*nbytes), y -> 2**(8*nbytes*slots).
+    """Kronecker substitution s -> 2**(8*nbytes/step), y -> 2**(8*nbytes*slots).
 
-    A term c * s**i * y**j sits in slot (i + shift) + slots * j, so the
-    packed integer is s**shift * poly evaluated at those powers of two.  Slot
+    A term c * s**i * y**j sits in slot (i + shift) / step + slots * j, so the
+    packed integer is s**shift * poly evaluated at those powers of two; with
+    step 2 the slots count t = s**2 and every i + shift must be even.  Slot
     digits are signed: packing is faithful (and `unpack` its inverse) for
-    polynomials whose s-exponents lie in [-shift, slots - 1 - shift] and
-    whose coefficients are below 2**(8*nbytes - 1) in magnitude.  Integer
+    polynomials whose terms fall in slots 0 .. slots - 1 of their y-degree
+    and whose coefficients are below 2**(8*nbytes - 1) in magnitude.  Integer
     arithmetic on packed values is polynomial arithmetic at that point, so
     only a value that is unpacked or compared must meet these bounds, not
     the steps that made it.
@@ -345,11 +346,20 @@ class Packing(NamedTuple):
     shift: int
     slots: int
     nbytes: int
+    step: int = 1
 
     @classmethod
     def covering(cls, shift: int, slots: int, bound: int) -> "Packing":
         """Slots wide enough for every coefficient of magnitude <= bound."""
         return cls(shift, slots, (bound.bit_length() + 8) // 8)
+
+    def entries(self) -> tuple["Packing", "Packing", "Packing", "Packing"]:
+        """The packings of M11, M12, M21, M22 in a PackedMatrix.  Its integers
+        pack a checkerboard matrix in t = s**2, off-diagonal entries divided
+        by s: M itself (step 2), or D M(s**2) D**-1 with D = diag(s, 1)
+        (step 1), which read back in s leaves M12 as it is and M21 / s."""
+        off = self._replace(shift=self.shift - 1)
+        return self, off if self.step == 2 else self, off, self
 
     def _empty(self) -> bytes:
         """One slot holding 0 once half a slot is added: the bias that
@@ -359,13 +369,13 @@ class Packing(NamedTuple):
     def pack(self, terms: dict) -> int:
         """The integer of a {(s_exp, y_deg): coeff} term map."""
         nb, half = self.nbytes, 1 << (8 * self.nbytes - 1)
-        shift, slots = self.shift, self.slots
-        count = max((i + shift + slots * j for i, j in terms), default=-1) + 1
+        shift, slots, step = self.shift, self.slots, self.step
+        count = max(((i + shift) // step + slots * j for i, j in terms), default=-1) + 1
         buf = bytearray(self._empty() * count)
         for (i, j), c in terms.items():
-            if not 0 <= i + shift < slots:
+            if (i + shift) % step or not 0 <= i + shift < step * slots:
                 raise ValueError(f"s-exponent {i} outside the packing")
-            k = (i + shift + slots * j) * nb
+            k = ((i + shift) // step + slots * j) * nb
             buf[k:k + nb] = (c + half).to_bytes(nb, "little")
         return int.from_bytes(buf, "little") - int.from_bytes(self._empty() * count, "little")
 
@@ -373,23 +383,24 @@ class Packing(NamedTuple):
         """The (bit shift, coeff) pairs of s**shift * poly for the term map
         of poly, each shift being where `pack` puts that term: a packed
         value times s**shift * poly is the sum of coeff * (value << shift)
-        over the pairs, which `_times` forms.  s**shift * poly must have no
-        negative s-exponent."""
+        over the pairs, which `_times` forms.  Every term of s**shift * poly
+        must have a slot: no negative s-exponent, none off the step."""
         b = 8 * self.nbytes
-        shift, slots = self.shift, self.slots
-        return [(b * (i + shift + slots * j), c) for (i, j), c in terms.items()]
+        s_bits, y_bits, shift = b // self.step, b * self.slots, self.shift
+        return [(s_bits * (i + shift) + y_bits * j, c) for (i, j), c in terms.items()]
 
     def unpack(self, value: int) -> dict:
         """The {(s_exp, y_deg): coeff} term map of a packed integer."""
         nb, half, empty = self.nbytes, 1 << (8 * self.nbytes - 1), self._empty()
+        step, shift, slots = self.step, self.shift, self.slots
         count = value.bit_length() // (8 * nb) + 1
         buf = (value + int.from_bytes(empty * count, "little")).to_bytes(count * nb, "little")
         terms = {}
         for k in range(0, count * nb, nb):
             chunk = buf[k:k + nb]
             if chunk != empty:
-                j, i = divmod(k // nb, self.slots)
-                terms[(i - self.shift, j)] = int.from_bytes(chunk, "little") - half
+                j, i = divmod(k // nb, slots)
+                terms[(step * i - shift, j)] = int.from_bytes(chunk, "little") - half
         return terms
 
 
@@ -594,10 +605,13 @@ class PackedMatrix(PolyMatrix):
     unpacked on first read, so code that reads only the packed integers
     (the Riley engine, `chebyshev.sl2_power`) never pays for them.
 
-    This is the program's only matrix arithmetic.  The dict PolyMatrix
-    product stays beside it as the tests' independent oracle (the dict word
-    product, acceptance criterion 4), and a PackedMatrix compares equal to
-    the dict matrix with the same entries."""
+    The integers pack a checkerboard matrix in t = s**2 (`packing_for`,
+    `Packing.entries`): M itself when it is one, as for every word, and
+    else a conjugate of M(s**2).  This is the program's only matrix
+    arithmetic.  The dict PolyMatrix product stays beside it as the
+    tests' independent oracle (the dict word product, acceptance criterion
+    4), and a PackedMatrix compares equal to the dict matrix with the same
+    entries."""
 
     __slots__ = ("packed", "packing", "_entries")
 
@@ -607,17 +621,29 @@ class PackedMatrix(PolyMatrix):
 
     @staticmethod
     def packing_for(shift: int, bound: int) -> Packing:
-        """A packing for V = s**-shift * P, each entry P_ij of l1 norm <=
-        bound, that stays faithful for the Riley relator R = VA - BV and for
-        R21 - (y - 2) R12 (A = [[s, 1], [0, 1/s]], B = [[s, 0], [2 - y, 1/s]]).
-        Scaled by s**(shift + 1) these have s-exponents in
-        [0, 2 * shift + 2]; R's entries have l1 norm at most 5 * bound, so
-        R21 - (y - 2) R12 at most 14 * bound."""
-        return Packing.covering(shift, 2 * shift + 3, 14 * bound)
+        """The packing, in t = s**2, of a checkerboard V = s**-shift * P
+        (diagonal s-exponents of the parity of shift, off-diagonal ones of
+        the other),
+        each entry P_ij of l1 norm <= bound, that stays faithful for the
+        Riley relator R = VA - BV (A = [[s, 1], [0, 1/s]],
+        B = [[s, 0], [2 - y, 1/s]]).
+
+        The diagonal of P has even s-exponents in [0, 2 * shift], so t-slots
+        0 .. shift; the off-diagonal, divided by s, has t-slots
+        0 .. shift - 1.  With q_ij these t-polynomials, s**(shift + 1) R is
+        formed by `riley._relator` as R11 = 0 (identically),
+        R12 / s = q11 + q12 - t q12, R21 / s = t q21 - q21 - (2 - y) q11
+        and R22 / t = q21 - (2 - y) q12.  The values unpacked or compared
+        are the entries of V and their trace (l1 norm <= 2 * bound), R12 / s
+        (<= 3 * bound), R22 / t (<= 4 * bound) and
+        R21 / s - (y - 2) R12 / s (<= 14 * bound), all within t-slots
+        0 .. shift: shift + 1 slots per y-degree, for a word of L letters
+        L + 1, where packing in s takes 2L + 3."""
+        return Packing.covering(shift, shift + 1, 14 * bound)._replace(step=2)
 
     def _entry(self, k: int) -> SYPoly:
         if self._entries[k] is None:
-            self._entries[k] = SYPoly(self.packing.unpack(self.packed[k]))
+            self._entries[k] = SYPoly(self.packing.entries()[k].unpack(self.packed[k]))
         return self._entries[k]
 
     e11 = property(lambda self: self._entry(0))
@@ -626,7 +652,7 @@ class PackedMatrix(PolyMatrix):
     e22 = property(lambda self: self._entry(3))
 
     def term_maps(self) -> tuple[dict, dict, dict, dict]:
-        return tuple(self.packing.unpack(p) for p in self.packed)
+        return tuple(p.unpack(v) for p, v in zip(self.packing.entries(), self.packed))
 
     def adjugate(self) -> "PackedMatrix":
         p11, p12, p21, p22 = self.packed

@@ -8,17 +8,20 @@ other: the engine is the trust anchor for the transcribed closed forms.
 
 The engine works on packed integers (Kronecker substitution, see
 `polyring.Packing`).  Each generator is scaled by s, so that a word of L
-letters has entries s**L * W_ij with s-exponents in [0, 2L], and each entry
-is one integer at s = 2**B, y = 2**(B*S).  A letter is then a column update
-of a few shifts and adds: sA = [[s^2, s], [0, 1]] maps the columns
-(c1, c2) to (s^2 c1, s c1 + c2).  The slot width B comes from an l1-norm
-recursion run over the word before any arithmetic: a letter adds one column,
-times s or (2 - y)s (l1 norm 1 or 3), to the other, so the norms bound every
-coefficient of V.  B covers 14 times the largest of them and S = 2L + 3 slots
-cover one more letter, so that R = VA - BV and R21 - (y - 2)R12, the values
-the structure checks compare, cannot overflow a slot either.  Only R12 is
-unpacked.  `kl_cross_check` reads the K_l lambda, alpha and beta off the
-same packed matrices: the trace of C, and R12 of D and of C^-1 D.
+letters has entries s**L * W_ij with s-exponents in [0, 2L], even on the
+diagonal and odd off it, as every product of the generators keeps them.
+So each entry is one integer in t = s**2, the off-diagonal ones divided by
+s, at t = 2**B, y = 2**(B*S), and a letter is a column update of a few
+shifts and adds: sA = [[t, s], [0, 1]] maps the t-integers of the columns
+(c1, c2) to (t c1, c1 + c2) in row 1 and (t c1, t c1 + c2) in row 2.  The
+slot width B comes from an l1-norm recursion run over the word before any
+arithmetic: a letter adds one column, times s or (2 - y)s (l1 norm 1 or
+3), to the other, so the norms bound every coefficient of V.  B covers 14
+times the largest of them and S = L + 1 slots cover one more letter, so
+that R = VA - BV and R21 - (y - 2)R12, the values the structure checks
+compare, cannot overflow a slot either (`PackedMatrix.packing_for`).  Only
+R12 is unpacked.  `kl_cross_check` reads the K_l lambda, alpha and beta
+off the same packed matrices: the trace of C, and R12 of D and of C^-1 D.
 
 Both Chebyshev routes run the recurrence S_{j+1} = t S_j - q S_{j-1} on
 packed integers too, multiplying by t one term at a time (a shift and a
@@ -26,12 +29,12 @@ small-integer multiple).  The closed forms pack x into the inner slots, as
 many as the result's x-degree, and y into the outer ones, with q = 1; the
 slots are sized before any arithmetic by N_{j+1} = ||t||_1 N_j + N_{j-1},
 which bounds the l1 norm of S_j(t), so the one value unpacked, phi, is
-faithful.  The engine's power V^m (`chebyshev.sl2_power`) is homogenised:
-with e the largest |s-exponent| of V, W = s**e V has no negative powers,
-H_j = s**(je) S_j(tr V) satisfies the recurrence with t = tr W and
-q = s**2e (one shift), and s**(me) V**m = H_m I - H_{m-1} adj(W) comes
-back as a PackedMatrix in the slots the structure checks above need, so
-the power is never unpacked either.
+faithful.  The engine's power V^m (`chebyshev.sl2_power`) is homogenised
+in t as well: W = s**e V has no negative powers, H_j = s**(je) S_j(tr V)
+satisfies the recurrence with tr W in t and q = t**e (one shift), and
+s**(me) V**m = H_m I - H_{m-1} adj(W) comes back as a PackedMatrix in the
+slots the structure checks above need, so the power is never unpacked
+either.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ def generator_images() -> GeneratorImages:
 
 def evaluate_word(word: Word) -> PolyMatrix:
     """Ordered product of generator images, exponents expanded, as a
-    PackedMatrix: s**L times the product of the L letters, each scaled by s."""
+    PackedMatrix in t = s**2: s**L times the product of the L letters, each
+    scaled by s."""
     letters = [(gen, exp > 0) for gen, exp in word.letters for _ in range(abs(exp))]
     # l1 norms of the scaled entries, which bound their coefficients
     n11, n12, n21, n22 = 1, 0, 0, 1
@@ -102,66 +106,58 @@ def evaluate_word(word: Word) -> PolyMatrix:
             n11, n21 = n11 + 3 * n12, n21 + 3 * n22
     packing = PackedMatrix.packing_for(len(letters), max(n11, n12, n21, n22))
     b = 8 * packing.nbytes
-    ys = b * packing.slots   # y = 2**ys
-    p11, p12, p21, p22 = 1, 0, 0, 1
+    ys = b * packing.slots   # t = 2**b, y = 2**ys
+    q11, q12, q21, q22 = 1, 0, 0, 1
     for gen, positive in letters:
         if gen == "a":
-            if positive:    # sA = [[s^2, s], [0, 1]]
-                p12 += p11 << b
-                p22 += p21 << b
-                p11 <<= 2 * b
-                p21 <<= 2 * b
-            else:           # sA^-1 = [[1, -s], [0, s^2]]
-                p12 = (p12 << 2 * b) - (p11 << b)
-                p22 = (p22 << 2 * b) - (p21 << b)
-        elif positive:      # sB = [[s^2, 0], [(2 - y)s, 1]]
-            p11 = (p11 << 2 * b) + (p12 << b + 1) - (p12 << b + ys)
-            p21 = (p21 << 2 * b) + (p22 << b + 1) - (p22 << b + ys)
-        else:               # sB^-1 = [[1, 0], [(y - 2)s, s^2]]
-            p11 += (p12 << b + ys) - (p12 << b + 1)
-            p21 += (p22 << b + ys) - (p22 << b + 1)
-            p12 <<= 2 * b
-            p22 <<= 2 * b
-    return PackedMatrix((p11, p12, p21, p22), packing)
+            if positive:    # sA = [[t, s], [0, 1]]
+                q12 += q11
+                q22 += q21 << b
+                q11 <<= b
+                q21 <<= b
+            else:           # sA^-1 = [[1, -s], [0, t]]
+                q12 = (q12 << b) - q11
+                q22 = (q22 - q21) << b
+        elif positive:      # sB = [[t, 0], [(2 - y)s, 1]]
+            q11 = (q11 + (q12 << 1) - (q12 << ys)) << b
+            q21 = (q21 << b) + (q22 << 1) - (q22 << ys)
+        else:               # sB^-1 = [[1, 0], [(y - 2)s, t]]
+            q11 += (q12 << b + ys) - (q12 << b + 1)
+            q21 += (q22 << ys) - (q22 << 1)
+            q12 <<= b
+            q22 <<= b
+    return PackedMatrix((q11, q12, q21, q22), packing)
 
 
-def _relator(v: PackedMatrix) -> tuple[tuple[int, int, int, int], SYPoly]:
-    """R = VA - BV on the packed integers of V, and R12 unpacked: V sA (a
-    column update, as in evaluate_word) minus sB V (a row update), one more
-    power of s than V, which V's packing holds (`PackedMatrix.packing_for`)."""
-    p11, p12, p21, p22 = v.packed
+def _relator(v: PackedMatrix) -> tuple[int, int, SYPoly]:
+    """R = VA - BV on the t-integers of V: V sA (a column update, as in
+    evaluate_word) minus sB V (a row update), one more power of s than V.
+    R11 = V11 s - s V11 vanishes identically.  Returns the two values that
+    must vanish, R22 / t and R21 / s - (y - 2) R12 / s, sized by
+    `PackedMatrix.packing_for`, and R12 unpacked: R's off-diagonal packing,
+    one shift up and one down, is V's."""
+    q11, q12, q21, q22 = v.packed
     b = 8 * v.packing.nbytes
-    ys = b * v.packing.slots   # y = 2**ys
-    va = (p11 << 2 * b, (p11 << b) + p12, p21 << 2 * b, (p21 << b) + p22)
-    bv = (p11 << 2 * b, p12 << 2 * b,
-          (p11 << b + 1) - (p11 << b + ys) + p21, (p12 << b + 1) - (p12 << b + ys) + p22)
-    r = tuple(x - z for x, z in zip(va, bv))
-    return r, SYPoly(v.packing._replace(shift=v.packing.shift + 1).unpack(r[1]))
-
-
-def _riley_from_matrix(v: PackedMatrix, knot: str, presentation: str) -> RileyPolynomial:
-    (r11, r12, r21, r22), e12 = _relator(v)
-    if r11 or r22:
-        raise StructureViolation("diagonal of VA - BV is not zero")
-    ys = 8 * v.packing.nbytes * v.packing.slots   # y = 2**ys
-    if r21 != (r12 << ys) - (r12 << 1):
-        raise StructureViolation("R_21 != (y - 2) R_12")
-    return RileyPolynomial(symmetric_rewrite(e12), knot, presentation)
+    ys = b * v.packing.slots   # t = 2**b, y = 2**ys
+    r12 = q11 + q12 - (q12 << b)
+    r21 = (q21 << b) - q21 - (q11 << 1) + (q11 << ys)
+    r22 = q21 - (q12 << 1) + (q12 << ys)
+    return r22, r21 - (r12 << ys) + (r12 << 1), SYPoly(v.packing.unpack(r12))
 
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:
     """phi from the relator word: V = rho(v), or rho(v)^m when m is given
     (negative m powers the adjugate inverse)."""
-    w = evaluate_word(v)
-    if m is None:
-        V = w
-    elif m == 0:
+    if m == 0:
         raise ValueError("m must be nonzero")
-    else:
-        base = w if m > 0 else w.adjugate()
-        V = base if abs(m) == 1 else sl2_power(base, abs(m))
+    V = evaluate_word(v)
+    if m is not None:
+        V = sl2_power(V if m > 0 else V.adjugate(), abs(m))
+    r22, r21_excess, r12 = _relator(V)
+    if r22 or r21_excess:
+        raise StructureViolation("R_22 != 0 or R_21 != (y - 2) R_12 in R = VA - BV")
     tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
-    return _riley_from_matrix(V, knot, tag)
+    return RileyPolynomial(symmetric_rewrite(r12), knot, tag)
 
 
 def alpha_dt(k: int) -> XYPoly:
@@ -250,10 +246,10 @@ def kl_cross_check() -> bool:
     c = evaluate_word(KL_WORD_C)
     if symmetric_rewrite(SYPoly(c.packing.unpack(c.packed[0] + c.packed[3]))) != lam:
         return False
-    if symmetric_rewrite(_relator(evaluate_word(KL_WORD_D))[1]) != alpha:
+    if symmetric_rewrite(_relator(evaluate_word(KL_WORD_D))[2]) != alpha:
         return False
     c_inv = Word.from_letters((gen, -exp) for gen, exp in reversed(KL_WORD_C.letters))
-    return symmetric_rewrite(_relator(evaluate_word(c_inv * KL_WORD_D))[1]) == beta
+    return symmetric_rewrite(_relator(evaluate_word(c_inv * KL_WORD_D))[2]) == beta
 
 
 def riley_kl(l: int) -> RileyPolynomial:

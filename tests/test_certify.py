@@ -486,6 +486,25 @@ def test_certificate_fields_are_bounded():
                 RootCertificate.from_json_dict({**record, "bracket": bracket})
 
 
+def test_endpoint_exponent_bound_admits_old_records_only():
+    # the records of every scan since the root isolation have |exponent|
+    # < P/2 + 280 (P their precision); one past that is refused before any
+    # arithmetic, so a record cannot carry thousands of fractional bits
+    knot = DoubleTwistKnot(2, 3)
+    record = find_root_gt2(riley_for_knot(knot), 5, y_max_cap=64).certificate.to_json_dict()
+    for precision in (128, 129, 4096):
+        bound = precision // 2 + 280
+        for exponent, ok in ((bound, True), (-bound, True),
+                             (bound + 1, False), (-bound - 1, False)):
+            bracket = {**record["bracket"], "b": {"mantissa": "3", "exponent": exponent}}
+            hostile = {**record, "precision": precision, "bracket": bracket}
+            if ok:
+                assert RootCertificate.from_json_dict(hostile).b.e == exponent
+            else:
+                with pytest.raises(MalformedCertificate, match="bracket"):
+                    RootCertificate.from_json_dict(hostile)
+
+
 def test_verifying_a_record_at_the_precision_cap():
     # a record may claim any precision up to the cap; re-checking it at 4096
     # bits must stay cheap (the x_n enclosure dominates)

@@ -8,7 +8,7 @@ from rileycert.chebyshev import (NotUnimodular, cheb_eval, cheb_poly,
                                  solve_recurrence)
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.knots import DoubleTwistKnot, Word, word_double_twist
-from rileycert.polyring import PackedMatrix, PolyMatrix, SYPoly, XYPoly
+from rileycert.polyring import PackedMatrix, Packing, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word
 
 
@@ -154,16 +154,27 @@ def test_sl2_power_poly_matrix():
     w, _ = word_double_twist(DoubleTwistKnot(1, 2))
     mat = evaluate_word(w)
     assert sl2_power(mat, 3) == mat @ mat @ mat
+    # not checkerboard: the power of D M(s**2) D**-1, D = diag(s, 1), read
+    # back in s, where M**n has s-exponents out to the packing's ends +-n
+    s = SYPoly.s(1)
+    mat = PolyMatrix(s, SYPoly.zero(), s, SYPoly.s(-1))
+    direct = mat
+    for n in range(1, 7):
+        power = sl2_power(mat, n)
+        assert power == direct and power.packing.step == 1, n
+        direct = direct @ mat
     with pytest.raises(ValueError):
         sl2_power(ident, 0)
 
 
 def _packed(m: PolyMatrix) -> PackedMatrix:
-    """m packed as the Riley engine packs a word: slots for its relator."""
+    """m packed in s (step 1), as sl2_power returns a matrix that is not
+    checkerboard: M21 divided by s, one shift lower."""
     maps = m.term_maps()
-    shift = max((abs(i) for t in maps for i, _ in t), default=0)
-    packing = PackedMatrix.packing_for(shift, max(sum(map(abs, t.values())) for t in maps))
-    return PackedMatrix(tuple(packing.pack(t) for t in maps), packing)
+    shift = max((abs(i) for t in maps for i, _ in t), default=0) + 1
+    packing = Packing.covering(shift, 2 * shift + 1,
+                               max(sum(map(abs, t.values())) for t in maps))
+    return PackedMatrix(tuple(p.pack(t) for p, t in zip(packing.entries(), maps)), packing)
 
 
 def test_sl2_power_rejects_a_determinant_other_than_one():
@@ -176,11 +187,10 @@ def test_sl2_power_rejects_a_determinant_other_than_one():
     # V times diag(1, 1 + y): det 1 + y
     det_one_plus_y = PolyMatrix(mat.e11, mat.e12 * (1 + SYPoly.y()),
                                 mat.e21, mat.e22 * (1 + SYPoly.y()))
-    # det 1 + s**3 - y/s**6: s**6 (det - 1) = s**9 - y vanishes at
-    # s = 2**B, y = 2**(9B), so it takes more than the power's 2e + 3 = 9
-    # slots at n = 1 to tell it from 1
-    det_y_alias = PolyMatrix(1 + SYPoly.s(3), SYPoly.y() * SYPoly.s(-3),
-                             SYPoly.s(-3), one)
+    # det 1 + s**4 - y/s**2, with e = 2: t**2 (det - 1) = t**4 - y t
+    # vanishes at t = 2**B, y = 2**(3B), so it takes more than the power's
+    # e + 1 = 3 slots at n = 1 to tell it from 1
+    det_y_alias = PolyMatrix(s * s, SYPoly.s(-1), SYPoly.y() * SYPoly.s(-1) - s, s * s)
     # det 1 - 1/s + 2**16/s**2: s**2 (det - 1) = 2**16 - s vanishes at
     # s = 2**16, so it takes slots that hold ||entry||_1**2 = 2**16, not
     # just the power's entries, to tell it from 1

@@ -6,7 +6,8 @@ threshold n, the three criterion 9 n = 2 scans, one `lo-set`, one
 text-format `certify`, and three `certify` scans that raise the x_n
 precision (J:8,8 at n = 7 and Kl:20 at n = 5 to 256 bits, J:10,10 at n = 5
 to 512).  A refactor of the search must leave every digest
-unchanged, and every certificate in these outputs must still parse.  To re-record after an intended change of output, run
+unchanged, and every certificate in these outputs must still parse and
+verify.  To re-record after an intended change of output, run
 
     PYTHONPATH=src python tests/test_golden_outputs.py > tests/data/golden_outputs.json
 """
@@ -18,8 +19,9 @@ import json
 import sys
 from pathlib import Path
 
-from rileycert.certify import RootCertificate
-from rileycert.cli import main
+from rileycert.certify import RootCertificate, verify_certificate
+from rileycert.cli import main, parse_knot_spec
+from rileycert.riley import riley_for_knot
 
 DATA = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
 
@@ -72,7 +74,9 @@ def test_golden_outputs():
         if sha != record["sha256"]:
             mismatched.append(" ".join(record["argv"]))
         for cert in certificates(record["argv"], stdout):
-            assert RootCertificate.from_json_dict(cert).to_json_dict() == cert
+            parsed_cert = RootCertificate.from_json_dict(cert)
+            assert parsed_cert.to_json_dict() == cert
+            assert verify_certificate(parsed_cert, riley_for_knot(parse_knot_spec(cert["knot"])))
             parsed += 1
     for line in mismatched:
         print(f"golden output changed: rileycert {line}")

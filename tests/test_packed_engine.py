@@ -44,16 +44,76 @@ def test_packed_word_equals_dict_product(text):
     assert _entries(packed) == _entries(reference_evaluate_word(word))
 
 
+def _assert_checkerboard(packed: PackedMatrix, oracle: PolyMatrix):
+    # the oracle's diagonal s-exponents = shift and off-diagonal ones =
+    # shift + 1 (mod 2): every entry has a t-slot, and equals its unpacking
+    assert packed.packing.step == 2
+    for k, entry in enumerate(_entries(oracle)):
+        assert all((i - packed.packing.shift - (k in (1, 2))) % 2 == 0
+                   for i, _, _ in entry.terms())
+    assert _entries(packed) == _entries(oracle)
+
+
+def _palindromic_word(half: list[bool]) -> Word:
+    # a^e1 b^e2 ... with e_i = e_(p-i), as the relator word of p/q
+    signs = [1 if up else -1 for up in half + half[::-1]]
+    return Word.from_letters(("ab"[i % 2], e) for i, e in enumerate(signs))
+
+
+# the dict oracle's cost grows steeply with letters * |m| (a 40-letter
+# word to the 6th takes 10-30 s), so the two are drawn together: up to 40
+# letters, up to |m| = 6, at most 80 letters in all
+_WORDS_AND_POWERS = st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.one_of(st.text(alphabet="aAbB", max_size=min(40, 80 // m)).map(Word.parse_text),
+              st.lists(st.booleans(), max_size=min(20, 40 // m)).map(_palindromic_word)),
+    st.sampled_from((m, -m))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_WORDS_AND_POWERS)
+@example((Word.parse_text("bAbaBa"), 6))
+@example((word_from_signs(sign_sequence(TwoBridgeFraction(41, 15))), -2))
+def test_packed_results_equal_the_dict_oracle(word_and_power):
+    word, m = word_and_power
+    images = generator_images()
+    base, base_dict = evaluate_word(word), reference_evaluate_word(word)
+    _assert_checkerboard(base, base_dict)
+    if m < 0:
+        base, base_dict = base.adjugate(), base_dict.adjugate()
+    power, power_dict = sl2_power(base, abs(m)), base_dict
+    for _ in range(abs(m) - 1):
+        power_dict = power_dict @ base_dict
+    _assert_checkerboard(power, power_dict)
+    r = power_dict @ images.a - images.b @ power_dict
+    if r.e22 != SYPoly.zero():
+        with pytest.raises(riley.StructureViolation):
+            riley.riley_generic(word, m)
+    else:
+        assert riley.riley_generic(word, m).poly.to_sy() == r.e12
+
+
+def test_packed_entries_take_half_the_slots():
+    # host-independent size check: in t = s**2 an entry of the 148-letter
+    # word of 149/51 spans at most L + 2 slots per y-degree; packing in s
+    # took 2L + 3
+    v = evaluate_word(word_from_signs(sign_sequence(TwoBridgeFraction(149, 51))))
+    letters, b = 148, 8 * v.packing.nbytes
+    for value, entry in zip(v.packed, _entries(v)):
+        deg_y = max(j for _, j, _ in entry.terms())
+        assert value.bit_length() <= b * (letters + 2) * (deg_y + 1)
+
+
 @pytest.mark.parametrize("text", ["b" * 40, "B" * 40, "bA" * 30, "abAB" * 15,
                                   word_from_signs(sign_sequence(
                                       TwoBridgeFraction(151, 57))).to_text()])
 def test_slots_cover_the_relator_bound(text):
     # the l1 recursion must bound the true norms: the slots hold 14 times
-    # the largest entry norm, which R21 - (y - 2) R12 can reach
+    # the largest entry norm, which R21 - (y - 2) R12 can reach; in
+    # t = s**2 the relator of L letters spans t-slots 0 .. L
     m = evaluate_word(Word.parse_text(text))
     norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(m))
     assert 14 * norm < 2 ** (8 * m.packing.nbytes - 1)
-    assert m.packing.slots == 2 * len(text) + 3
+    assert m.packing.slots == len(text) + 1
 
 
 def test_unpack_borrows_across_adjacent_negative_slots():
@@ -90,7 +150,8 @@ def test_structure_checks_read_the_packed_relator(monkeypatch):
     v = word_from_signs(sign_sequence(TwoBridgeFraction(7, 3)))
     good = evaluate_word(v)
     p11, p12, p21, p22 = good.packed
-    # one more s**-L in V_21 or V_12 puts it into R_22 = V_21 - (2 - y) V_12
+    # one more s**(1 - L) in V_21 or V_12 (t-slot 0 of the off-diagonal
+    # integers) puts it into R_22 = V_21 - (2 - y) V_12
     for bad in ((p11, p12, p21 + 1, p22), (p11, p12 - 1, p21, p22)):
         monkeypatch.setattr(riley, "evaluate_word",
                             lambda word, bad=bad: PackedMatrix(bad, good.packing))
@@ -121,9 +182,9 @@ def test_power_path_reads_only_packed_integers(monkeypatch):
         seen.clear()
         assert riley.riley_generic(w, m).poly == closed[m]
         # the double-twist word's entries have |s-exponent| <= 2, so the
-        # power is packed with shift 5 * 2 and R12 with one more
-        assert seen[:4] == [word_packing] * 4
-        assert [pk.shift for pk in seen[4:]] == [11]
+        # power is packed with shift 5 * 2, which R12 / s shares
+        assert seen[:4] == list(word_packing.entries())
+        assert [pk.shift for pk in seen[4:]] == [10]
 
 
 def test_structure_checks_read_the_packed_power(monkeypatch):
@@ -141,14 +202,14 @@ def test_structure_checks_read_the_packed_power(monkeypatch):
 def test_power_slots_cover_the_relator_bound(k, m):
     # the Chebyshev norm recursion must bound the true norms of the power's
     # entries: the slots hold 14 times the largest of them, and span
-    # s-exponents -shift .. shift + 2
+    # t-slots 0 .. shift
     w, _ = word_double_twist(DoubleTwistKnot(k, 2))
     base = evaluate_word(w)
     power = sl2_power(base if m > 0 else base.adjugate(), abs(m))
     norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(power))
     assert 14 * norm < 2 ** (8 * power.packing.nbytes - 1)
     assert power.packing.shift == 2 * abs(m)
-    assert power.packing.slots >= 2 * power.packing.shift + 3
+    assert power.packing.slots >= power.packing.shift + 1
 
 
 def test_back_substitution_check_runs_on_every_build(monkeypatch):

@@ -8,7 +8,7 @@ runs on Kronecker-packed integers (`polyring.Packing`): `_packed_cheb_pair`
 multiplies by t one term at a time, a shift and a small-integer multiple
 each, and `_cheb_norms` bounds the l1 norms in advance so that the caller
 can size the slots of whatever it unpacks or compares.  `sl2_power` works
-this way on the homogenised matrix and returns a `PackedMatrix`.
+this way on the homogenised matrix of a `PackedMatrix` and returns one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
-from .polyring import PackedMatrix, PolyMatrix, XYPoly, _merge, _times
+from .polyring import PackedMatrix, XYPoly, _merge, _times
 
 
 class NotUnimodular(ValueError):
@@ -77,32 +77,27 @@ def _packed_cheb_pair(n: int, t: list[tuple[int, int]], q_shift: int = 0) -> tup
     return prev, cur
 
 
-def sl2_power(M: PolyMatrix, n: int) -> PackedMatrix:
-    """M**n for det(M) = 1, as a PackedMatrix, via the homogenised
+def sl2_power(M: PackedMatrix, n: int) -> PackedMatrix:
+    """M**n for det(M) = 1 via the homogenised
     M^n = S_n(tr M) I - S_{n-1}(tr M) M^-1 in t = s**2.
 
-    M checkerboard (diagonal s-exponents of one parity, off-diagonal ones of
-    the other, as for every word) is used as it is; any other M becomes the
-    checkerboard D M(s**2) D^-1, D = diag(s, 1), whose n-th power is
-    D M**n(s**2) D^-1.  With e the largest |s-exponent| of a diagonal entry
-    and one more than that of an off-diagonal one (all of one parity),
-    W = s**e M has even diagonal s-exponents in [0, 2e], odd off-diagonal
-    ones and det W = t**e, and H_j = s**(je) S_j(tr M) satisfies
-    H_{j+1} = tr(W) H_j - t**e H_{j-1} in t: s**(ne) M**n = H_n I -
-    H_{n-1} adj(W), packed with shift ne.  Its slots, sized from
-    `_cheb_norms`, are those of `PackedMatrix.packing_for`, so the Riley
-    relator of the result can be formed and checked on the packed integers;
-    they also hold det W, whose coefficients are at most 2 * ||W_ij||_1**2
-    and whose t-exponents lie in [0, 2e], so the determinant is checked
-    there too.  For M not checkerboard the result holds D M**n(s**2) D^-1,
-    which `Packing.entries` reads back as M**n with step 1.
+    M is checkerboard, as every PackedMatrix is.  With e the largest
+    |s-exponent| of a diagonal entry and one more than that of an
+    off-diagonal one (all of one parity), W = s**e M has even diagonal
+    s-exponents in [0, 2e], odd off-diagonal ones and det W = t**e, and
+    H_j = s**(je) S_j(tr M) satisfies H_{j+1} = tr(W) H_j - t**e H_{j-1}
+    in t: s**(ne) M**n = H_n I - H_{n-1} adj(W), packed with shift ne.
+    Its slots, sized from `_cheb_norms`, are those of
+    `PackedMatrix.packing_for`, so the Riley relator of the result can be
+    formed and checked on the packed integers; they also hold det W, whose
+    coefficients are at most 2 * ||W_ij||_1**2 and whose t-exponents lie
+    in [0, 2e], so the determinant is checked there too.
     """
+    if not isinstance(M, PackedMatrix):
+        raise TypeError(f"sl2_power takes a PackedMatrix, not {type(M).__name__}")
     if n < 1:
         raise ValueError("need n >= 1")
     maps, off = M.term_maps(), (0, 1, 1, 0)
-    step = 2 if len({(i + d) % 2 for t, d in zip(maps, off) for i, _ in t}) < 2 else 1
-    if step == 1:
-        maps = [{(2 * i + d, j): c for (i, j), c in t.items()} for t, d in zip(maps, (0, 1, -1, 0))]
     e = max((abs(i) + d for t, d in zip(maps, off) for i, _ in t), default=0)
     w_norm = max(sum(map(abs, t.values())) for t in maps)
     trace = _merge(maps[0], maps[3])
@@ -116,8 +111,7 @@ def sl2_power(M: PolyMatrix, n: int) -> PackedMatrix:
         raise NotUnimodular("determinant is not the ring unit")
     h_prev, h_cur = _packed_cheb_pair(n, w[0].multiplier(trace), e * b)
     w11, w12, w21, w22 = (_times(h_prev, p.multiplier(t)) for p, t in zip(w, maps))
-    return PackedMatrix((h_cur - w22, w12, w21, h_cur - w11),
-                        packing if step == 2 else packing._replace(shift=n * e // 2, step=1))
+    return PackedMatrix((h_cur - w22, w12, w21, h_cur - w11), packing)
 
 
 def cheb_root_enclosures(n: int, precision: int) -> list[DyadicInterval]:

@@ -354,12 +354,11 @@ class Packing(NamedTuple):
         return cls(shift, slots, (bound.bit_length() + 8) // 8)
 
     def entries(self) -> tuple["Packing", "Packing", "Packing", "Packing"]:
-        """The packings of M11, M12, M21, M22 in a PackedMatrix.  Its integers
-        pack a checkerboard matrix in t = s**2, off-diagonal entries divided
-        by s: M itself (step 2), or D M(s**2) D**-1 with D = diag(s, 1)
-        (step 1), which read back in s leaves M12 as it is and M21 / s."""
+        """The packings of M11, M12, M21, M22 in a PackedMatrix, whose
+        integers hold the off-diagonal entries divided by s: one shift
+        lower."""
         off = self._replace(shift=self.shift - 1)
-        return self, off if self.step == 2 else self, off, self
+        return self, off, off, self
 
     def _empty(self) -> bytes:
         """One slot holding 0 once half a slot is added: the bias that
@@ -551,7 +550,9 @@ def leading_y_term(p: XYPoly) -> tuple[int, XYPoly]:
 
 
 class PolyMatrix:
-    """2x2 matrix over Z[s, 1/s, y]."""
+    """2x2 matrix over Z[s, 1/s, y] by dict polynomial arithmetic.  The
+    program multiplies `PackedMatrix` integers only; this stays as the
+    tests' independent oracle."""
 
     __slots__ = ("e11", "e12", "e21", "e22")
 
@@ -591,69 +592,50 @@ class PolyMatrix:
     def __hash__(self):
         return hash((self.e11, self.e12, self.e21, self.e22))
 
-    def term_maps(self) -> tuple[dict, dict, dict, dict]:
-        """The {(s_exp, y_deg): coeff} maps of e11, e12, e21, e22; read only."""
-        return (self.e11._terms, self.e12._terms, self.e21._terms, self.e22._terms)
-
     def __repr__(self):
         return (f"PolyMatrix([{self.e11.to_text()!r}, {self.e12.to_text()!r}], "
                 f"[{self.e21.to_text()!r}, {self.e22.to_text()!r}])")
 
 
-class PackedMatrix(PolyMatrix):
-    """A PolyMatrix held as four packed integers; the SYPoly entries are
-    unpacked on first read, so code that reads only the packed integers
-    (the Riley engine, `chebyshev.sl2_power`) never pays for them.
+class PackedMatrix(NamedTuple):
+    """A 2x2 matrix over Z[s, 1/s, y] held as four packed integers: the
+    program's only matrix arithmetic (the Riley engine and
+    `chebyshev.sl2_power`).
 
-    The integers pack a checkerboard matrix in t = s**2 (`packing_for`,
-    `Packing.entries`): M itself when it is one, as for every word, and
-    else a conjugate of M(s**2).  This is the program's only matrix
-    arithmetic.  The dict PolyMatrix product stays beside it as the
-    tests' independent oracle (the dict word product, acceptance criterion
-    4), and a PackedMatrix compares equal to the dict matrix with the same
-    entries."""
+    The matrix is checkerboard (diagonal s-exponents of one parity,
+    off-diagonal ones of the other), as every word in the generators is
+    and products, adjugates and powers keep, so its integers pack it in
+    t = s**2, the off-diagonal entries divided by s (`packing_for`,
+    `Packing.entries`).  Nothing unpacks the entries but `term_maps`."""
 
-    __slots__ = ("packed", "packing", "_entries")
-
-    def __init__(self, packed: tuple[int, int, int, int], packing: Packing):
-        self.packed, self.packing = packed, packing
-        self._entries: list[SYPoly | None] = [None] * 4
+    packed: tuple[int, int, int, int]
+    packing: Packing
 
     @staticmethod
     def packing_for(shift: int, bound: int) -> Packing:
         """The packing, in t = s**2, of a checkerboard V = s**-shift * P
         (diagonal s-exponents of the parity of shift, off-diagonal ones of
-        the other),
-        each entry P_ij of l1 norm <= bound, that stays faithful for the
-        Riley relator R = VA - BV (A = [[s, 1], [0, 1/s]],
-        B = [[s, 0], [2 - y, 1/s]]).
+        the other), each entry P_ij of l1 norm <= bound, that stays
+        faithful for the Riley relator R = VA - BV
+        (A = [[s, 1], [0, 1/s]], B = [[s, 0], [2 - y, 1/s]]).
 
         The diagonal of P has even s-exponents in [0, 2 * shift], so t-slots
         0 .. shift; the off-diagonal, divided by s, has t-slots
-        0 .. shift - 1.  With q_ij these t-polynomials, s**(shift + 1) R is
-        formed by `riley._relator` as R11 = 0 (identically),
-        R12 / s = q11 + q12 - t q12, R21 / s = t q21 - q21 - (2 - y) q11
-        and R22 / t = q21 - (2 - y) q12.  The values unpacked or compared
-        are the entries of V and their trace (l1 norm <= 2 * bound), R12 / s
-        (<= 3 * bound), R22 / t (<= 4 * bound) and
-        R21 / s - (y - 2) R12 / s (<= 14 * bound), all within t-slots
-        0 .. shift: shift + 1 slots per y-degree, for a word of L letters
-        L + 1, where packing in s takes 2L + 3."""
-        return Packing.covering(shift, shift + 1, 14 * bound)._replace(step=2)
-
-    def _entry(self, k: int) -> SYPoly:
-        if self._entries[k] is None:
-            self._entries[k] = SYPoly(self.packing.entries()[k].unpack(self.packed[k]))
-        return self._entries[k]
-
-    e11 = property(lambda self: self._entry(0))
-    e12 = property(lambda self: self._entry(1))
-    e21 = property(lambda self: self._entry(2))
-    e22 = property(lambda self: self._entry(3))
+        0 .. shift - 1.  With q_ij these t-polynomials, s**(shift + 1) R has
+        R11 = 0, R12 / s = q11 + q12 - t q12 and R22 / t = q21 - (2 - y) q12;
+        R21 = (y - 2) R12 + (s - 1/s) R22 holds for every V, so R22 = 0 is
+        the one structure check (`riley._relator`).  The values unpacked or
+        compared are the entries of V and their trace (l1 norm
+        <= 2 * bound), R12 / s (<= 3 * bound) and R22 / t (<= 4 * bound),
+        all within t-slots 0 .. shift: shift + 1 slots per y-degree, for a
+        word of L letters L + 1, where packing in s takes 2L + 3."""
+        return Packing.covering(shift, shift + 1, 4 * bound)._replace(step=2)
 
     def term_maps(self) -> tuple[dict, dict, dict, dict]:
+        """The {(s_exp, y_deg): coeff} maps of M11, M12, M21, M22."""
         return tuple(p.unpack(v) for p, v in zip(self.packing.entries(), self.packed))
 
     def adjugate(self) -> "PackedMatrix":
+        """The inverse, when det = 1."""
         p11, p12, p21, p22 = self.packed
         return PackedMatrix((p22, -p12, -p21, p11), self.packing)

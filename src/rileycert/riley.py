@@ -16,12 +16,13 @@ shifts and adds: sA = [[t, s], [0, 1]] maps the t-integers of the columns
 (c1, c2) to (t c1, c1 + c2) in row 1 and (t c1, t c1 + c2) in row 2.  The
 slot width B comes from an l1-norm recursion run over the word before any
 arithmetic: a letter adds one column, times s or (2 - y)s (l1 norm 1 or
-3), to the other, so the norms bound every coefficient of V.  B covers 14
+3), to the other, so the norms bound every coefficient of V.  B covers 4
 times the largest of them and S = L + 1 slots cover one more letter, so
-that R = VA - BV and R21 - (y - 2)R12, the values the structure checks
-compare, cannot overflow a slot either (`PackedMatrix.packing_for`).  Only
-R12 is unpacked.  `kl_cross_check` reads the K_l lambda, alpha and beta
-off the same packed matrices: the trace of C, and R12 of D and of C^-1 D.
+that R12 and R22 of R = VA - BV cannot overflow a slot either
+(`PackedMatrix.packing_for`).  R21 = (y - 2)R12 + (s - 1/s)R22 holds for
+every V, so R22 = 0 is the one structure check, and only R12 is unpacked.
+`kl_cross_check` reads the K_l lambda, alpha and beta off the same packed
+matrices: the trace of C, and R12 of D and of C^-1 D.
 
 Both Chebyshev routes run the recurrence S_{j+1} = t S_j - q S_{j-1} on
 packed integers too, multiplying by t one term at a time (a shift and a
@@ -33,7 +34,7 @@ faithful.  The engine's power V^m (`chebyshev.sl2_power`) is homogenised
 in t as well: W = s**e V has no negative powers, H_j = s**(je) S_j(tr V)
 satisfies the recurrence with tr W in t and q = t**e (one shift), and
 s**(me) V**m = H_m I - H_{m-1} adj(W) comes back as a PackedMatrix in the
-slots the structure checks above need, so the power is never unpacked
+slots the structure check above needs, so the power is never unpacked
 either.
 """
 
@@ -92,7 +93,7 @@ def generator_images() -> GeneratorImages:
     return GeneratorImages(a, b, a.adjugate(), b.adjugate())
 
 
-def evaluate_word(word: Word) -> PolyMatrix:
+def evaluate_word(word: Word) -> PackedMatrix:
     """Ordered product of generator images, exponents expanded, as a
     PackedMatrix in t = s**2: s**L times the product of the L letters, each
     scaled by s."""
@@ -129,20 +130,19 @@ def evaluate_word(word: Word) -> PolyMatrix:
     return PackedMatrix((q11, q12, q21, q22), packing)
 
 
-def _relator(v: PackedMatrix) -> tuple[int, int, SYPoly]:
+def _relator(v: PackedMatrix) -> tuple[int, SYPoly]:
     """R = VA - BV on the t-integers of V: V sA (a column update, as in
     evaluate_word) minus sB V (a row update), one more power of s than V.
-    R11 = V11 s - s V11 vanishes identically.  Returns the two values that
-    must vanish, R22 / t and R21 / s - (y - 2) R12 / s, sized by
-    `PackedMatrix.packing_for`, and R12 unpacked: R's off-diagonal packing,
-    one shift up and one down, is V's."""
+    R11 = V11 s - s V11 vanishes and R21 = (y - 2) R12 + (s - 1/s) R22
+    for every V, so R22 is the one value that must vanish.  Returns R22 / t,
+    sized by `PackedMatrix.packing_for`, and R12 unpacked: R's
+    off-diagonal packing, one shift up and one down, is V's."""
     q11, q12, q21, q22 = v.packed
     b = 8 * v.packing.nbytes
     ys = b * v.packing.slots   # t = 2**b, y = 2**ys
     r12 = q11 + q12 - (q12 << b)
-    r21 = (q21 << b) - q21 - (q11 << 1) + (q11 << ys)
     r22 = q21 - (q12 << 1) + (q12 << ys)
-    return r22, r21 - (r12 << ys) + (r12 << 1), SYPoly(v.packing.unpack(r12))
+    return r22, SYPoly(v.packing.unpack(r12))
 
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:
@@ -153,9 +153,9 @@ def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPoly
     V = evaluate_word(v)
     if m is not None:
         V = sl2_power(V if m > 0 else V.adjugate(), abs(m))
-    r22, r21_excess, r12 = _relator(V)
-    if r22 or r21_excess:
-        raise StructureViolation("R_22 != 0 or R_21 != (y - 2) R_12 in R = VA - BV")
+    r22, r12 = _relator(V)
+    if r22:
+        raise StructureViolation("R_22 != 0 in R = VA - BV")
     tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
     return RileyPolynomial(symmetric_rewrite(r12), knot, tag)
 
@@ -246,10 +246,10 @@ def kl_cross_check() -> bool:
     c = evaluate_word(KL_WORD_C)
     if symmetric_rewrite(SYPoly(c.packing.unpack(c.packed[0] + c.packed[3]))) != lam:
         return False
-    if symmetric_rewrite(_relator(evaluate_word(KL_WORD_D))[2]) != alpha:
+    if symmetric_rewrite(_relator(evaluate_word(KL_WORD_D))[1]) != alpha:
         return False
     c_inv = Word.from_letters((gen, -exp) for gen, exp in reversed(KL_WORD_C.letters))
-    return symmetric_rewrite(_relator(evaluate_word(c_inv * KL_WORD_D))[2]) == beta
+    return symmetric_rewrite(_relator(evaluate_word(c_inv * KL_WORD_D))[1]) == beta
 
 
 def riley_kl(l: int) -> RileyPolynomial:

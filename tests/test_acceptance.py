@@ -38,6 +38,8 @@ from rileycert.riley import (alpha_dt, evaluate_word, generator_images,
                              lambda_dt, riley_double_twist, riley_for_knot,
                              riley_generic, riley_kl)
 
+from matrix_oracle import as_dict
+
 X = XYPoly.x()
 
 J_GRID_KM = [(k, m) for k in range(1, 5) for m in (2, 3, 4, -2, -3, -4)]
@@ -159,7 +161,8 @@ def test_criterion_4_symbolic_identities():
     images = generator_images()
     y_minus_2 = SYPoly.y() - SYPoly.const(2)
 
-    def r_structure_holds(v_matrix):
+    def r_structure_holds(packed):
+        v_matrix = as_dict(packed)
         r = (v_matrix @ images.a) - (images.b @ v_matrix)
         return (r.e11 == SYPoly.zero() and r.e22 == SYPoly.zero()
                 and r.e21 == y_minus_2 * r.e12 and r.e12.is_symmetric())

@@ -8,8 +8,10 @@ from rileycert.chebyshev import (NotUnimodular, cheb_eval, cheb_poly,
                                  solve_recurrence)
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.knots import DoubleTwistKnot, Word, word_double_twist
-from rileycert.polyring import PackedMatrix, Packing, PolyMatrix, SYPoly, XYPoly
+from rileycert.polyring import PackedMatrix, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word
+
+from matrix_oracle import as_dict, as_packed
 
 
 def u_poly(n):
@@ -136,54 +138,47 @@ def test_solve_recurrence_examples_and_oracle():
 def test_sl2_power_poly_matrix():
     ident = PolyMatrix.identity()
     for n in (1, 2, 5):
-        assert sl2_power(ident, n) == ident
-    # random words: powers 1..8 of V and of V^-1, packed and as dict
-    # matrices, against repeated products
+        assert as_dict(sl2_power(as_packed(ident), n)) == ident
+    # random words: powers 1..8 of V and of V^-1 against repeated dict
+    # products
     rng = random.Random(53)
     for _ in range(3):
         letters = [(rng.choice("ab"), rng.choice((-1, 1))) for _ in range(3)]
         mat = evaluate_word(Word.from_letters(letters))
-        plain = PolyMatrix(mat.e11, mat.e12, mat.e21, mat.e22)
-        for base in (mat, mat.adjugate(), plain, plain.adjugate()):
-            direct = base
+        for base in (mat, mat.adjugate()):
+            plain = direct = as_dict(base)
             for n in range(1, 9):
                 power = sl2_power(base, n)
                 assert isinstance(power, PackedMatrix)
-                assert power == direct, (letters, type(base).__name__, n)
-                direct = direct @ base
+                assert as_dict(power) == direct, (letters, n)
+                direct = direct @ plain
     w, _ = word_double_twist(DoubleTwistKnot(1, 2))
-    mat = evaluate_word(w)
-    assert sl2_power(mat, 3) == mat @ mat @ mat
-    # not checkerboard: the power of D M(s**2) D**-1, D = diag(s, 1), read
-    # back in s, where M**n has s-exponents out to the packing's ends +-n
+    mat = as_dict(evaluate_word(w))
+    assert as_dict(sl2_power(evaluate_word(w), 3)) == mat @ mat @ mat
+    # M**n = [[s**n, 0], [*, s**-n]]: entries at both ends of the power's
+    # t-slots 0 .. n
     s = SYPoly.s(1)
-    mat = PolyMatrix(s, SYPoly.zero(), s, SYPoly.s(-1))
+    mat = PolyMatrix(s, SYPoly.zero(), SYPoly.one(), SYPoly.s(-1))
     direct = mat
     for n in range(1, 7):
-        power = sl2_power(mat, n)
-        assert power == direct and power.packing.step == 1, n
+        power = sl2_power(as_packed(mat), n)
+        assert as_dict(power) == direct and power.packing.shift == n, n
         direct = direct @ mat
     with pytest.raises(ValueError):
-        sl2_power(ident, 0)
-
-
-def _packed(m: PolyMatrix) -> PackedMatrix:
-    """m packed in s (step 1), as sl2_power returns a matrix that is not
-    checkerboard: M21 divided by s, one shift lower."""
-    maps = m.term_maps()
-    shift = max((abs(i) for t in maps for i, _ in t), default=0) + 1
-    packing = Packing.covering(shift, 2 * shift + 1,
-                               max(sum(map(abs, t.values())) for t in maps))
-    return PackedMatrix(tuple(p.pack(t) for p, t in zip(packing.entries(), maps)), packing)
+        sl2_power(as_packed(ident), 0)
+    # only a PackedMatrix, which is checkerboard by construction
+    with pytest.raises(TypeError):
+        sl2_power(ident, 2)
+    with pytest.raises(ValueError):
+        as_packed(PolyMatrix(s, SYPoly.zero(), s, SYPoly.s(-1)))
 
 
 def test_sl2_power_rejects_a_determinant_other_than_one():
     one, zero, s = SYPoly.one(), SYPoly.zero(), SYPoly.s(1)
     det_s2 = PolyMatrix(s, zero, zero, s)
     det_minus_one = PolyMatrix(one, zero, zero, -one)
-    # det = -y/s
-    det_minus_y = PolyMatrix(s, SYPoly.y(), SYPoly.s(-1), zero)
-    mat = evaluate_word(Word.parse_text("abAB"))
+    det_minus_y = PolyMatrix(s, SYPoly.y(), one, zero)
+    mat = as_dict(evaluate_word(Word.parse_text("abAB")))
     # V times diag(1, 1 + y): det 1 + y
     det_one_plus_y = PolyMatrix(mat.e11, mat.e12 * (1 + SYPoly.y()),
                                 mat.e21, mat.e22 * (1 + SYPoly.y()))
@@ -191,28 +186,28 @@ def test_sl2_power_rejects_a_determinant_other_than_one():
     # vanishes at t = 2**B, y = 2**(3B), so it takes more than the power's
     # e + 1 = 3 slots at n = 1 to tell it from 1
     det_y_alias = PolyMatrix(s * s, SYPoly.s(-1), SYPoly.y() * SYPoly.s(-1) - s, s * s)
-    # det 1 - 1/s + 2**16/s**2: s**2 (det - 1) = 2**16 - s vanishes at
-    # s = 2**16, so it takes slots that hold ||entry||_1**2 = 2**16, not
+    # det 1 - 1/s**2 + 2**16/s**4: t**2 (det - 1) = 2**16 - t vanishes at
+    # t = 2**16, so it takes slots that hold ||W_ij||_1**2 = 2**16, not
     # just the power's entries, to tell it from 1
-    det_width_alias = PolyMatrix(one, 256 * SYPoly.s(-1), -256 * SYPoly.s(-1),
-                                 1 - SYPoly.s(-1))
+    det_width_alias = PolyMatrix(one, 256 * SYPoly.s(-1), -256 * SYPoly.s(-3),
+                                 1 - SYPoly.s(-2))
     for bad in (det_s2, det_minus_one, det_minus_y, det_one_plus_y,
                 det_y_alias, det_width_alias):
-        for base in (bad, _packed(bad)):
-            for n in (1, 2, 7):
-                with pytest.raises(NotUnimodular):
-                    sl2_power(base, n)
+        base = as_packed(bad)
+        for n in (1, 2, 7):
+            with pytest.raises(NotUnimodular):
+                sl2_power(base, n)
 
 
 def test_sl2_power_small_trace_large_entries():
     # tr M = y has l1 norm 1 while the entries reach about 10**6, so the
     # off-diagonal entries of M**n, S_{n-1}(y) times an entry of M, outgrow
     # S_n(y) by that factor: the slots must cover N_{n-1} ||M_ij||_1 too
-    u, y = 1000, SYPoly.y()
-    mat = PolyMatrix(y + u, SYPoly.one(), -1 - u * y - u * u, SYPoly.const(-u))
-    direct = mat
+    u, y, s = 1000, SYPoly.y(), SYPoly.s(1)
+    mat = PolyMatrix(y + u, s, (-1 - u * y - u * u) * SYPoly.s(-1), SYPoly.const(-u))
+    base, direct = as_packed(mat), mat
     for n in range(1, 61):
-        assert sl2_power(mat, n) == direct, n
+        assert as_dict(sl2_power(base, n)) == direct, n
         direct = direct @ mat
 
 

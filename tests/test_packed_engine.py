@@ -7,8 +7,10 @@ from rileycert import polyring, riley
 from rileycert.chebyshev import sl2_power
 from rileycert.knots import (DoubleTwistKnot, TwoBridgeFraction, Word,
                              sign_sequence, word_double_twist, word_from_signs)
-from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly
-from rileycert.riley import PackedMatrix, evaluate_word, generator_images
+from rileycert.polyring import PackedMatrix, Packing, PolyMatrix, SYPoly, XYPoly
+from rileycert.riley import evaluate_word, generator_images
+
+from matrix_oracle import as_dict
 
 
 def reference_evaluate_word(word: Word) -> PolyMatrix:
@@ -40,8 +42,8 @@ def _entries(m: PolyMatrix):
 def test_packed_word_equals_dict_product(text):
     word = Word.parse_text(text)
     packed = evaluate_word(word)
-    assert isinstance(packed, PolyMatrix)
-    assert _entries(packed) == _entries(reference_evaluate_word(word))
+    assert isinstance(packed, PackedMatrix)
+    assert as_dict(packed) == reference_evaluate_word(word)
 
 
 def _assert_checkerboard(packed: PackedMatrix, oracle: PolyMatrix):
@@ -51,7 +53,7 @@ def _assert_checkerboard(packed: PackedMatrix, oracle: PolyMatrix):
     for k, entry in enumerate(_entries(oracle)):
         assert all((i - packed.packing.shift - (k in (1, 2))) % 2 == 0
                    for i, _, _ in entry.terms())
-    assert _entries(packed) == _entries(oracle)
+    assert as_dict(packed) == oracle
 
 
 def _palindromic_word(half: list[bool]) -> Word:
@@ -98,7 +100,7 @@ def test_packed_entries_take_half_the_slots():
     # took 2L + 3
     v = evaluate_word(word_from_signs(sign_sequence(TwoBridgeFraction(149, 51))))
     letters, b = 148, 8 * v.packing.nbytes
-    for value, entry in zip(v.packed, _entries(v)):
+    for value, entry in zip(v.packed, _entries(as_dict(v))):
         deg_y = max(j for _, j, _ in entry.terms())
         assert value.bit_length() <= b * (letters + 2) * (deg_y + 1)
 
@@ -107,12 +109,13 @@ def test_packed_entries_take_half_the_slots():
                                   word_from_signs(sign_sequence(
                                       TwoBridgeFraction(151, 57))).to_text()])
 def test_slots_cover_the_relator_bound(text):
-    # the l1 recursion must bound the true norms: the slots hold 14 times
-    # the largest entry norm, which R21 - (y - 2) R12 can reach; in
-    # t = s**2 the relator of L letters spans t-slots 0 .. L
+    # the l1 recursion must bound the true norms: the slots hold 4 times
+    # the largest entry norm, which R22 / t, the one value the structure
+    # check compares, can reach; in t = s**2 the relator of L letters spans
+    # t-slots 0 .. L
     m = evaluate_word(Word.parse_text(text))
-    norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(m))
-    assert 14 * norm < 2 ** (8 * m.packing.nbytes - 1)
+    norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(as_dict(m)))
+    assert 4 * norm < 2 ** (8 * m.packing.nbytes - 1)
     assert m.packing.slots == len(text) + 1
 
 
@@ -143,7 +146,7 @@ def test_packed_adjugate_equals_dict_adjugate():
     plain = reference_evaluate_word(w)
     packed = evaluate_word(w)
     assert isinstance(packed.adjugate(), PackedMatrix)
-    assert _entries(packed.adjugate()) == _entries(plain.adjugate())
+    assert as_dict(packed.adjugate()) == plain.adjugate()
 
 
 def test_structure_checks_read_the_packed_relator(monkeypatch):
@@ -160,23 +163,18 @@ def test_structure_checks_read_the_packed_relator(monkeypatch):
 
 
 def test_power_path_reads_only_packed_integers(monkeypatch):
-    # riley_generic(w, m) builds no SYPoly entry of the word's matrix or of
-    # its power: the base is read once as term maps under the word's
-    # packing, and the one value unpacked under the power's packing is R12
+    # riley_generic(w, m) reads the word's matrix once, as term maps under
+    # its packing, and the one value unpacked under the power's packing is
+    # R12
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
     word_packing = evaluate_word(w).packing
     closed = {m: riley.riley_double_twist(3, m).poly for m in (5, -5)}
-
-    def no_entry(self, k):
-        raise AssertionError("an entry of a PackedMatrix was unpacked")
-
     unpack, seen = Packing.unpack, []
 
     def spy(self, value):
         seen.append(self)
         return unpack(self, value)
 
-    monkeypatch.setattr(PackedMatrix, "_entry", no_entry)
     monkeypatch.setattr(Packing, "unpack", spy)
     for m in (5, -5):
         seen.clear()
@@ -201,13 +199,13 @@ def test_structure_checks_read_the_packed_power(monkeypatch):
 @pytest.mark.parametrize("k, m", [(1, 2), (3, 6), (6, -6), (10, 10)])
 def test_power_slots_cover_the_relator_bound(k, m):
     # the Chebyshev norm recursion must bound the true norms of the power's
-    # entries: the slots hold 14 times the largest of them, and span
+    # entries: the slots hold 4 times the largest of them, and span
     # t-slots 0 .. shift
     w, _ = word_double_twist(DoubleTwistKnot(k, 2))
     base = evaluate_word(w)
     power = sl2_power(base if m > 0 else base.adjugate(), abs(m))
-    norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(power))
-    assert 14 * norm < 2 ** (8 * power.packing.nbytes - 1)
+    norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(as_dict(power)))
+    assert 4 * norm < 2 ** (8 * power.packing.nbytes - 1)
     assert power.packing.shift == 2 * abs(m)
     assert power.packing.slots >= power.packing.shift + 1
 

@@ -20,6 +20,8 @@ from rileycert.riley import (StructureViolation, alpha_dt,
                              kl_named_polys, lambda_dt, riley_double_twist,
                              riley_for_knot, riley_generic, riley_kl)
 
+from matrix_oracle import as_dict
+
 X, Y = XYPoly.x(), XYPoly.y()
 
 
@@ -37,12 +39,12 @@ def test_generator_images():
 
 
 def test_evaluate_word_basics():
-    assert evaluate_word(Word.from_letters(())) == PolyMatrix.identity()
-    assert evaluate_word(Word.parse_text("aA")) == PolyMatrix.identity()
-    assert evaluate_word(Word.parse_text("bB")) == PolyMatrix.identity()
+    assert as_dict(evaluate_word(Word.from_letters(()))) == PolyMatrix.identity()
+    assert as_dict(evaluate_word(Word.parse_text("aA"))) == PolyMatrix.identity()
+    assert as_dict(evaluate_word(Word.parse_text("bB"))) == PolyMatrix.identity()
     # trace of the double-twist word is the closed-form lambda
     w, _ = word_double_twist(DoubleTwistKnot(1, 2))
-    assert symmetric_rewrite(evaluate_word(w).trace()) == lambda_dt(1)
+    assert symmetric_rewrite(as_dict(evaluate_word(w)).trace()) == lambda_dt(1)
 
 
 def test_alpha_lambda_closed_forms():
@@ -287,12 +289,23 @@ def test_r_structure_identities():
         w, _ = word_double_twist(DoubleTwistKnot(k, 2))
         words.append(w)
     for v in words:
-        mat = evaluate_word(v)
+        mat = as_dict(evaluate_word(v))
         r = (mat @ g.a) - (g.b @ mat)
         assert r.e11 == SYPoly.zero()
         assert r.e22 == SYPoly.zero()
         assert r.e21 == y_minus_2 * r.e12
         assert r.e12.is_symmetric()
+    # for any V, R11 = 0 and R21 = (y - 2) R12 + (s - 1/s) R22, so R22 = 0
+    # is the engine's one structure check
+    s_minus_inv = SYPoly.s(1) - SYPoly.s(-1)
+    rng = random.Random(71)
+    for _ in range(20):
+        mat = PolyMatrix(*(SYPoly.from_terms([(rng.randint(-4, 4), rng.randint(0, 2),
+                                               rng.randint(-9, 9)) for _ in range(4)])
+                           for _ in range(4)))
+        r = (mat @ g.a) - (g.b @ mat)
+        assert r.e11 == SYPoly.zero()
+        assert r.e21 == y_minus_2 * r.e12 + s_minus_inv * r.e22
 
 
 def test_kl_named_polys_identities():
@@ -318,7 +331,7 @@ def test_kl_transcriptions_match_the_dict_relator():
     # generator images: tr C, (DA - BD)_12 and (C^-1 D A - B C^-1 D)_12
     lam, alpha, beta = kl_named_polys()
     g = generator_images()
-    c, d = evaluate_word(KL_WORD_C), evaluate_word(KL_WORD_D)
+    c, d = as_dict(evaluate_word(KL_WORD_C)), as_dict(evaluate_word(KL_WORD_D))
     assert symmetric_rewrite(c.trace()) == lam
     assert symmetric_rewrite(((d @ g.a) - (g.b @ d)).e12) == alpha
     cinv_d = c.adjugate() @ d

@@ -8,7 +8,7 @@ from .dyadic import Dyadic, DyadicInterval  # noqa: E402
 from .polyring import (SYPoly, XYPoly, eval_interval, leading_y_term,  # noqa: E402
                        symmetric_rewrite)
 from .chebyshev import (cheb_eval, cheb_poly, cheb_root_enclosures,  # noqa: E402
-                        sl2_power, solve_recurrence)
+                        solve_recurrence)
 from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,  # noqa: E402
                     hm_reduce, kl_fraction, run_length, sign_sequence,
                     word_double_twist, word_from_signs, word_kl)
@@ -21,8 +21,7 @@ __all__ = [
     "Dyadic", "DyadicInterval",
     "SYPoly", "XYPoly", "eval_interval",
     "leading_y_term", "symmetric_rewrite",
-    "cheb_eval", "cheb_poly", "cheb_root_enclosures", "sl2_power",
-    "solve_recurrence",
+    "cheb_eval", "cheb_poly", "cheb_root_enclosures", "solve_recurrence",
     "DoubleTwistKnot", "KlKnot", "TwoBridgeFraction", "Word",
     "hm_reduce", "kl_fraction", "run_length", "sign_sequence",
     "word_double_twist", "word_from_signs", "word_kl",

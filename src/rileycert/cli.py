@@ -112,20 +112,19 @@ def cmd_riley(args) -> int:
     if args.cross_check and isinstance(knot, TwoBridgeFraction):
         raise CliError("--cross-check applies to family knots (J:k,m or Kl:l)")
     phi = riley_for_knot(knot)
-    payload = {
-        "knot": phi.knot,
-        "presentation": phi.presentation,
-        "terms": phi.poly.triples(),
-        "hash": phi.content_hash,
-    }
-    lines = [phi.poly.to_text(), f"hash: {phi.content_hash}"]
-    if args.cross_check:
-        other = riley_for_knot(knot, engine="generic")
-        if other.poly != phi.poly:
-            raise CliError("cross-check FAILED: engines disagree")
-        payload["cross_check"] = "ok"
-        lines.append("cross-check: ok")
-    _emit(args, payload, lines)
+    # hashed before the cross-check: malloc then serves the generic route's
+    # integers from the megabytes phi's text frees, not from fresh pages
+    # (about 0.5 s of 8 s at J:20,20)
+    digest = phi.content_hash
+    if args.cross_check and riley_for_knot(knot, engine="generic").poly != phi.poly:
+        raise CliError("cross-check FAILED: engines disagree")
+    if args.format == "text":
+        lines = [phi.poly.to_text(), f"hash: {digest}"]
+        _emit(args, {}, lines + ["cross-check: ok"] * args.cross_check)
+        return EXIT_OK
+    payload = {"knot": phi.knot, "presentation": phi.presentation,
+               "terms": phi.poly.triples(), "hash": digest}
+    _emit(args, payload | ({"cross_check": "ok"} if args.cross_check else {}), [])
     return EXIT_OK
 
 

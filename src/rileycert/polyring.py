@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dyadic import Dyadic, DyadicInterval
@@ -25,12 +26,8 @@ class ZeroPolynomial(ValueError):
 def _merge(a: dict, b: dict, bsign: int = 1) -> dict:
     out = dict(a)
     for key, c in b.items():
-        c = bsign * c + out.get(key, 0)
-        if c:
-            out[key] = c
-        else:
-            out.pop(key, None)
-    return out
+        out[key] = bsign * c + out.get(key, 0)
+    return {key: c for key, c in out.items() if c}
 
 
 def _product(a: dict, b: dict) -> dict:
@@ -38,12 +35,8 @@ def _product(a: dict, b: dict) -> dict:
     for (i1, j1), c1 in a.items():
         for (i2, j2), c2 in b.items():
             key = (i1 + i2, j1 + j2)
-            c = out.get(key, 0) + c1 * c2
-            if c:
-                out[key] = c
-            else:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
 
 
 class _SparsePoly:
@@ -66,13 +59,8 @@ class _SparsePoly:
                 raise ValueError(f"negative {cls._first_symbol}-exponent {i}")
             if j < 0:
                 raise ValueError(f"negative y-exponent {j}")
-            key = (i, j)
-            c = terms.get(key, 0) + c
-            if c:
-                terms[key] = c
-            else:
-                terms.pop(key, None)
-        return cls(terms)
+            terms[(i, j)] = terms.get((i, j), 0) + c
+        return cls({key: c for key, c in terms.items() if c})
 
     @classmethod
     def zero(cls):
@@ -258,75 +246,117 @@ class SYPoly(_SparsePoly):
     def y(cls) -> "SYPoly":
         return cls({(0, 1): 1})
 
-    def invert_s(self) -> "SYPoly":
-        return SYPoly({(-i, j): c for (i, j), c in self._terms.items()})
-
     def is_symmetric(self) -> bool:
-        return self._terms == self.invert_s()._terms
+        """Invariant under s -> 1/s."""
+        return self._terms == {(-i, j): c for (i, j), c in self._terms.items()}
 
 
-def symmetric_rewrite(p: SYPoly) -> XYPoly:
+def symmetric_rewrite(p: SYPoly | int, packing: Packing | None = None) -> XYPoly:
     """Rewrite an s <-> 1/s symmetric Laurent polynomial as f(x, y), x = s + 1/s.
 
-    Uses the basis p_0 = 2, p_1 = x, p_k = x*p_{k-1} - p_{k-2} representing
-    s^k + s^-k; the defining identity f(s + 1/s, y) = p is re-verified after
-    the rewrite as insurance against exponent bookkeeping mistakes.
+    p is a SYPoly, or the integer of s**sigma * p packed in t = s**2 by
+    `packing` (step 2, shift sigma, y outer), as the Riley engine holds R12
+    and traces: the s-exponents of p then all have sigma's parity.  A SYPoly
+    is split by s-parity and each class packed so; every class runs the
+    same core below, and only f is unpacked.
+
+    Slot k of a y-row holds the coefficient of s**(2k - sigma), so for a
+    symmetric p slot (sigma + e) / 2 holds c_e, the coefficient of
+    P_e = s**e + s**-e (P_0 = 1 here), for e = sigma, sigma - 2, ...,
+    pi = sigma mod 2.  With u = x**2 = P_2 + 2 the class has
+    P_(e+2) = (u - 2) P_e - P_(e-2), so f = x**pi g(u), and Clenshaw's
+    recurrence b_m = a_m + (u - 2) b_(m+1) - b_(m+2), a_m = c_(2m+pi), sums
+    g on packed u-integers, two shifts and three adds per degree:
+    g = a_0 + (u - 2) b_1 - 2 b_2 for even sigma (P_0 = 2 in the
+    recurrence, 1 in f) and g = a_0 + (u - 3) b_1 - b_2 for odd sigma
+    (P_-1 = P_1 = x, P_3 = x (u - 3)).  Only g is unpacked, so only its
+    coefficients must fit the slots.  ||P_e||_1 is the Lucas number L_e
+    (L_(e+1) = L_e + L_(e-1); the l1 recursion N_e = |c_e| + N_(e+1) +
+    N_(e+2) of the x-step recurrence gives N_0 + N_2 = sum_e |c_e| L_e), so
+    no coefficient of f exceeds sum_e |c_e| L_e (1 in place of L_0), and
+    the u-slots, sigma // 2 + 1 per row, are sized by its largest value
+    over the rows.  `_substitutes_back` then compares f(s + 1/s, y) with
+    every slot of p: s**sigma f(s + 1/s) reads the same backwards, so that
+    check also finds an asymmetric p, which raises NotSymmetric.
     """
-    if not p.is_symmetric():
-        raise NotSymmetric("polynomial is not invariant under s -> 1/s")
-    max_k = max((abs(i) for i, _ in p._terms), default=0)
-    # p_k(x) for k = 0..max_k, as {x_deg: coeff}
-    basis = [{0: 2}, {1: 1}]
-    while len(basis) <= max_k:
-        nxt = {i + 1: c for i, c in basis[-1].items()}
-        for i, c in basis[-2].items():
-            nxt[i] = nxt.get(i, 0) - c
-        basis.append(nxt)
-    terms: dict = {}
-    for (k, j), c in p._terms.items():
-        if k < 0:
-            continue  # mirrored term is carried by its k > 0 partner
-        for i, b in (basis[k].items() if k else ((0, 1),)):
-            terms[(i, j)] = terms.get((i, j), 0) + b * c
-    result = XYPoly({key: c for key, c in terms.items() if c})
-    if not _substitutes_back(result, p):
+    if packing is None:
+        terms: dict = {}
+        for parity in (0, 1):
+            part = {key: c for key, c in p._terms.items() if key[0] & 1 == parity}
+            deg = max((abs(i) for i, _ in part), default=parity)
+            packing = Packing.covering(deg, deg + 1, max(map(abs, part.values()), default=0), 2)
+            terms.update(symmetric_rewrite(packing.pack(part), packing)._terms)
+        return XYPoly(terms)
+    sigma, nb, row_len = packing.shift, packing.nbytes, packing.slots * packing.nbytes
+    odd, half, buf = sigma & 1, 1 << 8 * nb - 1, packing.slot_bytes(p)
+    a_rows = [[int.from_bytes(buf[k:k + nb], "little") - half
+               for k in range(j + (sigma + 1) // 2 * nb, j + (sigma + 1) * nb, nb)]
+              for j in range(0, len(buf), row_len)]
+    lucas = [1, 1, 3]
+    while len(lucas) <= sigma:
+        lucas.append(lucas[-1] + lucas[-2])
+    bound = max(sum(map(mul, map(abs, a), lucas[odd::2])) for a in a_rows)
+    phi = Packing.covering(-odd, sigma // 2 + 1, bound, 2)
+    b, empty = 8 * phi.nbytes, phi._empty() * phi.slots
+    row_bias, out = int.from_bytes(empty, "little"), []   # g + row_bias: g's slot bytes
+    for a in a_rows:
+        b1 = b2 = 0                  # b_(m + 1), b_(m + 2)
+        for am in a[:0:-1]:
+            b1, b2 = (b1 << b) - (b1 << 1) - b2 + am, b1
+        g = a[0] + (b1 << b) - (b1 << 1) - b2 - (b1 if odd else b2)
+        out.append((g + row_bias).to_bytes(len(empty), "little"))
+    terms = phi.read(b"".join(out))
+    if not _substitutes_back(terms, p, packing):
+        if not SYPoly(packing.unpack(p)).is_symmetric():
+            raise NotSymmetric("polynomial is not invariant under s -> 1/s")
         raise AssertionError("symmetric rewrite failed back-substitution check")
-    return result
+    return XYPoly(terms)
 
 
-def _substitutes_back(f: XYPoly, p: SYPoly) -> bool:
-    """f(s + 1/s, y) == p, one y-degree at a time on packed integers.
+def _substitutes_back(f: dict, value: int, packing: Packing) -> bool:
+    """f(s + 1/s, y) == p, f a {(x_deg, y_deg): coeff} map and p packed as
+    `symmetric_rewrite` takes it, one y-row at a time in t = s**2.
 
-    With deg covering deg_x(f) and every |s-exponent| of p, slice j of
-    s**deg * f(s + 1/s, y) is Horner in s + 1/s,
-    A -> A * (s**2 + 1) + s**(deg - i) * f_ij: two shifts and two adds per
-    x-degree.  An l1 recursion run first (each step at most doubles the
-    norm) sizes the slots for the difference with slice j of s**deg * p.
+    Every x-degree i of f must have sigma's parity and be at most sigma, as
+    those of sum c_e P_e do.  Then s**sigma f_j(s + 1/s) is
+    sum_i f_ij (1 + t)**i t**((sigma - i) / 2): Horner in (1 + t)**2 over
+    the one parity class, A -> A (1 + t)**2 + t**((sigma - i) / 2) f_ij,
+    and one factor 1 + t at the end when sigma is odd, each step three shifts
+    and three adds.  A's l1 norm is at most sum_i |f_ij| 2**i.  The digits
+    of row j of p's integer are at most 2**(B - 1) in magnitude, so when
+    that norm is below 2**(B - 1) the difference has coefficients below
+    2**B, and a nonzero polynomial with such coefficients does not vanish
+    at t = 2**B (its lowest one would be a multiple of 2**B).  The rows are
+    compared in p's slots when those are that wide; otherwise p's bytes are
+    re-laid into slots wide enough, one strided copy per byte of a slot.
     """
-    deg = max(f.deg_x(), max((abs(i) for i, _ in p._terms), default=0))
+    sigma, slots, nb = packing.shift, packing.slots, packing.nbytes
     f_rows: dict[int, dict[int, int]] = {}
-    for (i, j), c in f._terms.items():
-        f_rows.setdefault(j, {})[i] = c
-    p_rows: dict[int, dict] = {}
-    for (i, j), c in p._terms.items():
-        p_rows.setdefault(j, {})[(i, 0)] = c
-    bound = 0
-    for j in f_rows.keys() | p_rows.keys():
-        row, norm = f_rows.get(j, {}), 0
-        for i in range(deg, -1, -1):
-            norm = 2 * norm + abs(row.get(i, 0))
-        bound = max(bound, norm + sum(abs(c) for c in p_rows.get(j, {}).values()))
-    packing = Packing.covering(deg, 2 * deg + 1, bound)
-    b = 8 * packing.nbytes
-    for j in f_rows.keys() | p_rows.keys():
-        row, acc = f_rows.get(j, {}), 0
-        for i in range(deg, -1, -1):
-            acc += acc << 2 * b
-            if i in row:
-                acc += row[i] << b * (deg - i)
-        if acc != packing.pack(p_rows.get(j, {})):
+    for (i, j), c in f.items():
+        if (sigma - i) & 1 or not 0 <= i <= sigma:
             return False
-    return True
+        f_rows.setdefault(j, {})[i] = c
+    norm = max([sum(abs(c) << i for i, c in row.items()) for row in f_rows.values()] + [0])
+    buf, wide = packing.slot_bytes(value), max(nb, Packing.covering(0, 0, norm).nbytes)
+    if wide > nb:
+        relaid = bytearray(len(buf) // nb * wide)
+        for r in range(nb):
+            relaid[r::wide] = buf[r::nb]
+        buf = relaid
+    b, row_len = 8 * wide, slots * wide
+    row_bias = int.from_bytes(packing._empty().ljust(wide, b"\0") * slots, "little")
+    for j in range(0, len(buf), row_len):
+        row, acc = f_rows.pop(j // row_len, {}), 0
+        top = max(row, default=-1)
+        pos = b * ((sigma - top) >> 1)       # the bit offset of t**((sigma - i) / 2)
+        for i in range(top, -1, -2):
+            acc += (acc << b + 1) + (acc << 2 * b) + (row.get(i, 0) << pos)
+            pos += b
+        if sigma & 1:
+            acc += acc << b
+        if acc != int.from_bytes(buf[j:j + row_len], "little") - row_bias:
+            return False
+    return not f_rows                        # no row of f beyond those of p
 
 
 class Packing(NamedTuple):
@@ -349,9 +379,9 @@ class Packing(NamedTuple):
     step: int = 1
 
     @classmethod
-    def covering(cls, shift: int, slots: int, bound: int) -> "Packing":
+    def covering(cls, shift: int, slots: int, bound: int, step: int = 1) -> "Packing":
         """Slots wide enough for every coefficient of magnitude <= bound."""
-        return cls(shift, slots, (bound.bit_length() + 8) // 8)
+        return cls(shift, slots, (bound.bit_length() + 8) // 8, step)
 
     def entries(self) -> tuple["Packing", "Packing", "Packing", "Packing"]:
         """The packings of M11, M12, M21, M22 in a PackedMatrix, whose
@@ -388,14 +418,23 @@ class Packing(NamedTuple):
         s_bits, y_bits, shift = b // self.step, b * self.slots, self.shift
         return [(s_bits * (i + shift) + y_bits * j, c) for (i, j), c in terms.items()]
 
+    def slot_bytes(self, value: int) -> bytes:
+        """The little-endian slots of a packed integer, in whole y-rows,
+        each holding its signed digit plus half a slot."""
+        count = (value.bit_length() // (8 * self.nbytes * self.slots) + 1) * self.slots
+        bias = int.from_bytes(self._empty() * count, "little")
+        return (value + bias).to_bytes(count * self.nbytes, "little")
+
     def unpack(self, value: int) -> dict:
         """The {(s_exp, y_deg): coeff} term map of a packed integer."""
+        return self.read(self.slot_bytes(value))
+
+    def read(self, buf: bytes) -> dict:
+        """The term map of slots laid out as `slot_bytes` gives them."""
         nb, half, empty = self.nbytes, 1 << (8 * self.nbytes - 1), self._empty()
         step, shift, slots = self.step, self.shift, self.slots
-        count = value.bit_length() // (8 * nb) + 1
-        buf = (value + int.from_bytes(empty * count, "little")).to_bytes(count * nb, "little")
         terms = {}
-        for k in range(0, count * nb, nb):
+        for k in range(0, len(buf), nb):
             chunk = buf[k:k + nb]
             if chunk != empty:
                 j, i = divmod(k // nb, slots)
@@ -629,7 +668,7 @@ class PackedMatrix(NamedTuple):
         <= 2 * bound), R12 / s (<= 3 * bound) and R22 / t (<= 4 * bound),
         all within t-slots 0 .. shift: shift + 1 slots per y-degree, for a
         word of L letters L + 1, where packing in s takes 2L + 3."""
-        return Packing.covering(shift, shift + 1, 4 * bound)._replace(step=2)
+        return Packing.covering(shift, shift + 1, 4 * bound, 2)
 
     def term_maps(self) -> tuple[dict, dict, dict, dict]:
         """The {(s_exp, y_deg): coeff} maps of M11, M12, M21, M22."""

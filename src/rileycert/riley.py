@@ -20,7 +20,18 @@ arithmetic: a letter adds one column, times s or (2 - y)s (l1 norm 1 or
 times the largest of them and S = L + 1 slots cover one more letter, so
 that R12 and R22 of R = VA - BV cannot overflow a slot either
 (`PackedMatrix.packing_for`).  R21 = (y - 2)R12 + (s - 1/s)R22 holds for
-every V, so R22 = 0 is the one structure check, and only R12 is unpacked.
+every V, so R22 = 0 is the one structure check.  R12 stays a packed
+integer, s**sigma R12 in V's t-packing (sigma its shift, L for a word),
+and `polyring.symmetric_rewrite` reads phi off its slot digits: slot
+(sigma + e) / 2 of each y-row holds c_e, the coefficient of s**e + s**-e,
+and each row is summed in that basis by Clenshaw's recurrence on packed
+u-integers, u = x**2 (every e has sigma's parity).  Those slots are sized
+by sum_e |c_e| L_e, the Lucas number L_e being the l1 norm of
+s**e + s**-e written in x, so phi is the one value unpacked.  The
+back-substitution check then forms s**sigma phi(s + 1/s) per y-row in t,
+Horner in (1 + t)**2, whose l1 norm is at most sum_i |phi_i| 2**i, and
+compares it with R12's row: in R12's own slots when they are wide enough
+for that bound, in re-laid wider ones otherwise.
 `kl_cross_check` reads the K_l lambda, alpha and beta off the same packed
 matrices: the trace of C, and R12 of D and of C^-1 D.
 
@@ -40,8 +51,8 @@ either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .chebyshev import _cheb_norms, _cheb_pair, _packed_cheb_pair, sl2_power
 from .knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot,
@@ -70,10 +81,11 @@ class RileyPolynomial:
     poly: XYPoly
     knot: str
     presentation: str
-    content_hash: str = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "content_hash", self.poly.content_hash())
+    @cached_property
+    def content_hash(self) -> str:
+        """Computed once, when first read: a cross-check compares polys only."""
+        return self.poly.content_hash()
 
 
 @lru_cache(maxsize=1)
@@ -130,19 +142,19 @@ def evaluate_word(word: Word) -> PackedMatrix:
     return PackedMatrix((q11, q12, q21, q22), packing)
 
 
-def _relator(v: PackedMatrix) -> tuple[int, SYPoly]:
+def _relator(v: PackedMatrix) -> tuple[int, int]:
     """R = VA - BV on the t-integers of V: V sA (a column update, as in
     evaluate_word) minus sB V (a row update), one more power of s than V.
     R11 = V11 s - s V11 vanishes and R21 = (y - 2) R12 + (s - 1/s) R22
     for every V, so R22 is the one value that must vanish.  Returns R22 / t,
-    sized by `PackedMatrix.packing_for`, and R12 unpacked: R's
+    sized by `PackedMatrix.packing_for`, and R12, both packed integers: R's
     off-diagonal packing, one shift up and one down, is V's."""
     q11, q12, q21, q22 = v.packed
     b = 8 * v.packing.nbytes
     ys = b * v.packing.slots   # t = 2**b, y = 2**ys
     r12 = q11 + q12 - (q12 << b)
     r22 = q21 - (q12 << 1) + (q12 << ys)
-    return r22, SYPoly(v.packing.unpack(r12))
+    return r22, r12
 
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:
@@ -157,7 +169,7 @@ def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPoly
     if r22:
         raise StructureViolation("R_22 != 0 in R = VA - BV")
     tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
-    return RileyPolynomial(symmetric_rewrite(r12), knot, tag)
+    return RileyPolynomial(symmetric_rewrite(r12, V.packing), knot, tag)
 
 
 def alpha_dt(k: int) -> XYPoly:
@@ -242,14 +254,12 @@ def kl_cross_check() -> bool:
     """Recover lambda, alpha, beta from the engine and compare with the
     transcriptions: lambda = rewrite(tr C), alpha from R_12 of the word D
     and beta from R_12 of C^-1 D, R = VA - BV for V the word's matrix."""
-    lam, alpha, beta = kl_named_polys()
     c = evaluate_word(KL_WORD_C)
-    if symmetric_rewrite(SYPoly(c.packing.unpack(c.packed[0] + c.packed[3]))) != lam:
-        return False
-    if symmetric_rewrite(_relator(evaluate_word(KL_WORD_D))[1]) != alpha:
-        return False
     c_inv = Word.from_letters((gen, -exp) for gen, exp in reversed(KL_WORD_C.letters))
-    return symmetric_rewrite(_relator(evaluate_word(c_inv * KL_WORD_D))[1]) == beta
+    found = [symmetric_rewrite(c.packed[0] + c.packed[3], c.packing)]
+    for v in (evaluate_word(KL_WORD_D), evaluate_word(c_inv * KL_WORD_D)):
+        found.append(symmetric_rewrite(_relator(v)[1], v.packing))
+    return tuple(found) == kl_named_polys()
 
 
 def riley_kl(l: int) -> RileyPolynomial:

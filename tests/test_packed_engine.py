@@ -164,25 +164,26 @@ def test_structure_checks_read_the_packed_relator(monkeypatch):
 
 def test_power_path_reads_only_packed_integers(monkeypatch):
     # riley_generic(w, m) reads the word's matrix once, as term maps under
-    # its packing, and the one value unpacked under the power's packing is
-    # R12
+    # its packing, and the one value read after that is phi: R12 under the
+    # power's packing is never turned into terms
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
     word_packing = evaluate_word(w).packing
     closed = {m: riley.riley_double_twist(3, m).poly for m in (5, -5)}
-    unpack, seen = Packing.unpack, []
+    read, seen = Packing.read, []
 
-    def spy(self, value):
+    def spy(self, buf):
         seen.append(self)
-        return unpack(self, value)
+        return read(self, buf)
 
-    monkeypatch.setattr(Packing, "unpack", spy)
+    monkeypatch.setattr(Packing, "read", spy)
     for m in (5, -5):
         seen.clear()
         assert riley.riley_generic(w, m).poly == closed[m]
         # the double-twist word's entries have |s-exponent| <= 2, so the
-        # power is packed with shift 5 * 2, which R12 / s shares
+        # power and R12 are packed with shift sigma = 5 * 2; phi = g(x**2)
+        # is read in sigma / 2 + 1 u-slots, shift 0
         assert seen[:4] == list(word_packing.entries())
-        assert [pk.shift for pk in seen[4:]] == [10]
+        assert [(pk.shift, pk.slots, pk.step) for pk in seen[4:]] == [(0, 6, 2)]
 
 
 def test_structure_checks_read_the_packed_power(monkeypatch):
@@ -211,18 +212,64 @@ def test_power_slots_cover_the_relator_bound(k, m):
 
 
 def test_back_substitution_check_runs_on_every_build(monkeypatch):
-    monkeypatch.setattr(polyring, "_substitutes_back", lambda f, p: False)
+    monkeypatch.setattr(polyring, "_substitutes_back", lambda f, value, packing: False)
     with pytest.raises(AssertionError):
         riley.riley_for_knot(TwoBridgeFraction(7, 3))
 
 
+def _packed_r12(fraction: TwoBridgeFraction):
+    v = evaluate_word(word_from_signs(sign_sequence(fraction)))
+    return riley._relator(v)[1], v.packing
+
+
+def _plus_one(f: dict, key) -> dict:
+    return {**f, key: f.get(key, 0) + 1}
+
+
 def test_back_substitution_check_bites():
-    f = riley.riley_for_knot(TwoBridgeFraction(27, 11)).poly
-    p = f.to_sy()
-    assert polyring._substitutes_back(f, p)
-    for i, j, _ in list(f.terms())[::7]:
-        assert not polyring._substitutes_back(f + XYPoly.from_terms([(i, j, 1)]), p)
-    # terms beyond the x-degree of f or the y-degree of p count too
-    deg_x = f.deg_x()
-    assert not polyring._substitutes_back(f + XYPoly.from_terms([(deg_x + 3, 0, 1)]), p)
-    assert not polyring._substitutes_back(f, p + SYPoly.from_terms([(0, 40, 1)]))
+    f = riley.riley_for_knot(TwoBridgeFraction(27, 11)).poly._terms
+    r12, packing = _packed_r12(TwoBridgeFraction(27, 11))
+    assert polyring._substitutes_back(f, r12, packing)
+    for key in list(f)[::7]:
+        assert not polyring._substitutes_back(_plus_one(f, key), r12, packing)
+    # terms beyond the x-degree of f, off its parity or beyond the
+    # y-degree of p count too: sigma = 26 here
+    deg_x = max(i for i, _ in f)
+    for key in ((deg_x + 2, 0), (deg_x + 3, 0), (1, 0), (0, 40)):
+        assert not polyring._substitutes_back(_plus_one(f, key), r12, packing)
+    assert not polyring._substitutes_back(f, r12 + packing.pack({(0, 40): 1}), packing)
+
+
+def test_back_substitution_check_relays_narrow_slots():
+    # p = (s**2 + 3 + s**-2)**10 = f(s + 1/s) for f = (x**2 + 1)**10, packed
+    # as the SYPoly entry packs it: its largest coefficient fits 3 bytes,
+    # but sum |f_i| 2**i = 5**10 needs 4, so the check re-lays p's slots
+    x = XYPoly.x()
+    f = ((x * x + 1) ** 10)._terms
+    p = XYPoly(f).to_sy()._terms
+    packing = Packing.covering(20, 21, max(map(abs, p.values())), 2)
+    assert packing.nbytes == 3 and Packing.covering(0, 0, 5 ** 10).nbytes == 4
+    value = packing.pack(p)
+    assert polyring._substitutes_back(f, value, packing)
+    assert polyring.symmetric_rewrite(value, packing) == XYPoly(f)
+    for key in f:
+        assert not polyring._substitutes_back(_plus_one(f, key), value, packing)
+    # d = T x**2 - (T + 1)**2 adds t**9 (t - T)(T t - 1) to s**20 f(s + 1/s),
+    # which vanishes at t = T = 2**24: only wider slots tell f + d from f
+    t = 2 ** (8 * packing.nbytes)
+    bad = {**f, (2, 0): f[(2, 0)] + t, (0, 0): f[(0, 0)] - (t + 1) ** 2}
+    assert not polyring._substitutes_back(bad, value, packing)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 12, 14, 25, 26])
+@pytest.mark.parametrize("row", [0, 6, 13])
+def test_a_corrupted_relator_digit_is_caught(monkeypatch, slot, row):
+    # one digit of R12 off by one on the engine path, anywhere but the
+    # middle slot (which would keep p symmetric): 27/11 has sigma = 26 and
+    # R12 of y-degree 13
+    r12, packing = _packed_r12(TwoBridgeFraction(27, 11))
+    bad = r12 + (1 << 8 * packing.nbytes * (slot + packing.slots * row))
+    relator = riley._relator
+    monkeypatch.setattr(riley, "_relator", lambda v: (relator(v)[0], bad))
+    with pytest.raises((polyring.NotSymmetric, AssertionError)):
+        riley.riley_for_knot(TwoBridgeFraction(27, 11))

@@ -124,6 +124,50 @@ def test_symmetric_rewrite_round_trip_random():
         assert f.to_sy() == p
 
 
+_PARITY_DEGREES = {"even": st.integers(0, 12).map(lambda k: 2 * k),
+                   "odd": st.integers(0, 12).map(lambda k: 2 * k + 1),
+                   "mixed": st.integers(0, 25), "constant": st.just(0)}
+
+
+@st.composite
+def _xy_polys(draw, parity):
+    # up to 12 terms, x-degrees of one parity class (or both, or none), y
+    # up to 5, and coefficients far beyond a machine word
+    coeffs = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
+    terms = draw(st.lists(st.tuples(_PARITY_DEGREES[parity], st.integers(0, 5), coeffs),
+                          max_size=12))
+    return XYPoly.from_terms(terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_PARITY_DEGREES)).flatmap(
+    lambda parity: st.tuples(st.just(parity), _xy_polys(parity))))
+def test_symmetric_rewrite_inverts_to_sy(parity_and_f):
+    # f(s + 1/s, y) is symmetric, and its rewrite is f again, whatever the
+    # s-parity classes of p and the size of its coefficients
+    _, f = parity_and_f
+    p = f.to_sy()
+    assert p.is_symmetric()
+    assert symmetric_rewrite(p) == f
+    assert symmetric_rewrite(p + SYPoly.const(2 ** 70)) == f + 2 ** 70
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5),
+                          st.integers(-2 ** 100, 2 ** 100)), max_size=12))
+def test_symmetric_rewrite_of_symmetric_sums(terms):
+    # sums of c (s**k + s**-k) y**j (c y**j for k = 0) rewrite to an f with
+    # f(s + 1/s, y) = p, and a change of one coefficient of s**k alone,
+    # k != 0, makes p asymmetric
+    p = SYPoly.from_terms([t for k, j, c in terms
+                           for t in ([(k, j, c), (-k, j, c)] if k else [(0, j, c)])])
+    assert symmetric_rewrite(p).to_sy() == p
+    for k, j, _ in terms:
+        if k:
+            with pytest.raises(NotSymmetric):
+                symmetric_rewrite(p + SYPoly.from_terms([(k, j, 2 ** 65)]))
+
+
 def test_leading_y_term():
     assert leading_y_term(X ** 2 * Y ** 3 + Y - 4) == (3, X ** 2)
     assert leading_y_term(XYPoly.const(7)) == (0, XYPoly.const(7))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
-from .polyring import XYPoly, eval_interval, y_coefficient_bounds
+from .polyring import _GUARD_BITS, XYPoly, eval_interval, y_coefficient_bounds
 from .riley import RileyPolynomial
 
 
@@ -70,8 +70,9 @@ class RootCertificate:
         Raises MalformedCertificate for a missing or malformed field: signs
         must be exactly "+" or "-"; n, precision and y_max JSON integers with
         n >= 2, precision in 1..DEFAULT_PRECISION_CAP and y_max >= 3; each
-        bracket exponent within _max_endpoint_exponent(precision), so that a
-        hostile record cannot make the verifier build huge integers.
+        bracket endpoint at most MAX_Y_MAX_CAP in absolute value, its
+        exponent within _max_endpoint_exponent(precision), so that a hostile
+        record cannot make the verifier build huge integers.
         """
         sign_a, sign_b = _field(obj, "signs", _parse_signs)
         precision = _field(obj, "precision", _int_parser(1, DEFAULT_PRECISION_CAP))
@@ -128,12 +129,15 @@ def _int_parser(lo: int, hi: int | None = None):
 
 def _parse_endpoint(value, bound: int) -> Dyadic:
     """{"mantissa": decimal string, "exponent": JSON integer}, the exponent
-    (once normalized) within +-bound."""
+    (once normalized) within +-bound and the value within +-MAX_Y_MAX_CAP:
+    every scan writes endpoints in (2, MAX_Y_MAX_CAP]."""
     if not (isinstance(value["mantissa"], str) and type(value["exponent"]) is int):
         raise TypeError(f"malformed endpoint {value!r}")
     d = Dyadic.from_json(value)
     if abs(d.e) > bound:
         raise ValueError(f"exponent {d.e} is beyond +-{bound}")
+    if not -MAX_Y_MAX_CAP <= d <= MAX_Y_MAX_CAP:
+        raise ValueError(f"endpoint is beyond +-{MAX_Y_MAX_CAP}")
     return d
 
 
@@ -180,11 +184,14 @@ class _SignOracle:
     trace.
 
     bounds encloses each coefficient c_j(x_n) of phi = sum_j c_j(x) y**j,
-    computed once per precision and rounded outward to 2**(-2 * precision):
+    computed once per precision by interval Horner in x with every product
+    rounded outward to 2**-(2P + 32), P the precision, and then rounded
+    outward to 2**-2P:
     bits below that lie far under the width of x_n and only slow the
     arithmetic.  Every sign is one eval_interval call given these bounds,
-    which answers from them when they fix the sign and else evaluates
-    exactly, so each sign is the one exact evaluation would give.
+    which answers from them, in fixed point at 2**-(2P + 32) with every
+    rounding outward, when they fix the sign and else evaluates exactly, so
+    each sign is the one exact evaluation would give.
     """
 
     def __init__(self, poly: XYPoly, n: int):
@@ -195,7 +202,8 @@ class _SignOracle:
     def _set_precision(self, precision: int) -> None:
         self.precision = precision
         self.xn = xn_enclosure(self.n, precision)
-        self.bounds = _round_outward(y_coefficient_bounds(self.poly, self.xn),
+        e_fixed = -2 * precision - _GUARD_BITS
+        self.bounds = _round_outward(y_coefficient_bounds(self.poly, self.xn, e_fixed),
                                      -2 * precision)
 
     def escalate(self) -> bool:
@@ -247,6 +255,31 @@ def _scale(c: list[int], k: int) -> list[int]:
     return [cj << (k * j if k >= 0 else -k * (d - j)) for j, cj in enumerate(c)]
 
 
+def _root_node(bounds: tuple[list[int], list[int], int], precision: int,
+               k_root: int) -> tuple[list[int], list[int]]:
+    """Integer bounds on the coefficients of phi(x_n, 2 + 2**-64 + 2**k_root t),
+    up to a positive factor, from the sign oracle's cached bounds.
+
+    The shift by 2 of the bounds is exact; the result is brought to units of
+    2**-(2P + 32), P the precision, and shifted by 2**-64 in that fixed
+    point, the lower bounds floored and the upper ones ceiled at each step.
+    Every step of a Taylor shift adds a nonnegative multiple of one
+    coefficient to another, so each floor or ceiling only widens the
+    bounds, and no coefficient carries the 64 * deg_y bits of the exact
+    shift.  The scale by 2**k_root is exact.
+    """
+    lo, hi, e = bounds
+    g = e + 2 * precision + _GUARD_BITS
+    lo = [c << g for c in _taylor_shift(_taylor_shift(lo))]
+    hi = [c << g for c in _taylor_shift(_taylor_shift(hi))]
+    d = len(lo) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            lo[j] += lo[j + 1] >> _MARGIN_BITS
+            hi[j] -= -hi[j + 1] >> _MARGIN_BITS
+    return _scale(lo, k_root), _scale(hi, k_root)
+
+
 def _variations(lo: list[int], hi: list[int]) -> int | None:
     """Sign variations of (1 + t)**d q(1/(1 + t)), the same for every q with
     lo <= coefficients <= hi, or None when a coefficient sign is not fixed.
@@ -272,23 +305,21 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
     None when the window holds none or a count is indefinite at
     DEFAULT_PRECISION_CAP.
 
-    The root node starts from the oracle's cached coefficient bounds.  A
-    node (a, a + 2**k) keeps integer bounds lo, hi on the coefficients of
+    The root node is formed from the oracle's cached coefficient bounds in
+    fixed point (_root_node); below it, every node is exact.  A node
+    (a, a + 2**k) keeps integer bounds lo, hi on the coefficients of
     q(t) = phi(x_n, a + 2**k t) up to a positive factor; its halves are
-    2**d q(t/2) and that shifted by 1, maps with nonnegative weights.  A node
+    2**d q(t/2) and that shifted by 1, maps with nonnegative weights, so a
+    count made on the bounds holds for every polynomial between them.  A node
     with no root is dropped, the first with a single root inside the window
     is returned, and any other is split unless it is no wider than
     BRACKET_WIDTH.  An indefinite variation count doubles the x_n precision
     and restarts the search.
     """
     k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
-    h = _MARGIN_BITS
     while True:
-        lo, hi, _ = oracle.bounds
-        # phi(x_n, 2 + 2**-h (1 + 2**(k_root + h) t)), times 2**(h d)
-        root = [_scale(_taylor_shift(_scale(_taylor_shift(_taylor_shift(c)), -h)),
-                       k_root + h) for c in (lo, hi)]
-        stack = [(Dyadic(2) + Dyadic(1, -h), k_root, *root, False)]
+        stack = [(Dyadic(2) + Dyadic(1, -_MARGIN_BITS), k_root,
+                  *_root_node(oracle.bounds, oracle.precision, k_root), False)]
         while stack:
             a, k, lo, hi, shift = stack.pop()
             if a >= y_max_cap:

@@ -457,6 +457,11 @@ def _times(value: int, multiplier: list[tuple[int, int]]) -> int:
     return out
 
 
+# bits kept below the y-bounds' exponent by the fixed-point y-Horner of
+# eval_interval
+_GUARD_BITS = 32
+
+
 def _scaled(iv: DyadicInterval) -> tuple[int, int, int]:
     """(lo, hi, e) with iv = [lo * 2**e, hi * 2**e]."""
     lo, hi = iv.lo, iv.hi
@@ -522,31 +527,31 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
     over x: lo[j] * 2**e <= c_j(u) <= hi[j] * 2**e for u in x, as
     y_coefficient_bounds gives them or any outward rounding of those.  For
     a point y = m / 2**k >= 0 the enclosure [sum lo[j] y**j, sum hi[j] y**j]
-    is then formed by one integer Horner pass per end and returned when it
-    excludes 0 or is exactly [0, 0]; otherwise the exact path below runs,
-    and a non-point or negative y always takes it.  Such a result has the
-    sign the exact path gives: both paths are exact interval arithmetic, so
-    Horner in x of b_i = sum_j a_ij y**j (the exact path) lies inside
+    is then formed by one fixed-point Horner pass per end, in units of
+    2**(e - _GUARD_BITS): t = floor(t * m / 2**k) + lo[j] for the lower end
+    and the ceiling for the upper one, so each end only moves outward.  It
+    is returned when it excludes 0; otherwise, an exact zero included, the
+    exact path below runs, and a non-point or negative y always takes it.
+    A returned result has the sign the exact path gives.  Horner in x of
+    b_i = sum_j a_ij y**j (the exact path) lies inside
     sum_j y**j * (Horner in x of c_j) by subdistributivity,
-    (A + B) * X within A * X + B * X, with y**j >= 0 a point factor; and
-    each Horner value of c_j lies in [lo[j], hi[j]] * 2**e.  So the exact
-    interval is inside the returned one, and a sign definite there, or an
-    exact zero, is the exact path's sign.
+    (A + B) * X within A * X + B * X, with y**j >= 0 a point factor; each
+    Horner value of c_j lies in [lo[j], hi[j]] * 2**e; and the floors and
+    ceilings only widen the sum.  So the exact interval is inside the
+    returned one, and a sign definite there is the exact path's sign.
     """
     if not p._terms:
         return DyadicInterval.point(0)
     if y_bounds is not None and y.is_point() and y.lo.m >= 0:
         lo, hi, e = y_bounds
         m, k = (y.lo.m, -y.lo.e) if y.lo.e < 0 else (y.lo.m << y.lo.e, 0)
-        # sum_j lo[j] * m**j * 2**(k*(D - j)), D = len(lo) - 1, and so for
-        # hi: y-Horner on integers, the result over 2**(k*D)
-        t_lo, t_hi, shift = lo[-1], hi[-1], 0
+        g = _GUARD_BITS
+        t_lo, t_hi = lo[-1] << g, hi[-1] << g
         for j in range(len(lo) - 2, -1, -1):
-            shift += k
-            t_lo, t_hi = t_lo * m + (lo[j] << shift), t_hi * m + (hi[j] << shift)
-        if t_lo > 0 or t_hi < 0 or t_lo == t_hi == 0:
-            e -= shift
-            return DyadicInterval(Dyadic(t_lo, e), Dyadic(t_hi, e))
+            t_lo = (t_lo * m >> k) + (lo[j] << g)
+            t_hi = (hi[j] << g) - (-t_hi * m >> k)
+        if t_lo > 0 or t_hi < 0:
+            return DyadicInterval(Dyadic(t_lo, e - g), Dyadic(t_hi, e - g))
     if y.is_point():
         # Horner in y at a point is exact: same coefficients
         coeffs = _point_y_coeffs(p, y.lo)
@@ -566,18 +571,52 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
     return DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
 
 
-def y_coefficient_bounds(p: XYPoly, x: DyadicInterval) -> tuple[list[int], list[int], int]:
+def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e_min: int | None = None
+                         ) -> tuple[list[int], list[int], int]:
     """(lo, hi, e) with lo[j] * 2**e <= c_j(u) <= hi[j] * 2**e for every u in
-    x, where p = sum_j c_j(x) y**j: each c_j by Horner in x, then all brought
-    to the smallest exponent."""
+    x, where p = sum_j c_j(x) y**j: each c_j by interval Horner in x on
+    integers over 2**e.
+
+    e = deg_x * (exponent of x), on which Horner is exact, unless e_min is
+    above that: then e = min(e_min, 0) and each product by x is floored at
+    its lower end and ceiled at its upper one.  Interval arithmetic is
+    inclusion-monotone, so the rounding only widens each enclosure, while
+    the integers stay near 2**-e in place of growing by the bits of x with
+    every degree.
+    """
+    x_lo, x_hi, ex = _scaled(x)
+    e = p.deg_x() * min(ex, 0)
+    if e_min is not None and e_min > e:
+        e = min(e_min, 0)
+    one = 1 << -e
     slices: dict[int, dict[int, int]] = {}
     for (i, j), c in p._terms.items():
         slices.setdefault(j, {})[i] = c
-    x_s = _scaled(x)
-    coeffs = [_horner(slices.get(j, {0: 0}), x_s) for j in range(p.deg_y() + 1)]
-    e = min(ce for _, _, ce in coeffs)
-    return ([lo << (ce - e) for lo, _, ce in coeffs],
-            [hi << (ce - e) for _, hi, ce in coeffs], e)
+    lo, hi = [], []
+    for j in range(p.deg_y() + 1):
+        row = slices.get(j, {0: 0})
+        l = h = 0
+        for i in range(max(row), -1, -1):
+            l, h = _mul_outward(l, h, x_lo, x_hi, ex)
+            c = row.get(i, 0) * one
+            l, h = l + c, h + c
+        lo.append(l)
+        hi.append(h)
+    return lo, hi, e
+
+
+def _mul_outward(lo: int, hi: int, x_lo: int, x_hi: int, s: int) -> tuple[int, int]:
+    """[lo, hi] * [x_lo, x_hi] * 2**s on integers, floored at its lower end
+    and ceiled at its upper one."""
+    if x_lo >= 0:
+        lo *= x_lo if lo >= 0 else x_hi
+        hi *= x_hi if hi >= 0 else x_lo
+    else:
+        c = (lo * x_lo, lo * x_hi, hi * x_lo, hi * x_hi)
+        lo, hi = min(c), max(c)
+    if s >= 0:
+        return lo << s, hi << s
+    return lo >> -s, -(-hi >> -s)
 
 
 def leading_y_term(p: XYPoly) -> tuple[int, XYPoly]:

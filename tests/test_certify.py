@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from rileycert import certify
 from rileycert.certify import (MAX_Y_MAX_CAP, HashMismatch,
                                MalformedCertificate, RootCertificate, ScanReport,
-                               _scale, _taylor_shift, _variations,
-                               find_root_gt2, verify_certificate, xn_enclosure)
+                               _root_node, _scale, _SignOracle, _taylor_shift,
+                               _variations, find_root_gt2, verify_certificate,
+                               xn_enclosure)
 from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
 from rileycert.polyring import XYPoly, eval_interval, leading_y_term
@@ -297,6 +298,52 @@ def test_variations_of_bounds_hold_for_every_polynomial_between(rows):
         assert _variations(inner, inner) == v
 
 
+def _exact_root_node(bounds, k_root):
+    """The root node as exact integers: phi(x_n, 2 + 2**-64 (1 + 2**(k_root + 64) t))
+    on the bounds, times 2**(64 d), in units of 2**e."""
+    lo, hi, _ = bounds
+    return [_scale(_taylor_shift(_scale(_taylor_shift(_taylor_shift(c)), -64)),
+                   k_root + 64) for c in (lo, hi)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-(1 << 80), 1 << 80), st.integers(0, 1 << 40)),
+                min_size=1, max_size=10),
+       st.integers(1, 300), st.integers(0, 600), st.integers(1, 20))
+def test_fixed_point_root_node_encloses_the_exact_one(rows, precision, depth, k_root):
+    # the exact root node is F_j / 2**(64 d) in units of 2**e, the fixed-point
+    # one in units of 2**(e - g); the fixed-point bounds hold it, and each
+    # floor or ceiling widens coefficient j by less than 2 (d + 1) units
+    # before the scale by 2**(k_root j)
+    e = max(-2 * precision, -depth)
+    bounds = ([l for l, _ in rows], [l + w for l, w in rows], e)
+    g = e + 2 * precision + 32
+    d = len(rows) - 1
+    lo, hi = _root_node(bounds, precision, k_root)
+    exact_lo, exact_hi = _exact_root_node(bounds, k_root)
+    for j in range(d + 1):
+        slack = 2 * (d + 1) << (k_root * j + 64 * d)
+        assert lo[j] << 64 * d <= exact_lo[j] << g < (lo[j] << 64 * d) + slack
+        assert hi[j] << 64 * d >= exact_hi[j] << g > (hi[j] << 64 * d) - slack
+
+
+@pytest.mark.parametrize("cap", [64, 1 << 16])
+def test_root_node_coefficients_carry_no_margin_tail(cap):
+    # the exact shift by 2**-64 puts 64 bits per y-degree into the root
+    # node; in fixed point the largest coefficient is the 2P + 32 bits of
+    # the units, plus the scale by 2**(k_root deg_y), plus a few
+    phi = riley_for_knot(DoubleTwistKnot(4, 6))
+    oracle = _SignOracle(phi.poly, 12)
+    k_root = (cap - 3).bit_length()
+    deg_y = phi.poly.deg_y()
+    budget = 2 * oracle.precision + 32 + k_root * deg_y
+    bits = max(abs(c).bit_length() for c in sum(_root_node(oracle.bounds,
+                                                           oracle.precision, k_root), []))
+    assert bits <= budget + 8
+    exact = max(abs(c).bit_length() for c in sum(_exact_root_node(oracle.bounds, k_root), []))
+    assert exact > budget + 32 * deg_y
+
+
 def test_find_root_inconclusive_n2():
     knot = DoubleTwistKnot(1, 2)
     phi = riley_for_knot(knot)
@@ -486,15 +533,34 @@ def test_certificate_fields_are_bounded():
                 RootCertificate.from_json_dict({**record, "bracket": bracket})
 
 
+def test_endpoint_values_are_bounded():
+    # every scan writes endpoints in (2, MAX_Y_MAX_CAP]; a 13000-bit mantissa
+    # at exponent 0 would make the verifier evaluate phi on 13000-bit y
+    knot = DoubleTwistKnot(2, 3)
+    record = find_root_gt2(riley_for_knot(knot), 5, y_max_cap=64).certificate.to_json_dict()
+    for mantissa, ok in ((MAX_Y_MAX_CAP, True), (-MAX_Y_MAX_CAP, True),
+                         (MAX_Y_MAX_CAP + 1, False), (-MAX_Y_MAX_CAP - 1, False),
+                         (2**13000 + 1, False)):
+        bracket = {**record["bracket"], "b": {"mantissa": str(mantissa), "exponent": 0}}
+        hostile = {**record, "bracket": bracket}
+        if ok:
+            assert RootCertificate.from_json_dict(hostile).b == Dyadic(mantissa)
+        else:
+            with pytest.raises(MalformedCertificate, match="bracket"):
+                RootCertificate.from_json_dict(hostile)
+
+
 def test_endpoint_exponent_bound_admits_old_records_only():
     # the records of every scan since the root isolation have |exponent|
     # < P/2 + 280 (P their precision); one past that is refused before any
-    # arithmetic, so a record cannot carry thousands of fractional bits
+    # arithmetic, so a record cannot carry thousands of fractional bits.  A
+    # positive exponent that large puts the endpoint far above 2**20, which
+    # the endpoint value bound refuses as well
     knot = DoubleTwistKnot(2, 3)
     record = find_root_gt2(riley_for_knot(knot), 5, y_max_cap=64).certificate.to_json_dict()
     for precision in (128, 129, 4096):
         bound = precision // 2 + 280
-        for exponent, ok in ((bound, True), (-bound, True),
+        for exponent, ok in ((bound, False), (-bound, True),
                              (bound + 1, False), (-bound - 1, False)):
             bracket = {**record["bracket"], "b": {"mantissa": "3", "exponent": exponent}}
             hostile = {**record, "precision": precision, "bracket": bracket}

@@ -3,9 +3,11 @@ invocations, recorded from a known-good tree.
 
 The set covers one structured `certify` per criterion 2/3 family knot at its
 threshold n, the three criterion 9 n = 2 scans, one `lo-set`, one
-text-format `certify`, and three `certify` scans that raise the x_n
+text-format `certify`, and four `certify` scans that raise the x_n
 precision (J:8,8 at n = 7 and Kl:20 at n = 5 to 256 bits, J:10,10 at n = 5
-to 512).  A refactor of the search must leave every digest
+to 512, and J:12,12 at n = 7 to 512 at the default cap, so that the
+fixed-point root node and bounds are checked after two escalations).  A
+refactor of the search must leave every digest
 unchanged, and every certificate in these outputs must still parse and
 verify.  To re-record after an intended change of output, run
 
@@ -44,6 +46,7 @@ def golden_argvs() -> list[list[str]]:
     argvs += [["certify", "--knot", spec, "--n", str(n), "--ymax-cap", "64",
                "--format", "structured"]
               for spec, n in (("J:8,8", 7), ("Kl:20", 5), ("J:10,10", 5))]
+    argvs.append(["certify", "--knot", "J:12,12", "--n", "7", "--format", "structured"])
     return argvs
 
 

@@ -273,18 +273,49 @@ def test_eval_interval_matches_reference(p, x, y, tx, ty):
     assert iv.contains_fraction(p.eval_fraction(u, v))
 
 
-@settings(max_examples=200, deadline=None)
-@given(sparse_polys, intervals, st.fractions(0, 1))
-def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx):
-    lo, hi, e = y_coefficient_bounds(p, x)
+@settings(max_examples=300, deadline=None)
+@given(sparse_polys, intervals, st.fractions(0, 1), st.one_of(st.none(), st.integers(-90, 10)))
+def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx, e_min):
+    lo, hi, e = y_coefficient_bounds(p, x, e_min)
     u = x.lo.as_fraction() + tx * x.width().as_fraction()
     slices = p.y_slices()
     assert len(lo) == len(hi) == p.deg_y() + 1
     for j, (l, h) in enumerate(zip(lo, hi)):
         c = slices[j].eval_fraction(u, Fraction(0)) if j in slices else 0
         assert l * Fraction(2) ** e <= c <= h * Fraction(2) ** e
+    exact_e = y_coefficient_bounds(p, x)[2]
+    if e_min is None or e_min <= exact_e:
+        assert e == exact_e
         if x.is_point():
-            assert l == h
+            assert lo == hi
+    else:  # rounded onto e_min, but never above 2**0, so x**0 = 1 stays exact
+        assert e == min(e_min, 0)
+
+
+# 3 + x y - 2 x**2 y + x**3 y**2: c_0 = 3, c_1 = x - 2 x**2, c_2 = x**3
+COEFFICIENT_CASES = XYPoly.from_terms([(0, 0, 3), (1, 1, 1), (2, 1, -2), (3, 2, 1)])
+
+
+def test_y_coefficient_bounds_straddling_x():
+    # interval Horner: c_1 = (-2 X + 1) X = [-1, 3] * [-1, 1], c_2 = X X X
+    x = DyadicInterval(Dyadic(-1), Dyadic(1))
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x) == ([3, -3, -1], [3, 3, 1], 0)
+
+
+def test_y_coefficient_bounds_negative_x():
+    # x in [-3/2, -1/2]: c_1 = (-2 X + 1) X = [2, 4] X, c_2 = X**3, on 2**-3
+    x = DyadicInterval(Dyadic(-3, -1), Dyadic(-1, -1))
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x) == ([24, -48, -27], [24, -8, -1], -3)
+
+
+def test_y_coefficient_bounds_point_x():
+    # x = 3/4: exact on 2**-6, and so below it; on 2**-4 only the last
+    # product of x**3 = 27/64 is cut
+    x = DyadicInterval.point(Dyadic(3, -2))
+    exact = ([192, -24, 27], [192, -24, 27], -6)
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x) == exact
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x, -10) == exact
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x, -4) == ([48, -6, 6], [48, -6, 7], -4)
 
 
 bounds_exponents = st.one_of(st.none(), st.integers(-90, 10))
@@ -293,9 +324,12 @@ nonneg_points = st.builds(Dyadic, st.integers(0, 1 << 24),
 
 
 def _bounds(p, x, e_min):
-    """y_coefficient_bounds of p over x, rounded outward to e_min unless None."""
-    bounds = y_coefficient_bounds(p, x)
-    return bounds if e_min is None else _round_outward(bounds, e_min)
+    """y_coefficient_bounds of p over x, as the sign oracle forms them: on the
+    powers rounded to e_min - 32 and then rounded outward to e_min, unless
+    e_min is None."""
+    if e_min is None:
+        return y_coefficient_bounds(p, x)
+    return _round_outward(y_coefficient_bounds(p, x, e_min - 32), e_min)
 
 
 @settings(max_examples=300, deadline=None)

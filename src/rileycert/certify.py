@@ -185,11 +185,11 @@ class _SignOracle:
 
     bounds encloses each coefficient c_j(x_n) of phi = sum_j c_j(x) y**j,
     computed once per precision by interval Horner in x with every product
-    rounded outward to 2**-(2P + 32), P the precision, and then rounded
-    outward to 2**-2P:
+    rounded outward to 2**e_fixed, e_fixed = -(2P + 32) and P the precision,
+    and then rounded outward to 2**-2P:
     bits below that lie far under the width of x_n and only slow the
     arithmetic.  Every sign is one eval_interval call given these bounds,
-    which answers from them, in fixed point at 2**-(2P + 32) with every
+    which answers from them, in fixed point at 2**e_fixed with every
     rounding outward, when they fix the sign and else evaluates exactly, so
     each sign is the one exact evaluation would give.
     """
@@ -202,8 +202,8 @@ class _SignOracle:
     def _set_precision(self, precision: int) -> None:
         self.precision = precision
         self.xn = xn_enclosure(self.n, precision)
-        e_fixed = -2 * precision - _GUARD_BITS
-        self.bounds = _round_outward(y_coefficient_bounds(self.poly, self.xn, e_fixed),
+        self.e_fixed = -2 * precision - _GUARD_BITS
+        self.bounds = _round_outward(y_coefficient_bounds(self.poly, self.xn, self.e_fixed),
                                      -2 * precision)
 
     def escalate(self) -> bool:
@@ -255,21 +255,21 @@ def _scale(c: list[int], k: int) -> list[int]:
     return [cj << (k * j if k >= 0 else -k * (d - j)) for j, cj in enumerate(c)]
 
 
-def _root_node(bounds: tuple[list[int], list[int], int], precision: int,
+def _root_node(bounds: tuple[list[int], list[int], int], e_fixed: int,
                k_root: int) -> tuple[list[int], list[int]]:
     """Integer bounds on the coefficients of phi(x_n, 2 + 2**-64 + 2**k_root t),
     up to a positive factor, from the sign oracle's cached bounds.
 
     The shift by 2 of the bounds is exact; the result is brought to units of
-    2**-(2P + 32), P the precision, and shifted by 2**-64 in that fixed
-    point, the lower bounds floored and the upper ones ceiled at each step.
-    Every step of a Taylor shift adds a nonnegative multiple of one
-    coefficient to another, so each floor or ceiling only widens the
-    bounds, and no coefficient carries the 64 * deg_y bits of the exact
-    shift.  The scale by 2**k_root is exact.
+    2**e_fixed, the oracle's fixed-point unit, and shifted by 2**-64 there,
+    the lower bounds floored and the upper ones ceiled at each step.  Every
+    step of a Taylor shift adds a nonnegative multiple of one coefficient to
+    another, so each floor or ceiling only widens the bounds, and no
+    coefficient carries the 64 * deg_y bits of the exact shift.  The scale
+    by 2**k_root is exact.
     """
     lo, hi, e = bounds
-    g = e + 2 * precision + _GUARD_BITS
+    g = e - e_fixed
     lo = [c << g for c in _taylor_shift(_taylor_shift(lo))]
     hi = [c << g for c in _taylor_shift(_taylor_shift(hi))]
     d = len(lo) - 1
@@ -319,7 +319,7 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
     k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
     while True:
         stack = [(Dyadic(2) + Dyadic(1, -_MARGIN_BITS), k_root,
-                  *_root_node(oracle.bounds, oracle.precision, k_root), False)]
+                  *_root_node(oracle.bounds, oracle.e_fixed, k_root), False)]
         while stack:
             a, k, lo, hi, shift = stack.pop()
             if a >= y_max_cap:

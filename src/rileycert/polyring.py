@@ -470,9 +470,12 @@ def _scaled(iv: DyadicInterval) -> tuple[int, int, int]:
 
 
 def _mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Interval product: the min and max of the four endpoint products."""
+    """Interval product: the min and max of the four endpoint products, or
+    the two that can be extreme when b >= 0."""
     alo, ahi, ae = a
     blo, bhi, be = b
+    if blo >= 0:
+        return alo * (blo if alo >= 0 else bhi), ahi * (bhi if ahi >= 0 else blo), ae + be
     c1, c2, c3, c4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
     return min(c1, c2, c3, c4), max(c1, c2, c3, c4), ae + be
 
@@ -571,7 +574,7 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
     return DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
 
 
-def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e_min: int | None = None
+def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e_min: int
                          ) -> tuple[list[int], list[int], int]:
     """(lo, hi, e) with lo[j] * 2**e <= c_j(u) <= hi[j] * 2**e for every u in
     x, where p = sum_j c_j(x) y**j: each c_j by interval Horner in x on
@@ -585,9 +588,9 @@ def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e_min: int | None = None
     every degree.
     """
     x_lo, x_hi, ex = _scaled(x)
-    e = p.deg_x() * min(ex, 0)
-    if e_min is not None and e_min > e:
-        e = min(e_min, 0)
+    if ex > 0:  # an integer interval: on 2**0, so that products shift right
+        x_lo, x_hi, ex = x_lo << ex, x_hi << ex, 0
+    e = max(p.deg_x() * ex, min(e_min, 0))
     one = 1 << -e
     slices: dict[int, dict[int, int]] = {}
     for (i, j), c in p._terms.items():
@@ -597,26 +600,12 @@ def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e_min: int | None = None
         row = slices.get(j, {0: 0})
         l = h = 0
         for i in range(max(row), -1, -1):
-            l, h = _mul_outward(l, h, x_lo, x_hi, ex)
+            l, h, _ = _mul((l, h, 0), (x_lo, x_hi, ex))
             c = row.get(i, 0) * one
-            l, h = l + c, h + c
+            l, h = (l >> -ex) + c, -(-h >> -ex) + c
         lo.append(l)
         hi.append(h)
     return lo, hi, e
-
-
-def _mul_outward(lo: int, hi: int, x_lo: int, x_hi: int, s: int) -> tuple[int, int]:
-    """[lo, hi] * [x_lo, x_hi] * 2**s on integers, floored at its lower end
-    and ceiled at its upper one."""
-    if x_lo >= 0:
-        lo *= x_lo if lo >= 0 else x_hi
-        hi *= x_hi if hi >= 0 else x_lo
-    else:
-        c = (lo * x_lo, lo * x_hi, hi * x_lo, hi * x_hi)
-        lo, hi = min(c), max(c)
-    if s >= 0:
-        return lo << s, hi << s
-    return lo >> -s, -(-hi >> -s)
 
 
 def leading_y_term(p: XYPoly) -> tuple[int, XYPoly]:

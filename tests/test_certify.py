@@ -319,7 +319,7 @@ def test_fixed_point_root_node_encloses_the_exact_one(rows, precision, depth, k_
     bounds = ([l for l, _ in rows], [l + w for l, w in rows], e)
     g = e + 2 * precision + 32
     d = len(rows) - 1
-    lo, hi = _root_node(bounds, precision, k_root)
+    lo, hi = _root_node(bounds, -2 * precision - 32, k_root)
     exact_lo, exact_hi = _exact_root_node(bounds, k_root)
     for j in range(d + 1):
         slack = 2 * (d + 1) << (k_root * j + 64 * d)
@@ -338,7 +338,7 @@ def test_root_node_coefficients_carry_no_margin_tail(cap):
     deg_y = phi.poly.deg_y()
     budget = 2 * oracle.precision + 32 + k_root * deg_y
     bits = max(abs(c).bit_length() for c in sum(_root_node(oracle.bounds,
-                                                           oracle.precision, k_root), []))
+                                                           oracle.e_fixed, k_root), []))
     assert bits <= budget + 8
     exact = max(abs(c).bit_length() for c in sum(_exact_root_node(oracle.bounds, k_root), []))
     assert exact > budget + 32 * deg_y

@@ -261,6 +261,8 @@ dyadics = st.builds(Dyadic, st.integers(-(1 << 24), 1 << 24), st.integers(-40, 6
 intervals = st.one_of(
     dyadics.map(DyadicInterval.point),
     st.tuples(dyadics, dyadics).map(lambda ds: DyadicInterval(min(ds), max(ds))))
+# an e_min for y_coefficient_bounds below any exact exponent: no rounding
+EXACT = -10 ** 6
 
 
 @settings(max_examples=400, deadline=None)
@@ -274,7 +276,7 @@ def test_eval_interval_matches_reference(p, x, y, tx, ty):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_polys, intervals, st.fractions(0, 1), st.one_of(st.none(), st.integers(-90, 10)))
+@given(sparse_polys, intervals, st.fractions(0, 1), st.one_of(st.just(EXACT), st.integers(-90, 10)))
 def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx, e_min):
     lo, hi, e = y_coefficient_bounds(p, x, e_min)
     u = x.lo.as_fraction() + tx * x.width().as_fraction()
@@ -283,8 +285,8 @@ def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx, e_min):
     for j, (l, h) in enumerate(zip(lo, hi)):
         c = slices[j].eval_fraction(u, Fraction(0)) if j in slices else 0
         assert l * Fraction(2) ** e <= c <= h * Fraction(2) ** e
-    exact_e = y_coefficient_bounds(p, x)[2]
-    if e_min is None or e_min <= exact_e:
+    exact_e = y_coefficient_bounds(p, x, EXACT)[2]
+    if e_min <= exact_e:
         assert e == exact_e
         if x.is_point():
             assert lo == hi
@@ -299,13 +301,13 @@ COEFFICIENT_CASES = XYPoly.from_terms([(0, 0, 3), (1, 1, 1), (2, 1, -2), (3, 2, 
 def test_y_coefficient_bounds_straddling_x():
     # interval Horner: c_1 = (-2 X + 1) X = [-1, 3] * [-1, 1], c_2 = X X X
     x = DyadicInterval(Dyadic(-1), Dyadic(1))
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x) == ([3, -3, -1], [3, 3, 1], 0)
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x, EXACT) == ([3, -3, -1], [3, 3, 1], 0)
 
 
 def test_y_coefficient_bounds_negative_x():
     # x in [-3/2, -1/2]: c_1 = (-2 X + 1) X = [2, 4] X, c_2 = X**3, on 2**-3
     x = DyadicInterval(Dyadic(-3, -1), Dyadic(-1, -1))
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x) == ([24, -48, -27], [24, -8, -1], -3)
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x, EXACT) == ([24, -48, -27], [24, -8, -1], -3)
 
 
 def test_y_coefficient_bounds_point_x():
@@ -313,22 +315,22 @@ def test_y_coefficient_bounds_point_x():
     # product of x**3 = 27/64 is cut
     x = DyadicInterval.point(Dyadic(3, -2))
     exact = ([192, -24, 27], [192, -24, 27], -6)
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x) == exact
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x, EXACT) == exact
     assert y_coefficient_bounds(COEFFICIENT_CASES, x, -10) == exact
     assert y_coefficient_bounds(COEFFICIENT_CASES, x, -4) == ([48, -6, 6], [48, -6, 7], -4)
 
 
-bounds_exponents = st.one_of(st.none(), st.integers(-90, 10))
+bounds_exponents = st.one_of(st.just(EXACT), st.integers(-90, 10))
 nonneg_points = st.builds(Dyadic, st.integers(0, 1 << 24),
                           st.integers(-40, 6)).map(DyadicInterval.point)
 
 
 def _bounds(p, x, e_min):
     """y_coefficient_bounds of p over x, as the sign oracle forms them: on the
-    powers rounded to e_min - 32 and then rounded outward to e_min, unless
-    e_min is None."""
-    if e_min is None:
-        return y_coefficient_bounds(p, x)
+    powers rounded to e_min - 32 and then rounded outward to e_min; exact
+    for EXACT."""
+    if e_min == EXACT:
+        return y_coefficient_bounds(p, x, EXACT)
     return _round_outward(y_coefficient_bounds(p, x, e_min - 32), e_min)
 
 
@@ -356,7 +358,7 @@ def test_eval_interval_ignores_y_bounds_off_nonnegative_points(p, x, y, e_min):
 @settings(max_examples=200, deadline=None)
 @given(sparse_polys, intervals, st.integers(-90, 10))
 def test_round_outward_only_widens(p, x, e_min):
-    bounds = y_coefficient_bounds(p, x)
+    bounds = y_coefficient_bounds(p, x, EXACT)
     lo, hi, e = bounds
     r_lo, r_hi, r_e = _round_outward(bounds, e_min)
     if e >= e_min:

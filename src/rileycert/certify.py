@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
-from .polyring import _GUARD_BITS, XYPoly, eval_interval, y_coefficient_bounds
+from .polyring import XYPoly, eval_interval, y_coefficient_bounds
 from .riley import RileyPolynomial
 
 
@@ -183,15 +183,16 @@ class _SignOracle:
     reads, raising the x_n precision on demand, with the counts of the scan
     trace.
 
-    bounds encloses each coefficient c_j(x_n) of phi = sum_j c_j(x) y**j,
-    computed once per precision by interval Horner in x with every product
-    rounded outward to 2**e_fixed, e_fixed = -(2P + 32) and P the precision,
-    and then rounded outward to 2**-2P:
-    bits below that lie far under the width of x_n and only slow the
-    arithmetic.  Every sign is one eval_interval call given these bounds,
-    which answers from them, in fixed point at 2**e_fixed with every
-    rounding outward, when they fix the sign and else evaluates exactly, so
-    each sign is the one exact evaluation would give.
+    bounds = (lo, hi, e) encloses each coefficient c_j(x_n) of
+    phi = sum_j c_j(x) y**j, computed once per precision P by interval
+    Horner in x on the one fixed-point unit of the scan, 2**e with
+    e = -(2P + 32), every product rounded outward: bits below that lie far
+    under the 2**-P width of x_n and only slow the arithmetic.  The root
+    node (_root_node) and every sign work on that same unit.  Every sign is
+    one eval_interval call given these bounds, which answers from them, in
+    fixed point on their unit with every rounding outward, when they fix
+    the sign and else evaluates exactly, so each sign is the one exact
+    evaluation would give.
     """
 
     def __init__(self, poly: XYPoly, n: int):
@@ -202,9 +203,7 @@ class _SignOracle:
     def _set_precision(self, precision: int) -> None:
         self.precision = precision
         self.xn = xn_enclosure(self.n, precision)
-        self.e_fixed = -2 * precision - _GUARD_BITS
-        self.bounds = _round_outward(y_coefficient_bounds(self.poly, self.xn, self.e_fixed),
-                                     -2 * precision)
+        self.bounds = y_coefficient_bounds(self.poly, self.xn, -2 * precision - 32)
 
     def escalate(self) -> bool:
         """Count an indefinite result and double the x_n precision; False,
@@ -229,17 +228,6 @@ class _SignOracle:
                 return None
 
 
-def _round_outward(bounds: tuple[list[int], list[int], int],
-                   e_min: int) -> tuple[list[int], list[int], int]:
-    """The bounds (lo, hi, e) on the exponent max(e, e_min): lo floored, hi
-    ceiled, so each [lo[j], hi[j]] * 2**e only widens."""
-    lo, hi, e = bounds
-    if e >= e_min:
-        return bounds
-    d = e_min - e
-    return [l >> d for l in lo], [-(-h >> d) for h in hi], e_min
-
-
 def _taylor_shift(c: list[int]) -> list[int]:
     """Coefficients (constant first) of q(t + 1) from those of q(t)."""
     c = list(c)
@@ -255,23 +243,20 @@ def _scale(c: list[int], k: int) -> list[int]:
     return [cj << (k * j if k >= 0 else -k * (d - j)) for j, cj in enumerate(c)]
 
 
-def _root_node(bounds: tuple[list[int], list[int], int], e_fixed: int,
+def _root_node(bounds: tuple[list[int], list[int], int],
                k_root: int) -> tuple[list[int], list[int]]:
     """Integer bounds on the coefficients of phi(x_n, 2 + 2**-64 + 2**k_root t),
     up to a positive factor, from the sign oracle's cached bounds.
 
-    The shift by 2 of the bounds is exact; the result is brought to units of
-    2**e_fixed, the oracle's fixed-point unit, and shifted by 2**-64 there,
-    the lower bounds floored and the upper ones ceiled at each step.  Every
-    step of a Taylor shift adds a nonnegative multiple of one coefficient to
-    another, so each floor or ceiling only widens the bounds, and no
-    coefficient carries the 64 * deg_y bits of the exact shift.  The scale
-    by 2**k_root is exact.
+    The shift by 2 of the bounds is exact; the shift by 2**-64 stays on the
+    bounds' own unit, the oracle's fixed-point one, the lower bounds floored
+    and the upper ones ceiled at each step.  Every step of a Taylor shift
+    adds a nonnegative multiple of one coefficient to another, so each
+    floor or ceiling only widens the bounds, and no coefficient carries the
+    64 * deg_y bits of the exact shift.  The scale by 2**k_root is exact.
     """
-    lo, hi, e = bounds
-    g = e - e_fixed
-    lo = [c << g for c in _taylor_shift(_taylor_shift(lo))]
-    hi = [c << g for c in _taylor_shift(_taylor_shift(hi))]
+    lo, hi, _ = bounds
+    lo, hi = _taylor_shift(_taylor_shift(lo)), _taylor_shift(_taylor_shift(hi))
     d = len(lo) - 1
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
@@ -319,7 +304,7 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
     k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
     while True:
         stack = [(Dyadic(2) + Dyadic(1, -_MARGIN_BITS), k_root,
-                  *_root_node(oracle.bounds, oracle.e_fixed, k_root), False)]
+                  *_root_node(oracle.bounds, k_root), False)]
         while stack:
             a, k, lo, hi, shift = stack.pop()
             if a >= y_max_cap:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 # as p**4 for a fraction); at these limits `riley --cross-check`, or `riley`
 # for a fraction, takes at most about 17 s on a 2-core x86 host (two runs
 # each: Kl:50 13-15 s, J:20,20 7-9 s, 501/7 11-17 s; see ROADMAP.md), and
-# one step beyond is refused before any work.  `certify`
-# costs more there, since the root isolation's Taylor shifts grow with phi:
-# at the default cap, one run each on that host, `certify --knot J:20,20`
-# took 114-123 s per n (n = 5, 7, 8, 12) and `certify --knot Kl:50` 4.6 s
-# at n = 3, 20 s at n = 4 and 74-83 s at n = 5, 6, 8, 12.
+# one step beyond is refused before any work.  `certify` also runs the root
+# isolation, whose Taylor shifts grow with phi: at the default cap on that
+# host (README.md), `certify --knot J:20,20 --n 7` took 26.1-27.9 s and
+# `certify --knot Kl:50 --n 5` 3.7-4.8 s.
 P_MAX = 501
 K_MAX = 20
 M_MAX = 20

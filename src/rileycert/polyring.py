@@ -457,46 +457,48 @@ def _times(value: int, multiplier: list[tuple[int, int]]) -> int:
     return out
 
 
-# bits kept below the y-bounds' exponent by the fixed-point y-Horner of
-# eval_interval
-_GUARD_BITS = 32
-
-
 def _scaled(iv: DyadicInterval) -> tuple[int, int, int]:
-    """(lo, hi, e) with iv = [lo * 2**e, hi * 2**e]."""
+    """(lo, hi, e) with iv = [lo * 2**e, hi * 2**e] and e <= 0, so that a
+    product by 2**e is a right shift."""
     lo, hi = iv.lo, iv.hi
-    e = min(lo.e, hi.e)
+    e = min(lo.e, hi.e, 0)
     return lo.m << (lo.e - e), hi.m << (hi.e - e), e
 
 
-def _mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Interval product: the min and max of the four endpoint products, or
-    the two that can be extreme when b >= 0."""
-    alo, ahi, ae = a
-    blo, bhi, be = b
-    if blo >= 0:
-        return alo * (blo if alo >= 0 else bhi), ahi * (bhi if ahi >= 0 else blo), ae + be
-    c1, c2, c3, c4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-    return min(c1, c2, c3, c4), max(c1, c2, c3, c4), ae + be
+def _horner(lo: Sequence[int], hi: Sequence[int], u: tuple[int, int], k: int
+            ) -> tuple[int, int]:
+    """Integer bounds (l, h) on sum_j c_j v**j for every c_j in [lo[j], hi[j]]
+    and v in [u[0], u[1]] * 2**-k, in the units of lo and hi: the one
+    interval Horner of this module.
+
+    Each step multiplies [l, h] by [u[0], u[1]] (the two endpoint products
+    that can be extreme when u[0] >= 0, else the least and greatest of all
+    four), floors the lower end of the product at a unit and ceils the
+    upper one, and adds [lo[j], hi[j]].  Interval arithmetic is
+    inclusion-monotone, so the floors and ceilings only widen the result.
+    On a unit fine enough that no floor cuts anything, as when every lo[j]
+    and hi[j] is a multiple of 2**(k * (len(lo) - 1)), the result is exact
+    interval Horner.
+    """
+    u_lo, u_hi = u
+    l, h = lo[-1], hi[-1]
+    for j in range(len(lo) - 2, -1, -1):
+        if u_lo >= 0:
+            a, b = l * (u_lo if l >= 0 else u_hi), h * (u_hi if h >= 0 else u_lo)
+        else:
+            c = (l * u_lo, l * u_hi, h * u_lo, h * u_hi)
+            a, b = min(c), max(c)
+        l, h = (a >> k) + lo[j], hi[j] - (-b >> k)
+    return l, h
 
 
-def _add(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    alo, ahi, ae = a
-    blo, bhi, be = b
-    if ae > be:
-        d = ae - be
-        return (alo << d) + blo, (ahi << d) + bhi, be
-    d = be - ae
-    return alo + (blo << d), ahi + (bhi << d), ae
-
-
-def _point_y_coeffs(p: XYPoly, y: Dyadic) -> dict[int, tuple[int, int, int]]:
-    """Exact b_i = sum_j a_ij * y**j for y = m / 2**k, all over 2**(k*D).
+def _point_y_coeffs(p: XYPoly, m: int, k: int) -> tuple[list[int], int]:
+    """(b, e) with b[i] * 2**e = sum_j a_ij * y**j exactly for y = m / 2**k,
+    i = 0 .. deg_x, and e = -k * D.
 
     With D = deg_y, y**j = m**j * 2**(k*(D - j)) / 2**(k*D), so every term is
     one integer product against a shared weight.
     """
-    m, k = (y.m, -y.e) if y.e < 0 else (y.m << y.e, 0)
     deg = p.deg_y()
     weights = [1 << (k * deg)]
     for _ in range(deg):
@@ -504,17 +506,7 @@ def _point_y_coeffs(p: XYPoly, y: Dyadic) -> dict[int, tuple[int, int, int]]:
     b: dict[int, int] = {}
     for (i, j), c in p._terms.items():
         b[i] = b.get(i, 0) + c * weights[j]
-    e = -k * deg
-    return {i: (v, v, e) for i, v in b.items()}
-
-
-def _horner(coeffs: dict[int, int], u: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Interval value of sum_k coeffs[k] * u**k, Horner in the one variable."""
-    acc = (0, 0, 0)
-    for k in range(max(coeffs), -1, -1):
-        c = coeffs.get(k, 0)
-        acc = _add(_mul(acc, u), (c, c, 0))
-    return acc
+    return [b.get(i, 0) for i in range(max(b) + 1)], -k * deg
 
 
 def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
@@ -522,21 +514,30 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
                   ) -> DyadicInterval:
     """Interval enclosing {p(u, v) : u in x, v in y}, Horner in y then x.
 
-    Exact integer arithmetic on (lo, hi, e) triples meaning [lo, hi] * 2**e.
-    Dyadics are closed under +/-/*, so the only width in the result comes
-    from the input intervals, and a point y gives exact x-coefficients.
+    With y = [y_lo, y_hi] * 2**e_y and x likewise (`_scaled`), the
+    x-coefficients b_i = sum_j a_ij y**j are bounded in units of
+    2**(D * e_y), D = deg_y: at a point y exactly, in power form
+    (`_point_y_coeffs`, faster there than Horner in y), and otherwise by
+    `_horner` in y on each x-row.  `_horner` in x then gives the result in
+    units of 2**(D * e_y + deg_x * e_x).  Both Horners run homogenized: in
+    y on the integers y_lo, y_hi with k = 0 and coefficient j times
+    2**(-e_y * (D - j)), and in x likewise.  That is a positive scaling,
+    exact in interval arithmetic, so no floor cuts anything, and the
+    integers grow from the leading coefficient down instead of starting at
+    full width.  The result is exact interval Horner: the only width in it
+    comes from the input intervals, and a point (x, y) gives the exact
+    value.
 
     y_bounds = (lo, hi, e), when given, must bound the y-coefficients of p
     over x: lo[j] * 2**e <= c_j(u) <= hi[j] * 2**e for u in x, as
-    y_coefficient_bounds gives them or any outward rounding of those.  For
-    a point y = m / 2**k >= 0 the enclosure [sum lo[j] y**j, sum hi[j] y**j]
-    is then formed by one fixed-point Horner pass per end, in units of
-    2**(e - _GUARD_BITS): t = floor(t * m / 2**k) + lo[j] for the lower end
-    and the ceiling for the upper one, so each end only moves outward.  It
-    is returned when it excludes 0; otherwise, an exact zero included, the
-    exact path below runs, and a non-point or negative y always takes it.
-    A returned result has the sign the exact path gives.  Horner in x of
-    b_i = sum_j a_ij y**j (the exact path) lies inside
+    y_coefficient_bounds gives them.  For a point y = m / 2**k >= 0 the
+    enclosure [sum lo[j] y**j, sum hi[j] y**j] is then formed by `_horner`
+    in y at [m, m], in the bounds' own unit 2**e, each product floored at
+    its lower end and ceiled at its upper one, so each end only moves
+    outward.  It is returned when it excludes 0; otherwise, an exact zero
+    included, the exact path runs, and a non-point or negative y always
+    takes it.  A returned result has the sign the exact path gives.  Horner
+    in x of b_i = sum_j a_ij y**j (the exact path) lies inside
     sum_j y**j * (Horner in x of c_j) by subdistributivity,
     (A + B) * X within A * X + B * X, with y**j >= 0 a point factor; each
     Horner value of c_j lies in [lo[j], hi[j]] * 2**e; and the floors and
@@ -545,64 +546,51 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
     """
     if not p._terms:
         return DyadicInterval.point(0)
-    if y_bounds is not None and y.is_point() and y.lo.m >= 0:
+    y_lo, y_hi, ey = _scaled(y)
+    if y_bounds is not None and y_lo == y_hi >= 0:
         lo, hi, e = y_bounds
-        m, k = (y.lo.m, -y.lo.e) if y.lo.e < 0 else (y.lo.m << y.lo.e, 0)
-        g = _GUARD_BITS
-        t_lo, t_hi = lo[-1] << g, hi[-1] << g
-        for j in range(len(lo) - 2, -1, -1):
-            t_lo = (t_lo * m >> k) + (lo[j] << g)
-            t_hi = (hi[j] << g) - (-t_hi * m >> k)
-        if t_lo > 0 or t_hi < 0:
-            return DyadicInterval(Dyadic(t_lo, e - g), Dyadic(t_hi, e - g))
-    if y.is_point():
-        # Horner in y at a point is exact: same coefficients
-        coeffs = _point_y_coeffs(p, y.lo)
+        l, h = _horner(lo, hi, (y_lo, y_hi), -ey)
+        if l > 0 or h < 0:
+            return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
+    if y_lo == y_hi:
+        lo, e = _point_y_coeffs(p, y_lo, -ey)
+        hi = lo
     else:
-        slices: dict[int, dict[int, int]] = {}
+        dy = p.deg_y()
+        rows = [[0] * (dy + 1) for _ in range(p.deg_x() + 1)]
         for (i, j), c in p._terms.items():
-            slices.setdefault(i, {})[j] = c
-        y_s = _scaled(y)
-        coeffs = {i: _horner(s, y_s) for i, s in slices.items()}
-    x_s = _scaled(x)
-    acc = (0, 0, 0)
-    for i in range(max(coeffs), -1, -1):
-        acc = _mul(acc, x_s)
-        if i in coeffs:
-            acc = _add(acc, coeffs[i])
-    lo, hi, e = acc
-    return DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
+            rows[i][j] = c << -ey * (dy - j)
+        lo, hi = zip(*(_horner(row, row, (y_lo, y_hi), 0) for row in rows))
+        e = dy * ey
+    x_lo, x_hi, ex = _scaled(x)
+    dx = len(lo) - 1
+    lo, hi = ([c << -ex * (dx - i) for i, c in enumerate(b)] for b in (lo, hi))
+    l, h = _horner(lo, hi, (x_lo, x_hi), 0)
+    e += dx * ex
+    return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
 
 
-def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e_min: int
+def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e: int
                          ) -> tuple[list[int], list[int], int]:
     """(lo, hi, e) with lo[j] * 2**e <= c_j(u) <= hi[j] * 2**e for every u in
-    x, where p = sum_j c_j(x) y**j: each c_j by interval Horner in x on
-    integers over 2**e.
+    x, where p = sum_j c_j(x) y**j: each c_j by `_horner` in x on integers
+    over 2**e, for a unit e <= 0.
 
-    e = deg_x * (exponent of x), on which Horner is exact, unless e_min is
-    above that: then e = min(e_min, 0) and each product by x is floored at
-    its lower end and ceiled at its upper one.  Interval arithmetic is
-    inclusion-monotone, so the rounding only widens each enclosure, while
-    the integers stay near 2**-e in place of growing by the bits of x with
-    every degree.
+    On a unit at or below deg_x * e_x, e_x the exponent of x as `_scaled`
+    gives it, no floor cuts anything and the bounds are exact interval
+    Horner.  On a coarser one the floors and ceilings only widen each
+    enclosure, while the integers stay near 2**-e in place of growing by
+    the bits of x with every degree.
     """
     x_lo, x_hi, ex = _scaled(x)
-    if ex > 0:  # an integer interval: on 2**0, so that products shift right
-        x_lo, x_hi, ex = x_lo << ex, x_hi << ex, 0
-    e = max(p.deg_x() * ex, min(e_min, 0))
-    one = 1 << -e
-    slices: dict[int, dict[int, int]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for (i, j), c in p._terms.items():
-        slices.setdefault(j, {})[i] = c
+        rows.setdefault(j, {})[i] = c
     lo, hi = [], []
     for j in range(p.deg_y() + 1):
-        row = slices.get(j, {0: 0})
-        l = h = 0
-        for i in range(max(row), -1, -1):
-            l, h, _ = _mul((l, h, 0), (x_lo, x_hi, ex))
-            c = row.get(i, 0) * one
-            l, h = (l >> -ex) + c, -(-h >> -ex) + c
+        row = rows.get(j, {0: 0})
+        c = [row.get(i, 0) << -e for i in range(max(row) + 1)]
+        l, h = _horner(c, c, (x_lo, x_hi), -ex)
         lo.append(l)
         hi.append(h)
     return lo, hi, e

@@ -300,31 +300,29 @@ def test_variations_of_bounds_hold_for_every_polynomial_between(rows):
 
 def _exact_root_node(bounds, k_root):
     """The root node as exact integers: phi(x_n, 2 + 2**-64 (1 + 2**(k_root + 64) t))
-    on the bounds, times 2**(64 d), in units of 2**e."""
+    on the bounds, times 2**(64 d), in the bounds' unit."""
     lo, hi, _ = bounds
     return [_scale(_taylor_shift(_scale(_taylor_shift(_taylor_shift(c)), -64)),
                    k_root + 64) for c in (lo, hi)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-(1 << 80), 1 << 80), st.integers(0, 1 << 40)),
+@given(st.lists(st.tuples(st.integers(-(1 << 600), 1 << 600), st.integers(0, 1 << 40)),
                 min_size=1, max_size=10),
-       st.integers(1, 300), st.integers(0, 600), st.integers(1, 20))
-def test_fixed_point_root_node_encloses_the_exact_one(rows, precision, depth, k_root):
-    # the exact root node is F_j / 2**(64 d) in units of 2**e, the fixed-point
-    # one in units of 2**(e - g); the fixed-point bounds hold it, and each
-    # floor or ceiling widens coefficient j by less than 2 (d + 1) units
-    # before the scale by 2**(k_root j)
-    e = max(-2 * precision, -depth)
-    bounds = ([l for l, _ in rows], [l + w for l, w in rows], e)
-    g = e + 2 * precision + 32
+       st.integers(1, 20))
+def test_fixed_point_root_node_encloses_the_exact_one(rows, k_root):
+    # bounds on the oracle's unit 2**-(2P + 32), some 600 bits at P = 300:
+    # the exact root node is F_j / 2**(64 d) in that unit, the fixed-point
+    # one holds it, and each floor or ceiling widens coefficient j by less
+    # than 2 (d + 1) units before the scale by 2**(k_root j)
+    bounds = ([l for l, _ in rows], [l + w for l, w in rows], -2 * 300 - 32)
     d = len(rows) - 1
-    lo, hi = _root_node(bounds, -2 * precision - 32, k_root)
+    lo, hi = _root_node(bounds, k_root)
     exact_lo, exact_hi = _exact_root_node(bounds, k_root)
     for j in range(d + 1):
         slack = 2 * (d + 1) << (k_root * j + 64 * d)
-        assert lo[j] << 64 * d <= exact_lo[j] << g < (lo[j] << 64 * d) + slack
-        assert hi[j] << 64 * d >= exact_hi[j] << g > (hi[j] << 64 * d) - slack
+        assert lo[j] << 64 * d <= exact_lo[j] < (lo[j] << 64 * d) + slack
+        assert hi[j] << 64 * d >= exact_hi[j] > (hi[j] << 64 * d) - slack
 
 
 @pytest.mark.parametrize("cap", [64, 1 << 16])
@@ -337,8 +335,7 @@ def test_root_node_coefficients_carry_no_margin_tail(cap):
     k_root = (cap - 3).bit_length()
     deg_y = phi.poly.deg_y()
     budget = 2 * oracle.precision + 32 + k_root * deg_y
-    bits = max(abs(c).bit_length() for c in sum(_root_node(oracle.bounds,
-                                                           oracle.e_fixed, k_root), []))
+    bits = max(abs(c).bit_length() for c in sum(_root_node(oracle.bounds, k_root), []))
     assert bits <= budget + 8
     exact = max(abs(c).bit_length() for c in sum(_exact_root_node(oracle.bounds, k_root), []))
     assert exact > budget + 32 * deg_y

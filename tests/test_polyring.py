@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rileycert.certify import _round_outward
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly,
-                                ZeroPolynomial, eval_interval, leading_y_term,
+                                ZeroPolynomial, _horner, eval_interval, leading_y_term,
                                 symmetric_rewrite, y_coefficient_bounds)
 from rileycert.riley import riley_double_twist
 
@@ -261,8 +260,14 @@ dyadics = st.builds(Dyadic, st.integers(-(1 << 24), 1 << 24), st.integers(-40, 6
 intervals = st.one_of(
     dyadics.map(DyadicInterval.point),
     st.tuples(dyadics, dyadics).map(lambda ds: DyadicInterval(min(ds), max(ds))))
-# an e_min for y_coefficient_bounds below any exact exponent: no rounding
-EXACT = -10 ** 6
+# stands for the exact unit of y_coefficient_bounds (exact_unit)
+EXACT = None
+
+
+def exact_unit(p, x):
+    """The coarsest unit on which y_coefficient_bounds of p over x is exact
+    interval Horner: deg_x times the exponent of x, clamped to <= 0."""
+    return p.deg_x() * min(x.lo.e, x.hi.e, 0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -275,23 +280,75 @@ def test_eval_interval_matches_reference(p, x, y, tx, ty):
     assert iv.contains_fraction(p.eval_fraction(u, v))
 
 
+def fraction_horner(lo, hi, v_lo, v_hi):
+    """Exact interval Horner on Fractions: [L, H] bounding sum_j c_j v**j
+    for c_j in [lo[j], hi[j]] and v in [v_lo, v_hi]."""
+    l, h = Fraction(lo[-1]), Fraction(hi[-1])
+    for j in range(len(lo) - 2, -1, -1):
+        c = (l * v_lo, l * v_hi, h * v_lo, h * v_hi)
+        l, h = min(c) + lo[j], max(c) + hi[j]
+    return l, h
+
+
+@st.composite
+def _horner_arguments(draw):
+    # u nonnegative, negative, straddling 0 or a point, with |v| <= 1 so
+    # that each floor adds at most one unit to the error of the last
+    k = draw(st.integers(0, 64))
+    one = 1 << k
+    kind = draw(st.sampled_from(["nonnegative", "negative", "straddling", "point"]))
+    if kind == "point":
+        u = (draw(st.integers(-one, one)),) * 2
+    elif kind == "straddling":
+        u = (draw(st.integers(-one, -1)), draw(st.integers(1, one)))
+    else:
+        ends = st.integers(0, one) if kind == "nonnegative" else st.integers(-one, -1)
+        u = tuple(sorted(draw(st.tuples(ends, ends))))
+    rows = draw(st.lists(st.tuples(st.integers(-(1 << 90), 1 << 90), st.integers(0, 1 << 30)),
+                         min_size=1, max_size=9))
+    return [l for l, _ in rows], [l + w for l, w in rows], u, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(_horner_arguments(), st.lists(st.fractions(0, 1), min_size=10, max_size=10))
+def test_horner_matches_fraction_interval_horner(args, ts):
+    lo, hi, u, k = args
+    d = len(lo) - 1
+    v_lo, v_hi = Fraction(u[0], 1 << k), Fraction(u[1], 1 << k)
+    l, h = _horner(lo, hi, u, k)
+    # encloses every value, and so exact interval Horner, within d units
+    v = v_lo + ts[-1] * (v_hi - v_lo)
+    value = sum((a + t * (b - a)) * v ** j for j, (a, b, t) in enumerate(zip(lo, hi, ts)))
+    assert l <= value <= h
+    exact_l, exact_h = fraction_horner(lo, hi, v_lo, v_hi)
+    assert exact_l - d <= l <= exact_l and exact_h <= h <= exact_h + d
+    # on the unit 2**-(k d) below that of lo and hi no floor cuts anything
+    fine = [c << k * d for c in lo], [c << k * d for c in hi]
+    assert _horner(*fine, u, k) == (exact_l * (1 << k * d), exact_h * (1 << k * d))
+
+
+bounds_exponents = st.one_of(st.just(EXACT), st.integers(-90, 0))
+
+
+def _bounds(p, x, e):
+    """y_coefficient_bounds of p over x as the sign oracle forms them, on
+    the unit 2**e, or on the exact unit for EXACT."""
+    return y_coefficient_bounds(p, x, exact_unit(p, x) if e is EXACT else e)
+
+
 @settings(max_examples=300, deadline=None)
-@given(sparse_polys, intervals, st.fractions(0, 1), st.one_of(st.just(EXACT), st.integers(-90, 10)))
-def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx, e_min):
-    lo, hi, e = y_coefficient_bounds(p, x, e_min)
+@given(sparse_polys, intervals, st.fractions(0, 1), bounds_exponents)
+def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx, e):
+    lo, hi, e = _bounds(p, x, e)
     u = x.lo.as_fraction() + tx * x.width().as_fraction()
     slices = p.y_slices()
     assert len(lo) == len(hi) == p.deg_y() + 1
     for j, (l, h) in enumerate(zip(lo, hi)):
         c = slices[j].eval_fraction(u, Fraction(0)) if j in slices else 0
         assert l * Fraction(2) ** e <= c <= h * Fraction(2) ** e
-    exact_e = y_coefficient_bounds(p, x, EXACT)[2]
-    if e_min <= exact_e:
-        assert e == exact_e
-        if x.is_point():
-            assert lo == hi
-    else:  # rounded onto e_min, but never above 2**0, so x**0 = 1 stays exact
-        assert e == min(e_min, 0)
+        if e <= exact_unit(p, x):  # interval Horner in x, exactly
+            assert DyadicInterval(Dyadic(l, e), Dyadic(h, e)) == reference_eval_interval(
+                slices.get(j, XYPoly.zero()), x, DyadicInterval.point(0))
 
 
 # 3 + x y - 2 x**2 y + x**3 y**2: c_0 = 3, c_1 = x - 2 x**2, c_2 = x**3
@@ -301,43 +358,62 @@ COEFFICIENT_CASES = XYPoly.from_terms([(0, 0, 3), (1, 1, 1), (2, 1, -2), (3, 2, 
 def test_y_coefficient_bounds_straddling_x():
     # interval Horner: c_1 = (-2 X + 1) X = [-1, 3] * [-1, 1], c_2 = X X X
     x = DyadicInterval(Dyadic(-1), Dyadic(1))
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x, EXACT) == ([3, -3, -1], [3, 3, 1], 0)
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x, 0) == ([3, -3, -1], [3, 3, 1], 0)
 
 
 def test_y_coefficient_bounds_negative_x():
     # x in [-3/2, -1/2]: c_1 = (-2 X + 1) X = [2, 4] X, c_2 = X**3, on 2**-3
     x = DyadicInterval(Dyadic(-3, -1), Dyadic(-1, -1))
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x, EXACT) == ([24, -48, -27], [24, -8, -1], -3)
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x, -3) == ([24, -48, -27], [24, -8, -1], -3)
 
 
 def test_y_coefficient_bounds_point_x():
     # x = 3/4: exact on 2**-6, and so below it; on 2**-4 only the last
     # product of x**3 = 27/64 is cut
     x = DyadicInterval.point(Dyadic(3, -2))
-    exact = ([192, -24, 27], [192, -24, 27], -6)
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x, EXACT) == exact
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x, -10) == exact
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x, -6) == ([192, -24, 27], [192, -24, 27], -6)
+    assert y_coefficient_bounds(COEFFICIENT_CASES, x, -10) \
+        == ([3072, -384, 432], [3072, -384, 432], -10)
     assert y_coefficient_bounds(COEFFICIENT_CASES, x, -4) == ([48, -6, 6], [48, -6, 7], -4)
 
 
-bounds_exponents = st.one_of(st.just(EXACT), st.integers(-90, 10))
+# values with positive exponents (2 = 1 * 2**1): _scaled brings them to 2**0
+POSITIVE_X = [DyadicInterval.point(2), DyadicInterval.point(4),
+              DyadicInterval(Dyadic(2), Dyadic(4))]
+POSITIVE_Y = [DyadicInterval.point(2), DyadicInterval.point(8),
+              DyadicInterval(Dyadic(4), Dyadic(8))]
+
+
+@pytest.mark.parametrize("x", POSITIVE_X, ids=str)
+@pytest.mark.parametrize("y", POSITIVE_Y, ids=str)
+@pytest.mark.parametrize("p", [COEFFICIENT_CASES, COEFFICIENT_CASES - 4000 * Y,
+                               riley_double_twist(1, 2).poly], ids=["cases", "shifted", "J34"])
+def test_positive_exponents_match_the_reference(p, x, y):
+    reference = reference_eval_interval(p, x, y)
+    assert eval_interval(p, x, y) == reference
+    slices = p.y_slices()
+    for e in (0, -5):
+        bounds = y_coefficient_bounds(p, x, e)
+        lo, hi, _ = bounds
+        for j, (l, h) in enumerate(zip(lo, hi)):
+            assert DyadicInterval(Dyadic(l, e), Dyadic(h, e)) == reference_eval_interval(
+                slices.get(j, XYPoly.zero()), x, DyadicInterval.point(0))
+        fast = eval_interval(p, x, y, y_bounds=bounds)
+        assert fast.contains(reference)
+        if fast.sign() is None or x.is_point():  # exact path, or exact bounds
+            assert fast == reference
+        else:
+            assert fast.sign() == reference.sign()
+
+
 nonneg_points = st.builds(Dyadic, st.integers(0, 1 << 24),
                           st.integers(-40, 6)).map(DyadicInterval.point)
 
 
-def _bounds(p, x, e_min):
-    """y_coefficient_bounds of p over x, as the sign oracle forms them: on the
-    powers rounded to e_min - 32 and then rounded outward to e_min; exact
-    for EXACT."""
-    if e_min == EXACT:
-        return y_coefficient_bounds(p, x, EXACT)
-    return _round_outward(y_coefficient_bounds(p, x, e_min - 32), e_min)
-
-
 @settings(max_examples=300, deadline=None)
 @given(sparse_polys, intervals, nonneg_points, bounds_exponents)
-def test_eval_interval_with_y_bounds_contains_the_exact_path(p, x, y, e_min):
-    fast = eval_interval(p, x, y, y_bounds=_bounds(p, x, e_min))
+def test_eval_interval_with_y_bounds_contains_the_exact_path(p, x, y, e):
+    fast = eval_interval(p, x, y, y_bounds=_bounds(p, x, e))
     exact = eval_interval(p, x, y)
     assert fast.contains(exact)
     if fast.sign() is not None:
@@ -348,28 +424,10 @@ def test_eval_interval_with_y_bounds_contains_the_exact_path(p, x, y, e_min):
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_polys, intervals, intervals, bounds_exponents)
-def test_eval_interval_ignores_y_bounds_off_nonnegative_points(p, x, y, e_min):
+def test_eval_interval_ignores_y_bounds_off_nonnegative_points(p, x, y, e):
     if y.is_point() and y.lo.m >= 0:
         y = DyadicInterval(y.lo, y.lo + 1) if y.lo.m else DyadicInterval.point(-1)
-    assert eval_interval(p, x, y, y_bounds=_bounds(p, x, e_min)) \
-        == eval_interval(p, x, y)
-
-
-@settings(max_examples=200, deadline=None)
-@given(sparse_polys, intervals, st.integers(-90, 10))
-def test_round_outward_only_widens(p, x, e_min):
-    bounds = y_coefficient_bounds(p, x, EXACT)
-    lo, hi, e = bounds
-    r_lo, r_hi, r_e = _round_outward(bounds, e_min)
-    if e >= e_min:
-        assert (r_lo, r_hi, r_e) == (lo, hi, e)
-        return
-    assert r_e == e_min and len(r_lo) == len(r_hi) == len(lo)
-    scale = Fraction(2) ** (e - e_min)
-    for l, h, rl, rh in zip(lo, hi, r_lo, r_hi):
-        # outward, and by less than one unit of the new exponent
-        assert rl <= l * scale < rl + 1
-        assert rh - 1 < h * scale <= rh
+    assert eval_interval(p, x, y, y_bounds=_bounds(p, x, e)) == eval_interval(p, x, y)
 
 
 def test_eval_interval_matches_reference_on_riley():

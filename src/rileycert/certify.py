@@ -128,10 +128,10 @@ def _int_parser(lo: int, hi: int | None = None):
 
 
 def _parse_endpoint(value, bound: int) -> Dyadic:
-    """{"mantissa": decimal string, "exponent": JSON integer}, the exponent
-    (once normalized) within +-bound and the value within +-MAX_Y_MAX_CAP:
-    every scan writes endpoints in (2, MAX_Y_MAX_CAP]."""
-    if not (isinstance(value["mantissa"], str) and type(value["exponent"]) is int):
+    """{"mantissa": ASCII decimal string, "exponent": JSON integer}, the
+    exponent (once normalized) within +-bound and the value within
+    +-MAX_Y_MAX_CAP: every scan writes endpoints in (2, MAX_Y_MAX_CAP]."""
+    if type(value["exponent"]) is not int:
         raise TypeError(f"malformed endpoint {value!r}")
     d = Dyadic.from_json(value)
     if abs(d.e) > bound:

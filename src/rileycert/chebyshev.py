@@ -1,5 +1,5 @@
 """The normalized second-kind Chebyshev family S_n: S_0 = 1, S_1 = z,
-S_{n+1} = z*S_n - S_{n-1}, plus the matrix-power and recurrence closed forms
+S_{n+1} = z*S_n - S_{n-1}, plus the matrix power and the root enclosures
 built on it.
 
 Evaluation never expands the coefficient form for large n; the iterative
@@ -46,14 +46,6 @@ def cheb_eval(n: int, t):
     if n < 0:
         raise ValueError("negative Chebyshev index")
     return _cheb_pair(n, t)[1]
-
-
-def solve_recurrence(a0, a1, c, n: int):
-    """Term a_{n+1} of a_{j+1} = c*a_j - a_{j-1}: equals S_n(c)*a1 - S_{n-1}(c)*a0."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    s_prev, s_cur = _cheb_pair(n, c)
-    return s_cur * a1 - s_prev * a0
 
 
 def _cheb_norms(n: int, t_norm: int) -> tuple[int, int]:

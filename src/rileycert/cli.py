@@ -15,6 +15,7 @@ from . import __version__
 from .certify import (DEFAULT_Y_MAX_CAP, MAX_Y_MAX_CAP, find_root_gt2,
                       verify_certificate)
 from .chebyshev import cheb_eval, cheb_poly
+from .dyadic import _decimal
 from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, expand,
                     hm_reduce, kl_fraction, run_length, sign_sequence,
                     sign_sequence_raw, word_double_twist, word_from_signs,
@@ -47,10 +48,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_in_range(lo: int, hi: int | None = None):
-    """argparse type: an integer in [lo, hi] (hi=None: no upper limit)."""
+    """argparse type: an ASCII decimal integer in [lo, hi] (hi=None: no
+    upper limit)."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = _decimal(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < lo or (hi is not None and value > hi):
@@ -70,16 +72,17 @@ _y_cap = _int_in_range(3, MAX_Y_MAX_CAP)
 
 
 def parse_knot_spec(text: str):
-    """`J:k,m` (meaning J(2k+1, 2m)), `Kl:l`, or a fraction `p/q`."""
+    """`J:k,m` (meaning J(2k+1, 2m)), `Kl:l`, or a fraction `p/q`, each
+    part an ASCII decimal integer."""
     try:
         if text.startswith("J:"):
             k_str, m_str = text[2:].split(",")
-            return DoubleTwistKnot(int(k_str), int(m_str))
+            return DoubleTwistKnot(_decimal(k_str), _decimal(m_str))
         if text.startswith("Kl:"):
-            return KlKnot(int(text[3:]))
+            return KlKnot(_decimal(text[3:]))
         if "/" in text:
             p_str, q_str = text.split("/")
-            return TwoBridgeFraction(int(p_str), int(q_str))
+            return TwoBridgeFraction(_decimal(p_str), _decimal(q_str))
     except ValueError as exc:
         raise CliError(f"invalid knot spec {text!r}: {exc}") from exc
     raise CliError(f"invalid knot spec {text!r} (expected J:k,m | Kl:l | p/q)")

@@ -13,8 +13,17 @@ outward.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
+
+
+def _decimal(text) -> int:
+    """The integer of an ASCII decimal string, -?[0-9]+, else ValueError:
+    int() alone also reads other Unicode digits, '_' and whitespace."""
+    if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+", text)):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 class Dyadic:
@@ -119,7 +128,8 @@ class Dyadic:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Dyadic":
-        return cls(int(obj["mantissa"]), int(obj["exponent"]))
+        """The inverse of as_json; the mantissa must be an ASCII decimal."""
+        return cls(_decimal(obj["mantissa"]), int(obj["exponent"]))
 
     def __repr__(self):
         return f"Dyadic({self.m}, {self.e})"
@@ -204,9 +214,6 @@ class DyadicInterval:
     def contains(self, other) -> bool:
         other = DyadicInterval._coerce(other)
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def contains_fraction(self, fr: Fraction) -> bool:
-        return self.lo.as_fraction() <= fr <= self.hi.as_fraction()
 
     def __eq__(self, other):
         if not isinstance(other, DyadicInterval):

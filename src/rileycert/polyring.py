@@ -8,7 +8,6 @@ Canonical term order everywhere (serialization, hashing, iteration) is
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -141,33 +140,9 @@ class _SparsePoly:
         sym = self._first_symbol
         return "\n".join(f"{c} * {sym}^{i} * y^{j}" for i, j, c in self.terms())
 
-    @classmethod
-    def parse_text(cls, text: str):
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        items = []
-        for line in text.splitlines():
-            coeff_part, x_part, y_part = (piece.strip() for piece in line.split("*"))
-            items.append((int(x_part.split("^")[1]), int(y_part.split("^")[1]),
-                          int(coeff_part)))
-        return cls.from_terms(items)
-
     def triples(self) -> list[list]:
         """Structured form: [first_exp, y_deg, "coeff"] triples, canonical order."""
         return [[i, j, str(c)] for i, j, c in self.terms()]
-
-    @classmethod
-    def from_triples(cls, triples: Iterable[Sequence]):
-        return cls.from_terms((int(i), int(j), int(c)) for i, j, c in triples)
-
-    def eval_fraction(self, u: Fraction, y: Fraction) -> Fraction:
-        """Exact rational value at (x or s, y) = (u, y): the oracle for
-        interval evaluation."""
-        total = Fraction(0)
-        for i, j, c in self.terms():
-            total += c * u**i * y**j
-        return total
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
@@ -204,31 +179,8 @@ class XYPoly(_SparsePoly):
             out.setdefault(j, {})[(i, 0)] = c
         return {j: XYPoly(t) for j, t in out.items()}
 
-    def substitute_y(self, value) -> "XYPoly":
-        """Exact substitution y -> value (an XYPoly or int), Horner in y."""
-        if isinstance(value, int):
-            value = XYPoly.const(value)
-        slices = self.y_slices()
-        if not slices:
-            return XYPoly.zero()
-        acc = XYPoly.zero()
-        for j in range(max(slices), -1, -1):
-            acc = acc * value + slices.get(j, XYPoly.zero())
-        return acc
-
     def diff_y(self) -> "XYPoly":
         return XYPoly({(i, j - 1): c * j for (i, j), c in self._terms.items() if j})
-
-    def to_sy(self) -> "SYPoly":
-        """Substitute x -> s + 1/s, exactly."""
-        x_image = SYPoly({(1, 0): 1, (-1, 0): 1})
-        slices: dict[int, dict] = {}
-        for (i, j), c in self._terms.items():
-            slices.setdefault(i, {})[(0, j)] = c
-        acc = SYPoly.zero()
-        for i in range(max(slices, default=0), -1, -1):
-            acc = acc * x_image + SYPoly(slices.get(i, {}))
-        return acc
 
 
 class SYPoly(_SparsePoly):
@@ -251,14 +203,12 @@ class SYPoly(_SparsePoly):
         return self._terms == {(-i, j): c for (i, j), c in self._terms.items()}
 
 
-def symmetric_rewrite(p: SYPoly | int, packing: Packing | None = None) -> XYPoly:
+def symmetric_rewrite(p: int, packing: Packing) -> XYPoly:
     """Rewrite an s <-> 1/s symmetric Laurent polynomial as f(x, y), x = s + 1/s.
 
-    p is a SYPoly, or the integer of s**sigma * p packed in t = s**2 by
-    `packing` (step 2, shift sigma, y outer), as the Riley engine holds R12
-    and traces: the s-exponents of p then all have sigma's parity.  A SYPoly
-    is split by s-parity and each class packed so; every class runs the
-    same core below, and only f is unpacked.
+    p is the integer of s**sigma * p packed in t = s**2 by `packing` (step
+    2, shift sigma, y outer), as the Riley engine holds R12 and traces: the
+    s-exponents of p all have sigma's parity, and only f is unpacked.
 
     Slot k of a y-row holds the coefficient of s**(2k - sigma), so for a
     symmetric p slot (sigma + e) / 2 holds c_e, the coefficient of
@@ -279,14 +229,6 @@ def symmetric_rewrite(p: SYPoly | int, packing: Packing | None = None) -> XYPoly
     every slot of p: s**sigma f(s + 1/s) reads the same backwards, so that
     check also finds an asymmetric p, which raises NotSymmetric.
     """
-    if packing is None:
-        terms: dict = {}
-        for parity in (0, 1):
-            part = {key: c for key, c in p._terms.items() if key[0] & 1 == parity}
-            deg = max((abs(i) for i, _ in part), default=parity)
-            packing = Packing.covering(deg, deg + 1, max(map(abs, part.values()), default=0), 2)
-            terms.update(symmetric_rewrite(packing.pack(part), packing)._terms)
-        return XYPoly(terms)
     sigma, nb, row_len = packing.shift, packing.nbytes, packing.slots * packing.nbytes
     odd, half, buf = sigma & 1, 1 << 8 * nb - 1, packing.slot_bytes(p)
     a_rows = [[int.from_bytes(buf[k:k + nb], "little") - half
@@ -512,60 +454,52 @@ def _point_y_coeffs(p: XYPoly, m: int, k: int) -> tuple[list[int], int]:
 def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
                   y_bounds: tuple[list[int], list[int], int] | None = None
                   ) -> DyadicInterval:
-    """Interval enclosing {p(u, v) : u in x, v in y}, Horner in y then x.
+    """Interval enclosing {p(u, y) : u in x} at a point y (lo == hi; any
+    other y raises ValueError), Horner in x.
 
-    With y = [y_lo, y_hi] * 2**e_y and x likewise (`_scaled`), the
-    x-coefficients b_i = sum_j a_ij y**j are bounded in units of
-    2**(D * e_y), D = deg_y: at a point y exactly, in power form
-    (`_point_y_coeffs`, faster there than Horner in y), and otherwise by
-    `_horner` in y on each x-row.  `_horner` in x then gives the result in
-    units of 2**(D * e_y + deg_x * e_x).  Both Horners run homogenized: in
-    y on the integers y_lo, y_hi with k = 0 and coefficient j times
-    2**(-e_y * (D - j)), and in x likewise.  That is a positive scaling,
-    exact in interval arithmetic, so no floor cuts anything, and the
-    integers grow from the leading coefficient down instead of starting at
-    full width.  The result is exact interval Horner: the only width in it
-    comes from the input intervals, and a point (x, y) gives the exact
+    With y = m * 2**e_y and x = [x_lo, x_hi] * 2**e_x (`_scaled`), the
+    x-coefficients b_i = sum_j a_ij y**j are formed exactly in power form
+    (`_point_y_coeffs`, faster there than Horner in y), in units of
+    2**(D * e_y), D = deg_y.  `_horner` in x then gives the result in units
+    of 2**(D * e_y + deg_x * e_x).  It runs homogenized, on the integers
+    x_lo, x_hi with k = 0 and coefficient i times 2**(-e_x * (deg_x - i)).
+    That is a positive scaling, exact in interval arithmetic, so no floor
+    cuts anything, and the integers grow from the leading coefficient down
+    instead of starting at full width.  The result is exact interval Horner
+    in x: the only width in it comes from x, and a point x gives the exact
     value.
 
     y_bounds = (lo, hi, e), when given, must bound the y-coefficients of p
     over x: lo[j] * 2**e <= c_j(u) <= hi[j] * 2**e for u in x, as
-    y_coefficient_bounds gives them.  For a point y = m / 2**k >= 0 the
-    enclosure [sum lo[j] y**j, sum hi[j] y**j] is then formed by `_horner`
-    in y at [m, m], in the bounds' own unit 2**e, each product floored at
-    its lower end and ceiled at its upper one, so each end only moves
-    outward.  It is returned when it excludes 0; otherwise, an exact zero
-    included, the exact path runs, and a non-point or negative y always
-    takes it.  A returned result has the sign the exact path gives.  Horner
-    in x of b_i = sum_j a_ij y**j (the exact path) lies inside
-    sum_j y**j * (Horner in x of c_j) by subdistributivity,
-    (A + B) * X within A * X + B * X, with y**j >= 0 a point factor; each
-    Horner value of c_j lies in [lo[j], hi[j]] * 2**e; and the floors and
-    ceilings only widen the sum.  So the exact interval is inside the
-    returned one, and a sign definite there is the exact path's sign.
+    y_coefficient_bounds gives them.  For y = m / 2**k >= 0 the enclosure
+    [sum lo[j] y**j, sum hi[j] y**j] is then formed by `_horner` in y at
+    [m, m], in the bounds' own unit 2**e, each product floored at its lower
+    end and ceiled at its upper one, so each end only moves outward.  It is
+    returned when it excludes 0; otherwise, an exact zero included, the
+    exact path runs, and a negative y always takes it.  A returned result
+    has the sign the exact path gives.  Horner in x of b_i = sum_j a_ij y**j
+    (the exact path) lies inside sum_j y**j * (Horner in x of c_j) by
+    subdistributivity, (A + B) * X within A * X + B * X, with y**j >= 0 a
+    point factor; each Horner value of c_j lies in [lo[j], hi[j]] * 2**e;
+    and the floors and ceilings only widen the sum.  So the exact interval
+    is inside the returned one, and a sign definite there is the exact
+    path's sign.
     """
+    m, y_hi, ey = _scaled(y)
+    if m != y_hi:
+        raise ValueError(f"eval_interval takes a point y, not {y!r}")
     if not p._terms:
         return DyadicInterval.point(0)
-    y_lo, y_hi, ey = _scaled(y)
-    if y_bounds is not None and y_lo == y_hi >= 0:
+    if y_bounds is not None and m >= 0:
         lo, hi, e = y_bounds
-        l, h = _horner(lo, hi, (y_lo, y_hi), -ey)
+        l, h = _horner(lo, hi, (m, m), -ey)
         if l > 0 or h < 0:
             return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
-    if y_lo == y_hi:
-        lo, e = _point_y_coeffs(p, y_lo, -ey)
-        hi = lo
-    else:
-        dy = p.deg_y()
-        rows = [[0] * (dy + 1) for _ in range(p.deg_x() + 1)]
-        for (i, j), c in p._terms.items():
-            rows[i][j] = c << -ey * (dy - j)
-        lo, hi = zip(*(_horner(row, row, (y_lo, y_hi), 0) for row in rows))
-        e = dy * ey
+    b, e = _point_y_coeffs(p, m, -ey)
     x_lo, x_hi, ex = _scaled(x)
-    dx = len(lo) - 1
-    lo, hi = ([c << -ex * (dx - i) for i, c in enumerate(b)] for b in (lo, hi))
-    l, h = _horner(lo, hi, (x_lo, x_hi), 0)
+    dx = len(b) - 1
+    b = [c << -ex * (dx - i) for i, c in enumerate(b)]
+    l, h = _horner(b, b, (x_lo, x_hi), 0)
     e += dx * ex
     return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
 

@@ -17,6 +17,8 @@ from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
 from rileycert.polyring import XYPoly, eval_interval, leading_y_term
 from rileycert.riley import RileyPolynomial, kl_named_polys, lambda_dt, riley_for_knot
 
+from poly_oracle import reference_eval_interval
+
 
 # The witness lemmas of the double-twist and K_l families: at a y_c >= 2
 # with lambda(x_n, y_c) = c, a Chebyshev root fixed by the family, the sign
@@ -138,7 +140,7 @@ def _check_witness_enclosure(lam, n, ratio, require_c_le_1=False):
                                require_c_le_1=require_c_le_1)
     assert y_c.lo >= 2
     # lambda over the enclosure must straddle c
-    lam_iv = eval_interval(lam, xn, y_c)
+    lam_iv = reference_eval_interval(lam, xn, y_c)
     c_iv = ratio.enclosure(160)
     assert lam_iv.lo.as_fraction() <= c_iv.hi.as_fraction()
     assert c_iv.lo.as_fraction() <= lam_iv.hi.as_fraction()
@@ -523,6 +525,9 @@ def test_certificate_fields_are_bounded():
     endpoints = [{"mantissa": "1", "exponent": e} for e in (-2**40, 2**40, -10**4)]
     endpoints += [{"mantissa": "5", "exponent": -1.5}, {"mantissa": 5, "exponent": -1},
                   {"mantissa": "5", "exponent": True}]
+    # int() alone also reads Arabic-Indic digits, '_' and surrounding whitespace
+    endpoints += [{"mantissa": m, "exponent": -1}
+                  for m in ("\u0665", "5_1", " 5", "5\n", "+5", "")]
     for end in ("a", "b"):
         for endpoint in endpoints:
             bracket = {**record["bracket"], end: endpoint}
@@ -658,7 +663,7 @@ def test_witness_sign_consistency():
                 xn = xn_enclosure(n, 128)
                 y_c = solve_lambda_witness(lambda_dt(k), xn,
                                            CosRatio(m - 2, m - 1), 128, n=n)
-                sign = eval_interval(phi.poly, xn, y_c).sign()
+                sign = reference_eval_interval(phi.poly, xn, y_c).sign()
                 assert sign == (-1 if m % 2 == 1 else 1), (k, m, n)
     lam, alpha, _ = kl_named_polys()
     for l in (3, 4):
@@ -667,4 +672,4 @@ def test_witness_sign_consistency():
             xn = xn_enclosure(n, 128)
             y_c = solve_lambda_witness(lam, xn, CosRatio(l - 2, l - 1), 128,
                                        n=n, require_c_le_1=True)
-            assert eval_interval(alpha, xn, y_c).sign() == -1, (l, n)
+            assert reference_eval_interval(alpha, xn, y_c).sign() == -1, (l, n)

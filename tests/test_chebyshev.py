@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from rileycert.chebyshev import (NotUnimodular, cheb_eval, cheb_poly,
-                                 cheb_root_enclosures, sl2_power,
-                                 solve_recurrence)
+                                 cheb_root_enclosures, sl2_power)
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.knots import DoubleTwistKnot, Word, word_double_twist
 from rileycert.polyring import PackedMatrix, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word
 
 from matrix_oracle import as_dict, as_packed
+from poly_oracle import contains_fraction
 
 
 def u_poly(n):
@@ -91,10 +91,10 @@ def test_root_enclosures_small_cases():
     assert len(one) == 1 and one[0].lo.sign() < 0 < one[0].hi.sign()
     two = cheb_root_enclosures(2, 64)
     assert len(two) == 2
-    assert two[0].contains_fraction(Fraction(-1))
-    assert two[1].contains_fraction(Fraction(1))
+    assert contains_fraction(two[0], Fraction(-1))
+    assert contains_fraction(two[1], Fraction(1))
     three = cheb_root_enclosures(3, 64)
-    assert three[1].contains_fraction(Fraction(0))
+    assert contains_fraction(three[1], Fraction(0))
     # outer enclosures hold -sqrt(2) and sqrt(2)
     assert three[0].hi.as_fraction() ** 2 < 2 < three[0].lo.as_fraction() ** 2
     assert three[2].lo.as_fraction() ** 2 < 2 < three[2].hi.as_fraction() ** 2
@@ -111,28 +111,6 @@ def test_root_enclosures_certified_and_disjoint():
             assert s_lo != 0 and s_hi == -s_lo
         for left, right in zip(encl, encl[1:]):
             assert left.hi < right.lo
-
-
-def test_solve_recurrence_is_chebyshev():
-    z = XYPoly.y()
-    for n in range(8):
-        expected = XYPoly.from_terms(
-            (0, i, c) for i, c in enumerate(cheb_poly(n + 1)))
-        assert solve_recurrence(XYPoly.one(), z, z, n) == expected
-
-
-def test_solve_recurrence_examples_and_oracle():
-    assert solve_recurrence(0, 1, 2, 4) == 5
-    rng = random.Random(47)
-    for _ in range(30):
-        a0 = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
-        a1 = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
-        c = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
-        seq = [a0, a1]
-        for _ in range(7):
-            seq.append(c * seq[-1] - seq[-2])
-        for n in range(7):
-            assert solve_recurrence(a0, a1, c, n) == seq[n + 1]
 
 
 def test_sl2_power_poly_matrix():

@@ -32,6 +32,12 @@ def test_parse_knot_spec():
     for bad in ("X:1", "J:1", "Kl:x", "4/2", "J:0,2"):
         with pytest.raises(Exception):
             parse_knot_spec(bad)
+    # int() also reads fullwidth and Arabic-Indic digits, '_' and
+    # surrounding whitespace; each part must be ASCII -?[0-9]+
+    for text in ("\uff11", "\u0663", "6_4", " 3", "3\n", "+3", "", "\u00b2"):
+        for spec in (f"J:{text},4", f"J:1,{text}", f"Kl:{text}", f"{text}/3", f"5/{text}"):
+            with pytest.raises(cli.CliError, match="invalid knot spec"):
+                parse_knot_spec(spec)
 
 
 def test_riley_output_deterministic(capsys):
@@ -86,6 +92,27 @@ def test_knot_parameters_past_the_limits_fail_first(capsys, monkeypatch, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: invalid knot spec")
     assert "must be at most" in err or "must lie in" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--knot", "J:\uff11,\uff14", "--n", "3"),
+    ("certify", "--knot", "J:1,4", "--n", "\u0663"),
+    ("certify", "--knot", "J:1,4", "--n", "3", "--ymax-cap", "6_4"),
+    ("certify", "--knot", "J:1,4", "--n", " 3"),
+    ("lo-set", "--knot", "J:1,4", "--n-max", "\u0664"),
+    ("lo-set", "--knot", "Kl:\u0663", "--n-max", "4"),
+    ("riley", "--fraction", "\u0665/\u0663"),
+    ("signs", "--fraction", "5/3 "),
+], ids=ascii)
+def test_integers_that_are_not_ascii_decimal_fail_first(capsys, monkeypatch, argv):
+    def engine(*args, **kwargs):
+        raise AssertionError("the Riley engine ran")
+
+    monkeypatch.setattr(cli, "riley_for_knot", engine)
+    monkeypatch.setattr(cli, "sign_sequence", engine)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "invalid knot spec" in err or "invalid integer" in err
 
 
 def test_riley_fraction(capsys):

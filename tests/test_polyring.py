@@ -10,6 +10,9 @@ from rileycert.polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly,
                                 symmetric_rewrite, y_coefficient_bounds)
 from rileycert.riley import riley_double_twist
 
+from poly_oracle import (contains_fraction, eval_fraction, reference_eval_interval,
+                         rewrite_sy, to_sy)
+
 X, Y = XYPoly.x(), XYPoly.y()
 
 
@@ -65,16 +68,26 @@ def test_negative_exponent_rejected_in_xy():
         SYPoly.from_terms([(0, -1, 1)])
 
 
+def _parse_text(cls, text):
+    """The polynomial of a `to_text` rendering: one `c * v^i * y^j` a line."""
+    if text == "0":
+        return cls.zero()
+    terms = []
+    for line in text.splitlines():
+        c, v, y = line.split(" * ")
+        terms.append((int(v.split("^")[1]), int(y.split("^")[1]), int(c)))
+    return cls.from_terms(terms)
+
+
 def test_canonical_text_round_trip():
     rng = random.Random(17)
     for _ in range(40):
         p = rand_xy(rng)
-        assert XYPoly.parse_text(p.to_text()) == p
-        assert XYPoly.from_triples(p.triples()) == p
+        assert _parse_text(XYPoly, p.to_text()) == p
+        assert XYPoly.from_terms((i, j, int(c)) for i, j, c in p.triples()) == p
         q = rand_sy(rng)
-        assert SYPoly.parse_text(q.to_text()) == q
+        assert _parse_text(SYPoly, q.to_text()) == q
     assert XYPoly.zero().to_text() == "0"
-    assert XYPoly.parse_text("0") == XYPoly.zero()
 
 
 def test_canonical_order_and_hash_stability():
@@ -89,27 +102,36 @@ def test_canonical_order_and_hash_stability():
 
 
 def test_symmetric_rewrite_examples():
-    assert symmetric_rewrite(SYPoly.from_terms([(1, 0, 1), (-1, 0, 1)])) == X
-    assert symmetric_rewrite(SYPoly.from_terms([(2, 0, 1), (-2, 0, 1)])) == X ** 2 - 2
-    assert symmetric_rewrite(SYPoly.from_terms([(3, 1, 1), (-3, 1, 1)])) \
+    assert rewrite_sy(SYPoly.from_terms([(1, 0, 1), (-1, 0, 1)])) == X
+    assert rewrite_sy(SYPoly.from_terms([(2, 0, 1), (-2, 0, 1)])) == X ** 2 - 2
+    assert rewrite_sy(SYPoly.from_terms([(3, 1, 1), (-3, 1, 1)])) \
         == (X ** 3 - 3 * X) * Y
-    assert symmetric_rewrite(SYPoly.const(5)) == XYPoly.const(5)
+    assert rewrite_sy(SYPoly.const(5)) == XYPoly.const(5)
 
 
 def test_symmetric_rewrite_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
-        symmetric_rewrite(SYPoly.s(1))
+        rewrite_sy(SYPoly.s(1))
     with pytest.raises(NotSymmetric):
-        symmetric_rewrite(SYPoly.from_terms([(1, 0, 1), (-1, 0, 2)]))
+        rewrite_sy(SYPoly.from_terms([(1, 0, 1), (-1, 0, 2)]))
+
+
+def test_symmetric_rewrite_requires_a_packing():
+    # it takes only a packed integer and its packing; rewrite_sy packs a
+    # dict SYPoly for the tests
+    with pytest.raises(TypeError):
+        symmetric_rewrite(SYPoly.from_terms([(1, 0, 1), (-1, 0, 1)]))
+    with pytest.raises(TypeError):
+        symmetric_rewrite(0)
 
 
 def test_symmetric_rewrite_round_trip_random():
     rng = random.Random(23)
     for _ in range(40):
         f = rand_xy(rng)
-        p = f.to_sy()
+        p = to_sy(f)
         assert p.is_symmetric()
-        assert symmetric_rewrite(p) == f
+        assert rewrite_sy(p) == f
     # and from the Laurent side: sums of c*(s^k + s^-k)*y^j
     for _ in range(40):
         terms = []
@@ -119,8 +141,8 @@ def test_symmetric_rewrite_round_trip_random():
             c = rng.randrange(-9, 10)
             terms += [(k, j, c), (-k, j, c)] if k else [(0, j, c)]
         p = SYPoly.from_terms(terms)
-        f = symmetric_rewrite(p)
-        assert f.to_sy() == p
+        f = rewrite_sy(p)
+        assert to_sy(f) == p
 
 
 _PARITY_DEGREES = {"even": st.integers(0, 12).map(lambda k: 2 * k),
@@ -145,10 +167,10 @@ def test_symmetric_rewrite_inverts_to_sy(parity_and_f):
     # f(s + 1/s, y) is symmetric, and its rewrite is f again, whatever the
     # s-parity classes of p and the size of its coefficients
     _, f = parity_and_f
-    p = f.to_sy()
+    p = to_sy(f)
     assert p.is_symmetric()
-    assert symmetric_rewrite(p) == f
-    assert symmetric_rewrite(p + SYPoly.const(2 ** 70)) == f + 2 ** 70
+    assert rewrite_sy(p) == f
+    assert rewrite_sy(p + SYPoly.const(2 ** 70)) == f + 2 ** 70
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -160,11 +182,11 @@ def test_symmetric_rewrite_of_symmetric_sums(terms):
     # k != 0, makes p asymmetric
     p = SYPoly.from_terms([t for k, j, c in terms
                            for t in ([(k, j, c), (-k, j, c)] if k else [(0, j, c)])])
-    assert symmetric_rewrite(p).to_sy() == p
+    assert to_sy(rewrite_sy(p)) == p
     for k, j, _ in terms:
         if k:
             with pytest.raises(NotSymmetric):
-                symmetric_rewrite(p + SYPoly.from_terms([(k, j, 2 ** 65)]))
+                rewrite_sy(p + SYPoly.from_terms([(k, j, 2 ** 65)]))
 
 
 def test_leading_y_term():
@@ -190,22 +212,31 @@ def test_eval_interval_point_matches_fraction_oracle():
         iv = eval_interval(p, DyadicInterval.point(Dyadic(xn, -3)),
                            DyadicInterval.point(Dyadic(yn, -3)))
         assert iv.is_point()
-        assert iv.lo.as_fraction() == p.eval_fraction(Fraction(xn, 8), Fraction(yn, 8))
+        assert iv.lo.as_fraction() == eval_fraction(p, Fraction(xn, 8), Fraction(yn, 8))
     assert eval_interval(XYPoly.y(), DyadicInterval.point(7),
                          DyadicInterval.point(2)) == DyadicInterval.point(2)
 
 
 def test_eval_interval_monotone_inclusion():
     rng = random.Random(37)
+    x_outer = DyadicInterval(Dyadic(-3), Dyadic(5, -1))
+    x_inner = DyadicInterval(Dyadic(-1), Dyadic(1, -1))
     for _ in range(40):
         p = rand_xy(rng)
-        x_outer = DyadicInterval(Dyadic(-3), Dyadic(5, -1))
-        y_outer = DyadicInterval(Dyadic(1, -2), Dyadic(9, -2))
-        x_inner = DyadicInterval(Dyadic(-1), Dyadic(1, -1))
-        y_inner = DyadicInterval(Dyadic(1, -1), Dyadic(3, -1))
-        outer = eval_interval(p, x_outer, y_outer)
-        inner = eval_interval(p, x_inner, y_inner)
-        assert outer.contains(inner)
+        for y in (Dyadic(1, -2), Dyadic(3, -1), Dyadic(-9, -2)):
+            outer = eval_interval(p, x_outer, DyadicInterval.point(y))
+            inner = eval_interval(p, x_inner, DyadicInterval.point(y))
+            assert outer.contains(inner)
+
+
+def test_eval_interval_rejects_interval_y():
+    x = DyadicInterval(Dyadic(3, -1), Dyadic(13, -3))
+    y = DyadicInterval(Dyadic(2), Dyadic(17, -3))
+    for p in (XYPoly.zero(), riley_double_twist(1, 2).poly):
+        with pytest.raises(ValueError):
+            eval_interval(p, x, y)
+        with pytest.raises(ValueError):
+            eval_interval(p, x, y, y_bounds=y_coefficient_bounds(p, x, -8))
 
 
 def test_eval_interval_riley_at_exact_point():
@@ -213,7 +244,7 @@ def test_eval_interval_riley_at_exact_point():
     # the exact rational value obtained by direct substitution
     phi = riley_double_twist(1, 2).poly
     iv = eval_interval(phi, DyadicInterval.point(1), DyadicInterval.point(2))
-    exact = phi.eval_fraction(Fraction(1), Fraction(2))
+    exact = eval_fraction(phi, Fraction(1), Fraction(2))
     assert iv.is_point() and iv.lo.as_fraction() == exact
     assert exact == -5  # (x^2-2)(1+(4-x^2)k) - 1 at k=1, x=1
 
@@ -227,39 +258,13 @@ def test_eval_interval_width_shrinks():
     assert narrow.width() < wide.width()
 
 
-def reference_eval_interval(p, x, y):
-    """Horner in y then x on DyadicInterval objects.
-
-    The reference for eval_interval, which must return exactly this interval
-    for every input.
-    """
-    slices = {}
-    for i, j, c in p.terms():
-        slices.setdefault(i, {})[j] = c
-    if not slices:
-        return DyadicInterval.point(0)
-
-    def horner_y(coeffs):
-        acc = DyadicInterval.point(0)
-        for j in range(max(coeffs), -1, -1):
-            acc = acc * y + coeffs.get(j, 0)
-        return acc
-
-    acc = DyadicInterval.point(0)
-    for i in range(max(slices), -1, -1):
-        acc = acc * x
-        if i in slices:
-            acc = acc + horner_y(slices[i])
-    return acc
-
-
 sparse_polys = st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-60, 60)),
     max_size=12).map(XYPoly.from_terms)
 dyadics = st.builds(Dyadic, st.integers(-(1 << 24), 1 << 24), st.integers(-40, 6))
+points = dyadics.map(DyadicInterval.point)
 intervals = st.one_of(
-    dyadics.map(DyadicInterval.point),
-    st.tuples(dyadics, dyadics).map(lambda ds: DyadicInterval(min(ds), max(ds))))
+    points, st.tuples(dyadics, dyadics).map(lambda ds: DyadicInterval(min(ds), max(ds))))
 # stands for the exact unit of y_coefficient_bounds (exact_unit)
 EXACT = None
 
@@ -271,13 +276,12 @@ def exact_unit(p, x):
 
 
 @settings(max_examples=400, deadline=None)
-@given(sparse_polys, intervals, intervals, st.fractions(0, 1), st.fractions(0, 1))
-def test_eval_interval_matches_reference(p, x, y, tx, ty):
+@given(sparse_polys, intervals, points, st.fractions(0, 1))
+def test_eval_interval_matches_reference(p, x, y, tx):
     iv = eval_interval(p, x, y)
     assert iv == reference_eval_interval(p, x, y)
     u = x.lo.as_fraction() + tx * x.width().as_fraction()
-    v = y.lo.as_fraction() + ty * y.width().as_fraction()
-    assert iv.contains_fraction(p.eval_fraction(u, v))
+    assert contains_fraction(iv, eval_fraction(p, u, y.lo.as_fraction()))
 
 
 def fraction_horner(lo, hi, v_lo, v_hi):
@@ -327,6 +331,25 @@ def test_horner_matches_fraction_interval_horner(args, ts):
     assert _horner(*fine, u, k) == (exact_l * (1 << k * d), exact_h * (1 << k * d))
 
 
+def test_horner_takes_two_products_per_step_for_nonnegative_u():
+    # int * u calls u.__rmul__ first when u's type is a subclass of int, so
+    # every product _horner forms with u is counted: 3 steps here
+    calls = []
+
+    class Counted(int):
+        def __rmul__(self, other):
+            calls.append(other)
+            return int(self) * other
+
+    lo, hi = [5, -3, 7, 2], [6, -1, 9, 4]
+    for u, products in (((1, 3), 6), ((0, 0), 6), ((5, 5), 6),
+                        ((-3, 1), 12), ((-3, -1), 12), ((-2, -2), 12)):
+        calls.clear()
+        result = _horner(lo, hi, tuple(map(Counted, u)), 2)
+        assert len(calls) == products, u
+        assert result == _horner(lo, hi, u, 2)
+
+
 bounds_exponents = st.one_of(st.just(EXACT), st.integers(-90, 0))
 
 
@@ -344,7 +367,7 @@ def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx, e):
     slices = p.y_slices()
     assert len(lo) == len(hi) == p.deg_y() + 1
     for j, (l, h) in enumerate(zip(lo, hi)):
-        c = slices[j].eval_fraction(u, Fraction(0)) if j in slices else 0
+        c = eval_fraction(slices[j], u, Fraction(0)) if j in slices else 0
         assert l * Fraction(2) ** e <= c <= h * Fraction(2) ** e
         if e <= exact_unit(p, x):  # interval Horner in x, exactly
             assert DyadicInterval(Dyadic(l, e), Dyadic(h, e)) == reference_eval_interval(
@@ -389,8 +412,13 @@ POSITIVE_Y = [DyadicInterval.point(2), DyadicInterval.point(8),
 @pytest.mark.parametrize("p", [COEFFICIENT_CASES, COEFFICIENT_CASES - 4000 * Y,
                                riley_double_twist(1, 2).poly], ids=["cases", "shifted", "J34"])
 def test_positive_exponents_match_the_reference(p, x, y):
+    # an interval y is a ValueError; the bounds do not depend on y
     reference = reference_eval_interval(p, x, y)
-    assert eval_interval(p, x, y) == reference
+    if y.is_point():
+        assert eval_interval(p, x, y) == reference
+    else:
+        with pytest.raises(ValueError):
+            eval_interval(p, x, y)
     slices = p.y_slices()
     for e in (0, -5):
         bounds = y_coefficient_bounds(p, x, e)
@@ -398,6 +426,8 @@ def test_positive_exponents_match_the_reference(p, x, y):
         for j, (l, h) in enumerate(zip(lo, hi)):
             assert DyadicInterval(Dyadic(l, e), Dyadic(h, e)) == reference_eval_interval(
                 slices.get(j, XYPoly.zero()), x, DyadicInterval.point(0))
+        if not y.is_point():
+            continue
         fast = eval_interval(p, x, y, y_bounds=bounds)
         assert fast.contains(reference)
         if fast.sign() is None or x.is_point():  # exact path, or exact bounds
@@ -423,10 +453,10 @@ def test_eval_interval_with_y_bounds_contains_the_exact_path(p, x, y, e):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_polys, intervals, intervals, bounds_exponents)
+@given(sparse_polys, intervals, points, bounds_exponents)
 def test_eval_interval_ignores_y_bounds_off_nonnegative_points(p, x, y, e):
-    if y.is_point() and y.lo.m >= 0:
-        y = DyadicInterval(y.lo, y.lo + 1) if y.lo.m else DyadicInterval.point(-1)
+    if y.lo.m >= 0:
+        y = DyadicInterval.point(-y.lo if y.lo.m else Dyadic(-1))
     assert eval_interval(p, x, y, y_bounds=_bounds(p, x, e)) == eval_interval(p, x, y)
 
 
@@ -438,8 +468,6 @@ def test_eval_interval_matches_reference_on_riley():
         for y in (Dyadic(2), Dyadic(17, -3), Dyadic(2 ** 130 + 12345, -128)):
             point = DyadicInterval.point(y)
             assert eval_interval(phi, xn, point) == reference_eval_interval(phi, xn, point)
-        y_iv = DyadicInterval(Dyadic(9, -2), Dyadic(19, -3))
-        assert eval_interval(phi, xn, y_iv) == reference_eval_interval(phi, xn, y_iv)
 
 
 def test_poly_matrix_ops():

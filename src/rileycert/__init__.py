@@ -5,9 +5,8 @@ of phi_K(2cos(pi/n), y)."""
 __version__ = "0.1.0"
 
 from .dyadic import Dyadic, DyadicInterval  # noqa: E402
-from .polyring import (SYPoly, XYPoly, eval_interval, leading_y_term,  # noqa: E402
-                       symmetric_rewrite)
-from .chebyshev import cheb_eval, cheb_poly, cheb_root_enclosures  # noqa: E402
+from .polyring import SYPoly, XYPoly, eval_interval, symmetric_rewrite  # noqa: E402
+from .chebyshev import cheb_eval, cheb_poly  # noqa: E402
 from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,  # noqa: E402
                     hm_reduce, kl_fraction, run_length, sign_sequence,
                     word_double_twist, word_from_signs, word_kl)
@@ -18,9 +17,8 @@ from .certify import (MalformedCertificate, RootCertificate, ScanReport,  # noqa
 
 __all__ = [
     "Dyadic", "DyadicInterval",
-    "SYPoly", "XYPoly", "eval_interval",
-    "leading_y_term", "symmetric_rewrite",
-    "cheb_eval", "cheb_poly", "cheb_root_enclosures",
+    "SYPoly", "XYPoly", "eval_interval", "symmetric_rewrite",
+    "cheb_eval", "cheb_poly",
     "DoubleTwistKnot", "KlKnot", "TwoBridgeFraction", "Word",
     "hm_reduce", "kl_fraction", "run_length", "sign_sequence",
     "word_double_twist", "word_from_signs", "word_kl",

@@ -1,6 +1,5 @@
 """The normalized second-kind Chebyshev family S_n: S_0 = 1, S_1 = z,
-S_{n+1} = z*S_n - S_{n-1}, plus the matrix power and the root enclosures
-built on it.
+S_{n+1} = z*S_n - S_{n-1}, plus the matrix power built on it.
 
 Evaluation never expands the coefficient form for large n; the iterative
 recurrence is exact in any commutative ring and O(n).  On polynomials it
@@ -13,9 +12,6 @@ this way on the homogenised matrix of a `PackedMatrix` and returns one.
 
 from __future__ import annotations
 
-import math
-
-from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from .polyring import PackedMatrix, XYPoly, _merge, _times
 
 
@@ -105,41 +101,3 @@ def sl2_power(M: PackedMatrix, n: int) -> PackedMatrix:
     w11, w12, w21, w22 = (_times(h_prev, p.multiplier(t)) for p, t in zip(w, maps))
     return PackedMatrix((h_cur - w22, w12, w21, h_cur - w11), packing)
 
-
-def cheb_root_enclosures(n: int, precision: int) -> list[DyadicInterval]:
-    """n disjoint enclosures of the roots 2cos(k*pi/(n+1)), ascending, each of
-    width <= 2**-precision and certified by an exact sign change of S_n.
-
-    The cosine enclosures are rigorous already; the endpoint sign changes give
-    an independent certificate: n disjoint brackets must contain the n roots
-    in order.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    # keep enclosures well clear of the spacing between adjacent roots
-    min_gap = min(2 * math.cos(k * math.pi / (n + 1))
-                  - 2 * math.cos((k + 1) * math.pi / (n + 1)) for k in range(1, n)) \
-        if n > 1 else 4.0
-    internal = max(precision + 4, int(-math.log2(min_gap / 8)) + 1)
-    nudge = Dyadic(1, -(internal + 2))
-    out = []
-    for k in range(n, 0, -1):  # ascending roots
-        iv = two_cos_pi_ratio(k, n + 1, internal)
-        lo, hi = iv.lo, iv.hi
-        if lo == hi:
-            lo, hi = lo - nudge, hi + nudge
-        while cheb_eval(n, lo).sign() == 0:
-            lo = lo - nudge
-        while cheb_eval(n, hi).sign() == 0:
-            hi = hi + nudge
-        s_lo, s_hi = cheb_eval(n, lo).sign(), cheb_eval(n, hi).sign()
-        if s_lo == s_hi:
-            raise AssertionError(f"no sign change around root {k} of S_{n}")
-        out.append(DyadicInterval(lo, hi))
-    bound = Dyadic(1, -precision)
-    for left, right in zip(out, out[1:]):
-        if not left.hi < right.lo:
-            raise AssertionError("root enclosures overlap")
-    if any(iv.width() > bound for iv in out):
-        raise AssertionError("root enclosure wider than requested")
-    return out

@@ -74,18 +74,20 @@ _y_cap = _int_in_range(3, MAX_Y_MAX_CAP)
 def parse_knot_spec(text: str):
     """`J:k,m` (meaning J(2k+1, 2m)), `Kl:l`, or a fraction `p/q`, each
     part an ASCII decimal integer."""
+    if text.startswith("J:"):
+        form, parts, make = "J:k,m", text[2:].split(","), DoubleTwistKnot
+    elif text.startswith("Kl:"):
+        form, parts, make = "Kl:l", [text[3:]], KlKnot
+    elif "/" in text:
+        form, parts, make = "p/q", text.split("/"), TwoBridgeFraction
+    else:
+        raise CliError(f"invalid knot spec {text!r} (expected J:k,m | Kl:l | p/q)")
+    if make is not KlKnot and len(parts) != 2:
+        raise CliError(f"invalid knot spec {text!r} (expected {form})")
     try:
-        if text.startswith("J:"):
-            k_str, m_str = text[2:].split(",")
-            return DoubleTwistKnot(_decimal(k_str), _decimal(m_str))
-        if text.startswith("Kl:"):
-            return KlKnot(_decimal(text[3:]))
-        if "/" in text:
-            p_str, q_str = text.split("/")
-            return TwoBridgeFraction(_decimal(p_str), _decimal(q_str))
+        return make(*map(_decimal, parts))
     except ValueError as exc:
         raise CliError(f"invalid knot spec {text!r}: {exc}") from exc
-    raise CliError(f"invalid knot spec {text!r} (expected J:k,m | Kl:l | p/q)")
 
 
 def _knot_from_args(args):
@@ -138,7 +140,7 @@ def cmd_signs(args) -> int:
     if args.reduce:
         while not chain[-1].is_degenerate():
             cur = chain[-1]
-            if cur.q == 0 or cur.p // cur.q < 2:
+            if cur.p // cur.q < 2:
                 break
             chain.append(hm_reduce(cur))
     payload = {

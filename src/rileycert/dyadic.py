@@ -224,7 +224,7 @@ class DyadicInterval:
         return hash((self.lo, self.hi))
 
     def __repr__(self):
-        return f"[{float(self.lo):.12g}, {float(self.hi):.12g}]"
+        return f"[{self.lo!r}, {self.hi!r}]"
 
 
 def _atan_inv_scaled(q: int, work: int) -> tuple[int, int]:
@@ -249,17 +249,17 @@ _GUARD_BITS = 32
 
 
 @lru_cache(maxsize=None)
-def pi_bounds(precision: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= pi <= hi with hi - lo <= 2**-precision (Machin's formula)."""
+def pi_bounds(precision: int) -> tuple[int, int]:
+    """Integers lo <= pi * 2**W <= hi, W = precision + 32, by Machin's
+    formula on the unit 2**-W of `_two_cos_scaled`; hi - lo <= 2**32 ulps,
+    so pi is enclosed to within 2**-precision."""
     work = precision + _GUARD_BITS
     v5, e5 = _atan_inv_scaled(5, work)
     v239, e239 = _atan_inv_scaled(239, work)
     value = 16 * v5 - 4 * v239
     err = 16 * e5 + 4 * e239
-    scale = 1 << work
-    lo, hi = Fraction(value - err, scale), Fraction(value + err, scale)
-    assert hi - lo <= Fraction(1, 1 << precision)
-    return lo, hi
+    assert 2 * err <= 1 << _GUARD_BITS
+    return value - err, value + err
 
 
 def _cos_scaled(t: int, work: int) -> tuple[int, int]:
@@ -311,17 +311,17 @@ def _two_cos_scaled(num: int, den: int, precision: int) -> tuple[int, int]:
     """Integers lo <= 2cos(num*pi/den) * 2**W <= hi, W = precision + 32, for
     0 < num/den < 1/2.
 
-    t = pi*num/den is scaled by 2**W outward from pi_bounds(precision):
-    floored at the lower pi bound, ceiled at the upper one.  cos decreases on
-    [0, pi/2], so its lower bound comes from the upper t and vice versa.
-    pi_bounds(precision), computed at the same W, is less than 2**15 ulps
-    of 2**-W wide for precision <= 4096 and each series is within 3J + 1
-    ulps, so hi - lo is far below 2**(W - precision - 1).
+    t = pi*num/den is scaled by 2**W outward from pi_bounds(precision), on
+    the same unit: floored at the lower pi bound, ceiled at the upper one.
+    cos decreases on [0, pi/2], so its lower bound comes from the upper t
+    and vice versa.  pi_bounds(precision) is less than 2**15 ulps wide for
+    precision <= 4096 and each series is within 3J + 1 ulps, so hi - lo is
+    far below 2**(W - precision - 1).
     """
     work = precision + _GUARD_BITS
     pi_lo, pi_hi = pi_bounds(precision)
-    t_lo = (pi_lo.numerator * num << work) // (pi_lo.denominator * den)
-    t_hi = -((-pi_hi.numerator * num << work) // (pi_hi.denominator * den))
+    t_lo = pi_lo * num // den
+    t_hi = -(-pi_hi * num // den)
     c_lo, err_lo = _cos_scaled(t_hi, work)
     c_hi, err_hi = _cos_scaled(t_lo, work)
     return 2 * (c_lo - err_lo), 2 * (c_hi + err_hi)

@@ -18,10 +18,6 @@ class NotSymmetric(ValueError):
     """A Laurent polynomial expected to be invariant under s -> 1/s is not."""
 
 
-class ZeroPolynomial(ValueError):
-    """Operation undefined on the zero polynomial."""
-
-
 def _merge(a: dict, b: dict, bsign: int = 1) -> dict:
     out = dict(a)
     for key, c in b.items():
@@ -528,14 +524,6 @@ def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e: int
         lo.append(l)
         hi.append(h)
     return lo, hi, e
-
-
-def leading_y_term(p: XYPoly) -> tuple[int, XYPoly]:
-    """Highest y-degree and its coefficient polynomial in x."""
-    if not p:
-        raise ZeroPolynomial("zero polynomial has no leading term")
-    j_max = p.deg_y()
-    return j_max, p.y_slices()[j_max]
 
 
 class PolyMatrix:

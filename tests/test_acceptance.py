@@ -25,13 +25,13 @@ from pathlib import Path
 
 from rileycert.certify import (BRACKET_WIDTH, RootCertificate, find_root_gt2,
                                verify_certificate, xn_enclosure)
-from rileycert.chebyshev import cheb_eval, cheb_poly, cheb_root_enclosures
-from rileycert.dyadic import Dyadic, DyadicInterval
+from rileycert.chebyshev import cheb_eval, cheb_poly
+from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import (DoubleTwistKnot, KlKnot, SignSequence, TwoBridgeFraction,
                              expand, hm_reduce, kl_fraction, run_length,
                              sign_sequence, sign_sequence_raw,
                              word_double_twist, word_from_signs, word_kl)
-from rileycert.polyring import SYPoly, XYPoly, eval_interval, leading_y_term
+from rileycert.polyring import SYPoly, XYPoly, eval_interval
 from rileycert.riley import (alpha_dt, evaluate_word, generator_images,
                              kl_alpha_derivative_check, kl_named_polys,
                              lambda_dt, riley_double_twist, riley_for_knot,
@@ -186,7 +186,8 @@ def test_criterion_4_symbolic_identities():
 def test_criterion_5_leading_sign_law():
     ok = True
     for k, m in J_GRID_KM:
-        _, lead = leading_y_term(riley_double_twist(k, m).poly)
+        phi = riley_double_twist(k, m).poly
+        lead = phi.y_slices()[phi.deg_y()]
         coeffs = [c for _, _, c in lead.terms()]
         expect_positive = (m > 0 and m % 2 == 1) or (m < 0 and m % 2 == 0)
         ok = ok and len(coeffs) == 1 and (coeffs[0] > 0) == expect_positive
@@ -213,18 +214,11 @@ def test_criterion_6_chebyshev_suite():
     for t in samples:
         for n in range(65):
             ok = ok and cheb_eval(n, t) > 0 and cheb_eval(n + 1, t) > cheb_eval(n, t)
+    # between the two smallest roots, 2cos(n pi/(n+1)) < 2cos((n-1) pi/(n+1))
     for n in range(2, 33):
-        first, second = cheb_root_enclosures(n, 32)[:2]
-        t = (first.hi.as_fraction() + second.lo.as_fraction()) / 2
+        t = (two_cos_pi_ratio(n, n + 1, 32).hi.as_fraction()
+             + two_cos_pi_ratio(n - 1, n + 1, 32).lo.as_fraction()) / 2
         ok = ok and (-1) ** n * cheb_eval(n, t) < 0
-    for n in (1, 2, 3, 8, 24):
-        enclosures = cheb_root_enclosures(n, 48)
-        ok = ok and len(enclosures) == n
-        for iv in enclosures:
-            s_lo, s_hi = cheb_eval(n, iv.lo).sign(), cheb_eval(n, iv.hi).sign()
-            ok = ok and s_lo != 0 and s_hi == -s_lo
-            ok = ok and iv.width() <= Dyadic(1, -48)
-        ok = ok and all(a.hi < b.lo for a, b in zip(enclosures, enclosures[1:]))
     _report("criterion 6 (Chebyshev suite)", ok)
 
 

@@ -14,7 +14,7 @@ from rileycert.certify import (MAX_Y_MAX_CAP, HashMismatch,
                                xn_enclosure)
 from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
-from rileycert.polyring import XYPoly, eval_interval, leading_y_term
+from rileycert.polyring import XYPoly, eval_interval
 from rileycert.riley import RileyPolynomial, kl_named_polys, lambda_dt, riley_for_knot
 
 from poly_oracle import reference_eval_interval
@@ -451,7 +451,8 @@ def test_every_phi_has_a_unit_leading_y_coefficient():
     knots += [TwoBridgeFraction(p, q) for p in range(3, 52, 2)
               for q in range(1, p, 2) if math.gcd(p, q) == 1]
     for knot in knots:
-        _, lead = leading_y_term(riley_for_knot(knot).poly)
+        phi = riley_for_knot(knot).poly
+        lead = phi.y_slices()[phi.deg_y()]
         assert [(i, abs(c)) for i, _, c in lead.terms()] == [(0, 1)], knot
 
 

@@ -3,15 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from rileycert.chebyshev import (NotUnimodular, cheb_eval, cheb_poly,
-                                 cheb_root_enclosures, sl2_power)
-from rileycert.dyadic import Dyadic, DyadicInterval
+from rileycert.chebyshev import NotUnimodular, cheb_eval, cheb_poly, sl2_power
+from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import DoubleTwistKnot, Word, word_double_twist
 from rileycert.polyring import PackedMatrix, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word
 
 from matrix_oracle import as_dict, as_packed
-from poly_oracle import contains_fraction
 
 
 def u_poly(n):
@@ -77,40 +75,14 @@ def test_positivity_and_monotonicity_on_tail():
 
 
 def test_sign_between_two_smallest_roots():
-    # (-1)^n S_n < 0 strictly between the two smallest roots
+    # (-1)^n S_n < 0 strictly between the two smallest roots,
+    # 2cos(n pi/(n+1)) < 2cos((n-1) pi/(n+1))
     for n in range(2, 33):
-        lo_encl, next_encl = cheb_root_enclosures(n, 32)[:2]
-        a, b = lo_encl.hi.as_fraction(), next_encl.lo.as_fraction()
+        a = two_cos_pi_ratio(n, n + 1, 32).hi.as_fraction()
+        b = two_cos_pi_ratio(n - 1, n + 1, 32).lo.as_fraction()
         t = (a + b) / 2
         assert a < t < b
         assert (-1) ** n * cheb_eval(n, t) < 0, n
-
-
-def test_root_enclosures_small_cases():
-    one = cheb_root_enclosures(1, 64)
-    assert len(one) == 1 and one[0].lo.sign() < 0 < one[0].hi.sign()
-    two = cheb_root_enclosures(2, 64)
-    assert len(two) == 2
-    assert contains_fraction(two[0], Fraction(-1))
-    assert contains_fraction(two[1], Fraction(1))
-    three = cheb_root_enclosures(3, 64)
-    assert contains_fraction(three[1], Fraction(0))
-    # outer enclosures hold -sqrt(2) and sqrt(2)
-    assert three[0].hi.as_fraction() ** 2 < 2 < three[0].lo.as_fraction() ** 2
-    assert three[2].lo.as_fraction() ** 2 < 2 < three[2].hi.as_fraction() ** 2
-
-
-def test_root_enclosures_certified_and_disjoint():
-    for n in (4, 9, 16, 32):
-        encl = cheb_root_enclosures(n, 48)
-        assert len(encl) == n
-        for iv in encl:
-            assert iv.width() <= Dyadic(1, -48)
-            s_lo = cheb_eval(n, iv.lo).sign()
-            s_hi = cheb_eval(n, iv.hi).sign()
-            assert s_lo != 0 and s_hi == -s_lo
-        for left, right in zip(encl, encl[1:]):
-            assert left.hi < right.lo
 
 
 def test_sl2_power_poly_matrix():

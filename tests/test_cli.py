@@ -24,7 +24,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_parse_knot_spec():
+def test_parse_knot_spec(capsys):
     assert parse_knot_spec("J:1,2") == DoubleTwistKnot(1, 2)
     assert parse_knot_spec("J:2,-3") == DoubleTwistKnot(2, -3)
     assert parse_knot_spec("Kl:4") == KlKnot(4)
@@ -32,6 +32,14 @@ def test_parse_knot_spec():
     for bad in ("X:1", "J:1", "Kl:x", "4/2", "J:0,2"):
         with pytest.raises(Exception):
             parse_knot_spec(bad)
+    # the wrong number of parts names the expected form
+    for option, spec, form in (("--knot", "J:1", "J:k,m"), ("--knot", "J:1,2,3", "J:k,m"),
+                               ("--fraction", "5/3/1", "p/q")):
+        with pytest.raises(cli.CliError, match=f"invalid knot spec .* \\(expected {form}\\)"):
+            parse_knot_spec(spec)
+        code, out, err = run(capsys, "riley", option, spec)
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid knot spec {spec!r} (expected {form})\n"
     # int() also reads fullwidth and Arabic-Indic digits, '_' and
     # surrounding whitespace; each part must be ASCII -?[0-9]+
     for text in ("\uff11", "\u0663", "6_4", " 3", "3\n", "+3", "", "\u00b2"):

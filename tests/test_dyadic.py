@@ -13,6 +13,14 @@ from rileycert.dyadic import (Dyadic, DyadicInterval, _cos_scaled, _two_cos_scal
 PI_50 = Fraction(Decimal("3.14159265358979323846264338327950288419716939937511"))
 
 
+def pi_fractions(precision: int) -> tuple[Fraction, Fraction]:
+    """pi_bounds(precision) as rationals: its integers are on the unit
+    2**-(precision + 32)."""
+    scale = 1 << (precision + 32)
+    lo, hi = pi_bounds(precision)
+    return Fraction(lo, scale), Fraction(hi, scale)
+
+
 def cos_bounds_reference(t: Fraction, precision: int) -> tuple[Fraction, Fraction]:
     """Rational bounds on cos(t) for 0 <= t <= 8/5, width <= 2**-precision,
     by the Taylor series in exact Fractions: the terms t^(2j)/(2j)! decrease
@@ -34,7 +42,7 @@ def two_cos_reference(num: int, den: int, precision: int) -> tuple[Fraction, Fra
     """Fraction bounds on 2cos(num*pi/den) for 0 < num/den < 1/2, width
     about 2**-(precision + 16)."""
     work = precision + 16
-    pi_lo, pi_hi = pi_bounds(work)
+    pi_lo, pi_hi = pi_fractions(work)
     r = Fraction(num, den)
     return (2 * cos_bounds_reference(pi_hi * r, work)[0],
             2 * cos_bounds_reference(pi_lo * r, work)[1])
@@ -145,9 +153,16 @@ def test_round_outward_contains():
 
 
 def test_pi_bounds():
-    lo, hi = pi_bounds(128)
+    assert all(type(b) is int for b in pi_bounds(128))
+    lo, hi = pi_fractions(128)
     assert lo < PI_50 < hi
     assert hi - lo <= Fraction(1, 1 << 128)
+
+
+def test_interval_repr_is_exact():
+    # past the range of a float at both ends: no OverflowError, no 0
+    iv = DyadicInterval(Dyadic(1, -1100), Dyadic(3, 2000))
+    assert repr(iv) == "[Dyadic(1, -1100), Dyadic(3, 2000)]"
 
 
 def test_float_conversion_of_long_mantissas():

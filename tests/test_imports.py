@@ -25,9 +25,9 @@ def test_import_loads_only_the_standard_library():
 PUBLIC_NAMES = [
     "DoubleTwistKnot", "Dyadic", "DyadicInterval", "KlKnot", "MalformedCertificate",
     "RileyPolynomial", "RootCertificate", "SYPoly", "ScanReport", "TwoBridgeFraction",
-    "Word", "XYPoly", "alpha_dt", "cheb_eval", "cheb_poly", "cheb_root_enclosures",
-    "eval_interval", "find_root_gt2", "hm_reduce", "kl_fraction", "lambda_dt",
-    "leading_y_term", "riley_double_twist", "riley_for_knot", "riley_generic", "riley_kl",
+    "Word", "XYPoly", "alpha_dt", "cheb_eval", "cheb_poly", "eval_interval",
+    "find_root_gt2", "hm_reduce", "kl_fraction", "lambda_dt",
+    "riley_double_twist", "riley_for_knot", "riley_generic", "riley_kl",
     "run_length", "sign_sequence", "symmetric_rewrite", "verify_certificate",
     "word_double_twist", "word_from_signs", "word_kl", "xn_enclosure",
 ]

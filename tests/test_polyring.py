@@ -1,13 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rileycert.dyadic import Dyadic, DyadicInterval
-from rileycert.polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly,
-                                ZeroPolynomial, _horner, eval_interval, leading_y_term,
-                                symmetric_rewrite, y_coefficient_bounds)
+from rileycert.polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly, _horner,
+                                eval_interval, symmetric_rewrite, y_coefficient_bounds)
 from rileycert.riley import riley_double_twist
 
 from poly_oracle import (contains_fraction, eval_fraction, reference_eval_interval,
@@ -189,13 +189,6 @@ def test_symmetric_rewrite_of_symmetric_sums(terms):
                 rewrite_sy(p + SYPoly.from_terms([(k, j, 2 ** 65)]))
 
 
-def test_leading_y_term():
-    assert leading_y_term(X ** 2 * Y ** 3 + Y - 4) == (3, X ** 2)
-    assert leading_y_term(XYPoly.const(7)) == (0, XYPoly.const(7))
-    with pytest.raises(ZeroPolynomial):
-        leading_y_term(XYPoly.zero())
-
-
 def test_eval_interval_contains_sqrt3_root():
     p = X ** 2 - 3
     # 1.7320 floored and 1.7321 ceiled to multiples of 2**-20
@@ -231,12 +224,14 @@ def test_eval_interval_monotone_inclusion():
 
 def test_eval_interval_rejects_interval_y():
     x = DyadicInterval(Dyadic(3, -1), Dyadic(13, -3))
-    y = DyadicInterval(Dyadic(2), Dyadic(17, -3))
-    for p in (XYPoly.zero(), riley_double_twist(1, 2).poly):
-        with pytest.raises(ValueError):
-            eval_interval(p, x, y)
-        with pytest.raises(ValueError):
-            eval_interval(p, x, y, y_bounds=y_coefficient_bounds(p, x, -8))
+    # the message prints y exactly, also past the range of a float
+    for y in (DyadicInterval(Dyadic(2), Dyadic(17, -3)),
+              DyadicInterval(Dyadic(1, 2000), Dyadic(3, 2000))):
+        for p in (XYPoly.zero(), riley_double_twist(1, 2).poly):
+            with pytest.raises(ValueError, match=re.escape(repr(y.hi))):
+                eval_interval(p, x, y)
+            with pytest.raises(ValueError, match=re.escape(repr(y.hi))):
+                eval_interval(p, x, y, y_bounds=y_coefficient_bounds(p, x, -8))
 
 
 def test_eval_interval_riley_at_exact_point():
@@ -407,8 +402,12 @@ POSITIVE_Y = [DyadicInterval.point(2), DyadicInterval.point(8),
               DyadicInterval(Dyadic(4), Dyadic(8))]
 
 
-@pytest.mark.parametrize("x", POSITIVE_X, ids=str)
-@pytest.mark.parametrize("y", POSITIVE_Y, ids=str)
+def interval_id(iv: DyadicInterval) -> str:
+    return f"[{iv.lo.as_fraction()}, {iv.hi.as_fraction()}]"
+
+
+@pytest.mark.parametrize("x", POSITIVE_X, ids=interval_id)
+@pytest.mark.parametrize("y", POSITIVE_Y, ids=interval_id)
 @pytest.mark.parametrize("p", [COEFFICIENT_CASES, COEFFICIENT_CASES - 4000 * Y,
                                riley_double_twist(1, 2).poly], ids=["cases", "shifted", "J34"])
 def test_positive_exponents_match_the_reference(p, x, y):

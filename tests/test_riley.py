@@ -12,7 +12,7 @@ from rileycert.chebyshev import _cheb_norms, _cheb_pair, _packed_cheb_pair, cheb
 from rileycert.knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot,
                              TwoBridgeFraction, Word, sign_sequence, word_double_twist,
                              word_from_signs, word_kl)
-from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly, leading_y_term
+from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import (StructureViolation, alpha_dt,
                              evaluate_word, generator_images,
                              kl_alpha_derivative_check, kl_cross_check,
@@ -69,7 +69,8 @@ def test_double_twist_m2_formula():
 def test_leading_sign_parity_rule():
     for k in (1, 2, 3):
         for m in (2, 3, 4, -2, -3, -4):
-            _, lead = leading_y_term(riley_double_twist(k, m).poly)
+            phi = riley_double_twist(k, m).poly
+            lead = phi.y_slices()[phi.deg_y()]
             coeffs = [c for _, _, c in lead.terms()]
             assert len(coeffs) == 1  # leading y-coefficient is a constant
             expect_positive = (m > 0 and m % 2 == 1) or (m < 0 and m % 2 == 0)
@@ -351,7 +352,8 @@ def test_riley_kl_values_and_leading_sign():
         kl_named_polys()[0] * kl_named_polys()[1] - kl_named_polys()[2]
     assert substitute_y(riley_kl(2).poly, X * X - 1) == XYPoly.const(-1)
     for l in range(2, 7):
-        _, lead = leading_y_term(riley_kl(l).poly)
+        phi = riley_kl(l).poly
+        lead = phi.y_slices()[phi.deg_y()]
         coeffs = [c for _, _, c in lead.terms()]
         assert len(coeffs) == 1
         # (-1)^l phi -> +infinity as y -> infinity

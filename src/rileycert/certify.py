@@ -174,8 +174,11 @@ DEFAULT_PRECISION = 128
 DEFAULT_Y_MAX_CAP = 1 << 16
 MAX_Y_MAX_CAP = 1 << 20  # keeps bracket endpoints within _max_endpoint_exponent
 DEFAULT_PRECISION_CAP = 4096
-BRACKET_WIDTH = Dyadic(1, -32)  # bisection target and isolation node floor
-_MARGIN_BITS = 64  # the window starts at 2 + 2**-64, keeping brackets above 2
+_BRACKET_BITS = 32
+BRACKET_WIDTH = Dyadic(1, -_BRACKET_BITS)  # bisection target and isolation node floor
+# the window starts at 2 + 2**-64, keeping brackets above 2; node ends and
+# bisection points are integers on this window unit 2**-64
+_MARGIN_BITS = 64
 
 
 class _SignOracle:
@@ -187,8 +190,8 @@ class _SignOracle:
     phi = sum_j c_j(x) y**j, computed once per precision P by interval
     Horner in x on the one fixed-point unit of the scan, 2**e with
     e = -(2P + 32), every product rounded outward: bits below that lie far
-    under the 2**-P width of x_n and only slow the arithmetic.  The root
-    node (_root_node) and every sign work on that same unit.  Every sign is
+    under the 2**-P width of x_n and only slow the arithmetic.  Every
+    isolation node and every sign work on that same unit.  Every sign is
     one eval_interval call given these bounds, which answers from them, in
     fixed point on their unit with every rounding outward, when they fix
     the sign and else evaluates exactly, so each sign is the one exact
@@ -215,32 +218,41 @@ class _SignOracle:
         self.escalations += 1
         return True
 
-    def sign(self, y: Dyadic) -> int | None:
-        """Definite sign, 0 for an exact zero, None if still indefinite once
-        the precision would pass DEFAULT_PRECISION_CAP."""
+    def sign(self, y: int) -> int | None:
+        """Definite sign at y * 2**-64 (y on the window unit), 0 for an exact
+        zero, None if still indefinite once the precision would pass
+        DEFAULT_PRECISION_CAP."""
+        point = DyadicInterval.point(Dyadic(y, -_MARGIN_BITS))
         while True:
             self.evaluations += 1
-            s = eval_interval(self.poly, self.xn, DyadicInterval.point(y),
-                              y_bounds=self.bounds).sign()
+            s = eval_interval(self.poly, self.xn, point, y_bounds=self.bounds).sign()
             if s is not None:
                 return s
             if not self.escalate():
                 return None
 
 
-def _taylor_shift(c: list[int]) -> list[int]:
-    """Coefficients (constant first) of q(t + 1) from those of q(t)."""
-    c = list(c)
-    for i in range(len(c) - 1):
-        for j in range(len(c) - 2, i - 1, -1):
-            c[j] += c[j + 1]
-    return c
+def _taylor_shift(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
+    """Coefficients (constant first) of q(t + 1) from those of q(t), for
+    each of lo and hi in one pass."""
+    lo, hi = list(lo), list(hi)
+    for i in range(len(lo) - 1):
+        for j in range(len(lo) - 2, i - 1, -1):
+            lo[j] += lo[j + 1]
+            hi[j] += hi[j + 1]
+    return lo, hi
 
 
 def _scale(c: list[int], k: int) -> list[int]:
-    """Coefficients of q(2**k t), times 2**(-k d) when k < 0 to stay integral."""
-    d = len(c) - 1
-    return [cj << (k * j if k >= 0 else -k * (d - j)) for j, cj in enumerate(c)]
+    """Coefficients of q(2**k t), k >= 0."""
+    return [cj << k * j for j, cj in enumerate(c)]
+
+
+def _halve(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
+    """Bounds on the coefficients of q(t/2), on the unit of lo and hi, from
+    bounds lo <= c <= hi on those of q: c_j 2**-j floored and ceiled."""
+    return ([c >> j for j, c in enumerate(lo)],
+            [-(-c >> j) for j, c in enumerate(hi)])
 
 
 def _root_node(bounds: tuple[list[int], list[int], int],
@@ -248,16 +260,20 @@ def _root_node(bounds: tuple[list[int], list[int], int],
     """Integer bounds on the coefficients of phi(x_n, 2 + 2**-64 + 2**k_root t),
     up to a positive factor, from the sign oracle's cached bounds.
 
-    The shift by 2 of the bounds is exact; the shift by 2**-64 stays on the
-    bounds' own unit, the oracle's fixed-point one, the lower bounds floored
-    and the upper ones ceiled at each step.  Every step of a Taylor shift
-    adds a nonnegative multiple of one coefficient to another, so each
-    floor or ceiling only widens the bounds, and no coefficient carries the
-    64 * deg_y bits of the exact shift.  The scale by 2**k_root is exact.
+    The shift by 2 of the bounds is exact, in one pass; the shift by 2**-64
+    stays on the bounds' own unit, the oracle's fixed-point one, the lower
+    bounds floored and the upper ones ceiled at each step.  Every step of a
+    Taylor shift adds a nonnegative multiple of one coefficient to another,
+    so each floor or ceiling only widens the bounds, and no coefficient
+    carries the 64 * deg_y bits of the exact shift.  The scale by 2**k_root
+    is exact.
     """
-    lo, hi, _ = bounds
-    lo, hi = _taylor_shift(_taylor_shift(lo)), _taylor_shift(_taylor_shift(hi))
+    lo, hi = list(bounds[0]), list(bounds[1])
     d = len(lo) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            lo[j] += lo[j + 1] << 1
+            hi[j] += hi[j + 1] << 1
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
             lo[j] += lo[j + 1] >> _MARGIN_BITS
@@ -274,7 +290,7 @@ def _variations(lo: list[int], hi: list[int]) -> int | None:
     nonnegative weights, so lo and hi bound the transformed q as well.
     """
     count, last = 0, 0
-    for l, h in zip(_taylor_shift(lo[::-1]), _taylor_shift(hi[::-1])):
+    for l, h in zip(*_taylor_shift(lo[::-1], hi[::-1])):
         if l > 0 or h < 0:
             s = 1 if l > 0 else -1
             count += last == -s
@@ -286,41 +302,43 @@ def _variations(lo: list[int], hi: list[int]) -> int | None:
 
 def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
     """The first interval (a, b) in (2 + 2**-64, y_max_cap] that holds exactly
-    one root of phi(x_n, .), by left-first Vincent-Collins-Akritas bisection;
-    None when the window holds none or a count is indefinite at
-    DEFAULT_PRECISION_CAP.
+    one root of phi(x_n, .), by left-first Vincent-Collins-Akritas bisection,
+    its ends integers on the window unit 2**-64; None when the window holds
+    none or a count is indefinite at DEFAULT_PRECISION_CAP.
 
-    The root node is formed from the oracle's cached coefficient bounds in
-    fixed point (_root_node); below it, every node is exact.  A node
-    (a, a + 2**k) keeps integer bounds lo, hi on the coefficients of
-    q(t) = phi(x_n, a + 2**k t) up to a positive factor; its halves are
-    2**d q(t/2) and that shifted by 1, maps with nonnegative weights, so a
-    count made on the bounds holds for every polynomial between them.  A node
-    with no root is dropped, the first with a single root inside the window
-    is returned, and any other is split unless it is no wider than
-    BRACKET_WIDTH.  An indefinite variation count doubles the x_n precision
-    and restarts the search.
+    Every node is on the oracle's fixed-point unit.  A node (a, a + 2**k)
+    keeps integer bounds lo, hi on the coefficients of
+    q(t) = phi(x_n, a + 2**k t) up to a positive factor; the root node comes
+    from the oracle's cached coefficient bounds (_root_node).  Its left half
+    bounds q(t/2), lo floored and hi ceiled (_halve), and its right half is
+    that shifted by 1, exactly; reversal and the shift have nonnegative
+    weights, so each node's bounds hold the exact node and a count made on
+    them holds for every polynomial between them.  A node with no root is
+    dropped, the first with a single root inside the window is returned,
+    and any other is split unless it is no wider than BRACKET_WIDTH.  An
+    indefinite variation count doubles the x_n precision and restarts the
+    search.
     """
     k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
+    cap = y_max_cap << _MARGIN_BITS
     while True:
-        stack = [(Dyadic(2) + Dyadic(1, -_MARGIN_BITS), k_root,
+        stack = [((2 << _MARGIN_BITS) + 1, k_root + _MARGIN_BITS,
                   *_root_node(oracle.bounds, k_root), False)]
         while stack:
-            a, k, lo, hi, shift = stack.pop()
-            if a >= y_max_cap:
+            a, k, lo, hi, shift = stack.pop()  # the node (a, a + 2**k)
+            if a >= cap:
                 continue
             if shift:  # right halves are shifted only when visited
-                lo, hi = _taylor_shift(lo), _taylor_shift(hi)
+                lo, hi = _taylor_shift(lo, hi)
             oracle.nodes += 1
             v = _variations(lo, hi)
             if v is None:
                 break
-            width = Dyadic(1, k)
-            if v == 1 and a + width <= y_max_cap:
-                return a, a + width
-            if v and width > BRACKET_WIDTH:
-                lo, hi = _scale(lo, -1), _scale(hi, -1)
-                stack.append((a + width.half(), k - 1, lo, hi, True))
+            if v == 1 and a + (1 << k) <= cap:
+                return a, a + (1 << k)
+            if v and k > _MARGIN_BITS - _BRACKET_BITS:
+                lo, hi = _halve(lo, hi)
+                stack.append((a + (1 << (k - 1)), k - 1, lo, hi, True))
                 stack.append((a, k - 1, lo, hi, False))
         else:
             return None
@@ -328,12 +346,13 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
             return None
 
 
-def _bisect(oracle: _SignOracle, a: Dyadic, sa: int, b: Dyadic):
-    """Shrink the bracket (a, b), sign sa at a and -sa at b, to width
-    BRACKET_WIDTH by cutting at the midpoint; None when a midpoint's sign is
-    not +-sa (an exact zero, or indefinite at the precision cap)."""
-    while (b - a) > BRACKET_WIDTH:
-        mid = (a + b).half()
+def _bisect(oracle: _SignOracle, a: int, sa: int, b: int):
+    """Shrink the bracket (a, b), integers on the window unit with sign sa at
+    a and -sa at b, to width BRACKET_WIDTH by cutting at the midpoint; None
+    when a midpoint's sign is not +-sa (an exact zero, or indefinite at the
+    precision cap)."""
+    while b - a > 1 << (_MARGIN_BITS - _BRACKET_BITS):
+        mid = (a + b) >> 1
         s = oracle.sign(mid)
         if s == sa:
             a = mid
@@ -359,9 +378,11 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
     count or a sign still undecided at DEFAULT_PRECISION_CAP, an exact zero,
     or no isolating interval ends the scan inconclusive.  The isolation and
     every sign read the same y-coefficient bounds, cached per precision by
-    _SignOracle; a sign the bounds fix is the exact evaluation's sign (see
-    eval_interval), so the result is the one exact evaluation alone would
-    give.
+    _SignOracle.  Every isolation node is formed from them on the oracle's
+    fixed-point unit, rounded outward, so a definite count is the exact
+    node's count, and a sign the bounds fix is the exact evaluation's sign
+    (see eval_interval); rounding can only leave one undecided and raise
+    the precision.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -380,7 +401,8 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
     if bracket is None:
         trace["note"] = "no bracket found; this does not assert absence of a root"
         return ScanReport("inconclusive", None, trace)
-    cert = RootCertificate(knot=phi.knot, n=n, a=bracket[0], b=bracket[1],
+    a, b = (Dyadic(end, -_MARGIN_BITS) for end in bracket)
+    cert = RootCertificate(knot=phi.knot, n=n, a=a, b=b,
                            sign_a=sa, sign_b=sb, precision=oracle.precision,
                            y_max=y_max_cap, poly_hash=phi.content_hash)
     return ScanReport("certified", cert, trace)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 # each: Kl:50 13-15 s, J:20,20 7-9 s, 501/7 11-17 s; see ROADMAP.md), and
 # one step beyond is refused before any work.  `certify` also runs the root
 # isolation, whose Taylor shifts grow with phi: at the default cap on that
-# host (README.md), `certify --knot J:20,20 --n 7` took 26.1-27.9 s and
-# `certify --knot Kl:50 --n 5` 3.7-4.8 s.
+# host (README.md, three runs each), `certify --knot J:20,20 --n 7` took
+# 13.7-15.9 s and `certify --knot Kl:50 --n 5` 3.3-4.9 s.
 P_MAX = 501
 K_MAX = 20
 M_MAX = 20

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from rileycert import certify
 from rileycert.certify import (MAX_Y_MAX_CAP, HashMismatch,
                                MalformedCertificate, RootCertificate, ScanReport,
-                               _root_node, _scale, _SignOracle, _taylor_shift,
-                               _variations, find_root_gt2, verify_certificate,
-                               xn_enclosure)
+                               _halve, _root_node, _scale, _SignOracle,
+                               _taylor_shift, _variations, find_root_gt2,
+                               verify_certificate, xn_enclosure)
 from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
 from rileycert.polyring import XYPoly, eval_interval
@@ -252,17 +252,24 @@ def _from_roots(lead, roots):
     return c
 
 
+def _scale_down(c, k):
+    """Coefficients of q(2**-k t) times 2**(k d), k >= 0: at k = 1 the exact
+    halving that the fixed-point halving (_halve) is checked against."""
+    d = len(c) - 1
+    return [cj << k * (d - j) for j, cj in enumerate(c)]
+
+
 coefficient_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=8)
 
 
 @settings(max_examples=200, deadline=None)
 @given(coefficient_lists, st.integers(-6, 6))
 def test_taylor_shift_and_scale_match_their_expansions(c, k):
-    assert _taylor_shift(c) == _shifted(c)
+    assert _taylor_shift(c, c[::-1]) == (_shifted(c), _shifted(c[::-1]))
     d = len(c) - 1
     t = Fraction(2) ** k
     want = [cj * t ** j * (t ** -d if k < 0 else 1) for j, cj in enumerate(c)]
-    assert _scale(c, k) == want
+    assert (_scale(c, k) if k >= 0 else _scale_down(c, -k)) == want
     assert _variations(c, c) == _sign_changes(_descartes_image(c))
 
 
@@ -304,8 +311,9 @@ def _exact_root_node(bounds, k_root):
     """The root node as exact integers: phi(x_n, 2 + 2**-64 (1 + 2**(k_root + 64) t))
     on the bounds, times 2**(64 d), in the bounds' unit."""
     lo, hi, _ = bounds
-    return [_scale(_taylor_shift(_scale(_taylor_shift(_taylor_shift(c)), -64)),
-                   k_root + 64) for c in (lo, hi)]
+    lo, hi = _taylor_shift(*_taylor_shift(lo, hi))
+    lo, hi = _taylor_shift(_scale_down(lo, 64), _scale_down(hi, 64))
+    return _scale(lo, k_root + 64), _scale(hi, k_root + 64)
 
 
 @settings(max_examples=200, deadline=None)
@@ -341,6 +349,51 @@ def test_root_node_coefficients_carry_no_margin_tail(cap):
     assert bits <= budget + 8
     exact = max(abs(c).bit_length() for c in sum(_exact_root_node(oracle.bounds, k_root), []))
     assert exact > budget + 32 * deg_y
+
+
+box_rows = st.lists(st.tuples(st.integers(-(1 << 200), 1 << 200),
+                             st.one_of(st.integers(0, 3), st.integers(0, 1 << 200))),
+                   min_size=2, max_size=13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_rows)
+def test_fixed_point_halving_counts_as_the_exact_halves(rows):
+    # a node box lo <= c <= hi halves to floor(lo_j 2**-j), ceil(hi_j 2**-j)
+    # on the same unit; the exact left child 2**d q(t/2), divided by 2**d,
+    # lies inside that box, and the shift by 1 and the reversal of
+    # _variations have nonnegative weights, so they keep the containment:
+    # a count the fixed-point box decides is the exact child's count
+    lo = [l for l, _ in rows]
+    hi = [l + w for l, w in rows]
+    half_lo, half_hi = _halve(lo, hi)
+    for j in range(len(rows)):
+        assert half_lo[j] << j <= lo[j] and half_hi[j] << j >= hi[j]
+    exact_lo, exact_hi = _scale_down(lo, 1), _scale_down(hi, 1)
+    children = [((half_lo, half_hi), (exact_lo, exact_hi)),
+                (_taylor_shift(half_lo, half_hi), _taylor_shift(exact_lo, exact_hi))]
+    for fixed, exact in children:
+        v = _variations(*fixed)
+        if v is not None:
+            assert _variations(*exact) == v
+
+
+def test_node_coefficients_do_not_grow_with_depth(monkeypatch):
+    # exact halving multiplies coefficient j by 2**(d - j), up to deg_y bits
+    # a level: J:12,12's isolating node at n = 7 then holds 8,239-bit
+    # integers; on the sign oracle's unit they stay near the root node's size
+    sizes = []
+    original = certify._variations
+
+    def recording(lo, hi):
+        sizes.append(max(abs(c).bit_length() for c in lo + hi))
+        return original(lo, hi)
+
+    monkeypatch.setattr(certify, "_variations", recording)
+    report = find_root_gt2(riley_for_knot(DoubleTwistKnot(12, 12)), 7)
+    assert report.certified
+    assert len(sizes) == report.trace["nodes"]
+    assert sizes[-1] < 2000  # the isolating node, the last one counted
 
 
 def test_find_root_inconclusive_n2():

@@ -10,6 +10,7 @@ that no root exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 from . import __version__
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
@@ -90,12 +91,12 @@ def _max_endpoint_exponent(precision: int) -> int:
     """Bound on |exponent| of the bracket endpoints of a record of this
     precision.
 
-    An endpoint a scan emits is an isolation node end refined by bisection.
-    A node end is 2 + 2**-64 + i * 2**-k, with 64 fractional bits: nodes are
-    no narrower than BRACKET_WIDTH = 2**-32, so k <= 32.  An isolating node
-    lies in (2, 2**20] (MAX_Y_MAX_CAP), so it is at most 2**19 wide, and at
-    most 51 halvings bring it to BRACKET_WIDTH; every midpoint is a node end
-    plus a multiple of 2**-32, so it keeps 64 fractional bits.  Values up to
+    An endpoint a scan emits is a point that refinement (_refine) signed in
+    an isolating node, or an end of that node.  A node end is
+    2 + 2**-64 + i * 2**-k, with 64 fractional bits: nodes are no narrower
+    than BRACKET_WIDTH = 2**-32, so k <= 32, and an isolating node lies in
+    (2, 2**20] (MAX_Y_MAX_CAP).  Every refinement point is the node's left
+    end plus a multiple of 2**-32, so it keeps 64 fractional bits.  Values up to
     2**20 have positive exponents up to 20, hence |exponent| <= 64.  Older
     records must parse too: scans that started at P bits (at most the
     recorded precision) put the window at 2 + 2**-(P//2) and took at most
@@ -175,27 +176,30 @@ DEFAULT_Y_MAX_CAP = 1 << 16
 MAX_Y_MAX_CAP = 1 << 20  # keeps bracket endpoints within _max_endpoint_exponent
 DEFAULT_PRECISION_CAP = 4096
 _BRACKET_BITS = 32
-BRACKET_WIDTH = Dyadic(1, -_BRACKET_BITS)  # bisection target and isolation node floor
+BRACKET_WIDTH = Dyadic(1, -_BRACKET_BITS)  # refinement target and isolation node floor
 # the window starts at 2 + 2**-64, keeping brackets above 2; node ends and
-# bisection points are integers on this window unit 2**-64
+# refinement points are integers on this window unit 2**-64
 _MARGIN_BITS = 64
 
 
 class _SignOracle:
-    """Signs of phi(x_n, y) and the y-coefficient bounds the root isolation
-    reads, raising the x_n precision on demand, with the counts of the scan
-    trace.
+    """Enclosures of phi(x_n, y) for the signs and secants of refinement, and
+    the y-coefficient bounds the root isolation reads, raising the x_n
+    precision on demand, with the counts of the scan trace: evaluations
+    (eval_interval calls), nodes (Descartes counts made, gallop trials
+    included), escalations and indefinite results.
 
     bounds = (lo, hi, e) encloses each coefficient c_j(x_n) of
     phi = sum_j c_j(x) y**j, computed once per precision P by interval
     Horner in x on the one fixed-point unit of the scan, 2**e with
     e = -(2P + 32), every product rounded outward: bits below that lie far
     under the 2**-P width of x_n and only slow the arithmetic.  Every
-    isolation node and every sign work on that same unit.  Every sign is
-    one eval_interval call given these bounds, which answers from them, in
-    fixed point on their unit with every rounding outward, when they fix
-    the sign and else evaluates exactly, so each sign is the one exact
-    evaluation would give.
+    isolation node and every sign work on that same unit.  Every value is
+    one eval_interval call per precision given these bounds, which answers
+    from them, in fixed point on their unit with every rounding outward,
+    when they fix the sign and else evaluates exactly, so each definite
+    sign is the one exact evaluation would give.  Refinement reads the
+    secant from the same enclosures, so it costs no further call.
     """
 
     def __init__(self, poly: XYPoly, n: int):
@@ -218,18 +222,17 @@ class _SignOracle:
         self.escalations += 1
         return True
 
-    def sign(self, y: int) -> int | None:
-        """Definite sign at y * 2**-64 (y on the window unit), 0 for an exact
-        zero, None if still indefinite once the precision would pass
+    def value(self, y: int) -> DyadicInterval:
+        """Enclosure of phi(x_n, y * 2**-64) (y on the window unit) from one
+        eval_interval call per precision: sign-definite or an exact zero,
+        unless still indefinite once the precision would pass
         DEFAULT_PRECISION_CAP."""
         point = DyadicInterval.point(Dyadic(y, -_MARGIN_BITS))
         while True:
             self.evaluations += 1
-            s = eval_interval(self.poly, self.xn, point, y_bounds=self.bounds).sign()
-            if s is not None:
-                return s
-            if not self.escalate():
-                return None
+            value = eval_interval(self.poly, self.xn, point, y_bounds=self.bounds)
+            if value.sign() is not None or not self.escalate():
+                return value
 
 
 def _taylor_shift(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
@@ -248,11 +251,13 @@ def _scale(c: list[int], k: int) -> list[int]:
     return [cj << k * j for j, cj in enumerate(c)]
 
 
-def _halve(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
-    """Bounds on the coefficients of q(t/2), on the unit of lo and hi, from
-    bounds lo <= c <= hi on those of q: c_j 2**-j floored and ceiled."""
-    return ([c >> j for j, c in enumerate(lo)],
-            [-(-c >> j) for j, c in enumerate(hi)])
+def _halve(lo: list[int], hi: list[int], m: int = 1) -> tuple[list[int], list[int]]:
+    """Bounds on the coefficients of q(t / 2**m), on the unit of lo and hi,
+    from bounds lo <= c <= hi on those of q: c_j 2**-mj floored and ceiled.
+    A floor of a floor is the floor of the whole quotient, so one call with
+    m gives the same integers as m calls with 1."""
+    return ([c >> m * j for j, c in enumerate(lo)],
+            [-(-c >> m * j) for j, c in enumerate(hi)])
 
 
 def _root_node(bounds: tuple[list[int], list[int], int],
@@ -318,49 +323,147 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
     and any other is split unless it is no wider than BRACKET_WIDTH.  An
     indefinite variation count doubles the x_n precision and restarts the
     search.
+
+    Once a halving has kept a node's count v >= 2, the search gallops
+    (_gallop) to the narrowest leftmost part 2**-m of the node that still
+    counts v, and halves on from there.  That part's bounds are the ones m
+    halvings would give (see _halve), and the skipped nodes hold no root, by
+    subadditivity: var(I) >= var(I1) + var(I2) when I splits into I1, I2.
+    The count of a node is the number of sign variations of the Bernstein
+    coefficients b_i of q on [0, 1], since (1 + t)**d q(1/(1 + t)) =
+    sum_i C(d, i) b_i t**(d - i).  De Casteljau's algorithm forms the
+    coefficients of the two parts, which share the one at the split point,
+    by repeated means of neighbours, and a mean of neighbours never adds a
+    sign variation; the joined sequence has at least var(I1) + var(I2)
+    variations (exactly that many unless the shared coefficient is 0).  So
+    if the leftmost part P_m keeps v = var(I), the right halves R_1, ...,
+    R_m that plain halving would visit on its way to P_m count
+    v - var(P_m) - ... = 0 between them, and each left node on that way
+    counts v >= 2: plain halving drops the one kind, splits the other, and
+    reaches P_m with the same nodes still to visit.  The first single-root
+    node, and the certificate, are the same.  A box count that rounding
+    leaves undecided on a skipped node would have raised the precision;
+    the gallop does not count those nodes, and counts an undecided trial
+    as not kept, so only plain halving escalates.  The trace's nodes are
+    the Descartes counts made, gallop trials included.
     """
     k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
     cap = y_max_cap << _MARGIN_BITS
+    floor = _MARGIN_BITS - _BRACKET_BITS  # no node narrower than BRACKET_WIDTH
     while True:
+        # (a, k, lo, hi, shift, v, held): the node (a, a + 2**k), its bounds,
+        # whether they still need the shift by 1, its count if a gallop
+        # trial made it, and its parent's count
         stack = [((2 << _MARGIN_BITS) + 1, k_root + _MARGIN_BITS,
-                  *_root_node(oracle.bounds, k_root), False)]
+                  *_root_node(oracle.bounds, k_root), False, None, 0)]
         while stack:
-            a, k, lo, hi, shift = stack.pop()  # the node (a, a + 2**k)
+            a, k, lo, hi, shift, v, held = stack.pop()
             if a >= cap:
                 continue
-            if shift:  # right halves are shifted only when visited
-                lo, hi = _taylor_shift(lo, hi)
-            oracle.nodes += 1
-            v = _variations(lo, hi)
             if v is None:
-                break
+                if shift:  # right halves are shifted only when visited
+                    lo, hi = _taylor_shift(lo, hi)
+                oracle.nodes += 1
+                v = _variations(lo, hi)
+                if v is None:
+                    break
             if v == 1 and a + (1 << k) <= cap:
                 return a, a + (1 << k)
-            if v and k > _MARGIN_BITS - _BRACKET_BITS:
+            left = None
+            if v == held > 1 and k > floor:
+                m, lo, hi, left = _gallop(oracle, lo, hi, v, k - floor)
+                k -= m
+            if v and k > floor:
                 lo, hi = _halve(lo, hi)
-                stack.append((a + (1 << (k - 1)), k - 1, lo, hi, True))
-                stack.append((a, k - 1, lo, hi, False))
+                stack.append((a + (1 << (k - 1)), k - 1, lo, hi, True, None, v))
+                stack.append((a, k - 1, lo, hi, False, left, v))
         else:
             return None
         if not oracle.escalate():
             return None
 
 
-def _bisect(oracle: _SignOracle, a: int, sa: int, b: int):
-    """Shrink the bracket (a, b), integers on the window unit with sign sa at
-    a and -sa at b, to width BRACKET_WIDTH by cutting at the midpoint; None
-    when a midpoint's sign is not +-sa (an exact zero, or indefinite at the
-    precision cap)."""
-    while b - a > 1 << (_MARGIN_BITS - _BRACKET_BITS):
-        mid = (a + b) >> 1
-        s = oracle.sign(mid)
-        if s == sa:
-            a = mid
-        elif s == -sa:
-            b = mid
+def _gallop(oracle: _SignOracle, lo: list[int], hi: list[int], v: int, m_max: int):
+    """(m, bounds, count): the largest m <= m_max for which the leftmost
+    2**-m part of the node with bounds lo, hi (count v) still counts v, by
+    doubling m and then bisecting between the last m that kept v and the
+    first that did not; that part's bounds; and the count of its left half,
+    the first part that did not keep v, or None if that count was undecided
+    or never made."""
+    good, bad, left, m = 0, m_max + 1, None, 1
+    while good + 1 < bad:
+        oracle.nodes += 1
+        count = _variations(*_halve(lo, hi, m))
+        if count == v:
+            good = m
         else:
+            bad, left = m, count
+        m = min(2 * m, m_max) if bad > m_max else (good + bad) >> 1
+    return (good, *_halve(lo, hi, good), left)
+
+
+def _secant_index(n: int, fa: Dyadic, fb: Dyadic) -> int:
+    """round(n fa / (fa - fb)), clamped to 1..n-1: the point of n equal
+    steps from a to b nearest the zero of the secant through values fa, fb
+    of opposite signs there."""
+    d = fa - fb
+    e = min(fa.e, d.e)
+    num, den = fa.m << (fa.e - e), d.m << (d.e - e)
+    return min(max((2 * n * num + den) // (2 * den), 1), n - 1)
+
+
+def _refine(oracle: _SignOracle, a: int, b: int):
+    """(a', b', sign at a'): the cell of width BRACKET_WIDTH, aligned from a,
+    in which the isolating interval (a, b) (integers on the window unit)
+    holds its root; None when a sign met on the way is not +-(sign at a),
+    that is an exact zero or indefinite at the precision cap.
+
+    The interval's count is 1, so phi(x_n, .) changes sign exactly once in
+    it, and every definite sign is the exact sign: the one aligned cell
+    whose ends have opposite signs is the cell that bisection at midpoints
+    returns.  Abbott's quadratic interval refinement ("Quadratic interval
+    refinement for real roots", ACM CCA 2014) reaches it with fewer signs.
+    With C cells left and N steps (4 at first, at most C) of width C // N,
+    it signs the step point nearest the secant's zero (_secant_index), then
+    its neighbour on the side that sign shows, unless that is an end.  On
+    a bracketing pair the interval is one step wide and N is squared;
+    otherwise N falls to its square root, and the interval still shrinks
+    to the side the signs show.  Below 4 cells it signs the middle cell
+    end (N = 2).  Every point signed is a + j * BRACKET_WIDTH, and the
+    secant reads the midpoint of each enclosure that oracle.value returns,
+    in integers.
+    """
+    fa, fb = oracle.value(a), oracle.value(b)
+    sa = fa.sign()
+    if not sa or fb.sign() != -sa:
+        return None
+    unit = 1 << (_MARGIN_BITS - _BRACKET_BITS)
+    # (cell index, enclosure midpoint times 2) of the ends with sign sa, -sa
+    ends = [(0, fa.lo + fa.hi), ((b - a) // unit, fb.lo + fb.hi)]
+
+    def probe(j: int) -> int | None:
+        value = oracle.value(a + j * unit)
+        s = value.sign()
+        if s not in (sa, -sa):
             return None
-    return a, b
+        ends[s != sa] = (j, value.lo + value.hi)
+        return s
+
+    n = 4
+    while ends[1][0] - ends[0][0] > 1:
+        (lo, f_lo), (hi, f_hi) = ends
+        n = min(n, hi - lo) if hi - lo >= 4 else 2  # 2: the middle cell end
+        step = (hi - lo) // n
+        p = lo + step * _secant_index(n, f_lo, f_hi)
+        s = probe(p)
+        if s is None:
+            return None
+        q = p + step if s == sa else p - step
+        t = -s if q in (lo, hi) else probe(q)
+        if t is None:
+            return None
+        n = n * n if t != s else max(2, isqrt(n))
+    return a + ends[0][0] * unit, a + ends[1][0] * unit, sa
 
 
 def find_root_gt2(phi: RileyPolynomial, n: int, *,
@@ -369,11 +472,13 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
     phi(x_n, .); the margin of 2**-64 keeps every bracket strictly above 2.
 
     One straight line: Descartes' rule isolates the first root in the window
-    from the left (_isolating_bracket), eval_interval signs the two ends of
-    that interval, and when the signs are definite and opposite the interval
-    is bisected at midpoints to width BRACKET_WIDTH and becomes the
-    certificate, so the bracket holds the smallest root in the window that
-    the isolation reaches.  The x_n precision starts at DEFAULT_PRECISION
+    from the left (_isolating_bracket, galloping through nested nodes whose
+    count holds), eval_interval signs the two ends of that interval, and
+    when the signs are definite and opposite quadratic interval refinement
+    (_refine) narrows it to the aligned cell of width BRACKET_WIDTH that
+    holds the root, the cell midpoint bisection would reach, which becomes
+    the certificate; so the bracket holds the smallest root in the window
+    that the isolation reaches.  The x_n precision starts at DEFAULT_PRECISION
     and doubles whenever a variation count or an evaluation is indefinite; a
     count or a sign still undecided at DEFAULT_PRECISION_CAP, an exact zero,
     or no isolating interval ends the scan inconclusive.  The isolation and
@@ -391,9 +496,7 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
     oracle = _SignOracle(phi.poly, n)
     bracket = _isolating_bracket(oracle, y_max_cap)
     if bracket is not None:
-        a, b = bracket
-        sa, sb = oracle.sign(a), oracle.sign(b)
-        bracket = _bisect(oracle, a, sa, b) if sa and sb == -sa else None
+        bracket = _refine(oracle, *bracket)
     trace = {"y_max_reached": y_max_cap, "nodes": oracle.nodes,
              "evaluations": oracle.evaluations,
              "precision_escalations": oracle.escalations,
@@ -401,9 +504,10 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
     if bracket is None:
         trace["note"] = "no bracket found; this does not assert absence of a root"
         return ScanReport("inconclusive", None, trace)
-    a, b = (Dyadic(end, -_MARGIN_BITS) for end in bracket)
-    cert = RootCertificate(knot=phi.knot, n=n, a=a, b=b,
-                           sign_a=sa, sign_b=sb, precision=oracle.precision,
+    a, b, sa = bracket
+    cert = RootCertificate(knot=phi.knot, n=n, a=Dyadic(a, -_MARGIN_BITS),
+                           b=Dyadic(b, -_MARGIN_BITS),
+                           sign_a=sa, sign_b=-sa, precision=oracle.precision,
                            y_max=y_max_cap, poly_hash=phi.content_hash)
     return ScanReport("certified", cert, trace)
 
@@ -412,7 +516,7 @@ def verify_certificate(cert: RootCertificate, phi: RileyPolynomial) -> bool:
     """Re-check a certificate from its record alone.
 
     Shares only xn_enclosure and polynomial evaluation with the search; none
-    of the scan or bisection logic is involved.
+    of the scan or refinement logic is involved.
     """
     if cert.poly_hash != phi.content_hash:
         raise HashMismatch("certificate does not match this polynomial")

@@ -4,14 +4,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rileycert import certify
 from rileycert.certify import (MAX_Y_MAX_CAP, HashMismatch,
                                MalformedCertificate, RootCertificate, ScanReport,
-                               _halve, _root_node, _scale, _SignOracle,
-                               _taylor_shift, _variations, find_root_gt2,
-                               verify_certificate, xn_enclosure)
+                               _halve, _isolating_bracket, _refine, _root_node,
+                               _scale, _SignOracle, _taylor_shift, _variations,
+                               find_root_gt2, verify_certificate, xn_enclosure)
 from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
 from rileycert.polyring import XYPoly, eval_interval
@@ -225,6 +225,126 @@ def test_isolation_brackets_the_smallest_simple_root(factors, cap, expect):
     assert q * cert.a - p < xn.lo and xn.hi < q * cert.b - p
 
 
+# Random products of linear factors for the isolation and the refinement.
+# A root spec (i, f) is the factor 2**48 y - (2**49 + i 2**16 + f) - x, whose
+# root (at x_5, the golden ratio) is 2 + i 2**-32 + (f + x_5) 2**-48: within
+# (|f| + 2) 2**-48 of the lattice point 2 + i 2**-32 of every node's
+# BRACKET_WIDTH cells (2**-64 off), and within one cell of it for |f| < 2**16.
+
+def _spec_factor(i: int, f: int) -> XYPoly:
+    return _root_factor(2**49 + (i << 16) + f, 1 << 48)
+
+
+def _spec_poly(specs) -> XYPoly:
+    poly = XYPoly.one()
+    for i, f in specs:
+        poly = poly * _spec_factor(i, f)
+    return poly
+
+
+root_specs = st.tuples(
+    st.one_of(st.integers(0, 40),                                # near 2
+              st.integers(1, 61).map(lambda y: y << 32),         # at 2 + y
+              st.integers(0, 62 << 32)),                         # anywhere
+    st.integers(-(1 << 16), 1 << 16))
+# a pair within 2**-30 of each other, the second 2**-48 d above the first
+clusters = st.tuples(root_specs, st.integers(1, 1 << 18)).map(
+    lambda c: [c[0], (c[0][0], c[0][1] + c[1])])
+spec_lists = st.tuples(st.lists(root_specs, min_size=1, max_size=3),
+                       st.lists(clusters, max_size=1)).map(
+    lambda t: t[0] + [spec for pair in t[1] for spec in pair])
+
+
+def _bisect(oracle, a, b):
+    """The refinement's reference: the isolating interval (a, b) on the
+    window unit cut at midpoints to width BRACKET_WIDTH, (a', b', sign at
+    a'), None at a sign that is not +-(sign at a)."""
+    sa, sb = oracle.value(a).sign(), oracle.value(b).sign()
+    if not sa or sb != -sa:
+        return None
+    while b - a > 1 << 32:
+        mid = (a + b) >> 1
+        s = oracle.value(mid).sign()
+        if s == sa:
+            a = mid
+        elif s == -sa:
+            b = mid
+        else:
+            return None
+    return a, b, sa
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_lists)
+@example([(5 << 20, 1)])                        # a root just above a lattice point
+@example([(5 << 20, -3)])                       # and just below one
+@example([(3 << 30, 0), (3 << 30, 1 << 18)])    # two roots 2**-30 apart
+@example([(0, 1), (9 << 32, 0)])                # at the node's left end, 2 + 2**-64
+@example([(1 << 32, -8), (1 << 32, 8)])         # at its right end, 3 + 2**-64
+def test_refinement_returns_the_bisection_bracket(specs):
+    # the isolating node changes sign exactly once, so the aligned cell with
+    # ends of opposite sign is unique: refinement and bisection agree on it
+    poly = _spec_poly(specs)
+    bracket = _isolating_bracket(_SignOracle(poly, 5), 64)
+    if bracket is None:
+        return
+    refined = _refine(_SignOracle(poly, 5), *bracket)
+    assert refined == _bisect(_SignOracle(poly, 5), *bracket)
+    if refined is not None:
+        a, b, _ = refined
+        assert b - a == 1 << 32 and (a - bracket[0]) % (1 << 32) == 0
+
+
+@pytest.mark.parametrize("specs, end", [([(0, 1), (9 << 32, 0)], 0),
+                                        ([(1 << 32, -8), (1 << 32, 8)], 1)])
+def test_refinement_of_a_root_at_a_node_end(specs, end):
+    # the root lies within 2**-45 of the isolating node's left (0) or right
+    # (1) end, so the bracket is that end's cell
+    poly = _spec_poly(specs)
+    node = _isolating_bracket(_SignOracle(poly, 5), 64)
+    a, b, _ = _refine(_SignOracle(poly, 5), *node)
+    assert node[1] - node[0] >= 1 << 40
+    assert (a, b) == ((node[0], node[0] + (1 << 32)) if end == 0
+                      else (node[1] - (1 << 32), node[1]))
+
+
+def _no_gallop(oracle, lo, hi, v, m_max):
+    return 0, lo, hi, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_lists)
+@example([(0, 1), (0, 5), (0, 9), (2, 0)])    # three nested roots above 2
+def test_galloping_and_plain_halving_find_the_same_node(specs):
+    poly = _spec_poly(specs)
+    galloped = _isolating_bracket(_SignOracle(poly, 5), 64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_gallop", _no_gallop)
+        plain = _isolating_bracket(_SignOracle(poly, 5), 64)
+    assert galloped == plain
+
+
+@pytest.mark.parametrize("knot, n", [(DoubleTwistKnot(12, 12), 7),
+                                     (DoubleTwistKnot(4, 6), 30), (KlKnot(15), 9)])
+def test_galloping_keeps_the_certificate_and_counts_fewer_nodes(monkeypatch, knot, n):
+    phi = riley_for_knot(knot)
+    galloped = find_root_gt2(phi, n)
+    monkeypatch.setattr(certify, "_gallop", _no_gallop)
+    plain = find_root_gt2(phi, n)
+    assert galloped.status == plain.status
+    assert galloped.certificate == plain.certificate
+    assert galloped.trace["nodes"] < plain.trace["nodes"]
+
+
+def test_one_plain_halving_comes_before_a_gallop():
+    # J:1,2 at n = 5: plain halving counts the root node and its left half,
+    # the isolating node, and the search must count no more: it gallops only
+    # once a halving has kept a count, and a failed trial's count is reused
+    report = find_root_gt2(riley_for_knot(DoubleTwistKnot(1, 2)), 5)
+    assert report.certified
+    assert report.trace["nodes"] == 2
+
+
 # The isolation kernels against expansions written out here: q(t + 1) by
 # the binomial theorem, and (1 + t)**d q(1/(1 + t)) = sum_j c_j (1 + t)**(d - j).
 
@@ -378,6 +498,26 @@ def test_fixed_point_halving_counts_as_the_exact_halves(rows):
             assert _variations(*exact) == v
 
 
+@settings(max_examples=300, deadline=None)
+@given(box_rows, st.integers(1, 12))
+def test_one_step_part_encloses_m_halvings(rows, m):
+    # the leftmost 2**-m part in one step, c_j 2**-mj floored and ceiled, is
+    # the box of m plain halvings and holds the exact part 2**(md) q(t/2**m)
+    # / 2**(md); a count it decides is the exact part's count
+    lo = [l for l, _ in rows]
+    hi = [l + w for l, w in rows]
+    part = _halve(lo, hi, m)
+    halved = (lo, hi)
+    for _ in range(m):
+        halved = _halve(*halved)
+    assert part == halved
+    for j in range(len(rows)):
+        assert part[0][j] << m * j <= lo[j] and part[1][j] << m * j >= hi[j]
+    v = _variations(*part)
+    if v is not None:
+        assert _variations(_scale_down(lo, m), _scale_down(hi, m)) == v
+
+
 def test_node_coefficients_do_not_grow_with_depth(monkeypatch):
     # exact halving multiplies coefficient j by 2**(d - j), up to deg_y bits
     # a level: J:12,12's isolating node at n = 7 then holds 8,239-bit
@@ -465,16 +605,17 @@ def test_an_undecided_count_at_the_precision_cap_ends_the_scan(monkeypatch):
     assert report.trace["precision_escalations"] == 0
 
 
-# the end signs take one evaluation each at 128 bits; an indefinite midpoint
-# is retried at 256, ..., 4096 bits (6 evaluations), an exact zero is not
+# the end signs take one evaluation each at 128 bits; an indefinite
+# refinement point is retried at 256, ..., 4096 bits (6 evaluations), an
+# exact zero is not
 @pytest.mark.parametrize("value, evaluations, indefinite",
                          [((-1, 1), 2 + 6, 6), ((0, 0), 2 + 1, 0)])
 def test_an_undecided_midpoint_sign_ends_the_scan(monkeypatch, value, evaluations,
                                                   indefinite):
     # after the two end signs of the isolating interval, every evaluation
     # answers the interval `value`: indefinite at every precision, or an
-    # exact zero.  Bisection cuts at the midpoint only and gives up on the
-    # first such sign; no other cut point or later interval is tried.
+    # exact zero.  Refinement gives up on the first such sign; no other
+    # point or later interval is tried.
     original = certify.eval_interval
     ends = []
 

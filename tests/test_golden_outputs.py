@@ -7,9 +7,12 @@ text-format `certify`, and four `certify` scans that raise the x_n
 precision (J:8,8 at n = 7 and Kl:20 at n = 5 to 256 bits, J:10,10 at n = 5
 to 512, and J:12,12 at n = 7 to 512 at the default cap, so that the
 fixed-point root node and bounds are checked after two escalations).  A
-refactor of the search must leave every digest
-unchanged, and every certificate in these outputs must still parse and
-verify.  To re-record after an intended change of output, run
+refactor of the search must leave every digest unchanged, and every
+certificate in these outputs must still parse and verify.  A change that
+does less work changes the trace's nodes and evaluations, and so these
+digests: check that every other output field matches the previous
+commit's before re-recording.  To re-record after an intended change of
+output, run
 
     PYTHONPATH=src python tests/test_golden_outputs.py > tests/data/golden_outputs.json
 """

@@ -1,4 +1,4 @@
-"""Rigorous root certificates for phi_K(x_n, y) on (2, y_max_cap].
+"""Rigorous root certificates for phi_K(x_n, y) on (2 + 2**-64, y_max_cap].
 
 A certificate is a dyadic bracket (a, b) with 2 < a < b whose endpoint
 evaluations are sign-definite intervals of opposite sign; any verifier can
@@ -265,20 +265,17 @@ def _root_node(bounds: tuple[list[int], list[int], int],
     """Integer bounds on the coefficients of phi(x_n, 2 + 2**-64 + 2**k_root t),
     up to a positive factor, from the sign oracle's cached bounds.
 
-    The shift by 2 of the bounds is exact, in one pass; the shift by 2**-64
-    stays on the bounds' own unit, the oracle's fixed-point one, the lower
-    bounds floored and the upper ones ceiled at each step.  Every step of a
-    Taylor shift adds a nonnegative multiple of one coefficient to another,
-    so each floor or ceiling only widens the bounds, and no coefficient
-    carries the 64 * deg_y bits of the exact shift.  The scale by 2**k_root
-    is exact.
+    The shift by 2 of the bounds is exact: q(2t + 2) = q(2t) shifted by 1
+    (_taylor_shift after _scale), whose coefficient j is divisible by 2**j,
+    then halved (_halve).  The shift by 2**-64 stays on the bounds' own
+    unit, the oracle's fixed-point one, the lower bounds floored and the
+    upper ones ceiled at each step.  Every step of a Taylor shift adds a
+    nonnegative multiple of one coefficient to another, so each floor or
+    ceiling only widens the bounds, and no coefficient carries the
+    64 * deg_y bits of the exact shift.  The scale by 2**k_root is exact.
     """
-    lo, hi = list(bounds[0]), list(bounds[1])
+    lo, hi = _halve(*_taylor_shift(_scale(bounds[0], 1), _scale(bounds[1], 1)))
     d = len(lo) - 1
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            lo[j] += lo[j + 1] << 1
-            hi[j] += hi[j + 1] << 1
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
             lo[j] += lo[j + 1] >> _MARGIN_BITS
@@ -320,45 +317,47 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
     weights, so each node's bounds hold the exact node and a count made on
     them holds for every polynomial between them.  A node with no root is
     dropped, the first with a single root inside the window is returned,
-    and any other is split unless it is no wider than BRACKET_WIDTH.  An
-    indefinite variation count doubles the x_n precision and restarts the
-    search.
+    any other is split, and a node narrower than BRACKET_WIDTH is dropped
+    uncounted.  An indefinite variation count doubles the x_n precision and
+    restarts the search.
 
-    Once a halving has kept a node's count v >= 2, the search gallops
-    (_gallop) to the narrowest leftmost part 2**-m of the node that still
-    counts v, and halves on from there.  That part's bounds are the ones m
-    halvings would give (see _halve), and the skipped nodes hold no root, by
-    subadditivity: var(I) >= var(I1) + var(I2) when I splits into I1, I2.
-    The count of a node is the number of sign variations of the Bernstein
-    coefficients b_i of q on [0, 1], since (1 + t)**d q(1/(1 + t)) =
-    sum_i C(d, i) b_i t**(d - i).  De Casteljau's algorithm forms the
-    coefficients of the two parts, which share the one at the split point,
-    by repeated means of neighbours, and a mean of neighbours never adds a
-    sign variation; the joined sequence has at least var(I1) + var(I2)
-    variations (exactly that many unless the shared coefficient is 0).  So
-    if the leftmost part P_m keeps v = var(I), the right halves R_1, ...,
-    R_m that plain halving would visit on its way to P_m count
-    v - var(P_m) - ... = 0 between them, and each left node on that way
-    counts v >= 2: plain halving drops the one kind, splits the other, and
-    reaches P_m with the same nodes still to visit.  The first single-root
-    node, and the certificate, are the same.  A box count that rounding
-    leaves undecided on a skipped node would have raised the precision;
-    the gallop does not count those nodes, and counts an undecided trial
-    as not kept, so only plain halving escalates.  The trace's nodes are
-    the Descartes counts made, gallop trials included.
+    A node that counts v >= 2, the root node included, gallops (_gallop) to
+    the narrowest leftmost part 2**-m of the node that still counts v, and
+    is split there: its children are the part 2**-(m + 1), formed in one
+    step (_halve), and that part shifted by 1, and the left child's count,
+    made by the gallop's failed trial, is not made again.  The part's bounds
+    are the ones m + 1 halvings would give, and the skipped nodes hold no
+    root, by subadditivity: var(I) >= var(I1) + var(I2) when I splits into
+    I1, I2.  The count of a node is the number of sign variations of the
+    Bernstein coefficients b_i of q on [0, 1], since
+    (1 + t)**d q(1/(1 + t)) = sum_i C(d, i) b_i t**(d - i).  De Casteljau's
+    algorithm forms the coefficients of the two parts, which share the one
+    at the split point, by repeated means of neighbours, and a mean of
+    neighbours never adds a sign variation; the joined sequence has at
+    least var(I1) + var(I2) variations (exactly that many unless the shared
+    coefficient is 0).  So if the leftmost part P_m keeps v = var(I), the
+    right halves R_1, ..., R_m that plain halving would visit on its way to
+    P_m count v - var(P_m) - ... = 0 between them, and each left node on
+    that way counts v >= 2: plain halving drops the one kind, splits the
+    other, and reaches P_m with the same nodes still to visit.  The first
+    single-root node, and the certificate, are the same.  A box count that
+    rounding leaves undecided on a skipped node would have raised the
+    precision; the gallop does not count those nodes, and counts an
+    undecided trial as not kept, so only a node's own count escalates.  The
+    trace's nodes are the Descartes counts made, gallop trials included.
     """
     k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
     cap = y_max_cap << _MARGIN_BITS
     floor = _MARGIN_BITS - _BRACKET_BITS  # no node narrower than BRACKET_WIDTH
     while True:
-        # (a, k, lo, hi, shift, v, held): the node (a, a + 2**k), its bounds,
-        # whether they still need the shift by 1, its count if a gallop
-        # trial made it, and its parent's count
+        # (a, k, lo, hi, shift, v): the node (a, a + 2**k), its bounds,
+        # whether they still need the shift by 1, and its count if a gallop
+        # trial made it
         stack = [((2 << _MARGIN_BITS) + 1, k_root + _MARGIN_BITS,
-                  *_root_node(oracle.bounds, k_root), False, None, 0)]
+                  *_root_node(oracle.bounds, k_root), False, None)]
         while stack:
-            a, k, lo, hi, shift, v, held = stack.pop()
-            if a >= cap:
+            a, k, lo, hi, shift, v = stack.pop()
+            if a >= cap or k < floor:
                 continue
             if v is None:
                 if shift:  # right halves are shifted only when visited
@@ -369,14 +368,12 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
                     break
             if v == 1 and a + (1 << k) <= cap:
                 return a, a + (1 << k)
-            left = None
-            if v == held > 1 and k > floor:
-                m, lo, hi, left = _gallop(oracle, lo, hi, v, k - floor)
-                k -= m
-            if v and k > floor:
-                lo, hi = _halve(lo, hi)
-                stack.append((a + (1 << (k - 1)), k - 1, lo, hi, True, None, v))
-                stack.append((a, k - 1, lo, hi, False, left, v))
+            if v:
+                m, left = _gallop(oracle, lo, hi, v, k - floor) if v > 1 else (0, None)
+                k -= m + 1
+                lo, hi = _halve(lo, hi, m + 1)
+                stack.append((a + (1 << k), k, lo, hi, True, None))
+                stack.append((a, k, lo, hi, False, left))
         else:
             return None
         if not oracle.escalate():
@@ -384,12 +381,12 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
 
 
 def _gallop(oracle: _SignOracle, lo: list[int], hi: list[int], v: int, m_max: int):
-    """(m, bounds, count): the largest m <= m_max for which the leftmost
-    2**-m part of the node with bounds lo, hi (count v) still counts v, by
-    doubling m and then bisecting between the last m that kept v and the
-    first that did not; that part's bounds; and the count of its left half,
-    the first part that did not keep v, or None if that count was undecided
-    or never made."""
+    """(m, count): the largest m <= m_max for which the leftmost 2**-m part
+    of the node with bounds lo, hi (count v) still counts v, by doubling m
+    and then bisecting between the last m that kept v and the first that
+    did not; and the count of part m + 1, the first that did not keep v, or
+    None if that count was undecided or never made.  No count is made when
+    m_max <= 0."""
     good, bad, left, m = 0, m_max + 1, None, 1
     while good + 1 < bad:
         oracle.nodes += 1
@@ -399,7 +396,7 @@ def _gallop(oracle: _SignOracle, lo: list[int], hi: list[int], v: int, m_max: in
         else:
             bad, left = m, count
         m = min(2 * m, m_max) if bad > m_max else (good + bad) >> 1
-    return (good, *_halve(lo, hi, good), left)
+    return good, left
 
 
 def _secant_index(n: int, fa: Dyadic, fb: Dyadic) -> int:

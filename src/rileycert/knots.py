@@ -18,7 +18,7 @@ from dataclasses import dataclass
 # one step beyond is refused before any work.  `certify` also runs the root
 # isolation, whose Taylor shifts grow with phi: at the default cap on that
 # host (README.md, three runs each), `certify --knot J:20,20 --n 7` took
-# 13.7-15.9 s and `certify --knot Kl:50 --n 5` 3.3-4.9 s.
+# 9.5-11.8 s and `certify --knot Kl:50 --n 5` 2.7-4.2 s.
 P_MAX = 501
 K_MAX = 20
 M_MAX = 20

@@ -309,7 +309,7 @@ def test_refinement_of_a_root_at_a_node_end(specs, end):
 
 
 def _no_gallop(oracle, lo, hi, v, m_max):
-    return 0, lo, hi, None
+    return 0, None
 
 
 @settings(max_examples=100, deadline=None)
@@ -336,20 +336,66 @@ def test_galloping_keeps_the_certificate_and_counts_fewer_nodes(monkeypatch, kno
     assert galloped.trace["nodes"] < plain.trace["nodes"]
 
 
-def test_one_plain_halving_comes_before_a_gallop():
-    # J:1,2 at n = 5: plain halving counts the root node and its left half,
-    # the isolating node, and the search must count no more: it gallops only
-    # once a halving has kept a count, and a failed trial's count is reused
+def test_a_failed_trials_count_is_not_made_again(monkeypatch):
+    # a gallop that keeps the part 2**-m has counted the part 2**-(m + 1),
+    # the left child's box, in its last failed trial; that count is passed
+    # on, so the box is not counted again
+    boxes, children = [], []
+    variations, gallop = certify._variations, certify._gallop
+
+    def counting(lo, hi):
+        boxes.append((tuple(lo), tuple(hi)))
+        return variations(lo, hi)
+
+    def galloping(oracle, lo, hi, v, m_max):
+        m, left = gallop(oracle, lo, hi, v, m_max)
+        if left is not None:
+            children.append((tuple(map(tuple, _halve(lo, hi, m + 1))), len(boxes)))
+        return m, left
+
+    monkeypatch.setattr(certify, "_variations", counting)
+    monkeypatch.setattr(certify, "_gallop", galloping)
+    for knot, n in ((DoubleTwistKnot(4, 6), 30), (KlKnot(3), 7), (DoubleTwistKnot(2, 3), 7)):
+        boxes.clear()
+        children.clear()
+        report = find_root_gt2(riley_for_knot(knot), n)
+        assert report.certified and len(boxes) == report.trace["nodes"]
+        assert children and all(box in boxes[:i] and box not in boxes[i:]
+                                for box, i in children)
+    # J:1,2 at n = 5: the root node, past the cap, counts 1 and is halved;
+    # its left half is the isolating node, counted once
     report = find_root_gt2(riley_for_knot(DoubleTwistKnot(1, 2)), 5)
     assert report.certified
     assert report.trace["nodes"] == 2
 
 
+@pytest.mark.parametrize("knot, n, cap", [(DoubleTwistKnot(4, 6), 30, 1 << 16),
+                                          (KlKnot(3), 7, 64)])
+def test_the_root_node_gallops(monkeypatch, knot, n, cap):
+    # every node counting 2 or more gallops, the root node too: the first
+    # gallop is the root's, over every part down to BRACKET_WIDTH
+    calls = []
+    original = certify._gallop
+
+    def spy(oracle, lo, hi, v, m_max):
+        calls.append((lo, hi, v, m_max))
+        return original(oracle, lo, hi, v, m_max)
+
+    monkeypatch.setattr(certify, "_gallop", spy)
+    oracle = _SignOracle(riley_for_knot(knot).poly, n)
+    assert _isolating_bracket(oracle, cap) is not None
+    k_root = (cap - 3).bit_length()
+    root = _root_node(oracle.bounds, k_root)
+    assert oracle.escalations == 0 and _variations(*root) >= 2
+    assert calls[0] == (*root, _variations(*root), k_root + 32)
+
+
 # The isolation kernels against expansions written out here: q(t + 1) by
 # the binomial theorem, and (1 + t)**d q(1/(1 + t)) = sum_j c_j (1 + t)**(d - j).
 
-def _shifted(c):
-    return [sum(cj * math.comb(j, i) for j, cj in enumerate(c)) for i in range(len(c))]
+def _shifted(c, by=1):
+    return [sum(cj * math.comb(j, i) * by ** (j - i) for j, cj in enumerate(c))
+            for i in range(len(c))]
 
 
 def _descartes_image(c):
@@ -386,6 +432,8 @@ coefficient_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=8)
 @given(coefficient_lists, st.integers(-6, 6))
 def test_taylor_shift_and_scale_match_their_expansions(c, k):
     assert _taylor_shift(c, c[::-1]) == (_shifted(c), _shifted(c[::-1]))
+    # the root node's exact shift by 2: q(2t) shifted by 1, halved
+    assert _halve(*_taylor_shift(_scale(c, 1), _scale(c, 1))) == (_shifted(c, 2),) * 2
     d = len(c) - 1
     t = Fraction(2) ** k
     want = [cj * t ** j * (t ** -d if k < 0 else 1) for j, cj in enumerate(c)]

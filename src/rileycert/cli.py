@@ -265,65 +265,87 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FRACTION_HELP = "two-bridge fraction p/q (p odd, q odd, 0<q<p)"
+
+
+def _knot_args(p):
+    knot = p.add_mutually_exclusive_group(required=True)
+    knot.add_argument("--knot", help="family spec: J:k,m for J(2k+1,2m), or Kl:l")
+    knot.add_argument("--fraction", help=_FRACTION_HELP)
+    p.add_argument("--format", choices=("text", "structured"), default="text")
+
+
+def _riley_args(p):
+    _knot_args(p)
+    p.add_argument("--cross-check", action="store_true",
+                   help="also run the generic matrix-word engine and compare")
+
+
+def _signs_args(p):
+    p.add_argument("--fraction", required=True, help=_FRACTION_HELP)
+    p.add_argument("--format", choices=("text", "structured"), default="text")
+    p.add_argument("--reduce", action="store_true",
+                   help="print the reduction chain down to a base case")
+
+
+def _scan_args(index: str, **index_kwargs):
+    """The adder of a scanning command's arguments; `index` is its
+    cover-index option."""
+    def add(p):
+        _knot_args(p)
+        p.add_argument(index, required=True, **index_kwargs)
+        p.add_argument("--ymax-cap", type=_y_cap, default=DEFAULT_Y_MAX_CAP,
+                       help="end of the searched window (2 + 2^-64, ymax-cap], 3.."
+                            f"{MAX_Y_MAX_CAP} (default {DEFAULT_Y_MAX_CAP})")
+    return add
+
+
+# name -> (help, argument adder, command), in the order of the usage line
+# and of --help
+_COMMANDS = {
+    "riley": ("print a Riley polynomial", _riley_args, cmd_riley),
+    "signs": ("print the sign sequence of a fraction", _signs_args, cmd_signs),
+    "certify": ("certify a root y_n > 2 of phi(x_n, .)",
+                _scan_args("--n", type=_cover_index, help="cover index n >= 2"),
+                cmd_certify),
+    "lo-set": ("scan n = 2..n-max and report certified covers",
+               _scan_args("--n-max", type=_n_max,
+                          help=f"largest cover index, 2..{MAX_N_MAX}"),
+               cmd_lo_set),
+    "selftest": ("run the built-in identity suite", lambda p: None, cmd_selftest),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of `command`.  A one-command
+    parser still names every command in its usage line."""
     parser = _Parser(
         prog="rileycert",
         description="Riley polynomials of two-bridge knots and rigorous "
                     "left-orderability certificates for cyclic branched covers.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fraction_help = "two-bridge fraction p/q (p odd, q odd, 0<q<p)"
-
-    def add_knot_args(p):
-        knot = p.add_mutually_exclusive_group(required=True)
-        knot.add_argument("--knot",
-                          help="family spec: J:k,m for J(2k+1,2m), or Kl:l")
-        knot.add_argument("--fraction", help=fraction_help)
-        p.add_argument("--format", choices=("text", "structured"), default="text")
-
-    p_riley = sub.add_parser("riley", help="print a Riley polynomial")
-    add_knot_args(p_riley)
-    p_riley.add_argument("--cross-check", action="store_true",
-                         help="also run the generic matrix-word engine and compare")
-    p_riley.set_defaults(func=cmd_riley)
-
-    p_signs = sub.add_parser("signs", help="print the sign sequence of a fraction")
-    p_signs.add_argument("--fraction", required=True, help=fraction_help)
-    p_signs.add_argument("--format", choices=("text", "structured"), default="text")
-    p_signs.add_argument("--reduce", action="store_true",
-                         help="print the reduction chain down to a base case")
-    p_signs.set_defaults(func=cmd_signs)
-
-    def add_scan_args(p):
-        p.add_argument("--ymax-cap", type=_y_cap, default=DEFAULT_Y_MAX_CAP,
-                       help="end of the searched window (2 + 2^-64, ymax-cap], 3.."
-                            f"{MAX_Y_MAX_CAP} (default {DEFAULT_Y_MAX_CAP})")
-
-    p_cert = sub.add_parser("certify",
-                            help="certify a root y_n > 2 of phi(x_n, .)")
-    add_knot_args(p_cert)
-    p_cert.add_argument("--n", type=_cover_index, required=True,
-                        help="cover index n >= 2")
-    add_scan_args(p_cert)
-    p_cert.set_defaults(func=cmd_certify)
-
-    p_lo = sub.add_parser("lo-set",
-                          help="scan n = 2..n-max and report certified covers")
-    add_knot_args(p_lo)
-    p_lo.add_argument("--n-max", type=_n_max, required=True,
-                      help=f"largest cover index, 2..{MAX_N_MAX}")
-    add_scan_args(p_lo)
-    p_lo.set_defaults(func=cmd_lo_set)
-
-    p_self = sub.add_parser("selftest", help="run the built-in identity suite")
-    p_self.set_defaults(func=cmd_selftest)
+    # the full parser keeps argparse's own metavar, the same list: setting
+    # it would rename "argument command" in the invalid-choice message
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_args, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one CLI call.  Only the subparser that argv[0] names is built;
+    any other first argument (-h, --version, a bad command, none) gets the
+    full parser."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help/--version, or remapped usage errors
         return exc.code or 0

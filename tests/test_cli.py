@@ -246,9 +246,12 @@ def test_error_exits(capsys):
     assert code == 1 and "error" in err
     code, _, _ = run(capsys, "--version")
     assert code == 0
+    # a metavar on the command list would rename "argument command"
+    code, _, err = run(capsys, "bogus")
+    assert code == 1 and "error: argument command: invalid choice: 'bogus'" in err
 
 
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = [
     ("certify", "--knot", "J:1,2", "--n", "2", "--ymax", "64"),
     ("certify", "--knot", "J:1,2", "--n", "2", "--prec", "128"),
     ("certify", "--knot", "J:2,3", "--n", "5", "--ymax-cap", "2"),
@@ -266,7 +269,10 @@ def test_error_exits(capsys):
     ("riley",),
     ("selftest", "--quick"),
     ("lo-set", "--knot", "J:1,2", "--n-max", str(MAX_N_MAX + 1)),
-])
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
@@ -290,6 +296,56 @@ def test_help_lists_the_options(capsys):
         assert code == 0 and err == "" and out.startswith("usage: rileycert")
         if command in (("certify",), ("lo-set",)):
             assert "--ymax-cap" in out and "--prec" not in out
+
+
+COMMANDS = ("riley", "signs", "certify", "lo-set", "selftest")
+
+
+@pytest.mark.parametrize("argv", [
+    *USAGE_ERRORS,
+    ("--help",), *((command, "--help") for command in COMMANDS),
+    (), ("bogus",), ("Certify",), ("--",),
+    ("certify", "--knot", "J:1,2", "--n", "7", "--bogus"),
+    ("certify", "--knot", "J:1,2", "--n", "7", "--version"),
+    ("--version", "certify"),
+], ids=ascii)
+def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    # main builds only the subparser that argv[0] names; its help, usage
+    # errors and exit codes must be those of the parser of every command
+    # (compared in process, since argparse's texts differ between versions)
+    full_parser = cli.build_parser
+    for columns in ("80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with monkeypatch.context() as full:
+            full.setattr(cli, "build_parser", lambda command=None: full_parser())
+            expected = run(capsys, *argv)
+        assert run(capsys, *argv) == expected
+
+
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
+    # the top-level parser and one subparser, not all six parsers
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv, code, parsers in [(("certify", "--knot", "J:1,2", "--n", "2"), 2, 2),
+                                (("riley", "--knot", "J:1,2"), 0, 2),
+                                *(((command, "--help"), 0, 2) for command in COMMANDS),
+                                (("--help",), 0, 6), (("bogus",), 1, 6)]:
+        built.clear()
+        assert run(capsys, *argv)[0] == code, argv
+        assert len(built) == parsers, (argv, built)
+
+
+def test_main_reads_the_command_from_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["rileycert", "signs", "--fraction", "17/7"])
+    assert main() == 0
+    assert capsys.readouterr() == ("<2><-2><3><-2><3><-2><2>\n", "")
 
 
 def test_n_max_limit_itself_is_accepted(capsys, monkeypatch):

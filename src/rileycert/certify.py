@@ -70,43 +70,21 @@ class RootCertificate:
 
         Raises MalformedCertificate for a missing or malformed field: signs
         must be exactly "+" or "-"; n, precision and y_max JSON integers with
-        n >= 2, precision in 1..DEFAULT_PRECISION_CAP and y_max >= 3; each
-        bracket endpoint at most MAX_Y_MAX_CAP in absolute value, its
-        exponent within _max_endpoint_exponent(precision), so that a hostile
-        record cannot make the verifier build huge integers.
+        n >= 2, precision in 1..DEFAULT_PRECISION_CAP and y_max in
+        3..MAX_Y_MAX_CAP; each bracket endpoint on the lattice a scan writes
+        on (_parse_endpoint), so that a hostile record cannot make the
+        verifier build huge integers.  No field's bound depends on another.
         """
         sign_a, sign_b = _field(obj, "signs", _parse_signs)
-        precision = _field(obj, "precision", _int_parser(1, DEFAULT_PRECISION_CAP))
-        bound = _max_endpoint_exponent(precision)
-        a, b = _field(obj, "bracket", lambda br: (_parse_endpoint(br["a"], bound),
-                                                  _parse_endpoint(br["b"], bound)))
+        a, b = _field(obj, "bracket", lambda br: (_parse_endpoint(br["a"]),
+                                                  _parse_endpoint(br["b"])))
         return cls(knot=_field(obj, "knot", _parse_str),
                    n=_field(obj, "n", _int_parser(2)),
-                   a=a, b=b, sign_a=sign_a, sign_b=sign_b, precision=precision,
-                   y_max=_field(obj, "y_max", _int_parser(3)),
+                   a=a, b=b, sign_a=sign_a, sign_b=sign_b,
+                   precision=_field(obj, "precision",
+                                    _int_parser(1, DEFAULT_PRECISION_CAP)),
+                   y_max=_field(obj, "y_max", _int_parser(3, MAX_Y_MAX_CAP)),
                    poly_hash=_field(obj, "poly_hash", _parse_str))
-
-
-def _max_endpoint_exponent(precision: int) -> int:
-    """Bound on |exponent| of the bracket endpoints of a record of this
-    precision.
-
-    An endpoint a scan emits is a point that refinement (_refine) signed in
-    an isolating node, or an end of that node.  A node end is
-    2 + 2**-64 + i * 2**-k, with 64 fractional bits: nodes are no narrower
-    than BRACKET_WIDTH = 2**-32, so k <= 32, and an isolating node lies in
-    (2, 2**20] (MAX_Y_MAX_CAP).  Every refinement point is the node's left
-    end plus a multiple of 2**-32, so it keeps 64 fractional bits.  Values up to
-    2**20 have positive exponents up to 20, hence |exponent| <= 64.  Older
-    records must parse too: scans that started at P bits (at most the
-    recorded precision) put the window at 2 + 2**-(P//2) and took at most
-    124 bisection steps of at most 2 fractional bits each, so their
-    endpoints have |exponent| < P/2 + 280.  The 431 grid records of the
-    last version before the root isolation, at its default 128 bits, reach
-    254; one it wrote at a starting precision set above about 180 bits may
-    exceed the bound.
-    """
-    return precision // 2 + 280
 
 
 def _field(obj: dict, key: str, parse):
@@ -128,15 +106,18 @@ def _int_parser(lo: int, hi: int | None = None):
     return parse
 
 
-def _parse_endpoint(value, bound: int) -> Dyadic:
+def _parse_endpoint(value) -> Dyadic:
     """{"mantissa": ASCII decimal string, "exponent": JSON integer}, the
-    exponent (once normalized) within +-bound and the value within
-    +-MAX_Y_MAX_CAP: every scan writes endpoints in (2, MAX_Y_MAX_CAP]."""
+    exponent (once normalized) within +-_MARGIN_BITS and the value within
+    +-MAX_Y_MAX_CAP.  Every scan writes odd integers on its window unit
+    2**-_MARGIN_BITS in (2, MAX_Y_MAX_CAP] (see _MARGIN_BITS), so its
+    endpoints have |exponent| <= _MARGIN_BITS at every precision.  The
+    exponent is checked first: the value check shifts the mantissa by it."""
     if type(value["exponent"]) is not int:
         raise TypeError(f"malformed endpoint {value!r}")
     d = Dyadic.from_json(value)
-    if abs(d.e) > bound:
-        raise ValueError(f"exponent {d.e} is beyond +-{bound}")
+    if abs(d.e) > _MARGIN_BITS:
+        raise ValueError(f"exponent {d.e} is beyond +-{_MARGIN_BITS}")
     if not -MAX_Y_MAX_CAP <= d <= MAX_Y_MAX_CAP:
         raise ValueError(f"endpoint is beyond +-{MAX_Y_MAX_CAP}")
     return d
@@ -173,12 +154,13 @@ class ScanReport:
 
 DEFAULT_PRECISION = 128
 DEFAULT_Y_MAX_CAP = 1 << 16
-MAX_Y_MAX_CAP = 1 << 20  # keeps bracket endpoints within _max_endpoint_exponent
+MAX_Y_MAX_CAP = 1 << 20  # largest y_max_cap; bounds record endpoints and y_max
 DEFAULT_PRECISION_CAP = 4096
 _BRACKET_BITS = 32
 BRACKET_WIDTH = Dyadic(1, -_BRACKET_BITS)  # refinement target and isolation node floor
 # the window starts at 2 + 2**-64, keeping brackets above 2; node ends and
-# refinement points are integers on this window unit 2**-64
+# refinement points are odd integers on this window unit 2**-64, so a record
+# parses only endpoints with |exponent| <= _MARGIN_BITS
 _MARGIN_BITS = 64
 
 

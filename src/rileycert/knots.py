@@ -145,9 +145,6 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return Word.from_letters(self.letters + other.letters)
 
-    def letter_count(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
-
     def to_text(self) -> str:
         """a/A/b/B concatenated, exponents written out letter by letter."""
         pieces = []

@@ -70,7 +70,7 @@ SCANS = {
                                for k in range(1, 5) for m in J_THRESHOLDS),
     "criterion 3": _grid_cases((KlKnot(l), KL_THRESHOLDS[l]) for l in KL_THRESHOLDS),
     # the 64 family cases n = 2 .. threshold - 1, where phi(x_n, .) has no
-    # root above 2 (an mpmath root count at 60 digits agrees)
+    # root above 2 (_roots_from_2 counts them exactly)
     "below thresholds": [(DoubleTwistKnot(k, m), n) for k in range(1, 5)
                          for m, t in J_THRESHOLDS.items() for n in range(2, t)]
                         + [(KlKnot(l), n) for l, t in KL_THRESHOLDS.items()
@@ -142,13 +142,42 @@ def test_criterion_3_certificate_grid_kl():
     _run_grid("criterion 3", "criterion 3 (K_l certificate grid, n <= 12)")
 
 
+def _roots_from_2(phi, n):
+    """sympy's Sturm count of the real roots >= 2 of phi(x_n, .), for
+    n = 2, 3, 4 only: an oracle that shares nothing with the scan.
+
+    x_2 = 0 and x_3 = 1 give phi(x_n, .) in Z[y].  For x_4 = sqrt(2), split
+    phi = A(x**2, y) + x B(x**2, y); every root of phi(sqrt(2), .) is one of
+    the norm A(2, y)**2 - 2 B(2, y)**2 = phi(sqrt(2), y) phi(-sqrt(2), y),
+    so a zero count of the norm rules out a root of phi(sqrt(2), .)."""
+    from sympy import Poly, symbols
+    y = symbols("y")
+    halves = ({}, {})
+    for i, j, c in phi.poly.terms():
+        if n == 4:
+            halves[i % 2][j] = halves[i % 2].get(j, 0) + c * 2 ** (i // 2)
+        else:
+            halves[0][j] = halves[0].get(j, 0) + c * (n - 2) ** i
+    a, b = (Poly.from_dict(h, y) if h else Poly(0, y) for h in halves)
+    norm = a ** 2 - 2 * b ** 2
+    assert not norm.is_zero, (phi.knot, n)
+    return norm.count_roots(2)
+
+
 def test_no_certificate_below_the_thresholds():
-    # phi(x_n, .) has no root above 2 here: a certificate is wrong
+    # phi(x_n, .) has no root above 2 here (an exact Sturm count): a
+    # certificate is wrong
     assert len(SCANS["below thresholds"]) == 64
     scans, digests = _scan("below thresholds")
     for phi, n, report in scans:
         assert report.certificate is None, (phi.knot, n)
+        assert _roots_from_2(phi, n) == 0, (phi.knot, n)
     assert digests == _recorded_digests("below thresholds")
+    # the count is no blind zero: it sees the roots that a threshold-3
+    # knot's certificates at n = 3 and 4 bracket
+    for knot in (DoubleTwistKnot(1, 4), DoubleTwistKnot(2, -3), KlKnot(4)):
+        phi = riley_for_knot(knot)
+        assert all(_roots_from_2(phi, n) >= 1 for n in (3, 4)), knot
 
 
 def test_criterion_4_symbolic_identities():

@@ -795,25 +795,38 @@ def test_endpoint_values_are_bounded():
                 RootCertificate.from_json_dict(hostile)
 
 
-def test_endpoint_exponent_bound_admits_old_records_only():
-    # the records of every scan since the root isolation have |exponent|
-    # < P/2 + 280 (P their precision); one past that is refused before any
-    # arithmetic, so a record cannot carry thousands of fractional bits.  A
-    # positive exponent that large puts the endpoint far above 2**20, which
-    # the endpoint value bound refuses as well
+def test_endpoint_exponents_sit_on_the_scan_lattice():
+    # every scan writes odd integers on the window unit 2**-64, so a record's
+    # endpoints have |exponent| <= 64 whatever its precision.  One past that
+    # is refused before any arithmetic, so a record cannot carry thousands of
+    # fractional bits; an exponent of +64 passes that bound and is refused
+    # only because 3 * 2**64 lies above 2**20.  The exponent check comes
+    # first, so a huge exponent is never shifted by the value check
     knot = DoubleTwistKnot(2, 3)
     record = find_root_gt2(riley_for_knot(knot), 5, y_max_cap=64).certificate.to_json_dict()
+    assert {record["bracket"][end]["exponent"] for end in ("a", "b")} == {-64}
+
+    def refusal(precision, exponent):
+        bracket = {**record["bracket"], "b": {"mantissa": "3", "exponent": exponent}}
+        with pytest.raises(MalformedCertificate, match="bracket") as info:
+            RootCertificate.from_json_dict({**record, "precision": precision,
+                                            "bracket": bracket})
+        return str(info.value.__cause__)
+
     for precision in (128, 129, 4096):
-        bound = precision // 2 + 280
-        for exponent, ok in ((bound, False), (-bound, True),
-                             (bound + 1, False), (-bound - 1, False)):
-            bracket = {**record["bracket"], "b": {"mantissa": "3", "exponent": exponent}}
-            hostile = {**record, "precision": precision, "bracket": bracket}
-            if ok:
-                assert RootCertificate.from_json_dict(hostile).b.e == exponent
-            else:
-                with pytest.raises(MalformedCertificate, match="bracket"):
-                    RootCertificate.from_json_dict(hostile)
+        bracket = {**record["bracket"], "b": {"mantissa": "3", "exponent": -64}}
+        hostile = {**record, "precision": precision, "bracket": bracket}
+        assert RootCertificate.from_json_dict(hostile).b == Dyadic(3, -64)
+        assert refusal(precision, 64) == f"endpoint is beyond +-{MAX_Y_MAX_CAP}"
+        for exponent in (65, -65):
+            assert refusal(precision, exponent) == f"exponent {exponent} is beyond +-64"
+    # the bound P/2 + 280 of earlier versions admitted -2327 at 4096 bits
+    assert refusal(4096, -2327) == "exponent -2327 is beyond +-64"
+    assert refusal(128, 10**30) == f"exponent {10**30} is beyond +-64"
+    # y_max has the range find_root_gt2 accepts for y_max_cap
+    assert RootCertificate.from_json_dict({**record, "y_max": MAX_Y_MAX_CAP}).y_max == MAX_Y_MAX_CAP
+    with pytest.raises(MalformedCertificate, match="'y_max'"):
+        RootCertificate.from_json_dict({**record, "y_max": MAX_Y_MAX_CAP + 1})
 
 
 def test_verifying_a_record_at_the_precision_cap():

@@ -172,7 +172,7 @@ def test_word_double_twist():
     assert w2.to_text() == "bAbAbaBaBa"
     for k in range(1, 7):
         w, _ = word_double_twist(DoubleTwistKnot(k, 2))
-        assert w.letter_count() == 4 * k + 2
+        assert len(w.to_text()) == 4 * k + 2
 
 
 def test_kl_fraction():
@@ -185,8 +185,8 @@ def test_kl_fraction():
 
 
 def test_word_kl():
-    assert word_kl(KlKnot(2)).letter_count() == 16
-    assert word_kl(KlKnot(3)).letter_count() == 26
+    assert len(word_kl(KlKnot(2)).to_text()) == 16
+    assert len(word_kl(KlKnot(3)).to_text()) == 26
     for l in range(2, 9):
         built = word_kl(KlKnot(l))
         synthesized = word_from_signs(sign_sequence(kl_fraction(KlKnot(l))))

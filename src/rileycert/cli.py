@@ -105,6 +105,11 @@ def _knot_from_args(args):
     return parse_knot_spec(args.fraction)
 
 
+# one [first_exp, y_deg, "coeff"] term as json.dumps(indent=2) lays it out
+# inside the "terms" array; a decimal coefficient needs no escaping
+_TERM = '\n    [\n      %d,\n      %d,\n      "%d"\n    ]'
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "structured":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -128,9 +133,16 @@ def cmd_riley(args) -> int:
         lines = [phi.poly.to_text(), f"hash: {digest}"]
         _emit(args, {}, lines + ["cross-check: ok"] * args.cross_check)
         return EXIT_OK
-    payload = {"knot": phi.knot, "presentation": phi.presentation,
-               "terms": phi.poly.triples(), "hash": digest}
-    _emit(args, payload | ({"cross_check": "ok"} if args.cross_check else {}), [])
+    payload = {"knot": phi.knot, "presentation": phi.presentation, "hash": digest}
+    if args.cross_check:
+        payload["cross_check"] = "ok"
+    head = json.dumps(payload, sort_keys=True, indent=2)
+    # the bytes of json.dumps(payload | {"terms": phi.poly.triples()},
+    # sort_keys=True, indent=2), whose indenting encoder is pure Python:
+    # "terms" sorts last, so its array closes the object, one template per
+    # term (phi is monic in y, so the array is never empty)
+    terms = ",".join(_TERM % term for term in phi.poly.terms())
+    print(f'{head[:-2]},\n  "terms": [{terms}\n  ]\n}}')
     return EXIT_OK
 
 
@@ -176,26 +188,30 @@ def _report_payload(report) -> dict:
     }
 
 
+def _certify_lines(phi, n: int, report) -> list[str]:
+    """The text rendering of one scan."""
+    cert = report.certificate
+    if not report.certified:
+        return [f"{phi.knot} n={n}: inconclusive "
+                f"(searched y <= {report.trace['y_max_reached']}; "
+                "this does NOT assert absence of a root or non-left-orderability)"]
+    return [f"{phi.knot} n={n}: certified",
+            f"bracket: ({float(cert.a)!r}, {float(cert.b)!r})",
+            f"signs: {'+' if cert.sign_a > 0 else '-'}"
+            f" / {'+' if cert.sign_b > 0 else '-'}",
+            f"precision: {cert.precision} bits",
+            json.dumps(cert.to_json_dict(), sort_keys=True)]
+
+
 def cmd_certify(args) -> int:
     knot = _knot_from_args(args)
     phi = riley_for_knot(knot)
     report = _scan(args, phi, args.n)
-    payload = {"knot": phi.knot, "n": args.n, **_report_payload(report)}
-    if report.certified:
-        cert = report.certificate
-        lines = [f"{phi.knot} n={args.n}: certified",
-                 f"bracket: ({float(cert.a)!r}, {float(cert.b)!r})",
-                 f"signs: {'+' if cert.sign_a > 0 else '-'}"
-                 f" / {'+' if cert.sign_b > 0 else '-'}",
-                 f"precision: {cert.precision} bits",
-                 json.dumps(cert.to_json_dict(), sort_keys=True)]
-        _emit(args, payload, lines)
-        return EXIT_OK
-    lines = [f"{phi.knot} n={args.n}: inconclusive "
-             f"(searched y <= {report.trace['y_max_reached']}; "
-             "this does NOT assert absence of a root or non-left-orderability)"]
-    _emit(args, payload, lines)
-    return EXIT_INCONCLUSIVE
+    if args.format == "text":
+        _emit(args, {}, _certify_lines(phi, args.n, report))
+    else:
+        _emit(args, {"knot": phi.knot, "n": args.n, **_report_payload(report)}, [])
+    return EXIT_OK if report.certified else EXIT_INCONCLUSIVE
 
 
 def cmd_lo_set(args) -> int:
@@ -316,36 +332,45 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or only of `command`.  A one-command
-    parser still names every command in its usage line."""
+def _command_args(p, name: str):
+    """Give `p` the arguments of command `name`; argparse names a subparser
+    `rileycert <name>`, so a standalone parser of that prog is the same."""
+    _, add_args, func = _COMMANDS[name]
+    add_args(p)
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  `main` uses it for -h, --version, a
+    missing or unknown command, and to report arguments that a command's
+    own parser left over."""
     parser = _Parser(
         prog="rileycert",
         description="Riley polynomials of two-bridge knots and rigorous "
                     "left-orderability certificates for cyclic branched covers.")
     parser.add_argument("--version", action="version", version=__version__)
-    # the full parser keeps argparse's own metavar, the same list: setting
-    # it would rename "argument command" in the invalid-choice message
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
-    for name in _COMMANDS if command is None else (command,):
-        help_text, add_args, func = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_args(p)
-        p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_args(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one CLI call.  Only the subparser that argv[0] names is built;
-    any other first argument (-h, --version, a bad command, none) gets the
-    full parser."""
+    """Run one CLI call.  When argv[0] names a command, only that command's
+    parser is built, and the full parser only to report arguments left
+    over; any other first argument (-h, --version, a bad command, none)
+    gets the full parser."""
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            parser = _Parser(prog="rileycert " + argv[0])
+            args, extra = _command_args(parser, argv[0]).parse_known_args(argv[1:])
+            if extra:  # the full parser's usage line and message
+                build_parser().error("unrecognized arguments: " + " ".join(extra))
+        else:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help/--version, or remapped usage errors
         return exc.code or 0

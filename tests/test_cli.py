@@ -62,6 +62,29 @@ def test_riley_output_deterministic(capsys):
     assert payload["terms"] == riley_for_knot(DoubleTwistKnot(1, 2)).poly.triples()
 
 
+RILEY_FAMILY = [f"J:{k},{m}" for k in range(1, 5)
+                for m in (-6, -5, -4, -3, -2, 2, 3, 4, 5, 6)]
+RILEY_FAMILY += [f"Kl:{l}" for l in range(2, 7)]
+
+
+@pytest.mark.parametrize("argv", [
+    *(("--knot", spec, *cross) for spec in RILEY_FAMILY for cross in ((), ("--cross-check",))),
+    # 127/33 and 149/51 are the largest fractions of the benchmark's riley workload
+    *(("--fraction", spec) for spec in ("5/3", "17/7", "37/13", "87/31", "127/33", "149/51")),
+], ids=" ".join)
+def test_structured_riley_bytes_are_jsons_own(capsys, argv):
+    # cli renders the terms array itself; its bytes must be those of
+    # json.dumps(sort_keys=True, indent=2) on the same payload
+    code, out, err = run(capsys, "riley", *argv, "--format", "structured")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    phi = riley_for_knot(parse_knot_spec(argv[1]))
+    assert payload == {"knot": phi.knot, "presentation": phi.presentation,
+                       "terms": phi.poly.triples(), "hash": phi.content_hash,
+                       **({"cross_check": "ok"} if "--cross-check" in argv else {})}
+
+
 def test_riley_cross_check(capsys):
     code, out, _ = run(capsys, "riley", "--knot", "Kl:2", "--cross-check")
     assert code == 0
@@ -301,6 +324,18 @@ def test_help_lists_the_options(capsys):
 COMMANDS = ("riley", "signs", "certify", "lo-set", "selftest")
 
 
+def _full_parser_main(argv):
+    """main's exit codes and error line around the parser of every command."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:
+        return exc.code or 0
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_ERROR
+
+
 @pytest.mark.parametrize("argv", [
     *USAGE_ERRORS,
     ("--help",), *((command, "--help") for command in COMMANDS),
@@ -308,22 +343,25 @@ COMMANDS = ("riley", "signs", "certify", "lo-set", "selftest")
     ("certify", "--knot", "J:1,2", "--n", "7", "--bogus"),
     ("certify", "--knot", "J:1,2", "--n", "7", "--version"),
     ("--version", "certify"),
+    ("certify", "--", "--knot", "J:1,2"),
+    ("certify", "--knot", "J:1,2", "--n", "7", "extra"),
+    ("riley", "--knot", "J:2,3", "--cross-check", "--format", "structured"),
 ], ids=ascii)
 def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
-    # main builds only the subparser that argv[0] names; its help, usage
-    # errors and exit codes must be those of the parser of every command
-    # (compared in process, since argparse's texts differ between versions)
-    full_parser = cli.build_parser
+    # main parses a named command with that command's parser alone; its
+    # help, usage errors, output and exit codes must be those of the parser
+    # of every command (compared in process, since argparse's texts differ
+    # between versions)
     for columns in ("80", "200"):
         monkeypatch.setenv("COLUMNS", columns)
-        with monkeypatch.context() as full:
-            full.setattr(cli, "build_parser", lambda command=None: full_parser())
-            expected = run(capsys, *argv)
+        code = _full_parser_main(list(argv))
+        expected = (code, *capsys.readouterr())
         assert run(capsys, *argv) == expected
 
 
 def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
-    # the top-level parser and one subparser, not all six parsers
+    # one parser for a named command, not all six; the full parser only
+    # when argv[0] is no command, or to report arguments left over
     built = []
     init = cli._Parser.__init__
 
@@ -332,9 +370,10 @@ def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    for argv, code, parsers in [(("certify", "--knot", "J:1,2", "--n", "2"), 2, 2),
-                                (("riley", "--knot", "J:1,2"), 0, 2),
-                                *(((command, "--help"), 0, 2) for command in COMMANDS),
+    for argv, code, parsers in [(("certify", "--knot", "J:1,2", "--n", "2"), 2, 1),
+                                (("riley", "--knot", "J:1,2"), 0, 1),
+                                *(((command, "--help"), 0, 1) for command in COMMANDS),
+                                (("certify", "--knot", "J:1,2", "--n", "2", "extra"), 1, 1 + 6),
                                 (("--help",), 0, 6), (("bogus",), 1, 6)]:
         built.clear()
         assert run(capsys, *argv)[0] == code, argv

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 # Largest accepted knot parameters.  The cost of phi grows with them (about
 # as p**4 for a fraction); at these limits `riley --cross-check`, or `riley`
-# for a fraction, takes at most about 17 s on a 2-core x86 host (two runs
-# each: Kl:50 13-15 s, J:20,20 7-9 s, 501/7 11-17 s; see ROADMAP.md), and
-# one step beyond is refused before any work.  `certify` also runs the root
+# for a fraction, takes at most about 10 s on a 2-core x86 host (README.md,
+# three runs each: Kl:50 8.3-9.6 s, 501/7 8.0-9.0 s, 501/311 7.5-7.8 s;
+# J:20,20 8.1 s in two), and one step beyond is refused before any work.  `certify` also runs the root
 # isolation, whose Taylor shifts grow with phi: at the default cap on that
 # host (README.md, three runs each), `certify --knot J:20,20 --n 7` took
 # 9.5-11.8 s and `certify --knot Kl:50 --n 5` 2.7-4.2 s.
@@ -144,6 +144,11 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         return Word.from_letters(self.letters + other.letters)
+
+    def mirror(self) -> "Word":
+        """tau(w): the letters reversed, a and b swapped, exponents kept."""
+        swap = {"a": "b", "b": "a"}
+        return Word(tuple((swap[gen], exp) for gen, exp in reversed(self.letters)))
 
     def to_text(self) -> str:
         """a/A/b/B concatenated, exponents written out letter by letter."""

@@ -601,7 +601,11 @@ class PackedMatrix(NamedTuple):
         0 .. shift - 1.  With q_ij these t-polynomials, s**(shift + 1) R has
         R11 = 0, R12 / s = q11 + q12 - t q12 and R22 / t = q21 - (2 - y) q12;
         R21 = (y - 2) R12 + (s - 1/s) R22 holds for every V, so R22 = 0 is
-        the one structure check (`riley._relator`).  The values unpacked or
+        the one structure condition (`riley._relator`).  A word that is its
+        own mirror meets it: with D = diag(1, 2 - y), B = D A^T D^-1, so
+        reversing a word and swapping a and b takes V to D V^T D^-1, whose
+        (2,1) entry is (2 - y) V12.  `riley.riley_generic` checks that on
+        the word and forms R22 only for a power.  The values unpacked or
         compared are the entries of V and their trace (l1 norm
         <= 2 * bound), R12 / s (<= 3 * bound) and R22 / t (<= 4 * bound),
         all within t-slots 0 .. shift: shift + 1 slots per y-degree, for a

@@ -20,7 +20,20 @@ arithmetic: a letter adds one column, times s or (2 - y)s (l1 norm 1 or
 times the largest of them and S = L + 1 slots cover one more letter, so
 that R12 and R22 of R = VA - BV cannot overflow a slot either
 (`PackedMatrix.packing_for`).  R21 = (y - 2)R12 + (s - 1/s)R22 holds for
-every V, so R22 = 0 is the one structure check.  R12 stays a packed
+every V, so R22 = V21 - (2 - y)V12 = 0 is the one structure condition, and
+the mirror rule decides it on the word.  With D = diag(1, 2 - y),
+B = D A^T D^-1 and A = D B^T D^-1, so the mirror tau(w) of a word (its
+letters reversed, a and b swapped, `Word.mirror`) has
+rho(tau(w)) = D rho(w)^T D^-1, whose (2,1) entry is (2 - y)V12: a word
+with tau(w) = w has R22 = 0, and as rho is faithful no other word has.
+Every relator word built here is its own mirror: a fraction's sign
+sequence is a palindrome, e_{p-i} = e_i, since (p - i)q = p - iq mod 2p,
+and the K_l and J(2k+1, 2m) words are mirrors by construction.  So
+`riley_generic` checks tau(v) = v exactly, before any arithmetic, and a
+plain word needs only R12, which reads row 1 of V alone: each letter
+multiplies on the right, so row 1 evolves on its own and the product
+carries only it.  The power route keeps R22 = 0 as the check on
+`chebyshev.sl2_power`'s output.  R12 stays a packed
 integer, s**sigma R12 in V's t-packing (sigma its shift, L for a word),
 and `polyring.symmetric_rewrite` reads phi off its slot digits: slot
 (sigma + e) / 2 of each y-row holds c_e, the coefficient of s**e + s**-e,
@@ -33,7 +46,8 @@ Horner in (1 + t)**2, whose l1 norm is at most sum_i |phi_i| 2**i, and
 compares it with R12's row: in R12's own slots when they are wide enough
 for that bound, in re-laid wider ones otherwise.
 `kl_cross_check` reads the K_l lambda, alpha and beta off the same packed
-matrices: the trace of C, and R12 of D and of C^-1 D.
+matrices: the trace of C off the full product, and R12 of D and of
+C^-1 D off row 1.
 
 Both Chebyshev routes run the recurrence S_{j+1} = t S_j - q S_{j-1} on
 packed integers too, multiplying by t one term at a time (a shift and a
@@ -45,8 +59,7 @@ faithful.  The engine's power V^m (`chebyshev.sl2_power`) is homogenised
 in t as well: W = s**e V has no negative powers, H_j = s**(je) S_j(tr V)
 satisfies the recurrence with tr W in t and q = t**e (one shift), and
 s**(me) V**m = H_m I - H_{m-1} adj(W) comes back as a PackedMatrix in the
-slots the structure check above needs, so the power is never unpacked
-either.
+slots the R22 check above needs, so the power is never unpacked either.
 """
 
 from __future__ import annotations
@@ -105,10 +118,12 @@ def generator_images() -> GeneratorImages:
     return GeneratorImages(a, b, a.adjugate(), b.adjugate())
 
 
-def evaluate_word(word: Word) -> PackedMatrix:
-    """Ordered product of generator images, exponents expanded, as a
-    PackedMatrix in t = s**2: s**L times the product of the L letters, each
-    scaled by s."""
+def _word_product(word: Word, rows: tuple[int, int, int, int]) -> PackedMatrix:
+    """rows times the ordered product of the word's letters, exponents
+    expanded, each letter scaled by s, as t-integers in the packing of the
+    full product (`evaluate_word`).  Each letter multiplies on the right, so
+    each row of the result depends on its own row of `rows` alone: from
+    (1, 0, 0, 0) the loop carries row 1 of the product and row 2 stays 0."""
     letters = [(gen, exp > 0) for gen, exp in word.letters for _ in range(abs(exp))]
     # l1 norms of the scaled entries, which bound their coefficients
     n11, n12, n21, n22 = 1, 0, 0, 1
@@ -120,7 +135,7 @@ def evaluate_word(word: Word) -> PackedMatrix:
     packing = PackedMatrix.packing_for(len(letters), max(n11, n12, n21, n22))
     b = 8 * packing.nbytes
     ys = b * packing.slots   # t = 2**b, y = 2**ys
-    q11, q12, q21, q22 = 1, 0, 0, 1
+    q11, q12, q21, q22 = rows
     for gen, positive in letters:
         if gen == "a":
             if positive:    # sA = [[t, s], [0, 1]]
@@ -142,34 +157,58 @@ def evaluate_word(word: Word) -> PackedMatrix:
     return PackedMatrix((q11, q12, q21, q22), packing)
 
 
+def evaluate_word(word: Word) -> PackedMatrix:
+    """Ordered product of generator images, exponents expanded, as a
+    PackedMatrix in t = s**2: s**L times the product of the L letters, each
+    scaled by s."""
+    return _word_product(word, (1, 0, 0, 1))
+
+
 def _relator(v: PackedMatrix) -> tuple[int, int]:
     """R = VA - BV on the t-integers of V: V sA (a column update, as in
-    evaluate_word) minus sB V (a row update), one more power of s than V.
+    `_word_product`) minus sB V (a row update), one more power of s than V.
     R11 = V11 s - s V11 vanishes and R21 = (y - 2) R12 + (s - 1/s) R22
     for every V, so R22 is the one value that must vanish.  Returns R22 / t,
-    sized by `PackedMatrix.packing_for`, and R12, both packed integers: R's
-    off-diagonal packing, one shift up and one down, is V's."""
-    q11, q12, q21, q22 = v.packed
-    b = 8 * v.packing.nbytes
-    ys = b * v.packing.slots   # t = 2**b, y = 2**ys
-    r12 = q11 + q12 - (q12 << b)
-    r22 = q21 - (q12 << 1) + (q12 << ys)
-    return r22, r12
+    sized by `PackedMatrix.packing_for`, and R12 (`_r12`), both packed
+    integers: R's off-diagonal packing, one shift up and one down, is V's."""
+    q12, q21 = v.packed[1:3]
+    ys = 8 * v.packing.nbytes * v.packing.slots   # y = 2**ys
+    return q21 - (q12 << 1) + (q12 << ys), _r12(v)
+
+
+def _r12(v: PackedMatrix) -> int:
+    """R12 = V11 + V12 - t V12 of `_relator`, which reads row 1 of V alone."""
+    q11, q12 = v.packed[:2]
+    return q11 + q12 - (q12 << 8 * v.packing.nbytes)
+
+
+def _relator_r12(word: Word) -> tuple[int, Packing]:
+    """R12 of R = VA - BV for V = rho(word) and its packing, from row 1 of
+    the product alone: bit-identical to `_relator(evaluate_word(word))[1]`."""
+    v = _word_product(word, (1, 0, 0, 0))
+    return _r12(v), v.packing
 
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:
     """phi from the relator word: V = rho(v), or rho(v)^m when m is given
-    (negative m powers the adjugate inverse)."""
+    (negative m powers the adjugate inverse).  v must be its own mirror
+    (`Word.mirror`), which makes R22 = 0; the power route checks R22 of
+    the power as well."""
     if m == 0:
         raise ValueError("m must be nonzero")
-    V = evaluate_word(v)
-    if m is not None:
+    if v.mirror() != v:
+        raise StructureViolation("the word is not its own mirror, so R_22 != 0")
+    if m is None:
+        r12, packing = _relator_r12(v)
+    else:
+        V = evaluate_word(v)
         V = sl2_power(V if m > 0 else V.adjugate(), abs(m))
-    r22, r12 = _relator(V)
-    if r22:
-        raise StructureViolation("R_22 != 0 in R = VA - BV")
+        r22, r12 = _relator(V)
+        if r22:
+            raise StructureViolation("R_22 != 0 in R = VA - BV")
+        packing = V.packing
     tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
-    return RileyPolynomial(symmetric_rewrite(r12, V.packing), knot, tag)
+    return RileyPolynomial(symmetric_rewrite(r12, packing), knot, tag)
 
 
 def alpha_dt(k: int) -> XYPoly:
@@ -253,12 +292,13 @@ def kl_named_polys() -> tuple[XYPoly, XYPoly, XYPoly]:
 def kl_cross_check() -> bool:
     """Recover lambda, alpha, beta from the engine and compare with the
     transcriptions: lambda = rewrite(tr C), alpha from R_12 of the word D
-    and beta from R_12 of C^-1 D, R = VA - BV for V the word's matrix."""
+    and beta from R_12 of C^-1 D, R = VA - BV for V the word's matrix.
+    Only the trace needs C's full product; each R_12 comes off row 1."""
     c = evaluate_word(KL_WORD_C)
     c_inv = Word.from_letters((gen, -exp) for gen, exp in reversed(KL_WORD_C.letters))
     found = [symmetric_rewrite(c.packed[0] + c.packed[3], c.packing)]
-    for v in (evaluate_word(KL_WORD_D), evaluate_word(c_inv * KL_WORD_D)):
-        found.append(symmetric_rewrite(_relator(v)[1], v.packing))
+    for w in (KL_WORD_D, c_inv * KL_WORD_D):
+        found.append(symmetric_rewrite(*_relator_r12(w)))
     return tuple(found) == kl_named_polys()
 
 

@@ -1,12 +1,15 @@
 """The packed-integer word engine against the dict product it replaced."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rileycert import polyring, riley
 from rileycert.chebyshev import sl2_power
-from rileycert.knots import (DoubleTwistKnot, TwoBridgeFraction, Word,
-                             sign_sequence, word_double_twist, word_from_signs)
+from rileycert.knots import (KL_WORD_C, DoubleTwistKnot, KlKnot, TwoBridgeFraction,
+                             Word, sign_sequence, word_double_twist,
+                             word_from_signs, word_kl)
 from rileycert.polyring import PackedMatrix, Packing, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word, generator_images
 
@@ -81,18 +84,96 @@ def test_packed_results_equal_the_dict_oracle(word_and_power):
     images = generator_images()
     base, base_dict = evaluate_word(word), reference_evaluate_word(word)
     _assert_checkerboard(base, base_dict)
+    r_word = base_dict @ images.a - images.b @ base_dict
     if m < 0:
         base, base_dict = base.adjugate(), base_dict.adjugate()
     power, power_dict = sl2_power(base, abs(m)), base_dict
     for _ in range(abs(m) - 1):
         power_dict = power_dict @ base_dict
     _assert_checkerboard(power, power_dict)
+    # the mirror rule: R22 of w^m vanishes exactly when tau(w) = w, and
+    # riley_generic takes exactly those words, with or without the power
     r = power_dict @ images.a - images.b @ power_dict
-    if r.e22 != SYPoly.zero():
-        with pytest.raises(riley.StructureViolation):
-            riley.riley_generic(word, m)
-    else:
-        assert to_sy(riley.riley_generic(word, m).poly) == r.e12
+    for power, relator in ((m, r), (None, r_word)):
+        assert (relator.e22 == SYPoly.zero()) == (word.mirror() == word)
+        if word.mirror() != word:
+            with pytest.raises(riley.StructureViolation):
+                riley.riley_generic(word, power)
+        else:
+            assert to_sy(riley.riley_generic(word, power).poly) == relator.e12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="aAbB", max_size=40).map(Word.parse_text))
+@example(Word.parse_text("abABab"))
+def test_mirror_word_is_the_conjugate_transpose(word):
+    # with D = diag(1, 2 - y), B = D A^T D^-1 and A = D B^T D^-1, so
+    # rho(tau(w)) D = D rho(w)^T: tau(w) = w gives V21 = (2 - y) V12
+    d22 = SYPoly.const(2) - SYPoly.y()
+    v, mirrored = reference_evaluate_word(word), reference_evaluate_word(word.mirror())
+    assert word.mirror().mirror() == word
+    assert (mirrored.e11, mirrored.e12 * d22, mirrored.e21, mirrored.e22) == (
+        v.e11, v.e21, v.e12 * d22, v.e22)
+
+
+_FRACTIONS_TO_151 = [TwoBridgeFraction(p, q) for p in range(3, 152, 2)
+                     for q in range(1, p, 2) if math.gcd(p, q) == 1]
+
+# every fraction with p <= 151, Kl:2..10 and mirrored random halves: the
+# relator words riley_generic takes without a power
+_MIRROR_WORDS = st.one_of(
+    st.lists(st.booleans(), max_size=40).map(_palindromic_word),
+    st.sampled_from(_FRACTIONS_TO_151).map(lambda f: word_from_signs(sign_sequence(f))),
+    st.integers(2, 10).map(lambda l: word_kl(KlKnot(l))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MIRROR_WORDS)
+@example(word_kl(KlKnot(2)))
+@example(word_from_signs(sign_sequence(TwoBridgeFraction(151, 57))))
+def test_row_one_relator_equals_the_full_one(word):
+    # the row-1 route's R12 is the full product's, bit for bit and in the
+    # same packing, and the full R22 it skips is 0; the dict oracle's R22
+    # is 0 too, formed up to 64 letters, where it takes at most about 0.1 s
+    assert word.mirror() == word
+    full = evaluate_word(word)
+    r22, r12 = riley._relator(full)
+    assert riley._relator_r12(word) == (r12, full.packing)
+    assert r22 == 0
+    if len(word.to_text()) <= 64:
+        images, v = generator_images(), reference_evaluate_word(word)
+        assert (v @ images.a - images.b @ v).e22 == SYPoly.zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="aAbB", min_size=1, max_size=60).map(Word.parse_text)
+       .filter(lambda w: w.mirror() != w),
+       st.sampled_from((None, 1, -1, 2, -3)))
+@example(Word.parse_text("a"), None)
+@example(KL_WORD_C, None)
+def test_a_word_that_is_not_its_own_mirror_is_refused(word, m):
+    # the mirror check runs on the word before any arithmetic, on both routes
+    with pytest.raises(riley.StructureViolation):
+        riley.riley_generic(word, m)
+
+
+def test_only_the_power_route_and_the_trace_multiply_out_whole_matrices(monkeypatch):
+    full, calls = riley.evaluate_word, []
+
+    def spy(word):
+        calls.append(word)
+        return full(word)
+
+    monkeypatch.setattr(riley, "evaluate_word", spy)
+    riley.riley_for_knot(TwoBridgeFraction(27, 11))
+    riley.riley_for_knot(KlKnot(3), engine="generic")
+    assert calls == []
+    knot = DoubleTwistKnot(2, -3)
+    riley.riley_for_knot(knot, engine="generic")
+    assert calls == [word_double_twist(knot)[0]]
+    calls.clear()
+    assert riley.kl_cross_check()
+    assert calls == [KL_WORD_C]
 
 
 def test_packed_entries_take_half_the_slots():
@@ -151,16 +232,19 @@ def test_packed_adjugate_equals_dict_adjugate():
 
 
 def test_structure_checks_read_the_packed_relator(monkeypatch):
+    # the power route checks R_22 = V_21 - (2 - y) V_12 of sl2_power's
+    # output; at m = 1 that is the word's own matrix, and one more
+    # s**(1 - L) in V_21 or V_12 (t-slot 0 of the off-diagonal integers)
+    # puts it into R_22
     v = word_from_signs(sign_sequence(TwoBridgeFraction(7, 3)))
+    assert riley.riley_generic(v, 1).poly == riley.riley_generic(v).poly
     good = evaluate_word(v)
     p11, p12, p21, p22 = good.packed
-    # one more s**(1 - L) in V_21 or V_12 (t-slot 0 of the off-diagonal
-    # integers) puts it into R_22 = V_21 - (2 - y) V_12
     for bad in ((p11, p12, p21 + 1, p22), (p11, p12 - 1, p21, p22)):
-        monkeypatch.setattr(riley, "evaluate_word",
-                            lambda word, bad=bad: PackedMatrix(bad, good.packing))
+        monkeypatch.setattr(riley, "sl2_power",
+                            lambda base, n, bad=bad: PackedMatrix(bad, good.packing))
         with pytest.raises(riley.StructureViolation):
-            riley.riley_generic(v)
+            riley.riley_generic(v, 1)
 
 
 def test_power_path_reads_only_packed_integers(monkeypatch):
@@ -219,8 +303,7 @@ def test_back_substitution_check_runs_on_every_build(monkeypatch):
 
 
 def _packed_r12(fraction: TwoBridgeFraction):
-    v = evaluate_word(word_from_signs(sign_sequence(fraction)))
-    return riley._relator(v)[1], v.packing
+    return riley._relator_r12(word_from_signs(sign_sequence(fraction)))
 
 
 def _plus_one(f: dict, key) -> dict:
@@ -265,12 +348,11 @@ def test_back_substitution_check_relays_narrow_slots():
 @pytest.mark.parametrize("slot", [0, 1, 12, 14, 25, 26])
 @pytest.mark.parametrize("row", [0, 6, 13])
 def test_a_corrupted_relator_digit_is_caught(monkeypatch, slot, row):
-    # one digit of R12 off by one on the engine path, anywhere but the
+    # one digit of the row-1 route's R12 off by one, anywhere but the
     # middle slot (which would keep p symmetric): 27/11 has sigma = 26 and
     # R12 of y-degree 13
     r12, packing = _packed_r12(TwoBridgeFraction(27, 11))
     bad = r12 + (1 << 8 * packing.nbytes * (slot + packing.slots * row))
-    relator = riley._relator
-    monkeypatch.setattr(riley, "_relator", lambda v: (relator(v)[0], bad))
+    monkeypatch.setattr(riley, "_relator_r12", lambda word: (bad, packing))
     with pytest.raises((polyring.NotSymmetric, AssertionError)):
         riley.riley_for_knot(TwoBridgeFraction(27, 11))

@@ -297,7 +297,8 @@ def test_r_structure_identities():
         assert r.e21 == y_minus_2 * r.e12
         assert r.e12.is_symmetric()
     # for any V, R11 = 0 and R21 = (y - 2) R12 + (s - 1/s) R22, so R22 = 0
-    # is the engine's one structure check
+    # is the one structure condition, which the mirror rule decides on the
+    # word (test_packed_engine.py)
     s_minus_inv = SYPoly.s(1) - SYPoly.s(-1)
     rng = random.Random(71)
     for _ in range(20):

@@ -306,12 +306,11 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
     A node that counts v >= 2, the root node included, gallops (_gallop) to
     the narrowest leftmost part 2**-m of the node that still counts v, and
     is split there: its children are the part 2**-(m + 1), formed in one
-    step (_halve), and that part shifted by 1, and the left child's count,
-    made by the gallop's failed trial, is not made again.  The part's bounds
-    are the ones m + 1 halvings would give, and the skipped nodes hold no
-    root, by subadditivity: var(I) >= var(I1) + var(I2) when I splits into
-    I1, I2.  The count of a node is the number of sign variations of the
-    Bernstein coefficients b_i of q on [0, 1], since
+    step (_halve), and that part shifted by 1.  The part's bounds are the
+    ones m + 1 halvings would give, and the skipped nodes hold no root, by
+    subadditivity: var(I) >= var(I1) + var(I2) when I splits into I1, I2.
+    The count of a node is the number of sign variations of the Bernstein
+    coefficients b_i of q on [0, 1], since
     (1 + t)**d q(1/(1 + t)) = sum_i C(d, i) b_i t**(d - i).  De Casteljau's
     algorithm forms the coefficients of the two parts, which share the one
     at the split point, by repeated means of neighbours, and a mean of
@@ -322,63 +321,107 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
     P_m count v - var(P_m) - ... = 0 between them, and each left node on
     that way counts v >= 2: plain halving drops the one kind, splits the
     other, and reaches P_m with the same nodes still to visit.  The first
-    single-root node, and the certificate, are the same.  A box count that
-    rounding leaves undecided on a skipped node would have raised the
-    precision; the gallop does not count those nodes, and counts an
-    undecided trial as not kept, so only a node's own count escalates.  The
-    trace's nodes are the Descartes counts made, gallop trials included.
+    single-root node, and the certificate, are the same.
+
+    The same subadditivity makes the decided counts of P_1, P_2, ... fall
+    as m grows, so the m that keep v are 1..m*, and a search from any start
+    whose trials are decided ends at m*, with the same count at m* + 1.
+    So the root node's gallop starts at the split its bounds predict
+    (_split_guess), and every other at m = 1, since below the root most
+    splits are m = 0: the start moves no split, only the number of trials.
+    The failed trials at P_{m+1}, P_{m+2}, ... are the left child and its
+    parts 2**-1, 2**-2, ..., the same integers because the floors of _halve
+    compose, so their counts are passed on and no box is counted twice at
+    one precision.  A box count that rounding leaves undecided on a skipped
+    node would have raised the precision; the gallop does not count those
+    nodes, and counts an undecided trial as not kept, so only a node's own
+    count escalates.  The trace's nodes are the Descartes counts made,
+    gallop trials included.
     """
     k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
     cap = y_max_cap << _MARGIN_BITS
     floor = _MARGIN_BITS - _BRACKET_BITS  # no node narrower than BRACKET_WIDTH
+    top = k_root + _MARGIN_BITS
     while True:
-        # (a, k, lo, hi, shift, v): the node (a, a + 2**k), its bounds,
-        # whether they still need the shift by 1, and its count if a gallop
-        # trial made it
-        stack = [((2 << _MARGIN_BITS) + 1, k_root + _MARGIN_BITS,
-                  *_root_node(oracle.bounds, k_root), False, None)]
+        # (a, k, lo, hi, shift, counts): the node (a, a + 2**k), its bounds,
+        # whether they still need the shift by 1, and the counts of its
+        # leftmost parts (0: the node itself) that a gallop has made
+        stack = [((2 << _MARGIN_BITS) + 1, top,
+                  *_root_node(oracle.bounds, k_root), False, {})]
         while stack:
-            a, k, lo, hi, shift, v = stack.pop()
+            a, k, lo, hi, shift, counts = stack.pop()
             if a >= cap or k < floor:
                 continue
-            if v is None:
+            if 0 not in counts:
                 if shift:  # right halves are shifted only when visited
                     lo, hi = _taylor_shift(lo, hi)
                 oracle.nodes += 1
-                v = _variations(lo, hi)
-                if v is None:
-                    break
+                counts[0] = _variations(lo, hi)
+            v = counts[0]
+            if v is None:
+                break
             if v == 1 and a + (1 << k) <= cap:
                 return a, a + (1 << k)
             if v:
-                m, left = _gallop(oracle, lo, hi, v, k - floor) if v > 1 else (0, None)
+                m = 0
+                if v > 1:
+                    start = _split_guess(lo, hi, v) if k == top else 1
+                    m = _gallop(oracle, lo, hi, v, k - floor, counts, start)
                 k -= m + 1
                 lo, hi = _halve(lo, hi, m + 1)
-                stack.append((a + (1 << k), k, lo, hi, True, None))
-                stack.append((a, k, lo, hi, False, left))
+                stack.append((a + (1 << k), k, lo, hi, True, {}))
+                stack.append((a, k, lo, hi, False,
+                              {j - m - 1: c for j, c in counts.items() if j > m}))
         else:
             return None
         if not oracle.escalate():
             return None
 
 
-def _gallop(oracle: _SignOracle, lo: list[int], hi: list[int], v: int, m_max: int):
-    """(m, count): the largest m <= m_max for which the leftmost 2**-m part
-    of the node with bounds lo, hi (count v) still counts v, by doubling m
-    and then bisecting between the last m that kept v and the first that
-    did not; and the count of part m + 1, the first that did not keep v, or
-    None if that count was undecided or never made.  No count is made when
-    m_max <= 0."""
-    good, bad, left, m = 0, m_max + 1, None, 1
+def _split_guess(lo: list[int], hi: list[int], v: int) -> int:
+    """A guess at the gallop's split m for a node that counts v, with
+    c_j = lo_j + hi_j: the v roots counted lie about as far from the node's
+    left end as the roots of c_0 + c_v t**v, at |c_0 / c_v|**(1/v), so the
+    guess is the part 2**-m one step wider than that scale."""
+    c0, cv = lo[0] + hi[0], lo[v] + hi[v]
+    return (abs(cv).bit_length() - abs(c0).bit_length()) // v - 1
+
+
+def _gallop(oracle: _SignOracle, lo: list[int], hi: list[int], v: int,
+            m_max: int, counts: dict, m: int) -> int:
+    """The largest m <= m_max for which the leftmost 2**-m part of the node
+    with bounds lo, hi (count v) still counts v.
+
+    The search probes the start m (clamped to 1..m_max), gallops from it
+    with steps 1, 2, 4, ... in the direction the counts show, up while
+    parts keep v and down while they do not, and then bisects between the
+    last m that kept v and the first that did not.  counts maps j to the
+    count of part j, and the search makes only the counts missing there
+    and adds each one it makes, so a count the parent's gallop made is not
+    made again; the caller passes the counts of parts m + 1, m + 2, ... on
+    to the left child, whose parts they are.  Every start gives the same m
+    and the same count of part m + 1 when the trials are decided, since
+    those counts fall as m grows (see _isolating_bracket).  No count is
+    made when m_max <= 0.
+    """
+    good, bad, step = 0, m_max + 1, 1
+    m = min(max(m, 1), m_max)
     while good + 1 < bad:
-        oracle.nodes += 1
-        count = _variations(*_halve(lo, hi, m))
-        if count == v:
+        if m not in counts:
+            oracle.nodes += 1
+            counts[m] = _variations(*_halve(lo, hi, m))
+        if counts[m] == v:
             good = m
         else:
-            bad, left = m, count
-        m = min(2 * m, m_max) if bad > m_max else (good + bad) >> 1
-    return good, left
+            bad = m
+        if bad > m_max:
+            m = min(good + step, m_max)
+        elif not good:
+            m = max(bad - step, 1)
+        else:
+            m = (good + bad) >> 1
+        step *= 2
+    return good
 
 
 def _secant_index(n: int, fa: Dyadic, fb: Dyadic) -> int:
@@ -452,7 +495,9 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
 
     One straight line: Descartes' rule isolates the first root in the window
     from the left (_isolating_bracket, galloping through nested nodes whose
-    count holds), eval_interval signs the two ends of that interval, and
+    count holds, from the split the root node's coefficient bounds predict;
+    the start changes the number of counts, not the split), eval_interval
+    signs the two ends of that interval, and
     when the signs are definite and opposite quadratic interval refinement
     (_refine) narrows it to the aligned cell of width BRACKET_WIDTH that
     holds the root, the cell midpoint bisection would reach, which becomes

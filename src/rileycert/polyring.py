@@ -432,19 +432,21 @@ def _horner(lo: Sequence[int], hi: Sequence[int], u: tuple[int, int], k: int
 
 def _point_y_coeffs(p: XYPoly, m: int, k: int) -> tuple[list[int], int]:
     """(b, e) with b[i] * 2**e = sum_j a_ij * y**j exactly for y = m / 2**k,
-    i = 0 .. deg_x, and e = -k * D.
+    i = 0 .. deg_x, and e = -k * D, for a p with terms.
 
     With D = deg_y, y**j = m**j * 2**(k*(D - j)) / 2**(k*D), so every term is
-    one integer product against a shared weight.
+    one integer product against a shared weight.  Both degrees come from one
+    pass over the exponents, and the sums go straight into a list.
     """
-    deg = p.deg_y()
+    xs, ys = zip(*p._terms)
+    deg = max(ys)
     weights = [1 << (k * deg)]
     for _ in range(deg):
         weights.append(weights[-1] * m >> k)
-    b: dict[int, int] = {}
+    b = [0] * (max(xs) + 1)
     for (i, j), c in p._terms.items():
-        b[i] = b.get(i, 0) + c * weights[j]
-    return [b.get(i, 0) for i in range(max(b) + 1)], -k * deg
+        b[i] += c * weights[j]
+    return b, -k * deg
 
 
 def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,

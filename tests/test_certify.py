@@ -10,8 +10,9 @@ from rileycert import certify
 from rileycert.certify import (MAX_Y_MAX_CAP, HashMismatch,
                                MalformedCertificate, RootCertificate, ScanReport,
                                _halve, _isolating_bracket, _refine, _root_node,
-                               _scale, _SignOracle, _taylor_shift, _variations,
-                               find_root_gt2, verify_certificate, xn_enclosure)
+                               _scale, _SignOracle, _split_guess, _taylor_shift,
+                               _variations, find_root_gt2, verify_certificate,
+                               xn_enclosure)
 from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
 from rileycert.polyring import XYPoly, eval_interval
@@ -308,8 +309,8 @@ def test_refinement_of_a_root_at_a_node_end(specs, end):
                       else (node[1] - (1 << 32), node[1]))
 
 
-def _no_gallop(oracle, lo, hi, v, m_max):
-    return 0, None
+def _no_gallop(oracle, lo, hi, v, m_max, counts, m):
+    return 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -337,31 +338,43 @@ def test_galloping_keeps_the_certificate_and_counts_fewer_nodes(monkeypatch, kno
 
 
 def test_a_failed_trials_count_is_not_made_again(monkeypatch):
-    # a gallop that keeps the part 2**-m has counted the part 2**-(m + 1),
-    # the left child's box, in its last failed trial; that count is passed
-    # on, so the box is not counted again
-    boxes, children = [], []
+    # a gallop that keeps the part 2**-m has counted the parts 2**-(m + 1),
+    # 2**-(m + 2), ... in its failed trials: the left child and that child's
+    # own parts; those counts are passed on, so no box is counted twice at
+    # one precision
+    boxes, children, scan_boxes = [], [], []
     variations, gallop = certify._variations, certify._gallop
+    set_precision = _SignOracle._set_precision
+    precision = [None]
+
+    def setting(oracle, p):
+        precision[0] = p
+        set_precision(oracle, p)
 
     def counting(lo, hi):
         boxes.append((tuple(lo), tuple(hi)))
+        scan_boxes.append((precision[0], *boxes[-1]))
         return variations(lo, hi)
 
-    def galloping(oracle, lo, hi, v, m_max):
-        m, left = gallop(oracle, lo, hi, v, m_max)
-        if left is not None:
+    def galloping(oracle, lo, hi, v, m_max, counts, start):
+        m = gallop(oracle, lo, hi, v, m_max, counts, start)
+        if m + 1 in counts:
             children.append((tuple(map(tuple, _halve(lo, hi, m + 1))), len(boxes)))
-        return m, left
+        return m
 
+    monkeypatch.setattr(_SignOracle, "_set_precision", setting)
     monkeypatch.setattr(certify, "_variations", counting)
     monkeypatch.setattr(certify, "_gallop", galloping)
-    for knot, n in ((DoubleTwistKnot(4, 6), 30), (KlKnot(3), 7), (DoubleTwistKnot(2, 3), 7)):
+    for knot, n in ((DoubleTwistKnot(4, 6), 30), (KlKnot(3), 7), (DoubleTwistKnot(2, 3), 7),
+                    (KlKnot(4), 9), (DoubleTwistKnot(12, 12), 7)):
         boxes.clear()
         children.clear()
+        scan_boxes.clear()
         report = find_root_gt2(riley_for_knot(knot), n)
         assert report.certified and len(boxes) == report.trace["nodes"]
         assert children and all(box in boxes[:i] and box not in boxes[i:]
                                 for box, i in children)
+        assert len(set(scan_boxes)) == len(scan_boxes)
     # J:1,2 at n = 5: the root node, past the cap, counts 1 and is halved;
     # its left half is the isolating node, counted once
     report = find_root_gt2(riley_for_knot(DoubleTwistKnot(1, 2)), 5)
@@ -377,9 +390,9 @@ def test_the_root_node_gallops(monkeypatch, knot, n, cap):
     calls = []
     original = certify._gallop
 
-    def spy(oracle, lo, hi, v, m_max):
+    def spy(oracle, lo, hi, v, m_max, counts, m):
         calls.append((lo, hi, v, m_max))
-        return original(oracle, lo, hi, v, m_max)
+        return original(oracle, lo, hi, v, m_max, counts, m)
 
     monkeypatch.setattr(certify, "_gallop", spy)
     oracle = _SignOracle(riley_for_knot(knot).poly, n)
@@ -388,6 +401,94 @@ def test_the_root_node_gallops(monkeypatch, knot, n, cap):
     root = _root_node(oracle.bounds, k_root)
     assert oracle.escalations == 0 and _variations(*root) >= 2
     assert calls[0] == (*root, _variations(*root), k_root + 32)
+
+
+def _doubling_gallop(lo, hi, v, m_max):
+    """The root gallop's reference, the search that started at m = 1: m
+    doubled while the part 2**-m keeps the count v, then bisection between
+    the last m that kept v and the first that did not; (m, count of part
+    m + 1 or None, number of counts made)."""
+    good, bad, left, m, made = 0, m_max + 1, None, 1, 0
+    while good + 1 < bad:
+        made += 1
+        count = _variations(*_halve(lo, hi, m))
+        if count == v:
+            good = m
+        else:
+            bad, left = m, count
+        m = min(2 * m, m_max) if bad > m_max else (good + bad) >> 1
+    return good, left, made
+
+
+def _root_gallops(poly, n, cap):
+    """(guided, reference) root gallops of phi(x_n, .) under the cap: the
+    scan's, from _split_guess, as (m, count of part m + 1, counts made),
+    and _doubling_gallop's; None when the root node counts less than 2."""
+    oracle = _SignOracle(poly, n)
+    k_root = (cap - 3).bit_length()
+    root = _root_node(oracle.bounds, k_root)
+    v = _variations(*root)
+    if v is None or v < 2:
+        return None
+    counts = {}
+    m = certify._gallop(oracle, *root, v, k_root + 32, counts, _split_guess(*root, v))
+    return (m, counts.get(m + 1), oracle.nodes), _doubling_gallop(*root, v, k_root + 32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_lists, st.sampled_from([16, 64, 1 << 16]))
+@example([(0, 1), (0, 5), (0, 9), (2, 0)], 64)    # three nested roots above 2
+def test_the_guided_root_gallop_splits_where_doubling_does(specs, cap):
+    # decided counts of the leftmost parts fall as m grows, so a search from
+    # any start ends at the same largest m that keeps v, and the same first
+    # part that does not
+    gallops = _root_gallops(_spec_poly(specs), 5, cap)
+    if gallops is not None:
+        (m, left, _), (ref_m, ref_left, _) = gallops
+        assert (m, left) == (ref_m, ref_left)
+
+
+def test_the_family_root_gallops_split_where_doubling_does():
+    # every criterion 2/3 knot at n = 3 .. 12, under the acceptance cap and
+    # the default one; the guess costs a few counts on a few nodes whose
+    # roots spread, and saves far more than it costs
+    knots = [DoubleTwistKnot(k, s * m) for k in range(1, 5) for m in range(2, 7)
+             for s in (1, -1)]
+    knots += [KlKnot(l) for l in range(2, 7)]
+    galloped, made, ref_made = 0, 0, 0
+    for knot in knots:
+        poly = riley_for_knot(knot).poly
+        for n in range(3, 13):
+            for cap in (64, 1 << 16):
+                gallops = _root_gallops(poly, n, cap)
+                if gallops is not None:
+                    guided, reference = gallops
+                    assert guided[:2] == reference[:2], (knot, n, cap)
+                    galloped += 1
+                    made += guided[2]
+                    ref_made += reference[2]
+    assert galloped >= 400 and 2 * made <= ref_made
+
+
+def test_the_root_gallop_starts_at_the_cluster(monkeypatch):
+    # J:4,6 at n = 12: a cluster just above 2 splits at m = 8, which the
+    # doubling search reached in 8 counts; the scan's root gallop makes few
+    made = []
+    original = certify._gallop
+
+    def spy(oracle, lo, hi, v, m_max, counts, m):
+        before = oracle.nodes
+        split = original(oracle, lo, hi, v, m_max, counts, m)
+        made.append((split, counts.get(split + 1), oracle.nodes - before))
+        return split
+
+    monkeypatch.setattr(certify, "_gallop", spy)
+    oracle = _SignOracle(riley_for_knot(DoubleTwistKnot(4, 6)).poly, 12)
+    assert _isolating_bracket(oracle, 64) is not None and oracle.escalations == 0
+    root = _root_node(oracle.bounds, 6)
+    reference = _doubling_gallop(*root, _variations(*root), 6 + 32)
+    assert reference == (8, 2, 8)
+    assert made[0][:2] == reference[:2] and made[0][2] <= 3
 
 
 # The isolation kernels against expansions written out here: q(t + 1) by

@@ -162,26 +162,23 @@ BRACKET_WIDTH = Dyadic(1, -_BRACKET_BITS)  # refinement target and isolation nod
 # refinement points are odd integers on this window unit 2**-64, so a record
 # parses only endpoints with |exponent| <= _MARGIN_BITS
 _MARGIN_BITS = 64
+_NEWTON_STEPS = 16  # at most this many float Newton steps guess a root's cell
 
 
 class _SignOracle:
-    """Enclosures of phi(x_n, y) for the signs and secants of refinement, and
-    the y-coefficient bounds the root isolation reads, raising the x_n
-    precision on demand, with the counts of the scan trace: evaluations
-    (eval_interval calls), nodes (Descartes counts made, gallop trials
-    included), escalations and indefinite results.
+    """Enclosures of phi(x_n, y) for the signs of refinement, and the
+    y-coefficient bounds that every isolation node and sign come from,
+    raising the x_n precision on demand, with the counts of the scan trace:
+    evaluations (eval_interval calls), nodes (Descartes counts made, gallop
+    trials included), escalations and indefinite results.
 
-    bounds = (lo, hi, e) encloses each coefficient c_j(x_n) of
-    phi = sum_j c_j(x) y**j, computed once per precision P by interval
-    Horner in x on the one fixed-point unit of the scan, 2**e with
-    e = -(2P + 32), every product rounded outward: bits below that lie far
-    under the 2**-P width of x_n and only slow the arithmetic.  Every
-    isolation node and every sign work on that same unit.  Every value is
-    one eval_interval call per precision given these bounds, which answers
-    from them, in fixed point on their unit with every rounding outward,
-    when they fix the sign and else evaluates exactly, so each definite
-    sign is the one exact evaluation would give.  Refinement reads the
-    secant from the same enclosures, so it costs no further call.
+    bounds = (lo, hi, e) encloses each c_j(x_n) of phi = sum_j c_j(x) y**j,
+    by interval Horner in x once per precision P on the scan's one
+    fixed-point unit 2**e, e = -(2P + 32), rounded outward: bits below that
+    lie far under the 2**-P width of x_n and only slow the arithmetic.  A
+    value is one eval_interval call per precision given these bounds, which
+    answers from them when they fix the sign and else evaluates exactly, so
+    each definite sign is the one exact evaluation would give.
     """
 
     def __init__(self, poly: XYPoly, n: int):
@@ -205,10 +202,9 @@ class _SignOracle:
         return True
 
     def value(self, y: int) -> DyadicInterval:
-        """Enclosure of phi(x_n, y * 2**-64) (y on the window unit) from one
-        eval_interval call per precision: sign-definite or an exact zero,
-        unless still indefinite once the precision would pass
-        DEFAULT_PRECISION_CAP."""
+        """Enclosure of phi(x_n, y * 2**-64) from one eval_interval call per
+        precision: sign-definite or an exact zero, unless still indefinite
+        once the precision would pass DEFAULT_PRECISION_CAP."""
         point = DyadicInterval.point(Dyadic(y, -_MARGIN_BITS))
         while True:
             self.evaluations += 1
@@ -245,16 +241,15 @@ def _halve(lo: list[int], hi: list[int], m: int = 1) -> tuple[list[int], list[in
 def _root_node(bounds: tuple[list[int], list[int], int],
                k_root: int) -> tuple[list[int], list[int]]:
     """Integer bounds on the coefficients of phi(x_n, 2 + 2**-64 + 2**k_root t),
-    up to a positive factor, from the sign oracle's cached bounds.
+    on the unit of the sign oracle's cached bounds, from those bounds.
 
-    The shift by 2 of the bounds is exact: q(2t + 2) = q(2t) shifted by 1
-    (_taylor_shift after _scale), whose coefficient j is divisible by 2**j,
-    then halved (_halve).  The shift by 2**-64 stays on the bounds' own
-    unit, the oracle's fixed-point one, the lower bounds floored and the
-    upper ones ceiled at each step.  Every step of a Taylor shift adds a
-    nonnegative multiple of one coefficient to another, so each floor or
-    ceiling only widens the bounds, and no coefficient carries the
-    64 * deg_y bits of the exact shift.  The scale by 2**k_root is exact.
+    The shift by 2 is exact: q(2t) shifted by 1 (_scale, _taylor_shift),
+    whose coefficient j is divisible by 2**j, then halved (_halve).  The
+    shift by 2**-64 stays on the bounds' unit, lower bounds floored and
+    upper ones ceiled at each step, each of which adds a nonnegative
+    multiple of one coefficient to another: the bounds only widen, and no
+    coefficient carries the 64 * deg_y bits of the exact shift.  The scale
+    by 2**k_root is exact.
     """
     lo, hi = _halve(*_taylor_shift(_scale(bounds[0], 1), _scale(bounds[1], 1)))
     d = len(lo) - 1
@@ -285,58 +280,41 @@ def _variations(lo: list[int], hi: list[int]) -> int | None:
 
 
 def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
-    """The first interval (a, b) in (2 + 2**-64, y_max_cap] that holds exactly
-    one root of phi(x_n, .), by left-first Vincent-Collins-Akritas bisection,
-    its ends integers on the window unit 2**-64; None when the window holds
-    none or a count is indefinite at DEFAULT_PRECISION_CAP.
+    """The first node (a, b) = (a, a + 2**k) in (2 + 2**-64, y_max_cap] that
+    holds exactly one root of phi(x_n, .), by left-first Vincent-Collins-
+    Akritas bisection, as (a, b, lo, hi, e): its ends on the window unit
+    2**-64, and bounds lo[j] 2**e <= c_j <= hi[j] 2**e on the coefficients
+    of q(t) = phi(x_n, (a + 2**k t) 2**-64) = sum_j c_j t**j; None when the
+    window holds none or a count is indefinite at DEFAULT_PRECISION_CAP.
 
-    Every node is on the oracle's fixed-point unit.  A node (a, a + 2**k)
-    keeps integer bounds lo, hi on the coefficients of
-    q(t) = phi(x_n, a + 2**k t) up to a positive factor; the root node comes
-    from the oracle's cached coefficient bounds (_root_node).  Its left half
-    bounds q(t/2), lo floored and hi ceiled (_halve), and its right half is
-    that shifted by 1, exactly; reversal and the shift have nonnegative
-    weights, so each node's bounds hold the exact node and a count made on
-    them holds for every polynomial between them.  A node with no root is
-    dropped, the first with a single root inside the window is returned,
-    any other is split, and a node narrower than BRACKET_WIDTH is dropped
-    uncounted.  An indefinite variation count doubles the x_n precision and
-    restarts the search.
+    Every node is on the oracle's fixed-point unit 2**e; the root node comes
+    from its cached bounds (_root_node).  A node's left half bounds q(t/2),
+    lo floored and hi ceiled (_halve), and its right half is that shifted
+    by 1, exactly; reversal and the shift have nonnegative weights, so a
+    count made on a node's bounds holds for the exact node.  A node with no
+    root is dropped, the first with a single root inside the window is
+    returned, any other is split, and a node narrower than BRACKET_WIDTH is
+    dropped uncounted.  An indefinite count doubles the precision and
+    restarts.
 
-    A node that counts v >= 2, the root node included, gallops (_gallop) to
-    the narrowest leftmost part 2**-m of the node that still counts v, and
-    is split there: its children are the part 2**-(m + 1), formed in one
-    step (_halve), and that part shifted by 1.  The part's bounds are the
-    ones m + 1 halvings would give, and the skipped nodes hold no root, by
-    subadditivity: var(I) >= var(I1) + var(I2) when I splits into I1, I2.
-    The count of a node is the number of sign variations of the Bernstein
-    coefficients b_i of q on [0, 1], since
-    (1 + t)**d q(1/(1 + t)) = sum_i C(d, i) b_i t**(d - i).  De Casteljau's
-    algorithm forms the coefficients of the two parts, which share the one
-    at the split point, by repeated means of neighbours, and a mean of
-    neighbours never adds a sign variation; the joined sequence has at
-    least var(I1) + var(I2) variations (exactly that many unless the shared
-    coefficient is 0).  So if the leftmost part P_m keeps v = var(I), the
-    right halves R_1, ..., R_m that plain halving would visit on its way to
-    P_m count v - var(P_m) - ... = 0 between them, and each left node on
-    that way counts v >= 2: plain halving drops the one kind, splits the
-    other, and reaches P_m with the same nodes still to visit.  The first
-    single-root node, and the certificate, are the same.
-
-    The same subadditivity makes the decided counts of P_1, P_2, ... fall
-    as m grows, so the m that keep v are 1..m*, and a search from any start
-    whose trials are decided ends at m*, with the same count at m* + 1.
-    So the root node's gallop starts at the split its bounds predict
-    (_split_guess), and every other at m = 1, since below the root most
-    splits are m = 0: the start moves no split, only the number of trials.
-    The failed trials at P_{m+1}, P_{m+2}, ... are the left child and its
-    parts 2**-1, 2**-2, ..., the same integers because the floors of _halve
-    compose, so their counts are passed on and no box is counted twice at
-    one precision.  A box count that rounding leaves undecided on a skipped
-    node would have raised the precision; the gallop does not count those
-    nodes, and counts an undecided trial as not kept, so only a node's own
-    count escalates.  The trace's nodes are the Descartes counts made,
-    gallop trials included.
+    A node that counts v >= 2 gallops (_gallop) to the narrowest leftmost
+    part P_m = 2**-m of it that still counts v, and is split there into
+    P_{m+1}, formed in one step (_halve), and P_{m+1} shifted by 1.  The
+    count is that of sign variations of q's Bernstein coefficients b_i on
+    [0, 1], as (1 + t)**d q(1/(1 + t)) = sum_i C(d, i) b_i t**(d - i), and
+    De Casteljau's means of neighbours never add one, so
+    var(I) >= var(I1) + var(I2) when I splits into I1, I2.  If P_m keeps v,
+    the right halves that plain halving would visit on its way to P_m count
+    0, and each left node on that way counts v >= 2: halving reaches P_m
+    with the same nodes still to visit, and the same certificate.  The
+    decided counts of P_1, P_2, ... fall as m grows, so a gallop from any
+    start ends at the same m: the root node's starts at the split its
+    bounds predict (_split_guess), every other at m = 1.  Its failed trials
+    at P_{m+1}, P_{m+2}, ... are the left child and its parts (the floors of
+    _halve compose), so their counts are passed on and no box is counted
+    twice at one precision.  A gallop counts an undecided trial as not
+    kept, so only a node's own count escalates.  The trace's nodes are the
+    Descartes counts made, gallop trials included.
     """
     k_root = (y_max_cap - 3).bit_length()  # 2**k_root >= y_max_cap - 2
     cap = y_max_cap << _MARGIN_BITS
@@ -344,8 +322,7 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
     top = k_root + _MARGIN_BITS
     while True:
         # (a, k, lo, hi, shift, counts): the node (a, a + 2**k), its bounds,
-        # whether they still need the shift by 1, and the counts of its
-        # leftmost parts (0: the node itself) that a gallop has made
+        # whether they await the shift by 1, the counts of its leftmost parts
         stack = [((2 << _MARGIN_BITS) + 1, top,
                   *_root_node(oracle.bounds, k_root), False, {})]
         while stack:
@@ -361,7 +338,7 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
             if v is None:
                 break
             if v == 1 and a + (1 << k) <= cap:
-                return a, a + (1 << k)
+                return a, a + (1 << k), lo, hi, oracle.bounds[2]
             if v:
                 m = 0
                 if v > 1:
@@ -390,19 +367,14 @@ def _split_guess(lo: list[int], hi: list[int], v: int) -> int:
 def _gallop(oracle: _SignOracle, lo: list[int], hi: list[int], v: int,
             m_max: int, counts: dict, m: int) -> int:
     """The largest m <= m_max for which the leftmost 2**-m part of the node
-    with bounds lo, hi (count v) still counts v.
-
-    The search probes the start m (clamped to 1..m_max), gallops from it
-    with steps 1, 2, 4, ... in the direction the counts show, up while
-    parts keep v and down while they do not, and then bisects between the
-    last m that kept v and the first that did not.  counts maps j to the
-    count of part j, and the search makes only the counts missing there
-    and adds each one it makes, so a count the parent's gallop made is not
-    made again; the caller passes the counts of parts m + 1, m + 2, ... on
-    to the left child, whose parts they are.  Every start gives the same m
-    and the same count of part m + 1 when the trials are decided, since
-    those counts fall as m grows (see _isolating_bracket).  No count is
-    made when m_max <= 0.
+    with bounds lo, hi (count v) still counts v: a probe of the start m
+    (clamped to 1..m_max), a gallop from it with steps 1, 2, 4, ... up while
+    parts keep v and down while they do not, then bisection.  counts maps j
+    to the count of part j; only the missing counts are made, each added
+    there, and the caller passes those of parts m + 1, m + 2, ... on to the
+    left child, whose parts they are.  Every start gives the same m and
+    count of part m + 1 when the trials are decided (see
+    _isolating_bracket).  No count is made when m_max <= 0.
     """
     good, bad, step = 0, m_max + 1, 1
     m = min(max(m, 1), m_max)
@@ -434,34 +406,69 @@ def _secant_index(n: int, fa: Dyadic, fb: Dyadic) -> int:
     return min(max((2 * n * num + den) // (2 * den), 1), n - 1)
 
 
-def _refine(oracle: _SignOracle, a: int, b: int):
-    """(a', b', sign at a'): the cell of width BRACKET_WIDTH, aligned from a,
-    in which the isolating interval (a, b) (integers on the window unit)
-    holds its root; None when a sign met on the way is not +-(sign at a),
-    that is an exact zero or indefinite at the precision cap.
+def _root_guess(lo: list[int], hi: list[int], cells: int) -> float:
+    """A guess at where in [0, 1] the root of a node counting 1 lies: Newton
+    steps in floats on sum_j (lo_j + hi_j) t**j from the secant through
+    t = 0 and 1, until a step under a quarter cell (of cells) lands in the
+    bracket the signs met give, or _NEWTON_STEPS are made.  A step out of
+    the bracket or over half the one before goes to its upper end / 8 while
+    its ends differ by over 2**6 in ratio, else to its midpoint.  Every
+    float comes from a correctly rounded int / int or + - * /, so the guess,
+    which only picks probe points, is the same on every platform."""
+    c = [l + h for l, h in zip(lo, hi)]
+    scale = 1 << max(max(map(abs, c)).bit_length() - 64, 0)
+    f, positive = [cj / scale for cj in c], c[0] > 0
+    t_lo, t_hi, last = 0.0, 1.0, 2.0
+    t = c[0] / (c[0] - sum(c))  # exact integers, correctly rounded
+    for _ in range(_NEWTON_STEPS):
+        v = dv = 0.0
+        for fj in reversed(f):
+            v, dv = v * t + fj, dv * t + v
+        if v == 0:
+            break
+        t_lo, t_hi = (t, t_hi) if (v > 0) == positive else (t_lo, t)
+        step = v / dv if dv else 2.0
+        new = t - step
+        if -0.25 < step * cells < 0.25 and t_lo <= new <= t_hi:
+            return new
+        if not t_lo < new < t_hi or abs(step) > last / 2:
+            new = t_hi / 8 if t_hi > 64 * t_lo else (t_lo + t_hi) / 2
+        t, last = new, abs(new - t)
+    return t
 
-    The interval's count is 1, so phi(x_n, .) changes sign exactly once in
-    it, and every definite sign is the exact sign: the one aligned cell
-    whose ends have opposite signs is the cell that bisection at midpoints
-    returns.  Abbott's quadratic interval refinement ("Quadratic interval
-    refinement for real roots", ACM CCA 2014) reaches it with fewer signs.
-    With C cells left and N steps (4 at first, at most C) of width C // N,
-    it signs the step point nearest the secant's zero (_secant_index), then
-    its neighbour on the side that sign shows, unless that is an end.  On
-    a bracketing pair the interval is one step wide and N is squared;
-    otherwise N falls to its square root, and the interval still shrinks
-    to the side the signs show.  Below 4 cells it signs the middle cell
-    end (N = 2).  Every point signed is a + j * BRACKET_WIDTH, and the
-    secant reads the midpoint of each enclosure that oracle.value returns,
-    in integers.
+
+def _refine(oracle: _SignOracle, a: int, b: int, lo: list[int], hi: list[int],
+            e: int):
+    """(a', b', sign at a'): the cell of width BRACKET_WIDTH, aligned from a,
+    that holds the root of the isolating node (a, b, lo, hi, e) (see
+    _isolating_bracket); None when a sign met on the way is not +-(sign at
+    a), that is an exact zero or indefinite at the precision cap.
+
+    The node counts 1, so phi(x_n, .) changes sign once in it, and every
+    definite sign is the exact sign: the one aligned cell whose ends have
+    opposite signs is the cell bisection at midpoints returns.  The signs
+    at a and b are those of q(0) = [lo_0, hi_0] and q(1) = [sum lo, sum hi]
+    on unit 2**e, so no end is evaluated.  Abbott's quadratic interval
+    refinement ("Quadratic interval refinement for real roots", ACM CCA
+    2014) reaches the cell: with C cells left in N steps (N <= C) of C // N
+    cells, it signs a step point, then its neighbour on the side that sign
+    shows unless that is an end; N is squared after a bracketing pair, and
+    else falls to its square root.  The first point is the one nearest the
+    Newton guess (_root_guess; Sagraloff, "When Newton meets Descartes",
+    ISSAC 2012), with N = C, so a good guess costs one or two signs; each
+    later one is nearest the secant's zero (_secant_index), or the middle
+    cell end (N = 2) below 4 cells.  The secant reads the midpoint of each
+    enclosure.
     """
-    fa, fb = oracle.value(a), oracle.value(b)
+    fa = DyadicInterval(Dyadic(lo[0], e), Dyadic(hi[0], e))
+    fb = DyadicInterval(Dyadic(sum(lo), e), Dyadic(sum(hi), e))
     sa = fa.sign()
     if not sa or fb.sign() != -sa:
         return None
     unit = 1 << (_MARGIN_BITS - _BRACKET_BITS)
+    n = cells = (b - a) // unit
     # (cell index, enclosure midpoint times 2) of the ends with sign sa, -sa
-    ends = [(0, fa.lo + fa.hi), ((b - a) // unit, fb.lo + fb.hi)]
+    ends, step, p = [(0, fa.lo + fa.hi), (cells, fb.lo + fb.hi)], 1, None
 
     def probe(j: int) -> int | None:
         value = oracle.value(a + j * unit)
@@ -471,20 +478,23 @@ def _refine(oracle: _SignOracle, a: int, b: int):
         ends[s != sa] = (j, value.lo + value.hi)
         return s
 
-    n = 4
+    if cells > 1:  # the first pair: the guess, one cell apart
+        p = min(max(round(_root_guess(lo, hi, cells) * cells), 1), cells - 1)
     while ends[1][0] - ends[0][0] > 1:
-        (lo, f_lo), (hi, f_hi) = ends
-        n = min(n, hi - lo) if hi - lo >= 4 else 2  # 2: the middle cell end
-        step = (hi - lo) // n
-        p = lo + step * _secant_index(n, f_lo, f_hi)
+        (i, f_i), (j, f_j) = ends
+        if p is None:
+            n = min(n, j - i) if j - i >= 4 else 2
+            step = (j - i) // n
+            p = i + step * _secant_index(n, f_i, f_j)
         s = probe(p)
         if s is None:
             return None
         q = p + step if s == sa else p - step
-        t = -s if q in (lo, hi) else probe(q)
+        t = -s if q in (i, j) else probe(q)
         if t is None:
             return None
         n = n * n if t != s else max(2, isqrt(n))
+        p = None
     return a + ends[0][0] * unit, a + ends[1][0] * unit, sa
 
 
@@ -493,25 +503,15 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
     """Search (2 + 2**-64, y_max_cap] for a certified bracket of a root of
     phi(x_n, .); the margin of 2**-64 keeps every bracket strictly above 2.
 
-    One straight line: Descartes' rule isolates the first root in the window
-    from the left (_isolating_bracket, galloping through nested nodes whose
-    count holds, from the split the root node's coefficient bounds predict;
-    the start changes the number of counts, not the split), eval_interval
-    signs the two ends of that interval, and
-    when the signs are definite and opposite quadratic interval refinement
-    (_refine) narrows it to the aligned cell of width BRACKET_WIDTH that
-    holds the root, the cell midpoint bisection would reach, which becomes
-    the certificate; so the bracket holds the smallest root in the window
-    that the isolation reaches.  The x_n precision starts at DEFAULT_PRECISION
-    and doubles whenever a variation count or an evaluation is indefinite; a
-    count or a sign still undecided at DEFAULT_PRECISION_CAP, an exact zero,
-    or no isolating interval ends the scan inconclusive.  The isolation and
-    every sign read the same y-coefficient bounds, cached per precision by
-    _SignOracle.  Every isolation node is formed from them on the oracle's
-    fixed-point unit, rounded outward, so a definite count is the exact
-    node's count, and a sign the bounds fix is the exact evaluation's sign
-    (see eval_interval); rounding can only leave one undecided and raise
-    the precision.
+    Descartes' rule isolates the first root in the window from the left
+    (_isolating_bracket), and refinement from a Newton-guessed cell
+    (_refine) narrows that node to the aligned cell of width BRACKET_WIDTH
+    holding the root, the certificate.  The x_n precision starts at
+    DEFAULT_PRECISION and doubles whenever a count or a sign is indefinite;
+    one still undecided at DEFAULT_PRECISION_CAP, an exact zero, or no
+    isolating node ends the scan inconclusive.  Every node and sign comes
+    from the bounds _SignOracle caches per precision, rounded outward, so a
+    definite count or sign is the exact one (see eval_interval).
     """
     if n < 2:
         raise ValueError("need n >= 2")

@@ -352,8 +352,11 @@ class Packing(NamedTuple):
         value times s**shift * poly is the sum of coeff * (value << shift)
         over the pairs, which `_times` forms.  Every term of s**shift * poly
         must have a slot: no negative s-exponent, none off the step."""
-        b = 8 * self.nbytes
-        s_bits, y_bits, shift = b // self.step, b * self.slots, self.shift
+        b, step, shift = 8 * self.nbytes, self.step, self.shift
+        s_bits, y_bits = b // step, b * self.slots
+        for i, _ in terms:
+            if (i + shift) % step or i + shift < 0:
+                raise ValueError(f"s-exponent {i} outside the packing")
         return [(s_bits * (i + shift) + y_bits * j, c) for (i, j), c in terms.items()]
 
     def slot_bytes(self, value: int) -> bytes:

@@ -247,16 +247,18 @@ def riley_double_twist(k: int, m: int) -> RileyPolynomial:
 
 
 def _chebyshev_combination(n: int, lam: XYPoly, a: XYPoly, b: XYPoly) -> XYPoly:
-    """S_n(lam) * a - S_{n-1}(lam) * b for n >= 1, on packed integers: x in
-    the inner slots, as many as the result's x-degree needs, and y outer.
-    The slots cover the l1 bound N_n ||a||_1 + N_{n-1} ||b||_1 of
-    `_cheb_norms`, so the one value unpacked is faithful."""
+    """S_n(lam) * a - S_{n-1}(lam) * b for n >= 1, on packed integers: u = x**2
+    in the inner slots, as many as the result's x-degree needs, and y outer;
+    the closed forms' lam, a and b have even x-degrees only, which the
+    packing checks.  The slots cover the l1 bound
+    N_n ||a||_1 + N_{n-1} ||b||_1 of `_cheb_norms`, so the one value
+    unpacked is faithful."""
     def l1(f: XYPoly) -> int:
         return sum(map(abs, f._terms.values()))
 
     n_prev, n_cur = _cheb_norms(n, l1(lam))
     deg_x = max(n * lam.deg_x() + a.deg_x(), (n - 1) * lam.deg_x() + b.deg_x())
-    packing = Packing.covering(0, deg_x + 1, n_cur * l1(a) + n_prev * l1(b))
+    packing = Packing.covering(0, deg_x // 2 + 1, n_cur * l1(a) + n_prev * l1(b), 2)
     s_prev, s_cur = _packed_cheb_pair(n, packing.multiplier(lam._terms))
     phi = (_times(s_cur, packing.multiplier(a._terms))
            - _times(s_prev, packing.multiplier(b._terms)))

@@ -284,16 +284,42 @@ def _bisect(oracle, a, b):
 @example([(1 << 32, -8), (1 << 32, 8)])         # at its right end, 3 + 2**-64
 def test_refinement_returns_the_bisection_bracket(specs):
     # the isolating node changes sign exactly once, so the aligned cell with
-    # ends of opposite sign is unique: refinement and bisection agree on it
+    # ends of opposite sign is unique: refinement and bisection agree on it;
+    # the node carries the bounds that sign its ends and guess the cell
     poly = _spec_poly(specs)
-    bracket = _isolating_bracket(_SignOracle(poly, 5), 64)
-    if bracket is None:
+    node = _isolating_bracket(_SignOracle(poly, 5), 64)
+    if node is None:
         return
-    refined = _refine(_SignOracle(poly, 5), *bracket)
-    assert refined == _bisect(_SignOracle(poly, 5), *bracket)
+    refined = _refine(_SignOracle(poly, 5), *node)
+    assert refined == _bisect(_SignOracle(poly, 5), *node[:2])
     if refined is not None:
         a, b, _ = refined
-        assert b - a == 1 << 32 and (a - bracket[0]) % (1 << 32) == 0
+        assert b - a == 1 << 32 and (a - node[0]) % (1 << 32) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_lists, st.one_of(st.sampled_from([0.0, 1.0]), st.integers(-8, 8)))
+@example([(5 << 20, 1)], 0)                     # the guess on the root's cell
+@example([(5 << 20, -3)], 1)                    # half a cell right of it
+@example([(0, 1), (9 << 32, 0)], 1.0)           # a root at the left end, the right end guessed
+@example([(1 << 32, -8), (1 << 32, 8)], 0.0)    # and the other way round
+@example([(1 << 32, -8), (1 << 32, 8)], 8)      # 4 cells out, past a second root
+def test_a_guess_moves_no_bracket(specs, guess):
+    # the guess only picks the first probe point: the node ends, or the
+    # root's cell's left end give or take `guess` half cells (outside the
+    # node too), each refine to the bisection bracket
+    poly = _spec_poly(specs)
+    node = _isolating_bracket(_SignOracle(poly, 5), 64)
+    if node is None:
+        return
+    expected = _bisect(_SignOracle(poly, 5), *node[:2])
+    cells = (node[1] - node[0]) >> 32
+    if isinstance(guess, int):
+        root_cell = (expected[0] - node[0]) >> 32 if expected else 0
+        guess = (root_cell + guess / 2) / cells
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_root_guess", lambda lo, hi, n: guess)
+        assert _refine(_SignOracle(poly, 5), *node) == expected
 
 
 @pytest.mark.parametrize("specs, end", [([(0, 1), (9 << 32, 0)], 0),
@@ -754,33 +780,42 @@ def test_an_undecided_count_at_the_precision_cap_ends_the_scan(monkeypatch):
     assert report.trace["precision_escalations"] == 0
 
 
-# the end signs take one evaluation each at 128 bits; an indefinite
-# refinement point is retried at 256, ..., 4096 bits (6 evaluations), an
-# exact zero is not
+# the isolating node's bounds sign its ends, so the first evaluation is the
+# guessed point: an indefinite one is retried at 256, ..., 4096 bits
+# (6 evaluations), an exact zero is not
 @pytest.mark.parametrize("value, evaluations, indefinite",
-                         [((-1, 1), 2 + 6, 6), ((0, 0), 2 + 1, 0)])
+                         [((-1, 1), 6, 6), ((0, 0), 1, 0)])
 def test_an_undecided_midpoint_sign_ends_the_scan(monkeypatch, value, evaluations,
                                                   indefinite):
-    # after the two end signs of the isolating interval, every evaluation
-    # answers the interval `value`: indefinite at every precision, or an
-    # exact zero.  Refinement gives up on the first such sign; no other
-    # point or later interval is tried.
-    original = certify.eval_interval
-    ends = []
+    # every evaluation answers the interval `value`: indefinite at every
+    # precision, or an exact zero.  Refinement gives up on the first such
+    # sign, at the point the guess picked; no other point or later interval
+    # is tried.
+    points = []
 
-    def undecided_inside(p, x, y, **kwargs):
-        if len(ends) < 2 and y.lo not in ends:
-            ends.append(y.lo)
-        if y.lo in ends:
-            return original(p, x, y, **kwargs)
+    def undecided(p, x, y, **kwargs):
+        points.append(y.lo)
         return DyadicInterval(Dyadic(value[0]), Dyadic(value[1]))
 
-    monkeypatch.setattr(certify, "eval_interval", undecided_inside)
+    monkeypatch.setattr(certify, "eval_interval", undecided)
     report = find_root_gt2(riley_for_knot(DoubleTwistKnot(2, -3)), 7, y_max_cap=64)
     assert report.status == "inconclusive" and report.certificate is None
-    assert len(ends) == 2
-    assert report.trace["evaluations"] == evaluations
+    assert report.trace["evaluations"] == evaluations == len(points)
     assert report.trace["indefinite"] == indefinite
+    assert len(set(points)) == 1 and Dyadic(2) < points[0] < Dyadic(64)
+
+
+def test_refinement_signs_about_two_points_per_certificate():
+    # the 431 criterion 2/3 scans at the acceptance cap: the Newton guess
+    # puts the first pair on the root's cell (862 evaluations in all), where
+    # quadratic interval refinement from the node's secant made 5,561; a
+    # guess that quietly falls back to the secant fails here
+    from test_acceptance import SCANS
+    cases = SCANS["criterion 2"] + SCANS["criterion 3"]
+    phis = {knot: riley_for_knot(knot) for knot, _ in cases}
+    reports = [find_root_gt2(phis[knot], n, y_max_cap=64) for knot, n in cases]
+    assert len(reports) == 431 and all(r.certified for r in reports)
+    assert sum(r.trace["evaluations"] for r in reports) <= 1000
 
 
 def test_every_phi_has_a_unit_leading_y_coefficient():

@@ -213,6 +213,22 @@ def test_unpack_borrows_across_adjacent_negative_slots():
         packing.pack({(3, 0): 1})
 
 
+def test_a_multiplier_term_needs_a_slot():
+    # in u = x**2 slots (step 2) an odd x-exponent would land mid-slot, and
+    # a negative one below slot 0: multiplier refuses both, as pack does
+    packing = Packing.covering(0, 4, 100, 2)
+    value = packing.pack({(2, 0): 3, (0, 1): -1})
+    terms = {(0, 0): 1, (2, 0): -2, (4, 1): 5}
+    product = polyring._times(value, packing.multiplier(terms))
+    assert packing.unpack(product) == (XYPoly(packing.unpack(value)) * XYPoly(terms))._terms
+    for bad in ({(1, 0): 1}, {(0, 0): 1, (3, 2): -1}, {(-2, 1): 1}):
+        with pytest.raises(ValueError):
+            packing.multiplier(bad)
+    # with s**shift, s**-1 sits in slot 0 and s * y in slot 1 of row 1
+    assert Packing.covering(1, 4, 100, 2).multiplier({(-1, 0): 2, (1, 1): 1}) == [
+        (0, 2), (8 + 32, 1)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 4)),
                        st.integers(-2 ** 15 + 1, 2 ** 15 - 1).filter(bool),

@@ -10,7 +10,6 @@ that no root exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
 from . import __version__
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
@@ -162,7 +161,6 @@ BRACKET_WIDTH = Dyadic(1, -_BRACKET_BITS)  # refinement target and isolation nod
 # refinement points are odd integers on this window unit 2**-64, so a record
 # parses only endpoints with |exponent| <= _MARGIN_BITS
 _MARGIN_BITS = 64
-_NEWTON_STEPS = 16  # at most this many float Newton steps guess a root's cell
 
 
 class _SignOracle:
@@ -282,13 +280,14 @@ def _variations(lo: list[int], hi: list[int]) -> int | None:
 def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
     """The first node (a, b) = (a, a + 2**k) in (2 + 2**-64, y_max_cap] that
     holds exactly one root of phi(x_n, .), by left-first Vincent-Collins-
-    Akritas bisection, as (a, b, lo, hi, e): its ends on the window unit
+    Akritas bisection, as (a, b, lo, hi): its ends on the window unit
     2**-64, and bounds lo[j] 2**e <= c_j <= hi[j] 2**e on the coefficients
     of q(t) = phi(x_n, (a + 2**k t) 2**-64) = sum_j c_j t**j; None when the
     window holds none or a count is indefinite at DEFAULT_PRECISION_CAP.
 
-    Every node is on the oracle's fixed-point unit 2**e; the root node comes
-    from its cached bounds (_root_node).  A node's left half bounds q(t/2),
+    Every node is on the oracle's fixed-point unit 2**e, e =
+    oracle.bounds[2], which no count or sign needs; the root node comes from
+    its cached bounds (_root_node).  A node's left half bounds q(t/2),
     lo floored and hi ceiled (_halve), and its right half is that shifted
     by 1, exactly; reversal and the shift have nonnegative weights, so a
     count made on a node's bounds holds for the exact node.  A node with no
@@ -338,7 +337,7 @@ def _isolating_bracket(oracle: _SignOracle, y_max_cap: int):
             if v is None:
                 break
             if v == 1 and a + (1 << k) <= cap:
-                return a, a + (1 << k), lo, hi, oracle.bounds[2]
+                return a, a + (1 << k), lo, hi
             if v:
                 m = 0
                 if v > 1:
@@ -396,31 +395,32 @@ def _gallop(oracle: _SignOracle, lo: list[int], hi: list[int], v: int,
     return good
 
 
-def _secant_index(n: int, fa: Dyadic, fb: Dyadic) -> int:
-    """round(n fa / (fa - fb)), clamped to 1..n-1: the point of n equal
-    steps from a to b nearest the zero of the secant through values fa, fb
-    of opposite signs there."""
-    d = fa - fb
-    e = min(fa.e, d.e)
-    num, den = fa.m << (fa.e - e), d.m << (d.e - e)
-    return min(max((2 * n * num + den) // (2 * den), 1), n - 1)
-
-
 def _root_guess(lo: list[int], hi: list[int], cells: int) -> float:
     """A guess at where in [0, 1] the root of a node counting 1 lies: Newton
     steps in floats on sum_j (lo_j + hi_j) t**j from the secant through
     t = 0 and 1, until a step under a quarter cell (of cells) lands in the
-    bracket the signs met give, or _NEWTON_STEPS are made.  A step out of
-    the bracket or over half the one before goes to its upper end / 8 while
-    its ends differ by over 2**6 in ratio, else to its midpoint.  Every
-    float comes from a correctly rounded int / int or + - * /, so the guess,
-    which only picks probe points, is the same on every platform."""
+    bracket the signs met give, or cells.bit_length() steps, as many as
+    bisection takes to reach a cell, are made.  A step out of the bracket
+    or over half the one before goes to its upper end / 8 while its ends
+    differ by over 2**6 in ratio, else to its midpoint.
+
+    One power of two scales the coefficients so that the largest is below
+    2**(1023 - 2b), b = d.bit_length() at degree d.  Every t lies in [0, 1],
+    where Horner's partial values are at most (d + 1) max|c_j| < 2**b max
+    and its derivative's at most d(d + 1)/2 max < 2**(2b - 1) max, so
+    neither overflows a double's 2**1024 (relative rounding errors of 2**-53
+    a step change that by far less than 2x).  A small c_j, c_0 included,
+    becomes 0.0 only below 2**-1074, some 2**-2000 times the largest.
+    Every float comes from a correctly rounded int / int or + - * /, so the
+    guess, which only picks probe points, is the same on every platform."""
     c = [l + h for l, h in zip(lo, hi)]
-    scale = 1 << max(max(map(abs, c)).bit_length() - 64, 0)
-    f, positive = [cj / scale for cj in c], c[0] > 0
+    shift = (1023 - 2 * (len(c) - 1).bit_length()
+             - max(map(abs, c)).bit_length())
+    num, den = (1 << shift, 1) if shift >= 0 else (1, 1 << -shift)
+    f, positive = [cj * num / den for cj in c], c[0] > 0
     t_lo, t_hi, last = 0.0, 1.0, 2.0
     t = c[0] / (c[0] - sum(c))  # exact integers, correctly rounded
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(cells.bit_length()):
         v = dv = 0.0
         for fj in reversed(f):
             v, dv = v * t + fj, dv * t + v
@@ -437,65 +437,42 @@ def _root_guess(lo: list[int], hi: list[int], cells: int) -> float:
     return t
 
 
-def _refine(oracle: _SignOracle, a: int, b: int, lo: list[int], hi: list[int],
-            e: int):
+def _refine(oracle: _SignOracle, a: int, b: int, lo: list[int], hi: list[int]):
     """(a', b', sign at a'): the cell of width BRACKET_WIDTH, aligned from a,
-    that holds the root of the isolating node (a, b, lo, hi, e) (see
+    that holds the root of the isolating node (a, b, lo, hi) (see
     _isolating_bracket); None when a sign met on the way is not +-(sign at
     a), that is an exact zero or indefinite at the precision cap.
 
     The node counts 1, so phi(x_n, .) changes sign once in it, and every
     definite sign is the exact sign: the one aligned cell whose ends have
-    opposite signs is the cell bisection at midpoints returns.  The signs
-    at a and b are those of q(0) = [lo_0, hi_0] and q(1) = [sum lo, sum hi]
-    on unit 2**e, so no end is evaluated.  Abbott's quadratic interval
-    refinement ("Quadratic interval refinement for real roots", ACM CCA
-    2014) reaches the cell: with C cells left in N steps (N <= C) of C // N
-    cells, it signs a step point, then its neighbour on the side that sign
-    shows unless that is an end; N is squared after a bracketing pair, and
-    else falls to its square root.  The first point is the one nearest the
-    Newton guess (_root_guess; Sagraloff, "When Newton meets Descartes",
-    ISSAC 2012), with N = C, so a good guess costs one or two signs; each
-    later one is nearest the secant's zero (_secant_index), or the middle
-    cell end (N = 2) below 4 cells.  The secant reads the midpoint of each
-    enclosure.
+    opposite signs is the cell bisection at midpoints returns, whichever
+    points are signed on the way.  The signs at a and b are those of
+    q(0) = [lo_0, hi_0] and q(1) = [sum lo, sum hi] on the bounds' unit, so
+    no end is evaluated.  Refinement signs the cell end nearest the Newton guess
+    (_root_guess; Sagraloff, "When Newton meets Descartes", ISSAC 2012),
+    then that point's neighbour on the side its sign shows, so a guess on
+    the root's cell costs two signs, and then bisects at midpoints between
+    the tightened ends: at most 2 + cells.bit_length() signs for a node of
+    cells cells, and one more for each escalation.
     """
-    fa = DyadicInterval(Dyadic(lo[0], e), Dyadic(hi[0], e))
-    fb = DyadicInterval(Dyadic(sum(lo), e), Dyadic(sum(hi), e))
-    sa = fa.sign()
-    if not sa or fb.sign() != -sa:
+    sa = 1 if lo[0] > 0 else -1 if hi[0] < 0 else 0
+    if not sa or not (sum(hi) < 0 if sa > 0 else sum(lo) > 0):
         return None
     unit = 1 << (_MARGIN_BITS - _BRACKET_BITS)
-    n = cells = (b - a) // unit
-    # (cell index, enclosure midpoint times 2) of the ends with sign sa, -sa
-    ends, step, p = [(0, fa.lo + fa.hi), (cells, fb.lo + fb.hi)], 1, None
-
-    def probe(j: int) -> int | None:
-        value = oracle.value(a + j * unit)
-        s = value.sign()
-        if s not in (sa, -sa):
+    i, j, first = 0, (b - a) // unit, True
+    if j > 1:
+        p = min(max(round(_root_guess(lo, hi, j) * j), 1), j - 1)
+    while j - i > 1:
+        s = oracle.value(a + p * unit).sign()
+        if s == sa:
+            i = p
+        elif s == -sa:
+            j = p
+        else:
             return None
-        ends[s != sa] = (j, value.lo + value.hi)
-        return s
-
-    if cells > 1:  # the first pair: the guess, one cell apart
-        p = min(max(round(_root_guess(lo, hi, cells) * cells), 1), cells - 1)
-    while ends[1][0] - ends[0][0] > 1:
-        (i, f_i), (j, f_j) = ends
-        if p is None:
-            n = min(n, j - i) if j - i >= 4 else 2
-            step = (j - i) // n
-            p = i + step * _secant_index(n, f_i, f_j)
-        s = probe(p)
-        if s is None:
-            return None
-        q = p + step if s == sa else p - step
-        t = -s if q in (i, j) else probe(q)
-        if t is None:
-            return None
-        n = n * n if t != s else max(2, isqrt(n))
-        p = None
-    return a + ends[0][0] * unit, a + ends[1][0] * unit, sa
+        # the guess's neighbour on the side its sign shows, then midpoints
+        p, first = p + s * sa if first else (i + j) >> 1, False
+    return a + i * unit, a + j * unit, sa
 
 
 def find_root_gt2(phi: RileyPolynomial, n: int, *,
@@ -504,14 +481,15 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
     phi(x_n, .); the margin of 2**-64 keeps every bracket strictly above 2.
 
     Descartes' rule isolates the first root in the window from the left
-    (_isolating_bracket), and refinement from a Newton-guessed cell
-    (_refine) narrows that node to the aligned cell of width BRACKET_WIDTH
-    holding the root, the certificate.  The x_n precision starts at
-    DEFAULT_PRECISION and doubles whenever a count or a sign is indefinite;
-    one still undecided at DEFAULT_PRECISION_CAP, an exact zero, or no
-    isolating node ends the scan inconclusive.  Every node and sign comes
-    from the bounds _SignOracle caches per precision, rounded outward, so a
-    definite count or sign is the exact one (see eval_interval).
+    (_isolating_bracket), and refinement (_refine) narrows that node to the
+    aligned cell of width BRACKET_WIDTH holding the root, the certificate:
+    it signs the ends of the Newton-guessed cell, then bisects.  The x_n
+    precision starts at DEFAULT_PRECISION and doubles whenever a count or a
+    sign is indefinite; one still undecided at DEFAULT_PRECISION_CAP, an
+    exact zero, or no isolating node ends the scan inconclusive.  Every node
+    and sign comes from the bounds _SignOracle caches per precision, rounded
+    outward, so a definite count or sign is the exact one (see
+    eval_interval).
     """
     if n < 2:
         raise ValueError("need n >= 2")

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from rileycert import certify
 from rileycert.certify import (MAX_Y_MAX_CAP, HashMismatch,
                                MalformedCertificate, RootCertificate, ScanReport,
-                               _halve, _isolating_bracket, _refine, _root_node,
-                               _scale, _SignOracle, _split_guess, _taylor_shift,
-                               _variations, find_root_gt2, verify_certificate,
-                               xn_enclosure)
+                               _halve, _isolating_bracket, _refine, _root_guess,
+                               _root_node, _scale, _SignOracle, _split_guess,
+                               _taylor_shift, _variations, find_root_gt2,
+                               verify_certificate, xn_enclosure)
 from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
 from rileycert.polyring import XYPoly, eval_interval
@@ -307,7 +307,9 @@ def test_refinement_returns_the_bisection_bracket(specs):
 def test_a_guess_moves_no_bracket(specs, guess):
     # the guess only picks the first probe point: the node ends, or the
     # root's cell's left end give or take `guess` half cells (outside the
-    # node too), each refine to the bisection bracket
+    # node too), each refine to the bisection bracket, in at most the two
+    # guessed points and bisection's log2(cells) midpoints, each retried
+    # once per escalation
     poly = _spec_poly(specs)
     node = _isolating_bracket(_SignOracle(poly, 5), 64)
     if node is None:
@@ -319,7 +321,34 @@ def test_a_guess_moves_no_bracket(specs, guess):
         guess = (root_cell + guess / 2) / cells
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certify, "_root_guess", lambda lo, hi, n: guess)
-        assert _refine(_SignOracle(poly, 5), *node) == expected
+        oracle = _SignOracle(poly, 5)
+        assert _refine(oracle, *node) == expected
+    assert oracle.evaluations <= 2 + cells.bit_length() + oracle.escalations
+
+
+@pytest.mark.parametrize("knot", [DoubleTwistKnot(6, 6), DoubleTwistKnot(7, -5),
+                                  DoubleTwistKnot(7, 6), DoubleTwistKnot(8, -5),
+                                  DoubleTwistKnot(8, 5), DoubleTwistKnot(8, 6)])
+def test_a_guess_on_a_tiny_constant_coefficient_finds_the_cell(knot):
+    # at n = 3 and the default cap these root nodes' c_0 is over 2**1000
+    # times smaller than their largest |c_j| (290 against 1,805 bits for
+    # J:8,6): scaled so that the largest is near 2**64, c_0 underflowed to
+    # 0.0, the guess was t = 0 and refinement made 15-22 evaluations
+    report = find_root_gt2(riley_for_knot(knot), 3)
+    assert report.certified and report.trace["evaluations"] == 2
+
+
+# the float.hex() of the guess at recorded root nodes: every float in
+# _root_guess is correctly rounded, so the guess is the same on every
+# Python version and platform
+@pytest.mark.parametrize("knot, n, cap, guess", [
+    (DoubleTwistKnot(4, 6), 12, 64, "0x1.f7c8dca5da4e1p-1"),
+    (DoubleTwistKnot(8, 6), 3, 1 << 16, "0x1.98d93af21abe3p-24"),
+    (TwoBridgeFraction(51, 11), 9, 1 << 16, "0x1.c6351953eabd2p-1"),
+])
+def test_the_root_guess_is_pinned(knot, n, cap, guess):
+    a, b, lo, hi = _isolating_bracket(_SignOracle(riley_for_knot(knot).poly, n), cap)
+    assert _root_guess(lo, hi, (b - a) >> 32).hex() == guess
 
 
 @pytest.mark.parametrize("specs, end", [([(0, 1), (9 << 32, 0)], 0),
@@ -809,7 +838,8 @@ def test_refinement_signs_about_two_points_per_certificate():
     # the 431 criterion 2/3 scans at the acceptance cap: the Newton guess
     # puts the first pair on the root's cell (862 evaluations in all), where
     # quadratic interval refinement from the node's secant made 5,561; a
-    # guess that quietly falls back to the secant fails here
+    # guess that misses the cell costs a bisection of some 30 midpoints,
+    # so a few misses fail here
     from test_acceptance import SCANS
     cases = SCANS["criterion 2"] + SCANS["criterion 3"]
     phis = {knot: riley_for_knot(knot) for knot, _ in cases}

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 # Largest accepted knot parameters.  The cost of phi grows with them (about
 # as p**4 for a fraction); at these limits `riley --cross-check`, or `riley`
-# for a fraction, takes at most about 10 s on a 2-core x86 host (README.md,
-# three runs each: Kl:50 8.3-9.6 s, 501/7 8.0-9.0 s, 501/311 7.5-7.8 s;
-# J:20,20 8.1 s in two), and one step beyond is refused before any work.  `certify` also runs the root
-# isolation, whose Taylor shifts grow with phi: at the default cap on that
-# host (README.md, three runs each), `certify --knot J:20,20 --n 7` took
-# 9.5-11.8 s and `certify --knot Kl:50 --n 5` 2.7-4.2 s.
+# for a fraction, takes at most about 8 s on a 2-core x86 host (README.md,
+# three runs each: Kl:50 4.1-4.2 s, 501/7 5.6-6.7 s, 501/311 2.3-3.1 s,
+# 499/97 5.0-6.0 s; J:20,20 6.4-7.4 s in two), and one step beyond is
+# refused before any work.  `certify` also runs the root isolation, whose
+# Taylor shifts grow with phi: at the default cap on that host (README.md,
+# three runs each), `certify --knot J:20,20 --n 7` took 9.5-11.8 s and
+# `certify --knot Kl:50 --n 5` 2.7-4.2 s.
 P_MAX = 501
 K_MAX = 20
 M_MAX = 20

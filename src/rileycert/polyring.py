@@ -614,7 +614,10 @@ class PackedMatrix(NamedTuple):
         compared are the entries of V and their trace (l1 norm
         <= 2 * bound), R12 / s (<= 3 * bound) and R22 / t (<= 4 * bound),
         all within t-slots 0 .. shift: shift + 1 slots per y-degree, for a
-        word of L letters L + 1, where packing in s takes 2L + 3."""
+        word of L letters L + 1, where packing in s takes 2L + 3.  The
+        whole product and the power route take this packing; a plain
+        word's R12 alone is laid in rows as wide as its own t-span
+        (`riley._relator_r12`)."""
         return Packing.covering(shift, shift + 1, 4 * bound, 2)
 
     def term_maps(self) -> tuple[dict, dict, dict, dict]:

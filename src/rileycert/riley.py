@@ -16,12 +16,13 @@ shifts and adds: sA = [[t, s], [0, 1]] maps the t-integers of the columns
 (c1, c2) to (t c1, c1 + c2) in row 1 and (t c1, t c1 + c2) in row 2.  The
 slot width B comes from an l1-norm recursion run over the word before any
 arithmetic: a letter adds one column, times s or (2 - y)s (l1 norm 1 or
-3), to the other, so the norms bound every coefficient of V.  B covers 4
-times the largest of them and S = L + 1 slots cover one more letter, so
-that R12 and R22 of R = VA - BV cannot overflow a slot either
-(`PackedMatrix.packing_for`).  R21 = (y - 2)R12 + (s - 1/s)R22 holds for
-every V, so R22 = V21 - (2 - y)V12 = 0 is the one structure condition, and
-the mirror rule decides it on the word.  With D = diag(1, 2 - y),
+3), to the other, so the norms bound every coefficient of V.  For the
+whole matrix (`evaluate_word`) B covers 4 times the largest of them and
+S = L + 1 slots cover one more letter, so that R12 and R22 of
+R = VA - BV cannot overflow a slot either (`PackedMatrix.packing_for`).
+R21 = (y - 2)R12 + (s - 1/s)R22 holds for every V, so
+R22 = V21 - (2 - y)V12 = 0 is the one structure condition, and the mirror
+rule decides it on the word.  With D = diag(1, 2 - y),
 B = D A^T D^-1 and A = D B^T D^-1, so the mirror tau(w) of a word (its
 letters reversed, a and b swapped, `Word.mirror`) has
 rho(tau(w)) = D rho(w)^T D^-1, whose (2,1) entry is (2 - y)V12: a word
@@ -32,12 +33,17 @@ and the K_l and J(2k+1, 2m) words are mirrors by construction.  So
 `riley_generic` checks tau(v) = v exactly, before any arithmetic, and a
 plain word needs only R12, which reads row 1 of V alone: each letter
 multiplies on the right, so row 1 evolves on its own and the product
-carries only it.  The power route keeps R22 = 0 as the check on
-`chebyshev.sl2_power`'s output.  R12 stays a packed
-integer, s**sigma R12 in V's t-packing (sigma its shift, L for a word),
-and `polyring.symmetric_rewrite` reads phi off its slot digits: slot
-(sigma + e) / 2 of each y-row holds c_e, the coefficient of s**e + s**-e,
-and each row is summed in that basis by Clenshaw's recurrence on packed
+carries only it.  Its rows are laid only as wide as R12's t-span, which
+the same pass over the word that bounds the norms bounds too
+(`_row_one_span`): S = sigma + 1 slots, sigma = deg_x(phi) on a
+fraction's word, where R12 reaches about 0.65 L.  Packed arithmetic is
+evaluation at t = 2**B, y = 2**(B*S), a ring homomorphism, so the
+product's rows may overlap as long as R12's do not.  The power route
+keeps R22 = 0 as the check on `chebyshev.sl2_power`'s output, in
+`packing_for`'s slots.  R12 stays a packed integer, s**sigma R12 in
+t-slots (sigma the packing's shift), and `polyring.symmetric_rewrite`
+reads phi off its slot digits: slot (sigma + e) / 2 of each y-row holds
+c_e, the coefficient of s**e + s**-e, and each row is summed in that basis by Clenshaw's recurrence on packed
 u-integers, u = x**2 (every e has sigma's parity).  Those slots are sized
 by sum_e |c_e| L_e, the Lucas number L_e being the l1 norm of
 s**e + s**-e written in x, so phi is the one value unpacked.  The
@@ -64,6 +70,7 @@ slots the R22 check above needs, so the power is never unpacked either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -118,23 +125,17 @@ def generator_images() -> GeneratorImages:
     return GeneratorImages(a, b, a.adjugate(), b.adjugate())
 
 
-def _word_product(word: Word, rows: tuple[int, int, int, int]) -> PackedMatrix:
-    """rows times the ordered product of the word's letters, exponents
-    expanded, each letter scaled by s, as t-integers in the packing of the
-    full product (`evaluate_word`).  Each letter multiplies on the right, so
-    each row of the result depends on its own row of `rows` alone: from
+def _letters(word: Word) -> list[tuple[str, bool]]:
+    """The word's letters, exponents expanded: (generator, positive)."""
+    return [(gen, exp > 0) for gen, exp in word.letters for _ in range(abs(exp))]
+
+
+def _word_product(letters: list[tuple[str, bool]], rows: tuple[int, int, int, int],
+                  b: int, ys: int) -> tuple[int, int, int, int]:
+    """rows times the ordered product of the letters, each scaled by s, as
+    t-integers at t = 2**b, y = 2**ys.  Each letter multiplies on the right,
+    so each row of the result depends on its own row of `rows` alone: from
     (1, 0, 0, 0) the loop carries row 1 of the product and row 2 stays 0."""
-    letters = [(gen, exp > 0) for gen, exp in word.letters for _ in range(abs(exp))]
-    # l1 norms of the scaled entries, which bound their coefficients
-    n11, n12, n21, n22 = 1, 0, 0, 1
-    for gen, _ in letters:
-        if gen == "a":
-            n12, n22 = n12 + n11, n22 + n21
-        else:
-            n11, n21 = n11 + 3 * n12, n21 + 3 * n22
-    packing = PackedMatrix.packing_for(len(letters), max(n11, n12, n21, n22))
-    b = 8 * packing.nbytes
-    ys = b * packing.slots   # t = 2**b, y = 2**ys
     q11, q12, q21, q22 = rows
     for gen, positive in letters:
         if gen == "a":
@@ -154,14 +155,25 @@ def _word_product(word: Word, rows: tuple[int, int, int, int]) -> PackedMatrix:
             q21 += (q22 << ys) - (q22 << 1)
             q12 <<= b
             q22 <<= b
-    return PackedMatrix((q11, q12, q21, q22), packing)
+    return q11, q12, q21, q22
 
 
 def evaluate_word(word: Word) -> PackedMatrix:
     """Ordered product of generator images, exponents expanded, as a
     PackedMatrix in t = s**2: s**L times the product of the L letters, each
-    scaled by s."""
-    return _word_product(word, (1, 0, 0, 1))
+    scaled by s, in `PackedMatrix.packing_for`'s slots."""
+    letters = _letters(word)
+    # l1 norms of the scaled entries, which bound their coefficients
+    n11, n12, n21, n22 = 1, 0, 0, 1
+    for gen, _ in letters:
+        if gen == "a":
+            n12, n22 = n12 + n11, n22 + n21
+        else:
+            n11, n21 = n11 + 3 * n12, n21 + 3 * n22
+    packing = PackedMatrix.packing_for(len(letters), max(n11, n12, n21, n22))
+    b = 8 * packing.nbytes
+    v = _word_product(letters, (1, 0, 0, 1), b, b * packing.slots)
+    return PackedMatrix(v, packing)
 
 
 def _relator(v: PackedMatrix) -> tuple[int, int]:
@@ -171,22 +183,79 @@ def _relator(v: PackedMatrix) -> tuple[int, int]:
     for every V, so R22 is the one value that must vanish.  Returns R22 / t,
     sized by `PackedMatrix.packing_for`, and R12 (`_r12`), both packed
     integers: R's off-diagonal packing, one shift up and one down, is V's."""
-    q12, q21 = v.packed[1:3]
-    ys = 8 * v.packing.nbytes * v.packing.slots   # y = 2**ys
-    return q21 - (q12 << 1) + (q12 << ys), _r12(v)
+    q11, q12, q21 = v.packed[:3]
+    b = 8 * v.packing.nbytes
+    return q21 - (q12 << 1) + (q12 << b * v.packing.slots), _r12(q11, q12, b)
 
 
-def _r12(v: PackedMatrix) -> int:
-    """R12 = V11 + V12 - t V12 of `_relator`, which reads row 1 of V alone."""
-    q11, q12 = v.packed[:2]
-    return q11 + q12 - (q12 << 8 * v.packing.nbytes)
+def _r12(q11: int, q12: int, b: int) -> int:
+    """R12 / s = V11 + V12 - t V12 of `_relator` at t = 2**b, which reads
+    row 1 of V alone."""
+    return q11 + q12 - (q12 << b)
+
+
+def _row_one_span(letters: list[tuple[str, bool]]) -> tuple[int, int, int]:
+    """(bound, lo, hi): R12 / s of the word's relator has t-slots in
+    lo .. hi of each y-row of s**L R12 and l1 norm at most bound, from one
+    pass over the letters before any arithmetic.
+
+    The pass carries the l1 norms n11, n12 of row 1 of V and the hulls of
+    the t-supports of its t-integers q11, q12 (t-slots of s**L V11 and
+    s**(L - 1) V12): a sum's support lies in the hull of its terms'
+    supports, a factor t shifts it by one and 2 - y leaves it, so sA takes
+    the hulls (h11, h12) to (h11 + 1, h11 | h12), sA^-1 to
+    (h11, h11 | h12 + 1), sB to ((h11 | h12) + 1, h12) and sB^-1 to
+    (h11 | h12 + 1, h12 + 1).  R12 / s = q11 + q12 - t q12 lies in the hull
+    of h11, h12 and h12 + 1, with l1 norm at most n11 + 2 n12.  The span
+    returned is that hull widened to its mirror image, lo + hi = L, which
+    centres it on s**0, where `symmetric_rewrite` reads it: R12 of a
+    relator is invariant under s -> 1/s (the rewrite checks it), so its
+    t-support is symmetric about L / 2 anyway.  On a fraction's word
+    hi - lo is deg_x(phi)."""
+    n11, n12 = 1, 0
+    lo11 = hi11 = 0
+    lo12, hi12 = math.inf, -math.inf       # q12 = 0: no support yet
+    for gen, positive in letters:
+        if gen == "a":
+            n12 += n11
+            if positive:
+                lo12, hi12 = min(lo11, lo12), max(hi11, hi12)
+                lo11, hi11 = lo11 + 1, hi11 + 1
+            else:
+                lo12, hi12 = min(lo11, lo12 + 1), max(hi11, hi12 + 1)
+        else:
+            n11 += 3 * n12
+            if positive:
+                lo11, hi11 = min(lo11, lo12) + 1, max(hi11, hi12) + 1
+            else:
+                lo11, hi11 = min(lo11, lo12 + 1), max(hi11, hi12 + 1)
+                lo12, hi12 = lo12 + 1, hi12 + 1
+    length = len(letters)
+    lo = min(lo11, lo12, length - max(hi11, hi12 + 1))
+    return n11 + 2 * n12, lo, length - lo
 
 
 def _relator_r12(word: Word) -> tuple[int, Packing]:
     """R12 of R = VA - BV for V = rho(word) and its packing, from row 1 of
-    the product alone: bit-identical to `_relator(evaluate_word(word))[1]`."""
-    v = _word_product(word, (1, 0, 0, 0))
-    return _r12(v), v.packing
+    the product alone, in y-rows only as wide as R12's t-span.
+
+    With (bound, lo, hi) = `_row_one_span`, sigma = hi - lo: the letter
+    loop runs at t = 2**B, y = 2**(B (sigma + 1)), B wide enough for
+    bound.  Integer arithmetic there is evaluation at that point, so
+    intermediate rows may overlap, and only R12, the one value read, must
+    fit its rows, which its support in lo .. hi does.  The t-slots below
+    lo must come out 0, StructureViolation otherwise; shifted off, they
+    leave s**sigma R12 in sigma + 1 t-slots per y-row: the same terms as
+    `_relator(evaluate_word(word))[1]`, whose rows take L + 1."""
+    letters = _letters(word)
+    bound, lo, hi = _row_one_span(letters)
+    packing = Packing.covering(hi - lo, hi - lo + 1, bound, 2)
+    b = 8 * packing.nbytes
+    q11, q12, _, _ = _word_product(letters, (1, 0, 0, 0), b, b * packing.slots)
+    r12 = _r12(q11, q12, b)
+    if r12 & ((1 << b * lo) - 1):
+        raise StructureViolation("R_12 has terms below its t-span")
+    return r12 >> b * lo, packing
 
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:

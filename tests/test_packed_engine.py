@@ -132,17 +132,63 @@ _MIRROR_WORDS = st.one_of(
 @example(word_kl(KlKnot(2)))
 @example(word_from_signs(sign_sequence(TwoBridgeFraction(151, 57))))
 def test_row_one_relator_equals_the_full_one(word):
-    # the row-1 route's R12 is the full product's, bit for bit and in the
-    # same packing, and the full R22 it skips is 0; the dict oracle's R22
-    # is 0 too, formed up to 64 letters, where it takes at most about 0.1 s
+    # the row-1 route's R12 has the full product's terms, in rows only as
+    # wide as its t-span, and the full R22 it skips is 0; the dict
+    # oracle's R22 is 0 too, formed up to 64 letters, where it takes at
+    # most about 0.1 s
     assert word.mirror() == word
     full = evaluate_word(word)
     r22, r12 = riley._relator(full)
-    assert riley._relator_r12(word) == (r12, full.packing)
+    value, packing = riley._relator_r12(word)
+    assert packing.unpack(value) == full.packing.unpack(r12)
     assert r22 == 0
     if len(word.to_text()) <= 64:
         images, v = generator_images(), reference_evaluate_word(word)
         assert (v @ images.a - images.b @ v).e22 == SYPoly.zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MIRROR_WORDS)
+@example(Word.from_letters(()))
+@example(word_kl(KlKnot(10)))
+@example(word_from_signs(sign_sequence(TwoBridgeFraction(151, 57))))
+def test_row_one_span_holds_the_relator(word):
+    # every term of s**L R12 lies in t-slots lo .. hi of its y-row, every
+    # coefficient within the l1 bound, and the span is deg_x(phi) wide, so
+    # no narrower rows hold R12: the dict oracle's R12 up to 64 letters,
+    # the full product's beyond that
+    letters = riley._letters(word)
+    length = len(letters)
+    bound, lo, hi = riley._row_one_span(letters)
+    if length <= 64:
+        images, v = generator_images(), reference_evaluate_word(word)
+        terms = {(i, j): c for i, j, c in (v @ images.a - images.b @ v).e12.terms()}
+    else:
+        full = evaluate_word(word)
+        terms = full.packing.unpack(riley._relator(full)[1])
+    assert lo + hi == length
+    assert all((i + length) % 2 == 0 and lo <= (i + length) // 2 <= hi for i, _ in terms)
+    assert max(map(abs, terms.values())) <= bound
+    assert hi - lo == riley.riley_generic(word).poly.deg_x()
+
+
+@pytest.mark.parametrize("fraction", [TwoBridgeFraction(p, q) for p, q in
+                                      ((27, 11), (45, 17), (81, 61), (149, 51))],
+                         ids=TwoBridgeFraction.spec_string)
+@pytest.mark.parametrize("cut", [(1, 0), (0, 1), (1, 1)], ids=["low", "high", "both"])
+def test_a_narrowed_span_is_caught(monkeypatch, fraction, cut):
+    # the span is tight: a slot off its low end, its high end or both loses
+    # terms of R12 or lays them off-centre, which the low-slot check, the
+    # symmetry check or the back-substitution check must catch
+    span = riley._row_one_span
+
+    def narrowed(letters):
+        bound, lo, hi = span(letters)
+        return bound, lo + cut[0], hi - cut[1]
+
+    monkeypatch.setattr(riley, "_row_one_span", narrowed)
+    with pytest.raises((riley.StructureViolation, polyring.NotSymmetric, AssertionError)):
+        riley.riley_for_knot(fraction)
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,11 +379,13 @@ def test_back_substitution_check_bites():
     for key in list(f)[::7]:
         assert not polyring._substitutes_back(_plus_one(f, key), r12, packing)
     # terms beyond the x-degree of f, off its parity or beyond the
-    # y-degree of p count too: sigma = 26 here
-    deg_x = max(i for i, _ in f)
-    for key in ((deg_x + 2, 0), (deg_x + 3, 0), (1, 0), (0, 40)):
+    # y-degree of p count too: sigma = deg_x(f) here, and p has `rows` rows
+    sigma = packing.shift
+    rows = len(packing.slot_bytes(r12)) // (packing.nbytes * packing.slots)
+    assert max(i for i, _ in f) == sigma
+    for key in ((sigma + 2, 0), (sigma + 3, 0), (1 - sigma % 2, 0), (0, rows)):
         assert not polyring._substitutes_back(_plus_one(f, key), r12, packing)
-    assert not polyring._substitutes_back(f, r12 + packing.pack({(0, 40): 1}), packing)
+    assert not polyring._substitutes_back(f, r12 + packing.pack({(0, rows): 1}), packing)
 
 
 def test_back_substitution_check_relays_narrow_slots():
@@ -361,13 +409,17 @@ def test_back_substitution_check_relays_narrow_slots():
     assert not polyring._substitutes_back(bad, value, packing)
 
 
-@pytest.mark.parametrize("slot", [0, 1, 12, 14, 25, 26])
-@pytest.mark.parametrize("row", [0, 6, 13])
+@pytest.mark.parametrize("slot", range(6), ids=["first", "second", "below-middle",
+                                                "above-middle", "next-to-last", "last"])
+@pytest.mark.parametrize("row", range(3), ids=["bottom", "middle", "top"])
 def test_a_corrupted_relator_digit_is_caught(monkeypatch, slot, row):
     # one digit of the row-1 route's R12 off by one, anywhere but the
-    # middle slot (which would keep p symmetric): 27/11 has sigma = 26 and
-    # R12 of y-degree 13
+    # middle slot (which would keep p symmetric), in the bottom, middle or
+    # top y-row: both taken from 27/11's packing, sigma + 1 slots a row
     r12, packing = _packed_r12(TwoBridgeFraction(27, 11))
+    sigma, top = packing.shift, max(j for _, j in packing.unpack(r12))
+    slot = [0, 1, sigma // 2 - 1, sigma // 2 + 1, sigma - 1, sigma][slot]
+    row = [0, top // 2, top][row]
     bad = r12 + (1 << 8 * packing.nbytes * (slot + packing.slots * row))
     monkeypatch.setattr(riley, "_relator_r12", lambda word: (bad, packing))
     with pytest.raises((polyring.NotSymmetric, AssertionError)):

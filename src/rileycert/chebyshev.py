@@ -7,12 +7,13 @@ runs on Kronecker-packed integers (`polyring.Packing`): `_packed_cheb_pair`
 multiplies by t one term at a time, a shift and a small-integer multiple
 each, and `_cheb_norms` bounds the l1 norms in advance so that the caller
 can size the slots of whatever it unpacks or compares.  `sl2_power` works
-this way on the homogenised matrix of a `PackedMatrix` and returns one.
+this way on the homogenised matrix of a `PackedMatrix` and returns row 1
+of its power as packed integers.
 """
 
 from __future__ import annotations
 
-from .polyring import PackedMatrix, XYPoly, _merge, _times
+from .polyring import PackedMatrix, Packing, XYPoly, _merge, _times
 
 
 class NotUnimodular(ValueError):
@@ -65,19 +66,21 @@ def _packed_cheb_pair(n: int, t: list[tuple[int, int]], q_shift: int = 0) -> tup
     return prev, cur
 
 
-def sl2_power(M: PackedMatrix, n: int) -> PackedMatrix:
-    """M**n for det(M) = 1 via the homogenised
-    M^n = S_n(tr M) I - S_{n-1}(tr M) M^-1 in t = s**2.
+def sl2_power(M: PackedMatrix, n: int) -> tuple[int, int, Packing]:
+    """Row 1 of M**n for det(M) = 1 via the homogenised
+    M^n = S_n(tr M) I - S_{n-1}(tr M) M^-1 in t = s**2: its two packed
+    integers, M11 and M12 / s, and their packing.
 
     M is checkerboard, as every PackedMatrix is.  With e the largest
     |s-exponent| of a diagonal entry and one more than that of an
     off-diagonal one (all of one parity), W = s**e M has even diagonal
     s-exponents in [0, 2e], odd off-diagonal ones and det W = t**e, and
     H_j = s**(je) S_j(tr M) satisfies H_{j+1} = tr(W) H_j - t**e H_{j-1}
-    in t: s**(ne) M**n = H_n I - H_{n-1} adj(W), packed with shift ne.
-    Its slots, sized from `_cheb_norms`, are those of
-    `PackedMatrix.packing_for`, so the Riley relator of the result can be
-    formed and checked on the packed integers; they also hold det W, whose
+    in t: s**(ne) M**n = H_n I - H_{n-1} adj(W), whose row 1 is
+    (H_n - H_{n-1} W22, H_{n-1} W12), packed with shift ne.  Row 1 is all
+    the Riley relator's R12 reads.  Its slots, sized from `_cheb_norms`,
+    are those of `PackedMatrix.packing_for`, so R12 of the result can be
+    formed on the packed integers; they also hold det W, whose
     coefficients are at most 2 * ||W_ij||_1**2 and whose t-exponents lie
     in [0, 2e], so the determinant is checked there too.
     """
@@ -98,6 +101,5 @@ def sl2_power(M: PackedMatrix, n: int) -> PackedMatrix:
     if w11 * w22 - (w12 * w21 << b) != 1 << e * b:
         raise NotUnimodular("determinant is not the ring unit")
     h_prev, h_cur = _packed_cheb_pair(n, w[0].multiplier(trace), e * b)
-    w11, w12, w21, w22 = (_times(h_prev, p.multiplier(t)) for p, t in zip(w, maps))
-    return PackedMatrix((h_cur - w22, w12, w21, h_cur - w11), packing)
-
+    return (h_cur - _times(h_prev, w[3].multiplier(maps[3])),
+            _times(h_prev, w[1].multiplier(maps[1])), packing)

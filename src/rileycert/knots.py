@@ -15,11 +15,11 @@ from dataclasses import dataclass
 # as p**4 for a fraction); at these limits `riley --cross-check`, or `riley`
 # for a fraction, takes at most about 8 s on a 2-core x86 host (README.md,
 # three runs each: Kl:50 4.1-4.2 s, 501/7 5.6-6.7 s, 501/311 2.3-3.1 s,
-# 499/97 5.0-6.0 s; J:20,20 6.4-7.4 s in two), and one step beyond is
-# refused before any work.  `certify` also runs the root isolation, whose
-# Taylor shifts grow with phi: at the default cap on that host (README.md,
-# three runs each), `certify --knot J:20,20 --n 7` took 9.5-11.8 s and
-# `certify --knot Kl:50 --n 5` 2.7-4.2 s.
+# 499/97 5.0-6.0 s, J:20,20 4.4-4.6 s, J:20,-20 4.0-5.3 s), and one step
+# beyond is refused before any work.  `certify` also runs the root
+# isolation, whose Taylor shifts grow with phi: at the default cap on that
+# host (README.md, three runs each), `certify --knot J:20,20 --n 7` took
+# 9.5-11.8 s and `certify --knot Kl:50 --n 5` 2.7-4.2 s.
 P_MAX = 501
 K_MAX = 20
 M_MAX = 20

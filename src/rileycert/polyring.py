@@ -202,8 +202,8 @@ class SYPoly(_SparsePoly):
 def symmetric_rewrite(p: int, packing: Packing) -> XYPoly:
     """Rewrite an s <-> 1/s symmetric Laurent polynomial as f(x, y), x = s + 1/s.
 
-    p is the integer of s**sigma * p packed in t = s**2 by `packing` (step
-    2, shift sigma, y outer), as the Riley engine holds R12 and traces: the
+    p is the integer of s**sigma * p packed in t = s**2 by `packing`
+    (shift sigma, y outer), as the Riley engine holds R12 and traces: the
     s-exponents of p all have sigma's parity, and only f is unpacked.
 
     Slot k of a y-row holds the coefficient of s**(2k - sigma), so for a
@@ -234,7 +234,7 @@ def symmetric_rewrite(p: int, packing: Packing) -> XYPoly:
     while len(lucas) <= sigma:
         lucas.append(lucas[-1] + lucas[-2])
     bound = max(sum(map(mul, map(abs, a), lucas[odd::2])) for a in a_rows)
-    phi = Packing.covering(-odd, sigma // 2 + 1, bound, 2)
+    phi = Packing.covering(-odd, sigma // 2 + 1, bound)
     b, empty = 8 * phi.nbytes, phi._empty() * phi.slots
     row_bias, out = int.from_bytes(empty, "little"), []   # g + row_bias: g's slot bytes
     for a in a_rows:
@@ -298,12 +298,12 @@ def _substitutes_back(f: dict, value: int, packing: Packing) -> bool:
 
 
 class Packing(NamedTuple):
-    """Kronecker substitution s -> 2**(8*nbytes/step), y -> 2**(8*nbytes*slots).
+    """Kronecker substitution s -> 2**(4*nbytes), y -> 2**(8*nbytes*slots).
 
-    A term c * s**i * y**j sits in slot (i + shift) / step + slots * j, so the
-    packed integer is s**shift * poly evaluated at those powers of two; with
-    step 2 the slots count t = s**2 and every i + shift must be even.  Slot
-    digits are signed: packing is faithful (and `unpack` its inverse) for
+    A term c * s**i * y**j sits in slot (i + shift) / 2 + slots * j, so the
+    packed integer is s**shift * poly evaluated at those powers of two: the
+    slots count t = s**2 (or u = x**2), and every i + shift must be even.
+    Slot digits are signed: packing is faithful (and `unpack` its inverse) for
     polynomials whose terms fall in slots 0 .. slots - 1 of their y-degree
     and whose coefficients are below 2**(8*nbytes - 1) in magnitude.  Integer
     arithmetic on packed values is polynomial arithmetic at that point, so
@@ -314,12 +314,11 @@ class Packing(NamedTuple):
     shift: int
     slots: int
     nbytes: int
-    step: int = 1
 
     @classmethod
-    def covering(cls, shift: int, slots: int, bound: int, step: int = 1) -> "Packing":
+    def covering(cls, shift: int, slots: int, bound: int) -> "Packing":
         """Slots wide enough for every coefficient of magnitude <= bound."""
-        return cls(shift, slots, (bound.bit_length() + 8) // 8, step)
+        return cls(shift, slots, (bound.bit_length() + 8) // 8)
 
     def entries(self) -> tuple["Packing", "Packing", "Packing", "Packing"]:
         """The packings of M11, M12, M21, M22 in a PackedMatrix, whose
@@ -336,13 +335,13 @@ class Packing(NamedTuple):
     def pack(self, terms: dict) -> int:
         """The integer of a {(s_exp, y_deg): coeff} term map."""
         nb, half = self.nbytes, 1 << (8 * self.nbytes - 1)
-        shift, slots, step = self.shift, self.slots, self.step
-        count = max(((i + shift) // step + slots * j for i, j in terms), default=-1) + 1
+        shift, slots = self.shift, self.slots
+        count = max(((i + shift) // 2 + slots * j for i, j in terms), default=-1) + 1
         buf = bytearray(self._empty() * count)
         for (i, j), c in terms.items():
-            if (i + shift) % step or not 0 <= i + shift < step * slots:
+            if (i + shift) % 2 or not 0 <= i + shift < 2 * slots:
                 raise ValueError(f"s-exponent {i} outside the packing")
-            k = ((i + shift) // step + slots * j) * nb
+            k = ((i + shift) // 2 + slots * j) * nb
             buf[k:k + nb] = (c + half).to_bytes(nb, "little")
         return int.from_bytes(buf, "little") - int.from_bytes(self._empty() * count, "little")
 
@@ -351,11 +350,11 @@ class Packing(NamedTuple):
         of poly, each shift being where `pack` puts that term: a packed
         value times s**shift * poly is the sum of coeff * (value << shift)
         over the pairs, which `_times` forms.  Every term of s**shift * poly
-        must have a slot: no negative s-exponent, none off the step."""
-        b, step, shift = 8 * self.nbytes, self.step, self.shift
-        s_bits, y_bits = b // step, b * self.slots
+        must have a slot: no negative s-exponent, none of the other parity."""
+        b, shift = 8 * self.nbytes, self.shift
+        s_bits, y_bits = b // 2, b * self.slots
         for i, _ in terms:
-            if (i + shift) % step or i + shift < 0:
+            if (i + shift) % 2 or i + shift < 0:
                 raise ValueError(f"s-exponent {i} outside the packing")
         return [(s_bits * (i + shift) + y_bits * j, c) for (i, j), c in terms.items()]
 
@@ -373,13 +372,13 @@ class Packing(NamedTuple):
     def read(self, buf: bytes) -> dict:
         """The term map of slots laid out as `slot_bytes` gives them."""
         nb, half, empty = self.nbytes, 1 << (8 * self.nbytes - 1), self._empty()
-        step, shift, slots = self.step, self.shift, self.slots
+        shift, slots = self.shift, self.slots
         terms = {}
         for k in range(0, len(buf), nb):
             chunk = buf[k:k + nb]
             if chunk != empty:
                 j, i = divmod(k // nb, slots)
-                terms[(step * i - shift, j)] = int.from_bytes(chunk, "little") - half
+                terms[(2 * i - shift, j)] = int.from_bytes(chunk, "little") - half
         return terms
 
 
@@ -604,21 +603,16 @@ class PackedMatrix(NamedTuple):
         The diagonal of P has even s-exponents in [0, 2 * shift], so t-slots
         0 .. shift; the off-diagonal, divided by s, has t-slots
         0 .. shift - 1.  With q_ij these t-polynomials, s**(shift + 1) R has
-        R11 = 0, R12 / s = q11 + q12 - t q12 and R22 / t = q21 - (2 - y) q12;
-        R21 = (y - 2) R12 + (s - 1/s) R22 holds for every V, so R22 = 0 is
-        the one structure condition (`riley._relator`).  A word that is its
-        own mirror meets it: with D = diag(1, 2 - y), B = D A^T D^-1, so
-        reversing a word and swapping a and b takes V to D V^T D^-1, whose
-        (2,1) entry is (2 - y) V12.  `riley.riley_generic` checks that on
-        the word and forms R22 only for a power.  The values unpacked or
-        compared are the entries of V and their trace (l1 norm
-        <= 2 * bound), R12 / s (<= 3 * bound) and R22 / t (<= 4 * bound),
-        all within t-slots 0 .. shift: shift + 1 slots per y-degree, for a
-        word of L letters L + 1, where packing in s takes 2L + 3.  The
-        whole product and the power route take this packing; a plain
-        word's R12 alone is laid in rows as wide as its own t-span
-        (`riley._relator_r12`)."""
-        return Packing.covering(shift, shift + 1, 4 * bound, 2)
+        R12 / s = q11 + q12 - t q12 (`riley._r12`), the one entry of R
+        that the engine reads: `riley.riley_generic` checks on the word
+        that R has the shape that makes R12 determine it.  The values
+        unpacked or compared are the entries of V and their trace (l1 norm
+        <= 2 * bound) and R12 / s (<= 3 * bound), all within t-slots
+        0 .. shift: shift + 1 slots per y-degree, for a word of L letters
+        L + 1, where packing in s takes 2L + 3.  The whole product and the
+        power route take this packing; a plain word's R12 alone is laid in
+        rows as wide as its own t-span (`riley._relator_r12`)."""
+        return Packing.covering(shift, shift + 1, 3 * bound)
 
     def term_maps(self) -> tuple[dict, dict, dict, dict]:
         """The {(s_exp, y_deg): coeff} maps of M11, M12, M21, M22."""

@@ -17,10 +17,10 @@ shifts and adds: sA = [[t, s], [0, 1]] maps the t-integers of the columns
 slot width B comes from an l1-norm recursion run over the word before any
 arithmetic: a letter adds one column, times s or (2 - y)s (l1 norm 1 or
 3), to the other, so the norms bound every coefficient of V.  For the
-whole matrix (`evaluate_word`) B covers 4 times the largest of them and
-S = L + 1 slots cover one more letter, so that R12 and R22 of
-R = VA - BV cannot overflow a slot either (`PackedMatrix.packing_for`).
-R21 = (y - 2)R12 + (s - 1/s)R22 holds for every V, so
+whole matrix (`evaluate_word`) B covers 3 times the largest of them and
+S = L + 1 slots cover one more letter, so that neither the trace nor R12
+of R = VA - BV can overflow a slot (`PackedMatrix.packing_for`).
+R11 = 0 and R21 = (y - 2)R12 + (s - 1/s)R22 hold for every V, so
 R22 = V21 - (2 - y)V12 = 0 is the one structure condition, and the mirror
 rule decides it on the word.  With D = diag(1, 2 - y),
 B = D A^T D^-1 and A = D B^T D^-1, so the mirror tau(w) of a word (its
@@ -30,16 +30,18 @@ with tau(w) = w has R22 = 0, and as rho is faithful no other word has.
 Every relator word built here is its own mirror: a fraction's sign
 sequence is a palindrome, e_{p-i} = e_i, since (p - i)q = p - iq mod 2p,
 and the K_l and J(2k+1, 2m) words are mirrors by construction.  So
-`riley_generic` checks tau(v) = v exactly, before any arithmetic, and a
-plain word needs only R12, which reads row 1 of V alone: each letter
-multiplies on the right, so row 1 evolves on its own and the product
-carries only it.  Its rows are laid only as wide as R12's t-span, which
+`riley_generic` checks tau(v) = v exactly, before any arithmetic, and
+then needs only R12, for the word and its powers alike: tau reverses
+products, so tau(v**m) = v**m for every m, the adjugate's negative powers
+included.  R12 reads row 1 of V alone: each letter multiplies on the
+right, so row 1 evolves on its own and the product carries only it.
+For a plain word its rows are laid only as wide as R12's t-span, which
 the same pass over the word that bounds the norms bounds too
 (`_row_one_span`): S = sigma + 1 slots, sigma = deg_x(phi) on a
 fraction's word, where R12 reaches about 0.65 L.  Packed arithmetic is
 evaluation at t = 2**B, y = 2**(B*S), a ring homomorphism, so the
 product's rows may overlap as long as R12's do not.  The power route
-keeps R22 = 0 as the check on `chebyshev.sl2_power`'s output, in
+reads R12 off row 1 of `chebyshev.sl2_power`'s output, in
 `packing_for`'s slots.  R12 stays a packed integer, s**sigma R12 in
 t-slots (sigma the packing's shift), and `polyring.symmetric_rewrite`
 reads phi off its slot digits: slot (sigma + e) / 2 of each y-row holds
@@ -64,8 +66,9 @@ which bounds the l1 norm of S_j(t), so the one value unpacked, phi, is
 faithful.  The engine's power V^m (`chebyshev.sl2_power`) is homogenised
 in t as well: W = s**e V has no negative powers, H_j = s**(je) S_j(tr V)
 satisfies the recurrence with tr W in t and q = t**e (one shift), and
-s**(me) V**m = H_m I - H_{m-1} adj(W) comes back as a PackedMatrix in the
-slots the R22 check above needs, so the power is never unpacked either.
+row 1 of s**(me) V**m = H_m I - H_{m-1} adj(W),
+(H_m - H_{m-1} W22, H_{m-1} W12), comes back as packed integers in the
+slots R12 needs, so the power is never unpacked either.
 """
 
 from __future__ import annotations
@@ -176,21 +179,10 @@ def evaluate_word(word: Word) -> PackedMatrix:
     return PackedMatrix(v, packing)
 
 
-def _relator(v: PackedMatrix) -> tuple[int, int]:
-    """R = VA - BV on the t-integers of V: V sA (a column update, as in
-    `_word_product`) minus sB V (a row update), one more power of s than V.
-    R11 = V11 s - s V11 vanishes and R21 = (y - 2) R12 + (s - 1/s) R22
-    for every V, so R22 is the one value that must vanish.  Returns R22 / t,
-    sized by `PackedMatrix.packing_for`, and R12 (`_r12`), both packed
-    integers: R's off-diagonal packing, one shift up and one down, is V's."""
-    q11, q12, q21 = v.packed[:3]
-    b = 8 * v.packing.nbytes
-    return q21 - (q12 << 1) + (q12 << b * v.packing.slots), _r12(q11, q12, b)
-
-
 def _r12(q11: int, q12: int, b: int) -> int:
-    """R12 / s = V11 + V12 - t V12 of `_relator` at t = 2**b, which reads
-    row 1 of V alone."""
+    """R12 / s of R = VA - BV, V sA minus sB V, from the t-integers q11,
+    q12 of row 1 of V at t = 2**b: V11 + V12 - t V12, one more power of s
+    than V.  R's off-diagonal packing, one shift up and one down, is V's."""
     return q11 + q12 - (q12 << b)
 
 
@@ -246,10 +238,10 @@ def _relator_r12(word: Word) -> tuple[int, Packing]:
     fit its rows, which its support in lo .. hi does.  The t-slots below
     lo must come out 0, StructureViolation otherwise; shifted off, they
     leave s**sigma R12 in sigma + 1 t-slots per y-row: the same terms as
-    `_relator(evaluate_word(word))[1]`, whose rows take L + 1."""
+    R12 of `evaluate_word(word)`, whose rows take L + 1."""
     letters = _letters(word)
     bound, lo, hi = _row_one_span(letters)
-    packing = Packing.covering(hi - lo, hi - lo + 1, bound, 2)
+    packing = Packing.covering(hi - lo, hi - lo + 1, bound)
     b = 8 * packing.nbytes
     q11, q12, _, _ = _word_product(letters, (1, 0, 0, 0), b, b * packing.slots)
     r12 = _r12(q11, q12, b)
@@ -260,9 +252,10 @@ def _relator_r12(word: Word) -> tuple[int, Packing]:
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:
     """phi from the relator word: V = rho(v), or rho(v)^m when m is given
-    (negative m powers the adjugate inverse).  v must be its own mirror
-    (`Word.mirror`), which makes R22 = 0; the power route checks R22 of
-    the power as well."""
+    (negative m powers the adjugate inverse), R12 read off row 1 of V.
+    v must be its own mirror (`Word.mirror`), which makes R22 = 0 for V
+    too: tau reverses products and tau(v) = v, so tau(v^m) = v^m for
+    every m."""
     if m == 0:
         raise ValueError("m must be nonzero")
     if v.mirror() != v:
@@ -271,11 +264,8 @@ def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPoly
         r12, packing = _relator_r12(v)
     else:
         V = evaluate_word(v)
-        V = sl2_power(V if m > 0 else V.adjugate(), abs(m))
-        r22, r12 = _relator(V)
-        if r22:
-            raise StructureViolation("R_22 != 0 in R = VA - BV")
-        packing = V.packing
+        q11, q12, packing = sl2_power(V if m > 0 else V.adjugate(), abs(m))
+        r12 = _r12(q11, q12, 8 * packing.nbytes)
     tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
     return RileyPolynomial(symmetric_rewrite(r12, packing), knot, tag)
 
@@ -327,7 +317,7 @@ def _chebyshev_combination(n: int, lam: XYPoly, a: XYPoly, b: XYPoly) -> XYPoly:
 
     n_prev, n_cur = _cheb_norms(n, l1(lam))
     deg_x = max(n * lam.deg_x() + a.deg_x(), (n - 1) * lam.deg_x() + b.deg_x())
-    packing = Packing.covering(0, deg_x // 2 + 1, n_cur * l1(a) + n_prev * l1(b), 2)
+    packing = Packing.covering(0, deg_x // 2 + 1, n_cur * l1(a) + n_prev * l1(b))
     s_prev, s_cur = _packed_cheb_pair(n, packing.multiplier(lam._terms))
     phi = (_times(s_cur, packing.multiplier(a._terms))
            - _times(s_prev, packing.multiplier(b._terms)))

@@ -1,7 +1,7 @@
 """Conversions between the engine's PackedMatrix and the dict PolyMatrix
 that the tests multiply and compare as an independent oracle."""
 
-from rileycert.polyring import PackedMatrix, PolyMatrix, SYPoly
+from rileycert.polyring import PackedMatrix, Packing, PolyMatrix, SYPoly
 
 
 def as_dict(m: PackedMatrix) -> PolyMatrix:
@@ -18,3 +18,10 @@ def as_packed(m: PolyMatrix) -> PackedMatrix:
     e = max((abs(i) + d for t, d in zip(maps, (0, 1, 1, 0)) for i, _ in t), default=0)
     packing = PackedMatrix.packing_for(e, max(sum(map(abs, t.values())) for t in maps))
     return PackedMatrix(tuple(p.pack(t) for p, t in zip(packing.entries(), maps)), packing)
+
+
+def row_one_as_dict(row: tuple[int, int, Packing]) -> tuple[SYPoly, SYPoly]:
+    """(M11, M12) of the row 1 that `chebyshev.sl2_power` returns: its two
+    packed integers, M11 and M12 / s, and their packing."""
+    q11, q12, packing = row
+    return tuple(SYPoly(p.unpack(v)) for p, v in zip(packing.entries(), (q11, q12)))

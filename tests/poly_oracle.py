@@ -52,7 +52,7 @@ def rewrite_sy(p: SYPoly) -> XYPoly:
     for parity in (0, 1):
         part = {key: c for key, c in p._terms.items() if key[0] & 1 == parity}
         deg = max((abs(i) for i, _ in part), default=parity)
-        packing = Packing.covering(deg, deg + 1, max(map(abs, part.values()), default=0), 2)
+        packing = Packing.covering(deg, deg + 1, max(map(abs, part.values()), default=0))
         terms.update(symmetric_rewrite(packing.pack(part), packing)._terms)
     return XYPoly(terms)
 

@@ -41,7 +41,7 @@ from rileycert.riley import (alpha_dt, evaluate_word, generator_images,
                              lambda_dt, riley_double_twist, riley_for_knot,
                              riley_generic, riley_kl)
 
-from matrix_oracle import as_dict
+from matrix_oracle import as_dict, row_one_as_dict
 from poly_oracle import substitute_y
 
 X = XYPoly.x()
@@ -197,25 +197,29 @@ def test_criterion_4_symbolic_identities():
     images = generator_images()
     y_minus_2 = SYPoly.y() - SYPoly.const(2)
 
-    def r_structure_holds(packed):
-        v_matrix = as_dict(packed)
+    def r_structure_holds(v_matrix):
         r = (v_matrix @ images.a) - (images.b @ v_matrix)
         return (r.e11 == SYPoly.zero() and r.e22 == SYPoly.zero()
                 and r.e21 == y_minus_2 * r.e12 and r.e12.is_symmetric())
 
+    # powers: the structure on the dict oracle's V**m, whose row 1 is the
+    # one sl2_power returns
     from rileycert.chebyshev import sl2_power
     for k in range(1, 5):
         w, _ = word_double_twist(DoubleTwistKnot(k, 2))
         w_mat = evaluate_word(w)
-        ok = ok and r_structure_holds(w_mat)
-        for m in (2, 3, 4):
-            ok = ok and r_structure_holds(sl2_power(w_mat, m))
-            ok = ok and r_structure_holds(sl2_power(w_mat.adjugate(), m))
+        ok = ok and r_structure_holds(as_dict(w_mat))
+        for base in (w_mat, w_mat.adjugate()):
+            plain = power = as_dict(base)
+            for m in (2, 3, 4):
+                power = power @ plain
+                ok = ok and r_structure_holds(power)
+                ok = ok and row_one_as_dict(sl2_power(base, m)) == (power.e11, power.e12)
     for l in range(2, 7):
-        ok = ok and r_structure_holds(evaluate_word(word_kl(KlKnot(l))))
+        ok = ok and r_structure_holds(as_dict(evaluate_word(word_kl(KlKnot(l)))))
     for p, q in ((5, 3), (7, 3), (17, 7)):
         v = word_from_signs(sign_sequence(TwoBridgeFraction(p, q)))
-        ok = ok and r_structure_holds(evaluate_word(v))
+        ok = ok and r_structure_holds(as_dict(evaluate_word(v)))
     _report("criterion 4 (symbolic identities, exact)", ok)
 
 

@@ -6,10 +6,14 @@ import pytest
 from rileycert.chebyshev import NotUnimodular, cheb_eval, cheb_poly, sl2_power
 from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.knots import DoubleTwistKnot, Word, word_double_twist
-from rileycert.polyring import PackedMatrix, PolyMatrix, SYPoly, XYPoly
+from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word
 
-from matrix_oracle import as_dict, as_packed
+from matrix_oracle import as_dict, as_packed, row_one_as_dict
+
+
+def _row_one(m: PolyMatrix):
+    return m.e11, m.e12
 
 
 def u_poly(n):
@@ -86,11 +90,12 @@ def test_sign_between_two_smallest_roots():
 
 
 def test_sl2_power_poly_matrix():
+    # sl2_power returns row 1 of the power, against row 1 of repeated dict
+    # products
     ident = PolyMatrix.identity()
     for n in (1, 2, 5):
-        assert as_dict(sl2_power(as_packed(ident), n)) == ident
-    # random words: powers 1..8 of V and of V^-1 against repeated dict
-    # products
+        assert row_one_as_dict(sl2_power(as_packed(ident), n)) == _row_one(ident)
+    # random words: powers 1..8 of V and of V^-1
     rng = random.Random(53)
     for _ in range(3):
         letters = [(rng.choice("ab"), rng.choice((-1, 1))) for _ in range(3)]
@@ -99,21 +104,23 @@ def test_sl2_power_poly_matrix():
             plain = direct = as_dict(base)
             for n in range(1, 9):
                 power = sl2_power(base, n)
-                assert isinstance(power, PackedMatrix)
-                assert as_dict(power) == direct, (letters, n)
+                assert isinstance(power[2], Packing)
+                assert row_one_as_dict(power) == _row_one(direct), (letters, n)
                 direct = direct @ plain
     w, _ = word_double_twist(DoubleTwistKnot(1, 2))
     mat = as_dict(evaluate_word(w))
-    assert as_dict(sl2_power(evaluate_word(w), 3)) == mat @ mat @ mat
-    # M**n = [[s**n, 0], [*, s**-n]]: entries at both ends of the power's
-    # t-slots 0 .. n
+    assert row_one_as_dict(sl2_power(evaluate_word(w), 3)) == _row_one(mat @ mat @ mat)
+    # M**n = [[s**n, 0], [*, s**-n]] and, for M's mirror image,
+    # [[s**-n, 0], [*, s**n]]: row 1 at both ends of the power's t-slots
+    # 0 .. n
     s = SYPoly.s(1)
-    mat = PolyMatrix(s, SYPoly.zero(), SYPoly.one(), SYPoly.s(-1))
-    direct = mat
-    for n in range(1, 7):
-        power = sl2_power(as_packed(mat), n)
-        assert as_dict(power) == direct and power.packing.shift == n, n
-        direct = direct @ mat
+    for mat in (PolyMatrix(s, SYPoly.zero(), SYPoly.one(), SYPoly.s(-1)),
+                PolyMatrix(SYPoly.s(-1), SYPoly.zero(), SYPoly.one(), s)):
+        direct = mat
+        for n in range(1, 7):
+            power = sl2_power(as_packed(mat), n)
+            assert row_one_as_dict(power) == _row_one(direct) and power[2].shift == n, n
+            direct = direct @ mat
     with pytest.raises(ValueError):
         sl2_power(as_packed(ident), 0)
     # only a PackedMatrix, which is checkerboard by construction
@@ -151,14 +158,18 @@ def test_sl2_power_rejects_a_determinant_other_than_one():
 
 def test_sl2_power_small_trace_large_entries():
     # tr M = y has l1 norm 1 while the entries reach about 10**6, so the
-    # off-diagonal entries of M**n, S_{n-1}(y) times an entry of M, outgrow
-    # S_n(y) by that factor: the slots must cover N_{n-1} ||M_ij||_1 too
+    # entries of M**n, S_{n-1}(y) times an entry of M, outgrow S_n(y) by
+    # that factor: the slots must cover N_{n-1} ||M_ij||_1 too.  Row 1 of
+    # M**n holds S_{n-1}(y) times M22 and M12, so the large off-diagonal
+    # entry is taken in row 1 of the transpose as well
     u, y, s = 1000, SYPoly.y(), SYPoly.s(1)
-    mat = PolyMatrix(y + u, s, (-1 - u * y - u * u) * SYPoly.s(-1), SYPoly.const(-u))
-    base, direct = as_packed(mat), mat
-    for n in range(1, 61):
-        assert as_dict(sl2_power(base, n)) == direct, n
-        direct = direct @ mat
+    large = (-1 - u * y - u * u) * SYPoly.s(-1)
+    for mat in (PolyMatrix(y + u, s, large, SYPoly.const(-u)),
+                PolyMatrix(y + u, large, s, SYPoly.const(-u))):
+        base, direct = as_packed(mat), mat
+        for n in range(1, 61):
+            assert row_one_as_dict(sl2_power(base, n)) == _row_one(direct), n
+            direct = direct @ mat
 
 
 def test_eval_on_dyadic_interval():

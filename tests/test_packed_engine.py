@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rileycert import polyring, riley
+from rileycert import cli, polyring, riley
 from rileycert.chebyshev import sl2_power
 from rileycert.knots import (KL_WORD_C, DoubleTwistKnot, KlKnot, TwoBridgeFraction,
                              Word, sign_sequence, word_double_twist,
@@ -13,7 +13,7 @@ from rileycert.knots import (KL_WORD_C, DoubleTwistKnot, KlKnot, TwoBridgeFracti
 from rileycert.polyring import PackedMatrix, Packing, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word, generator_images
 
-from matrix_oracle import as_dict
+from matrix_oracle import as_dict, row_one_as_dict
 from poly_oracle import to_sy
 
 
@@ -50,14 +50,13 @@ def test_packed_word_equals_dict_product(text):
     assert as_dict(packed) == reference_evaluate_word(word)
 
 
-def _assert_checkerboard(packed: PackedMatrix, oracle: PolyMatrix):
+def _assert_checkerboard(packing: Packing, entries: tuple, oracle: tuple):
     # the oracle's diagonal s-exponents = shift and off-diagonal ones =
     # shift + 1 (mod 2): every entry has a t-slot, and equals its unpacking
-    assert packed.packing.step == 2
-    for k, entry in enumerate(_entries(oracle)):
-        assert all((i - packed.packing.shift - (k in (1, 2))) % 2 == 0
+    for k, entry in enumerate(oracle):
+        assert all((i - packing.shift - (k in (1, 2))) % 2 == 0
                    for i, _, _ in entry.terms())
-    assert as_dict(packed) == oracle
+    assert tuple(SYPoly(p.unpack(v)) for p, v in zip(packing.entries(), entries)) == oracle
 
 
 def _palindromic_word(half: list[bool]) -> Word:
@@ -83,14 +82,16 @@ def test_packed_results_equal_the_dict_oracle(word_and_power):
     word, m = word_and_power
     images = generator_images()
     base, base_dict = evaluate_word(word), reference_evaluate_word(word)
-    _assert_checkerboard(base, base_dict)
+    _assert_checkerboard(base.packing, base.packed, _entries(base_dict))
     r_word = base_dict @ images.a - images.b @ base_dict
     if m < 0:
         base, base_dict = base.adjugate(), base_dict.adjugate()
     power, power_dict = sl2_power(base, abs(m)), base_dict
     for _ in range(abs(m) - 1):
         power_dict = power_dict @ base_dict
-    _assert_checkerboard(power, power_dict)
+    # sl2_power returns row 1 of the power: its entries against row 1 of
+    # the oracle's repeated products
+    _assert_checkerboard(power[2], power[:2], _entries(power_dict)[:2])
     # the mirror rule: R22 of w^m vanishes exactly when tau(w) = w, and
     # riley_generic takes exactly those words, with or without the power
     r = power_dict @ images.a - images.b @ power_dict
@@ -127,21 +128,26 @@ _MIRROR_WORDS = st.one_of(
     st.integers(2, 10).map(lambda l: word_kl(KlKnot(l))))
 
 
+def _full_r12(full: PackedMatrix) -> int:
+    # R12 / s of R = VA - BV on the full product's row 1, in its packing
+    return riley._r12(*full.packed[:2], 8 * full.packing.nbytes)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_MIRROR_WORDS)
 @example(word_kl(KlKnot(2)))
 @example(word_from_signs(sign_sequence(TwoBridgeFraction(151, 57))))
 def test_row_one_relator_equals_the_full_one(word):
     # the row-1 route's R12 has the full product's terms, in rows only as
-    # wide as its t-span, and the full R22 it skips is 0; the dict
-    # oracle's R22 is 0 too, formed up to 64 letters, where it takes at
-    # most about 0.1 s
+    # wide as its t-span, and the full R22 it skips is 0, both formed on
+    # the full product's entries; the dict oracle's R22 is 0 too, formed
+    # up to 64 letters, where it takes at most about 0.1 s
     assert word.mirror() == word
     full = evaluate_word(word)
-    r22, r12 = riley._relator(full)
+    v_full = as_dict(full)
     value, packing = riley._relator_r12(word)
-    assert packing.unpack(value) == full.packing.unpack(r12)
-    assert r22 == 0
+    assert packing.unpack(value) == full.packing.unpack(_full_r12(full))
+    assert v_full.e21 == (SYPoly.const(2) - SYPoly.y()) * v_full.e12
     if len(word.to_text()) <= 64:
         images, v = generator_images(), reference_evaluate_word(word)
         assert (v @ images.a - images.b @ v).e22 == SYPoly.zero()
@@ -165,7 +171,7 @@ def test_row_one_span_holds_the_relator(word):
         terms = {(i, j): c for i, j, c in (v @ images.a - images.b @ v).e12.terms()}
     else:
         full = evaluate_word(word)
-        terms = full.packing.unpack(riley._relator(full)[1])
+        terms = full.packing.unpack(_full_r12(full))
     assert lo + hi == length
     assert all((i + length) % 2 == 0 and lo <= (i + length) // 2 <= hi for i, _ in terms)
     assert max(map(abs, terms.values())) <= bound
@@ -237,32 +243,37 @@ def test_packed_entries_take_half_the_slots():
                                   word_from_signs(sign_sequence(
                                       TwoBridgeFraction(151, 57))).to_text()])
 def test_slots_cover_the_relator_bound(text):
-    # the l1 recursion must bound the true norms: the slots hold 4 times
-    # the largest entry norm, which R22 / t, the one value the structure
-    # check compares, can reach; in t = s**2 the relator of L letters spans
-    # t-slots 0 .. L
+    # the l1 recursion must bound the true norms: the slots hold 3 times
+    # the largest entry norm, which R12 / s, the widest value read, can
+    # reach, and R12's true coefficients fit them; in t = s**2 the
+    # relator of L letters spans t-slots 0 .. L
     m = evaluate_word(Word.parse_text(text))
-    norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(as_dict(m)))
-    assert 4 * norm < 2 ** (8 * m.packing.nbytes - 1)
+    v = as_dict(m)
+    norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(v))
+    images = generator_images()
+    r12 = (v @ images.a - images.b @ v).e12
+    assert max(abs(c) for _, _, c in r12.terms()) <= 3 * norm < 2 ** (8 * m.packing.nbytes - 1)
     assert m.packing.slots == len(text) + 1
 
 
 def test_unpack_borrows_across_adjacent_negative_slots():
-    packing = Packing(shift=1, slots=4, nbytes=1)
-    terms = {(-1, 0): -1, (0, 0): -1, (1, 0): -128, (2, 0): 127,
-             (-1, 1): -1, (0, 1): 1, (2, 2): -3}
+    # s-exponents -2 .. 4 in t-slots 0 .. 3
+    packing = Packing(shift=2, slots=4, nbytes=1)
+    terms = {(-2, 0): -1, (0, 0): -1, (2, 0): -128, (4, 0): 127,
+             (-2, 1): -1, (0, 1): 1, (4, 2): -3}
     value = packing.pack(terms)
-    assert value == sum(c * 2 ** (8 * (i + 1 + 4 * j)) for (i, j), c in terms.items())
+    assert value == sum(c * 2 ** (8 * ((i + 2) // 2 + 4 * j)) for (i, j), c in terms.items())
     assert packing.unpack(value) == terms
     assert packing.unpack(0) == {}
-    with pytest.raises(ValueError):
-        packing.pack({(3, 0): 1})
+    for bad in ({(6, 0): 1}, {(-4, 0): 1}, {(1, 0): 1}):
+        with pytest.raises(ValueError):
+            packing.pack(bad)
 
 
 def test_a_multiplier_term_needs_a_slot():
-    # in u = x**2 slots (step 2) an odd x-exponent would land mid-slot, and
-    # a negative one below slot 0: multiplier refuses both, as pack does
-    packing = Packing.covering(0, 4, 100, 2)
+    # in u = x**2 slots an odd x-exponent would land mid-slot, and a
+    # negative one below slot 0: multiplier refuses both, as pack does
+    packing = Packing.covering(0, 4, 100)
     value = packing.pack({(2, 0): 3, (0, 1): -1})
     terms = {(0, 0): 1, (2, 0): -2, (4, 1): 5}
     product = polyring._times(value, packing.multiplier(terms))
@@ -271,16 +282,18 @@ def test_a_multiplier_term_needs_a_slot():
         with pytest.raises(ValueError):
             packing.multiplier(bad)
     # with s**shift, s**-1 sits in slot 0 and s * y in slot 1 of row 1
-    assert Packing.covering(1, 4, 100, 2).multiplier({(-1, 0): 2, (1, 1): 1}) == [
+    assert Packing.covering(1, 4, 100).multiplier({(-1, 0): 2, (1, 1): 1}) == [
         (0, 2), (8 + 32, 1)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 4)),
+@given(st.dictionaries(st.tuples(st.integers(-3, 3).map(lambda i: 2 * i),
+                                 st.integers(0, 4)),
                        st.integers(-2 ** 15 + 1, 2 ** 15 - 1).filter(bool),
                        max_size=20))
 def test_packing_round_trip(terms):
-    packing = Packing.covering(3, 7, 2 ** 15 - 1)
+    # s-exponents -6 .. 6 in t-slots 0 .. 6
+    packing = Packing.covering(6, 7, 2 ** 15 - 1)
     assert packing.nbytes == 2
     assert packing.unpack(packing.pack(terms)) == terms
 
@@ -291,22 +304,6 @@ def test_packed_adjugate_equals_dict_adjugate():
     packed = evaluate_word(w)
     assert isinstance(packed.adjugate(), PackedMatrix)
     assert as_dict(packed.adjugate()) == plain.adjugate()
-
-
-def test_structure_checks_read_the_packed_relator(monkeypatch):
-    # the power route checks R_22 = V_21 - (2 - y) V_12 of sl2_power's
-    # output; at m = 1 that is the word's own matrix, and one more
-    # s**(1 - L) in V_21 or V_12 (t-slot 0 of the off-diagonal integers)
-    # puts it into R_22
-    v = word_from_signs(sign_sequence(TwoBridgeFraction(7, 3)))
-    assert riley.riley_generic(v, 1).poly == riley.riley_generic(v).poly
-    good = evaluate_word(v)
-    p11, p12, p21, p22 = good.packed
-    for bad in ((p11, p12, p21 + 1, p22), (p11, p12 - 1, p21, p22)):
-        monkeypatch.setattr(riley, "sl2_power",
-                            lambda base, n, bad=bad: PackedMatrix(bad, good.packing))
-        with pytest.raises(riley.StructureViolation):
-            riley.riley_generic(v, 1)
 
 
 def test_power_path_reads_only_packed_integers(monkeypatch):
@@ -330,32 +327,86 @@ def test_power_path_reads_only_packed_integers(monkeypatch):
         # power and R12 are packed with shift sigma = 5 * 2; phi = g(x**2)
         # is read in sigma / 2 + 1 u-slots, shift 0
         assert seen[:4] == list(word_packing.entries())
-        assert [(pk.shift, pk.slots, pk.step) for pk in seen[4:]] == [(0, 6, 2)]
+        assert [(pk.shift, pk.slots) for pk in seen[4:]] == [(0, 6)]
 
 
-def test_structure_checks_read_the_packed_power(monkeypatch):
+def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
+    # the power route reads R12 off row 1 of sl2_power's output and checks
+    # nothing else there: one more in q11, or one less in t-slot 0 of q12,
+    # makes R12 asymmetric, which symmetric_rewrite's back-substitution
+    # check finds, in the library and in the CLI's cross-check
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
-    good = sl2_power(evaluate_word(w), 4)
-    p11, p12, p21, p22 = good.packed
-    for bad in ((p11, p12, p21 + 1, p22), (p11, p12 - 1, p21, p22)):
-        monkeypatch.setattr(riley, "sl2_power",
-                            lambda base, n, bad=bad: PackedMatrix(bad, good.packing))
-        with pytest.raises(riley.StructureViolation):
+    q11, q12, packing = sl2_power(evaluate_word(w), 4)
+    assert word_double_twist(DoubleTwistKnot(2, 4)) == (w, 4)
+    for bad in ((q11 + 1, q12), (q11, q12 - 1)):
+        monkeypatch.setattr(riley, "sl2_power", lambda base, n, bad=bad: (*bad, packing))
+        with pytest.raises(polyring.NotSymmetric):
             riley.riley_generic(w, 4)
+        assert cli.main(["riley", "--knot", "J:2,4", "--cross-check"]) == 1
+        assert "not invariant under s -> 1/s" in capsys.readouterr().err
+
+
+_J_WORDS = [word_double_twist(DoubleTwistKnot(k, 2))[0] for k in range(1, 5)]
+_FRACTION_WORDS_TO_65 = [word_from_signs(sign_sequence(f)) for f in _FRACTIONS_TO_151
+                         if f.p <= 65]
+_KL_WORDS = [word_kl(KlKnot(l)) for l in range(2, 7)]
+
+
+def _power_of(budget: int, words):
+    # a power m in +-1 .. +-6 and a word of at most budget // |m| letters:
+    # the dict oracle's cost grows steeply with letters * |m| (a fraction's
+    # 36-letter word to the third takes about 1.5 s), but the J:k words of
+    # k <= 4, at most 18 letters, take at most 0.06 s at every such power
+    return st.integers(1, 6).flatmap(lambda m: st.tuples(
+        words(budget // m), st.sampled_from((m, -m))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    _power_of(64, lambda n: st.sampled_from(_J_WORDS + [
+        w for w in _FRACTION_WORDS_TO_65 + _KL_WORDS if len(riley._letters(w)) <= n])),
+    _power_of(60, lambda n: st.text(alphabet="aAbB", min_size=1, max_size=n)
+              .map(Word.parse_text).filter(lambda w: w.mirror() != w))))
+@example((_J_WORDS[3], -6))
+@example((word_kl(KlKnot(2)), 4))
+@example((word_from_signs(sign_sequence(TwoBridgeFraction(11, 3))), -6))
+@example((word_kl(KlKnot(6)), -1))
+@example((Word.parse_text("ab"), 6))
+def test_the_mirror_rule_holds_for_every_power(word_and_power):
+    # the power route's one structure argument: tau(w) = w gives
+    # tau(w**m) = w**m, as tau reverses products, so the dict oracle's
+    # V = rho(w)**m has V21 = (2 - y) V12, that is R22 = 0; a word that is
+    # not its own mirror fails it at every power, as rho is faithful
+    word, m = word_and_power
+    base = reference_evaluate_word(word)
+    if m < 0:
+        base = base.adjugate()
+    power = base
+    for _ in range(abs(m) - 1):
+        power = power @ base
+    holds = power.e21 == (SYPoly.const(2) - SYPoly.y()) * power.e12
+    assert holds == (word.mirror() == word)
 
 
 @pytest.mark.parametrize("k, m", [(1, 2), (3, 6), (6, -6), (10, 10)])
 def test_power_slots_cover_the_relator_bound(k, m):
     # the Chebyshev norm recursion must bound the true norms of the power's
-    # entries: the slots hold 4 times the largest of them, and span
-    # t-slots 0 .. shift
+    # entries, those of the dict oracle's repeated products: the slots
+    # hold 3 times the largest of them, and span t-slots 0 .. shift; the
+    # power's row 1 is the oracle's
     w, _ = word_double_twist(DoubleTwistKnot(k, 2))
-    base = evaluate_word(w)
-    power = sl2_power(base if m > 0 else base.adjugate(), abs(m))
-    norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(as_dict(power)))
-    assert 4 * norm < 2 ** (8 * power.packing.nbytes - 1)
-    assert power.packing.shift == 2 * abs(m)
-    assert power.packing.slots >= power.packing.shift + 1
+    base, plain = evaluate_word(w), reference_evaluate_word(w)
+    if m < 0:
+        base, plain = base.adjugate(), plain.adjugate()
+    row, direct = sl2_power(base, abs(m)), plain
+    for _ in range(abs(m) - 1):
+        direct = direct @ plain
+    packing = row[2]
+    norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(direct))
+    assert 3 * norm < 2 ** (8 * packing.nbytes - 1)
+    assert packing.shift == 2 * abs(m)
+    assert packing.slots >= packing.shift + 1
+    assert row_one_as_dict(row) == (direct.e11, direct.e12)
 
 
 def test_back_substitution_check_runs_on_every_build(monkeypatch):
@@ -395,7 +446,7 @@ def test_back_substitution_check_relays_narrow_slots():
     x = XYPoly.x()
     f = ((x * x + 1) ** 10)._terms
     p = to_sy(XYPoly(f))._terms
-    packing = Packing.covering(20, 21, max(map(abs, p.values())), 2)
+    packing = Packing.covering(20, 21, max(map(abs, p.values())))
     assert packing.nbytes == 3 and Packing.covering(0, 0, 5 ** 10).nbytes == 4
     value = packing.pack(p)
     assert polyring._substitutes_back(f, value, packing)

@@ -7,13 +7,13 @@ runs on Kronecker-packed integers (`polyring.Packing`): `_packed_cheb_pair`
 multiplies by t one term at a time, a shift and a small-integer multiple
 each, and `_cheb_norms` bounds the l1 norms in advance so that the caller
 can size the slots of whatever it unpacks or compares.  `sl2_power` works
-this way on the homogenised matrix of a `PackedMatrix` and returns row 1
-of its power as packed integers.
+this way on the homogenised matrix of a checkerboard matrix given by its
+entries' term maps and returns row 1 of its power as packed integers.
 """
 
 from __future__ import annotations
 
-from .polyring import PackedMatrix, Packing, XYPoly, _merge, _times
+from .polyring import Packing, XYPoly, _merge, _times
 
 
 class NotUnimodular(ValueError):
@@ -66,35 +66,36 @@ def _packed_cheb_pair(n: int, t: list[tuple[int, int]], q_shift: int = 0) -> tup
     return prev, cur
 
 
-def sl2_power(M: PackedMatrix, n: int) -> tuple[int, int, Packing]:
+def sl2_power(maps: tuple[dict, dict, dict, dict], n: int) -> tuple[int, int, Packing]:
     """Row 1 of M**n for det(M) = 1 via the homogenised
     M^n = S_n(tr M) I - S_{n-1}(tr M) M^-1 in t = s**2: its two packed
-    integers, M11 and M12 / s, and their packing.
+    integers, M11 and M12 / s, and their packing.  M is given by the
+    {(s_exp, y_deg): coeff} maps of M11, M12, M21, M22.
 
-    M is checkerboard, as every PackedMatrix is.  With e the largest
-    |s-exponent| of a diagonal entry and one more than that of an
-    off-diagonal one (all of one parity), W = s**e M has even diagonal
-    s-exponents in [0, 2e], odd off-diagonal ones and det W = t**e, and
-    H_j = s**(je) S_j(tr M) satisfies H_{j+1} = tr(W) H_j - t**e H_{j-1}
-    in t: s**(ne) M**n = H_n I - H_{n-1} adj(W), whose row 1 is
-    (H_n - H_{n-1} W22, H_{n-1} W12), packed with shift ne.  Row 1 is all
-    the Riley relator's R12 reads.  Its slots, sized from `_cheb_norms`,
-    are those of `PackedMatrix.packing_for`, so R12 of the result can be
-    formed on the packed integers; they also hold det W, whose
-    coefficients are at most 2 * ||W_ij||_1**2 and whose t-exponents lie
-    in [0, 2e], so the determinant is checked there too.
+    M must be checkerboard (diagonal s-exponents of one parity,
+    off-diagonal ones of the other), as every word in the Riley generators
+    is; `Packing.pack` refuses any other with ValueError.  With e the
+    largest |s-exponent| of a diagonal entry and one more than that of an
+    off-diagonal one, W = s**e M has even diagonal s-exponents in [0, 2e],
+    odd off-diagonal ones and det W = t**e, and H_j = s**(je) S_j(tr M)
+    satisfies H_{j+1} = tr(W) H_j - t**e H_{j-1} in t:
+    s**(ne) M**n = H_n I - H_{n-1} adj(W), whose row 1 is
+    (H_n - H_{n-1} W22, H_{n-1} W12), packed with shift ne in t-slots
+    0 .. ne.  Row 1 is all the Riley relator's R12 reads.  The slots hold
+    3 times the largest l1 norm of an entry of s**(ne) M**n, bounded by
+    `_cheb_norms`, so that R12 / s = M11 + M12 - t M12 (`riley._r12`) can
+    be formed on the packed integers, and at least 2e + 1 t-slots of
+    coefficients up to ||W_ij||_1**2, which hold det W, so the determinant
+    is checked there too.
     """
-    if not isinstance(M, PackedMatrix):
-        raise TypeError(f"sl2_power takes a PackedMatrix, not {type(M).__name__}")
     if n < 1:
         raise ValueError("need n >= 1")
-    maps, off = M.term_maps(), (0, 1, 1, 0)
-    e = max((abs(i) + d for t, d in zip(maps, off) for i, _ in t), default=0)
+    e = max((abs(i) + d for t, d in zip(maps, (0, 1, 1, 0)) for i, _ in t), default=0)
     w_norm = max(sum(map(abs, t.values())) for t in maps)
     trace = _merge(maps[0], maps[3])
     h_prev, h_cur = _cheb_norms(n, sum(map(abs, trace.values())))
-    packing = PackedMatrix.packing_for(n * e, max(h_cur + h_prev * w_norm, w_norm ** 2))
-    packing = packing._replace(slots=max(packing.slots, 2 * e + 1))
+    bound = 3 * max(h_cur + h_prev * w_norm, w_norm ** 2)
+    packing = Packing.covering(n * e, max(n, 2) * e + 1, bound)
     w = packing._replace(shift=e).entries()
     w11, w12, w21, w22 = (p.pack(t) for p, t in zip(w, maps))
     b = 8 * packing.nbytes

@@ -321,9 +321,10 @@ class Packing(NamedTuple):
         return cls(shift, slots, (bound.bit_length() + 8) // 8)
 
     def entries(self) -> tuple["Packing", "Packing", "Packing", "Packing"]:
-        """The packings of M11, M12, M21, M22 in a PackedMatrix, whose
-        integers hold the off-diagonal entries divided by s: one shift
-        lower."""
+        """The packings of M11, M12, M21, M22 of a checkerboard matrix
+        (diagonal s-exponents of the shift's parity, off-diagonal ones of
+        the other) whose integers hold the off-diagonal entries divided by
+        s: one shift lower."""
         off = self._replace(shift=self.shift - 1)
         return self, off, off, self
 
@@ -532,8 +533,8 @@ def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e: int
 
 class PolyMatrix:
     """2x2 matrix over Z[s, 1/s, y] by dict polynomial arithmetic.  The
-    program multiplies `PackedMatrix` integers only; this stays as the
-    tests' independent oracle."""
+    program multiplies packed integers only (`riley.evaluate_word`,
+    `chebyshev.sl2_power`); this stays as the tests' independent oracle."""
 
     __slots__ = ("e11", "e12", "e21", "e22")
 
@@ -577,48 +578,3 @@ class PolyMatrix:
         return (f"PolyMatrix([{self.e11.to_text()!r}, {self.e12.to_text()!r}], "
                 f"[{self.e21.to_text()!r}, {self.e22.to_text()!r}])")
 
-
-class PackedMatrix(NamedTuple):
-    """A 2x2 matrix over Z[s, 1/s, y] held as four packed integers: the
-    program's only matrix arithmetic (the Riley engine and
-    `chebyshev.sl2_power`).
-
-    The matrix is checkerboard (diagonal s-exponents of one parity,
-    off-diagonal ones of the other), as every word in the generators is
-    and products, adjugates and powers keep, so its integers pack it in
-    t = s**2, the off-diagonal entries divided by s (`packing_for`,
-    `Packing.entries`).  Nothing unpacks the entries but `term_maps`."""
-
-    packed: tuple[int, int, int, int]
-    packing: Packing
-
-    @staticmethod
-    def packing_for(shift: int, bound: int) -> Packing:
-        """The packing, in t = s**2, of a checkerboard V = s**-shift * P
-        (diagonal s-exponents of the parity of shift, off-diagonal ones of
-        the other), each entry P_ij of l1 norm <= bound, that stays
-        faithful for the Riley relator R = VA - BV
-        (A = [[s, 1], [0, 1/s]], B = [[s, 0], [2 - y, 1/s]]).
-
-        The diagonal of P has even s-exponents in [0, 2 * shift], so t-slots
-        0 .. shift; the off-diagonal, divided by s, has t-slots
-        0 .. shift - 1.  With q_ij these t-polynomials, s**(shift + 1) R has
-        R12 / s = q11 + q12 - t q12 (`riley._r12`), the one entry of R
-        that the engine reads: `riley.riley_generic` checks on the word
-        that R has the shape that makes R12 determine it.  The values
-        unpacked or compared are the entries of V and their trace (l1 norm
-        <= 2 * bound) and R12 / s (<= 3 * bound), all within t-slots
-        0 .. shift: shift + 1 slots per y-degree, for a word of L letters
-        L + 1, where packing in s takes 2L + 3.  The whole product and the
-        power route take this packing; a plain word's R12 alone is laid in
-        rows as wide as its own t-span (`riley._relator_r12`)."""
-        return Packing.covering(shift, shift + 1, 3 * bound)
-
-    def term_maps(self) -> tuple[dict, dict, dict, dict]:
-        """The {(s_exp, y_deg): coeff} maps of M11, M12, M21, M22."""
-        return tuple(p.unpack(v) for p, v in zip(self.packing.entries(), self.packed))
-
-    def adjugate(self) -> "PackedMatrix":
-        """The inverse, when det = 1."""
-        p11, p12, p21, p22 = self.packed
-        return PackedMatrix((p22, -p12, -p21, p11), self.packing)

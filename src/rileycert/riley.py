@@ -16,10 +16,10 @@ shifts and adds: sA = [[t, s], [0, 1]] maps the t-integers of the columns
 (c1, c2) to (t c1, c1 + c2) in row 1 and (t c1, t c1 + c2) in row 2.  The
 slot width B comes from an l1-norm recursion run over the word before any
 arithmetic: a letter adds one column, times s or (2 - y)s (l1 norm 1 or
-3), to the other, so the norms bound every coefficient of V.  For the
-whole matrix (`evaluate_word`) B covers 3 times the largest of them and
-S = L + 1 slots cover one more letter, so that neither the trace nor R12
-of R = VA - BV can overflow a slot (`PackedMatrix.packing_for`).
+3), to the other, so the norms bound every coefficient of V.  The whole
+matrix (`evaluate_word`) is multiplied out only to be unpacked into the
+term maps of its entries, so B covers the largest of the norms and
+S = L + 1 slots hold an entry's t-slots 0 .. L.
 R11 = 0 and R21 = (y - 2)R12 + (s - 1/s)R22 hold for every V, so
 R22 = V21 - (2 - y)V12 = 0 is the one structure condition, and the mirror
 rule decides it on the word.  With D = diag(1, 2 - y),
@@ -41,21 +41,22 @@ the same pass over the word that bounds the norms bounds too
 fraction's word, where R12 reaches about 0.65 L.  Packed arithmetic is
 evaluation at t = 2**B, y = 2**(B*S), a ring homomorphism, so the
 product's rows may overlap as long as R12's do not.  The power route
-reads R12 off row 1 of `chebyshev.sl2_power`'s output, in
-`packing_for`'s slots.  R12 stays a packed integer, s**sigma R12 in
-t-slots (sigma the packing's shift), and `polyring.symmetric_rewrite`
-reads phi off its slot digits: slot (sigma + e) / 2 of each y-row holds
-c_e, the coefficient of s**e + s**-e, and each row is summed in that basis by Clenshaw's recurrence on packed
-u-integers, u = x**2 (every e has sigma's parity).  Those slots are sized
-by sum_e |c_e| L_e, the Lucas number L_e being the l1 norm of
-s**e + s**-e written in x, so phi is the one value unpacked.  The
+reads R12 off row 1 of `chebyshev.sl2_power`'s output, whose slots cover
+3 times the norms of the power's entries, as R12 / s = V11 + V12 - t V12
+needs.  R12 stays a packed integer, s**sigma R12 in t-slots (sigma the
+packing's shift), and `polyring.symmetric_rewrite` reads phi off its slot
+digits: slot (sigma + e) / 2 of each y-row holds c_e, the coefficient of
+s**e + s**-e, and each row is summed in that basis by Clenshaw's
+recurrence on packed u-integers, u = x**2 (every e has sigma's parity).
+Those slots are sized by sum_e |c_e| L_e, the Lucas number L_e being the
+l1 norm of s**e + s**-e written in x, so phi is the one value unpacked.  The
 back-substitution check then forms s**sigma phi(s + 1/s) per y-row in t,
 Horner in (1 + t)**2, whose l1 norm is at most sum_i |phi_i| 2**i, and
 compares it with R12's row: in R12's own slots when they are wide enough
 for that bound, in re-laid wider ones otherwise.
-`kl_cross_check` reads the K_l lambda, alpha and beta off the same packed
-matrices: the trace of C off the full product, and R12 of D and of
-C^-1 D off row 1.
+`kl_cross_check` reads the K_l lambda, alpha and beta off the same
+engine: the trace of C off the term maps of the full product, packed once
+for the rewrite, and R12 of D and of C^-1 D off row 1.
 
 Both Chebyshev routes run the recurrence S_{j+1} = t S_j - q S_{j-1} on
 packed integers too, multiplying by t one term at a time (a shift and a
@@ -68,7 +69,8 @@ in t as well: W = s**e V has no negative powers, H_j = s**(je) S_j(tr V)
 satisfies the recurrence with tr W in t and q = t**e (one shift), and
 row 1 of s**(me) V**m = H_m I - H_{m-1} adj(W),
 (H_m - H_{m-1} W22, H_{m-1} W12), comes back as packed integers in the
-slots R12 needs, so the power is never unpacked either.
+slots R12 needs, so the power is never unpacked either.  For m < 0 it
+powers adj(V) = V**-1, formed on V's term maps.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from .chebyshev import _cheb_norms, _cheb_pair, _packed_cheb_pair, sl2_power
 from .knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot,
                     TwoBridgeFraction, Word, sign_sequence, word_double_twist,
                     word_from_signs, word_kl)
-from .polyring import (Packing, PackedMatrix, PolyMatrix, SYPoly, XYPoly, _times,
+from .polyring import (Packing, PolyMatrix, SYPoly, XYPoly, _merge, _times,
                        symmetric_rewrite)
 
 
@@ -161,10 +163,11 @@ def _word_product(letters: list[tuple[str, bool]], rows: tuple[int, int, int, in
     return q11, q12, q21, q22
 
 
-def evaluate_word(word: Word) -> PackedMatrix:
-    """Ordered product of generator images, exponents expanded, as a
-    PackedMatrix in t = s**2: s**L times the product of the L letters, each
-    scaled by s, in `PackedMatrix.packing_for`'s slots."""
+def evaluate_word(word: Word) -> tuple[dict, dict, dict, dict]:
+    """The {(s_exp, y_deg): coeff} maps of V11, V12, V21, V22 for V the
+    ordered product of generator images, exponents expanded: multiplied
+    out in t = s**2 as s**L times the product of the L letters, each
+    scaled by s, in L + 1 t-slots per y-row of the entries' l1 norm."""
     letters = _letters(word)
     # l1 norms of the scaled entries, which bound their coefficients
     n11, n12, n21, n22 = 1, 0, 0, 1
@@ -173,10 +176,10 @@ def evaluate_word(word: Word) -> PackedMatrix:
             n12, n22 = n12 + n11, n22 + n21
         else:
             n11, n21 = n11 + 3 * n12, n21 + 3 * n22
-    packing = PackedMatrix.packing_for(len(letters), max(n11, n12, n21, n22))
+    packing = Packing.covering(len(letters), len(letters) + 1, max(n11, n12, n21, n22))
     b = 8 * packing.nbytes
     v = _word_product(letters, (1, 0, 0, 1), b, b * packing.slots)
-    return PackedMatrix(v, packing)
+    return tuple(p.unpack(q) for p, q in zip(packing.entries(), v))
 
 
 def _r12(q11: int, q12: int, b: int) -> int:
@@ -238,7 +241,7 @@ def _relator_r12(word: Word) -> tuple[int, Packing]:
     fit its rows, which its support in lo .. hi does.  The t-slots below
     lo must come out 0, StructureViolation otherwise; shifted off, they
     leave s**sigma R12 in sigma + 1 t-slots per y-row: the same terms as
-    R12 of `evaluate_word(word)`, whose rows take L + 1."""
+    R12 formed from `evaluate_word(word)`, whose rows take L + 1."""
     letters = _letters(word)
     bound, lo, hi = _row_one_span(letters)
     packing = Packing.covering(hi - lo, hi - lo + 1, bound)
@@ -263,8 +266,11 @@ def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPoly
     if m is None:
         r12, packing = _relator_r12(v)
     else:
-        V = evaluate_word(v)
-        q11, q12, packing = sl2_power(V if m > 0 else V.adjugate(), abs(m))
+        v11, v12, v21, v22 = evaluate_word(v)
+        if m < 0:           # the adjugate, V**-1 as det V = 1
+            v11, v12, v21, v22 = (v22, {key: -c for key, c in v12.items()},
+                                  {key: -c for key, c in v21.items()}, v11)
+        q11, q12, packing = sl2_power((v11, v12, v21, v22), abs(m))
         r12 = _r12(q11, q12, 8 * packing.nbytes)
     tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
     return RileyPolynomial(symmetric_rewrite(r12, packing), knot, tag)
@@ -355,9 +361,12 @@ def kl_cross_check() -> bool:
     transcriptions: lambda = rewrite(tr C), alpha from R_12 of the word D
     and beta from R_12 of C^-1 D, R = VA - BV for V the word's matrix.
     Only the trace needs C's full product; each R_12 comes off row 1."""
-    c = evaluate_word(KL_WORD_C)
+    c11, _, _, c22 = evaluate_word(KL_WORD_C)
+    trace = _merge(c11, c22)
+    sigma = max(abs(i) for i, _ in trace)
+    packing = Packing.covering(sigma, sigma + 1, max(map(abs, trace.values())))
     c_inv = Word.from_letters((gen, -exp) for gen, exp in reversed(KL_WORD_C.letters))
-    found = [symmetric_rewrite(c.packed[0] + c.packed[3], c.packing)]
+    found = [symmetric_rewrite(packing.pack(trace), packing)]
     for w in (KL_WORD_D, c_inv * KL_WORD_D):
         found.append(symmetric_rewrite(*_relator_r12(w)))
     return tuple(found) == kl_named_polys()

@@ -41,7 +41,8 @@ from rileycert.riley import (alpha_dt, evaluate_word, generator_images,
                              lambda_dt, riley_double_twist, riley_for_knot,
                              riley_generic, riley_kl)
 
-from matrix_oracle import as_dict, row_one_as_dict
+import cert_oracle
+from matrix_oracle import adjugate, as_dict, row_one_as_dict
 from poly_oracle import substitute_y
 
 X = XYPoly.x()
@@ -124,6 +125,7 @@ def _run_grid(key, label):
         cert = report.certificate
         if not (report.certified and verify_certificate(
                 RootCertificate.from_json_dict(cert.to_json_dict()), phi)
+                and cert_oracle.accepts(cert.to_json_dict(), phi.knot, list(phi.poly.terms()))
                 and cert.a >= WINDOW_START and cert.b - cert.a <= BRACKET_WIDTH):
             ok = False
             print(f"  grid failure: {phi.knot} n={n} -> {report.status}")
@@ -209,7 +211,7 @@ def test_criterion_4_symbolic_identities():
         w, _ = word_double_twist(DoubleTwistKnot(k, 2))
         w_mat = evaluate_word(w)
         ok = ok and r_structure_holds(as_dict(w_mat))
-        for base in (w_mat, w_mat.adjugate()):
+        for base in (w_mat, adjugate(w_mat)):
             plain = power = as_dict(base)
             for m in (2, 3, 4):
                 power = power @ plain

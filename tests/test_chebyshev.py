@@ -9,7 +9,7 @@ from rileycert.knots import DoubleTwistKnot, Word, word_double_twist
 from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word
 
-from matrix_oracle import as_dict, as_packed, row_one_as_dict
+from matrix_oracle import adjugate, as_dict, as_maps, row_one_as_dict
 
 
 def _row_one(m: PolyMatrix):
@@ -94,13 +94,13 @@ def test_sl2_power_poly_matrix():
     # products
     ident = PolyMatrix.identity()
     for n in (1, 2, 5):
-        assert row_one_as_dict(sl2_power(as_packed(ident), n)) == _row_one(ident)
+        assert row_one_as_dict(sl2_power(as_maps(ident), n)) == _row_one(ident)
     # random words: powers 1..8 of V and of V^-1
     rng = random.Random(53)
     for _ in range(3):
         letters = [(rng.choice("ab"), rng.choice((-1, 1))) for _ in range(3)]
         mat = evaluate_word(Word.from_letters(letters))
-        for base in (mat, mat.adjugate()):
+        for base in (mat, adjugate(mat)):
             plain = direct = as_dict(base)
             for n in range(1, 9):
                 power = sl2_power(base, n)
@@ -118,16 +118,17 @@ def test_sl2_power_poly_matrix():
                 PolyMatrix(SYPoly.s(-1), SYPoly.zero(), SYPoly.one(), s)):
         direct = mat
         for n in range(1, 7):
-            power = sl2_power(as_packed(mat), n)
+            power = sl2_power(as_maps(mat), n)
             assert row_one_as_dict(power) == _row_one(direct) and power[2].shift == n, n
             direct = direct @ mat
     with pytest.raises(ValueError):
-        sl2_power(as_packed(ident), 0)
-    # only a PackedMatrix, which is checkerboard by construction
+        sl2_power(as_maps(ident), 0)
+    # only term maps, and only of a checkerboard matrix: the packing
+    # refuses an entry with no t-slot, although det = 1 here
     with pytest.raises(TypeError):
         sl2_power(ident, 2)
     with pytest.raises(ValueError):
-        as_packed(PolyMatrix(s, SYPoly.zero(), s, SYPoly.s(-1)))
+        sl2_power(as_maps(PolyMatrix(s, SYPoly.zero(), s, SYPoly.s(-1))), 2)
 
 
 def test_sl2_power_rejects_a_determinant_other_than_one():
@@ -150,7 +151,7 @@ def test_sl2_power_rejects_a_determinant_other_than_one():
                                  1 - SYPoly.s(-2))
     for bad in (det_s2, det_minus_one, det_minus_y, det_one_plus_y,
                 det_y_alias, det_width_alias):
-        base = as_packed(bad)
+        base = as_maps(bad)
         for n in (1, 2, 7):
             with pytest.raises(NotUnimodular):
                 sl2_power(base, n)
@@ -166,7 +167,7 @@ def test_sl2_power_small_trace_large_entries():
     large = (-1 - u * y - u * u) * SYPoly.s(-1)
     for mat in (PolyMatrix(y + u, s, large, SYPoly.const(-u)),
                 PolyMatrix(y + u, large, s, SYPoly.const(-u))):
-        base, direct = as_packed(mat), mat
+        base, direct = as_maps(mat), mat
         for n in range(1, 61):
             assert row_one_as_dict(sl2_power(base, n)) == _row_one(direct), n
             direct = direct @ mat

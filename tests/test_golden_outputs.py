@@ -11,7 +11,8 @@ fixed-point root node and bounds are checked after two escalations).
 trace's nodes and evaluations removed from every report, so it covers every
 certificate, precision, escalation and status.  A refactor of the search
 must leave both unchanged, and every certificate in these outputs must
-still parse and verify.  A change that does less work changes only the
+still parse, verify and pass the independent oracle of cert_oracle.py.
+A change that does less work changes only the
 "sha256" digests: the test then lists those outputs apart from any that
 changed beyond the work counters, and after re-recording, `git diff` of
 the data file must show no "sha256_no_work" value changed.  To re-record
@@ -30,6 +31,8 @@ from pathlib import Path
 from rileycert.certify import RootCertificate, verify_certificate
 from rileycert.cli import main, parse_knot_spec
 from rileycert.riley import riley_for_knot
+
+import cert_oracle
 
 DATA = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
 
@@ -107,7 +110,9 @@ def test_golden_outputs():
         for cert in certificates(record["argv"], stdout):
             parsed_cert = RootCertificate.from_json_dict(cert)
             assert parsed_cert.to_json_dict() == cert
-            assert verify_certificate(parsed_cert, riley_for_knot(parse_knot_spec(cert["knot"])))
+            phi = riley_for_knot(parse_knot_spec(cert["knot"]))
+            assert verify_certificate(parsed_cert, phi)
+            assert cert_oracle.accepts(cert, phi.knot, list(phi.poly.terms()))
             parsed += 1
     for line in changed["sha256_no_work"]:
         print(f"golden output changed beyond the work counters: rileycert {line}")

@@ -10,10 +10,10 @@ from rileycert.chebyshev import sl2_power
 from rileycert.knots import (KL_WORD_C, DoubleTwistKnot, KlKnot, TwoBridgeFraction,
                              Word, sign_sequence, word_double_twist,
                              word_from_signs, word_kl)
-from rileycert.polyring import PackedMatrix, Packing, PolyMatrix, SYPoly, XYPoly
+from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word, generator_images
 
-from matrix_oracle import as_dict, row_one_as_dict
+from matrix_oracle import adjugate, as_dict, row_one_as_dict
 from poly_oracle import to_sy
 
 
@@ -45,18 +45,29 @@ def _entries(m: PolyMatrix):
 @example("bA" * 30)
 def test_packed_word_equals_dict_product(text):
     word = Word.parse_text(text)
-    packed = evaluate_word(word)
-    assert isinstance(packed, PackedMatrix)
-    assert as_dict(packed) == reference_evaluate_word(word)
+    assert as_dict(evaluate_word(word)) == reference_evaluate_word(word)
 
 
-def _assert_checkerboard(packing: Packing, entries: tuple, oracle: tuple):
+def _assert_checkerboard(shift: int, entries: tuple, oracle: tuple):
     # the oracle's diagonal s-exponents = shift and off-diagonal ones =
-    # shift + 1 (mod 2): every entry has a t-slot, and equals its unpacking
+    # shift + 1 (mod 2): every entry has a t-slot, and equals the engine's
+    # term map
     for k, entry in enumerate(oracle):
-        assert all((i - packing.shift - (k in (1, 2))) % 2 == 0
-                   for i, _, _ in entry.terms())
-    assert tuple(SYPoly(p.unpack(v)) for p, v in zip(packing.entries(), entries)) == oracle
+        assert all((i - shift - (k in (1, 2))) % 2 == 0 for i, _, _ in entry.terms())
+    assert tuple(map(SYPoly, entries)) == oracle
+
+
+def _unpacked_by(monkeypatch, f, *args):
+    # f(*args) and the (packing, value) pairs it unpacks on the way
+    unpack, seen = Packing.unpack, []
+
+    def spy(self, value):
+        seen.append((self, value))
+        return unpack(self, value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Packing, "unpack", spy)
+        return f(*args), seen
 
 
 def _palindromic_word(half: list[bool]) -> Word:
@@ -82,16 +93,17 @@ def test_packed_results_equal_the_dict_oracle(word_and_power):
     word, m = word_and_power
     images = generator_images()
     base, base_dict = evaluate_word(word), reference_evaluate_word(word)
-    _assert_checkerboard(base.packing, base.packed, _entries(base_dict))
+    _assert_checkerboard(len(riley._letters(word)), base, _entries(base_dict))
     r_word = base_dict @ images.a - images.b @ base_dict
     if m < 0:
-        base, base_dict = base.adjugate(), base_dict.adjugate()
-    power, power_dict = sl2_power(base, abs(m)), base_dict
+        base, base_dict = adjugate(base), base_dict.adjugate()
+    (q11, q12, packing), power_dict = sl2_power(base, abs(m)), base_dict
     for _ in range(abs(m) - 1):
         power_dict = power_dict @ base_dict
     # sl2_power returns row 1 of the power: its entries against row 1 of
     # the oracle's repeated products
-    _assert_checkerboard(power[2], power[:2], _entries(power_dict)[:2])
+    row = [p.unpack(v) for p, v in zip(packing.entries(), (q11, q12))]
+    _assert_checkerboard(packing.shift, row, _entries(power_dict)[:2])
     # the mirror rule: R22 of w^m vanishes exactly when tau(w) = w, and
     # riley_generic takes exactly those words, with or without the power
     r = power_dict @ images.a - images.b @ power_dict
@@ -128,9 +140,11 @@ _MIRROR_WORDS = st.one_of(
     st.integers(2, 10).map(lambda l: word_kl(KlKnot(l))))
 
 
-def _full_r12(full: PackedMatrix) -> int:
-    # R12 / s of R = VA - BV on the full product's row 1, in its packing
-    return riley._r12(*full.packed[:2], 8 * full.packing.nbytes)
+def _full_r12(full: tuple) -> dict:
+    # the term map of R12 of R = VA - BV for the full product's entries,
+    # by dict arithmetic: one product by each generator, not the word's
+    images, v = generator_images(), as_dict(full)
+    return (v @ images.a - images.b @ v).e12._terms
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,7 +160,7 @@ def test_row_one_relator_equals_the_full_one(word):
     full = evaluate_word(word)
     v_full = as_dict(full)
     value, packing = riley._relator_r12(word)
-    assert packing.unpack(value) == full.packing.unpack(_full_r12(full))
+    assert packing.unpack(value) == _full_r12(full)
     assert v_full.e21 == (SYPoly.const(2) - SYPoly.y()) * v_full.e12
     if len(word.to_text()) <= 64:
         images, v = generator_images(), reference_evaluate_word(word)
@@ -170,8 +184,7 @@ def test_row_one_span_holds_the_relator(word):
         images, v = generator_images(), reference_evaluate_word(word)
         terms = {(i, j): c for i, j, c in (v @ images.a - images.b @ v).e12.terms()}
     else:
-        full = evaluate_word(word)
-        terms = full.packing.unpack(_full_r12(full))
+        terms = _full_r12(evaluate_word(word))
     assert lo + hi == length
     assert all((i + length) % 2 == 0 and lo <= (i + length) // 2 <= hi for i, _ in terms)
     assert max(map(abs, terms.values())) <= bound
@@ -228,32 +241,38 @@ def test_only_the_power_route_and_the_trace_multiply_out_whole_matrices(monkeypa
     assert calls == [KL_WORD_C]
 
 
-def test_packed_entries_take_half_the_slots():
-    # host-independent size check: in t = s**2 an entry of the 148-letter
-    # word of 149/51 spans at most L + 2 slots per y-degree; packing in s
-    # took 2L + 3
-    v = evaluate_word(word_from_signs(sign_sequence(TwoBridgeFraction(149, 51))))
-    letters, b = 148, 8 * v.packing.nbytes
-    for value, entry in zip(v.packed, _entries(as_dict(v))):
-        deg_y = max(j for _, j, _ in entry.terms())
-        assert value.bit_length() <= b * (letters + 2) * (deg_y + 1)
+def test_packed_entries_take_half_the_slots(monkeypatch):
+    # host-independent size check: in t = s**2 each integer that
+    # evaluate_word unpacks for the 148-letter word of 149/51 spans at most
+    # L + 2 slots per y-degree of its entry; packing in s took 2L + 3
+    word = word_from_signs(sign_sequence(TwoBridgeFraction(149, 51)))
+    v, unpacked = _unpacked_by(monkeypatch, evaluate_word, word)
+    letters = 148
+    assert len(unpacked) == 4
+    for (packing, value), entry in zip(unpacked, v):
+        deg_y = max(j for _, j in entry)
+        assert value.bit_length() <= 8 * packing.nbytes * (letters + 2) * (deg_y + 1)
 
 
 @pytest.mark.parametrize("text", ["b" * 40, "B" * 40, "bA" * 30, "abAB" * 15,
                                   word_from_signs(sign_sequence(
                                       TwoBridgeFraction(151, 57))).to_text()])
-def test_slots_cover_the_relator_bound(text):
-    # the l1 recursion must bound the true norms: the slots hold 3 times
-    # the largest entry norm, which R12 / s, the widest value read, can
-    # reach, and R12's true coefficients fit them; in t = s**2 the
-    # relator of L letters spans t-slots 0 .. L
-    m = evaluate_word(Word.parse_text(text))
+def test_slots_cover_the_relator_bound(monkeypatch, text):
+    # the l1 recursion must bound the true norms: evaluate_word's slots
+    # hold the largest entry norm, the entries being all it reads, and
+    # R12 / s, the widest value the power route reads, stays within 3
+    # times it, which sl2_power's slots hold; in t = s**2 the product of L
+    # letters spans t-slots 0 .. L
+    m, unpacked = _unpacked_by(monkeypatch, evaluate_word, Word.parse_text(text))
     v = as_dict(m)
     norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(v))
     images = generator_images()
     r12 = (v @ images.a - images.b @ v).e12
-    assert max(abs(c) for _, _, c in r12.terms()) <= 3 * norm < 2 ** (8 * m.packing.nbytes - 1)
-    assert m.packing.slots == len(text) + 1
+    assert max(abs(c) for _, _, c in r12.terms()) <= 3 * norm
+    assert len(unpacked) == 4
+    for packing, _ in unpacked:
+        assert norm < 2 ** (8 * packing.nbytes - 1)
+        assert packing.slots == len(text) + 1
 
 
 def test_unpack_borrows_across_adjacent_negative_slots():
@@ -298,20 +317,29 @@ def test_packing_round_trip(terms):
     assert packing.unpack(packing.pack(terms)) == terms
 
 
-def test_packed_adjugate_equals_dict_adjugate():
+def test_packed_adjugate_equals_dict_adjugate(monkeypatch):
+    # riley_generic powers the adjugate of the word's term maps for m < 0,
+    # and the word's own maps for m > 0
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
     plain = reference_evaluate_word(w)
-    packed = evaluate_word(w)
-    assert isinstance(packed.adjugate(), PackedMatrix)
-    assert as_dict(packed.adjugate()) == plain.adjugate()
+    power, bases = riley.sl2_power, []
+
+    def spy(maps, n):
+        bases.append(maps)
+        return power(maps, n)
+
+    monkeypatch.setattr(riley, "sl2_power", spy)
+    riley.riley_generic(w, -3)
+    riley.riley_generic(w, 3)
+    assert [as_dict(maps) for maps in bases] == [plain.adjugate(), plain]
 
 
 def test_power_path_reads_only_packed_integers(monkeypatch):
     # riley_generic(w, m) reads the word's matrix once, as term maps under
-    # its packing, and the one value read after that is phi: R12 under the
-    # power's packing is never turned into terms
+    # the packing of its L + 1 t-slots, and the one value read after that
+    # is phi: R12 under the power's packing is never turned into terms
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
-    word_packing = evaluate_word(w).packing
+    length = len(riley._letters(w))
     closed = {m: riley.riley_double_twist(3, m).poly for m in (5, -5)}
     read, seen = Packing.read, []
 
@@ -326,7 +354,9 @@ def test_power_path_reads_only_packed_integers(monkeypatch):
         # the double-twist word's entries have |s-exponent| <= 2, so the
         # power and R12 are packed with shift sigma = 5 * 2; phi = g(x**2)
         # is read in sigma / 2 + 1 u-slots, shift 0
-        assert seen[:4] == list(word_packing.entries())
+        assert [(pk.shift, pk.slots) for pk in seen[:4]] == [
+            (length, length + 1), (length - 1, length + 1),
+            (length - 1, length + 1), (length, length + 1)]
         assert [(pk.shift, pk.slots) for pk in seen[4:]] == [(0, 6)]
 
 
@@ -397,7 +427,7 @@ def test_power_slots_cover_the_relator_bound(k, m):
     w, _ = word_double_twist(DoubleTwistKnot(k, 2))
     base, plain = evaluate_word(w), reference_evaluate_word(w)
     if m < 0:
-        base, plain = base.adjugate(), plain.adjugate()
+        base, plain = adjugate(base), plain.adjugate()
     row, direct = sl2_power(base, abs(m)), plain
     for _ in range(abs(m) - 1):
         direct = direct @ plain

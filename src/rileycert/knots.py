@@ -15,7 +15,7 @@ from dataclasses import dataclass
 # as p**4 for a fraction); at these limits `riley --cross-check`, or `riley`
 # for a fraction, takes at most about 8 s on a 2-core x86 host (README.md,
 # three runs each: Kl:50 4.1-4.2 s, 501/7 5.6-6.7 s, 501/311 2.3-3.1 s,
-# 499/97 5.0-6.0 s, J:20,20 4.4-4.6 s, J:20,-20 4.0-5.3 s), and one step
+# 499/97 5.0-6.0 s, J:20,20 1.4-1.7 s, J:20,-20 1.5-2.0 s), and one step
 # beyond is refused before any work.  `certify` also runs the root
 # isolation, whose Taylor shifts grow with phi: at the default cap on that
 # host (README.md, three runs each), `certify --knot J:20,20 --n 7` took
@@ -150,6 +150,10 @@ class Word:
         """tau(w): the letters reversed, a and b swapped, exponents kept."""
         swap = {"a": "b", "b": "a"}
         return Word(tuple((swap[gen], exp) for gen, exp in reversed(self.letters)))
+
+    def inverse(self) -> "Word":
+        """w**-1: the letters reversed, exponents negated."""
+        return Word(tuple((gen, -exp) for gen, exp in reversed(self.letters)))
 
     def to_text(self) -> str:
         """a/A/b/B concatenated, exponents written out letter by letter."""

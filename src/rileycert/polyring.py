@@ -37,13 +37,15 @@ def _product(a: dict, b: dict) -> dict:
 class _SparsePoly:
     """Shared arithmetic over {(first_exp, y_deg): int} term maps."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_ordered")
     _first_symbol = "?"
     _first_nonneg = True
 
-    def __init__(self, terms: dict):
-        # internal: callers hand over ownership of an already-clean dict
+    def __init__(self, terms: dict, ordered: bool = False):
+        # internal: callers hand over ownership of an already-clean dict,
+        # ordered when its keys already come in canonical order
         self._terms = terms
+        self._ordered = ordered
 
     @classmethod
     def from_terms(cls, items: Iterable[tuple[int, int, int]]):
@@ -83,9 +85,16 @@ class _SparsePoly:
         return hash((type(self).__name__, tuple(self.terms())))
 
     def terms(self) -> Iterator[tuple[int, int, int]]:
-        """(first_exp, y_deg, coeff) in canonical (y_deg, first_exp) order."""
-        for (i, j) in sorted(self._terms, key=lambda key: (key[1], key[0])):
-            yield i, j, self._terms[(i, j)]
+        """(first_exp, y_deg, coeff) in canonical (y_deg, first_exp) order.
+        The term map is put in that order once, on the first call, so the
+        text, the hash and the JSON terms of one polynomial share a sort."""
+        if not self._ordered:
+            terms = self._terms
+            order = sorted(terms, key=lambda key: (key[1], key[0]))
+            self._terms = {key: terms[key] for key in order}
+            self._ordered = True
+        for (i, j), c in self._terms.items():
+            yield i, j, c
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -248,7 +257,7 @@ def symmetric_rewrite(p: int, packing: Packing) -> XYPoly:
         if not SYPoly(packing.unpack(p)).is_symmetric():
             raise NotSymmetric("polynomial is not invariant under s -> 1/s")
         raise AssertionError("symmetric rewrite failed back-substitution check")
-    return XYPoly(terms)
+    return XYPoly(terms, ordered=True)
 
 
 def _substitutes_back(f: dict, value: int, packing: Packing) -> bool:
@@ -371,7 +380,8 @@ class Packing(NamedTuple):
         return self.read(self.slot_bytes(value))
 
     def read(self, buf: bytes) -> dict:
-        """The term map of slots laid out as `slot_bytes` gives them."""
+        """The term map of slots laid out as `slot_bytes` gives them, its
+        keys in canonical (y_deg, s_exp) order, as the slots run."""
         nb, half, empty = self.nbytes, 1 << (8 * self.nbytes - 1), self._empty()
         shift, slots = self.shift, self.slots
         terms = {}
@@ -533,8 +543,8 @@ def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e: int
 
 class PolyMatrix:
     """2x2 matrix over Z[s, 1/s, y] by dict polynomial arithmetic.  The
-    program multiplies packed integers only (`riley.evaluate_word`,
-    `chebyshev.sl2_power`); this stays as the tests' independent oracle."""
+    program multiplies packed integers only (`riley.evaluate_word`); this
+    stays as the tests' independent oracle."""
 
     __slots__ = ("e11", "e12", "e21", "e22")
 

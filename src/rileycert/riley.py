@@ -32,45 +32,52 @@ sequence is a palindrome, e_{p-i} = e_i, since (p - i)q = p - iq mod 2p,
 and the K_l and J(2k+1, 2m) words are mirrors by construction.  So
 `riley_generic` checks tau(v) = v exactly, before any arithmetic, and
 then needs only R12, for the word and its powers alike: tau reverses
-products, so tau(v**m) = v**m for every m, the adjugate's negative powers
-included.  R12 reads row 1 of V alone: each letter multiplies on the
-right, so row 1 evolves on its own and the product carries only it.
+products, so tau(v**m) = v**m for every m, and tau(v**-1) = v**-1.
+R12 reads row 1 of V alone: each letter multiplies on the right, so
+row 1 evolves on its own and the product carries only it.
 For a plain word its rows are laid only as wide as R12's t-span, which
 the same pass over the word that bounds the norms bounds too
 (`_row_one_span`): S = sigma + 1 slots, sigma = deg_x(phi) on a
 fraction's word, where R12 reaches about 0.65 L.  Packed arithmetic is
 evaluation at t = 2**B, y = 2**(B*S), a ring homomorphism, so the
-product's rows may overlap as long as R12's do not.  The power route
-reads R12 off row 1 of `chebyshev.sl2_power`'s output, whose slots cover
-3 times the norms of the power's entries, as R12 / s = V11 + V12 - t V12
-needs.  R12 stays a packed integer, s**sigma R12 in t-slots (sigma the
-packing's shift), and `polyring.symmetric_rewrite` reads phi off its slot
-digits: slot (sigma + e) / 2 of each y-row holds c_e, the coefficient of
-s**e + s**-e, and each row is summed in that basis by Clenshaw's
-recurrence on packed u-integers, u = x**2 (every e has sigma's parity).
+product's rows may overlap as long as R12's do not.  R12 stays a packed
+integer, s**sigma R12 in t-slots (sigma the packing's shift), and
+`polyring.symmetric_rewrite` reads phi off its slot digits: slot
+(sigma + e) / 2 of each y-row holds c_e, the coefficient of s**e + s**-e,
+and each row is summed in that basis by Clenshaw's recurrence on packed
+u-integers, u = x**2 (every e has sigma's parity).
 Those slots are sized by sum_e |c_e| L_e, the Lucas number L_e being the
 l1 norm of s**e + s**-e written in x, so phi is the one value unpacked.  The
 back-substitution check then forms s**sigma phi(s + 1/s) per y-row in t,
 Horner in (1 + t)**2, whose l1 norm is at most sum_i |phi_i| 2**i, and
 compares it with R12's row: in R12's own slots when they are wide enough
 for that bound, in re-laid wider ones otherwise.
-`kl_cross_check` reads the K_l lambda, alpha and beta off the same
-engine: the trace of C off the term maps of the full product, packed once
-for the rewrite, and R12 of D and of C^-1 D off row 1.
 
-Both Chebyshev routes run the recurrence S_{j+1} = t S_j - q S_{j-1} on
-packed integers too, multiplying by t one term at a time (a shift and a
-small-integer multiple).  The closed forms pack x into the inner slots, as
-many as the result's x-degree, and y into the outer ones, with q = 1; the
+The power route of J(2k+1, 2m), v**m for the base word v, never forms
+the power.  R = VA - BV is linear in V and R12(I) = 1; when det V = 1,
+Cayley-Hamilton gives V**m = S_{m-1}(tr V) V - S_{m-2}(tr V) I for
+m >= 1, and the rewrite is a ring map on symmetric polynomials.  So
+phi = S_{|m|-1}(lambda) alpha - S_{|m|-2}(lambda), lambda the rewrite of
+tr V and alpha the phi of v, or of v**-1 (`Word.inverse`) for m < 0:
+tr V**-1 = tr V, and v**-1 is its own mirror as v is, since
+tau(v**-1) = tau(v)**-1.  This is Riley's trace and R12 construction,
+which the closed forms transcribe.  alpha comes off row 1 as above;
+lambda off the term maps of the whole product (`evaluate_word`), which
+also settle det V = 1, the premise of Cayley-Hamilton, in slots that
+hold det V (`_unimodular_trace`).  `kl_cross_check` reads the K_l lambda
+the same way, and its alpha and beta, R12 of D and of C^-1 D, off row 1.
+
+Every Chebyshev combination S_n(lambda) a - S_{n-1}(lambda) b, closed
+form or power route (`_chebyshev_combination`), runs the recurrence
+S_{j+1} = t S_j - S_{j-1} on packed integers too, multiplying by t one
+term at a time (a shift and a small-integer multiple).  It packs
+u = x**2 into the inner slots, as many as the result's x-degree, and y
+into the outer ones: lambda, a and b have even x-degrees only, those of
+the closed forms by their formulas and those of a mirror word because it
+has even length (its letters pair off about the middle, a with b).  The
 slots are sized before any arithmetic by N_{j+1} = ||t||_1 N_j + N_{j-1},
 which bounds the l1 norm of S_j(t), so the one value unpacked, phi, is
-faithful.  The engine's power V^m (`chebyshev.sl2_power`) is homogenised
-in t as well: W = s**e V has no negative powers, H_j = s**(je) S_j(tr V)
-satisfies the recurrence with tr W in t and q = t**e (one shift), and
-row 1 of s**(me) V**m = H_m I - H_{m-1} adj(W),
-(H_m - H_{m-1} W22, H_{m-1} W12), comes back as packed integers in the
-slots R12 needs, so the power is never unpacked either.  For m < 0 it
-powers adj(V) = V**-1, formed on V's term maps.
+faithful.
 """
 
 from __future__ import annotations
@@ -79,16 +86,19 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .chebyshev import _cheb_norms, _cheb_pair, _packed_cheb_pair, sl2_power
+from .chebyshev import _cheb_norms, _cheb_pair, _packed_cheb_pair
 from .knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot,
                     TwoBridgeFraction, Word, sign_sequence, word_double_twist,
                     word_from_signs, word_kl)
-from .polyring import (Packing, PolyMatrix, SYPoly, XYPoly, _merge, _times,
-                       symmetric_rewrite)
+from .polyring import Packing, PolyMatrix, SYPoly, XYPoly, _times, symmetric_rewrite
 
 
 class StructureViolation(ValueError):
     """R = VA - BV lacks the off-diagonal shape every two-bridge word gives."""
+
+
+class NotUnimodular(ValueError):
+    """det rho(w) is not 1, as the power route's Cayley-Hamilton step needs."""
 
 
 @dataclass(frozen=True)
@@ -182,13 +192,6 @@ def evaluate_word(word: Word) -> tuple[dict, dict, dict, dict]:
     return tuple(p.unpack(q) for p, q in zip(packing.entries(), v))
 
 
-def _r12(q11: int, q12: int, b: int) -> int:
-    """R12 / s of R = VA - BV, V sA minus sB V, from the t-integers q11,
-    q12 of row 1 of V at t = 2**b: V11 + V12 - t V12, one more power of s
-    than V.  R's off-diagonal packing, one shift up and one down, is V's."""
-    return q11 + q12 - (q12 << b)
-
-
 def _row_one_span(letters: list[tuple[str, bool]]) -> tuple[int, int, int]:
     """(bound, lo, hi): R12 / s of the word's relator has t-slots in
     lo .. hi of each y-row of s**L R12 and l1 norm at most bound, from one
@@ -247,33 +250,57 @@ def _relator_r12(word: Word) -> tuple[int, Packing]:
     packing = Packing.covering(hi - lo, hi - lo + 1, bound)
     b = 8 * packing.nbytes
     q11, q12, _, _ = _word_product(letters, (1, 0, 0, 0), b, b * packing.slots)
-    r12 = _r12(q11, q12, b)
+    # R12 / s of R = VA - BV, V sA minus sB V: V11 + V12 - t V12, one more
+    # power of s than V; R's off-diagonal packing, one shift up and one
+    # down, is V's
+    r12 = q11 + q12 - (q12 << b)
     if r12 & ((1 << b * lo) - 1):
         raise StructureViolation("R_12 has terms below its t-span")
     return r12 >> b * lo, packing
 
 
+def _unimodular_trace(maps: tuple[dict, dict, dict, dict]) -> XYPoly:
+    """lambda = rewrite(tr V) for V given by its entries' term maps, as
+    `evaluate_word` returns them, once det V = 1 is checked (NotUnimodular
+    otherwise), the premise of the power route's Cayley-Hamilton step.
+
+    V must be checkerboard, as every word's matrix is (`Packing.pack`
+    refuses any other with ValueError).  With e the largest |s-exponent|
+    of a diagonal entry and one more than that of an off-diagonal one,
+    W = s**e V has det W = t**e det V in t-slots 0 .. 2e, and det W - t**e
+    has coefficients of at most 2 ||W_ij||_1**2 + 1 in magnitude.  Slots
+    of that many and wide enough for ||W_ij||_1**2 make it 0 exactly when
+    its integer is; W11 + W22 = s**e tr V, in the same slots, is rewritten."""
+    e = max((abs(i) + d for t, d in zip(maps, (0, 1, 1, 0)) for i, _ in t), default=0)
+    norm = max(sum(map(abs, t.values())) for t in maps)
+    w = Packing.covering(e, 2 * e + 1, norm ** 2).entries()
+    w11, w12, w21, w22 = (p.pack(t) for p, t in zip(w, maps))
+    b = 8 * w[0].nbytes
+    if w11 * w22 - (w12 * w21 << b) != 1 << e * b:
+        raise NotUnimodular("determinant is not the ring unit")
+    return symmetric_rewrite(w11 + w22, w[0])
+
+
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:
-    """phi from the relator word: V = rho(v), or rho(v)^m when m is given
-    (negative m powers the adjugate inverse), R12 read off row 1 of V.
-    v must be its own mirror (`Word.mirror`), which makes R22 = 0 for V
-    too: tau reverses products and tau(v) = v, so tau(v^m) = v^m for
-    every m."""
+    """phi from the relator word: R12 of R = VA - BV for V = rho(v), read
+    off row 1 of V, or for V**m when m is given, by Cayley-Hamilton:
+    S_{|m|-1}(lambda) alpha - S_{|m|-2}(lambda), lambda = rewrite(tr V)
+    (`_unimodular_trace`, which checks det V = 1) and alpha the phi of v,
+    or of v**-1 when m < 0.  v must be its own mirror (`Word.mirror`),
+    which makes R22 = 0 for V**m too: tau reverses products and
+    tau(v) = v, so tau(v**m) = v**m for every m."""
     if m == 0:
         raise ValueError("m must be nonzero")
     if v.mirror() != v:
         raise StructureViolation("the word is not its own mirror, so R_22 != 0")
     if m is None:
-        r12, packing = _relator_r12(v)
+        phi = symmetric_rewrite(*_relator_r12(v))
     else:
-        v11, v12, v21, v22 = evaluate_word(v)
-        if m < 0:           # the adjugate, V**-1 as det V = 1
-            v11, v12, v21, v22 = (v22, {key: -c for key, c in v12.items()},
-                                  {key: -c for key, c in v21.items()}, v11)
-        q11, q12, packing = sl2_power((v11, v12, v21, v22), abs(m))
-        r12 = _r12(q11, q12, 8 * packing.nbytes)
+        lam = _unimodular_trace(evaluate_word(v))
+        alpha = symmetric_rewrite(*_relator_r12(v if m > 0 else v.inverse()))
+        phi = _chebyshev_combination(abs(m) - 1, lam, alpha, XYPoly.one())
     tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
-    return RileyPolynomial(symmetric_rewrite(r12, packing), knot, tag)
+    return RileyPolynomial(phi, knot, tag)
 
 
 def alpha_dt(k: int) -> XYPoly:
@@ -312,12 +339,12 @@ def riley_double_twist(k: int, m: int) -> RileyPolynomial:
 
 
 def _chebyshev_combination(n: int, lam: XYPoly, a: XYPoly, b: XYPoly) -> XYPoly:
-    """S_n(lam) * a - S_{n-1}(lam) * b for n >= 1, on packed integers: u = x**2
+    """S_n(lam) * a - S_{n-1}(lam) * b for n >= 0, on packed integers: u = x**2
     in the inner slots, as many as the result's x-degree needs, and y outer;
-    the closed forms' lam, a and b have even x-degrees only, which the
-    packing checks.  The slots cover the l1 bound
-    N_n ||a||_1 + N_{n-1} ||b||_1 of `_cheb_norms`, so the one value
-    unpacked is faithful."""
+    lam, a and b have even x-degrees only, as those of the closed forms and
+    of a mirror word's lambda and alpha do, which the packing checks.  The
+    slots cover the l1 bound N_n ||a||_1 + N_{n-1} ||b||_1 of `_cheb_norms`,
+    so the one value unpacked is faithful."""
     def l1(f: XYPoly) -> int:
         return sum(map(abs, f._terms.values()))
 
@@ -327,7 +354,7 @@ def _chebyshev_combination(n: int, lam: XYPoly, a: XYPoly, b: XYPoly) -> XYPoly:
     s_prev, s_cur = _packed_cheb_pair(n, packing.multiplier(lam._terms))
     phi = (_times(s_cur, packing.multiplier(a._terms))
            - _times(s_prev, packing.multiplier(b._terms)))
-    return XYPoly(packing.unpack(phi))
+    return XYPoly(packing.unpack(phi), ordered=True)
 
 
 @lru_cache(maxsize=1)
@@ -360,14 +387,10 @@ def kl_cross_check() -> bool:
     """Recover lambda, alpha, beta from the engine and compare with the
     transcriptions: lambda = rewrite(tr C), alpha from R_12 of the word D
     and beta from R_12 of C^-1 D, R = VA - BV for V the word's matrix.
-    Only the trace needs C's full product; each R_12 comes off row 1."""
-    c11, _, _, c22 = evaluate_word(KL_WORD_C)
-    trace = _merge(c11, c22)
-    sigma = max(abs(i) for i, _ in trace)
-    packing = Packing.covering(sigma, sigma + 1, max(map(abs, trace.values())))
-    c_inv = Word.from_letters((gen, -exp) for gen, exp in reversed(KL_WORD_C.letters))
-    found = [symmetric_rewrite(packing.pack(trace), packing)]
-    for w in (KL_WORD_D, c_inv * KL_WORD_D):
+    Only the trace needs C's full product, read as the power route reads
+    lambda; each R_12 comes off row 1."""
+    found = [_unimodular_trace(evaluate_word(KL_WORD_C))]
+    for w in (KL_WORD_D, KL_WORD_C.inverse() * KL_WORD_D):
         found.append(symmetric_rewrite(*_relator_r12(w)))
     return tuple(found) == kl_named_polys()
 

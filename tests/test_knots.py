@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rileycert.knots import (K_MAX, L_MAX, M_MAX, P_MAX, DoubleTwistKnot, KlKnot,
                              ReductionInapplicable,
@@ -156,6 +157,19 @@ def test_word_normalization_and_text():
     assert Word.parse_text("") == Word.from_letters(())
     with pytest.raises(ValueError):
         Word.from_letters([("c", 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="aAbB", max_size=30).map(Word.parse_text))
+def test_word_inverse(word):
+    # w w**-1 and w**-1 w cancel letter by letter, and inversion commutes
+    # with the mirror: tau(w**-1) = tau(w)**-1, so a mirror word's inverse
+    # is a mirror word too
+    inverse = word.inverse()
+    assert word * inverse == Word.from_letters(()) == inverse * word
+    assert inverse.inverse() == word
+    assert inverse.mirror() == word.mirror().inverse()
+    assert Word.parse_text("abbA").inverse().to_text() == "aBBA"
 
 
 def test_word_from_signs_examples():

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rileycert import cli, polyring, riley
-from rileycert.chebyshev import sl2_power
-from rileycert.knots import (KL_WORD_C, DoubleTwistKnot, KlKnot, TwoBridgeFraction,
+from rileycert.knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot, TwoBridgeFraction,
                              Word, sign_sequence, word_double_twist,
                              word_from_signs, word_kl)
 from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly
 from rileycert.riley import evaluate_word, generator_images
 
-from matrix_oracle import adjugate, as_dict, row_one_as_dict
-from poly_oracle import to_sy
+from matrix_oracle import as_dict, as_maps
+from poly_oracle import rewrite_sy, to_sy
 
 
 def reference_evaluate_word(word: Word) -> PolyMatrix:
@@ -96,14 +95,12 @@ def test_packed_results_equal_the_dict_oracle(word_and_power):
     _assert_checkerboard(len(riley._letters(word)), base, _entries(base_dict))
     r_word = base_dict @ images.a - images.b @ base_dict
     if m < 0:
-        base, base_dict = adjugate(base), base_dict.adjugate()
-    (q11, q12, packing), power_dict = sl2_power(base, abs(m)), base_dict
+        # rho(w**-1) is the adjugate, as det rho(w) = 1
+        base_dict = base_dict.adjugate()
+        assert as_dict(evaluate_word(word.inverse())) == base_dict
+    power_dict = base_dict
     for _ in range(abs(m) - 1):
         power_dict = power_dict @ base_dict
-    # sl2_power returns row 1 of the power: its entries against row 1 of
-    # the oracle's repeated products
-    row = [p.unpack(v) for p, v in zip(packing.entries(), (q11, q12))]
-    _assert_checkerboard(packing.shift, row, _entries(power_dict)[:2])
     # the mirror rule: R22 of w^m vanishes exactly when tau(w) = w, and
     # riley_generic takes exactly those words, with or without the power
     r = power_dict @ images.a - images.b @ power_dict
@@ -222,23 +219,39 @@ def test_a_word_that_is_not_its_own_mirror_is_refused(word, m):
         riley.riley_generic(word, m)
 
 
-def test_only_the_power_route_and_the_trace_multiply_out_whole_matrices(monkeypatch):
-    full, calls = riley.evaluate_word, []
+def _calls(monkeypatch, name):
+    # the words riley.<name> is called with, from here on
+    f, calls = getattr(riley, name), []
 
     def spy(word):
         calls.append(word)
-        return full(word)
+        return f(word)
 
-    monkeypatch.setattr(riley, "evaluate_word", spy)
+    monkeypatch.setattr(riley, name, spy)
+    return calls
+
+
+def test_only_the_power_route_and_the_trace_multiply_out_whole_matrices(monkeypatch):
+    # a plain word's R12 comes off row 1 alone; the power route multiplies
+    # out the base word's whole matrix once, for lambda and det, and reads
+    # alpha off row 1 of the base word, or of its inverse for m < 0, never
+    # of the power's word; kl_cross_check multiplies out C alone
+    whole, row = _calls(monkeypatch, "evaluate_word"), _calls(monkeypatch, "_relator_r12")
+    fraction = word_from_signs(sign_sequence(TwoBridgeFraction(27, 11)))
     riley.riley_for_knot(TwoBridgeFraction(27, 11))
     riley.riley_for_knot(KlKnot(3), engine="generic")
-    assert calls == []
-    knot = DoubleTwistKnot(2, -3)
-    riley.riley_for_knot(knot, engine="generic")
-    assert calls == [word_double_twist(knot)[0]]
-    calls.clear()
+    assert whole == [] and row == [fraction, word_kl(KlKnot(3))]
+    for m in (-3, 3):
+        whole.clear()
+        row.clear()
+        knot = DoubleTwistKnot(2, m)
+        riley.riley_for_knot(knot, engine="generic")
+        w = word_double_twist(knot)[0]
+        assert whole == [w] and row == [w.inverse() if m < 0 else w]
+    whole.clear()
+    row.clear()
     assert riley.kl_cross_check()
-    assert calls == [KL_WORD_C]
+    assert whole == [KL_WORD_C] and row == [KL_WORD_D, KL_WORD_C.inverse() * KL_WORD_D]
 
 
 def test_packed_entries_take_half_the_slots(monkeypatch):
@@ -260,8 +273,8 @@ def test_packed_entries_take_half_the_slots(monkeypatch):
 def test_slots_cover_the_relator_bound(monkeypatch, text):
     # the l1 recursion must bound the true norms: evaluate_word's slots
     # hold the largest entry norm, the entries being all it reads, and
-    # R12 / s, the widest value the power route reads, stays within 3
-    # times it, which sl2_power's slots hold; in t = s**2 the product of L
+    # R12 = V11 + V12 / s - s V12 stays within 3 times it, as the row-1
+    # route's bound n11 + 2 n12 has it; in t = s**2 the product of L
     # letters spans t-slots 0 .. L
     m, unpacked = _unpacked_by(monkeypatch, evaluate_word, Word.parse_text(text))
     v = as_dict(m)
@@ -318,26 +331,33 @@ def test_packing_round_trip(terms):
 
 
 def test_packed_adjugate_equals_dict_adjugate(monkeypatch):
-    # riley_generic powers the adjugate of the word's term maps for m < 0,
-    # and the word's own maps for m > 0
+    # for m < 0 the power route reads alpha off the inverse word w**-1,
+    # which is its own mirror as w is, and whose packed product is the
+    # dict adjugate of w's: rho(w**-1) = adj rho(w) as det = 1; its R12 is
+    # the dict adjugate's, and lambda is the same for both, tr adj V = tr V
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
-    plain = reference_evaluate_word(w)
-    power, bases = riley.sl2_power, []
-
-    def spy(maps, n):
-        bases.append(maps)
-        return power(maps, n)
-
-    monkeypatch.setattr(riley, "sl2_power", spy)
+    inverse, plain, images = w.inverse(), reference_evaluate_word(w), generator_images()
+    assert inverse.mirror() == inverse and inverse.inverse() == w
+    assert as_dict(evaluate_word(inverse)) == plain.adjugate()
+    value, packing = riley._relator_r12(inverse)
+    adj = plain.adjugate()
+    assert SYPoly(packing.unpack(value)) == (adj @ images.a - images.b @ adj).e12
+    assert riley._unimodular_trace(evaluate_word(inverse)) == riley._unimodular_trace(
+        evaluate_word(w))
+    row = _calls(monkeypatch, "_relator_r12")
     riley.riley_generic(w, -3)
     riley.riley_generic(w, 3)
-    assert [as_dict(maps) for maps in bases] == [plain.adjugate(), plain]
+    assert row == [inverse, w]
 
 
 def test_power_path_reads_only_packed_integers(monkeypatch):
     # riley_generic(w, m) reads the word's matrix once, as term maps under
-    # the packing of its L + 1 t-slots, and the one value read after that
-    # is phi: R12 under the power's packing is never turned into terms
+    # the packing of its L + 1 t-slots; after that it reads only the three
+    # values it rewrites or combines, each in u = x**2 slots with shift 0:
+    # lambda in e / 2 + 1 = 2 (the double-twist word's entries have
+    # |s-exponent| <= 2, so the trace is packed with shift e = 2), alpha in
+    # deg_x(alpha) / 2 + 1 = 2 and phi in deg_x(phi) / 2 + 1 = 6.  R12, the
+    # trace and det are never turned into terms
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
     length = len(riley._letters(w))
     closed = {m: riley.riley_double_twist(3, m).poly for m in (5, -5)}
@@ -351,29 +371,37 @@ def test_power_path_reads_only_packed_integers(monkeypatch):
     for m in (5, -5):
         seen.clear()
         assert riley.riley_generic(w, m).poly == closed[m]
-        # the double-twist word's entries have |s-exponent| <= 2, so the
-        # power and R12 are packed with shift sigma = 5 * 2; phi = g(x**2)
-        # is read in sigma / 2 + 1 u-slots, shift 0
-        assert [(pk.shift, pk.slots) for pk in seen[:4]] == [
+        assert [(pk.shift, pk.slots) for pk in seen] == [
             (length, length + 1), (length - 1, length + 1),
-            (length - 1, length + 1), (length, length + 1)]
-        assert [(pk.shift, pk.slots) for pk in seen[4:]] == [(0, 6)]
+            (length - 1, length + 1), (length, length + 1),
+            (0, 2), (0, 2), (0, 6)]
 
 
 def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
-    # the power route reads R12 off row 1 of sl2_power's output and checks
-    # nothing else there: one more in q11, or one less in t-slot 0 of q12,
-    # makes R12 asymmetric, which symmetric_rewrite's back-substitution
-    # check finds, in the library and in the CLI's cross-check
+    # each value the power route reads is checked: R12 of the base word one
+    # more in its t-slot 0 is asymmetric, which symmetric_rewrite's
+    # back-substitution check finds; so is the trace of V [[1, s], [0, 1]],
+    # whose det is still 1; and V with one more in V11 has det != 1.  The
+    # library raises, and so does the CLI's cross-check
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
-    q11, q12, packing = sl2_power(evaluate_word(w), 4)
     assert word_double_twist(DoubleTwistKnot(2, 4)) == (w, 4)
-    for bad in ((q11 + 1, q12), (q11, q12 - 1)):
-        monkeypatch.setattr(riley, "sl2_power", lambda base, n, bad=bad: (*bad, packing))
-        with pytest.raises(polyring.NotSymmetric):
-            riley.riley_generic(w, 4)
-        assert cli.main(["riley", "--knot", "J:2,4", "--cross-check"]) == 1
-        assert "not invariant under s -> 1/s" in capsys.readouterr().err
+    value, packing = riley._relator_r12(w)
+    maps = evaluate_word(w)
+    shear = PolyMatrix(SYPoly.one(), SYPoly.s(1), SYPoly.zero(), SYPoly.one())
+    for name, bad, error, message in (
+            ("_relator_r12", lambda word: (value + 1, packing),
+             polyring.NotSymmetric, "not invariant under s -> 1/s"),
+            ("evaluate_word", lambda word: as_maps(as_dict(maps) @ shear),
+             polyring.NotSymmetric, "not invariant under s -> 1/s"),
+            ("evaluate_word", lambda word: ({**maps[0], (0, 0): maps[0].get((0, 0), 0) + 1},
+                                            *maps[1:]),
+             riley.NotUnimodular, "determinant is not the ring unit")):
+        with monkeypatch.context() as patch:
+            patch.setattr(riley, name, bad)
+            with pytest.raises(error):
+                riley.riley_generic(w, 4)
+            assert cli.main(["riley", "--knot", "J:2,4", "--cross-check"]) == 1
+            assert message in capsys.readouterr().err
 
 
 _J_WORDS = [word_double_twist(DoubleTwistKnot(k, 2))[0] for k in range(1, 5)]
@@ -419,24 +447,82 @@ def test_the_mirror_rule_holds_for_every_power(word_and_power):
 
 
 @pytest.mark.parametrize("k, m", [(1, 2), (3, 6), (6, -6), (10, 10)])
-def test_power_slots_cover_the_relator_bound(k, m):
-    # the Chebyshev norm recursion must bound the true norms of the power's
-    # entries, those of the dict oracle's repeated products: the slots
-    # hold 3 times the largest of them, and span t-slots 0 .. shift; the
-    # power's row 1 is the oracle's
+def test_power_slots_cover_the_relator_bound(monkeypatch, k, m):
+    # the power route's slots hold what it compares or unpacks: the det
+    # check's the coefficients of W11 W22 and W12 W21, W = s**e V, in
+    # 2e + 1 t-slots, and the Chebyshev combination's those of phi, in
+    # deg_x(phi) / 2 + 1 u-slots; the products by the dict oracle
     w, _ = word_double_twist(DoubleTwistKnot(k, 2))
-    base, plain = evaluate_word(w), reference_evaluate_word(w)
-    if m < 0:
-        base, plain = adjugate(base), plain.adjugate()
-    row, direct = sl2_power(base, abs(m)), plain
-    for _ in range(abs(m) - 1):
-        direct = direct @ plain
-    packing = row[2]
-    norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(direct))
-    assert 3 * norm < 2 ** (8 * packing.nbytes - 1)
-    assert packing.shift == 2 * abs(m)
-    assert packing.slots >= packing.shift + 1
-    assert row_one_as_dict(row) == (direct.e11, direct.e12)
+    covering, sized = Packing.covering.__func__, []
+
+    def spy(cls, shift, slots, bound):
+        sized.append(covering(cls, shift, slots, bound))
+        return sized[-1]
+
+    monkeypatch.setattr(Packing, "covering", classmethod(spy))
+    phi = riley.riley_generic(w, m).poly
+    assert phi == riley.riley_double_twist(k, m).poly
+    # sized by evaluate_word first, the det check next, the combination last
+    det, combination = sized[1], sized[-1]
+    v = reference_evaluate_word(w)
+    e = max(abs(i) + (n in (1, 2)) for n, entry in enumerate(_entries(v))
+            for i, _, _ in entry.terms())
+    assert (det.shift, det.slots) == (e, 2 * e + 1)
+    for product in (v.e11 * v.e22, v.e12 * v.e21):
+        assert all(abs(c) < 2 ** (8 * det.nbytes - 1) for _, _, c in product.terms())
+    assert combination.slots == phi.deg_x() // 2 + 1
+    assert max(abs(c) for _, _, c in phi.terms()) < 2 ** (8 * combination.nbytes - 1)
+
+
+def test_power_route_equals_the_dict_oracle():
+    # phi of w**m is the rewrite of R12 of the dict oracle's V**m, V**-1
+    # the adjugate, for the J words of k <= 4 and every m in +-1 .. +-6
+    images = generator_images()
+    for k in range(1, 5):
+        w, _ = word_double_twist(DoubleTwistKnot(k, 2))
+        plain = reference_evaluate_word(w)
+        for base, sign in ((plain, 1), (plain.adjugate(), -1)):
+            power = base
+            for m in range(1, 7):
+                r12 = (power @ images.a - images.b @ power).e12
+                assert riley.riley_generic(w, sign * m).poly == rewrite_sy(r12), (k, sign * m)
+                power = power @ base
+
+
+def test_the_trace_rejects_a_determinant_other_than_one():
+    # lambda and det from the term maps of the base word's matrix: the
+    # rewrite of the dict trace for words, and NotUnimodular for every
+    # matrix of det != 1, however it aliases in too few or too narrow slots
+    for text in ("", "a", "abAB", "bAbaBa", "abbbAAb"):
+        v = as_dict(evaluate_word(Word.parse_text(text)))
+        assert riley._unimodular_trace(as_maps(v)) == rewrite_sy(v.trace())
+    one, zero, s = SYPoly.one(), SYPoly.zero(), SYPoly.s(1)
+    det_s2 = PolyMatrix(s, zero, zero, s)
+    det_minus_one = PolyMatrix(one, zero, zero, -one)
+    det_minus_y = PolyMatrix(s, SYPoly.y(), one, zero)
+    mat = as_dict(evaluate_word(Word.parse_text("abAB")))
+    # V times diag(1, 1 + y): det 1 + y
+    det_one_plus_y = PolyMatrix(mat.e11, mat.e12 * (1 + SYPoly.y()),
+                                mat.e21, mat.e22 * (1 + SYPoly.y()))
+    # det 1 + s**4 - y/s**2, with e = 2: t**2 (det - 1) = t**4 - y t
+    # vanishes at t = 2**B, y = 2**(3B), so it takes more than e + 1 = 3
+    # t-slots, those of the entries, to tell it from 1
+    det_y_alias = PolyMatrix(s * s, SYPoly.s(-1), SYPoly.y() * SYPoly.s(-1) - s, s * s)
+    # det 1 - 1/s**2 + 2**16/s**4: t**2 (det - 1) = 2**16 - t vanishes at
+    # t = 2**16, so it takes slots that hold ||W_ij||_1**2 = 2**16, not
+    # just the entries, to tell it from 1
+    det_width_alias = PolyMatrix(one, 256 * SYPoly.s(-1), -256 * SYPoly.s(-3),
+                                 1 - SYPoly.s(-2))
+    for bad in (det_s2, det_minus_one, det_minus_y, det_one_plus_y,
+                det_y_alias, det_width_alias, PolyMatrix(zero, zero, zero, zero)):
+        with pytest.raises(riley.NotUnimodular):
+            riley._unimodular_trace(as_maps(bad))
+    # only term maps, and only of a checkerboard matrix: the packing
+    # refuses an entry with no t-slot, although det = 1 here
+    with pytest.raises(TypeError):
+        riley._unimodular_trace(PolyMatrix.identity())
+    with pytest.raises(ValueError):
+        riley._unimodular_trace(as_maps(PolyMatrix(s, zero, s, SYPoly.s(-1))))
 
 
 def test_back_substitution_check_runs_on_every_build(monkeypatch):

@@ -29,7 +29,7 @@ TRACED = ("polyring.eval_interval", "polyring.symmetric_rewrite",
           "certify.find_root_gt2", "certify.verify_certificate",
           "certify.xn_enclosure", "riley.riley_for_knot", "riley.riley_generic",
           "riley.evaluate_word", "riley.riley_double_twist", "riley.riley_kl",
-          "chebyshev.sl2_power", "knots.sign_sequence", "knots.word_from_signs",
+          "knots.sign_sequence", "knots.word_from_signs",
           "knots.word_double_twist", "knots.word_kl")
 originals = {name: getattr(mods[name.split(".")[0]], name.split(".")[1])
              for name in TRACED}

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rileycert import polyring
 from rileycert.dyadic import Dyadic, DyadicInterval
+from rileycert.knots import TwoBridgeFraction
 from rileycert.polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly, _horner,
                                 eval_interval, symmetric_rewrite, y_coefficient_bounds)
-from rileycert.riley import riley_double_twist
+from rileycert.riley import riley_double_twist, riley_for_knot
 
 from poly_oracle import (contains_fraction, eval_fraction, reference_eval_interval,
                          rewrite_sy, to_sy)
@@ -99,6 +101,42 @@ def test_canonical_order_and_hash_stability():
     # frozen regression value pins the canonical serialization format
     assert riley_double_twist(1, 2).content_hash == \
         "a080df6d37bd59f54b759934980e30a640328b7fae62b6006b4714f54f96136f"
+
+
+def test_terms_are_sorted_once(monkeypatch):
+    # terms(), to_text, triples and the hash read one canonical order, which
+    # a polynomial sorts its term map into once; Packing.read already lays
+    # its keys in that order, so phi from the rewrite or a Chebyshev
+    # combination is never sorted at all
+    calls, builtin_sorted = [], sorted
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return builtin_sorted(*args, **kwargs)
+
+    monkeypatch.setattr(polyring, "sorted", spy, raising=False)
+    rng = random.Random(29)
+    for maker in (rand_xy, rand_sy):
+        for _ in range(20):
+            p = maker(rng)
+            shuffled = list(p._terms.items())
+            rng.shuffle(shuffled)
+            q = type(p)(dict(shuffled))
+            want = [(i, j, p._terms[(i, j)])
+                    for i, j in builtin_sorted(p._terms, key=lambda key: (key[1], key[0]))]
+            text, triples, digest = p.to_text(), p.triples(), p.content_hash()
+            calls.clear()
+            assert list(q.terms()) == want
+            assert (q.to_text(), q.triples(), q.content_hash()) == (text, triples, digest)
+            assert hash(q) == hash(p) and q == p
+            assert len(calls) == 1
+    for phi in (riley_double_twist(2, -3).poly,
+                riley_for_knot(TwoBridgeFraction(27, 11)).poly):
+        calls.clear()
+        keys = list(phi._terms)
+        assert keys == builtin_sorted(keys, key=lambda key: (key[1], key[0]))
+        phi.to_text(), phi.triples()
+        assert calls == []
 
 
 def test_symmetric_rewrite_examples():

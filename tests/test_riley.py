@@ -162,8 +162,8 @@ _COEFFS = st.integers(-3, 3).filter(bool)
                        _COEFFS, max_size=5),
        st.integers(0, 10))
 def test_packed_recurrence_equals_dict_recurrence_xy(terms, n):
-    # q = 1, u = x**2 in the inner slots: the packing of the closed forms,
-    # whose t has even x-degrees only
+    # u = x**2 in the inner slots: the packing of every Chebyshev
+    # combination, whose t has even x-degrees only
     t = XYPoly(terms)
     deg = max((i for i, _ in terms), default=0)
     packing = Packing.covering(0, n * deg // 2 + 1, max(_cheb_norms(n, _l1(terms))))
@@ -171,30 +171,6 @@ def test_packed_recurrence_equals_dict_recurrence_xy(terms, n):
     s_prev, s_cur = _cheb_pair(n, t)
     assert packing.unpack(h_cur) == s_cur._terms
     assert packing.unpack(h_prev) == s_prev._terms
-    n_prev, n_cur = _cheb_norms(n, _l1(terms))
-    assert _l1(s_cur._terms) <= n_cur and _l1(s_prev._terms) <= n_prev
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 3).flatmap(lambda e: st.tuples(
-           st.just(e),
-           st.dictionaries(st.tuples(st.integers(0, e).map(lambda i: 2 * i - e),
-                                     st.integers(0, 2)),
-                           _COEFFS, max_size=5))),
-       st.integers(0, 10))
-def test_packed_recurrence_equals_dict_recurrence_laurent(e_terms, n):
-    # q = s**2e = t**e on T = s**e t, the homogenised recurrence of
-    # sl2_power (t's s-exponents all of e's parity, as a trace's are):
-    # H_j = s**(je) S_j(t), read back with shift je from t-slots 0 .. ne
-    e, terms = e_terms
-    t = SYPoly(terms)
-    packing = Packing.covering(n * e, n * e + 1, max(_cheb_norms(n, _l1(terms))))
-    b = 8 * packing.nbytes
-    h_prev, h_cur = _packed_cheb_pair(n, packing._replace(shift=e).multiplier(terms),
-                                      e * b)
-    s_prev, s_cur = _cheb_pair(n, t)
-    assert packing.unpack(h_cur) == s_cur._terms
-    assert packing._replace(shift=max(n - 1, 0) * e).unpack(h_prev) == s_prev._terms
     n_prev, n_cur = _cheb_norms(n, _l1(terms))
     assert _l1(s_cur._terms) <= n_cur and _l1(s_prev._terms) <= n_prev
 

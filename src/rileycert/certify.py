@@ -9,7 +9,7 @@ that no root exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import __version__
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
@@ -36,19 +36,13 @@ def xn_enclosure(n: int, precision: int) -> DyadicInterval:
     return two_cos_pi_ratio(1, n, precision)
 
 
-@dataclass(frozen=True)
-class RootCertificate:
-    """Re-checkable bracket for a root y_n > 2 of phi_K(x_n, y)."""
+class RootCertificate(namedtuple("RootCertificate",
+                                  "knot n a b sign_a sign_b precision y_max poly_hash")):
+    """Re-checkable bracket for a root y_n > 2 of phi_K(x_n, y): the knot's
+    label, n, the bracket a < b with the signs of phi at its ends, the x_n
+    precision, the y_max searched and the content hash of phi."""
 
-    knot: str
-    n: int
-    a: Dyadic
-    b: Dyadic
-    sign_a: int
-    sign_b: int
-    precision: int
-    y_max: int
-    poly_hash: str
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,16 +129,14 @@ def _parse_signs(value) -> tuple[int, int]:
     return tuple(1 if s == "+" else -1 for s in value)
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    """certified with a certificate, or inconclusive with a search trace.
+class ScanReport(namedtuple("ScanReport", "status certificate trace")):
+    """certified with a certificate, or inconclusive with a search trace:
+    status, the RootCertificate or None, and the trace dict.
 
     Inconclusive NEVER asserts that no root exists: the scan is one-sided.
     """
 
-    status: str
-    certificate: RootCertificate | None
-    trace: dict = field(default_factory=dict)
+    __slots__ = ()
 
     @property
     def certified(self) -> bool:

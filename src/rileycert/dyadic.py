@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
+import sys
 from functools import lru_cache
 
 
@@ -24,6 +24,12 @@ def _decimal(text) -> int:
     if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+", text)):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
+
+
+# the modulus of CPython's hash of numbers, a Mersenne prime (2**61 - 1 on
+# 64-bit builds), and its number of bits
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_BITS = _HASH_MODULUS.bit_length()
 
 
 class Dyadic:
@@ -40,11 +46,6 @@ class Dyadic:
             e += shift
         self.m = m
         self.e = e
-
-    def as_fraction(self) -> Fraction:
-        if self.e >= 0:
-            return Fraction(self.m << self.e)
-        return Fraction(self.m, 1 << -self.e)
 
     def floor_to(self, precision: int) -> "Dyadic":
         """Round down to a multiple of 2**-precision (exact if already one)."""
@@ -115,13 +116,20 @@ class Dyadic:
         return self._cmp(Dyadic._coerce(other)) >= 0
 
     def __hash__(self):
-        return hash(self.as_fraction())
+        """CPython's hash of the rational m * 2**e, so that equal values
+        hash equal across Dyadic, int, float and Fraction: |m| * 2**e modulo
+        the prime P = 2**_HASH_BITS - 1, where 2**e = 2**(e mod _HASH_BITS)
+        for every e, negative too; then m's sign, and -1 taken to -2."""
+        h = (abs(self.m) % _HASH_MODULUS << self.e % _HASH_BITS) % _HASH_MODULUS
+        h = -h if self.m < 0 else h
+        return -2 if h == -1 else h
 
     def sign(self) -> int:
         return (self.m > 0) - (self.m < 0)
 
     def __float__(self):
-        return float(self.as_fraction())  # m * 2.0**e overflows once m > 2**1024
+        # int true division rounds correctly; m * 2.0**e overflows once m > 2**1024
+        return self.m / (1 << -self.e) if self.e < 0 else float(self.m << self.e)
 
     def as_json(self) -> dict:
         return {"mantissa": str(self.m), "exponent": self.e}
@@ -304,7 +312,10 @@ def sqrt_enclosure(n: int, precision: int) -> DyadicInterval:
     return DyadicInterval(Dyadic(m, -bits), Dyadic(m + 1, -bits))
 
 
-_EXACT_TWO_COS = {Fraction(0): 2, Fraction(1, 3): 1, Fraction(1, 2): 0}
+# 2cos(num*pi/den) of the reduced ratios in [0, 1/2] where it is an integer,
+# and those where it is the square root of one
+_EXACT_TWO_COS = {(0, 1): 2, (1, 3): 1, (1, 2): 0}
+_SQRT_TWO_COS = {(1, 4): 2, (1, 6): 3}
 
 
 def _two_cos_scaled(num: int, den: int, precision: int) -> tuple[int, int]:
@@ -331,6 +342,7 @@ def _two_cos_scaled(num: int, den: int, precision: int) -> tuple[int, int]:
 def two_cos_pi_ratio(num: int, den: int, precision: int) -> DyadicInterval:
     """Enclose 2*cos(num*pi/den) with width <= 2**-precision, 0 <= num <= den.
 
+    num/den is reduced first, so every branch dispatches on integers.
     Exact for ratios 0, 1/3, 1/2 (and their reflections); an integer square
     root for 1/4 and 1/6; otherwise, after reflecting cos(t) = -cos(pi - t)
     into [0, pi/2), one fixed-point pass on integers scaled by
@@ -340,15 +352,14 @@ def two_cos_pi_ratio(num: int, den: int, precision: int) -> DyadicInterval:
     """
     if den < 1 or not 0 <= num <= den:
         raise ValueError(f"need 0 <= num <= den, got {num}/{den}")
-    r = Fraction(num, den)
-    if r > Fraction(1, 2):
-        return -two_cos_pi_ratio((1 - r).numerator, (1 - r).denominator, precision)
-    if r in _EXACT_TWO_COS:
-        return DyadicInterval.point(_EXACT_TWO_COS[r])
-    if r == Fraction(1, 4):
-        return sqrt_enclosure(2, precision)
-    if r == Fraction(1, 6):
-        return sqrt_enclosure(3, precision)
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if 2 * num > den:
+        return -two_cos_pi_ratio(den - num, den, precision)
+    if (num, den) in _EXACT_TWO_COS:
+        return DyadicInterval.point(_EXACT_TWO_COS[num, den])
+    if (num, den) in _SQRT_TWO_COS:
+        return sqrt_enclosure(_SQRT_TWO_COS[num, den], precision)
     lo, hi = _two_cos_scaled(num, den, precision)
     shift = _GUARD_BITS - 2
     iv = DyadicInterval(Dyadic(lo >> shift, -(precision + 2)),

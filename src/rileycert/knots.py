@@ -8,7 +8,7 @@ the odd/even twist family J(2k+1, 2m), and the K_l family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 # Largest accepted knot parameters.  The cost of phi grows with them (about
@@ -30,87 +30,92 @@ class ReductionInapplicable(ValueError):
     """Hirasawa-Murasugi reduction needs floor(p/q) >= 2."""
 
 
-@dataclass(frozen=True)
-class TwoBridgeFraction:
+class _Checked:
+    """Base of a value class whose __new__ validates: _make, and so
+    _replace, build through __new__ too, where namedtuple's skip it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class TwoBridgeFraction(_Checked, namedtuple("TwoBridgeFraction", "p q")):
     """Fraction (p, q) of a two-bridge knot, normalized to 0 < q < p <= P_MAX."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p <= 0 or self.p % 2 == 0:
-            raise ValueError(f"p must be a positive odd integer, got {self.p}")
-        if self.p > P_MAX:
-            raise ValueError(f"p must be at most {P_MAX}, got {self.p}")
-        if not 0 < self.q < self.p:
-            raise ValueError(f"q must satisfy 0 < q < p, got {self.q}")
-        if self.q % 2 == 0:
-            raise ValueError(f"q must be odd, got {self.q}")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"p and q must be coprime, got ({self.p}, {self.q})")
+    def __new__(cls, p: int, q: int):
+        if p <= 0 or p % 2 == 0:
+            raise ValueError(f"p must be a positive odd integer, got {p}")
+        if p > P_MAX:
+            raise ValueError(f"p must be at most {P_MAX}, got {p}")
+        if not 0 < q < p:
+            raise ValueError(f"q must satisfy 0 < q < p, got {q}")
+        if q % 2 == 0:
+            raise ValueError(f"q must be odd, got {q}")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"p and q must be coprime, got ({p}, {q})")
+        return super().__new__(cls, p, q)
 
     def spec_string(self) -> str:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class DoubleTwistKnot:
+class DoubleTwistKnot(_Checked, namedtuple("DoubleTwistKnot", "k m")):
     """J(2k+1, 2m) with 1 <= k <= K_MAX and 2 <= |m| <= M_MAX."""
 
-    k: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.k <= K_MAX:
-            raise ValueError(f"k must lie in 1..{K_MAX}, got {self.k}")
-        if not 2 <= abs(self.m) <= M_MAX:
-            raise ValueError(f"|m| must lie in 2..{M_MAX}, got {self.m}")
+    def __new__(cls, k: int, m: int):
+        if not 1 <= k <= K_MAX:
+            raise ValueError(f"k must lie in 1..{K_MAX}, got {k}")
+        if not 2 <= abs(m) <= M_MAX:
+            raise ValueError(f"|m| must lie in 2..{M_MAX}, got {m}")
+        return super().__new__(cls, k, m)
 
     def spec_string(self) -> str:
         return f"J:{self.k},{self.m}"
 
 
-@dataclass(frozen=True)
-class KlKnot:
+class KlKnot(_Checked, namedtuple("KlKnot", "l")):
     """The l-th knot of the three-twist-region family, 2 <= l <= L_MAX."""
 
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 2 <= self.l <= L_MAX:
-            raise ValueError(f"l must lie in 2..{L_MAX}, got {self.l}")
+    def __new__(cls, l: int):
+        if not 2 <= l <= L_MAX:
+            raise ValueError(f"l must lie in 2..{L_MAX}, got {l}")
+        return super().__new__(cls, l)
 
     def spec_string(self) -> str:
         return f"Kl:{self.l}"
 
 
-@dataclass(frozen=True)
-class SignSequence:
+class SignSequence(_Checked, namedtuple("SignSequence", "signs p q")):
     """The +/-1 sequence of a fraction, with its source (p, q)."""
 
-    signs: tuple[int, ...]
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
+    def __new__(cls, signs: tuple[int, ...], p: int, q: int):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
+        return super().__new__(cls, signs, p, q)
 
 
-@dataclass(frozen=True)
-class RunSeq:
+class RunSeq(_Checked, namedtuple("RunSeq", "runs p q")):
     """Run-length form <c1><-c2>...: signed nonzero runs, alternating in sign."""
 
-    runs: tuple[int, ...]
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(r == 0 for r in self.runs):
+    def __new__(cls, runs: tuple[int, ...], p: int, q: int):
+        if any(r == 0 for r in runs):
             raise ValueError("zero-length run")
-        for a, b in zip(self.runs, self.runs[1:]):
+        for a, b in zip(runs, runs[1:]):
             if (a > 0) == (b > 0):
                 raise ValueError("runs must alternate in sign")
+        return super().__new__(cls, runs, p, q)
 
     def is_degenerate(self) -> bool:
         """Empty or single-sign: a reduction base case."""
@@ -120,12 +125,11 @@ class RunSeq:
         return "".join(f"<{r}>" for r in self.runs)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "letters")):
     """Word in the meridians a, b: letters (generator, nonzero exponent),
     adjacent same-generator letters merged."""
 
-    letters: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
     @classmethod
     def from_letters(cls, letters) -> "Word":

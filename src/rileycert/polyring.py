@@ -8,8 +8,9 @@ Canonical term order everywhere (serialization, hashing, iteration) is
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dyadic import Dyadic, DyadicInterval
 
@@ -306,7 +307,7 @@ def _substitutes_back(f: dict, value: int, packing: Packing) -> bool:
     return not f_rows                        # no row of f beyond those of p
 
 
-class Packing(NamedTuple):
+class Packing(namedtuple("Packing", "shift slots nbytes")):
     """Kronecker substitution s -> 2**(4*nbytes), y -> 2**(8*nbytes*slots).
 
     A term c * s**i * y**j sits in slot (i + shift) / 2 + slots * j, so the
@@ -320,9 +321,7 @@ class Packing(NamedTuple):
     the steps that made it.
     """
 
-    shift: int
-    slots: int
-    nbytes: int
+    __slots__ = ()
 
     @classmethod
     def covering(cls, shift: int, slots: int, bound: int) -> "Packing":

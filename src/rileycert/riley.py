@@ -83,7 +83,7 @@ faithful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .chebyshev import _cheb_norms, _cheb_pair, _packed_cheb_pair
@@ -101,21 +101,19 @@ class NotUnimodular(ValueError):
     """det rho(w) is not 1, as the power route's Cayley-Hamilton step needs."""
 
 
-@dataclass(frozen=True)
-class GeneratorImages:
-    a: PolyMatrix
-    b: PolyMatrix
-    a_inv: PolyMatrix
-    b_inv: PolyMatrix
+class GeneratorImages(namedtuple("GeneratorImages", "a b a_inv b_inv")):
+    """The PolyMatrix images of a, b and their inverses."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RileyPolynomial:
-    """phi_K(x, y) together with where it came from."""
+class RileyPolynomial(namedtuple("RileyPolynomial", "poly knot presentation")):
+    """phi_K(x, y), an XYPoly, together with where it came from: the knot's
+    label and the presentation.  No __slots__: content_hash caches in the
+    instance __dict__, which it writes directly, so assignment is refused."""
 
-    poly: XYPoly
-    knot: str
-    presentation: str
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: RileyPolynomial is immutable")
 
     @cached_property
     def content_hash(self) -> str:

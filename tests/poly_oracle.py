@@ -1,11 +1,11 @@
 """Exact oracles on the package's polynomial and interval types that the
 program itself does not need: rational evaluation, substitution in y, the
-Laurent image f(s + 1/s, y), the rewrite of a dict SYPoly, and interval
-Horner on DyadicInterval objects."""
+Laurent image f(s + 1/s, y), the rewrite of a dict SYPoly, interval
+Horner on DyadicInterval objects, and the Fraction value of a Dyadic."""
 
 from fractions import Fraction
 
-from rileycert.dyadic import DyadicInterval
+from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.polyring import Packing, SYPoly, XYPoly, symmetric_rewrite
 
 
@@ -40,8 +40,13 @@ def to_sy(f: XYPoly) -> SYPoly:
     return acc
 
 
+def as_fraction(d: Dyadic) -> Fraction:
+    """The exact value m * 2**e of a Dyadic."""
+    return Fraction(d.m << d.e) if d.e >= 0 else Fraction(d.m, 1 << -d.e)
+
+
 def contains_fraction(iv: DyadicInterval, fr: Fraction) -> bool:
-    return iv.lo.as_fraction() <= fr <= iv.hi.as_fraction()
+    return as_fraction(iv.lo) <= fr <= as_fraction(iv.hi)
 
 
 def rewrite_sy(p: SYPoly) -> XYPoly:

@@ -43,7 +43,7 @@ from rileycert.riley import (alpha_dt, evaluate_word, generator_images,
 
 import cert_oracle
 from matrix_oracle import as_dict
-from poly_oracle import substitute_y
+from poly_oracle import as_fraction, substitute_y
 
 X = XYPoly.x()
 
@@ -255,8 +255,8 @@ def test_criterion_6_chebyshev_suite():
             ok = ok and cheb_eval(n, t) > 0 and cheb_eval(n + 1, t) > cheb_eval(n, t)
     # between the two smallest roots, 2cos(n pi/(n+1)) < 2cos((n-1) pi/(n+1))
     for n in range(2, 33):
-        t = (two_cos_pi_ratio(n, n + 1, 32).hi.as_fraction()
-             + two_cos_pi_ratio(n - 1, n + 1, 32).lo.as_fraction()) / 2
+        t = (as_fraction(two_cos_pi_ratio(n, n + 1, 32).hi)
+             + as_fraction(two_cos_pi_ratio(n - 1, n + 1, 32).lo)) / 2
         ok = ok and (-1) ** n * cheb_eval(n, t) < 0
     _report("criterion 6 (Chebyshev suite)", ok)
 
@@ -298,7 +298,7 @@ def test_criterion_8_numeric_spot_value():
     # value at k = 1), positive-definite, width <= 2^-64
     phi = riley_for_knot(DoubleTwistKnot(1, 2))
     iv = eval_interval(phi.poly, xn_enclosure(5, 128), DyadicInterval.point(2))
-    lo, hi = iv.lo.as_fraction(), iv.hi.as_fraction()
+    lo, hi = as_fraction(iv.lo), as_fraction(iv.hi)
     # lo < 2 sqrt 5 - 4 < hi, decided exactly by squaring (both sides > 0)
     ok = lo > 0
     ok = ok and ((lo + 4) / 2) ** 2 < 5 < ((hi + 4) / 2) ** 2

@@ -18,6 +18,7 @@ from rileycert.polyring import XYPoly
 from rileycert.riley import riley_for_knot
 
 import cert_oracle
+from poly_oracle import as_fraction
 
 
 @pytest.mark.parametrize("n", [*range(2, 41), 97])
@@ -30,7 +31,7 @@ def test_xn_enclosure_contains_the_oracle_bracket(n, precision):
     q = precision + 2
     lo, hi = cert_oracle.xn_bracket(n, q)
     enclosure = xn_enclosure(n, precision)
-    assert enclosure.lo.as_fraction() <= lo <= hi <= enclosure.hi.as_fraction()
+    assert as_fraction(enclosure.lo) <= lo <= hi <= as_fraction(enclosure.hi)
     assert hi - lo == (0 if n in (2, 3) else Fraction(1, 1 << q))
 
 

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -18,7 +18,7 @@ from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
 from rileycert.polyring import XYPoly, eval_interval
 from rileycert.riley import RileyPolynomial, kl_named_polys, lambda_dt, riley_for_knot
 
-from poly_oracle import reference_eval_interval
+from poly_oracle import as_fraction, reference_eval_interval
 
 
 # The witness lemmas of the double-twist and K_l families: at a y_c >= 2
@@ -97,7 +97,7 @@ def test_xn_algebraic_cases():
     for n, square in ((4, 2), (6, 3)):
         iv = xn_enclosure(n, 128)
         assert iv.width() <= Dyadic(1, -128)
-        assert iv.lo.as_fraction() ** 2 < square < iv.hi.as_fraction() ** 2
+        assert as_fraction(iv.lo) ** 2 < square < as_fraction(iv.hi) ** 2
 
 
 def test_xn_series_cases():
@@ -143,8 +143,8 @@ def _check_witness_enclosure(lam, n, ratio, require_c_le_1=False):
     # lambda over the enclosure must straddle c
     lam_iv = reference_eval_interval(lam, xn, y_c)
     c_iv = ratio.enclosure(160)
-    assert lam_iv.lo.as_fraction() <= c_iv.hi.as_fraction()
-    assert c_iv.lo.as_fraction() <= lam_iv.hi.as_fraction()
+    assert as_fraction(lam_iv.lo) <= as_fraction(c_iv.hi)
+    assert as_fraction(c_iv.lo) <= as_fraction(lam_iv.hi)
     return y_c
 
 
@@ -869,16 +869,16 @@ def test_certificate_tampering_detected():
     phi = riley_for_knot(knot)
     cert = find_root_gt2(phi, 3).certificate
     assert verify_certificate(cert, phi)
-    assert not verify_certificate(replace(cert, a=cert.b, b=cert.a), phi)
-    assert not verify_certificate(replace(cert, a=Dyadic(1), b=cert.b), phi)
+    assert not verify_certificate(cert._replace(a=cert.b, b=cert.a), phi)
+    assert not verify_certificate(cert._replace(a=Dyadic(1), b=cert.b), phi)
     assert not verify_certificate(
-        replace(cert, sign_a=cert.sign_b, sign_b=cert.sign_a), phi)
+        cert._replace(sign_a=cert.sign_b, sign_b=cert.sign_a), phi)
     # a <= 2 is rejected outright
-    assert not verify_certificate(replace(cert, a=Dyadic(2)), phi)
+    assert not verify_certificate(cert._replace(a=Dyadic(2)), phi)
     # a record relabelled as another knot does not verify
-    assert not verify_certificate(replace(cert, knot="Kl:6"), phi)
+    assert not verify_certificate(cert._replace(knot="Kl:6"), phi)
     with pytest.raises(HashMismatch):
-        verify_certificate(replace(cert, poly_hash="0" * 64), phi)
+        verify_certificate(cert._replace(poly_hash="0" * 64), phi)
     other = riley_for_knot(DoubleTwistKnot(1, 3))
     with pytest.raises(HashMismatch):
         verify_certificate(cert, other)
@@ -1056,7 +1056,7 @@ def test_certificate_survives_precision_refinement():
     phi = riley_for_knot(knot)
     cert = find_root_gt2(phi, 4).certificate
     for factor in (2, 4):
-        finer = replace(cert, precision=cert.precision * factor)
+        finer = cert._replace(precision=cert.precision * factor)
         assert verify_certificate(finer, phi)
 
 

@@ -7,6 +7,8 @@ from rileycert.chebyshev import cheb_eval, cheb_poly
 from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from rileycert.polyring import SYPoly, XYPoly
 
+from poly_oracle import as_fraction
+
 
 def u_poly(n):
     """Second-kind Chebyshev U_n by its own recurrence (independent oracle)."""
@@ -74,8 +76,8 @@ def test_sign_between_two_smallest_roots():
     # (-1)^n S_n < 0 strictly between the two smallest roots,
     # 2cos(n pi/(n+1)) < 2cos((n-1) pi/(n+1))
     for n in range(2, 33):
-        a = two_cos_pi_ratio(n, n + 1, 32).hi.as_fraction()
-        b = two_cos_pi_ratio(n - 1, n + 1, 32).lo.as_fraction()
+        a = as_fraction(two_cos_pi_ratio(n, n + 1, 32).hi)
+        b = as_fraction(two_cos_pi_ratio(n - 1, n + 1, 32).lo)
         t = (a + b) / 2
         assert a < t < b
         assert (-1) ** n * cheb_eval(n, t) < 0, n
@@ -86,4 +88,4 @@ def test_eval_on_dyadic_interval():
     out = cheb_eval(3, iv)
     # S_3 = z^3 - 2z; check sample containment
     for t in (Fraction(1), Fraction(9, 8), Fraction(5, 4)):
-        assert out.lo.as_fraction() <= t ** 3 - 2 * t <= out.hi.as_fraction()
+        assert as_fraction(out.lo) <= t ** 3 - 2 * t <= as_fraction(out.hi)

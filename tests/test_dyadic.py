@@ -4,11 +4,14 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rileycert.chebyshev import cheb_eval
-from rileycert.dyadic import (Dyadic, DyadicInterval, _cos_scaled, _two_cos_scaled,
-                              pi_bounds, sqrt_enclosure, two_cos_pi_ratio)
+from rileycert.dyadic import (_GUARD_BITS, Dyadic, DyadicInterval, _cos_scaled,
+                              _two_cos_scaled, pi_bounds, sqrt_enclosure,
+                              two_cos_pi_ratio)
+
+from poly_oracle import as_fraction
 
 PI_50 = Fraction(Decimal("3.14159265358979323846264338327950288419716939937511"))
 
@@ -87,26 +90,26 @@ def test_arithmetic_matches_fractions():
     rng = random.Random(11)
     for _ in range(500):
         a, b = rand_dyadic(rng), rand_dyadic(rng)
-        fa, fb = a.as_fraction(), b.as_fraction()
-        assert (a + b).as_fraction() == fa + fb
-        assert (a - b).as_fraction() == fa - fb
-        assert (a * b).as_fraction() == fa * fb
-        assert (-a).as_fraction() == -fa
+        fa, fb = as_fraction(a), as_fraction(b)
+        assert as_fraction(a + b) == fa + fb
+        assert as_fraction(a - b) == fa - fb
+        assert as_fraction(a * b) == fa * fb
+        assert as_fraction(-a) == -fa
         assert (a < b) == (fa < fb)
         assert (a == b) == (fa == fb)
-        assert a.half().as_fraction() == fa / 2
+        assert as_fraction(a.half()) == fa / 2
 
 
 def test_rounding_directions():
     d = Dyadic(5, -4)  # 0.3125
-    assert d.floor_to(2).as_fraction() == Fraction(1, 4)
-    assert d.ceil_to(2).as_fraction() == Fraction(1, 2)
-    assert d.floor_to(3).as_fraction() == Fraction(1, 4)
-    assert d.ceil_to(3).as_fraction() == Fraction(3, 8)
+    assert as_fraction(d.floor_to(2)) == Fraction(1, 4)
+    assert as_fraction(d.ceil_to(2)) == Fraction(1, 2)
+    assert as_fraction(d.floor_to(3)) == Fraction(1, 4)
+    assert as_fraction(d.ceil_to(3)) == Fraction(3, 8)
     assert d.floor_to(10) is d  # already on the grid
     neg = Dyadic(-5, -4)
-    assert neg.floor_to(2).as_fraction() == Fraction(-1, 2)
-    assert neg.ceil_to(2).as_fraction() == Fraction(-1, 4)
+    assert as_fraction(neg.floor_to(2)) == Fraction(-1, 2)
+    assert as_fraction(neg.ceil_to(2)) == Fraction(-1, 4)
 
 
 def test_json_round_trip():
@@ -129,12 +132,12 @@ def test_interval_arithmetic_encloses_samples():
         for op in ("add", "sub", "mul"):
             res = {"add": ia + ib, "sub": ia - ib, "mul": ia * ib}[op]
             for _ in range(4):
-                u = a[0].as_fraction() + Fraction(rng.randrange(0, 101), 100) \
-                    * (a[1].as_fraction() - a[0].as_fraction())
-                v = b[0].as_fraction() + Fraction(rng.randrange(0, 101), 100) \
-                    * (b[1].as_fraction() - b[0].as_fraction())
+                u = as_fraction(a[0]) + Fraction(rng.randrange(0, 101), 100) \
+                    * (as_fraction(a[1]) - as_fraction(a[0]))
+                v = as_fraction(b[0]) + Fraction(rng.randrange(0, 101), 100) \
+                    * (as_fraction(b[1]) - as_fraction(b[0]))
                 point = {"add": u + v, "sub": u - v, "mul": u * v}[op]
-                assert res.lo.as_fraction() <= point <= res.hi.as_fraction()
+                assert as_fraction(res.lo) <= point <= as_fraction(res.hi)
 
 
 def test_interval_sign():
@@ -168,7 +171,7 @@ def test_interval_repr_is_exact():
 def test_float_conversion_of_long_mantissas():
     assert float(Dyadic(5, -4)) == 0.3125
     d = Dyadic(3**2000, -3200)  # the mantissa alone overflows a float
-    assert float(d) == float(d.as_fraction())
+    assert float(d) == float(as_fraction(d))
     assert 0 < float(d) < math.inf
 
 
@@ -176,7 +179,7 @@ def test_sqrt_enclosures():
     for n in (2, 3):
         iv = sqrt_enclosure(n, 128)
         assert iv.width() <= Dyadic(1, -128)
-        assert iv.lo.as_fraction() ** 2 < n < iv.hi.as_fraction() ** 2
+        assert as_fraction(iv.lo) ** 2 < n < as_fraction(iv.hi) ** 2
 
 
 def test_sqrt_enclosure_matches_bisection():
@@ -225,7 +228,7 @@ def test_two_cos_contains_chebyshev_root():
 def test_two_cos_golden_ratio():
     # 2cos(pi/5) is the golden ratio, the positive root of t^2 - t - 1
     iv = two_cos_pi_ratio(1, 5, 160)
-    lo, hi = iv.lo.as_fraction(), iv.hi.as_fraction()
+    lo, hi = as_fraction(iv.lo), as_fraction(iv.hi)
     assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1
 
 
@@ -257,7 +260,7 @@ def test_two_cos_overlaps_fraction_series(ratio, precision):
         return  # exact or square-root branch, tested above
     ref_lo, ref_hi = two_cos_reference(r.numerator, r.denominator, precision + 40)
     iv = two_cos_pi_ratio(r.numerator, r.denominator, precision)
-    assert iv.lo.as_fraction() <= ref_hi and ref_lo <= iv.hi.as_fraction()
+    assert as_fraction(iv.lo) <= ref_hi and ref_lo <= as_fraction(iv.hi)
     # the unrounded bounds too, at 2**-(precision + 32), where the final
     # rounding cannot hide an endpoint on the wrong side of the value
     lo, hi = _two_cos_scaled(r.numerator, r.denominator, precision)
@@ -273,3 +276,78 @@ def test_cos_kernel_error_budget(work, frac):
     value, err = _cos_scaled(t, work)
     ref_lo, ref_hi = cos_bounds_reference(Fraction(t, 1 << work), work + 8)
     assert value - err <= ref_lo * (1 << work) and ref_hi * (1 << work) <= value + err
+
+
+# mantissas past 2**1024 and exponents on both sides of the float range
+mantissas = st.integers(-(1 << 1100), 1 << 1100)
+exponents = st.integers(-2300, 300)
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=st.one_of(st.integers(-64, 64), mantissas), e=exponents)
+@example(m=-1, e=0)          # hash -1 is taken to -2
+@example(m=-1, e=-61)        # 2**-61 = 1 modulo 2**61 - 1: hash -1 again
+@example(m=(1 << 61) - 1, e=-3)   # a multiple of the modulus hashes 0
+def test_hash_agrees_across_numeric_types(m, e):
+    d = Dyadic(m, e)
+    fr = as_fraction(d)
+    assert hash(d) == hash(fr)
+    if fr.denominator == 1:
+        assert hash(d) == hash(fr.numerator) and d == fr.numerator
+    try:
+        f = float(fr)
+    except OverflowError:
+        return
+    if Fraction(f) == fr:        # the float is the value itself
+        assert hash(d) == hash(f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=mantissas, e=exponents)
+@example(m=3**2000, e=-3200)                # |m| > 2**1024 with e < 0
+@example(m=-(3**2000), e=-2000)             # overflows
+@example(m=-1, e=-1100)                     # underflows to -0.0
+@example(m=(1 << 1024) - 1, e=0)            # overflows only once rounded
+@example(m=(1 << 53) - 1, e=971)            # the largest finite float
+@example(m=1, e=-1075)                      # ties to even at the subnormal end
+@example(m=3, e=-1076)
+def test_float_agrees_with_fraction(m, e):
+    d = Dyadic(m, e)
+    fr = as_fraction(d)
+    try:
+        expected = float(fr)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(d)
+        return
+    assert float(d).hex() == expected.hex()   # -0.0 and subnormals too
+
+
+def fraction_two_cos(num: int, den: int, precision: int) -> DyadicInterval:
+    """two_cos_pi_ratio as it dispatched on Fraction(num, den): reflection
+    above 1/2, the exact ratios, the square-root ratios, and the series on
+    the pair as given, reduced or not."""
+    r = Fraction(num, den)
+    if r > Fraction(1, 2):
+        return -fraction_two_cos((1 - r).numerator, (1 - r).denominator, precision)
+    exact = {Fraction(0): 2, Fraction(1, 3): 1, Fraction(1, 2): 0}
+    if r in exact:
+        return DyadicInterval.point(exact[r])
+    if r == Fraction(1, 4):
+        return sqrt_enclosure(2, precision)
+    if r == Fraction(1, 6):
+        return sqrt_enclosure(3, precision)
+    lo, hi = _two_cos_scaled(num, den, precision)
+    shift = _GUARD_BITS - 2
+    return DyadicInterval(Dyadic(lo >> shift, -(precision + 2)),
+                          Dyadic(-(-hi >> shift), -(precision + 2)))
+
+
+def test_two_cos_integer_dispatch_matches_fraction_dispatch():
+    # every 0 <= num <= den <= 24, reduced or not: the reflection, the exact
+    # and the square-root branches all meet pairs that reduce onto them
+    for den in range(1, 25):
+        for num in range(den + 1):
+            for precision in (64, 128):
+                assert (two_cos_pi_ratio(num, den, precision)
+                        == fraction_two_cos(num, den, precision)), (num, den, precision)

@@ -39,3 +39,24 @@ def test_public_names_are_pinned():
     assert sorted(rileycert.__all__) == PUBLIC_NAMES
     assert len(set(rileycert.__all__)) == len(rileycert.__all__)
     assert all(hasattr(rileycert, name) for name in PUBLIC_NAMES)
+
+
+# Modules the CLI's cold start does without: dataclasses (and inspect, which
+# it imports) generate code at import, fractions pulls in decimal and
+# numbers, and typing is only ever needed by annotations.
+COLD_START_ABSENT = ("dataclasses", "inspect", "fractions", "decimal", "numbers", "typing")
+
+CLI_PROBE = f"""
+import sys
+import rileycert.cli
+print(sorted(set({COLD_START_ABSENT!r}) & set(sys.modules)))
+"""
+
+
+def test_cli_cold_start_skips_unused_modules():
+    # python -S: site, which may preload typing or re, stays out, so this
+    # pins what the package itself imports, by module rather than by time
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-S", "-c", CLI_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", out

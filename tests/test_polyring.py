@@ -12,8 +12,8 @@ from rileycert.polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly, _horne
                                 eval_interval, symmetric_rewrite, y_coefficient_bounds)
 from rileycert.riley import riley_double_twist, riley_for_knot
 
-from poly_oracle import (contains_fraction, eval_fraction, reference_eval_interval,
-                         rewrite_sy, to_sy)
+from poly_oracle import (as_fraction, contains_fraction, eval_fraction,
+                         reference_eval_interval, rewrite_sy, to_sy)
 
 X, Y = XYPoly.x(), XYPoly.y()
 
@@ -243,7 +243,7 @@ def test_eval_interval_point_matches_fraction_oracle():
         iv = eval_interval(p, DyadicInterval.point(Dyadic(xn, -3)),
                            DyadicInterval.point(Dyadic(yn, -3)))
         assert iv.is_point()
-        assert iv.lo.as_fraction() == eval_fraction(p, Fraction(xn, 8), Fraction(yn, 8))
+        assert as_fraction(iv.lo) == eval_fraction(p, Fraction(xn, 8), Fraction(yn, 8))
     assert eval_interval(XYPoly.y(), DyadicInterval.point(7),
                          DyadicInterval.point(2)) == DyadicInterval.point(2)
 
@@ -278,7 +278,7 @@ def test_eval_interval_riley_at_exact_point():
     phi = riley_double_twist(1, 2).poly
     iv = eval_interval(phi, DyadicInterval.point(1), DyadicInterval.point(2))
     exact = eval_fraction(phi, Fraction(1), Fraction(2))
-    assert iv.is_point() and iv.lo.as_fraction() == exact
+    assert iv.is_point() and as_fraction(iv.lo) == exact
     assert exact == -5  # (x^2-2)(1+(4-x^2)k) - 1 at k=1, x=1
 
 
@@ -313,8 +313,8 @@ def exact_unit(p, x):
 def test_eval_interval_matches_reference(p, x, y, tx):
     iv = eval_interval(p, x, y)
     assert iv == reference_eval_interval(p, x, y)
-    u = x.lo.as_fraction() + tx * x.width().as_fraction()
-    assert contains_fraction(iv, eval_fraction(p, u, y.lo.as_fraction()))
+    u = as_fraction(x.lo) + tx * as_fraction(x.width())
+    assert contains_fraction(iv, eval_fraction(p, u, as_fraction(y.lo)))
 
 
 def fraction_horner(lo, hi, v_lo, v_hi):
@@ -396,7 +396,7 @@ def _bounds(p, x, e):
 @given(sparse_polys, intervals, st.fractions(0, 1), bounds_exponents)
 def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx, e):
     lo, hi, e = _bounds(p, x, e)
-    u = x.lo.as_fraction() + tx * x.width().as_fraction()
+    u = as_fraction(x.lo) + tx * as_fraction(x.width())
     slices = p.y_slices()
     assert len(lo) == len(hi) == p.deg_y() + 1
     for j, (l, h) in enumerate(zip(lo, hi)):
@@ -441,7 +441,7 @@ POSITIVE_Y = [DyadicInterval.point(2), DyadicInterval.point(8),
 
 
 def interval_id(iv: DyadicInterval) -> str:
-    return f"[{iv.lo.as_fraction()}, {iv.hi.as_fraction()}]"
+    return f"[{as_fraction(iv.lo)}, {as_fraction(iv.hi)}]"
 
 
 @pytest.mark.parametrize("x", POSITIVE_X, ids=interval_id)

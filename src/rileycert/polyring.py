@@ -328,35 +328,14 @@ class Packing(namedtuple("Packing", "shift slots nbytes")):
         """Slots wide enough for every coefficient of magnitude <= bound."""
         return cls(shift, slots, (bound.bit_length() + 8) // 8)
 
-    def entries(self) -> tuple["Packing", "Packing", "Packing", "Packing"]:
-        """The packings of M11, M12, M21, M22 of a checkerboard matrix
-        (diagonal s-exponents of the shift's parity, off-diagonal ones of
-        the other) whose integers hold the off-diagonal entries divided by
-        s: one shift lower."""
-        off = self._replace(shift=self.shift - 1)
-        return self, off, off, self
-
     def _empty(self) -> bytes:
         """One slot holding 0 once half a slot is added: the bias that
         makes every signed digit a nonnegative one."""
         return bytes(self.nbytes - 1) + b"\x80"
 
-    def pack(self, terms: dict) -> int:
-        """The integer of a {(s_exp, y_deg): coeff} term map."""
-        nb, half = self.nbytes, 1 << (8 * self.nbytes - 1)
-        shift, slots = self.shift, self.slots
-        count = max(((i + shift) // 2 + slots * j for i, j in terms), default=-1) + 1
-        buf = bytearray(self._empty() * count)
-        for (i, j), c in terms.items():
-            if (i + shift) % 2 or not 0 <= i + shift < 2 * slots:
-                raise ValueError(f"s-exponent {i} outside the packing")
-            k = ((i + shift) // 2 + slots * j) * nb
-            buf[k:k + nb] = (c + half).to_bytes(nb, "little")
-        return int.from_bytes(buf, "little") - int.from_bytes(self._empty() * count, "little")
-
     def multiplier(self, terms: dict) -> list[tuple[int, int]]:
         """The (bit shift, coeff) pairs of s**shift * poly for the term map
-        of poly, each shift being where `pack` puts that term: a packed
+        of poly, each shift being that term's slot: a packed
         value times s**shift * poly is the sum of coeff * (value << shift)
         over the pairs, which `_times` forms.  Every term of s**shift * poly
         must have a slot: no negative s-exponent, none of the other parity."""
@@ -542,8 +521,8 @@ def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e: int
 
 class PolyMatrix:
     """2x2 matrix over Z[s, 1/s, y] by dict polynomial arithmetic.  The
-    program multiplies packed integers only (`riley.evaluate_word`); this
-    stays as the tests' independent oracle."""
+    program multiplies packed rows only (`riley._word_product`, one row
+    vector times the letters); this stays as the tests' independent oracle."""
 
     __slots__ = ("e11", "e12", "e21", "e22")
 

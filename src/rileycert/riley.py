@@ -8,18 +8,18 @@ other: the engine is the trust anchor for the transcribed closed forms.
 
 The engine works on packed integers (Kronecker substitution, see
 `polyring.Packing`).  Each generator is scaled by s, so that a word of L
-letters has entries s**L * W_ij with s-exponents in [0, 2L], even on the
+letters has entries s**L * V_ij with s-exponents in [0, 2L], even on the
 diagonal and odd off it, as every product of the generators keeps them.
-So each entry is one integer in t = s**2, the off-diagonal ones divided by
-s, at t = 2**B, y = 2**(B*S), and a letter is a column update of a few
-shifts and adds: sA = [[t, s], [0, 1]] maps the t-integers of the columns
-(c1, c2) to (t c1, c1 + c2) in row 1 and (t c1, t c1 + c2) in row 2.  The
-slot width B comes from an l1-norm recursion run over the word before any
-arithmetic: a letter adds one column, times s or (2 - y)s (l1 norm 1 or
-3), to the other, so the norms bound every coefficient of V.  The whole
-matrix (`evaluate_word`) is multiplied out only to be unpacked into the
-term maps of its entries, so B covers the largest of the norms and
-S = L + 1 slots hold an entry's t-slots 0 .. L.
+Every word product is one row vector times the letters (`_word_product`).
+Row 1 is held as s**L (V11, V12 / s) and row 2 as s**L (s V21, V22): each
+entry is then one integer in t = s**2, at t = 2**B, y = 2**(B*S), and a
+letter maps both rows alike by a few shifts and adds: sA = [[t, s], [0, 1]]
+takes (c1, c2) to (t c1, c1 + c2).  So row 1 is the product from (1, 0)
+and row 2 the product from (0, 1).  The slot width B and the t-span of
+each entry come from one pass over the letters before any arithmetic
+(`_row_span`): a letter adds one entry, times s or (2 - y)s (l1 norm 1 or
+3), to the other, so the norms bound every coefficient, and a sum's
+support lies in the hull of its terms' supports.
 R11 = 0 and R21 = (y - 2)R12 + (s - 1/s)R22 hold for every V, so
 R22 = V21 - (2 - y)V12 = 0 is the one structure condition, and the mirror
 rule decides it on the word.  With D = diag(1, 2 - y),
@@ -33,11 +33,9 @@ and the K_l and J(2k+1, 2m) words are mirrors by construction.  So
 `riley_generic` checks tau(v) = v exactly, before any arithmetic, and
 then needs only R12, for the word and its powers alike: tau reverses
 products, so tau(v**m) = v**m for every m, and tau(v**-1) = v**-1.
-R12 reads row 1 of V alone: each letter multiplies on the right, so
-row 1 evolves on its own and the product carries only it.
-For a plain word its rows are laid only as wide as R12's t-span, which
-the same pass over the word that bounds the norms bounds too
-(`_row_one_span`): S = sigma + 1 slots, sigma = deg_x(phi) on a
+R12 reads row 1 of V alone, the product from (1, 0).
+Its rows are laid only as wide as R12's t-span, which the pass over the
+word bounds (`_mirror_span`): S = sigma + 1 slots, sigma = deg_x(phi) on a
 fraction's word, where R12 reaches about 0.65 L.  Packed arithmetic is
 evaluation at t = 2**B, y = 2**(B*S), a ring homomorphism, so the
 product's rows may overlap as long as R12's do not.  R12 stays a packed
@@ -62,10 +60,11 @@ tr V and alpha the phi of v, or of v**-1 (`Word.inverse`) for m < 0:
 tr V**-1 = tr V, and v**-1 is its own mirror as v is, since
 tau(v**-1) = tau(v)**-1.  This is Riley's trace and R12 construction,
 which the closed forms transcribe.  alpha comes off row 1 as above;
-lambda off the term maps of the whole product (`evaluate_word`), which
-also settle det V = 1, the premise of Cayley-Hamilton, in slots that
-hold det V (`_unimodular_trace`).  `kl_cross_check` reads the K_l lambda
-the same way, and its alpha and beta, R12 of D and of C^-1 D, off row 1.
+lambda off both rows of v's product, which also settle det V = 1, the
+premise of Cayley-Hamilton, in y-rows of 2 sigma + 1 t-slots that hold
+det V, sigma the width of the entries' t-span (`_unimodular_trace`).  `kl_cross_check`
+reads the K_l lambda the same way, and its alpha and beta, R12 of D and
+of C^-1 D, off row 1.
 
 Every Chebyshev combination S_n(lambda) a - S_{n-1}(lambda) b, closed
 form or power route (`_chebyshev_combination`), runs the recurrence
@@ -125,7 +124,7 @@ class RileyPolynomial(namedtuple("RileyPolynomial", "poly knot presentation")):
 def generator_images() -> GeneratorImages:
     """A = [[s, 1], [0, 1/s]], B = [[s, 0], [2 - y, 1/s]]; inverses by adjugate.
 
-    The program multiplies packed integers only (`evaluate_word`).  These
+    The program multiplies packed rows only (`_word_product`).  These
     dict matrices stay as the tests' independent oracle: the dict word
     product and the relator of acceptance criterion 4 are formed from them.
     perfbench clears this cache by name, so they move into the tests only
@@ -143,140 +142,124 @@ def _letters(word: Word) -> list[tuple[str, bool]]:
     return [(gen, exp > 0) for gen, exp in word.letters for _ in range(abs(exp))]
 
 
-def _word_product(letters: list[tuple[str, bool]], rows: tuple[int, int, int, int],
-                  b: int, ys: int) -> tuple[int, int, int, int]:
-    """rows times the ordered product of the letters, each scaled by s, as
-    t-integers at t = 2**b, y = 2**ys.  Each letter multiplies on the right,
-    so each row of the result depends on its own row of `rows` alone: from
-    (1, 0, 0, 0) the loop carries row 1 of the product and row 2 stays 0."""
-    q11, q12, q21, q22 = rows
+def _word_product(letters: list[tuple[str, bool]], row: tuple[int, int],
+                  b: int, ys: int) -> tuple[int, int]:
+    """row times the ordered product of the letters, each scaled by s, as
+    t-integers at t = 2**b, y = 2**ys: from (1, 0) row 1 of s**L V, held as
+    (V11, V12 / s) times s**L, and from (0, 1) row 2, held as
+    (s V21, V22) times s**L.  Each letter multiplies on the right, and in
+    that form it maps both rows alike."""
+    c1, c2 = row
     for gen, positive in letters:
         if gen == "a":
             if positive:    # sA = [[t, s], [0, 1]]
-                q12 += q11
-                q22 += q21 << b
-                q11 <<= b
-                q21 <<= b
+                c2 += c1
+                c1 <<= b
             else:           # sA^-1 = [[1, -s], [0, t]]
-                q12 = (q12 << b) - q11
-                q22 = (q22 - q21) << b
+                c2 = (c2 << b) - c1
         elif positive:      # sB = [[t, 0], [(2 - y)s, 1]]
-            q11 = (q11 + (q12 << 1) - (q12 << ys)) << b
-            q21 = (q21 << b) + (q22 << 1) - (q22 << ys)
+            c1 = (c1 + (c2 << 1) - (c2 << ys)) << b
         else:               # sB^-1 = [[1, 0], [(y - 2)s, t]]
-            q11 += (q12 << b + ys) - (q12 << b + 1)
-            q21 += (q22 << ys) - (q22 << 1)
-            q12 <<= b
-            q22 <<= b
-    return q11, q12, q21, q22
+            c1 += (c2 << b + ys) - (c2 << b + 1)
+            c2 <<= b
+    return c1, c2
 
 
-def evaluate_word(word: Word) -> tuple[dict, dict, dict, dict]:
-    """The {(s_exp, y_deg): coeff} maps of V11, V12, V21, V22 for V the
-    ordered product of generator images, exponents expanded: multiplied
-    out in t = s**2 as s**L times the product of the L letters, each
-    scaled by s, in L + 1 t-slots per y-row of the entries' l1 norm."""
-    letters = _letters(word)
-    # l1 norms of the scaled entries, which bound their coefficients
-    n11, n12, n21, n22 = 1, 0, 0, 1
-    for gen, _ in letters:
-        if gen == "a":
-            n12, n22 = n12 + n11, n22 + n21
-        else:
-            n11, n21 = n11 + 3 * n12, n21 + 3 * n22
-    packing = Packing.covering(len(letters), len(letters) + 1, max(n11, n12, n21, n22))
-    b = 8 * packing.nbytes
-    v = _word_product(letters, (1, 0, 0, 1), b, b * packing.slots)
-    return tuple(p.unpack(q) for p, q in zip(packing.entries(), v))
-
-
-def _row_one_span(letters: list[tuple[str, bool]]) -> tuple[int, int, int]:
-    """(bound, lo, hi): R12 / s of the word's relator has t-slots in
-    lo .. hi of each y-row of s**L R12 and l1 norm at most bound, from one
-    pass over the letters before any arithmetic.
-
-    The pass carries the l1 norms n11, n12 of row 1 of V and the hulls of
-    the t-supports of its t-integers q11, q12 (t-slots of s**L V11 and
-    s**(L - 1) V12): a sum's support lies in the hull of its terms'
-    supports, a factor t shifts it by one and 2 - y leaves it, so sA takes
-    the hulls (h11, h12) to (h11 + 1, h11 | h12), sA^-1 to
-    (h11, h11 | h12 + 1), sB to ((h11 | h12) + 1, h12) and sB^-1 to
-    (h11 | h12 + 1, h12 + 1).  R12 / s = q11 + q12 - t q12 lies in the hull
-    of h11, h12 and h12 + 1, with l1 norm at most n11 + 2 n12.  The span
-    returned is that hull widened to its mirror image, lo + hi = L, which
-    centres it on s**0, where `symmetric_rewrite` reads it: R12 of a
-    relator is invariant under s -> 1/s (the rewrite checks it), so its
-    t-support is symmetric about L / 2 anyway.  On a fraction's word
-    hi - lo is deg_x(phi)."""
-    n11, n12 = 1, 0
-    lo11 = hi11 = 0
-    lo12, hi12 = math.inf, -math.inf       # q12 = 0: no support yet
+def _row_span(letters: list[tuple[str, bool]], row: tuple[int, int]) -> tuple:
+    """((n1, n2), (lo1, hi1), (lo2, hi2)): the l1 norms of the t-integers
+    c1, c2 that `_word_product(letters, row, ...)` returns and the hulls
+    of their t-supports, from one pass over the letters before any
+    arithmetic.  A sum's support lies in the hull of its terms' supports,
+    a factor t shifts it by one and 2 - y leaves it, so sA takes the hulls
+    (h1, h2) to (h1 + 1, h1 | h2), sA^-1 to (h1, h1 | h2 + 1), sB to
+    ((h1 | h2) + 1, h2) and sB^-1 to (h1 | h2 + 1, h2 + 1); the hull of 0
+    is empty, (inf, -inf)."""
+    n1, n2 = row
+    (lo1, hi1), (lo2, hi2) = ((0, 0) if c else (math.inf, -math.inf) for c in row)
     for gen, positive in letters:
         if gen == "a":
-            n12 += n11
+            n2 += n1
             if positive:
-                lo12, hi12 = min(lo11, lo12), max(hi11, hi12)
-                lo11, hi11 = lo11 + 1, hi11 + 1
+                lo2, hi2 = min(lo1, lo2), max(hi1, hi2)
+                lo1, hi1 = lo1 + 1, hi1 + 1
             else:
-                lo12, hi12 = min(lo11, lo12 + 1), max(hi11, hi12 + 1)
+                lo2, hi2 = min(lo1, lo2 + 1), max(hi1, hi2 + 1)
         else:
-            n11 += 3 * n12
+            n1 += 3 * n2
             if positive:
-                lo11, hi11 = min(lo11, lo12) + 1, max(hi11, hi12) + 1
+                lo1, hi1 = min(lo1, lo2) + 1, max(hi1, hi2) + 1
             else:
-                lo11, hi11 = min(lo11, lo12 + 1), max(hi11, hi12 + 1)
-                lo12, hi12 = lo12 + 1, hi12 + 1
-    length = len(letters)
-    lo = min(lo11, lo12, length - max(hi11, hi12 + 1))
-    return n11 + 2 * n12, lo, length - lo
+                lo1, hi1 = min(lo1, lo2 + 1), max(hi1, hi2 + 1)
+                lo2, hi2 = lo2 + 1, hi2 + 1
+    return (n1, n2), (lo1, hi1), (lo2, hi2)
+
+
+def _mirror_span(length: int, hulls) -> tuple[int, int]:
+    """(lo, hi): the span of these t-hulls, of entries of s**L times a
+    matrix, widened to its mirror image, lo + hi = L, which centres it on
+    s**0, where `symmetric_rewrite` reads it."""
+    lo = min(min(l for l, _ in hulls), length - max(h for _, h in hulls))
+    return lo, length - lo
 
 
 def _relator_r12(word: Word) -> tuple[int, Packing]:
     """R12 of R = VA - BV for V = rho(word) and its packing, from row 1 of
     the product alone, in y-rows only as wide as R12's t-span.
 
-    With (bound, lo, hi) = `_row_one_span`, sigma = hi - lo: the letter
-    loop runs at t = 2**B, y = 2**(B (sigma + 1)), B wide enough for
-    bound.  Integer arithmetic there is evaluation at that point, so
-    intermediate rows may overlap, and only R12, the one value read, must
-    fit its rows, which its support in lo .. hi does.  The t-slots below
-    lo must come out 0, StructureViolation otherwise; shifted off, they
-    leave s**sigma R12 in sigma + 1 t-slots per y-row: the same terms as
-    R12 formed from `evaluate_word(word)`, whose rows take L + 1."""
+    R12 / s = c1 + c2 - t c2 for row 1 (c1, c2) of the product (V sA minus
+    sB V), so with `_row_span` from (1, 0) its t-slots lie in the hull of
+    h1, h2 and h2 + 1 and its l1 norm is at most n1 + 2 n2.  R12 of a
+    relator is invariant under s -> 1/s (the rewrite checks it), so its
+    t-support is symmetric about L / 2 anyway, and its mirror-widened span
+    lo .. hi (`_mirror_span`) is deg_x(phi) wide on a fraction's word.
+    The letter loop runs at t = 2**B, y = 2**(B (sigma + 1)),
+    sigma = hi - lo, B wide enough for the norm.  Integer arithmetic there
+    is evaluation at that point, so intermediate rows may overlap, and only
+    R12, the one value read, must fit its rows, which its support in
+    lo .. hi does.  The t-slots below lo must come out 0,
+    StructureViolation otherwise; shifted off, they leave s**sigma R12 in
+    sigma + 1 t-slots per y-row."""
     letters = _letters(word)
-    bound, lo, hi = _row_one_span(letters)
-    packing = Packing.covering(hi - lo, hi - lo + 1, bound)
+    (n1, n2), h1, (lo2, hi2) = _row_span(letters, (1, 0))
+    lo, hi = _mirror_span(len(letters), (h1, (lo2, hi2), (lo2 + 1, hi2 + 1)))
+    packing = Packing.covering(hi - lo, hi - lo + 1, n1 + 2 * n2)
     b = 8 * packing.nbytes
-    q11, q12, _, _ = _word_product(letters, (1, 0, 0, 0), b, b * packing.slots)
-    # R12 / s of R = VA - BV, V sA minus sB V: V11 + V12 - t V12, one more
-    # power of s than V; R's off-diagonal packing, one shift up and one
-    # down, is V's
-    r12 = q11 + q12 - (q12 << b)
+    c1, c2 = _word_product(letters, (1, 0), b, b * packing.slots)
+    # R12 / s: V11 + V12 - t V12, one more power of s than V; R's
+    # off-diagonal packing, one shift up and one down, is V's
+    r12 = c1 + c2 - (c2 << b)
     if r12 & ((1 << b * lo) - 1):
         raise StructureViolation("R_12 has terms below its t-span")
     return r12 >> b * lo, packing
 
 
-def _unimodular_trace(maps: tuple[dict, dict, dict, dict]) -> XYPoly:
-    """lambda = rewrite(tr V) for V given by its entries' term maps, as
-    `evaluate_word` returns them, once det V = 1 is checked (NotUnimodular
-    otherwise), the premise of the power route's Cayley-Hamilton step.
+def _unimodular_trace(word: Word) -> XYPoly:
+    """lambda = rewrite(tr V) for V = rho(word), once det V = 1 is checked
+    (NotUnimodular otherwise), the premise of the power route's
+    Cayley-Hamilton step, from both rows of the product.
 
-    V must be checkerboard, as every word's matrix is (`Packing.pack`
-    refuses any other with ValueError).  With e the largest |s-exponent|
-    of a diagonal entry and one more than that of an off-diagonal one,
-    W = s**e V has det W = t**e det V in t-slots 0 .. 2e, and det W - t**e
-    has coefficients of at most 2 ||W_ij||_1**2 + 1 in magnitude.  Slots
-    of that many and wide enough for ||W_ij||_1**2 make it 0 exactly when
-    its integer is; W11 + W22 = s**e tr V, in the same slots, is rewritten."""
-    e = max((abs(i) + d for t, d in zip(maps, (0, 1, 1, 0)) for i, _ in t), default=0)
-    norm = max(sum(map(abs, t.values())) for t in maps)
-    w = Packing.covering(e, 2 * e + 1, norm ** 2).entries()
-    w11, w12, w21, w22 = (p.pack(t) for p, t in zip(w, maps))
-    b = 8 * w[0].nbytes
-    if w11 * w22 - (w12 * w21 << b) != 1 << e * b:
+    With lo .. hi the mirror-widened span (`_mirror_span`) of the four
+    entries' t-hulls (`_row_span`) and sigma = hi - lo, each entry is t**lo
+    times one in t-slots 0 .. sigma.  The letter loop runs in y-rows of
+    2 sigma + 1 t-slots; the t-slots below lo must come out 0
+    (StructureViolation otherwise) and are shifted off.  Then
+    c11 c22 - c12 c21 = t**sigma det V, whose difference from t**sigma has
+    coefficients of at most 2 n**2 + 1 in magnitude, n the largest row
+    norm.  Slots of that many and wide enough for n**2 make it 0 exactly
+    when its integer is; c11 + c22 = s**sigma tr V is rewritten."""
+    letters = _letters(word)
+    spans = [_row_span(letters, row) for row in ((1, 0), (0, 1))]
+    lo, hi = _mirror_span(len(letters), [h for _, *row_hulls in spans for h in row_hulls])
+    sigma = hi - lo
+    packing = Packing.covering(sigma, 2 * sigma + 1, max(max(n) for n, _, _ in spans) ** 2)
+    b = 8 * packing.nbytes
+    rows = [_word_product(letters, row, b, b * packing.slots) for row in ((1, 0), (0, 1))]
+    if any(c & ((1 << b * lo) - 1) for row in rows for c in row):
+        raise StructureViolation("an entry has terms below its t-span")
+    (c11, c12), (c21, c22) = ((c1 >> b * lo, c2 >> b * lo) for c1, c2 in rows)
+    if c11 * c22 - c12 * c21 != 1 << sigma * b:
         raise NotUnimodular("determinant is not the ring unit")
-    return symmetric_rewrite(w11 + w22, w[0])
+    return symmetric_rewrite(c11 + c22, packing)
 
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:
@@ -294,7 +277,7 @@ def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPoly
     if m is None:
         phi = symmetric_rewrite(*_relator_r12(v))
     else:
-        lam = _unimodular_trace(evaluate_word(v))
+        lam = _unimodular_trace(v)
         alpha = symmetric_rewrite(*_relator_r12(v if m > 0 else v.inverse()))
         phi = _chebyshev_combination(abs(m) - 1, lam, alpha, XYPoly.one())
     tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
@@ -385,9 +368,9 @@ def kl_cross_check() -> bool:
     """Recover lambda, alpha, beta from the engine and compare with the
     transcriptions: lambda = rewrite(tr C), alpha from R_12 of the word D
     and beta from R_12 of C^-1 D, R = VA - BV for V the word's matrix.
-    Only the trace needs C's full product, read as the power route reads
-    lambda; each R_12 comes off row 1."""
-    found = [_unimodular_trace(evaluate_word(KL_WORD_C))]
+    lambda comes off both rows of C's product, as the power route reads
+    it; each R_12 comes off row 1."""
+    found = [_unimodular_trace(KL_WORD_C)]
     for w in (KL_WORD_D, KL_WORD_C.inverse() * KL_WORD_D):
         found.append(symmetric_rewrite(*_relator_r12(w)))
     return tuple(found) == kl_named_polys()

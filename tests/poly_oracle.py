@@ -1,7 +1,8 @@
 """Exact oracles on the package's polynomial and interval types that the
 program itself does not need: rational evaluation, substitution in y, the
-Laurent image f(s + 1/s, y), the rewrite of a dict SYPoly, interval
-Horner on DyadicInterval objects, and the Fraction value of a Dyadic."""
+Laurent image f(s + 1/s, y), packing a term map, the rewrite of a dict
+SYPoly, interval Horner on DyadicInterval objects, and the Fraction value
+of a Dyadic."""
 
 from fractions import Fraction
 
@@ -49,6 +50,21 @@ def contains_fraction(iv: DyadicInterval, fr: Fraction) -> bool:
     return as_fraction(iv.lo) <= fr <= as_fraction(iv.hi)
 
 
+def pack(packing: Packing, terms: dict) -> int:
+    """The integer of a {(s_exp, y_deg): coeff} term map under `packing`,
+    laid slot by slot: the inverse of `Packing.unpack`."""
+    nb, half = packing.nbytes, 1 << (8 * packing.nbytes - 1)
+    shift, slots = packing.shift, packing.slots
+    count = max(((i + shift) // 2 + slots * j for i, j in terms), default=-1) + 1
+    buf = bytearray(packing._empty() * count)
+    for (i, j), c in terms.items():
+        if (i + shift) % 2 or not 0 <= i + shift < 2 * slots:
+            raise ValueError(f"s-exponent {i} outside the packing")
+        k = ((i + shift) // 2 + slots * j) * nb
+        buf[k:k + nb] = (c + half).to_bytes(nb, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(packing._empty() * count, "little")
+
+
 def rewrite_sy(p: SYPoly) -> XYPoly:
     """symmetric_rewrite of a dict SYPoly: each s-parity class packed in
     t = s**2 with shift its largest |s-exponent|, as the engine packs R12,
@@ -58,7 +74,7 @@ def rewrite_sy(p: SYPoly) -> XYPoly:
         part = {key: c for key, c in p._terms.items() if key[0] & 1 == parity}
         deg = max((abs(i) for i, _ in part), default=parity)
         packing = Packing.covering(deg, deg + 1, max(map(abs, part.values()), default=0))
-        terms.update(symmetric_rewrite(packing.pack(part), packing)._terms)
+        terms.update(symmetric_rewrite(pack(packing, part), packing)._terms)
     return XYPoly(terms)
 
 

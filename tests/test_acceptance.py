@@ -36,13 +36,13 @@ from rileycert.knots import (DoubleTwistKnot, KlKnot, SignSequence, TwoBridgeFra
                              sign_sequence, sign_sequence_raw,
                              word_double_twist, word_from_signs, word_kl)
 from rileycert.polyring import SYPoly, XYPoly, eval_interval
-from rileycert.riley import (alpha_dt, evaluate_word, generator_images,
+from rileycert.riley import (alpha_dt, generator_images,
                              kl_alpha_derivative_check, kl_named_polys,
                              lambda_dt, riley_double_twist, riley_for_knot,
                              riley_generic, riley_kl)
 
 import cert_oracle
-from matrix_oracle import as_dict
+from matrix_oracle import reference_evaluate_word
 from poly_oracle import as_fraction, substitute_y
 
 X = XYPoly.x()
@@ -207,7 +207,7 @@ def test_criterion_4_symbolic_identities():
     # powers: the structure on the dict oracle's V**m and V**-m
     for k in range(1, 5):
         w, _ = word_double_twist(DoubleTwistKnot(k, 2))
-        w_mat = as_dict(evaluate_word(w))
+        w_mat = reference_evaluate_word(w)
         ok = ok and r_structure_holds(w_mat)
         for plain in (w_mat, w_mat.adjugate()):
             power = plain
@@ -215,10 +215,10 @@ def test_criterion_4_symbolic_identities():
                 power = power @ plain
                 ok = ok and r_structure_holds(power)
     for l in range(2, 7):
-        ok = ok and r_structure_holds(as_dict(evaluate_word(word_kl(KlKnot(l)))))
+        ok = ok and r_structure_holds(reference_evaluate_word(word_kl(KlKnot(l))))
     for p, q in ((5, 3), (7, 3), (17, 7)):
         v = word_from_signs(sign_sequence(TwoBridgeFraction(p, q)))
-        ok = ok and r_structure_holds(as_dict(evaluate_word(v)))
+        ok = ok and r_structure_holds(reference_evaluate_word(v))
     _report("criterion 4 (symbolic identities, exact)", ok)
 
 

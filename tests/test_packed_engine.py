@@ -10,69 +10,69 @@ from rileycert.knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot, TwoB
                              Word, sign_sequence, word_double_twist,
                              word_from_signs, word_kl)
 from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly
-from rileycert.riley import evaluate_word, generator_images
+from rileycert.riley import generator_images
 
-from matrix_oracle import as_dict, as_maps
-from poly_oracle import rewrite_sy, to_sy
-
-
-def reference_evaluate_word(word: Word) -> PolyMatrix:
-    """The ordered product by dict polynomial arithmetic, one letter at a
-    time: the engine before packing."""
-    images = generator_images()
-    table = {("a", 1): images.a, ("a", -1): images.a_inv,
-             ("b", 1): images.b, ("b", -1): images.b_inv}
-    result = PolyMatrix.identity()
-    for gen, exp in word.letters:
-        factor = table[(gen, 1 if exp > 0 else -1)]
-        for _ in range(abs(exp)):
-            result = result @ factor
-    return result
-
-
-def _entries(m: PolyMatrix):
-    return (m.e11, m.e12, m.e21, m.e22)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.text(alphabet="aAbB", max_size=60))
-@example("")
-@example("b" * 40)
-@example("B" * 40)
-@example("a" * 40)
-@example("A" * 40)
-@example("bA" * 30)
-def test_packed_word_equals_dict_product(text):
-    word = Word.parse_text(text)
-    assert as_dict(evaluate_word(word)) == reference_evaluate_word(word)
-
-
-def _assert_checkerboard(shift: int, entries: tuple, oracle: tuple):
-    # the oracle's diagonal s-exponents = shift and off-diagonal ones =
-    # shift + 1 (mod 2): every entry has a t-slot, and equals the engine's
-    # term map
-    for k, entry in enumerate(oracle):
-        assert all((i - shift - (k in (1, 2))) % 2 == 0 for i, _, _ in entry.terms())
-    assert tuple(map(SYPoly, entries)) == oracle
-
-
-def _unpacked_by(monkeypatch, f, *args):
-    # f(*args) and the (packing, value) pairs it unpacks on the way
-    unpack, seen = Packing.unpack, []
-
-    def spy(self, value):
-        seen.append((self, value))
-        return unpack(self, value)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Packing, "unpack", spy)
-        return f(*args), seen
+from matrix_oracle import packed_rows, reference_evaluate_word, row_integer
+from poly_oracle import pack, rewrite_sy, to_sy
 
 
 def _palindromic_word(half: list[bool]) -> Word:
     # a^e1 b^e2 ... with e_i = e_(p-i), as the relator word of p/q
     signs = [1 if up else -1 for up in half + half[::-1]]
     return Word.from_letters(("ab"[i % 2], e) for i, e in enumerate(signs))
+
+
+def _l1(entry: SYPoly) -> int:
+    return sum(abs(c) for _, _, c in entry.terms())
+
+
+def _unpacked_rows(letters) -> tuple[tuple[SYPoly, SYPoly], ...]:
+    # both rows of the row loop, from (1, 0) and from (0, 1), unpacked from
+    # L + 1 t-slots wide enough for the span pass's norms
+    rows = []
+    for start in ((1, 0), (0, 1)):
+        norms, _, _ = riley._row_span(letters, start)
+        packing = Packing.covering(0, len(letters) + 1, max(norms))
+        b = 8 * packing.nbytes
+        rows.append(tuple(SYPoly(packing.unpack(c)) for c in
+                          riley._word_product(letters, start, b, b * packing.slots)))
+    return tuple(rows)
+
+
+def _row_loop_matrix(word: Word) -> PolyMatrix:
+    # rho(word) read off both rows of the row loop: the dict oracle's
+    # product (test_packed_word_equals_dict_product), at lengths where the
+    # dict product takes seconds
+    letters = riley._letters(word)
+    length = len(letters)
+    (w11, w12), (w21, w22) = _unpacked_rows(letters)
+    return PolyMatrix(w11 * SYPoly.s(-length), w12 * SYPoly.s(1 - length),
+                      w21 * SYPoly.s(-1 - length), w22 * SYPoly.s(-length))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(alphabet="aAbB", max_size=60).map(Word.parse_text),
+                 st.lists(st.booleans(), max_size=30).map(_palindromic_word)))
+@example(Word.parse_text(""))
+@example(Word.parse_text("b" * 40))
+@example(Word.parse_text("B" * 40))
+@example(Word.parse_text("a" * 40))
+@example(Word.parse_text("A" * 40))
+@example(Word.parse_text("bA" * 30))
+@example(word_kl(KlKnot(2)))
+def test_packed_word_equals_dict_product(word):
+    # from (1, 0) and from (0, 1) the row loop gives rows 1 and 2 of s**L V
+    # as the dict oracle's (V11, V12 / s) and (s V21, V22), mirror word or
+    # not; the span pass's norms bound their l1 norms and its hulls hold
+    # their t-supports
+    letters = riley._letters(word)
+    oracle = packed_rows(reference_evaluate_word(word), len(letters))
+    assert _unpacked_rows(letters) == oracle
+    for start, entries in zip(((1, 0), (0, 1)), oracle):
+        norms, *hulls = riley._row_span(letters, start)
+        for entry, norm, (lo, hi) in zip(entries, norms, hulls):
+            assert _l1(entry) <= norm
+            assert all(lo <= i // 2 <= hi for i, _, _ in entry.terms())
 
 
 # the dict oracle's cost grows steeply with letters * |m| (a 40-letter
@@ -91,13 +91,12 @@ _WORDS_AND_POWERS = st.integers(1, 6).flatmap(lambda m: st.tuples(
 def test_packed_results_equal_the_dict_oracle(word_and_power):
     word, m = word_and_power
     images = generator_images()
-    base, base_dict = evaluate_word(word), reference_evaluate_word(word)
-    _assert_checkerboard(len(riley._letters(word)), base, _entries(base_dict))
+    base_dict = reference_evaluate_word(word)
     r_word = base_dict @ images.a - images.b @ base_dict
     if m < 0:
         # rho(w**-1) is the adjugate, as det rho(w) = 1
         base_dict = base_dict.adjugate()
-        assert as_dict(evaluate_word(word.inverse())) == base_dict
+        assert reference_evaluate_word(word.inverse()) == base_dict
     power_dict = base_dict
     for _ in range(abs(m) - 1):
         power_dict = power_dict @ base_dict
@@ -137,10 +136,10 @@ _MIRROR_WORDS = st.one_of(
     st.integers(2, 10).map(lambda l: word_kl(KlKnot(l))))
 
 
-def _full_r12(full: tuple) -> dict:
-    # the term map of R12 of R = VA - BV for the full product's entries,
-    # by dict arithmetic: one product by each generator, not the word's
-    images, v = generator_images(), as_dict(full)
+def _full_r12(v: PolyMatrix) -> dict:
+    # the term map of R12 of R = VA - BV by dict arithmetic: one product by
+    # each generator, not the word's
+    images = generator_images()
     return (v @ images.a - images.b @ v).e12._terms
 
 
@@ -151,13 +150,12 @@ def _full_r12(full: tuple) -> dict:
 def test_row_one_relator_equals_the_full_one(word):
     # the row-1 route's R12 has the full product's terms, in rows only as
     # wide as its t-span, and the full R22 it skips is 0, both formed on
-    # the full product's entries; the dict oracle's R22 is 0 too, formed
-    # up to 64 letters, where it takes at most about 0.1 s
+    # the entries of both rows of the row loop; the dict oracle's R22 is 0
+    # too, formed up to 64 letters, where it takes at most about 0.1 s
     assert word.mirror() == word
-    full = evaluate_word(word)
-    v_full = as_dict(full)
+    v_full = _row_loop_matrix(word)
     value, packing = riley._relator_r12(word)
-    assert packing.unpack(value) == _full_r12(full)
+    assert packing.unpack(value) == _full_r12(v_full)
     assert v_full.e21 == (SYPoly.const(2) - SYPoly.y()) * v_full.e12
     if len(word.to_text()) <= 64:
         images, v = generator_images(), reference_evaluate_word(word)
@@ -170,18 +168,17 @@ def test_row_one_relator_equals_the_full_one(word):
 @example(word_kl(KlKnot(10)))
 @example(word_from_signs(sign_sequence(TwoBridgeFraction(151, 57))))
 def test_row_one_span_holds_the_relator(word):
-    # every term of s**L R12 lies in t-slots lo .. hi of its y-row, every
-    # coefficient within the l1 bound, and the span is deg_x(phi) wide, so
-    # no narrower rows hold R12: the dict oracle's R12 up to 64 letters,
-    # the full product's beyond that
+    # every term of s**L R12 lies in t-slots lo .. hi of its y-row, the
+    # mirror-widened hull of row 1's h1, h2 and h2 + 1, every coefficient
+    # within n1 + 2 n2, and the span is deg_x(phi) wide, so no narrower
+    # rows hold R12: the dict oracle's R12 up to 64 letters, the row
+    # loop's beyond that
     letters = riley._letters(word)
     length = len(letters)
-    bound, lo, hi = riley._row_one_span(letters)
-    if length <= 64:
-        images, v = generator_images(), reference_evaluate_word(word)
-        terms = {(i, j): c for i, j, c in (v @ images.a - images.b @ v).e12.terms()}
-    else:
-        terms = _full_r12(evaluate_word(word))
+    (n1, n2), h1, (lo2, hi2) = riley._row_span(letters, (1, 0))
+    lo, hi = riley._mirror_span(length, (h1, (lo2, hi2), (lo2 + 1, hi2 + 1)))
+    bound = n1 + 2 * n2
+    terms = _full_r12(reference_evaluate_word(word) if length <= 64 else _row_loop_matrix(word))
     assert lo + hi == length
     assert all((i + length) % 2 == 0 and lo <= (i + length) // 2 <= hi for i, _ in terms)
     assert max(map(abs, terms.values())) <= bound
@@ -196,13 +193,13 @@ def test_a_narrowed_span_is_caught(monkeypatch, fraction, cut):
     # the span is tight: a slot off its low end, its high end or both loses
     # terms of R12 or lays them off-centre, which the low-slot check, the
     # symmetry check or the back-substitution check must catch
-    span = riley._row_one_span
+    span = riley._mirror_span
 
-    def narrowed(letters):
-        bound, lo, hi = span(letters)
-        return bound, lo + cut[0], hi - cut[1]
+    def narrowed(length, hulls):
+        lo, hi = span(length, hulls)
+        return lo + cut[0], hi - cut[1]
 
-    monkeypatch.setattr(riley, "_row_one_span", narrowed)
+    monkeypatch.setattr(riley, "_mirror_span", narrowed)
     with pytest.raises((riley.StructureViolation, polyring.NotSymmetric, AssertionError)):
         riley.riley_for_knot(fraction)
 
@@ -232,11 +229,11 @@ def _calls(monkeypatch, name):
 
 
 def test_only_the_power_route_and_the_trace_multiply_out_whole_matrices(monkeypatch):
-    # a plain word's R12 comes off row 1 alone; the power route multiplies
-    # out the base word's whole matrix once, for lambda and det, and reads
-    # alpha off row 1 of the base word, or of its inverse for m < 0, never
-    # of the power's word; kl_cross_check multiplies out C alone
-    whole, row = _calls(monkeypatch, "evaluate_word"), _calls(monkeypatch, "_relator_r12")
+    # a plain word's R12 comes off row 1 alone; the power route runs both
+    # rows of the base word once, for lambda and det, and reads alpha off
+    # row 1 of the base word, or of its inverse for m < 0, never of the
+    # power's word; kl_cross_check runs both rows of C alone
+    whole, row = _calls(monkeypatch, "_unimodular_trace"), _calls(monkeypatch, "_relator_r12")
     fraction = word_from_signs(sign_sequence(TwoBridgeFraction(27, 11)))
     riley.riley_for_knot(TwoBridgeFraction(27, 11))
     riley.riley_for_knot(KlKnot(3), engine="generic")
@@ -254,38 +251,22 @@ def test_only_the_power_route_and_the_trace_multiply_out_whole_matrices(monkeypa
     assert whole == [KL_WORD_C] and row == [KL_WORD_D, KL_WORD_C.inverse() * KL_WORD_D]
 
 
-def test_packed_entries_take_half_the_slots(monkeypatch):
-    # host-independent size check: in t = s**2 each integer that
-    # evaluate_word unpacks for the 148-letter word of 149/51 spans at most
-    # L + 2 slots per y-degree of its entry; packing in s took 2L + 3
-    word = word_from_signs(sign_sequence(TwoBridgeFraction(149, 51)))
-    v, unpacked = _unpacked_by(monkeypatch, evaluate_word, word)
-    letters = 148
-    assert len(unpacked) == 4
-    for (packing, value), entry in zip(unpacked, v):
-        deg_y = max(j for _, j in entry)
-        assert value.bit_length() <= 8 * packing.nbytes * (letters + 2) * (deg_y + 1)
-
-
 @pytest.mark.parametrize("text", ["b" * 40, "B" * 40, "bA" * 30, "abAB" * 15,
                                   word_from_signs(sign_sequence(
                                       TwoBridgeFraction(151, 57))).to_text()])
-def test_slots_cover_the_relator_bound(monkeypatch, text):
-    # the l1 recursion must bound the true norms: evaluate_word's slots
-    # hold the largest entry norm, the entries being all it reads, and
-    # R12 = V11 + V12 / s - s V12 stays within 3 times it, as the row-1
-    # route's bound n11 + 2 n12 has it; in t = s**2 the product of L
-    # letters spans t-slots 0 .. L
-    m, unpacked = _unpacked_by(monkeypatch, evaluate_word, Word.parse_text(text))
-    v = as_dict(m)
-    norm = max(sum(abs(c) for _, _, c in e.terms()) for e in _entries(v))
-    images = generator_images()
+def test_slots_cover_the_relator_bound(text):
+    # R12 = V11 + V12 / s - s V12 stays within n1 + 2 n2 of row 1's span
+    # pass, the bound _relator_r12 sizes its slots by; in t = s**2 every
+    # entry of the product of L letters, and so every hull, lies in
+    # t-slots 0 .. L
+    word = Word.parse_text(text)
+    letters = riley._letters(word)
+    (n1, n2), *hulls = riley._row_span(letters, (1, 0))
+    assert all(0 <= lo and hi <= len(letters) for lo, hi in hulls if lo <= hi)
+    v, images = reference_evaluate_word(word), generator_images()
     r12 = (v @ images.a - images.b @ v).e12
-    assert max(abs(c) for _, _, c in r12.terms()) <= 3 * norm
-    assert len(unpacked) == 4
-    for packing, _ in unpacked:
-        assert norm < 2 ** (8 * packing.nbytes - 1)
-        assert packing.slots == len(text) + 1
+    assert max(abs(c) for _, _, c in r12.terms()) <= n1 + 2 * n2
+    assert 2 * (n1 + 2 * n2) < 2 ** (8 * riley._relator_r12(word)[1].nbytes)
 
 
 def test_unpack_borrows_across_adjacent_negative_slots():
@@ -293,20 +274,20 @@ def test_unpack_borrows_across_adjacent_negative_slots():
     packing = Packing(shift=2, slots=4, nbytes=1)
     terms = {(-2, 0): -1, (0, 0): -1, (2, 0): -128, (4, 0): 127,
              (-2, 1): -1, (0, 1): 1, (4, 2): -3}
-    value = packing.pack(terms)
+    value = pack(packing, terms)
     assert value == sum(c * 2 ** (8 * ((i + 2) // 2 + 4 * j)) for (i, j), c in terms.items())
     assert packing.unpack(value) == terms
     assert packing.unpack(0) == {}
     for bad in ({(6, 0): 1}, {(-4, 0): 1}, {(1, 0): 1}):
         with pytest.raises(ValueError):
-            packing.pack(bad)
+            pack(packing, bad)
 
 
 def test_a_multiplier_term_needs_a_slot():
     # in u = x**2 slots an odd x-exponent would land mid-slot, and a
     # negative one below slot 0: multiplier refuses both, as pack does
     packing = Packing.covering(0, 4, 100)
-    value = packing.pack({(2, 0): 3, (0, 1): -1})
+    value = pack(packing, {(2, 0): 3, (0, 1): -1})
     terms = {(0, 0): 1, (2, 0): -2, (4, 1): 5}
     product = polyring._times(value, packing.multiplier(terms))
     assert packing.unpack(product) == (XYPoly(packing.unpack(value)) * XYPoly(terms))._terms
@@ -327,23 +308,24 @@ def test_packing_round_trip(terms):
     # s-exponents -6 .. 6 in t-slots 0 .. 6
     packing = Packing.covering(6, 7, 2 ** 15 - 1)
     assert packing.nbytes == 2
-    assert packing.unpack(packing.pack(terms)) == terms
+    assert packing.unpack(pack(packing, terms)) == terms
 
 
 def test_packed_adjugate_equals_dict_adjugate(monkeypatch):
     # for m < 0 the power route reads alpha off the inverse word w**-1,
-    # which is its own mirror as w is, and whose packed product is the
-    # dict adjugate of w's: rho(w**-1) = adj rho(w) as det = 1; its R12 is
-    # the dict adjugate's, and lambda is the same for both, tr adj V = tr V
+    # which is its own mirror as w is, and whose packed rows are those of
+    # the dict adjugate of w's product: rho(w**-1) = adj rho(w) as det = 1;
+    # its R12 is the dict adjugate's, and lambda is the same for both,
+    # tr adj V = tr V
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
     inverse, plain, images = w.inverse(), reference_evaluate_word(w), generator_images()
     assert inverse.mirror() == inverse and inverse.inverse() == w
-    assert as_dict(evaluate_word(inverse)) == plain.adjugate()
-    value, packing = riley._relator_r12(inverse)
     adj = plain.adjugate()
+    letters = riley._letters(inverse)
+    assert _unpacked_rows(letters) == packed_rows(adj, len(letters))
+    value, packing = riley._relator_r12(inverse)
     assert SYPoly(packing.unpack(value)) == (adj @ images.a - images.b @ adj).e12
-    assert riley._unimodular_trace(evaluate_word(inverse)) == riley._unimodular_trace(
-        evaluate_word(w))
+    assert riley._unimodular_trace(inverse) == riley._unimodular_trace(w)
     row = _calls(monkeypatch, "_relator_r12")
     riley.riley_generic(w, -3)
     riley.riley_generic(w, 3)
@@ -351,15 +333,13 @@ def test_packed_adjugate_equals_dict_adjugate(monkeypatch):
 
 
 def test_power_path_reads_only_packed_integers(monkeypatch):
-    # riley_generic(w, m) reads the word's matrix once, as term maps under
-    # the packing of its L + 1 t-slots; after that it reads only the three
-    # values it rewrites or combines, each in u = x**2 slots with shift 0:
-    # lambda in e / 2 + 1 = 2 (the double-twist word's entries have
-    # |s-exponent| <= 2, so the trace is packed with shift e = 2), alpha in
-    # deg_x(alpha) / 2 + 1 = 2 and phi in deg_x(phi) / 2 + 1 = 6.  R12, the
-    # trace and det are never turned into terms
+    # riley_generic(w, m) reads only the three values it rewrites or
+    # combines, each in u = x**2 slots with shift 0: lambda in
+    # sigma / 2 + 1 = 2 (the double-twist word's entries span t-slots
+    # lo .. lo + 2 of s**L V, so the trace is packed with shift sigma = 2),
+    # alpha in deg_x(alpha) / 2 + 1 = 2 and phi in deg_x(phi) / 2 + 1 = 6.
+    # No matrix entry, R12, trace or det is turned into terms
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
-    length = len(riley._letters(w))
     closed = {m: riley.riley_double_twist(3, m).poly for m in (5, -5)}
     read, seen = Packing.read, []
 
@@ -371,32 +351,39 @@ def test_power_path_reads_only_packed_integers(monkeypatch):
     for m in (5, -5):
         seen.clear()
         assert riley.riley_generic(w, m).poly == closed[m]
-        assert [(pk.shift, pk.slots) for pk in seen] == [
-            (length, length + 1), (length - 1, length + 1),
-            (length - 1, length + 1), (length, length + 1),
-            (0, 2), (0, 2), (0, 6)]
+        assert [(pk.shift, pk.slots) for pk in seen] == [(0, 2), (0, 2), (0, 6)]
 
 
 def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
     # each value the power route reads is checked: R12 of the base word one
     # more in its t-slot 0 is asymmetric, which symmetric_rewrite's
     # back-substitution check finds; so is the trace of V [[1, s], [0, 1]],
-    # whose det is still 1; and V with one more in V11 has det != 1.  The
-    # library raises, and so does the CLI's cross-check
+    # whose det is still 1, its packed rows (c1, c1 + c2); and V with one
+    # more in V11, at s**0, which is t-slot L / 2 of row 1's c1, has
+    # det != 1.  The rows are corrupted as the row loop returns them, with
+    # R12 kept whole.  The library raises, and so does the CLI's cross-check
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
     assert word_double_twist(DoubleTwistKnot(2, 4)) == (w, 4)
     value, packing = riley._relator_r12(w)
-    maps = evaluate_word(w)
-    shear = PolyMatrix(SYPoly.one(), SYPoly.s(1), SYPoly.zero(), SYPoly.one())
+    half, product = len(riley._letters(w)) // 2, riley._word_product
+
+    def sheared(letters, row, b, ys):
+        c1, c2 = product(letters, row, b, ys)
+        return c1, c1 + c2
+
+    def bumped(letters, row, b, ys):
+        c1, c2 = product(letters, row, b, ys)
+        return c1 + (row[0] << b * half), c2
+
     for name, bad, error, message in (
             ("_relator_r12", lambda word: (value + 1, packing),
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
-            ("evaluate_word", lambda word: as_maps(as_dict(maps) @ shear),
+            ("_word_product", sheared,
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
-            ("evaluate_word", lambda word: ({**maps[0], (0, 0): maps[0].get((0, 0), 0) + 1},
-                                            *maps[1:]),
+            ("_word_product", bumped,
              riley.NotUnimodular, "determinant is not the ring unit")):
         with monkeypatch.context() as patch:
+            patch.setattr(riley, "_relator_r12", lambda word: (value, packing))
             patch.setattr(riley, name, bad)
             with pytest.raises(error):
                 riley.riley_generic(w, 4)
@@ -462,11 +449,10 @@ def test_power_slots_cover_the_relator_bound(monkeypatch, k, m):
     monkeypatch.setattr(Packing, "covering", classmethod(spy))
     phi = riley.riley_generic(w, m).poly
     assert phi == riley.riley_double_twist(k, m).poly
-    # sized by evaluate_word first, the det check next, the combination last
-    det, combination = sized[1], sized[-1]
+    # sized by the det check first, the combination last
+    det, combination = sized[0], sized[-1]
     v = reference_evaluate_word(w)
-    e = max(abs(i) + (n in (1, 2)) for n, entry in enumerate(_entries(v))
-            for i, _, _ in entry.terms())
+    e = _checkerboard_e(v)
     assert (det.shift, det.slots) == (e, 2 * e + 1)
     for product in (v.e11 * v.e22, v.e12 * v.e21):
         assert all(abs(c) < 2 ** (8 * det.nbytes - 1) for _, _, c in product.terms())
@@ -489,40 +475,80 @@ def test_power_route_equals_the_dict_oracle():
                 power = power @ base
 
 
-def test_the_trace_rejects_a_determinant_other_than_one():
-    # lambda and det from the term maps of the base word's matrix: the
-    # rewrite of the dict trace for words, and NotUnimodular for every
-    # matrix of det != 1, however it aliases in too few or too narrow slots
+def _checkerboard_e(m: PolyMatrix) -> int:
+    # the largest |s-exponent| of a diagonal entry and one more than that
+    # of an off-diagonal one: the least length L that gives every entry of
+    # s**L m a t-slot in the row loop's form
+    return max((abs(i) + (k in (1, 2)) for k, entry in enumerate((m.e11, m.e12, m.e21, m.e22))
+                for i, _, _ in entry.terms()), default=0)
+
+
+def _trace_of_rows(monkeypatch, m: PolyMatrix) -> XYPoly:
+    # _unimodular_trace of a checkerboard m injected as packed rows: those
+    # of s**e m, with the entries' l1 norms and t-hulls 0 .. e from the
+    # span pass, so the trace is laid in 2e + 1 t-slots
+    e = _checkerboard_e(m)
+    rows = dict(zip(((1, 0), (0, 1)), packed_rows(m, e)))
+    with monkeypatch.context() as patch:
+        patch.setattr(riley, "_row_span", lambda letters, start: (
+            tuple(map(_l1, rows[start])), (0, e), (0, e)))
+        patch.setattr(riley, "_word_product", lambda letters, start, b, ys: tuple(
+            row_integer(entry, b, ys) for entry in rows[start]))
+        return riley._unimodular_trace(Word.parse_text("a" * e))
+
+
+def test_the_trace_rejects_a_determinant_other_than_one(monkeypatch):
+    # lambda and det from both rows of the base word's product: the rewrite
+    # of the dict trace for words, and NotUnimodular for every matrix of
+    # det != 1 injected as packed rows, however it aliases in too few or
+    # too narrow slots
     for text in ("", "a", "abAB", "bAbaBa", "abbbAAb"):
-        v = as_dict(evaluate_word(Word.parse_text(text)))
-        assert riley._unimodular_trace(as_maps(v)) == rewrite_sy(v.trace())
-    one, zero, s = SYPoly.one(), SYPoly.zero(), SYPoly.s(1)
+        word = Word.parse_text(text)
+        trace = rewrite_sy(reference_evaluate_word(word).trace())
+        assert riley._unimodular_trace(word) == trace
+        assert _trace_of_rows(monkeypatch, reference_evaluate_word(word)) == trace
+    one, zero, s, y = SYPoly.one(), SYPoly.zero(), SYPoly.s(1), SYPoly.y()
     det_s2 = PolyMatrix(s, zero, zero, s)
     det_minus_one = PolyMatrix(one, zero, zero, -one)
-    det_minus_y = PolyMatrix(s, SYPoly.y(), one, zero)
-    mat = as_dict(evaluate_word(Word.parse_text("abAB")))
+    det_minus_y = PolyMatrix(s, y, one, zero)
+    mat = reference_evaluate_word(Word.parse_text("abAB"))
     # V times diag(1, 1 + y): det 1 + y
-    det_one_plus_y = PolyMatrix(mat.e11, mat.e12 * (1 + SYPoly.y()),
-                                mat.e21, mat.e22 * (1 + SYPoly.y()))
+    det_one_plus_y = PolyMatrix(mat.e11, mat.e12 * (1 + y), mat.e21, mat.e22 * (1 + y))
     # det 1 + s**4 - y/s**2, with e = 2: t**2 (det - 1) = t**4 - y t
     # vanishes at t = 2**B, y = 2**(3B), so it takes more than e + 1 = 3
     # t-slots, those of the entries, to tell it from 1
-    det_y_alias = PolyMatrix(s * s, SYPoly.s(-1), SYPoly.y() * SYPoly.s(-1) - s, s * s)
+    det_y_alias = PolyMatrix(s * s, SYPoly.s(-1), y * SYPoly.s(-1) - s, s * s)
+    # det 1 + s**4 - y/s**4, with e = 2: t**2 (det - 1) = t**4 - y
+    # vanishes at y = 2**(4B), so it takes 2e + 1 = 5 t-slots, those of
+    # the products, not 2e, to tell it from 1
+    det_slot_alias = PolyMatrix(s * s + y * SYPoly.s(-2), s,
+                                (y - 2) * SYPoly.s(-1), s * s - SYPoly.s(-2))
     # det 1 - 1/s**2 + 2**16/s**4: t**2 (det - 1) = 2**16 - t vanishes at
     # t = 2**16, so it takes slots that hold ||W_ij||_1**2 = 2**16, not
     # just the entries, to tell it from 1
     det_width_alias = PolyMatrix(one, 256 * SYPoly.s(-1), -256 * SYPoly.s(-3),
                                  1 - SYPoly.s(-2))
-    for bad in (det_s2, det_minus_one, det_minus_y, det_one_plus_y,
-                det_y_alias, det_width_alias, PolyMatrix(zero, zero, zero, zero)):
+    assert det_slot_alias.det() == 1 + SYPoly.s(4) - y * SYPoly.s(-4)
+    for bad in (det_s2, det_minus_one, det_minus_y, det_one_plus_y, det_y_alias,
+                det_slot_alias, det_width_alias, PolyMatrix(zero, zero, zero, zero)):
         with pytest.raises(riley.NotUnimodular):
-            riley._unimodular_trace(as_maps(bad))
-    # only term maps, and only of a checkerboard matrix: the packing
-    # refuses an entry with no t-slot, although det = 1 here
-    with pytest.raises(TypeError):
-        riley._unimodular_trace(PolyMatrix.identity())
-    with pytest.raises(ValueError):
-        riley._unimodular_trace(as_maps(PolyMatrix(s, zero, s, SYPoly.s(-1))))
+            _trace_of_rows(monkeypatch, bad)
+
+
+def test_a_term_below_the_trace_span_is_caught(monkeypatch):
+    # both rows must have only 0 in the t-slots below the span they are
+    # shifted down by: with every hull of the span pass one slot narrower
+    # at both ends, the double-twist word's entries have terms there
+    w, _ = word_double_twist(DoubleTwistKnot(3, 2))
+    span = riley._row_span
+
+    def narrowed(letters, start):
+        norms, *hulls = span(letters, start)
+        return (norms, *((lo + 1, hi - 1) for lo, hi in hulls))
+
+    monkeypatch.setattr(riley, "_row_span", narrowed)
+    with pytest.raises(riley.StructureViolation, match="below its t-span"):
+        riley._unimodular_trace(w)
 
 
 def test_back_substitution_check_runs_on_every_build(monkeypatch):
@@ -552,7 +578,7 @@ def test_back_substitution_check_bites():
     assert max(i for i, _ in f) == sigma
     for key in ((sigma + 2, 0), (sigma + 3, 0), (1 - sigma % 2, 0), (0, rows)):
         assert not polyring._substitutes_back(_plus_one(f, key), r12, packing)
-    assert not polyring._substitutes_back(f, r12 + packing.pack({(0, rows): 1}), packing)
+    assert not polyring._substitutes_back(f, r12 + pack(packing, {(0, rows): 1}), packing)
 
 
 def test_back_substitution_check_relays_narrow_slots():
@@ -564,7 +590,7 @@ def test_back_substitution_check_relays_narrow_slots():
     p = to_sy(XYPoly(f))._terms
     packing = Packing.covering(20, 21, max(map(abs, p.values())))
     assert packing.nbytes == 3 and Packing.covering(0, 0, 5 ** 10).nbytes == 4
-    value = packing.pack(p)
+    value = pack(packing, p)
     assert polyring._substitutes_back(f, value, packing)
     assert polyring.symmetric_rewrite(value, packing) == XYPoly(f)
     for key in f:

@@ -28,7 +28,7 @@ mods = {"rileycert": rileycert, "cli": cli, "riley": riley, "knots": knots,
 TRACED = ("polyring.eval_interval", "polyring.symmetric_rewrite",
           "certify.find_root_gt2", "certify.verify_certificate",
           "certify.xn_enclosure", "riley.riley_for_knot", "riley.riley_generic",
-          "riley.evaluate_word", "riley.riley_double_twist", "riley.riley_kl",
+          "riley.riley_double_twist", "riley.riley_kl",
           "knots.sign_sequence", "knots.word_from_signs",
           "knots.word_double_twist", "knots.word_kl")
 originals = {name: getattr(mods[name.split(".")[0]], name.split(".")[1])

@@ -13,13 +13,12 @@ from rileycert.knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot,
                              TwoBridgeFraction, Word, sign_sequence, word_double_twist,
                              word_from_signs, word_kl)
 from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly
-from rileycert.riley import (StructureViolation, alpha_dt,
-                             evaluate_word, generator_images,
+from rileycert.riley import (StructureViolation, alpha_dt, generator_images,
                              kl_alpha_derivative_check, kl_cross_check,
                              kl_named_polys, lambda_dt, riley_double_twist,
                              riley_for_knot, riley_generic, riley_kl)
 
-from matrix_oracle import as_dict
+from matrix_oracle import reference_evaluate_word
 from poly_oracle import eval_fraction, rewrite_sy, substitute_y
 
 X, Y = XYPoly.x(), XYPoly.y()
@@ -38,13 +37,19 @@ def test_generator_images():
     assert g.b @ g.b_inv == PolyMatrix.identity()
 
 
-def test_evaluate_word_basics():
-    assert as_dict(evaluate_word(Word.from_letters(()))) == PolyMatrix.identity()
-    assert as_dict(evaluate_word(Word.parse_text("aA"))) == PolyMatrix.identity()
-    assert as_dict(evaluate_word(Word.parse_text("bB"))) == PolyMatrix.identity()
-    # trace of the double-twist word is the closed-form lambda
+def test_word_product_basics():
+    # the empty word, aA, bB and AabB multiply out to the identity: rows of
+    # s**L I in t-integers, (t**(L/2), 0) from (1, 0) and (0, t**(L/2)) from
+    # (0, 1); the trace of the double-twist word is the closed-form lambda
+    b, ys = 8, 24
+    for text in ("", "aA", "bB", "AabB"):
+        letters = riley._letters(Word.parse_text(text))
+        unit = 1 << b * len(letters) // 2
+        assert riley._word_product(letters, (1, 0), b, ys) == (unit, 0)
+        assert riley._word_product(letters, (0, 1), b, ys) == (0, unit)
     w, _ = word_double_twist(DoubleTwistKnot(1, 2))
-    assert rewrite_sy(as_dict(evaluate_word(w)).trace()) == lambda_dt(1)
+    assert riley._unimodular_trace(w) == lambda_dt(1)
+    assert rewrite_sy(reference_evaluate_word(w).trace()) == lambda_dt(1)
 
 
 def test_alpha_lambda_closed_forms():
@@ -269,7 +274,7 @@ def test_r_structure_identities():
         w, _ = word_double_twist(DoubleTwistKnot(k, 2))
         words.append(w)
     for v in words:
-        mat = as_dict(evaluate_word(v))
+        mat = reference_evaluate_word(v)
         r = (mat @ g.a) - (g.b @ mat)
         assert r.e11 == SYPoly.zero()
         assert r.e22 == SYPoly.zero()
@@ -312,7 +317,7 @@ def test_kl_transcriptions_match_the_dict_relator():
     # generator images: tr C, (DA - BD)_12 and (C^-1 D A - B C^-1 D)_12
     lam, alpha, beta = kl_named_polys()
     g = generator_images()
-    c, d = as_dict(evaluate_word(KL_WORD_C)), as_dict(evaluate_word(KL_WORD_D))
+    c, d = reference_evaluate_word(KL_WORD_C), reference_evaluate_word(KL_WORD_D)
     assert rewrite_sy(c.trace()) == lam
     assert rewrite_sy(((d @ g.a) - (g.b @ d)).e12) == alpha
     cinv_d = c.adjugate() @ d

@@ -29,11 +29,10 @@ def xn_enclosure(n: int, precision: int) -> DyadicInterval:
     """Enclosure of x_n = 2cos(pi/n) of width <= 2**-precision.
 
     Exact for n = 2, 3; the integer square root of 2 or 3 for n = 4, 6; the
-    fixed-point cosine series on a certified pi enclosure otherwise.
+    fixed-point cosine series on a certified pi enclosure otherwise;
+    ValueError for n < 2.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return two_cos_pi_ratio(1, n, precision)
+    return two_cos_pi_ratio(n, precision)
 
 
 class RootCertificate(namedtuple("RootCertificate",
@@ -61,13 +60,22 @@ class RootCertificate(namedtuple("RootCertificate",
     def from_json_dict(cls, obj: dict) -> "RootCertificate":
         """Parse a record written by to_json_dict.
 
-        Raises MalformedCertificate for a missing or malformed field: signs
-        must be exactly "+" or "-"; n, precision and y_max JSON integers with
-        n >= 2, precision in 1..DEFAULT_PRECISION_CAP and y_max in
-        3..MAX_Y_MAX_CAP; each bracket endpoint on the lattice a scan writes
-        on (_parse_endpoint), so that a hostile record cannot make the
-        verifier build huge integers.  No field's bound depends on another.
+        Raises MalformedCertificate for a key that to_json_dict does not
+        write, a tool_version that is not a string, or a missing or
+        malformed field: signs must be exactly "+" or "-"; n, precision and
+        y_max JSON integers with n >= 2, precision in
+        1..DEFAULT_PRECISION_CAP and y_max in 3..MAX_Y_MAX_CAP; each bracket
+        endpoint on the lattice a scan writes on (_parse_endpoint), so that
+        a hostile record cannot make the verifier build huge integers.  No
+        field's bound depends on another; tool_version may be absent.
         """
+        if not isinstance(obj, dict):
+            raise MalformedCertificate("a certificate record must be a JSON object")
+        unknown = sorted(obj.keys() - _RECORD_KEYS, key=str)
+        if unknown:
+            raise MalformedCertificate(f"unknown certificate keys {unknown}")
+        if "tool_version" in obj:
+            _field(obj, "tool_version", _parse_str)
         sign_a, sign_b = _field(obj, "signs", _parse_signs)
         a, b = _field(obj, "bracket", lambda br: (_parse_endpoint(br["a"]),
                                                   _parse_endpoint(br["b"])))
@@ -78,6 +86,11 @@ class RootCertificate(namedtuple("RootCertificate",
                                     _int_parser(1, DEFAULT_PRECISION_CAP)),
                    y_max=_field(obj, "y_max", _int_parser(3, MAX_Y_MAX_CAP)),
                    poly_hash=_field(obj, "poly_hash", _parse_str))
+
+
+# the keys to_json_dict writes
+_RECORD_KEYS = frozenset(("knot", "n", "bracket", "signs", "precision", "y_max",
+                          "poly_hash", "tool_version"))
 
 
 def _field(obj: dict, key: str, parse):

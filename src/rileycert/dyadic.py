@@ -4,7 +4,7 @@ Dyadic numbers m * 2**e are closed under +, -, *, so interval arithmetic here
 is exact unless a rounding precision is requested explicitly.  Rounding, when
 asked for, always moves lower endpoints down and upper endpoints up.
 
-The enclosures of pi, sqrt(2), sqrt(3) and 2cos(num*pi/den) are fixed-point
+The enclosures of pi, sqrt(2), sqrt(3) and x_n = 2cos(pi/n) are fixed-point
 work on plain integers scaled by a power of two: every floor division is
 counted in a stated error budget, in ulps, and the result is rounded
 outward.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from functools import lru_cache
 
 
@@ -24,12 +23,6 @@ def _decimal(text) -> int:
     if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+", text)):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
-
-
-# the modulus of CPython's hash of numbers, a Mersenne prime (2**61 - 1 on
-# 64-bit builds), and its number of bits
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_BITS = _HASH_MODULUS.bit_length()
 
 
 class Dyadic:
@@ -83,9 +76,6 @@ class Dyadic:
     def __sub__(self, other):
         return self + (-Dyadic._coerce(other))
 
-    def __rsub__(self, other):
-        return Dyadic._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = Dyadic._coerce(other)
         return Dyadic(self.m * other.m, self.e + other.e)
@@ -94,9 +84,6 @@ class Dyadic:
 
     def __neg__(self):
         return Dyadic(-self.m, self.e)
-
-    def half(self) -> "Dyadic":
-        return Dyadic(self.m, self.e - 1)
 
     def __eq__(self, other):
         if not isinstance(other, (Dyadic, int)):
@@ -114,15 +101,6 @@ class Dyadic:
 
     def __ge__(self, other):
         return self._cmp(Dyadic._coerce(other)) >= 0
-
-    def __hash__(self):
-        """CPython's hash of the rational m * 2**e, so that equal values
-        hash equal across Dyadic, int, float and Fraction: |m| * 2**e modulo
-        the prime P = 2**_HASH_BITS - 1, where 2**e = 2**(e mod _HASH_BITS)
-        for every e, negative too; then m's sign, and -1 taken to -2."""
-        h = (abs(self.m) % _HASH_MODULUS << self.e % _HASH_BITS) % _HASH_MODULUS
-        h = -h if self.m < 0 else h
-        return -2 if h == -1 else h
 
     def sign(self) -> int:
         return (self.m > 0) - (self.m < 0)
@@ -165,9 +143,6 @@ class DyadicInterval:
     def width(self) -> Dyadic:
         return self.hi - self.lo
 
-    def midpoint(self) -> Dyadic:
-        return (self.lo + self.hi).half()
-
     def sign(self):
         """+1 / -1 if definitely positive / negative, 0 if exactly zero, None otherwise."""
         if self.lo.m > 0:
@@ -194,12 +169,6 @@ class DyadicInterval:
         other = DyadicInterval._coerce(other)
         return DyadicInterval(self.lo - other.hi, self.hi - other.lo)
 
-    def __rsub__(self, other):
-        return DyadicInterval._coerce(other) - self
-
-    def __neg__(self):
-        return DyadicInterval(-self.hi, -self.lo)
-
     def __mul__(self, other):
         other = DyadicInterval._coerce(other)
         if self.is_point() and other.is_point():
@@ -219,17 +188,10 @@ class DyadicInterval:
     def round_outward(self, precision: int) -> "DyadicInterval":
         return DyadicInterval(self.lo.floor_to(precision), self.hi.ceil_to(precision))
 
-    def contains(self, other) -> bool:
-        other = DyadicInterval._coerce(other)
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __eq__(self, other):
         if not isinstance(other, DyadicInterval):
             return NotImplemented
         return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
     def __repr__(self):
         return f"[{self.lo!r}, {self.hi!r}]"
@@ -312,18 +274,11 @@ def sqrt_enclosure(n: int, precision: int) -> DyadicInterval:
     return DyadicInterval(Dyadic(m, -bits), Dyadic(m + 1, -bits))
 
 
-# 2cos(num*pi/den) of the reduced ratios in [0, 1/2] where it is an integer,
-# and those where it is the square root of one
-_EXACT_TWO_COS = {(0, 1): 2, (1, 3): 1, (1, 2): 0}
-_SQRT_TWO_COS = {(1, 4): 2, (1, 6): 3}
+def _two_cos_scaled(n: int, precision: int) -> tuple[int, int]:
+    """Integers lo <= 2cos(pi/n) * 2**W <= hi, W = precision + 32, for n > 2.
 
-
-def _two_cos_scaled(num: int, den: int, precision: int) -> tuple[int, int]:
-    """Integers lo <= 2cos(num*pi/den) * 2**W <= hi, W = precision + 32, for
-    0 < num/den < 1/2.
-
-    t = pi*num/den is scaled by 2**W outward from pi_bounds(precision), on
-    the same unit: floored at the lower pi bound, ceiled at the upper one.
+    t = pi/n is scaled by 2**W outward from pi_bounds(precision), on the
+    same unit: floored at the lower pi bound, ceiled at the upper one.
     cos decreases on [0, pi/2], so its lower bound comes from the upper t
     and vice versa.  pi_bounds(precision) is less than 2**15 ulps wide for
     precision <= 4096 and each series is within 3J + 1 ulps, so hi - lo is
@@ -331,36 +286,30 @@ def _two_cos_scaled(num: int, den: int, precision: int) -> tuple[int, int]:
     """
     work = precision + _GUARD_BITS
     pi_lo, pi_hi = pi_bounds(precision)
-    t_lo = pi_lo * num // den
-    t_hi = -(-pi_hi * num // den)
+    t_lo = pi_lo // n
+    t_hi = -(-pi_hi // n)
     c_lo, err_lo = _cos_scaled(t_hi, work)
     c_hi, err_hi = _cos_scaled(t_lo, work)
     return 2 * (c_lo - err_lo), 2 * (c_hi + err_hi)
 
 
 @lru_cache(maxsize=None)
-def two_cos_pi_ratio(num: int, den: int, precision: int) -> DyadicInterval:
-    """Enclose 2*cos(num*pi/den) with width <= 2**-precision, 0 <= num <= den.
+def two_cos_pi_ratio(n: int, precision: int) -> DyadicInterval:
+    """Enclose x_n = 2*cos(pi/n) with width <= 2**-precision, n >= 2.
 
-    num/den is reduced first, so every branch dispatches on integers.
-    Exact for ratios 0, 1/3, 1/2 (and their reflections); an integer square
-    root for 1/4 and 1/6; otherwise, after reflecting cos(t) = -cos(pi - t)
-    into [0, pi/2), one fixed-point pass on integers scaled by
-    2**(precision + 32) (_two_cos_scaled), rounded outward to
-    precision + 2 bits.  The scaled bounds are less than 2**-(precision + 1)
-    apart and the rounding adds at most 2**-(precision + 1).
+    Exact for n = 2, 3; an integer square root for n = 4, 6; otherwise one
+    fixed-point pass on integers scaled by 2**(precision + 32)
+    (_two_cos_scaled), rounded outward to precision + 2 bits.  The scaled
+    bounds are less than 2**-(precision + 1) apart and the rounding adds at
+    most 2**-(precision + 1).
     """
-    if den < 1 or not 0 <= num <= den:
-        raise ValueError(f"need 0 <= num <= den, got {num}/{den}")
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    if 2 * num > den:
-        return -two_cos_pi_ratio(den - num, den, precision)
-    if (num, den) in _EXACT_TWO_COS:
-        return DyadicInterval.point(_EXACT_TWO_COS[num, den])
-    if (num, den) in _SQRT_TWO_COS:
-        return sqrt_enclosure(_SQRT_TWO_COS[num, den], precision)
-    lo, hi = _two_cos_scaled(num, den, precision)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if n in (2, 3):     # x_2 = 0, x_3 = 1
+        return DyadicInterval.point(n - 2)
+    if n in (4, 6):     # x_4 = sqrt(2), x_6 = sqrt(3)
+        return sqrt_enclosure(n // 2, precision)
+    lo, hi = _two_cos_scaled(n, precision)
     shift = _GUARD_BITS - 2
     iv = DyadicInterval(Dyadic(lo >> shift, -(precision + 2)),
                         Dyadic(-(-hi >> shift), -(precision + 2)))

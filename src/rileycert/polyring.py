@@ -127,18 +127,6 @@ class _SparsePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = type(self).one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def to_text(self) -> str:
         """Canonical text: one `coeff * sym^i * y^j` per line, sorted."""
         if not self._terms:

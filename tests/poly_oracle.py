@@ -50,6 +50,11 @@ def contains_fraction(iv: DyadicInterval, fr: Fraction) -> bool:
     return as_fraction(iv.lo) <= fr <= as_fraction(iv.hi)
 
 
+def contains_interval(outer: DyadicInterval, inner: DyadicInterval) -> bool:
+    return (contains_fraction(outer, as_fraction(inner.lo))
+            and contains_fraction(outer, as_fraction(inner.hi)))
+
+
 def pack(packing: Packing, terms: dict) -> int:
     """The integer of a {(s_exp, y_deg): coeff} term map under `packing`,
     laid slot by slot: the inverse of `Packing.unpack`."""

@@ -30,7 +30,7 @@ from pathlib import Path
 from rileycert.certify import (BRACKET_WIDTH, RootCertificate, find_root_gt2,
                                verify_certificate, xn_enclosure)
 from rileycert.chebyshev import cheb_eval, cheb_poly
-from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
+from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.knots import (DoubleTwistKnot, KlKnot, SignSequence, TwoBridgeFraction,
                              expand, hm_reduce, kl_fraction, run_length,
                              sign_sequence, sign_sequence_raw,
@@ -42,17 +42,13 @@ from rileycert.riley import (alpha_dt, generator_images,
                              riley_generic, riley_kl)
 
 import cert_oracle
+from family_sets import J_THRESHOLDS, KL_THRESHOLDS
 from matrix_oracle import reference_evaluate_word
 from poly_oracle import as_fraction, substitute_y
 
 X = XYPoly.x()
 
 J_GRID_KM = [(k, m) for k in range(1, 5) for m in (2, 3, 4, -2, -3, -4)]
-
-# smallest certified cover index per twist parameter m
-J_THRESHOLDS = {-6: 3, -5: 3, -4: 3, -3: 3, -2: 4, 2: 5, 3: 4,
-                     4: 3, 5: 3, 6: 3}
-KL_THRESHOLDS = {2: 5, 3: 4, 4: 3, 5: 3, 6: 3}
 
 # every bracket starts at least 2**-64 above 2, the start of the scan's window
 WINDOW_START = Dyadic(2) + Dyadic(1, -64)
@@ -254,9 +250,10 @@ def test_criterion_6_chebyshev_suite():
         for n in range(65):
             ok = ok and cheb_eval(n, t) > 0 and cheb_eval(n + 1, t) > cheb_eval(n, t)
     # between the two smallest roots, 2cos(n pi/(n+1)) < 2cos((n-1) pi/(n+1))
+    # 2cos(n pi/(n+1)) = -x_(n+1) and 2cos((n-1) pi/(n+1)) = 2 - x_(n+1)^2
     for n in range(2, 33):
-        t = (as_fraction(two_cos_pi_ratio(n, n + 1, 32).hi)
-             + as_fraction(two_cos_pi_ratio(n - 1, n + 1, 32).lo)) / 2
+        x = xn_enclosure(n + 1, 32)
+        t = (2 - as_fraction(x.hi) ** 2 - as_fraction(x.lo)) / 2
         ok = ok and (-1) ** n * cheb_eval(n, t) < 0
     _report("criterion 6 (Chebyshev suite)", ok)
 
@@ -303,7 +300,7 @@ def test_criterion_8_numeric_spot_value():
     ok = lo > 0
     ok = ok and ((lo + 4) / 2) ** 2 < 5 < ((hi + 4) / 2) ** 2
     ok = ok and iv.width() <= Dyadic(1, -64)
-    ok = ok and abs(float(iv.midpoint()) - 0.4721359549995794) < 1e-12
+    ok = ok and abs(float((lo + hi) / 2) - 0.4721359549995794) < 1e-12
     _report("criterion 8 (numeric spot value, width <= 2^-64)", ok)
 
 

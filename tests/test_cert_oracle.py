@@ -2,7 +2,8 @@
 package: its x_n brackets lie in `xn_enclosure`, and it agrees with
 `verify_certificate` on certificates and on tampered copies of them.  The
 criterion 2/3 grids and the golden outputs run every certificate they
-make through it as well."""
+make through it as well, and so does a sample of the family records up to
+n = 1024."""
 
 import copy
 import math
@@ -13,11 +14,13 @@ import pytest
 
 from rileycert.certify import (HashMismatch, RootCertificate, find_root_gt2,
                                verify_certificate, xn_enclosure)
+from rileycert.cli import parse_knot_spec
 from rileycert.knots import DoubleTwistKnot, KlKnot
 from rileycert.polyring import XYPoly
 from rileycert.riley import riley_for_knot
 
 import cert_oracle
+from family_sets import FAMILY, N_MAX
 from poly_oracle import as_fraction
 
 
@@ -117,6 +120,36 @@ def test_the_oracle_and_the_verifier_agree_on_tampered_records(knot, n):
     for name, bad in _tampered(record).items():
         assert not cert_oracle.accepts(bad, phi.knot, terms), name
         assert not _package_accepts(bad, phi), name
+
+
+def _primes_and_powers_of_two(n_max: int) -> list[int]:
+    sieve = [True] * (n_max + 1)
+    for d in range(2, math.isqrt(n_max) + 1):
+        sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    return sorted({n for n in range(2, n_max + 1) if sieve[n]}
+                  | {1 << k for k in range(1, n_max.bit_length())})
+
+
+def test_the_oracle_accepts_family_records_up_to_n_1024():
+    # the family net's records, re-checked at the primes and powers of two
+    # up to 1024 (181 n, 536 records).  A Sturm bracket at 130 bits costs
+    # about 1e-7 n**2 s (0.11 s at n = 1021), so J:1,2 pays the brackets
+    # (5.6 s on a 2-core x86 host) and the other two knots find them cached
+    # (0.9 s and 0.14 s)
+    thresholds = dict(FAMILY)
+    ns = _primes_and_powers_of_two(N_MAX)
+    checked = 0
+    for knot in ("J:1,2", "J:4,6", "Kl:2"):
+        phi = riley_for_knot(parse_knot_spec(knot))
+        terms = list(phi.poly.terms())
+        for n in ns:
+            if n < thresholds[knot]:
+                continue
+            record = find_root_gt2(phi, n).certificate.to_json_dict()
+            assert record["precision"] == 128, (knot, n)
+            assert cert_oracle.accepts(record, phi.knot, terms), (knot, n)
+            checked += 1
+    assert len(ns) == 181 and checked == 536
 
 
 def test_the_oracle_hash_is_the_package_hash():

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -43,7 +44,14 @@ class CosRatio:
             raise ValueError(f"need 0 <= num <= den, got {self.num}/{self.den}")
 
     def enclosure(self, precision: int) -> DyadicInterval:
-        return two_cos_pi_ratio(self.num, self.den, precision)
+        """For the ratios the lemmas take: 2cos(pi/den), and its negation
+        2cos((den - 1)pi/den)."""
+        iv = two_cos_pi_ratio(self.den, precision)
+        if self.num == 1:
+            return iv
+        if self.num == self.den - 1:
+            return DyadicInterval(-iv.hi, -iv.lo)
+        raise ValueError(f"no enclosure of 2cos({self.num}pi/{self.den})")
 
     def le_xn_squared_minus_2(self, n: int) -> bool:
         return Fraction(self.num, self.den) >= Fraction(2, n)
@@ -77,7 +85,7 @@ def solve_lambda_witness(lam: XYPoly, x: DyadicInterval, c: CosRatio,
     lo = Dyadic(2)  # g(2) >= 0 holds by the certified precondition
     target = Dyadic(1, -precision)
     while (hi - lo) > target:
-        mid = (lo + hi).half()
+        mid = (lo + hi) * Dyadic(1, -1)
         s = g_sign(mid)
         if s == 1:
             lo = mid
@@ -86,6 +94,10 @@ def solve_lambda_witness(lam: XYPoly, x: DyadicInterval, c: CosRatio,
         else:
             break  # mid is (indistinguishably close to) the preimage itself
     return DyadicInterval(lo, hi)
+
+
+def _midpoint(iv: DyadicInterval) -> Fraction:
+    return (as_fraction(iv.lo) + as_fraction(iv.hi)) / 2
 
 
 def test_xn_exact_cases():
@@ -104,10 +116,10 @@ def test_xn_series_cases():
     for n in (5, 7, 9, 12, 50):
         iv = xn_enclosure(n, 128)
         assert iv.width() <= Dyadic(1, -128)
-        assert abs(float(iv.midpoint()) - 2 * math.cos(math.pi / n)) < 1e-12
+        assert abs(float(_midpoint(iv)) - 2 * math.cos(math.pi / n)) < 1e-12
     iv = xn_enclosure(7, 4096)
     assert iv.width() <= Dyadic(1, -4096)
-    assert abs(float(iv.midpoint()) - 2 * math.cos(math.pi / 7)) < 1e-12
+    assert abs(float(_midpoint(iv)) - 2 * math.cos(math.pi / 7)) < 1e-12
     with pytest.raises(ValueError):
         xn_enclosure(1, 64)
 
@@ -831,7 +843,7 @@ def test_an_undecided_midpoint_sign_ends_the_scan(monkeypatch, value, evaluation
     assert report.status == "inconclusive" and report.certificate is None
     assert report.trace["evaluations"] == evaluations == len(points)
     assert report.trace["indefinite"] == indefinite
-    assert len(set(points)) == 1 and Dyadic(2) < points[0] < Dyadic(64)
+    assert all(p == points[0] for p in points) and Dyadic(2) < points[0] < Dyadic(64)
 
 
 def test_refinement_signs_about_two_points_per_certificate():
@@ -915,8 +927,78 @@ def test_certificate_parsing_is_strict():
     for key, value in bad_fields.items():
         with pytest.raises(MalformedCertificate, match=key):
             RootCertificate.from_json_dict({**record, key: value})
-    with pytest.raises(MalformedCertificate):
-        RootCertificate.from_json_dict([])
+    for not_an_object in ([], 5, None, "record"):
+        with pytest.raises(MalformedCertificate):
+            RootCertificate.from_json_dict(not_an_object)
+    # the key set is exact: a key to_json_dict does not write is refused
+    for key, value in (("kind", "per-n"), ("extra", None), ("", 1), ("N", 5)):
+        with pytest.raises(MalformedCertificate, match="unknown"):
+            RootCertificate.from_json_dict({**record, key: value})
+    # tool_version may be absent or any string, but nothing else
+    for version in (["0.1.0"], None, True, 1, float("nan"), {}):
+        with pytest.raises(MalformedCertificate, match="tool_version"):
+            RootCertificate.from_json_dict({**record, "tool_version": version})
+    for ok in ({k: v for k, v in record.items() if k != "tool_version"},
+               {**record, "tool_version": "9.9"}, {**record, "tool_version": ""}):
+        assert verify_certificate(RootCertificate.from_json_dict(ok), phi)
+
+
+RECORD_KEYS = ("knot", "n", "bracket", "signs", "precision", "y_max", "poly_hash",
+               "tool_version")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+# a key added, tool_version replaced by a value that is no string, a field
+# replaced by any JSON value, or a field dropped
+record_mutations = st.one_of(
+    st.tuples(st.just("add"), st.text(max_size=8).filter(lambda k: k not in RECORD_KEYS),
+              json_values),
+    st.tuples(st.just("set"), st.just("tool_version"),
+              json_values.filter(lambda v: not isinstance(v, str))),
+    st.tuples(st.just("set"), st.sampled_from(RECORD_KEYS), json_values),
+    st.tuples(st.just("drop"), st.sampled_from(RECORD_KEYS), st.none()))
+
+
+@lru_cache(maxsize=1)
+def j46_record():
+    phi = riley_for_knot(DoubleTwistKnot(4, 6))
+    return phi, find_root_gt2(phi, 7).certificate.to_json_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=record_mutations)
+@example(mutation=("add", "kind", "per-n"))
+@example(mutation=("set", "tool_version", ["0.1.0"]))
+@example(mutation=("set", "tool_version", float("nan")))
+@example(mutation=("set", "tool_version", True))
+@example(mutation=("set", "y_max", 3))
+def test_mutated_records_are_refused_or_still_sound(mutation):
+    # every mutated record parses or raises MalformedCertificate, and one
+    # that parses verifies, fails or raises HashMismatch; an added key or a
+    # tool_version that is no string never parses, and a record that still
+    # verifies differs from the original only where the claim does not rest
+    phi, record = j46_record()
+    kind, key, value = mutation
+    mutated = {k: v for k, v in record.items() if k != key}
+    if kind != "drop":
+        mutated[key] = value
+    try:
+        cert = RootCertificate.from_json_dict(mutated)
+    except MalformedCertificate:
+        return
+    assert kind != "add"
+    assert kind == "drop" or key != "tool_version" or isinstance(value, str)
+    try:
+        verdict = verify_certificate(cert, phi)
+    except HashMismatch:
+        assert key == "poly_hash"
+        return
+    assert verdict in (True, False)
+    if verdict:
+        assert (key in ("precision", "y_max", "tool_version")
+                or mutated[key] == record[key]), mutation
 
 
 def test_certificate_fields_are_bounded():

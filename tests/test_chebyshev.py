@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rileycert.chebyshev import cheb_eval, cheb_poly
-from rileycert.dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
+from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.polyring import SYPoly, XYPoly
 
 from poly_oracle import as_fraction
@@ -75,11 +76,14 @@ def test_positivity_and_monotonicity_on_tail():
 def test_sign_between_two_smallest_roots():
     # (-1)^n S_n < 0 strictly between the two smallest roots,
     # 2cos(n pi/(n+1)) < 2cos((n-1) pi/(n+1))
+    # the roots from mpmath to 60 digits, far closer than their gap of over
+    # 10**-2, so t is strictly between them
     for n in range(2, 33):
-        a = as_fraction(two_cos_pi_ratio(n, n + 1, 32).hi)
-        b = as_fraction(two_cos_pi_ratio(n - 1, n + 1, 32).lo)
+        with mpmath.workdps(64):
+            a, b = (Fraction(str(2 * mpmath.cos(k * mpmath.pi / (n + 1))))
+                    for k in (n, n - 1))
         t = (a + b) / 2
-        assert a < t < b
+        assert b - a > Fraction(1, 100)
         assert (-1) ** n * cheb_eval(n, t) < 0, n
 
 

@@ -586,7 +586,7 @@ def test_back_substitution_check_relays_narrow_slots():
     # as the SYPoly entry packs it: its largest coefficient fits 3 bytes,
     # but sum |f_i| 2**i = 5**10 needs 4, so the check re-lays p's slots
     x = XYPoly.x()
-    f = ((x * x + 1) ** 10)._terms
+    f = math.prod([x * x + 1] * 10, start=XYPoly.one())._terms
     p = to_sy(XYPoly(f))._terms
     packing = Packing.covering(20, 21, max(map(abs, p.values())))
     assert packing.nbytes == 3 and Packing.covering(0, 0, 5 ** 10).nbytes == 4

@@ -12,8 +12,8 @@ from rileycert.polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly, _horne
                                 eval_interval, symmetric_rewrite, y_coefficient_bounds)
 from rileycert.riley import riley_double_twist, riley_for_knot
 
-from poly_oracle import (as_fraction, contains_fraction, eval_fraction,
-                         reference_eval_interval, rewrite_sy, to_sy)
+from poly_oracle import (as_fraction, contains_fraction, contains_interval,
+                         eval_fraction, reference_eval_interval, rewrite_sy, to_sy)
 
 X, Y = XYPoly.x(), XYPoly.y()
 
@@ -46,7 +46,7 @@ def test_additive_identity_random():
 
 def test_s_expansion():
     s_plus_sinv = SYPoly.s(1) + SYPoly.s(-1)
-    assert s_plus_sinv ** 2 == SYPoly.from_terms([(2, 0, 1), (0, 0, 2), (-2, 0, 1)])
+    assert s_plus_sinv * s_plus_sinv == SYPoly.from_terms([(2, 0, 1), (0, 0, 2), (-2, 0, 1)])
 
 
 @pytest.mark.parametrize("maker", [rand_xy, rand_sy])
@@ -93,7 +93,7 @@ def test_canonical_text_round_trip():
 
 
 def test_canonical_order_and_hash_stability():
-    p = 3 * X * X * Y - 7 * Y ** 3 + 1
+    p = 3 * X * X * Y - 7 * Y * Y * Y + 1
     assert p.to_text() == "1 * x^0 * y^0\n3 * x^2 * y^1\n-7 * x^0 * y^3"
     # same polynomial assembled differently hashes identically
     q = XYPoly.from_terms([(0, 3, -7), (2, 1, 3), (0, 0, 1)])
@@ -141,9 +141,9 @@ def test_terms_are_sorted_once(monkeypatch):
 
 def test_symmetric_rewrite_examples():
     assert rewrite_sy(SYPoly.from_terms([(1, 0, 1), (-1, 0, 1)])) == X
-    assert rewrite_sy(SYPoly.from_terms([(2, 0, 1), (-2, 0, 1)])) == X ** 2 - 2
+    assert rewrite_sy(SYPoly.from_terms([(2, 0, 1), (-2, 0, 1)])) == X * X - 2
     assert rewrite_sy(SYPoly.from_terms([(3, 1, 1), (-3, 1, 1)])) \
-        == (X ** 3 - 3 * X) * Y
+        == (X * X * X - 3 * X) * Y
     assert rewrite_sy(SYPoly.const(5)) == XYPoly.const(5)
 
 
@@ -228,7 +228,7 @@ def test_symmetric_rewrite_of_symmetric_sums(terms):
 
 
 def test_eval_interval_contains_sqrt3_root():
-    p = X ** 2 - 3
+    p = X * X - 3
     # 1.7320 floored and 1.7321 ceiled to multiples of 2**-20
     x = DyadicInterval(Dyadic(1816133, -20), Dyadic(1816239, -20))
     iv = eval_interval(p, x, DyadicInterval.point(0))
@@ -257,7 +257,7 @@ def test_eval_interval_monotone_inclusion():
         for y in (Dyadic(1, -2), Dyadic(3, -1), Dyadic(-9, -2)):
             outer = eval_interval(p, x_outer, DyadicInterval.point(y))
             inner = eval_interval(p, x_inner, DyadicInterval.point(y))
-            assert outer.contains(inner)
+            assert contains_interval(outer, inner)
 
 
 def test_eval_interval_rejects_interval_y():
@@ -466,7 +466,7 @@ def test_positive_exponents_match_the_reference(p, x, y):
         if not y.is_point():
             continue
         fast = eval_interval(p, x, y, y_bounds=bounds)
-        assert fast.contains(reference)
+        assert contains_interval(fast, reference)
         if fast.sign() is None or x.is_point():  # exact path, or exact bounds
             assert fast == reference
         else:
@@ -482,7 +482,7 @@ nonneg_points = st.builds(Dyadic, st.integers(0, 1 << 24),
 def test_eval_interval_with_y_bounds_contains_the_exact_path(p, x, y, e):
     fast = eval_interval(p, x, y, y_bounds=_bounds(p, x, e))
     exact = eval_interval(p, x, y)
-    assert fast.contains(exact)
+    assert contains_interval(fast, exact)
     if fast.sign() is not None:
         assert exact.sign() == fast.sign()
     else:  # the bounds leave the sign open: the exact path answers

@@ -1,5 +1,6 @@
 """The package's value classes: namedtuple subclasses that validate in
-__new__, refuse attribute assignment, and compare and hash by value."""
+__new__, refuse attribute assignment, and compare by value; those whose
+fields all hash also hash by value."""
 
 import pytest
 
@@ -34,7 +35,9 @@ def test_value_classes_are_immutable_values(value):
         value.extra = 1
     twin = cls(*value)
     assert twin == value and twin is not value
-    if cls is ScanReport:   # its trace is a dict, so it has no hash
+    # a ScanReport's trace is a dict and a RootCertificate's bracket ends are
+    # Dyadic, which defines no hash, so neither has one
+    if cls in (ScanReport, RootCertificate):
         with pytest.raises(TypeError):
             hash(value)
     else:

@@ -5,7 +5,7 @@ of phi_K(2cos(pi/n), y)."""
 __version__ = "0.1.0"
 
 from .dyadic import Dyadic, DyadicInterval  # noqa: E402
-from .polyring import SYPoly, XYPoly, eval_interval, symmetric_rewrite  # noqa: E402
+from .polyring import XYPoly, eval_interval, symmetric_rewrite  # noqa: E402
 from .chebyshev import cheb_eval, cheb_poly  # noqa: E402
 from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, Word,  # noqa: E402
                     hm_reduce, kl_fraction, run_length, sign_sequence,
@@ -17,7 +17,7 @@ from .certify import (MalformedCertificate, RootCertificate, ScanReport,  # noqa
 
 __all__ = [
     "Dyadic", "DyadicInterval",
-    "SYPoly", "XYPoly", "eval_interval", "symmetric_rewrite",
+    "XYPoly", "eval_interval", "symmetric_rewrite",
     "cheb_eval", "cheb_poly",
     "DoubleTwistKnot", "KlKnot", "TwoBridgeFraction", "Word",
     "hm_reduce", "kl_fraction", "run_length", "sign_sequence",

@@ -61,13 +61,14 @@ class RootCertificate(namedtuple("RootCertificate",
         """Parse a record written by to_json_dict.
 
         Raises MalformedCertificate for a key that to_json_dict does not
-        write, a tool_version that is not a string, or a missing or
-        malformed field: signs must be exactly "+" or "-"; n, precision and
-        y_max JSON integers with n >= 2, precision in
-        1..DEFAULT_PRECISION_CAP and y_max in 3..MAX_Y_MAX_CAP; each bracket
-        endpoint on the lattice a scan writes on (_parse_endpoint), so that
-        a hostile record cannot make the verifier build huge integers.  No
-        field's bound depends on another; tool_version may be absent.
+        write (in the record, its bracket or an endpoint), a tool_version
+        that is not a string, or a missing or malformed field: signs must
+        be exactly "+" or "-"; n, precision and y_max JSON integers with
+        n >= 2, precision in 1..DEFAULT_PRECISION_CAP and y_max in
+        3..MAX_Y_MAX_CAP; each bracket endpoint on the lattice a scan
+        writes on (_parse_endpoint), so that a hostile record cannot make
+        the verifier build huge integers.  No field's bound depends on
+        another; tool_version may be absent.
         """
         if not isinstance(obj, dict):
             raise MalformedCertificate("a certificate record must be a JSON object")
@@ -77,8 +78,7 @@ class RootCertificate(namedtuple("RootCertificate",
         if "tool_version" in obj:
             _field(obj, "tool_version", _parse_str)
         sign_a, sign_b = _field(obj, "signs", _parse_signs)
-        a, b = _field(obj, "bracket", lambda br: (_parse_endpoint(br["a"]),
-                                                  _parse_endpoint(br["b"])))
+        a, b = _field(obj, "bracket", _parse_bracket)
         return cls(knot=_field(obj, "knot", _parse_str),
                    n=_field(obj, "n", _int_parser(2)),
                    a=a, b=b, sign_a=sign_a, sign_b=sign_b,
@@ -91,6 +91,15 @@ class RootCertificate(namedtuple("RootCertificate",
 # the keys to_json_dict writes
 _RECORD_KEYS = frozenset(("knot", "n", "bracket", "signs", "precision", "y_max",
                           "poly_hash", "tool_version"))
+
+
+def _object(value, keys: set) -> dict:
+    """A JSON object with exactly these keys."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    if value.keys() != keys:
+        raise ValueError(f"expected the keys {sorted(keys)}, got {sorted(value, key=str)}")
+    return value
 
 
 def _field(obj: dict, key: str, parse):
@@ -112,6 +121,12 @@ def _int_parser(lo: int, hi: int | None = None):
     return parse
 
 
+def _parse_bracket(value) -> tuple[Dyadic, Dyadic]:
+    """{"a": endpoint, "b": endpoint}, each as _parse_endpoint takes it."""
+    bracket = _object(value, {"a", "b"})
+    return _parse_endpoint(bracket["a"]), _parse_endpoint(bracket["b"])
+
+
 def _parse_endpoint(value) -> Dyadic:
     """{"mantissa": ASCII decimal string, "exponent": JSON integer}, the
     exponent (once normalized) within +-_MARGIN_BITS and the value within
@@ -119,6 +134,7 @@ def _parse_endpoint(value) -> Dyadic:
     2**-_MARGIN_BITS in (2, MAX_Y_MAX_CAP] (see _MARGIN_BITS), so its
     endpoints have |exponent| <= _MARGIN_BITS at every precision.  The
     exponent is checked first: the value check shifts the mantissa by it."""
+    value = _object(value, {"mantissa", "exponent"})
     if type(value["exponent"]) is not int:
         raise TypeError(f"malformed endpoint {value!r}")
     d = Dyadic.from_json(value)

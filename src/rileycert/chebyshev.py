@@ -2,8 +2,9 @@
 S_{n+1} = z*S_n - S_{n-1}.
 
 Evaluation never expands the coefficient form for large n; the iterative
-recurrence is exact in any commutative ring and O(n).  On polynomials it
-runs on Kronecker-packed integers (`polyring.Packing`): `_packed_cheb_pair`
+recurrence is exact in any commutative ring and O(n).  `cheb_poly` runs it
+on integer coefficient lists.  On polynomials in x and y it runs on
+Kronecker-packed integers (`polyring.Packing`): `_packed_cheb_pair`
 multiplies by t one term at a time, a shift and a small-integer multiple
 each, and `_cheb_norms` bounds the l1 norms in advance so that the caller
 can size the slots of whatever it unpacks.  Every Riley polynomial built
@@ -13,20 +14,26 @@ S_n(lambda) a - S_{n-1}(lambda) b (`riley._chebyshev_combination`).
 
 from __future__ import annotations
 
-from .polyring import XYPoly, _times
+from .polyring import _times
 
 
 def cheb_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of S_n, ascending degree, exact."""
+    """Coefficients of S_n, ascending degree, exact: the recurrence on
+    integer lists, z S_j shifting S_j's list up by one."""
     if n < 0:
         raise ValueError("negative Chebyshev index")
-    terms = _cheb_pair(n, XYPoly.x())[1]._terms
-    return tuple(terms.get((i, 0), 0) for i in range(n + 1))
+    prev, cur = [], [1]
+    for _ in range(n):
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return tuple(cur)
 
 
 def _cheb_pair(n: int, t):
     """(S_{n-1}(t), S_n(t)) by the recurrence, with S_{-1} = 0, in the ring
-    of t (int, Fraction, Dyadic(Interval), or a polynomial)."""
+    of t (int, Fraction, Dyadic(Interval), or any ring element)."""
     prev = 0 * t
     cur = prev + 1
     for _ in range(n):

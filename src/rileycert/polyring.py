@@ -1,8 +1,12 @@
-"""Exact sparse polynomial rings: Z[x,y] and the Laurent ring Z[s,1/s,y].
+"""Polynomials in Z[x, y]: the XYPoly value, the packed integers every
+polynomial product runs on, the rewrite in x = s + 1/s, and interval
+evaluation.
 
-Every value is immutable after construction and every operation is pure.
-Canonical term order everywhere (serialization, hashing, iteration) is
-(degree-in-y, degree-in-x/exponent-of-s) ascending.
+An XYPoly is an immutable {(x_deg, y_deg): coeff} term map with no
+arithmetic of its own: the program multiplies polynomials only as
+Kronecker-packed integers (`Packing`, `_times`), and unpacks each result
+once.  Canonical term order everywhere (serialization, hashing, iteration)
+is (degree-in-y, degree-in-x) ascending.
 """
 
 from __future__ import annotations
@@ -19,24 +23,9 @@ class NotSymmetric(ValueError):
     """A Laurent polynomial expected to be invariant under s -> 1/s is not."""
 
 
-def _merge(a: dict, b: dict, bsign: int = 1) -> dict:
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = bsign * c + out.get(key, 0)
-    return {key: c for key, c in out.items() if c}
-
-
-def _product(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {key: c for key, c in out.items() if c}
-
-
 class _SparsePoly:
-    """Shared arithmetic over {(first_exp, y_deg): int} term maps."""
+    """An immutable {(first_exp, y_deg): coeff} term map: canonical order,
+    text, hash and equality, with no arithmetic."""
 
     __slots__ = ("_terms", "_ordered")
     _first_symbol = "?"
@@ -60,24 +49,10 @@ class _SparsePoly:
             terms[(i, j)] = terms.get((i, j), 0) + c
         return cls({key: c for key, c in terms.items() if c})
 
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def const(cls, c: int):
-        return cls({(0, 0): c} if c else {})
-
     def __bool__(self):
         return bool(self._terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self._terms == ({(0, 0): other} if other else {})
         if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
@@ -96,36 +71,6 @@ class _SparsePoly:
             self._ordered = True
         for (i, j), c in self._terms.items():
             yield i, j, c
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return type(self).const(other)
-        if type(other) is type(self):
-            return other
-        raise TypeError(f"cannot mix {type(self).__name__} with {type(other).__name__}")
-
-    def __add__(self, other):
-        return type(self)(_merge(self._terms, self._coerce(other)._terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return type(self)(_merge(self._terms, self._coerce(other)._terms, -1))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return type(self)({key: -c for key, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return type(self).zero()
-            return type(self)({key: other * c for key, c in self._terms.items()})
-        return type(self)(_product(self._terms, self._coerce(other)._terms))
-
-    __rmul__ = __mul__
 
     def to_text(self) -> str:
         """Canonical text: one `coeff * sym^i * y^j` per line, sorted."""
@@ -152,49 +97,11 @@ class XYPoly(_SparsePoly):
     _first_symbol = "x"
     _first_nonneg = True
 
-    @classmethod
-    def x(cls) -> "XYPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def y(cls) -> "XYPoly":
-        return cls({(0, 1): 1})
-
     def deg_y(self) -> int:
         return max((j for (_, j) in self._terms), default=0)
 
     def deg_x(self) -> int:
         return max((i for (i, _) in self._terms), default=0)
-
-    def y_slices(self) -> dict[int, "XYPoly"]:
-        """y_deg -> coefficient polynomial in x."""
-        out: dict[int, dict] = {}
-        for (i, j), c in self._terms.items():
-            out.setdefault(j, {})[(i, 0)] = c
-        return {j: XYPoly(t) for j, t in out.items()}
-
-    def diff_y(self) -> "XYPoly":
-        return XYPoly({(i, j - 1): c * j for (i, j), c in self._terms.items() if j})
-
-
-class SYPoly(_SparsePoly):
-    """Element of Z[s, 1/s, y]; the s-exponent may be negative."""
-
-    __slots__ = ()
-    _first_symbol = "s"
-    _first_nonneg = False
-
-    @classmethod
-    def s(cls, exp: int = 1) -> "SYPoly":
-        return cls({(exp, 0): 1})
-
-    @classmethod
-    def y(cls) -> "SYPoly":
-        return cls({(0, 1): 1})
-
-    def is_symmetric(self) -> bool:
-        """Invariant under s -> 1/s."""
-        return self._terms == {(-i, j): c for (i, j), c in self._terms.items()}
 
 
 def symmetric_rewrite(p: int, packing: Packing) -> XYPoly:
@@ -243,7 +150,8 @@ def symmetric_rewrite(p: int, packing: Packing) -> XYPoly:
         out.append((g + row_bias).to_bytes(len(empty), "little"))
     terms = phi.read(b"".join(out))
     if not _substitutes_back(terms, p, packing):
-        if not SYPoly(packing.unpack(p)).is_symmetric():
+        laurent = packing.unpack(p)
+        if laurent != {(-i, j): c for (i, j), c in laurent.items()}:
             raise NotSymmetric("polynomial is not invariant under s -> 1/s")
         raise AssertionError("symmetric rewrite failed back-substitution check")
     return XYPoly(terms, ordered=True)
@@ -505,52 +413,3 @@ def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e: int
         lo.append(l)
         hi.append(h)
     return lo, hi, e
-
-
-class PolyMatrix:
-    """2x2 matrix over Z[s, 1/s, y] by dict polynomial arithmetic.  The
-    program multiplies packed rows only (`riley._word_product`, one row
-    vector times the letters); this stays as the tests' independent oracle."""
-
-    __slots__ = ("e11", "e12", "e21", "e22")
-
-    def __init__(self, e11: SYPoly, e12: SYPoly, e21: SYPoly, e22: SYPoly):
-        self.e11, self.e12, self.e21, self.e22 = e11, e12, e21, e22
-
-    @classmethod
-    def identity(cls) -> "PolyMatrix":
-        return cls(SYPoly.one(), SYPoly.zero(), SYPoly.zero(), SYPoly.one())
-
-    def __matmul__(self, o: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(self.e11 * o.e11 + self.e12 * o.e21,
-                          self.e11 * o.e12 + self.e12 * o.e22,
-                          self.e21 * o.e11 + self.e22 * o.e21,
-                          self.e21 * o.e12 + self.e22 * o.e22)
-
-    def __sub__(self, o: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(self.e11 - o.e11, self.e12 - o.e12,
-                          self.e21 - o.e21, self.e22 - o.e22)
-
-    def det(self) -> SYPoly:
-        return self.e11 * self.e22 - self.e12 * self.e21
-
-    def trace(self) -> SYPoly:
-        return self.e11 + self.e22
-
-    def adjugate(self) -> "PolyMatrix":
-        """The inverse, when det = 1."""
-        return PolyMatrix(self.e22, -self.e12, -self.e21, self.e11)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.e11 == other.e11 and self.e12 == other.e12
-                and self.e21 == other.e21 and self.e22 == other.e22)
-
-    def __hash__(self):
-        return hash((self.e11, self.e12, self.e21, self.e22))
-
-    def __repr__(self):
-        return (f"PolyMatrix([{self.e11.to_text()!r}, {self.e12.to_text()!r}], "
-                f"[{self.e21.to_text()!r}, {self.e22.to_text()!r}])")
-

@@ -1,43 +1,172 @@
 """Exact oracles on the package's polynomial and interval types that the
-program itself does not need: rational evaluation, substitution in y, the
-Laurent image f(s + 1/s, y), packing a term map, the rewrite of a dict
-SYPoly, interval Horner on DyadicInterval objects, and the Fraction value
-of a Dyadic."""
+program itself does not need: the dict polynomial algebra (XY on Z[x, y],
+SY on the Laurent ring Z[s, 1/s, y]), rational evaluation, substitution in
+y, the Laurent image f(s + 1/s, y), packing a term map, the rewrite of a
+dict SY, interval Horner on DyadicInterval objects, and the Fraction value
+of a Dyadic.
+
+The package builds every polynomial on packed integers and its XYPoly has
+no arithmetic; XY and SY carry the + - * operators of term-dict
+arithmetic, one product term by term, so they are independent of the
+packed engine that the tests compare them with."""
 
 from fractions import Fraction
 
 from rileycert.dyadic import Dyadic, DyadicInterval
-from rileycert.polyring import Packing, SYPoly, XYPoly, symmetric_rewrite
+from rileycert.polyring import Packing, XYPoly, _SparsePoly, symmetric_rewrite
+
+
+def _merge(a: dict, b: dict, bsign: int = 1) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = bsign * c + out.get(key, 0)
+    return {key: c for key, c in out.items() if c}
+
+
+def _product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+class _Ring:
+    """The ring operators on a term-map class; an int, or a value of the
+    class's `_base` (the package's XYPoly for XY), mixes in as a constant
+    or as itself, and compares equal by its terms."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, p):
+        """p, a value of the class's base, as a ring element."""
+        return cls(dict(p._terms))
+
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    @classmethod
+    def one(cls):
+        return cls({(0, 0): 1})
+
+    @classmethod
+    def const(cls, c: int):
+        return cls({(0, 0): c} if c else {})
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return type(self).const(other)
+        if isinstance(other, self._base):
+            return other
+        raise TypeError(f"cannot mix {type(self).__name__} with {type(other).__name__}")
+
+    def __eq__(self, other):
+        if not isinstance(other, (int, self._base)):
+            return NotImplemented
+        return self._terms == self._coerce(other)._terms
+
+    def __hash__(self):
+        return hash((self._base.__name__, tuple(self.terms())))
+
+    def __add__(self, other):
+        return type(self)(_merge(self._terms, self._coerce(other)._terms))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return type(self)(_merge(self._terms, self._coerce(other)._terms, -1))
+
+    def __rsub__(self, other):
+        return type(self)(_merge(self._coerce(other)._terms, self._terms, -1))
+
+    def __neg__(self):
+        return type(self)({key: -c for key, c in self._terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return type(self)({key: other * c for key, c in self._terms.items()} if other else {})
+        return type(self)(_product(self._terms, self._coerce(other)._terms))
+
+    __rmul__ = __mul__
+
+
+class XY(_Ring, XYPoly):
+    """Z[x, y] with the dict ring operators; equal to the XYPoly of the
+    same terms."""
+
+    __slots__ = ()
+    _base = XYPoly
+
+    @classmethod
+    def x(cls) -> "XY":
+        return cls({(1, 0): 1})
+
+    @classmethod
+    def y(cls) -> "XY":
+        return cls({(0, 1): 1})
+
+
+class SY(_Ring, _SparsePoly):
+    """Z[s, 1/s, y] with the dict ring operators; the s-exponent may be
+    negative."""
+
+    __slots__ = ()
+    _first_symbol = "s"
+    _first_nonneg = False
+
+    @classmethod
+    def s(cls, exp: int = 1) -> "SY":
+        return cls({(exp, 0): 1})
+
+    @classmethod
+    def y(cls) -> "SY":
+        return cls({(0, 1): 1})
+
+    def is_symmetric(self) -> bool:
+        """Invariant under s -> 1/s."""
+        return self._terms == {(-i, j): c for (i, j), c in self._terms.items()}
+
+
+SY._base = SY
+
+
+def y_slices(p: XYPoly) -> dict[int, XY]:
+    """y_deg -> the coefficient of y**y_deg, a polynomial in x."""
+    out: dict[int, dict] = {}
+    for (i, j), c in p._terms.items():
+        out.setdefault(j, {})[(i, 0)] = c
+    return {j: XY(t) for j, t in out.items()}
 
 
 def eval_fraction(p, u: Fraction, y: Fraction) -> Fraction:
-    """Exact rational value of an XYPoly or SYPoly at (x or s, y) = (u, y)."""
+    """Exact rational value of an XYPoly or SY at (x or s, y) = (u, y)."""
     total = Fraction(0)
     for i, j, c in p.terms():
         total += c * u**i * y**j
     return total
 
 
-def substitute_y(p: XYPoly, value) -> XYPoly:
+def substitute_y(p: XYPoly, value) -> XY:
     """Exact substitution y -> value (an XYPoly or int), Horner in y."""
-    if isinstance(value, int):
-        value = XYPoly.const(value)
-    slices = p.y_slices()
-    acc = XYPoly.zero()
+    slices = y_slices(p)
+    acc = XY.zero()
     for j in range(max(slices, default=-1), -1, -1):
-        acc = acc * value + slices.get(j, XYPoly.zero())
+        acc = acc * value + slices.get(j, XY.zero())
     return acc
 
 
-def to_sy(f: XYPoly) -> SYPoly:
+def to_sy(f: XYPoly) -> SY:
     """f(s + 1/s, y), exactly: Horner in x on s + 1/s."""
-    x_image = SYPoly.from_terms([(1, 0, 1), (-1, 0, 1)])
+    x_image = SY.from_terms([(1, 0, 1), (-1, 0, 1)])
     slices: dict[int, dict] = {}
     for i, j, c in f.terms():
         slices.setdefault(i, {})[(0, j)] = c
-    acc = SYPoly.zero()
+    acc = SY.zero()
     for i in range(max(slices, default=0), -1, -1):
-        acc = acc * x_image + SYPoly(slices.get(i, {}))
+        acc = acc * x_image + SY(slices.get(i, {}))
     return acc
 
 
@@ -70,8 +199,8 @@ def pack(packing: Packing, terms: dict) -> int:
     return int.from_bytes(buf, "little") - int.from_bytes(packing._empty() * count, "little")
 
 
-def rewrite_sy(p: SYPoly) -> XYPoly:
-    """symmetric_rewrite of a dict SYPoly: each s-parity class packed in
+def rewrite_sy(p: SY) -> XYPoly:
+    """symmetric_rewrite of a dict SY: each s-parity class packed in
     t = s**2 with shift its largest |s-exponent|, as the engine packs R12,
     and rewritten on its own."""
     terms: dict = {}

@@ -35,18 +35,17 @@ from rileycert.knots import (DoubleTwistKnot, KlKnot, SignSequence, TwoBridgeFra
                              expand, hm_reduce, kl_fraction, run_length,
                              sign_sequence, sign_sequence_raw,
                              word_double_twist, word_from_signs, word_kl)
-from rileycert.polyring import SYPoly, XYPoly, eval_interval
-from rileycert.riley import (alpha_dt, generator_images,
-                             kl_alpha_derivative_check, kl_named_polys,
-                             lambda_dt, riley_double_twist, riley_for_knot,
-                             riley_generic, riley_kl)
+from rileycert.polyring import eval_interval
+from rileycert.riley import (kl_alpha_derivative_check, kl_named_polys,
+                             riley_double_twist, riley_for_knot, riley_generic,
+                             riley_kl)
 
 import cert_oracle
 from family_sets import J_THRESHOLDS, KL_THRESHOLDS
-from matrix_oracle import reference_evaluate_word
-from poly_oracle import as_fraction, substitute_y
+from matrix_oracle import images, reference_evaluate_word
+from poly_oracle import SY, XY, as_fraction, substitute_y, y_slices
 
-X = XYPoly.x()
+X = XY.x()
 
 J_GRID_KM = [(k, m) for k in range(1, 5) for m in (2, 3, 4, -2, -3, -4)]
 
@@ -182,22 +181,22 @@ def test_criterion_4_symbolic_identities():
     ok = True
     # phi_{J(2k+1,4)}(x, 2) = (x^2-2)(1+(4-x^2)k) - 1
     for k in range(1, 9):
-        want = (X * X - 2) * (XYPoly.one() + (4 - X * X) * k) - 1
+        want = (X * X - 2) * (XY.one() + (4 - X * X) * k) - 1
         ok = ok and substitute_y(riley_double_twist(k, 2).poly, 2) == want
     lam, alpha, beta = kl_named_polys()
     x2m1 = X * X - 1
-    ok = ok and substitute_y(alpha, x2m1) == XYPoly.const(-1)
+    ok = ok and substitute_y(alpha, x2m1) == -1
     ok = ok and substitute_y(lam, 2) == X * X - 2
-    ok = ok and substitute_y(lam, x2m1) == XYPoly.one()
-    ok = ok and substitute_y(riley_kl(2).poly, x2m1) == XYPoly.const(-1)
+    ok = ok and substitute_y(lam, x2m1) == 1
+    ok = ok and substitute_y(riley_kl(2).poly, x2m1) == -1
     ok = ok and kl_alpha_derivative_check()
     # R structure for every in-scope word
-    images = generator_images()
-    y_minus_2 = SYPoly.y() - SYPoly.const(2)
+    g = images()
+    y_minus_2 = SY.y() - SY.const(2)
 
     def r_structure_holds(v_matrix):
-        r = (v_matrix @ images.a) - (images.b @ v_matrix)
-        return (r.e11 == SYPoly.zero() and r.e22 == SYPoly.zero()
+        r = (v_matrix @ g.a) - (g.b @ v_matrix)
+        return (r.e11 == SY.zero() and r.e22 == SY.zero()
                 and r.e21 == y_minus_2 * r.e12 and r.e12.is_symmetric())
 
     # powers: the structure on the dict oracle's V**m and V**-m
@@ -222,7 +221,7 @@ def test_criterion_5_leading_sign_law():
     ok = True
     for k, m in J_GRID_KM:
         phi = riley_double_twist(k, m).poly
-        lead = phi.y_slices()[phi.deg_y()]
+        lead = y_slices(phi)[phi.deg_y()]
         coeffs = [c for _, _, c in lead.terms()]
         expect_positive = (m > 0 and m % 2 == 1) or (m < 0 and m % 2 == 0)
         ok = ok and len(coeffs) == 1 and (coeffs[0] > 0) == expect_positive

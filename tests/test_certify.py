@@ -19,7 +19,7 @@ from rileycert.knots import DoubleTwistKnot, KlKnot, TwoBridgeFraction
 from rileycert.polyring import XYPoly, eval_interval
 from rileycert.riley import RileyPolynomial, kl_named_polys, lambda_dt, riley_for_knot
 
-from poly_oracle import as_fraction, reference_eval_interval
+from poly_oracle import XY, as_fraction, reference_eval_interval, y_slices
 
 
 # The witness lemmas of the double-twist and K_l families: at a y_c >= 2
@@ -208,7 +208,7 @@ def test_find_root_examples_m2():
 
 def _root_factor(p: int, q: int) -> XYPoly:
     """q y - p - x, whose root in y is (p + x_n) / q."""
-    return XYPoly.from_terms([(0, 1, q), (0, 0, -p), (1, 0, -1)])
+    return XY.from_terms([(0, 1, q), (0, 0, -p), (1, 0, -1)])
 
 
 @pytest.mark.parametrize("factors, cap, expect", [
@@ -222,7 +222,7 @@ def _root_factor(p: int, q: int) -> XYPoly:
     ([(40, 1)], 16, None),
 ])
 def test_isolation_brackets_the_smallest_simple_root(factors, cap, expect):
-    poly = XYPoly.one()
+    poly = XY.one()
     for p, q in factors:
         poly = poly * _root_factor(p, q)
     phi = RileyPolynomial(poly, "test", "product of linear factors")
@@ -249,7 +249,7 @@ def _spec_factor(i: int, f: int) -> XYPoly:
 
 
 def _spec_poly(specs) -> XYPoly:
-    poly = XYPoly.one()
+    poly = XY.one()
     for i, f in specs:
         poly = poly * _spec_factor(i, f)
     return poly
@@ -872,7 +872,7 @@ def test_every_phi_has_a_unit_leading_y_coefficient():
               for q in range(1, p, 2) if math.gcd(p, q) == 1]
     for knot in knots:
         phi = riley_for_knot(knot).poly
-        lead = phi.y_slices()[phi.deg_y()]
+        lead = y_slices(phi)[phi.deg_y()]
         assert [(i, abs(c)) for i, _, c in lead.terms()] == [(0, 1)], knot
 
 
@@ -934,6 +934,17 @@ def test_certificate_parsing_is_strict():
     for key, value in (("kind", "per-n"), ("extra", None), ("", 1), ("N", 5)):
         with pytest.raises(MalformedCertificate, match="unknown"):
             RootCertificate.from_json_dict({**record, key: value})
+    # and so is that of the bracket and of each endpoint: J:4,6 at n = 7
+    # with an extra key in either parsed and verified before
+    j46_phi, j46 = j46_record()
+    assert verify_certificate(RootCertificate.from_json_dict(j46), j46_phi)
+    bracket = j46["bracket"]
+    for nested in ({**bracket, "zzz": 0}, {**bracket, "a": {**bracket["a"], "junk": 1}},
+                   {**bracket, "b": {**bracket["b"], "": None}}, {"a": bracket["a"]},
+                   {"a": bracket["a"], "b": {"mantissa": bracket["b"]["mantissa"]}},
+                   [bracket["a"], bracket["b"]], {**bracket, "a": list(bracket["a"].items())}):
+        with pytest.raises(MalformedCertificate, match="bracket"):
+            RootCertificate.from_json_dict({**j46, "bracket": nested})
     # tool_version may be absent or any string, but nothing else
     for version in (["0.1.0"], None, True, 1, float("nan"), {}):
         with pytest.raises(MalformedCertificate, match="tool_version"):
@@ -1148,7 +1159,7 @@ def test_alpha_exceeds_one_on_xn_enclosures():
     from rileycert.riley import alpha_dt
     samples = [Dyadic(2), Dyadic(5, -1), Dyadic(7), Dyadic(161, -2), Dyadic(40)]
     for k in range(1, 5):
-        alpha_minus_1 = alpha_dt(k) - 1
+        alpha_minus_1 = XY.of(alpha_dt(k)) - 1
         for n in range(2, 13):
             xn = xn_enclosure(n, 128)
             for y in samples:

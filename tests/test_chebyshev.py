@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
 from rileycert.chebyshev import cheb_eval, cheb_poly
 from rileycert.dyadic import Dyadic, DyadicInterval
-from rileycert.polyring import SYPoly, XYPoly
-
-from poly_oracle import as_fraction
+from poly_oracle import SY, XY, as_fraction
 
 
 def u_poly(n):
@@ -48,10 +47,18 @@ def test_eval_matches_expansion():
                                       for i, c in enumerate(cheb_poly(n)))
 
 
+def test_cheb_poly_matches_sympy_chebyshevu():
+    # S_n(z) = U_n(z / 2), expanded by sympy
+    z = sympy.Symbol("z")
+    for n in range(41):
+        u = sympy.Poly(sympy.chebyshevu(n, z / 2), z)
+        assert cheb_poly(n) == tuple(int(c) for c in reversed(u.all_coeffs())), n
+
+
 def test_eval_in_polynomial_rings():
-    y = XYPoly.y()
+    y = XY.y()
     assert cheb_eval(2, y) == y * y - 1
-    s = SYPoly.s(1) + SYPoly.s(-1)
+    s = SY.s(1) + SY.s(-1)
     assert cheb_eval(2, s) == s * s - 1
 
 

@@ -1,12 +1,16 @@
 import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rileycert import cli, riley
 from rileycert.certify import MAX_Y_MAX_CAP, RootCertificate, verify_certificate
@@ -14,6 +18,8 @@ from rileycert.cli import MAX_N_MAX, main, parse_knot_spec
 from rileycert.knots import (K_MAX, L_MAX, M_MAX, P_MAX, DoubleTwistKnot, KlKnot,
                              TwoBridgeFraction)
 from rileycert.riley import riley_for_knot
+
+from poly_oracle import XY
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -250,11 +256,25 @@ def test_selftest_detects_a_slip_in_each_transcription(capsys, monkeypatch, slip
     # of C^-1 D: a slip in any one must make the cross-check fail
     named = list(riley.kl_named_polys())
     k = ("lambda", "alpha", "beta").index(slip)
-    named[k] = named[k] + 1
+    named[k] = XY.of(named[k]) + 1
     monkeypatch.setattr(riley, "kl_named_polys", lambda: tuple(named))
     code, out, _ = run(capsys, "selftest")
     assert code == 1
     assert "FAIL  K_l named polynomials vs engine" in out
+
+
+@pytest.mark.parametrize("slip", [(2, 1, 1), (0, 3, -1), (4, 1, 2)])
+def test_selftest_detects_a_slip_in_alpha_by_its_derivative(capsys, monkeypatch, slip):
+    # a slip in one of alpha's y-terms moves d(alpha)/dy, so the derivative
+    # line fails on its own, beside the cross-check with the engine
+    lam, alpha, beta = riley.kl_named_polys()
+    slipped = XY.of(alpha) + XY.from_terms([slip])
+    monkeypatch.setattr(riley, "kl_named_polys", lambda: (lam, slipped, beta))
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL  K_l alpha derivative and discriminant" in lines
+    assert "FAIL  K_l named polynomials vs engine" in lines
 
 
 def test_error_exits(capsys):
@@ -436,3 +456,59 @@ def test_bad_precision_environment_variable(value):
     # nothing, even when it is not a valid precision
     for argv in ENV_PROBES:
         assert _run_cli(argv, {"RILEYCERT_PREC": value}) == _run_cli_plain(argv), argv
+
+
+# Hostile argv values: integers of 4,299 to 5,000 digits (past the 4,300 of
+# int()'s limit too), other Unicode digits, small integers and junk.  Each
+# option is about as often a valid small value, so that calls get past the
+# parser and reach the commands; a knot spec is one of these values, or two
+# joined after a family prefix.
+_HUGE = st.tuples(st.sampled_from(["", "-"]), st.sampled_from([4299, 4300, 4301, 5000]),
+                  st.sampled_from("17")).map(lambda t: t[0] + t[2] * t[1])
+_VALUES = st.one_of(_HUGE, st.text(st.characters(categories=["Nd"]), min_size=1, max_size=3),
+                    st.integers(-3, 6).map(str), st.text(max_size=5),
+                    st.sampled_from(["", " 3", "+3", "3_0", "0x3", "1e3", "\u00b2"]))
+_SPECS = _VALUES | st.tuples(st.sampled_from(["J:", "Kl:", ""]), _VALUES,
+                             st.sampled_from(["", ",", "/", ",,", "/-"]), _VALUES).map("".join)
+_KNOT = (st.sampled_from([("--knot", "J:1,2"), ("--knot", "J:2,-3"), ("--knot", "Kl:3"),
+                          ("--fraction", "5/3"), ("--fraction", "27/11")])
+         | st.tuples(st.sampled_from(["--knot", "--fraction"]), _SPECS))
+_FRACTION = st.sampled_from(["5/3", "27/11", "499/97"]) | _SPECS
+_FORMAT = st.lists(st.tuples(st.just("--format"), st.sampled_from(["text", "structured"])
+                             | _VALUES), max_size=1)
+_INDEX = st.integers(2, 8).map(str) | _VALUES
+_YMAX = st.lists(st.tuples(st.just("--ymax-cap"), st.integers(3, 64).map(str) | _VALUES),
+                 max_size=1)
+
+
+def _flat(*parts):
+    return [text for part in parts for pair in part for text in pair]
+
+
+_ARGVS = st.one_of(
+    st.builds(lambda k, f, x: ["riley", *k, *_flat(f), *x], _KNOT, _FORMAT,
+              st.lists(st.just("--cross-check"), max_size=1)),
+    st.builds(lambda s, f, r: ["signs", "--fraction", s, *_flat(f), *r], _FRACTION, _FORMAT,
+              st.lists(st.just("--reduce"), max_size=1)),
+    st.builds(lambda k, n, y, f: ["certify", *k, "--n", n, *_flat(y, f)],
+              _KNOT, _INDEX, _YMAX, _FORMAT),
+    st.builds(lambda k, n, y, f: ["lo-set", *k, "--n-max", n, *_flat(y, f)],
+              _KNOT, _INDEX, _YMAX, _FORMAT),
+    st.builds(lambda extra: ["selftest", *extra], st.lists(_VALUES, max_size=2)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ARGVS)
+def test_hostile_argv_exits_cleanly(argv):
+    # every call ends in an exit code, 0, 1 or 2, never an exception, and
+    # quickly: a value past its limit is refused before any work
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2), (argv, code)
+    assert time.perf_counter() - start < 2.0, argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert err.getvalue().splitlines()[-1].startswith("error: "), argv

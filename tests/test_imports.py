@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ def test_import_loads_only_the_standard_library():
 # The public API, sorted: a name changes only on purpose, and then here too.
 PUBLIC_NAMES = [
     "DoubleTwistKnot", "Dyadic", "DyadicInterval", "KlKnot", "MalformedCertificate",
-    "RileyPolynomial", "RootCertificate", "SYPoly", "ScanReport", "TwoBridgeFraction",
+    "RileyPolynomial", "RootCertificate", "ScanReport", "TwoBridgeFraction",
     "Word", "XYPoly", "alpha_dt", "cheb_eval", "cheb_poly", "eval_interval",
     "find_root_gt2", "hm_reduce", "kl_fraction", "lambda_dt",
     "riley_double_twist", "riley_for_knot", "riley_generic", "riley_kl",
@@ -60,3 +61,29 @@ def test_cli_cold_start_skips_unused_modules():
     out = subprocess.run([sys.executable, "-S", "-c", CLI_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]", out
+
+
+# One polynomial algebra: the program multiplies polynomials only as packed
+# integers, so of the package's classes only the dyadic values define + - *,
+# and Word its product in the free group on a and b.
+ARITHMETIC = {"__add__", "__sub__", "__mul__"}
+ARITHMETIC_CLASSES = {("dyadic", "Dyadic"), ("dyadic", "DyadicInterval"), ("knots", "Word")}
+
+
+def test_no_polynomial_class_defines_arithmetic():
+    owners = set()
+    for path in sorted((SRC / "rileycert").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = {item.name}
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                else:
+                    continue
+                if names & ARITHMETIC:
+                    owners.add((path.stem, cls.name))
+    assert owners == ARITHMETIC_CLASSES

@@ -9,11 +9,10 @@ from rileycert import cli, polyring, riley
 from rileycert.knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot, TwoBridgeFraction,
                              Word, sign_sequence, word_double_twist,
                              word_from_signs, word_kl)
-from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly
-from rileycert.riley import generator_images
+from rileycert.polyring import Packing, XYPoly
 
-from matrix_oracle import packed_rows, reference_evaluate_word, row_integer
-from poly_oracle import pack, rewrite_sy, to_sy
+from matrix_oracle import PolyMatrix, images, packed_rows, reference_evaluate_word, row_integer
+from poly_oracle import SY, XY, pack, rewrite_sy, to_sy
 
 
 def _palindromic_word(half: list[bool]) -> Word:
@@ -22,11 +21,11 @@ def _palindromic_word(half: list[bool]) -> Word:
     return Word.from_letters(("ab"[i % 2], e) for i, e in enumerate(signs))
 
 
-def _l1(entry: SYPoly) -> int:
+def _l1(entry: SY) -> int:
     return sum(abs(c) for _, _, c in entry.terms())
 
 
-def _unpacked_rows(letters) -> tuple[tuple[SYPoly, SYPoly], ...]:
+def _unpacked_rows(letters) -> tuple[tuple[SY, SY], ...]:
     # both rows of the row loop, from (1, 0) and from (0, 1), unpacked from
     # L + 1 t-slots wide enough for the span pass's norms
     rows = []
@@ -34,7 +33,7 @@ def _unpacked_rows(letters) -> tuple[tuple[SYPoly, SYPoly], ...]:
         norms, _, _ = riley._row_span(letters, start)
         packing = Packing.covering(0, len(letters) + 1, max(norms))
         b = 8 * packing.nbytes
-        rows.append(tuple(SYPoly(packing.unpack(c)) for c in
+        rows.append(tuple(SY(packing.unpack(c)) for c in
                           riley._word_product(letters, start, b, b * packing.slots)))
     return tuple(rows)
 
@@ -46,8 +45,8 @@ def _row_loop_matrix(word: Word) -> PolyMatrix:
     letters = riley._letters(word)
     length = len(letters)
     (w11, w12), (w21, w22) = _unpacked_rows(letters)
-    return PolyMatrix(w11 * SYPoly.s(-length), w12 * SYPoly.s(1 - length),
-                      w21 * SYPoly.s(-1 - length), w22 * SYPoly.s(-length))
+    return PolyMatrix(w11 * SY.s(-length), w12 * SY.s(1 - length),
+                      w21 * SY.s(-1 - length), w22 * SY.s(-length))
 
 
 @settings(max_examples=150, deadline=None)
@@ -90,9 +89,9 @@ _WORDS_AND_POWERS = st.integers(1, 6).flatmap(lambda m: st.tuples(
 @example((word_from_signs(sign_sequence(TwoBridgeFraction(41, 15))), -2))
 def test_packed_results_equal_the_dict_oracle(word_and_power):
     word, m = word_and_power
-    images = generator_images()
+    g = images()
     base_dict = reference_evaluate_word(word)
-    r_word = base_dict @ images.a - images.b @ base_dict
+    r_word = base_dict @ g.a - g.b @ base_dict
     if m < 0:
         # rho(w**-1) is the adjugate, as det rho(w) = 1
         base_dict = base_dict.adjugate()
@@ -102,9 +101,9 @@ def test_packed_results_equal_the_dict_oracle(word_and_power):
         power_dict = power_dict @ base_dict
     # the mirror rule: R22 of w^m vanishes exactly when tau(w) = w, and
     # riley_generic takes exactly those words, with or without the power
-    r = power_dict @ images.a - images.b @ power_dict
+    r = power_dict @ g.a - g.b @ power_dict
     for power, relator in ((m, r), (None, r_word)):
-        assert (relator.e22 == SYPoly.zero()) == (word.mirror() == word)
+        assert (relator.e22 == SY.zero()) == (word.mirror() == word)
         if word.mirror() != word:
             with pytest.raises(riley.StructureViolation):
                 riley.riley_generic(word, power)
@@ -118,7 +117,7 @@ def test_packed_results_equal_the_dict_oracle(word_and_power):
 def test_mirror_word_is_the_conjugate_transpose(word):
     # with D = diag(1, 2 - y), B = D A^T D^-1 and A = D B^T D^-1, so
     # rho(tau(w)) D = D rho(w)^T: tau(w) = w gives V21 = (2 - y) V12
-    d22 = SYPoly.const(2) - SYPoly.y()
+    d22 = SY.const(2) - SY.y()
     v, mirrored = reference_evaluate_word(word), reference_evaluate_word(word.mirror())
     assert word.mirror().mirror() == word
     assert (mirrored.e11, mirrored.e12 * d22, mirrored.e21, mirrored.e22) == (
@@ -139,8 +138,8 @@ _MIRROR_WORDS = st.one_of(
 def _full_r12(v: PolyMatrix) -> dict:
     # the term map of R12 of R = VA - BV by dict arithmetic: one product by
     # each generator, not the word's
-    images = generator_images()
-    return (v @ images.a - images.b @ v).e12._terms
+    g = images()
+    return (v @ g.a - g.b @ v).e12._terms
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,10 +155,10 @@ def test_row_one_relator_equals_the_full_one(word):
     v_full = _row_loop_matrix(word)
     value, packing = riley._relator_r12(word)
     assert packing.unpack(value) == _full_r12(v_full)
-    assert v_full.e21 == (SYPoly.const(2) - SYPoly.y()) * v_full.e12
+    assert v_full.e21 == (SY.const(2) - SY.y()) * v_full.e12
     if len(word.to_text()) <= 64:
-        images, v = generator_images(), reference_evaluate_word(word)
-        assert (v @ images.a - images.b @ v).e22 == SYPoly.zero()
+        g, v = images(), reference_evaluate_word(word)
+        assert (v @ g.a - g.b @ v).e22 == SY.zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,8 +262,8 @@ def test_slots_cover_the_relator_bound(text):
     letters = riley._letters(word)
     (n1, n2), *hulls = riley._row_span(letters, (1, 0))
     assert all(0 <= lo and hi <= len(letters) for lo, hi in hulls if lo <= hi)
-    v, images = reference_evaluate_word(word), generator_images()
-    r12 = (v @ images.a - images.b @ v).e12
+    v, g = reference_evaluate_word(word), images()
+    r12 = (v @ g.a - g.b @ v).e12
     assert max(abs(c) for _, _, c in r12.terms()) <= n1 + 2 * n2
     assert 2 * (n1 + 2 * n2) < 2 ** (8 * riley._relator_r12(word)[1].nbytes)
 
@@ -290,7 +289,7 @@ def test_a_multiplier_term_needs_a_slot():
     value = pack(packing, {(2, 0): 3, (0, 1): -1})
     terms = {(0, 0): 1, (2, 0): -2, (4, 1): 5}
     product = polyring._times(value, packing.multiplier(terms))
-    assert packing.unpack(product) == (XYPoly(packing.unpack(value)) * XYPoly(terms))._terms
+    assert packing.unpack(product) == (XY(packing.unpack(value)) * XY(terms))._terms
     for bad in ({(1, 0): 1}, {(0, 0): 1, (3, 2): -1}, {(-2, 1): 1}):
         with pytest.raises(ValueError):
             packing.multiplier(bad)
@@ -318,13 +317,13 @@ def test_packed_adjugate_equals_dict_adjugate(monkeypatch):
     # its R12 is the dict adjugate's, and lambda is the same for both,
     # tr adj V = tr V
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
-    inverse, plain, images = w.inverse(), reference_evaluate_word(w), generator_images()
+    inverse, plain, g = w.inverse(), reference_evaluate_word(w), images()
     assert inverse.mirror() == inverse and inverse.inverse() == w
     adj = plain.adjugate()
     letters = riley._letters(inverse)
     assert _unpacked_rows(letters) == packed_rows(adj, len(letters))
     value, packing = riley._relator_r12(inverse)
-    assert SYPoly(packing.unpack(value)) == (adj @ images.a - images.b @ adj).e12
+    assert SY(packing.unpack(value)) == (adj @ g.a - g.b @ adj).e12
     assert riley._unimodular_trace(inverse) == riley._unimodular_trace(w)
     row = _calls(monkeypatch, "_relator_r12")
     riley.riley_generic(w, -3)
@@ -429,7 +428,7 @@ def test_the_mirror_rule_holds_for_every_power(word_and_power):
     power = base
     for _ in range(abs(m) - 1):
         power = power @ base
-    holds = power.e21 == (SYPoly.const(2) - SYPoly.y()) * power.e12
+    holds = power.e21 == (SY.const(2) - SY.y()) * power.e12
     assert holds == (word.mirror() == word)
 
 
@@ -463,14 +462,14 @@ def test_power_slots_cover_the_relator_bound(monkeypatch, k, m):
 def test_power_route_equals_the_dict_oracle():
     # phi of w**m is the rewrite of R12 of the dict oracle's V**m, V**-1
     # the adjugate, for the J words of k <= 4 and every m in +-1 .. +-6
-    images = generator_images()
+    g = images()
     for k in range(1, 5):
         w, _ = word_double_twist(DoubleTwistKnot(k, 2))
         plain = reference_evaluate_word(w)
         for base, sign in ((plain, 1), (plain.adjugate(), -1)):
             power = base
             for m in range(1, 7):
-                r12 = (power @ images.a - images.b @ power).e12
+                r12 = (power @ g.a - g.b @ power).e12
                 assert riley.riley_generic(w, sign * m).poly == rewrite_sy(r12), (k, sign * m)
                 power = power @ base
 
@@ -507,7 +506,7 @@ def test_the_trace_rejects_a_determinant_other_than_one(monkeypatch):
         trace = rewrite_sy(reference_evaluate_word(word).trace())
         assert riley._unimodular_trace(word) == trace
         assert _trace_of_rows(monkeypatch, reference_evaluate_word(word)) == trace
-    one, zero, s, y = SYPoly.one(), SYPoly.zero(), SYPoly.s(1), SYPoly.y()
+    one, zero, s, y = SY.one(), SY.zero(), SY.s(1), SY.y()
     det_s2 = PolyMatrix(s, zero, zero, s)
     det_minus_one = PolyMatrix(one, zero, zero, -one)
     det_minus_y = PolyMatrix(s, y, one, zero)
@@ -517,18 +516,18 @@ def test_the_trace_rejects_a_determinant_other_than_one(monkeypatch):
     # det 1 + s**4 - y/s**2, with e = 2: t**2 (det - 1) = t**4 - y t
     # vanishes at t = 2**B, y = 2**(3B), so it takes more than e + 1 = 3
     # t-slots, those of the entries, to tell it from 1
-    det_y_alias = PolyMatrix(s * s, SYPoly.s(-1), y * SYPoly.s(-1) - s, s * s)
+    det_y_alias = PolyMatrix(s * s, SY.s(-1), y * SY.s(-1) - s, s * s)
     # det 1 + s**4 - y/s**4, with e = 2: t**2 (det - 1) = t**4 - y
     # vanishes at y = 2**(4B), so it takes 2e + 1 = 5 t-slots, those of
     # the products, not 2e, to tell it from 1
-    det_slot_alias = PolyMatrix(s * s + y * SYPoly.s(-2), s,
-                                (y - 2) * SYPoly.s(-1), s * s - SYPoly.s(-2))
+    det_slot_alias = PolyMatrix(s * s + y * SY.s(-2), s,
+                                (y - 2) * SY.s(-1), s * s - SY.s(-2))
     # det 1 - 1/s**2 + 2**16/s**4: t**2 (det - 1) = 2**16 - t vanishes at
     # t = 2**16, so it takes slots that hold ||W_ij||_1**2 = 2**16, not
     # just the entries, to tell it from 1
-    det_width_alias = PolyMatrix(one, 256 * SYPoly.s(-1), -256 * SYPoly.s(-3),
-                                 1 - SYPoly.s(-2))
-    assert det_slot_alias.det() == 1 + SYPoly.s(4) - y * SYPoly.s(-4)
+    det_width_alias = PolyMatrix(one, 256 * SY.s(-1), -256 * SY.s(-3),
+                                 1 - SY.s(-2))
+    assert det_slot_alias.det() == 1 + SY.s(4) - y * SY.s(-4)
     for bad in (det_s2, det_minus_one, det_minus_y, det_one_plus_y, det_y_alias,
                 det_slot_alias, det_width_alias, PolyMatrix(zero, zero, zero, zero)):
         with pytest.raises(riley.NotUnimodular):
@@ -583,10 +582,10 @@ def test_back_substitution_check_bites():
 
 def test_back_substitution_check_relays_narrow_slots():
     # p = (s**2 + 3 + s**-2)**10 = f(s + 1/s) for f = (x**2 + 1)**10, packed
-    # as the SYPoly entry packs it: its largest coefficient fits 3 bytes,
+    # as the SY entry packs it: its largest coefficient fits 3 bytes,
     # but sum |f_i| 2**i = 5**10 needs 4, so the check re-lays p's slots
-    x = XYPoly.x()
-    f = math.prod([x * x + 1] * 10, start=XYPoly.one())._terms
+    x = XY.x()
+    f = math.prod([x * x + 1] * 10, start=XY.one())._terms
     p = to_sy(XYPoly(f))._terms
     packing = Packing.covering(20, 21, max(map(abs, p.values())))
     assert packing.nbytes == 3 and Packing.covering(0, 0, 5 ** 10).nbytes == 4

@@ -8,28 +8,30 @@ from hypothesis import given, settings, strategies as st
 from rileycert import polyring
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.knots import TwoBridgeFraction
-from rileycert.polyring import (NotSymmetric, PolyMatrix, SYPoly, XYPoly, _horner,
-                                eval_interval, symmetric_rewrite, y_coefficient_bounds)
+from rileycert.polyring import (NotSymmetric, XYPoly, _horner, eval_interval,
+                                symmetric_rewrite, y_coefficient_bounds)
 from rileycert.riley import riley_double_twist, riley_for_knot
 
-from poly_oracle import (as_fraction, contains_fraction, contains_interval,
-                         eval_fraction, reference_eval_interval, rewrite_sy, to_sy)
+from matrix_oracle import PolyMatrix
+from poly_oracle import (SY, XY, as_fraction, contains_fraction, contains_interval,
+                         eval_fraction, reference_eval_interval, rewrite_sy, to_sy,
+                         y_slices)
 
-X, Y = XYPoly.x(), XYPoly.y()
+X, Y = XY.x(), XY.y()
 
 
 def rand_xy(rng, max_deg=4, max_coeff=9):
     terms = [(rng.randrange(0, max_deg + 1), rng.randrange(0, max_deg + 1),
               rng.randrange(-max_coeff, max_coeff + 1))
              for _ in range(rng.randrange(0, 7))]
-    return XYPoly.from_terms(terms)
+    return XY.from_terms(terms)
 
 
 def rand_sy(rng, max_deg=4, max_coeff=9):
     terms = [(rng.randrange(-max_deg, max_deg + 1), rng.randrange(0, max_deg + 1),
               rng.randrange(-max_coeff, max_coeff + 1))
              for _ in range(rng.randrange(0, 7))]
-    return SYPoly.from_terms(terms)
+    return SY.from_terms(terms)
 
 
 def test_difference_of_squares():
@@ -40,13 +42,13 @@ def test_additive_identity_random():
     rng = random.Random(2)
     for _ in range(50):
         p = rand_xy(rng)
-        assert p + XYPoly.zero() == p
+        assert p + XY.zero() == p
         assert p + 0 == p
 
 
 def test_s_expansion():
-    s_plus_sinv = SYPoly.s(1) + SYPoly.s(-1)
-    assert s_plus_sinv * s_plus_sinv == SYPoly.from_terms([(2, 0, 1), (0, 0, 2), (-2, 0, 1)])
+    s_plus_sinv = SY.s(1) + SY.s(-1)
+    assert s_plus_sinv * s_plus_sinv == SY.from_terms([(2, 0, 1), (0, 0, 2), (-2, 0, 1)])
 
 
 @pytest.mark.parametrize("maker", [rand_xy, rand_sy])
@@ -67,7 +69,7 @@ def test_negative_exponent_rejected_in_xy():
     with pytest.raises(ValueError):
         XYPoly.from_terms([(-1, 0, 1)])
     with pytest.raises(ValueError):
-        SYPoly.from_terms([(0, -1, 1)])
+        SY.from_terms([(0, -1, 1)])
 
 
 def _parse_text(cls, text):
@@ -85,11 +87,11 @@ def test_canonical_text_round_trip():
     rng = random.Random(17)
     for _ in range(40):
         p = rand_xy(rng)
-        assert _parse_text(XYPoly, p.to_text()) == p
+        assert _parse_text(XY, p.to_text()) == p
         assert XYPoly.from_terms((i, j, int(c)) for i, j, c in p.triples()) == p
         q = rand_sy(rng)
-        assert _parse_text(SYPoly, q.to_text()) == q
-    assert XYPoly.zero().to_text() == "0"
+        assert _parse_text(SY, q.to_text()) == q
+    assert XY.zero().to_text() == "0"
 
 
 def test_canonical_order_and_hash_stability():
@@ -140,25 +142,25 @@ def test_terms_are_sorted_once(monkeypatch):
 
 
 def test_symmetric_rewrite_examples():
-    assert rewrite_sy(SYPoly.from_terms([(1, 0, 1), (-1, 0, 1)])) == X
-    assert rewrite_sy(SYPoly.from_terms([(2, 0, 1), (-2, 0, 1)])) == X * X - 2
-    assert rewrite_sy(SYPoly.from_terms([(3, 1, 1), (-3, 1, 1)])) \
+    assert rewrite_sy(SY.from_terms([(1, 0, 1), (-1, 0, 1)])) == X
+    assert rewrite_sy(SY.from_terms([(2, 0, 1), (-2, 0, 1)])) == X * X - 2
+    assert rewrite_sy(SY.from_terms([(3, 1, 1), (-3, 1, 1)])) \
         == (X * X * X - 3 * X) * Y
-    assert rewrite_sy(SYPoly.const(5)) == XYPoly.const(5)
+    assert rewrite_sy(SY.const(5)) == XY.const(5)
 
 
 def test_symmetric_rewrite_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
-        rewrite_sy(SYPoly.s(1))
+        rewrite_sy(SY.s(1))
     with pytest.raises(NotSymmetric):
-        rewrite_sy(SYPoly.from_terms([(1, 0, 1), (-1, 0, 2)]))
+        rewrite_sy(SY.from_terms([(1, 0, 1), (-1, 0, 2)]))
 
 
 def test_symmetric_rewrite_requires_a_packing():
     # it takes only a packed integer and its packing; rewrite_sy packs a
-    # dict SYPoly for the tests
+    # dict SY for the tests
     with pytest.raises(TypeError):
-        symmetric_rewrite(SYPoly.from_terms([(1, 0, 1), (-1, 0, 1)]))
+        symmetric_rewrite(SY.from_terms([(1, 0, 1), (-1, 0, 1)]))
     with pytest.raises(TypeError):
         symmetric_rewrite(0)
 
@@ -178,7 +180,7 @@ def test_symmetric_rewrite_round_trip_random():
             j = rng.randrange(0, 4)
             c = rng.randrange(-9, 10)
             terms += [(k, j, c), (-k, j, c)] if k else [(0, j, c)]
-        p = SYPoly.from_terms(terms)
+        p = SY.from_terms(terms)
         f = rewrite_sy(p)
         assert to_sy(f) == p
 
@@ -195,7 +197,7 @@ def _xy_polys(draw, parity):
     coeffs = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
     terms = draw(st.lists(st.tuples(_PARITY_DEGREES[parity], st.integers(0, 5), coeffs),
                           max_size=12))
-    return XYPoly.from_terms(terms)
+    return XY.from_terms(terms)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -208,7 +210,7 @@ def test_symmetric_rewrite_inverts_to_sy(parity_and_f):
     p = to_sy(f)
     assert p.is_symmetric()
     assert rewrite_sy(p) == f
-    assert rewrite_sy(p + SYPoly.const(2 ** 70)) == f + 2 ** 70
+    assert rewrite_sy(p + SY.const(2 ** 70)) == f + 2 ** 70
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -218,13 +220,13 @@ def test_symmetric_rewrite_of_symmetric_sums(terms):
     # sums of c (s**k + s**-k) y**j (c y**j for k = 0) rewrite to an f with
     # f(s + 1/s, y) = p, and a change of one coefficient of s**k alone,
     # k != 0, makes p asymmetric
-    p = SYPoly.from_terms([t for k, j, c in terms
+    p = SY.from_terms([t for k, j, c in terms
                            for t in ([(k, j, c), (-k, j, c)] if k else [(0, j, c)])])
     assert to_sy(rewrite_sy(p)) == p
     for k, j, _ in terms:
         if k:
             with pytest.raises(NotSymmetric):
-                rewrite_sy(p + SYPoly.from_terms([(k, j, 2 ** 65)]))
+                rewrite_sy(p + SY.from_terms([(k, j, 2 ** 65)]))
 
 
 def test_eval_interval_contains_sqrt3_root():
@@ -244,7 +246,7 @@ def test_eval_interval_point_matches_fraction_oracle():
                            DyadicInterval.point(Dyadic(yn, -3)))
         assert iv.is_point()
         assert as_fraction(iv.lo) == eval_fraction(p, Fraction(xn, 8), Fraction(yn, 8))
-    assert eval_interval(XYPoly.y(), DyadicInterval.point(7),
+    assert eval_interval(XY.y(), DyadicInterval.point(7),
                          DyadicInterval.point(2)) == DyadicInterval.point(2)
 
 
@@ -265,7 +267,7 @@ def test_eval_interval_rejects_interval_y():
     # the message prints y exactly, also past the range of a float
     for y in (DyadicInterval(Dyadic(2), Dyadic(17, -3)),
               DyadicInterval(Dyadic(1, 2000), Dyadic(3, 2000))):
-        for p in (XYPoly.zero(), riley_double_twist(1, 2).poly):
+        for p in (XY.zero(), riley_double_twist(1, 2).poly):
             with pytest.raises(ValueError, match=re.escape(repr(y.hi))):
                 eval_interval(p, x, y)
             with pytest.raises(ValueError, match=re.escape(repr(y.hi))):
@@ -397,18 +399,18 @@ def _bounds(p, x, e):
 def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx, e):
     lo, hi, e = _bounds(p, x, e)
     u = as_fraction(x.lo) + tx * as_fraction(x.width())
-    slices = p.y_slices()
+    slices = y_slices(p)
     assert len(lo) == len(hi) == p.deg_y() + 1
     for j, (l, h) in enumerate(zip(lo, hi)):
         c = eval_fraction(slices[j], u, Fraction(0)) if j in slices else 0
         assert l * Fraction(2) ** e <= c <= h * Fraction(2) ** e
         if e <= exact_unit(p, x):  # interval Horner in x, exactly
             assert DyadicInterval(Dyadic(l, e), Dyadic(h, e)) == reference_eval_interval(
-                slices.get(j, XYPoly.zero()), x, DyadicInterval.point(0))
+                slices.get(j, XY.zero()), x, DyadicInterval.point(0))
 
 
 # 3 + x y - 2 x**2 y + x**3 y**2: c_0 = 3, c_1 = x - 2 x**2, c_2 = x**3
-COEFFICIENT_CASES = XYPoly.from_terms([(0, 0, 3), (1, 1, 1), (2, 1, -2), (3, 2, 1)])
+COEFFICIENT_CASES = XY.from_terms([(0, 0, 3), (1, 1, 1), (2, 1, -2), (3, 2, 1)])
 
 
 def test_y_coefficient_bounds_straddling_x():
@@ -456,13 +458,13 @@ def test_positive_exponents_match_the_reference(p, x, y):
     else:
         with pytest.raises(ValueError):
             eval_interval(p, x, y)
-    slices = p.y_slices()
+    slices = y_slices(p)
     for e in (0, -5):
         bounds = y_coefficient_bounds(p, x, e)
         lo, hi, _ = bounds
         for j, (l, h) in enumerate(zip(lo, hi)):
             assert DyadicInterval(Dyadic(l, e), Dyadic(h, e)) == reference_eval_interval(
-                slices.get(j, XYPoly.zero()), x, DyadicInterval.point(0))
+                slices.get(j, XY.zero()), x, DyadicInterval.point(0))
         if not y.is_point():
             continue
         fast = eval_interval(p, x, y, y_bounds=bounds)
@@ -508,12 +510,12 @@ def test_eval_interval_matches_reference_on_riley():
 
 
 def test_poly_matrix_ops():
-    a = PolyMatrix(SYPoly.s(), SYPoly.one(), SYPoly.zero(), SYPoly.s(-1))
-    assert a.det() == SYPoly.one()
+    a = PolyMatrix(SY.s(), SY.one(), SY.zero(), SY.s(-1))
+    assert a.det() == SY.one()
     assert a @ a.adjugate() == PolyMatrix.identity()
-    assert a.trace() == SYPoly.from_terms([(1, 0, 1), (-1, 0, 1)])
-    b = PolyMatrix(SYPoly.s(), SYPoly.zero(),
-                   SYPoly.const(2) - SYPoly.y(), SYPoly.s(-1))
+    assert a.trace() == SY.from_terms([(1, 0, 1), (-1, 0, 1)])
+    b = PolyMatrix(SY.s(), SY.zero(),
+                   SY.const(2) - SY.y(), SY.s(-1))
     prod = a @ b
-    assert prod.det() == SYPoly.one()
-    assert (a - a).e11 == SYPoly.zero()
+    assert prod.det() == SY.one()
+    assert (a - a).e11 == SY.zero()

@@ -12,27 +12,31 @@ from rileycert.chebyshev import _cheb_norms, _cheb_pair, _packed_cheb_pair, cheb
 from rileycert.knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot,
                              TwoBridgeFraction, Word, sign_sequence, word_double_twist,
                              word_from_signs, word_kl)
-from rileycert.polyring import Packing, PolyMatrix, SYPoly, XYPoly
+from rileycert.polyring import Packing, XYPoly
 from rileycert.riley import (StructureViolation, alpha_dt, generator_images,
                              kl_alpha_derivative_check, kl_cross_check,
                              kl_named_polys, lambda_dt, riley_double_twist,
                              riley_for_knot, riley_generic, riley_kl)
 
-from matrix_oracle import reference_evaluate_word
-from poly_oracle import eval_fraction, rewrite_sy, substitute_y
+from matrix_oracle import PolyMatrix, images, reference_evaluate_word
+from poly_oracle import SY, XY, eval_fraction, rewrite_sy, substitute_y, y_slices
 
-X, Y = XYPoly.x(), XYPoly.y()
+X, Y = XY.x(), XY.y()
 
 
 def test_generator_images():
-    g = generator_images()
-    x_image = SYPoly.from_terms([(1, 0, 1), (-1, 0, 1)])
+    # A = [[s, 1], [0, 1/s]] and B = [[s, 0], [2 - y, 1/s]] as term maps,
+    # and their dict matrices
+    assert generator_images() == (({(1, 0): 1}, {(0, 0): 1}, {}, {(-1, 0): 1}),
+                                  ({(1, 0): 1}, {}, {(0, 0): 2, (0, 1): -1}, {(-1, 0): 1}))
+    g = images()
+    x_image = SY.from_terms([(1, 0, 1), (-1, 0, 1)])
     assert g.a.trace() == x_image
     assert g.b.trace() == x_image
-    assert (g.b @ g.a_inv).trace() == SYPoly.y()
-    assert (g.b_inv @ g.a).trace() == SYPoly.y()
+    assert (g.b @ g.a_inv).trace() == SY.y()
+    assert (g.b_inv @ g.a).trace() == SY.y()
     for mat in (g.a, g.b):
-        assert mat.det() == SYPoly.one()
+        assert mat.det() == SY.one()
     assert g.a @ g.a_inv == PolyMatrix.identity()
     assert g.b @ g.b_inv == PolyMatrix.identity()
 
@@ -53,7 +57,7 @@ def test_word_product_basics():
 
 
 def test_alpha_lambda_closed_forms():
-    assert alpha_dt(1) == XYPoly.one() + (Y + 2 - X * X) * (Y - 1)
+    assert alpha_dt(1) == XY.one() + (Y + 2 - X * X) * (Y - 1)
     assert lambda_dt(1) == X * X - Y - (Y - 2) * (Y + 2 - X * X) * Y
     assert eval_fraction(alpha_dt(1), Fraction(1), Fraction(2)) == 4
     assert eval_fraction(lambda_dt(1), Fraction(1), Fraction(2)) == -1
@@ -62,12 +66,23 @@ def test_alpha_lambda_closed_forms():
         assert eval_fraction(alpha_dt(k), Fraction(2), Fraction(2)) == 1
     with pytest.raises(ValueError):
         alpha_dt(0)
+    with pytest.raises(ValueError):
+        lambda_dt(0)
+
+
+def test_alpha_lambda_match_their_formulas_by_dict_algebra():
+    # the docstring formulas in the tests' dict ring, S_j(y) by the
+    # ring-generic recurrence, against the y-lists the package builds
+    for k in range(1, 21):
+        s_km1, s_k = _cheb_pair(k, Y)
+        assert alpha_dt(k) == 1 + (Y + 2 - X * X) * s_km1 * (s_k - s_km1), k
+        assert lambda_dt(k) == X * X - Y - (Y - 2) * (Y + 2 - X * X) * s_k * s_km1, k
 
 
 def test_double_twist_m2_formula():
-    assert riley_double_twist(1, 2).poly == lambda_dt(1) * alpha_dt(1) - 1
+    assert riley_double_twist(1, 2).poly == XY.of(lambda_dt(1)) * alpha_dt(1) - 1
     for k in range(1, 9):
-        want = (X * X - 2) * (XYPoly.one() + (4 - X * X) * k) - 1
+        want = (X * X - 2) * (XY.one() + (4 - X * X) * k) - 1
         assert substitute_y(riley_double_twist(k, 2).poly, 2) == want, k
 
 
@@ -75,7 +90,7 @@ def test_leading_sign_parity_rule():
     for k in (1, 2, 3):
         for m in (2, 3, 4, -2, -3, -4):
             phi = riley_double_twist(k, m).poly
-            lead = phi.y_slices()[phi.deg_y()]
+            lead = y_slices(phi)[phi.deg_y()]
             coeffs = [c for _, _, c in lead.terms()]
             assert len(coeffs) == 1  # leading y-coefficient is a constant
             expect_positive = (m > 0 and m % 2 == 1) or (m < 0 and m % 2 == 0)
@@ -93,7 +108,7 @@ def test_engine_matches_closed_forms():
 
 def _compose(coeffs, inner):
     """inner substituted into an ascending coefficient tuple, by Horner."""
-    acc = XYPoly.const(coeffs[-1])
+    acc = XY.const(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = acc * inner + c
     return acc
@@ -169,7 +184,7 @@ _COEFFS = st.integers(-3, 3).filter(bool)
 def test_packed_recurrence_equals_dict_recurrence_xy(terms, n):
     # u = x**2 in the inner slots: the packing of every Chebyshev
     # combination, whose t has even x-degrees only
-    t = XYPoly(terms)
+    t = XY(terms)
     deg = max((i for i, _ in terms), default=0)
     packing = Packing.covering(0, n * deg // 2 + 1, max(_cheb_norms(n, _l1(terms))))
     h_prev, h_cur = _packed_cheb_pair(n, packing.multiplier(terms))
@@ -186,7 +201,7 @@ def test_m_one_boundary_convention():
     # checks k against K_MAX before any recurrence runs
     w, _ = word_double_twist(DoubleTwistKnot(1, 2))
     assert riley_generic(w, 1).poly == alpha_dt(1)
-    assert riley_generic(w, -1).poly == lambda_dt(1) - alpha_dt(1)
+    assert riley_generic(w, -1).poly == XY.of(lambda_dt(1)) - alpha_dt(1)
     for k, m in ((1, 1), (1, -1), (1, 0), (10**6, 1), (10**6, 2), (0, 2)):
         with pytest.raises(ValueError):
             riley_double_twist(k, m)
@@ -266,8 +281,8 @@ def test_generic_engine_against_sympy():
 
 
 def test_r_structure_identities():
-    g = generator_images()
-    y_minus_2 = SYPoly.y() - SYPoly.const(2)
+    g = images()
+    y_minus_2 = SY.y() - SY.const(2)
     words = [word_from_signs(sign_sequence(TwoBridgeFraction(5, 3))),
              word_kl(KlKnot(2))]
     for k in (1, 2):
@@ -276,37 +291,37 @@ def test_r_structure_identities():
     for v in words:
         mat = reference_evaluate_word(v)
         r = (mat @ g.a) - (g.b @ mat)
-        assert r.e11 == SYPoly.zero()
-        assert r.e22 == SYPoly.zero()
+        assert r.e11 == SY.zero()
+        assert r.e22 == SY.zero()
         assert r.e21 == y_minus_2 * r.e12
         assert r.e12.is_symmetric()
     # for any V, R11 = 0 and R21 = (y - 2) R12 + (s - 1/s) R22, so R22 = 0
     # is the one structure condition, which the mirror rule decides on the
     # word (test_packed_engine.py)
-    s_minus_inv = SYPoly.s(1) - SYPoly.s(-1)
+    s_minus_inv = SY.s(1) - SY.s(-1)
     rng = random.Random(71)
     for _ in range(20):
-        mat = PolyMatrix(*(SYPoly.from_terms([(rng.randint(-4, 4), rng.randint(0, 2),
+        mat = PolyMatrix(*(SY.from_terms([(rng.randint(-4, 4), rng.randint(0, 2),
                                                rng.randint(-9, 9)) for _ in range(4)])
                            for _ in range(4)))
         r = (mat @ g.a) - (g.b @ mat)
-        assert r.e11 == SYPoly.zero()
+        assert r.e11 == SY.zero()
         assert r.e21 == y_minus_2 * r.e12 + s_minus_inv * r.e22
 
 
 def test_kl_named_polys_identities():
     lam, alpha, beta = kl_named_polys()
     x2m1 = X * X - 1
-    assert substitute_y(alpha, x2m1) == XYPoly.const(-1)
+    assert substitute_y(alpha, x2m1) == -1
     assert substitute_y(lam, 2) == X * X - 2
-    assert substitute_y(lam, x2m1) == XYPoly.one()
+    assert substitute_y(lam, x2m1) == 1
     assert beta == X * X - Y - 1
-    assert substitute_y(beta, x2m1) == XYPoly.zero()
+    assert substitute_y(beta, x2m1) == 0
 
 
 def test_kl_cross_check_bites(monkeypatch):
     assert kl_cross_check()
-    lam, alpha, beta = kl_named_polys()
+    lam, alpha, beta = map(XY.of, kl_named_polys())
     for named in ((lam + 1, alpha, beta), (lam, alpha + 1, beta), (lam, alpha, beta + 1)):
         monkeypatch.setattr(riley, "kl_named_polys", lambda named=named: named)
         assert not kl_cross_check(), named
@@ -316,7 +331,7 @@ def test_kl_transcriptions_match_the_dict_relator():
     # the packed route of kl_cross_check against dict products of the
     # generator images: tr C, (DA - BD)_12 and (C^-1 D A - B C^-1 D)_12
     lam, alpha, beta = kl_named_polys()
-    g = generator_images()
+    g = images()
     c, d = reference_evaluate_word(KL_WORD_C), reference_evaluate_word(KL_WORD_D)
     assert rewrite_sy(c.trace()) == lam
     assert rewrite_sy(((d @ g.a) - (g.b @ d)).e12) == alpha
@@ -333,12 +348,12 @@ def test_kl_alpha_derivative_and_discriminant():
 
 
 def test_riley_kl_values_and_leading_sign():
-    assert riley_kl(2).poly == \
-        kl_named_polys()[0] * kl_named_polys()[1] - kl_named_polys()[2]
-    assert substitute_y(riley_kl(2).poly, X * X - 1) == XYPoly.const(-1)
+    lam, alpha, beta = kl_named_polys()
+    assert riley_kl(2).poly == XY.of(lam) * alpha - beta
+    assert substitute_y(riley_kl(2).poly, X * X - 1) == -1
     for l in range(2, 7):
         phi = riley_kl(l).poly
-        lead = phi.y_slices()[phi.deg_y()]
+        lead = y_slices(phi)[phi.deg_y()]
         coeffs = [c for _, _, c in lead.terms()]
         assert len(coeffs) == 1
         # (-1)^l phi -> +infinity as y -> infinity

@@ -32,15 +32,14 @@ sequence is a palindrome, e_{p-i} = e_i, since (p - i)q = p - iq mod 2p,
 and the K_l and J(2k+1, 2m) words are mirrors by construction.  So
 `riley_generic` checks tau(v) = v exactly, before any arithmetic, and
 then needs only R12, for the word and its powers alike: tau reverses
-products, so tau(v**m) = v**m for every m, and tau(v**-1) = v**-1.
-R12 reads row 1 of V alone, the product from (1, 0).
-Its rows are laid only as wide as R12's t-span, which the pass over the
-word bounds (`_mirror_span`): S = sigma + 1 slots, sigma = deg_x(phi) on a
-fraction's word, where R12 reaches about 0.65 L.  Packed arithmetic is
-evaluation at t = 2**B, y = 2**(B*S), a ring homomorphism, so the
-product's rows may overlap as long as R12's do not.  R12 stays a packed
-integer, s**sigma R12 in t-slots (sigma the packing's shift), and
-`polyring.symmetric_rewrite` reads phi off its slot digits: slot
+products, so tau(v**m) = v**m for every m.  R12 reads row 1 of V alone,
+the product from (1, 0), in y-rows only as wide as R12's t-span, which
+the pass over the word bounds (`_mirror_span`): S = sigma + 1 slots,
+sigma = deg_x(phi) on a fraction's word, where R12 reaches about 0.65 L.
+Packed arithmetic is evaluation at t = 2**B, y = 2**(B*S), a ring
+homomorphism, so the product's rows may overlap as long as R12's do not.
+R12 stays a packed integer, s**sigma R12 in t-slots (sigma the packing's
+shift), and `polyring.symmetric_rewrite` reads phi off its slot digits: slot
 (sigma + e) / 2 of each y-row holds c_e, the coefficient of s**e + s**-e,
 and each row is summed in that basis by Clenshaw's recurrence on packed
 u-integers, u = x**2 (every e has sigma's parity).
@@ -56,15 +55,14 @@ the power.  R = VA - BV is linear in V and R12(I) = 1; when det V = 1,
 Cayley-Hamilton gives V**m = S_{m-1}(tr V) V - S_{m-2}(tr V) I for
 m >= 1, and the rewrite is a ring map on symmetric polynomials.  So
 phi = S_{|m|-1}(lambda) alpha - S_{|m|-2}(lambda), lambda the rewrite of
-tr V and alpha the phi of v, or of v**-1 (`Word.inverse`) for m < 0:
-tr V**-1 = tr V, and v**-1 is its own mirror as v is, since
-tau(v**-1) = tau(v)**-1.  This is Riley's trace and R12 construction,
-which the closed forms transcribe.  alpha comes off row 1 as above;
-lambda off both rows of v's product, which also settle det V = 1, the
-premise of Cayley-Hamilton, in y-rows of 2 sigma + 1 t-slots that hold
-det V, sigma the width of the entries' t-span (`_unimodular_trace`).  `kl_cross_check`
-reads the K_l lambda the same way, and its alpha and beta, R12 of D and
-of C^-1 D, off row 1.
+tr V = tr V**-1 and alpha that of R12 of V, or of V**-1 for m < 0.  This
+is Riley's trace and R12 construction, which the closed forms
+transcribe.  All three come off both rows of v's one product
+(`_unimodular_trace`): lambda, det V = 1, the premise of Cayley-Hamilton,
+and alpha, off row 1 of V or, as V**-1 = adj V, off adj V's row 1
+(V22, -V12), in y-rows of 2 sigma + 1 t-slots that hold det V.
+`kl_cross_check` reads the K_l lambda the same way, and its alpha and
+beta, R12 of D and of C^-1 D, off row 1.
 
 Every Chebyshev combination S_n(lambda) a - S_{n-1}(lambda) b, closed
 form or power route (`_chebyshev_combination`), runs the recurrence
@@ -226,25 +224,28 @@ def _relator_r12(word: Word) -> tuple[int, Packing]:
     return r12 >> b * lo, packing
 
 
-def _unimodular_trace(word: Word) -> XYPoly:
-    """lambda = rewrite(tr V) for V = rho(word), once det V = 1 is checked
-    (NotUnimodular otherwise), the premise of the power route's
-    Cayley-Hamilton step, from both rows of the product.
+def _unimodular_trace(word: Word) -> tuple[XYPoly, tuple[int, int], Packing]:
+    """(lambda, (r12, r12_adj), packing) off both rows of V = rho(word):
+    lambda = rewrite(tr V) once det V = 1 is checked (NotUnimodular
+    otherwise), and s**sigma R12 of R = VA - BV for V and adj V, packed.
 
     With lo .. hi the mirror-widened span (`_mirror_span`) of the four
-    entries' t-hulls (`_row_span`) and sigma = hi - lo, each entry is t**lo
-    times one in t-slots 0 .. sigma.  The letter loop runs in y-rows of
-    2 sigma + 1 t-slots; the t-slots below lo must come out 0
+    entries' t-hulls (`_row_span`) and t c12's, and sigma = hi - lo, each
+    entry is t**lo times one in t-slots 0 .. sigma.  The letter loop runs
+    in y-rows of 2 sigma + 1 t-slots; the t-slots below lo must come out 0
     (StructureViolation otherwise) and are shifted off.  Then
     c11 c22 - c12 c21 = t**sigma det V, whose difference from t**sigma has
     coefficients of at most 2 n**2 + 1 in magnitude, n the largest row
     norm.  Slots of that many and wide enough for n**2 make it 0 exactly
-    when its integer is; c11 + c22 = s**sigma tr V is rewritten."""
+    when its integer is; c11 + c22 = s**sigma tr V is rewritten.  R12 is
+    c1 + c2 - t c2 off a row 1 (c1, c2), as in `_relator_r12`: V's
+    (c11, c12) or adj V's (c22, -c12), of l1 norm at most 3 n."""
     letters = _letters(word)
     spans = [_row_span(letters, row) for row in ((1, 0), (0, 1))]
-    lo, hi = _mirror_span(len(letters), [h for _, *row_hulls in spans for h in row_hulls])
-    sigma = hi - lo
-    packing = Packing.covering(sigma, 2 * sigma + 1, max(max(n) for n, _, _ in spans) ** 2)
+    hulls = [h for _, *row_hulls in spans for h in row_hulls]  # c11, c12, c21, c22
+    lo, hi = _mirror_span(len(letters), hulls + [(hulls[1][0] + 1, hulls[1][1] + 1)])
+    sigma, n = hi - lo, max(max(n) for n, _, _ in spans)
+    packing = Packing.covering(sigma, 2 * sigma + 1, max(n * n, 3 * n))
     b = 8 * packing.nbytes
     rows = [_word_product(letters, row, b, b * packing.slots) for row in ((1, 0), (0, 1))]
     if any(c & ((1 << b * lo) - 1) for row in rows for c in row):
@@ -252,17 +253,17 @@ def _unimodular_trace(word: Word) -> XYPoly:
     (c11, c12), (c21, c22) = ((c1 >> b * lo, c2 >> b * lo) for c1, c2 in rows)
     if c11 * c22 - c12 * c21 != 1 << sigma * b:
         raise NotUnimodular("determinant is not the ring unit")
-    return symmetric_rewrite(c11 + c22, packing)
+    r12s = (c11 + c12 - (c12 << b), c22 - c12 + (c12 << b))
+    return symmetric_rewrite(c11 + c22, packing), r12s, packing
 
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:
     """phi from the relator word: R12 of R = VA - BV for V = rho(v), read
     off row 1 of V, or for V**m when m is given, by Cayley-Hamilton:
     S_{|m|-1}(lambda) alpha - S_{|m|-2}(lambda), lambda = rewrite(tr V)
-    (`_unimodular_trace`, which checks det V = 1) and alpha the phi of v,
-    or of v**-1 when m < 0.  v must be its own mirror (`Word.mirror`),
-    which makes R22 = 0 for V**m too: tau reverses products and
-    tau(v) = v, so tau(v**m) = v**m for every m."""
+    and alpha R12's off row 1 of V, or of adj V = V**-1 for m < 0, from
+    v's one product, which checks det V = 1 (`_unimodular_trace`).  v must
+    be its own mirror (`Word.mirror`), which makes R22 = 0 for V**m too."""
     if m == 0:
         raise ValueError("m must be nonzero")
     if v.mirror() != v:
@@ -270,8 +271,8 @@ def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPoly
     if m is None:
         phi = symmetric_rewrite(*_relator_r12(v))
     else:
-        lam = _unimodular_trace(v)
-        alpha = symmetric_rewrite(*_relator_r12(v if m > 0 else v.inverse()))
+        lam, r12s, packing = _unimodular_trace(v)
+        alpha = symmetric_rewrite(r12s[m < 0], packing)
         phi = _chebyshev_combination(abs(m) - 1, lam, alpha, _ONE)
     tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
     return RileyPolynomial(phi, knot, tag)
@@ -388,11 +389,10 @@ def kl_named_polys() -> tuple[XYPoly, XYPoly, XYPoly]:
 
 def kl_cross_check() -> bool:
     """Recover lambda, alpha, beta from the engine and compare with the
-    transcriptions: lambda = rewrite(tr C), alpha from R_12 of the word D
-    and beta from R_12 of C^-1 D, R = VA - BV for V the word's matrix.
-    lambda comes off both rows of C's product, as the power route reads
-    it; each R_12 comes off row 1."""
-    found = [_unimodular_trace(KL_WORD_C)]
+    transcriptions: lambda = rewrite(tr C) off both rows of C's product,
+    as the power route reads it, and alpha and beta from R_12 of the words
+    D and C^-1 D off row 1, R = VA - BV for V the word's matrix."""
+    found = [_unimodular_trace(KL_WORD_C)[0]]
     for w in (KL_WORD_D, KL_WORD_C.inverse() * KL_WORD_D):
         found.append(symmetric_rewrite(*_relator_r12(w)))
     return tuple(found) == kl_named_polys()

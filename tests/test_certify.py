@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -978,6 +979,18 @@ def j46_record():
     return phi, find_root_gt2(phi, 7).certificate.to_json_dict()
 
 
+def _parse_and_verify(record, phi):
+    # "malformed", "hash mismatch" or the verdict of verify_certificate
+    try:
+        cert = RootCertificate.from_json_dict(record)
+    except MalformedCertificate:
+        return "malformed"
+    try:
+        return verify_certificate(cert, phi)
+    except HashMismatch:
+        return "hash mismatch"
+
+
 @settings(max_examples=300, deadline=None)
 @given(mutation=record_mutations)
 @example(mutation=("add", "kind", "per-n"))
@@ -985,25 +998,28 @@ def j46_record():
 @example(mutation=("set", "tool_version", float("nan")))
 @example(mutation=("set", "tool_version", True))
 @example(mutation=("set", "y_max", 3))
+@example(mutation=("set", "precision", 4096))
+@example(mutation=("set", "n", 10 ** 4999))
 def test_mutated_records_are_refused_or_still_sound(mutation):
     # every mutated record parses or raises MalformedCertificate, and one
-    # that parses verifies, fails or raises HashMismatch; an added key or a
-    # tool_version that is no string never parses, and a record that still
-    # verifies differs from the original only where the claim does not rest
+    # that parses verifies, fails or raises HashMismatch, within 2 s for
+    # the parse and the verify together, the largest precision and an n of
+    # 5,000 digits included; an added key or a tool_version that is no
+    # string never parses, and a record that still verifies differs from
+    # the original only where the claim does not rest
     phi, record = j46_record()
     kind, key, value = mutation
     mutated = {k: v for k, v in record.items() if k != key}
     if kind != "drop":
         mutated[key] = value
-    try:
-        cert = RootCertificate.from_json_dict(mutated)
-    except MalformedCertificate:
+    start = time.perf_counter()
+    verdict = _parse_and_verify(mutated, phi)
+    assert time.perf_counter() - start < 2.0, mutation
+    if verdict == "malformed":
         return
     assert kind != "add"
     assert kind == "drop" or key != "tool_version" or isinstance(value, str)
-    try:
-        verdict = verify_certificate(cert, phi)
-    except HashMismatch:
+    if verdict == "hash mismatch":
         assert key == "poly_hash"
         return
     assert verdict in (True, False)

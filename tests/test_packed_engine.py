@@ -228,26 +228,46 @@ def _calls(monkeypatch, name):
 
 
 def test_only_the_power_route_and_the_trace_multiply_out_whole_matrices(monkeypatch):
-    # a plain word's R12 comes off row 1 alone; the power route runs both
-    # rows of the base word once, for lambda and det, and reads alpha off
-    # row 1 of the base word, or of its inverse for m < 0, never of the
-    # power's word; kl_cross_check runs both rows of C alone
+    # a plain word's R12 comes off row 1 alone; the power route multiplies
+    # out the base word once, both rows, for lambda, det V and alpha, which
+    # it reads off row 1 of V, or of adj V for m < 0: no other product, no
+    # row-1 route, no inverse word; kl_cross_check runs both rows of C alone
     whole, row = _calls(monkeypatch, "_unimodular_trace"), _calls(monkeypatch, "_relator_r12")
     fraction = word_from_signs(sign_sequence(TwoBridgeFraction(27, 11)))
     riley.riley_for_knot(TwoBridgeFraction(27, 11))
     riley.riley_for_knot(KlKnot(3), engine="generic")
     assert whole == [] and row == [fraction, word_kl(KlKnot(3))]
+    product, inverse = riley._word_product, Word.inverse
     for m in (-3, 3):
+        knot, products, inverted = DoubleTwistKnot(2, m), [], []
+        w = word_double_twist(knot)[0]
         whole.clear()
         row.clear()
-        knot = DoubleTwistKnot(2, m)
-        riley.riley_for_knot(knot, engine="generic")
-        w = word_double_twist(knot)[0]
-        assert whole == [w] and row == [w.inverse() if m < 0 else w]
+        with monkeypatch.context() as patch:
+            patch.setattr(riley, "_word_product", lambda letters, start, b, ys: (
+                products.append((letters, start)) or product(letters, start, b, ys)))
+            patch.setattr(Word, "inverse", lambda word: inverted.append(word) or inverse(word))
+            riley.riley_for_knot(knot, engine="generic")
+        letters = riley._letters(w)
+        assert products == [(letters, (1, 0)), (letters, (0, 1))]
+        assert whole == [w] and row == [] and inverted == []
     whole.clear()
     row.clear()
     assert riley.kl_cross_check()
     assert whole == [KL_WORD_C] and row == [KL_WORD_D, KL_WORD_C.inverse() * KL_WORD_D]
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_alpha_off_both_rows_equals_the_row_one_route(k):
+    # alpha off row 1 of V, (c11, c12), and of adj V, (c22, -c12), of the
+    # base word's one product, equals the reference: the row-1 route's
+    # alpha of the word v and of the inverse word v**-1, each multiplied out
+    v, _ = word_double_twist(DoubleTwistKnot(k, 2))
+    _, (r12, r12_adj), packing = riley._unimodular_trace(v)
+    assert polyring.symmetric_rewrite(r12, packing) == polyring.symmetric_rewrite(
+        *riley._relator_r12(v))
+    assert polyring.symmetric_rewrite(r12_adj, packing) == polyring.symmetric_rewrite(
+        *riley._relator_r12(v.inverse()))
 
 
 @pytest.mark.parametrize("text", ["b" * 40, "B" * 40, "bA" * 30, "abAB" * 15,
@@ -310,25 +330,22 @@ def test_packing_round_trip(terms):
     assert packing.unpack(pack(packing, terms)) == terms
 
 
-def test_packed_adjugate_equals_dict_adjugate(monkeypatch):
-    # for m < 0 the power route reads alpha off the inverse word w**-1,
-    # which is its own mirror as w is, and whose packed rows are those of
-    # the dict adjugate of w's product: rho(w**-1) = adj rho(w) as det = 1;
-    # its R12 is the dict adjugate's, and lambda is the same for both,
-    # tr adj V = tr V
+def test_packed_adjugate_equals_dict_adjugate():
+    # for m < 0 the power route reads alpha off row 1 of adj V = V**-1,
+    # (c22, -c12) of V's packed rows, as det V = 1: the packed rows of the
+    # inverse word w**-1, its own mirror as w is, are those of the dict
+    # adjugate; R12 off (c11, c12) is the dict V's, R12 off (c22, -c12) the
+    # dict adjugate's, and lambda is the same for both, tr adj V = tr V
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
     inverse, plain, g = w.inverse(), reference_evaluate_word(w), images()
     assert inverse.mirror() == inverse and inverse.inverse() == w
     adj = plain.adjugate()
     letters = riley._letters(inverse)
     assert _unpacked_rows(letters) == packed_rows(adj, len(letters))
-    value, packing = riley._relator_r12(inverse)
-    assert SY(packing.unpack(value)) == (adj @ g.a - g.b @ adj).e12
-    assert riley._unimodular_trace(inverse) == riley._unimodular_trace(w)
-    row = _calls(monkeypatch, "_relator_r12")
-    riley.riley_generic(w, -3)
-    riley.riley_generic(w, 3)
-    assert row == [inverse, w]
+    lam, (r12, r12_adj), packing = riley._unimodular_trace(w)
+    assert SY(packing.unpack(r12)) == (plain @ g.a - g.b @ plain).e12
+    assert SY(packing.unpack(r12_adj)) == (adj @ g.a - g.b @ adj).e12
+    assert riley._unimodular_trace(inverse)[0] == lam
 
 
 def test_power_path_reads_only_packed_integers(monkeypatch):
@@ -354,16 +371,16 @@ def test_power_path_reads_only_packed_integers(monkeypatch):
 
 
 def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
-    # each value the power route reads is checked: R12 of the base word one
-    # more in its t-slot 0 is asymmetric, which symmetric_rewrite's
+    # each value the power route reads is checked: R12 of V and of adj V
+    # one more in t-slot 0 is asymmetric, which symmetric_rewrite's
     # back-substitution check finds; so is the trace of V [[1, s], [0, 1]],
     # whose det is still 1, its packed rows (c1, c1 + c2); and V with one
     # more in V11, at s**0, which is t-slot L / 2 of row 1's c1, has
-    # det != 1.  The rows are corrupted as the row loop returns them, with
-    # R12 kept whole.  The library raises, and so does the CLI's cross-check
+    # det != 1.  The rows are corrupted as the row loop returns them.  The
+    # library raises, and so does the CLI's cross-check
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
     assert word_double_twist(DoubleTwistKnot(2, 4)) == (w, 4)
-    value, packing = riley._relator_r12(w)
+    lam, (r12, r12_adj), packing = riley._unimodular_trace(w)
     half, product = len(riley._letters(w)) // 2, riley._word_product
 
     def sheared(letters, row, b, ys):
@@ -375,17 +392,17 @@ def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
         return c1 + (row[0] << b * half), c2
 
     for name, bad, error, message in (
-            ("_relator_r12", lambda word: (value + 1, packing),
+            ("_unimodular_trace", lambda word: (lam, (r12 + 1, r12_adj + 1), packing),
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
             ("_word_product", sheared,
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
             ("_word_product", bumped,
              riley.NotUnimodular, "determinant is not the ring unit")):
         with monkeypatch.context() as patch:
-            patch.setattr(riley, "_relator_r12", lambda word: (value, packing))
             patch.setattr(riley, name, bad)
-            with pytest.raises(error):
-                riley.riley_generic(w, 4)
+            for m in (4, -4):
+                with pytest.raises(error):
+                    riley.riley_generic(w, m)
             assert cli.main(["riley", "--knot", "J:2,4", "--cross-check"]) == 1
             assert message in capsys.readouterr().err
 
@@ -483,17 +500,19 @@ def _checkerboard_e(m: PolyMatrix) -> int:
 
 
 def _trace_of_rows(monkeypatch, m: PolyMatrix) -> XYPoly:
-    # _unimodular_trace of a checkerboard m injected as packed rows: those
-    # of s**e m, with the entries' l1 norms and t-hulls 0 .. e from the
-    # span pass, so the trace is laid in 2e + 1 t-slots
+    # lambda of _unimodular_trace for a checkerboard m injected as packed
+    # rows: those of s**e m, with the entries' l1 norms from the span pass
+    # and its t-hulls 0 .. e, but 0 .. e - 1 for s**(e - 1) m12, whose
+    # t-multiple in R12 then stays within 0 .. e too, so the trace is laid
+    # in 2e + 1 t-slots
     e = _checkerboard_e(m)
     rows = dict(zip(((1, 0), (0, 1)), packed_rows(m, e)))
     with monkeypatch.context() as patch:
         patch.setattr(riley, "_row_span", lambda letters, start: (
-            tuple(map(_l1, rows[start])), (0, e), (0, e)))
+            tuple(map(_l1, rows[start])), (0, e), (0, e - start[0])))
         patch.setattr(riley, "_word_product", lambda letters, start, b, ys: tuple(
             row_integer(entry, b, ys) for entry in rows[start]))
-        return riley._unimodular_trace(Word.parse_text("a" * e))
+        return riley._unimodular_trace(Word.parse_text("a" * e))[0]
 
 
 def test_the_trace_rejects_a_determinant_other_than_one(monkeypatch):
@@ -504,7 +523,7 @@ def test_the_trace_rejects_a_determinant_other_than_one(monkeypatch):
     for text in ("", "a", "abAB", "bAbaBa", "abbbAAb"):
         word = Word.parse_text(text)
         trace = rewrite_sy(reference_evaluate_word(word).trace())
-        assert riley._unimodular_trace(word) == trace
+        assert riley._unimodular_trace(word)[0] == trace
         assert _trace_of_rows(monkeypatch, reference_evaluate_word(word)) == trace
     one, zero, s, y = SY.one(), SY.zero(), SY.s(1), SY.y()
     det_s2 = PolyMatrix(s, zero, zero, s)

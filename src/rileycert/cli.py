@@ -123,9 +123,6 @@ def cmd_riley(args) -> int:
     if args.cross_check and isinstance(knot, TwoBridgeFraction):
         raise CliError("--cross-check applies to family knots (J:k,m or Kl:l)")
     phi = riley_for_knot(knot)
-    # hashed before the cross-check: malloc then serves the generic route's
-    # integers from the megabytes phi's text frees, not from fresh pages
-    # (about 0.5 s of 8 s at J:20,20)
     digest = phi.content_hash
     if args.cross_check and riley_for_knot(knot, engine="generic").poly != phi.poly:
         raise CliError("cross-check FAILED: engines disagree")
@@ -262,8 +259,9 @@ def _selftest_checks():
             for m in (2, -2, 3):
                 if riley_generic(w, m).poly != riley_double_twist(k, m).poly:
                     return False
-        return all(riley_for_knot(KlKnot(l), engine="generic").poly
-                   == riley_kl(l).poly for l in (2, 3))
+        # the whole relator word, not the combination riley_kl shares
+        return all(riley_generic(word_kl(KlKnot(l))).poly == riley_kl(l).poly
+                   for l in (2, 3))
 
     yield ("engine equivalence (closed forms vs matrix words)", engine_equivalence)
 

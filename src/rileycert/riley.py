@@ -29,8 +29,9 @@ rho(tau(w)) = D rho(w)^T D^-1, whose (2,1) entry is (2 - y)V12: a word
 with tau(w) = w has R22 = 0, and as rho is faithful no other word has.
 Every relator word built here is its own mirror: a fraction's sign
 sequence is a palindrome, e_{p-i} = e_i, since (p - i)q = p - iq mod 2p,
-and the K_l and J(2k+1, 2m) words are mirrors by construction.  So
-`riley_generic` checks tau(v) = v exactly, before any arithmetic, and
+and the J(2k+1, 2m) base words and K_l's D and C^-1 D are mirrors by
+construction.  So `riley_generic` checks tau(v) = v exactly, before any
+arithmetic (`_kl_readings` checks D and C^-1 D alike), and
 then needs only R12, for the word and its powers alike: tau reverses
 products, so tau(v**m) = v**m for every m.  R12 reads row 1 of V alone,
 the product from (1, 0), in y-rows only as wide as R12's t-span, which
@@ -61,8 +62,10 @@ transcribe.  All three come off both rows of v's one product
 (`_unimodular_trace`): lambda, det V = 1, the premise of Cayley-Hamilton,
 and alpha, off row 1 of V or, as V**-1 = adj V, off adj V's row 1
 (V22, -V12), in y-rows of 2 sigma + 1 t-slots that hold det V.
-`kl_cross_check` reads the K_l lambda the same way, and its alpha and
-beta, R12 of D and of C^-1 D, off row 1.
+K_l's relator C**(l-1) D takes the same route (`_kl_readings`), off
+both rows of C and row 1 of D and of C^-1 D, so no word longer than C's
+10 letters is multiplied out; `kl_cross_check` compares those readings
+with the closed form's transcriptions.
 
 Every Chebyshev combination S_n(lambda) a - S_{n-1}(lambda) b, closed
 form or power route (`_chebyshev_combination`), runs the recurrence
@@ -70,8 +73,9 @@ S_{j+1} = t S_j - S_{j-1} on packed integers too, multiplying by t one
 term at a time (a shift and a small-integer multiple).  It packs
 u = x**2 into the inner slots, as many as the result's x-degree, and y
 into the outer ones: lambda, a and b have even x-degrees only, those of
-the closed forms by their formulas and those of a mirror word because it
-has even length (its letters pair off about the middle, a with b).  The
+the closed forms by their formulas and those read off a word because it
+has even length (a mirror word's letters pair off about the middle, a
+with b, and C has 10).  The
 slots are sized before any arithmetic by N_{j+1} = ||t||_1 N_j + N_{j-1},
 which bounds the l1 norm of S_j(t), so the one value unpacked, phi, is
 faithful.
@@ -86,7 +90,7 @@ from functools import cached_property, lru_cache
 from .chebyshev import _cheb_norms, _packed_cheb_pair, cheb_poly
 from .knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot,
                     TwoBridgeFraction, Word, sign_sequence, word_double_twist,
-                    word_from_signs, word_kl)
+                    word_from_signs)
 from .polyring import Packing, XYPoly, _times, symmetric_rewrite
 
 
@@ -346,7 +350,7 @@ def _chebyshev_combination(n: int, lam: XYPoly, a: XYPoly, b: XYPoly) -> XYPoly:
     """S_n(lam) * a - S_{n-1}(lam) * b for n >= 0, on packed integers: u = x**2
     in the inner slots, as many as the result's x-degree needs, and y outer;
     lam, a and b have even x-degrees only, as those of the closed forms and
-    of a mirror word's lambda and alpha do, which the packing checks.  The
+    those read off an even-length word do, which the packing checks.  The
     slots cover the l1 bound N_n ||a||_1 + N_{n-1} ||b||_1 of `_cheb_norms`,
     so the one value unpacked is faithful."""
     def l1(f: XYPoly) -> int:
@@ -387,15 +391,32 @@ def kl_named_polys() -> tuple[XYPoly, XYPoly, XYPoly]:
     return lam, alpha, beta
 
 
+def _kl_readings() -> tuple[XYPoly, XYPoly, XYPoly]:
+    """(lambda, alpha, beta) of K_l off the generic engine: lambda the
+    rewrite of tr C off both rows of C's product, which checks det C = 1
+    (`_unimodular_trace`), and alpha and beta the rewrites of R12 of D and
+    of C^-1 D off row 1 (`_relator_r12`).
+
+    K_l's relator is C**(l-1) D.  As det C = 1, C + C**-1 = (tr C) I, so
+    X_n = S_n(tr C) I - S_{n-1}(tr C) C**-1 obeys X_{n+1} = (tr C) X_n -
+    X_{n-1} from X_0 = I and X_1 = C, and so is C**n.  Hence
+    C**(l-1) D = S_{l-1}(tr C) D - S_{l-2}(tr C) C**-1 D; R = VA - BV is
+    linear in V over the scalars, and the rewrite is a ring map on
+    symmetric polynomials, so phi = S_{l-1}(lambda) alpha -
+    S_{l-2}(lambda) beta, `_chebyshev_combination(l - 1, ...)`.  R22 is
+    linear too, so it vanishes for C**(l-1) D because D and C**-1 D are
+    each their own mirror (`Word.mirror`), which is checked here."""
+    c_inv_d = KL_WORD_C.inverse() * KL_WORD_D
+    if KL_WORD_D.mirror() != KL_WORD_D or c_inv_d.mirror() != c_inv_d:
+        raise StructureViolation("D or C^-1 D is not its own mirror, so R_22 != 0")
+    alpha, beta = (symmetric_rewrite(*_relator_r12(w)) for w in (KL_WORD_D, c_inv_d))
+    return _unimodular_trace(KL_WORD_C)[0], alpha, beta
+
+
 def kl_cross_check() -> bool:
-    """Recover lambda, alpha, beta from the engine and compare with the
-    transcriptions: lambda = rewrite(tr C) off both rows of C's product,
-    as the power route reads it, and alpha and beta from R_12 of the words
-    D and C^-1 D off row 1, R = VA - BV for V the word's matrix."""
-    found = [_unimodular_trace(KL_WORD_C)[0]]
-    for w in (KL_WORD_D, KL_WORD_C.inverse() * KL_WORD_D):
-        found.append(symmetric_rewrite(*_relator_r12(w)))
-    return tuple(found) == kl_named_polys()
+    """The engine's lambda, alpha and beta of K_l (`_kl_readings`), the
+    ones its generic phi is built from, equal the transcriptions."""
+    return _kl_readings() == kl_named_polys()
 
 
 def riley_kl(l: int) -> RileyPolynomial:
@@ -421,8 +442,9 @@ def kl_alpha_derivative_check() -> bool:
 
 def riley_for_knot(knot, *, engine: str = "auto") -> RileyPolynomial:
     """Dispatch: families use their closed forms, fractions the generic
-    engine; engine="generic" forces the engine for families too.  Any other
-    engine is a ValueError."""
+    engine; engine="generic" forces the engine for families too, by the
+    power route: J:k,m off its base word (`riley_generic(v, m)`), K_l off
+    C, D and C^-1 D (`_kl_readings`).  Any other engine is a ValueError."""
     if engine not in ("auto", "generic"):
         raise ValueError(f"engine must be 'auto' or 'generic', got {engine!r}")
     if isinstance(knot, DoubleTwistKnot):
@@ -432,7 +454,9 @@ def riley_for_knot(knot, *, engine: str = "auto") -> RileyPolynomial:
         return riley_double_twist(knot.k, knot.m)
     if isinstance(knot, KlKnot):
         if engine == "generic":
-            return riley_generic(word_kl(knot), knot=knot.spec_string())
+            phi = _chebyshev_combination(knot.l - 1, *_kl_readings())
+            tag = f"word:({KL_WORD_C.to_text()})^{knot.l - 1}{KL_WORD_D.to_text()}"
+            return RileyPolynomial(phi, knot.spec_string(), tag)
         return riley_kl(knot.l)
     if isinstance(knot, TwoBridgeFraction):
         v = word_from_signs(sign_sequence(knot))

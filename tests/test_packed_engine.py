@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rileycert import cli, polyring, riley
 from rileycert.knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot, TwoBridgeFraction,
-                             Word, sign_sequence, word_double_twist,
+                             Word, kl_fraction, sign_sequence, word_double_twist,
                              word_from_signs, word_kl)
 from rileycert.polyring import Packing, XYPoly
 
@@ -231,13 +231,24 @@ def test_only_the_power_route_and_the_trace_multiply_out_whole_matrices(monkeypa
     # a plain word's R12 comes off row 1 alone; the power route multiplies
     # out the base word once, both rows, for lambda, det V and alpha, which
     # it reads off row 1 of V, or of adj V for m < 0: no other product, no
-    # row-1 route, no inverse word; kl_cross_check runs both rows of C alone
+    # row-1 route, no inverse word; a generic K_l build and kl_cross_check
+    # run both rows of C and row 1 of D and of C^-1 D, no word longer than C
     whole, row = _calls(monkeypatch, "_unimodular_trace"), _calls(monkeypatch, "_relator_r12")
     fraction = word_from_signs(sign_sequence(TwoBridgeFraction(27, 11)))
     riley.riley_for_knot(TwoBridgeFraction(27, 11))
-    riley.riley_for_knot(KlKnot(3), engine="generic")
-    assert whole == [] and row == [fraction, word_kl(KlKnot(3))]
+    assert whole == [] and row == [fraction]
     product, inverse = riley._word_product, Word.inverse
+    for build in (lambda: riley.riley_for_knot(KlKnot(20), engine="generic"),
+                  riley.kl_cross_check):
+        whole.clear()
+        row.clear()
+        with monkeypatch.context() as patch:
+            lengths = []
+            patch.setattr(riley, "_word_product", lambda letters, start, b, ys: (
+                lengths.append(len(letters)) or product(letters, start, b, ys)))
+            assert build()
+        assert whole == [KL_WORD_C] and row == [KL_WORD_D, KL_WORD_C.inverse() * KL_WORD_D]
+        assert lengths and max(lengths) <= len(riley._letters(KL_WORD_C)) == 10
     for m in (-3, 3):
         knot, products, inverted = DoubleTwistKnot(2, m), [], []
         w = word_double_twist(knot)[0]
@@ -251,10 +262,31 @@ def test_only_the_power_route_and_the_trace_multiply_out_whole_matrices(monkeypa
         letters = riley._letters(w)
         assert products == [(letters, (1, 0)), (letters, (0, 1))]
         assert whole == [w] and row == [] and inverted == []
-    whole.clear()
-    row.clear()
-    assert riley.kl_cross_check()
-    assert whole == [KL_WORD_C] and row == [KL_WORD_D, KL_WORD_C.inverse() * KL_WORD_D]
+
+
+@pytest.mark.parametrize("l", range(2, 21))
+def test_kl_generic_equals_the_whole_word_route(l):
+    # K_l's generic phi off C, D and C^-1 D equals the reference: R12 of
+    # the whole (10l - 4)-letter relator C**(l-1) D multiplied out in row
+    # 1, as the word and as the word of K_l's fraction
+    knot = KlKnot(l)
+    phi = riley.riley_for_knot(knot, engine="generic").poly
+    assert phi == riley.riley_generic(word_kl(knot)).poly
+    assert phi == riley.riley_for_knot(kl_fraction(knot)).poly
+
+
+@pytest.mark.parametrize("name, text", [("KL_WORD_D", "abAB"), ("KL_WORD_C", "ab")])
+def test_a_kl_reader_word_that_is_not_its_own_mirror_is_refused(monkeypatch, name, text):
+    # D = abAB is not its own mirror; with C = ab, D is but C^-1 D = ABab
+    # is not: R22 of C**(l-1) D need not vanish, so the generic K_l build
+    # and kl_cross_check refuse it before any arithmetic
+    monkeypatch.setattr(riley, name, Word.parse_text(text))
+    whole, row = _calls(monkeypatch, "_unimodular_trace"), _calls(monkeypatch, "_relator_r12")
+    for build in (lambda: riley.riley_for_knot(KlKnot(3), engine="generic"),
+                  riley.kl_cross_check):
+        with pytest.raises(riley.StructureViolation, match="own mirror"):
+            build()
+    assert whole == [] and row == []
 
 
 @pytest.mark.parametrize("k", range(1, 21))

@@ -156,11 +156,12 @@ FAMILY_HASHES = Path(__file__).resolve().parent / "data" / "family_hashes.json"
 
 def test_family_hashes_past_the_benchmark_sizes():
     # term counts and content hashes recorded from the dict-arithmetic
-    # closed forms, which the generic engine agreed with; both routes must
-    # still reproduce them
+    # closed forms, which the generic engine agreed with (Kl:50's, at
+    # L_MAX, from the whole-word route of its fraction 497/199); both
+    # routes must still reproduce them
     knots = {"J:8,8": DoubleTwistKnot(8, 8), "J:8,-8": DoubleTwistKnot(8, -8),
              "J:12,12": DoubleTwistKnot(12, 12), "Kl:10": KlKnot(10),
-             "Kl:20": KlKnot(20)}
+             "Kl:20": KlKnot(20), "Kl:50": KlKnot(50)}
     records = json.loads(FAMILY_HASHES.read_text())
     assert sorted(records) == sorted(knots)
     for spec, knot in knots.items():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from math import comb
 from operator import mul
 
 from .dyadic import Dyadic, DyadicInterval
@@ -111,96 +112,114 @@ def symmetric_rewrite(p: int, packing: Packing) -> XYPoly:
     (shift sigma, y outer), as the Riley engine holds R12 and traces: the
     s-exponents of p all have sigma's parity, and only f is unpacked.
 
-    Slot k of a y-row holds the coefficient of s**(2k - sigma), so for a
-    symmetric p slot (sigma + e) / 2 holds c_e, the coefficient of
-    P_e = s**e + s**-e (P_0 = 1 here), for e = sigma, sigma - 2, ...,
-    pi = sigma mod 2.  With u = x**2 = P_2 + 2 the class has
-    P_(e+2) = (u - 2) P_e - P_(e-2), so f = x**pi g(u), and Clenshaw's
-    recurrence b_m = a_m + (u - 2) b_(m+1) - b_(m+2), a_m = c_(2m+pi), sums
-    g on packed u-integers, two shifts and three adds per degree:
-    g = a_0 + (u - 2) b_1 - 2 b_2 for even sigma (P_0 = 2 in the
-    recurrence, 1 in f) and g = a_0 + (u - 3) b_1 - b_2 for odd sigma
-    (P_-1 = P_1 = x, P_3 = x (u - 3)).  Only g is unpacked, so only its
-    coefficients must fit the slots.  ||P_e||_1 is the Lucas number L_e
-    (L_(e+1) = L_e + L_(e-1); the l1 recursion N_e = |c_e| + N_(e+1) +
-    N_(e+2) of the x-step recurrence gives N_0 + N_2 = sum_e |c_e| L_e), so
-    no coefficient of f exceeds sum_e |c_e| L_e (1 in place of L_0), and
-    the u-slots, sigma // 2 + 1 per row, are sized by its largest value
-    over the rows.  `_substitutes_back` then compares f(s + 1/s, y) with
-    every slot of p: s**sigma f(s + 1/s) reads the same backwards, so that
-    check also finds an asymmetric p, which raises NotSymmetric.
+    Slot k of a y-row holds the coefficient of s**(2k - sigma), so p is
+    symmetric exactly when every row reads the same backwards in slots
+    0 .. sigma and is empty above sigma (the trace packing has 2 sigma + 1
+    slots).  One strided slice per byte compares slot k with slot
+    sigma - k in every row at once, and NotSymmetric is raised before the
+    peel.  Slot (sigma + e) / 2 of a palindromic row holds c_e, the
+    coefficient of P_e = s**e + s**-e (P_0 = 1 here), for e = pi, pi + 2,
+    .. sigma, pi = sigma mod 2, and the row is s**sigma sum_e c_e P_e.
+
+    The peel.  With T = 2**W, W = 8 nbytes, the row's upper half, read as
+    one integer, is A = sum_m c_(2m+pi) T**m.  As x**n = sum_j C(n, j)
+    s**(n - 2j), x**(2k+pi) = sum_m C(2k + pi, k - m) P_(2m+pi) is the
+    integer X_k = sum_m C(2k + pi, k - m) T**m (`_x_powers`), whose top
+    digit is 1.  For k = sigma // 2 down to 0 the peel takes
+    f_(2k+pi) = q = round(A / T**k) and subtracts q X_k; at k = 0, X_0 = 1
+    and q is all that is left, so A = sum_k f_(2k+pi) X_k exactly.  The row is
+    accepted when sum_i |f_i| 2**i < 2**(W - 1).  Then
+    D(z) = sum_m c_(2m+pi) z**m - sum_k f_(2k+pi) X_k(z) vanishes at
+    z = T.  Each c_m is at most 2**(W - 1) in magnitude, a slot digit,
+    and each coefficient of the sum over k at most
+    sum_k |f_(2k+pi)| 2**(2k+pi) < 2**(W - 1), as C(n, j) <= 2**n; so D's
+    coefficients are below T in magnitude, and a nonzero such polynomial
+    does not vanish at T (its lowest nonzero coefficient would be a
+    multiple of T).  So D = 0, sum_i f_i x**i = sum_e c_e P_e, and with
+    the palindrome s**sigma f(s + 1/s) is the row.  This is the Kronecker
+    argument of a back-substitution check, with the check folded into the
+    pass that computes f.
+
+    The two widths.  The peel finds f whenever f meets that bound: before
+    step k the rest is sum_(m <= k) r_m T**m with r_k = f_(2k+pi) and
+    every |r_m| <= sum_i |f_i| 2**i < T / 2, so the digits below k add
+    less than T**k / 2 in magnitude and the rounding returns r_k.  A row
+    refused at W is peeled again at one width W' shared by every refused
+    row, 2**(W' - 1) > sum_e |c_e| Q_e for each.  P_(e+1) = x P_e - P_(e-1)
+    with P_0 = 2 in x, so the coefficients of P_e in x have absolute values
+    summing at x = 2 to at most Q_e, Q_0 = Q_1 = 2, Q_(e+1) = 2 Q_e + Q_(e-1)
+    (the Pell-Lucas numbers (1 + sqrt 2)**e + (1 - sqrt 2)**e), and to 1
+    for the constant term.  f = sum_e c_e P_e then gives
+    sum_i |f_i| 2**i <= sum_e |c_e| Q_e, so a palindromic row always peels
+    at W', and a refusal there is an AssertionError.
     """
-    sigma, nb, row_len = packing.shift, packing.nbytes, packing.slots * packing.nbytes
-    odd, half, buf = sigma & 1, 1 << 8 * nb - 1, packing.slot_bytes(p)
-    a_rows = [[int.from_bytes(buf[k:k + nb], "little") - half
-               for k in range(j + (sigma + 1) // 2 * nb, j + (sigma + 1) * nb, nb)]
-              for j in range(0, len(buf), row_len)]
-    lucas = [1, 1, 3]
-    while len(lucas) <= sigma:
-        lucas.append(lucas[-1] + lucas[-2])
-    bound = max(sum(map(mul, map(abs, a), lucas[odd::2])) for a in a_rows)
-    phi = Packing.covering(-odd, sigma // 2 + 1, bound)
-    b, empty = 8 * phi.nbytes, phi._empty() * phi.slots
-    row_bias, out = int.from_bytes(empty, "little"), []   # g + row_bias: g's slot bytes
-    for a in a_rows:
-        b1 = b2 = 0                  # b_(m + 1), b_(m + 2)
-        for am in a[:0:-1]:
-            b1, b2 = (b1 << b) - (b1 << 1) - b2 + am, b1
-        g = a[0] + (b1 << b) - (b1 << 1) - b2 - (b1 if odd else b2)
-        out.append((g + row_bias).to_bytes(len(empty), "little"))
-    terms = phi.read(b"".join(out))
-    if not _substitutes_back(terms, p, packing):
-        laurent = packing.unpack(p)
-        if laurent != {(-i, j): c for (i, j), c in laurent.items()}:
-            raise NotSymmetric("polynomial is not invariant under s -> 1/s")
-        raise AssertionError("symmetric rewrite failed back-substitution check")
-    return XYPoly(terms, ordered=True)
+    sigma, nb, slots = packing.shift, packing.nbytes, packing.slots
+    row_len, buf = slots * nb, packing.slot_bytes(p)
+    rows, blank = range(0, len(buf), row_len), packing._empty() * (slots - sigma - 1)
+    mirrors = ((r, r + (sigma - 2 * k) * nb)                # byte r of slot k, of sigma - k
+               for k in range((sigma + 1) // 2) for r in range(k * nb, k * nb + nb))
+    if (any(buf[r::row_len] != buf[r2::row_len] for r, r2 in mirrors)
+            or any(buf[j + row_len - len(blank):j + row_len] != blank for j in rows)):
+        raise NotSymmetric("polynomial is not invariant under s -> 1/s")
+    odd, top, w = sigma & 1, sigma // 2, 8 * nb
+    lo, hi = (sigma + 1) // 2 * nb, (sigma + 1) * nb    # a row's upper half
+    bias = int.from_bytes(packing._empty() * (top + 1), "little")
+    basis = _x_powers(top, odd, w)
+    f_rows = [_peel(int.from_bytes(buf[j + lo:j + hi], "little") - bias, w, basis, odd)
+              for j in rows]
+    refused = [j for j, f in enumerate(f_rows) if f is None]
+    if refused:
+        half, pell = 1 << w - 1, [2, 2]          # pell: Q_0, Q_1, ..
+        while len(pell) <= sigma:
+            pell.append(2 * pell[-1] + pell[-2])
+        pell[0] = 1                              # c_0 multiplies P_0 = 1 in f
+        digits = [[int.from_bytes(buf[k:k + nb], "little") - half
+                   for k in range(j * row_len + lo, j * row_len + hi, nb)] for j in refused]
+        bound = max(sum(map(mul, map(abs, c), pell[odd::2])) for c in digits)
+        wide = Packing.covering(0, 0, bound)     # W', shared by every refused row
+        w, half = 8 * wide.nbytes, 1 << 8 * wide.nbytes - 1
+        bias = int.from_bytes(wide._empty() * (top + 1), "little")
+        basis = _x_powers(top, odd, w)
+        for j, c in zip(refused, digits):
+            a = int.from_bytes(b"".join((d + half).to_bytes(wide.nbytes, "little") for d in c),
+                               "little") - bias
+            f_rows[j] = _peel(a, w, basis, odd)
+            if f_rows[j] is None:
+                raise AssertionError("symmetric rewrite: a palindromic row failed the wide peel")
+    return XYPoly({(2 * k + odd, j): c for j, f in enumerate(f_rows)
+                   for k, c in enumerate(f) if c}, ordered=True)
 
 
-def _substitutes_back(f: dict, value: int, packing: Packing) -> bool:
-    """f(s + 1/s, y) == p, f a {(x_deg, y_deg): coeff} map and p packed as
-    `symmetric_rewrite` takes it, one y-row at a time in t = s**2.
+def _x_powers(top: int, odd: int, w: int) -> list[int]:
+    """X_k = sum_m C(n, k - m) T**m, n = 2k + odd, T = 2**w, k = 0 .. top:
+    x**n in the basis P_(2m+odd) of `symmetric_rewrite`, its digits packed
+    at T.  Digit m of X_(k+1) is C(n + 2, k + 1 - m) = C(n, k - 1 - m) +
+    2 C(n, k - m) + C(n, k + 1 - m) by Pascal's rule twice, the digits
+    m + 1, m and m - 1 of X_k, so X_(k+1) = T X_k + 2 X_k + (X_k - C(n, k)) / T
+    + C(n, k + 1): a digit C(n, k + 1) below digit 0 is missing from X_k.
+    The division is exact and the digits may exceed T, as X_k is only
+    evaluated."""
+    xs = [1]
+    for k in range(top):
+        n, x = 2 * k + odd, xs[-1]
+        xs.append((x << w) + 2 * x + ((x - comb(n, k)) >> w) + comb(n, k + 1))
+    return xs
 
-    Every x-degree i of f must have sigma's parity and be at most sigma, as
-    those of sum c_e P_e do.  Then s**sigma f_j(s + 1/s) is
-    sum_i f_ij (1 + t)**i t**((sigma - i) / 2): Horner in (1 + t)**2 over
-    the one parity class, A -> A (1 + t)**2 + t**((sigma - i) / 2) f_ij,
-    and one factor 1 + t at the end when sigma is odd, each step three shifts
-    and three adds.  A's l1 norm is at most sum_i |f_ij| 2**i.  The digits
-    of row j of p's integer are at most 2**(B - 1) in magnitude, so when
-    that norm is below 2**(B - 1) the difference has coefficients below
-    2**B, and a nonzero polynomial with such coefficients does not vanish
-    at t = 2**B (its lowest one would be a multiple of 2**B).  The rows are
-    compared in p's slots when those are that wide; otherwise p's bytes are
-    re-laid into slots wide enough, one strided copy per byte of a slot.
-    """
-    sigma, slots, nb = packing.shift, packing.slots, packing.nbytes
-    f_rows: dict[int, dict[int, int]] = {}
-    for (i, j), c in f.items():
-        if (sigma - i) & 1 or not 0 <= i <= sigma:
-            return False
-        f_rows.setdefault(j, {})[i] = c
-    norm = max([sum(abs(c) << i for i, c in row.items()) for row in f_rows.values()] + [0])
-    buf, wide = packing.slot_bytes(value), max(nb, Packing.covering(0, 0, norm).nbytes)
-    if wide > nb:
-        relaid = bytearray(len(buf) // nb * wide)
-        for r in range(nb):
-            relaid[r::wide] = buf[r::nb]
-        buf = relaid
-    b, row_len = 8 * wide, slots * wide
-    row_bias = int.from_bytes(packing._empty().ljust(wide, b"\0") * slots, "little")
-    for j in range(0, len(buf), row_len):
-        row, acc = f_rows.pop(j // row_len, {}), 0
-        top = max(row, default=-1)
-        pos = b * ((sigma - top) >> 1)       # the bit offset of t**((sigma - i) / 2)
-        for i in range(top, -1, -2):
-            acc += (acc << b + 1) + (acc << 2 * b) + (row.get(i, 0) << pos)
-            pos += b
-        if sigma & 1:
-            acc += acc << b
-        if acc != int.from_bytes(buf[j:j + row_len], "little") - row_bias:
-            return False
-    return not f_rows                        # no row of f beyond those of p
+
+def _peel(a: int, w: int, basis: list[int], odd: int) -> list[int] | None:
+    """[f_odd, f_(2+odd), ..] with a = sum_k f_(2k+odd) basis[k], each
+    f_(2k+odd) rounded off the top of the rest (all of it at k = 0), or
+    None once sum_i |f_i| 2**i reaches 2**(w - 1) (`symmetric_rewrite`)."""
+    limit, norm, f = 1 << w - 1, 0, [0] * len(basis)
+    for k in range(len(basis) - 1, -1, -1):
+        q = ((a >> w * k - 1) + 1) >> 1 if k else a
+        if q:
+            norm += abs(q) << 2 * k + odd
+            if norm >= limit:
+                return None
+            a -= q * basis[k]
+            f[k] = q
+    return f
 
 
 class Packing(namedtuple("Packing", "shift slots nbytes")):
@@ -250,14 +269,10 @@ class Packing(namedtuple("Packing", "shift slots nbytes")):
         return (value + bias).to_bytes(count * self.nbytes, "little")
 
     def unpack(self, value: int) -> dict:
-        """The {(s_exp, y_deg): coeff} term map of a packed integer."""
-        return self.read(self.slot_bytes(value))
-
-    def read(self, buf: bytes) -> dict:
-        """The term map of slots laid out as `slot_bytes` gives them, its
+        """The {(s_exp, y_deg): coeff} term map of a packed integer, its
         keys in canonical (y_deg, s_exp) order, as the slots run."""
-        nb, half, empty = self.nbytes, 1 << (8 * self.nbytes - 1), self._empty()
-        shift, slots = self.shift, self.slots
+        buf, nb, empty = self.slot_bytes(value), self.nbytes, self._empty()
+        half, shift, slots = 1 << (8 * nb - 1), self.shift, self.slots
         terms = {}
         for k in range(0, len(buf), nb):
             chunk = buf[k:k + nb]

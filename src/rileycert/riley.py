@@ -40,16 +40,17 @@ sigma = deg_x(phi) on a fraction's word, where R12 reaches about 0.65 L.
 Packed arithmetic is evaluation at t = 2**B, y = 2**(B*S), a ring
 homomorphism, so the product's rows may overlap as long as R12's do not.
 R12 stays a packed integer, s**sigma R12 in t-slots (sigma the packing's
-shift), and `polyring.symmetric_rewrite` reads phi off its slot digits: slot
-(sigma + e) / 2 of each y-row holds c_e, the coefficient of s**e + s**-e,
-and each row is summed in that basis by Clenshaw's recurrence on packed
-u-integers, u = x**2 (every e has sigma's parity).
-Those slots are sized by sum_e |c_e| L_e, the Lucas number L_e being the
-l1 norm of s**e + s**-e written in x, so phi is the one value unpacked.  The
-back-substitution check then forms s**sigma phi(s + 1/s) per y-row in t,
-Horner in (1 + t)**2, whose l1 norm is at most sum_i |phi_i| 2**i, and
-compares it with R12's row: in R12's own slots when they are wide enough
-for that bound, in re-laid wider ones otherwise.
+shift), and `polyring.symmetric_rewrite` reads phi off its slot digits in
+one pass.  It checks that every y-row reads the same backwards, so that
+slot (sigma + e) / 2 holds c_e, the coefficient of s**e + s**-e, and
+peels phi's coefficients off the row's upper half, read as one integer,
+from the top x-degree down, each a rounded quotient by a power of the
+slot base (every e has sigma's parity).  The bound that accepts a row,
+sum_i |phi_i| 2**i below half a slot, also proves s**sigma phi(s + 1/s)
+equal to the row, by a Kronecker argument; a row refused there is peeled
+again in slots sized by sum_e |c_e| Q_e, Q_e the Pell-Lucas numbers, which
+bound that sum.  So phi is the one value unpacked, and no second pass
+checks it.
 
 The power route of J(2k+1, 2m), v**m for the base word v, never forms
 the power.  R = VA - BV is linear in V and R12(I) = 1; when det V = 1,

@@ -191,7 +191,7 @@ def test_row_one_span_holds_the_relator(word):
 def test_a_narrowed_span_is_caught(monkeypatch, fraction, cut):
     # the span is tight: a slot off its low end, its high end or both loses
     # terms of R12 or lays them off-centre, which the low-slot check, the
-    # symmetry check or the back-substitution check must catch
+    # rewrite's palindrome test or its peel must catch
     span = riley._mirror_span
 
     def narrowed(length, hulls):
@@ -381,31 +381,39 @@ def test_packed_adjugate_equals_dict_adjugate():
 
 
 def test_power_path_reads_only_packed_integers(monkeypatch):
-    # riley_generic(w, m) reads only the three values it rewrites or
-    # combines, each in u = x**2 slots with shift 0: lambda in
-    # sigma / 2 + 1 = 2 (the double-twist word's entries span t-slots
-    # lo .. lo + 2 of s**L V, so the trace is packed with shift sigma = 2),
-    # alpha in deg_x(alpha) / 2 + 1 = 2 and phi in deg_x(phi) / 2 + 1 = 6.
-    # No matrix entry, R12, trace or det is turned into terms
+    # riley_generic(w, m) unpacks only phi, in u = x**2 slots with shift 0,
+    # deg_x(phi) / 2 + 1 = 6 of them.  lambda and alpha come off the
+    # rewrite of the trace and of one R12, each a packed integer in the
+    # y-rows of 2 sigma + 1 = 5 t-slots that hold det V (the double-twist
+    # word's entries span t-slots lo .. lo + 2 of s**L V, so sigma = 2),
+    # and the rewrite unpacks nothing.  No matrix entry, R12, trace or det
+    # is turned into terms
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
     closed = {m: riley.riley_double_twist(3, m).poly for m in (5, -5)}
-    read, seen = Packing.read, []
+    unpack, rewrite, unpacked, rewritten = Packing.unpack, riley.symmetric_rewrite, [], []
 
-    def spy(self, buf):
-        seen.append(self)
-        return read(self, buf)
+    def spy_unpack(self, value):
+        unpacked.append(self)
+        return unpack(self, value)
 
-    monkeypatch.setattr(Packing, "read", spy)
+    def spy_rewrite(p, packing):
+        assert type(p) is int
+        rewritten.append(packing)
+        return rewrite(p, packing)
+
+    monkeypatch.setattr(Packing, "unpack", spy_unpack)
+    monkeypatch.setattr(riley, "symmetric_rewrite", spy_rewrite)
     for m in (5, -5):
-        seen.clear()
+        unpacked.clear(), rewritten.clear()
         assert riley.riley_generic(w, m).poly == closed[m]
-        assert [(pk.shift, pk.slots) for pk in seen] == [(0, 2), (0, 2), (0, 6)]
+        assert [(pk.shift, pk.slots) for pk in unpacked] == [(0, 6)]
+        assert [(pk.shift, pk.slots) for pk in rewritten] == [(2, 5), (2, 5)]
 
 
 def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
     # each value the power route reads is checked: R12 of V and of adj V
     # one more in t-slot 0 is asymmetric, which symmetric_rewrite's
-    # back-substitution check finds; so is the trace of V [[1, s], [0, 1]],
+    # palindrome test finds; so is the trace of V [[1, s], [0, 1]],
     # whose det is still 1, its packed rows (c1, c1 + c2); and V with one
     # more in V11, at s**0, which is t-slot L / 2 of row 1's c1, has
     # det != 1.  The rows are corrupted as the row loop returns them.  The
@@ -601,8 +609,10 @@ def test_a_term_below_the_trace_span_is_caught(monkeypatch):
         riley._unimodular_trace(w)
 
 
-def test_back_substitution_check_runs_on_every_build(monkeypatch):
-    monkeypatch.setattr(polyring, "_substitutes_back", lambda f, value, packing: False)
+def test_a_refused_peel_is_an_assertion(monkeypatch):
+    # a palindromic row always peels at the wide width, so a peel that
+    # refuses every row, at both widths, ends every build in AssertionError
+    monkeypatch.setattr(polyring, "_peel", lambda a, w, basis, odd: None)
     with pytest.raises(AssertionError):
         riley.riley_for_knot(TwoBridgeFraction(7, 3))
 
@@ -611,45 +621,53 @@ def _packed_r12(fraction: TwoBridgeFraction):
     return riley._relator_r12(word_from_signs(sign_sequence(fraction)))
 
 
-def _plus_one(f: dict, key) -> dict:
-    return {**f, key: f.get(key, 0) + 1}
-
-
-def test_back_substitution_check_bites():
-    f = riley.riley_for_knot(TwoBridgeFraction(27, 11)).poly._terms
-    r12, packing = _packed_r12(TwoBridgeFraction(27, 11))
-    assert polyring._substitutes_back(f, r12, packing)
-    for key in list(f)[::7]:
-        assert not polyring._substitutes_back(_plus_one(f, key), r12, packing)
-    # terms beyond the x-degree of f, off its parity or beyond the
-    # y-degree of p count too: sigma = deg_x(f) here, and p has `rows` rows
-    sigma = packing.shift
+def test_a_trace_slot_above_sigma_is_asymmetric():
+    # the power route's values sit in y-rows of 2 sigma + 1 t-slots; a
+    # nonzero slot above sigma, in any row, is a term of s-degree above
+    # sigma with no mirror term, which the rewrite refuses before any
+    # arithmetic (the corrupted digits in slots 0 .. sigma are
+    # test_a_corrupted_relator_digit_is_caught's)
+    w, _ = word_double_twist(DoubleTwistKnot(3, 2))
+    _, (r12, _), packing = riley._unimodular_trace(w)
+    sigma, b = packing.shift, 8 * packing.nbytes
     rows = len(packing.slot_bytes(r12)) // (packing.nbytes * packing.slots)
-    assert max(i for i, _ in f) == sigma
-    for key in ((sigma + 2, 0), (sigma + 3, 0), (1 - sigma % 2, 0), (0, rows)):
-        assert not polyring._substitutes_back(_plus_one(f, key), r12, packing)
-    assert not polyring._substitutes_back(f, r12 + pack(packing, {(0, rows): 1}), packing)
+    assert packing.slots == 2 * sigma + 1 and rows > 1
+    polyring.symmetric_rewrite(r12, packing)
+    for row in range(rows):
+        for slot in range(sigma + 1, packing.slots):
+            bad = r12 + (1 << b * (slot + packing.slots * row))
+            with pytest.raises(polyring.NotSymmetric):
+                polyring.symmetric_rewrite(bad, packing)
 
 
-def test_back_substitution_check_relays_narrow_slots():
+def test_a_narrow_row_is_peeled_again_wider(monkeypatch):
     # p = (s**2 + 3 + s**-2)**10 = f(s + 1/s) for f = (x**2 + 1)**10, packed
-    # as the SY entry packs it: its largest coefficient fits 3 bytes,
-    # but sum |f_i| 2**i = 5**10 needs 4, so the check re-lays p's slots
+    # as the SY entry packs it: its largest coefficient fits 3 bytes, but
+    # sum |f_i| 2**i = 5**10 needs 4, so the row is refused at 24 bits and
+    # peeled again at the wide width
     x = XY.x()
-    f = math.prod([x * x + 1] * 10, start=XY.one())._terms
-    p = to_sy(XYPoly(f))._terms
+    f = math.prod([x * x + 1] * 10, start=XY.one())
+    p = to_sy(f)._terms
     packing = Packing.covering(20, 21, max(map(abs, p.values())))
     assert packing.nbytes == 3 and Packing.covering(0, 0, 5 ** 10).nbytes == 4
     value = pack(packing, p)
-    assert polyring._substitutes_back(f, value, packing)
-    assert polyring.symmetric_rewrite(value, packing) == XYPoly(f)
-    for key in f:
-        assert not polyring._substitutes_back(_plus_one(f, key), value, packing)
+    peel, widths = polyring._peel, []
+
+    def spy(a, w, basis, odd):
+        widths.append(w)
+        return peel(a, w, basis, odd)
+
+    monkeypatch.setattr(polyring, "_peel", spy)
+    rewritten = polyring.symmetric_rewrite(value, packing)
+    assert rewritten == f
+    assert widths[0] == 24 and widths[1] >= 32
     # d = T x**2 - (T + 1)**2 adds t**9 (t - T)(T t - 1) to s**20 f(s + 1/s),
-    # which vanishes at t = T = 2**24: only wider slots tell f + d from f
+    # which vanishes at t = T = 2**24: f + d is packed as the same integer
+    # in 3-byte slots, and only the bound on sum |f_i| 2**i tells them apart
     t = 2 ** (8 * packing.nbytes)
-    bad = {**f, (2, 0): f[(2, 0)] + t, (0, 0): f[(0, 0)] - (t + 1) ** 2}
-    assert not polyring._substitutes_back(bad, value, packing)
+    bad = f + t * x * x - (t + 1) ** 2
+    assert sum(c << 24 * ((i + 20) // 2) for (i, _), c in to_sy(bad)._terms.items()) == value
+    assert rewritten != bad
 
 
 @pytest.mark.parametrize("slot", range(6), ids=["first", "second", "below-middle",

@@ -1,9 +1,10 @@
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rileycert import polyring
 from rileycert.dyadic import Dyadic, DyadicInterval
@@ -14,8 +15,8 @@ from rileycert.riley import riley_double_twist, riley_for_knot
 
 from matrix_oracle import PolyMatrix
 from poly_oracle import (SY, XY, as_fraction, contains_fraction, contains_interval,
-                         eval_fraction, reference_eval_interval, rewrite_sy, to_sy,
-                         y_slices)
+                         eval_fraction, pack, reference_eval_interval, rewrite_sy,
+                         to_sy, y_slices)
 
 X, Y = XY.x(), XY.y()
 
@@ -107,8 +108,8 @@ def test_canonical_order_and_hash_stability():
 
 def test_terms_are_sorted_once(monkeypatch):
     # terms(), to_text, triples and the hash read one canonical order, which
-    # a polynomial sorts its term map into once; Packing.read already lays
-    # its keys in that order, so phi from the rewrite or a Chebyshev
+    # a polynomial sorts its term map into once; the rewrite's peel and
+    # Packing.unpack already lay its keys in that order, so phi from the rewrite or a Chebyshev
     # combination is never sorted at all
     calls, builtin_sorted = [], sorted
 
@@ -227,6 +228,59 @@ def test_symmetric_rewrite_of_symmetric_sums(terms):
         if k:
             with pytest.raises(NotSymmetric):
                 rewrite_sy(p + SY.from_terms([(k, j, 2 ** 65)]))
+
+
+def _pell_lucas(sigma: int) -> list[int]:
+    # Q_e = |P_e|(2): P_e = s**e + s**-e written in x by the dict ring
+    # (P_(e+1) = x P_e - P_(e-1), P_0 = 2), with its coefficients' absolute
+    # values summed at x = 2; 1 for the constant term, whose P_0 is 1 in f
+    p = [XY.const(2), X]
+    while len(p) <= sigma:
+        p.append(X * p[-1] - p[-2])
+    for e, p_e in enumerate(p[1:], 1):
+        assert to_sy(p_e) == SY.from_terms([(e, 0, 1), (-e, 0, 1)])
+    return [1] + [sum(abs(c) << i for i, _, c in p_e.terms()) for p_e in p[1:]]
+
+
+@st.composite
+def _palindromes(draw):
+    # sigma, and y-rows of digits c_e of s**e + s**-e, e = sigma, sigma - 2,
+    # ..; with `tight` the signs are (-1)**(e // 2), which makes
+    # sum_e |c_e| Q_e equal to sum_i |f_i| 2**i
+    sigma = draw(st.integers(0, 30))
+    digit = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+    rows = draw(st.lists(st.lists(digit, min_size=sigma // 2 + 1, max_size=sigma // 2 + 1),
+                         min_size=1, max_size=4))
+    tight = draw(st.booleans())
+    terms = []
+    for j, row in enumerate(rows):
+        for m, c in enumerate(row):
+            e = 2 * m + sigma % 2
+            c = abs(c) * (-1) ** (e // 2) if tight else c
+            terms += [(e, j, c), (-e, j, c)] if e else [(0, j, c)]
+    return sigma, SY.from_terms(terms)
+
+
+# f = (x**2 - 2)**12 = P_2**12: sum_i |f_i| 2**i = 6**12 needs 5 bytes, the
+# largest digit C(12, 6) 2; Pell-Lucas numbers started at Q_0 = 1 would
+# size the wide peel at 4 bytes
+@example((24, to_sy(math.prod([X * X - 2] * 12, start=XY.one()))))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_palindromes())
+def test_the_peel_round_trips_in_slots_of_the_largest_digit(sigma_and_p):
+    # packed in slots sized for p's own largest digit, so that many rows
+    # need the wide peel, p rewrites to an f with f(s + 1/s) = p, and each
+    # row's sum |f_i| 2**i is within sum_e |c_e| Q_e, the bound that sizes
+    # the wide peel
+    sigma, p = sigma_and_p
+    packing = polyring.Packing.covering(sigma, sigma + 1,
+                                        max(map(abs, p._terms.values()), default=0))
+    f = symmetric_rewrite(pack(packing, p._terms), packing)
+    assert to_sy(f) == p
+    q, rows = _pell_lucas(sigma), y_slices(f)
+    for j, row in rows.items():
+        norm = sum(abs(c) << i for i, _, c in row.terms())
+        assert norm <= sum(abs(c) * q[e] for (e, k), c in p._terms.items() if k == j and e >= 0)
 
 
 def test_eval_interval_contains_sqrt3_root():

@@ -1,6 +1,6 @@
 """Polynomials in Z[x, y]: the XYPoly value, the packed integers every
-polynomial product runs on, the rewrite in x = s + 1/s, and interval
-evaluation.
+polynomial product runs on, the exact Taylor shift of their rows, the
+rewrite in x = s + 1/s, and interval evaluation.
 
 An XYPoly is an immutable {(x_deg, y_deg): coeff} term map with no
 arithmetic of its own: the program multiplies polynomials only as
@@ -12,10 +12,12 @@ is (degree-in-y, degree-in-x) ascending.
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, compress, cycle, repeat
 from math import comb
-from operator import mul
+from operator import add, mul, sub
 
 from .dyadic import Dyadic, DyadicInterval
 
@@ -270,16 +272,65 @@ class Packing(namedtuple("Packing", "shift slots nbytes")):
 
     def unpack(self, value: int) -> dict:
         """The {(s_exp, y_deg): coeff} term map of a packed integer, its
-        keys in canonical (y_deg, s_exp) order, as the slots run."""
-        buf, nb, empty = self.slot_bytes(value), self.nbytes, self._empty()
-        half, shift, slots = 1 << (8 * nb - 1), self.shift, self.slots
-        terms = {}
-        for k in range(0, len(buf), nb):
-            chunk = buf[k:k + nb]
-            if chunk != empty:
-                j, i = divmod(k // nb, slots)
-                terms[(2 * i - shift, j)] = int.from_bytes(chunk, "little") - half
-        return terms
+        keys in canonical (y_deg, s_exp) order, as the slots run.  A biased
+        digit with its top bit flipped is the digit in two's complement:
+        slots of up to 8 bytes, sign-extended to 8, are read in one pass as
+        an array of int64s, wider ones as one signed int each."""
+        nb, slots, buf = self.nbytes, self.slots, bytearray(self.slot_bytes(value))
+        count, top = len(buf) // nb, buf[nb - 1::nb].translate(_FLIP)
+        if nb > 8:
+            buf[nb - 1::nb] = top
+            digits = [int.from_bytes(buf[k:k + nb], "little", signed=True)
+                      for k in range(0, len(buf), nb)]
+        else:
+            wide, fill = bytearray(8 * count), top.translate(_SIGN_FILL)
+            for r in range(8):
+                wide[r::8] = buf[r::nb] if r < nb - 1 else top if r == nb - 1 else fill
+            digits = struct.unpack(f"<{count}q", wide)
+        keys = zip(cycle(range(-self.shift, 2 * slots - self.shift, 2)),
+                   chain.from_iterable(map(repeat, range(count // slots), repeat(slots))))
+        return dict(compress(zip(keys, digits), digits))
+
+    def rows(self, value: int, nbytes: int) -> list[int]:
+        """The y-rows of a packed integer, each a packed integer of its own,
+        in slots widened to nbytes >= self.nbytes: zero bytes padded onto
+        a biased digit keep it, and the bias comes off at the new width."""
+        nb, buf = self.nbytes, self.slot_bytes(value)
+        wide, row_len = bytearray(len(buf) // nb * nbytes), self.slots * nbytes
+        for r in range(nb):
+            wide[r::nbytes] = buf[r::nb]
+        bias = int.from_bytes((self._empty() + bytes(nbytes - nb)) * self.slots, "little")
+        return [int.from_bytes(wide[j:j + row_len], "little") - bias
+                for j in range(0, len(wide), row_len)]
+
+    def from_rows(self, rows: list[int]) -> int:
+        """The packed integer whose y-rows are these packed integers, each
+        with digits that fit this packing's slots."""
+        row_len, empty = self.slots * self.nbytes, self._empty() * self.slots
+        bias = int.from_bytes(empty, "little")
+        buf = b"".join((r + bias).to_bytes(row_len, "little") for r in rows)
+        return int.from_bytes(buf, "little") - int.from_bytes(empty * len(rows), "little")
+
+
+_FLIP = bytes(c ^ 0x80 for c in range(256))             # a byte, top bit flipped
+_SIGN_FILL = bytes(0xFF * (c >> 7) for c in range(256))  # its sign, extended
+
+
+def taylor_shift(rows: list[int], m: int, k: int) -> list[int]:
+    """The rows of f(x + m 2**k) for f = sum_j rows[j] x**j, m = 1 or -1 and
+    k >= 0, exactly.  Rows scaled by 2**(k j) are those of f(2**k u); the
+    classical additive Taylor shift (von zur Gathen & Gerhard, ISSAC 1997)
+    takes them to u + m in d(d + 1) / 2 additions, d the degree; row j is
+    then divided back by 2**(k j), exactly, as f(x + m 2**k) has integer
+    coefficients.  Only additions and shifts: packed rows give the packed
+    result, faithful wherever its digits fit their slots."""
+    if m not in (1, -1) or k < 0:
+        raise ValueError(f"cannot shift by {m} * 2**{k}: m must be 1 or -1, k >= 0")
+    step, a = add if m > 0 else sub, [r << k * j for j, r in enumerate(rows)]
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] = step(a[j], a[j + 1])
+    return [r >> k * j for j, r in enumerate(a)]
 
 
 def _times(value: int, multiplier: list[tuple[int, int]]) -> int:

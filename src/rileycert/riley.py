@@ -10,16 +10,20 @@ The engine works on packed integers (Kronecker substitution, see
 `polyring.Packing`).  Each generator is scaled by s, so that a word of L
 letters has entries s**L * V_ij with s-exponents in [0, 2L], even on the
 diagonal and odd off it, as every product of the generators keeps them.
-Every word product is one row vector times the letters (`_word_product`).
-Row 1 is held as s**L (V11, V12 / s) and row 2 as s**L (s V21, V22): each
-entry is then one integer in t = s**2, at t = 2**B, y = 2**(B*S), and a
-letter maps both rows alike by a few shifts and adds: sA = [[t, s], [0, 1]]
-takes (c1, c2) to (t c1, c1 + c2).  So row 1 is the product from (1, 0)
-and row 2 the product from (0, 1).  The slot width B and the t-span of
-each entry come from one pass over the letters before any arithmetic
-(`_row_span`): a letter adds one entry, times s or (2 - y)s (l1 norm 1 or
-3), to the other, so the norms bound every coefficient, and a sum's
-support lies in the hull of its terms' supports.
+Every word product is one row vector times the letters (`_word_product`),
+at y = 2 + z.  Row 1 is held as s**L (V11, V12 / s) and row 2 as
+s**L (s V21, V22): each entry is then one integer in t = s**2 and z, at
+t = 2**B, z = 2**(B*S), and a letter maps both rows alike by a shift or
+two and an add: sA = [[t, s], [0, 1]] takes (c1, c2) to (t c1, c1 + c2),
+and sB = [[t, 0], [-z s, 1]] (2 - y = -z) to (t (c1 - z c2), c2).  So row
+1 is the product from (1, 0) and row 2 the product from (0, 1).  The slot
+width B and the t-span of each entry come from one pass over the letters
+before any arithmetic (`_row_span`): a letter adds one entry, times s or
+-z s, to the other, so the l1 norm grows by 1 per b-letter, not by 3 as
+with (2 - y)s in y; the norms bound every coefficient, and a sum's
+support lies in the hull of its terms' supports.  The values read are
+shifted back (`_shift_back`) to the integer a letter loop in y would
+give, in slots the norms in y size, and the rewrite reads that.
 R11 = 0 and R21 = (y - 2)R12 + (s - 1/s)R22 hold for every V, so
 R22 = V21 - (2 - y)V12 = 0 is the one structure condition, and the mirror
 rule decides it on the word.  With D = diag(1, 2 - y),
@@ -34,23 +38,16 @@ construction.  So `riley_generic` checks tau(v) = v exactly, before any
 arithmetic (`_kl_readings` checks D and C^-1 D alike), and
 then needs only R12, for the word and its powers alike: tau reverses
 products, so tau(v**m) = v**m for every m.  R12 reads row 1 of V alone,
-the product from (1, 0), in y-rows only as wide as R12's t-span, which
+the product from (1, 0), in rows only as wide as R12's t-span, which
 the pass over the word bounds (`_mirror_span`): S = sigma + 1 slots,
 sigma = deg_x(phi) on a fraction's word, where R12 reaches about 0.65 L.
-Packed arithmetic is evaluation at t = 2**B, y = 2**(B*S), a ring
+Packed arithmetic is evaluation at t = 2**B, z = 2**(B*S), a ring
 homomorphism, so the product's rows may overlap as long as R12's do not.
 R12 stays a packed integer, s**sigma R12 in t-slots (sigma the packing's
 shift), and `polyring.symmetric_rewrite` reads phi off its slot digits in
-one pass.  It checks that every y-row reads the same backwards, so that
-slot (sigma + e) / 2 holds c_e, the coefficient of s**e + s**-e, and
-peels phi's coefficients off the row's upper half, read as one integer,
-from the top x-degree down, each a rounded quotient by a power of the
-slot base (every e has sigma's parity).  The bound that accepts a row,
-sum_i |phi_i| 2**i below half a slot, also proves s**sigma phi(s + 1/s)
-equal to the row, by a Kronecker argument; a row refused there is peeled
-again in slots sized by sum_e |c_e| Q_e, Q_e the Pell-Lucas numbers, which
-bound that sum.  So phi is the one value unpacked, and no second pass
-checks it.
+one pass, which checks that every y-row reads the same backwards and
+proves phi exact by the bound that accepts it (a Kronecker argument; see
+there).  So phi is the one value unpacked, and no second pass checks it.
 
 The power route of J(2k+1, 2m), v**m for the base word v, never forms
 the power.  R = VA - BV is linear in V and R12(I) = 1; when det V = 1,
@@ -61,8 +58,9 @@ tr V = tr V**-1 and alpha that of R12 of V, or of V**-1 for m < 0.  This
 is Riley's trace and R12 construction, which the closed forms
 transcribe.  All three come off both rows of v's one product
 (`_unimodular_trace`): lambda, det V = 1, the premise of Cayley-Hamilton,
-and alpha, off row 1 of V or, as V**-1 = adj V, off adj V's row 1
-(V22, -V12), in y-rows of 2 sigma + 1 t-slots that hold det V.
+checked in z-rows of 2 sigma + 1 t-slots that hold det V, and alpha, off
+row 1 of V or, as V**-1 = adj V, off adj V's row 1 (V22, -V12); only the
+trace and that R12 are shifted back to y.
 K_l's relator C**(l-1) D takes the same route (`_kl_readings`), off
 both rows of C and row 1 of D and of C^-1 D, so no word longer than C's
 10 letters is multiplied out; `kl_cross_check` compares those readings
@@ -92,7 +90,7 @@ from .chebyshev import _cheb_norms, _packed_cheb_pair, cheb_poly
 from .knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot,
                     TwoBridgeFraction, Word, sign_sequence, word_double_twist,
                     word_from_signs)
-from .polyring import Packing, XYPoly, _times, symmetric_rewrite
+from .polyring import Packing, XYPoly, _times, symmetric_rewrite, taylor_shift
 
 
 class StructureViolation(ValueError):
@@ -139,12 +137,13 @@ def _letters(word: Word) -> list[tuple[str, bool]]:
 
 
 def _word_product(letters: list[tuple[str, bool]], row: tuple[int, int],
-                  b: int, ys: int) -> tuple[int, int]:
-    """row times the ordered product of the letters, each scaled by s, as
-    t-integers at t = 2**b, y = 2**ys: from (1, 0) row 1 of s**L V, held as
-    (V11, V12 / s) times s**L, and from (0, 1) row 2, held as
-    (s V21, V22) times s**L.  Each letter multiplies on the right, and in
-    that form it maps both rows alike."""
+                  b: int, zs: int) -> tuple[int, int]:
+    """row times the ordered product of the letters, each scaled by s, at
+    y = 2 + z, as t-integers at t = 2**b, z = 2**zs: from (1, 0) row 1 of
+    s**L V, held as (V11, V12 / s) times s**L, and from (0, 1) row 2, held
+    as (s V21, V22) times s**L.  Each letter multiplies on the right, and
+    in that form it maps both rows alike; a b-letter's 2 - y is -z, one
+    shift."""
     c1, c2 = row
     for gen, positive in letters:
         if gen == "a":
@@ -153,41 +152,43 @@ def _word_product(letters: list[tuple[str, bool]], row: tuple[int, int],
                 c1 <<= b
             else:           # sA^-1 = [[1, -s], [0, t]]
                 c2 = (c2 << b) - c1
-        elif positive:      # sB = [[t, 0], [(2 - y)s, 1]]
-            c1 = (c1 + (c2 << 1) - (c2 << ys)) << b
-        else:               # sB^-1 = [[1, 0], [(y - 2)s, t]]
-            c1 += (c2 << b + ys) - (c2 << b + 1)
+        elif positive:      # sB = [[t, 0], [-z s, 1]]
+            c1 = (c1 - (c2 << zs)) << b
+        else:               # sB^-1 = [[1, 0], [z s, t]]
+            c1 += c2 << b + zs
             c2 <<= b
     return c1, c2
 
 
 def _row_span(letters: list[tuple[str, bool]], row: tuple[int, int]) -> tuple:
-    """((n1, n2), (lo1, hi1), (lo2, hi2)): the l1 norms of the t-integers
-    c1, c2 that `_word_product(letters, row, ...)` returns and the hulls
-    of their t-supports, from one pass over the letters before any
-    arithmetic.  A sum's support lies in the hull of its terms' supports,
-    a factor t shifts it by one and 2 - y leaves it, so sA takes the hulls
+    """((n1, n2), (m1, m2), (lo1, hi1), (lo2, hi2)): the l1 norms of the
+    t-integers c1, c2 that `_word_product(letters, row, ...)` returns, in z
+    and in y = 2 + z, and the hulls of their t-supports, from one pass over
+    the letters before any arithmetic.  A b-letter adds c2 times -z s to
+    c1, norm 1 in z, 3 in y ((2 - y) s), an a-letter c1 times s to c2.
+    A sum's support lies in the hull of its terms' supports, a
+    factor t shifts it by one and -z leaves it, so sA takes the hulls
     (h1, h2) to (h1 + 1, h1 | h2), sA^-1 to (h1, h1 | h2 + 1), sB to
     ((h1 | h2) + 1, h2) and sB^-1 to (h1 | h2 + 1, h2 + 1); the hull of 0
     is empty, (inf, -inf)."""
-    n1, n2 = row
+    (n1, n2), (m1, m2) = row, row
     (lo1, hi1), (lo2, hi2) = ((0, 0) if c else (math.inf, -math.inf) for c in row)
     for gen, positive in letters:
         if gen == "a":
-            n2 += n1
+            n2, m2 = n2 + n1, m2 + m1
             if positive:
                 lo2, hi2 = min(lo1, lo2), max(hi1, hi2)
                 lo1, hi1 = lo1 + 1, hi1 + 1
             else:
                 lo2, hi2 = min(lo1, lo2 + 1), max(hi1, hi2 + 1)
         else:
-            n1 += 3 * n2
+            n1, m1 = n1 + n2, m1 + 3 * m2
             if positive:
                 lo1, hi1 = min(lo1, lo2) + 1, max(hi1, hi2) + 1
             else:
                 lo1, hi1 = min(lo1, lo2 + 1), max(hi1, hi2 + 1)
                 lo2, hi2 = lo2 + 1, hi2 + 1
-    return (n1, n2), (lo1, hi1), (lo2, hi2)
+    return (n1, n2), (m1, m2), (lo1, hi1), (lo2, hi2)
 
 
 def _mirror_span(length: int, hulls) -> tuple[int, int]:
@@ -198,68 +199,89 @@ def _mirror_span(length: int, hulls) -> tuple[int, int]:
     return lo, length - lo
 
 
+def _shift_back(value: int, z: Packing, packing: Packing) -> int:
+    """The packed integer of phi(t, y) = psi(t, y - 2), from value, psi's
+    packed by z (same shift and slots, nbytes at most packing's): each
+    z-row psi_k widened to packing's slots (`Packing.rows`), times 2**k,
+    shifted by -1 and y-row j divided back by 2**j (`taylor_shift`), as
+    psi(y - 2) = sum_k psi_k 2**k (y / 2 - 1)**k.  Each row is its own
+    integer and each step exact, so row j is phi_j at t = 2**(8 nbytes);
+    as phi's digits fit those slots, this is phi's integer under packing,
+    the one a letter loop in y gives."""
+    return packing.from_rows(taylor_shift(z.rows(value, packing.nbytes), -1, 1))
+
+
 def _relator_r12(word: Word) -> tuple[int, Packing]:
     """R12 of R = VA - BV for V = rho(word) and its packing, from row 1 of
-    the product alone, in y-rows only as wide as R12's t-span.
+    the product alone, in rows only as wide as R12's t-span.
 
     R12 / s = c1 + c2 - t c2 for row 1 (c1, c2) of the product (V sA minus
     sB V), so with `_row_span` from (1, 0) its t-slots lie in the hull of
-    h1, h2 and h2 + 1 and its l1 norm is at most n1 + 2 n2.  R12 of a
-    relator is invariant under s -> 1/s (the rewrite checks it), so its
-    t-support is symmetric about L / 2 anyway, and its mirror-widened span
-    lo .. hi (`_mirror_span`) is deg_x(phi) wide on a fraction's word.
-    The letter loop runs at t = 2**B, y = 2**(B (sigma + 1)),
-    sigma = hi - lo, B wide enough for the norm.  Integer arithmetic there
-    is evaluation at that point, so intermediate rows may overlap, and only
-    R12, the one value read, must fit its rows, which its support in
-    lo .. hi does.  The t-slots below lo must come out 0,
-    StructureViolation otherwise; shifted off, they leave s**sigma R12 in
-    sigma + 1 t-slots per y-row."""
+    h1, h2 and h2 + 1 and its l1 norm is at most n1 + 2 n2 in z, m1 + 2 m2
+    in y.  R12 of a relator is invariant under s -> 1/s (the rewrite checks
+    it), so its t-support is symmetric about L / 2 anyway, and its
+    mirror-widened span lo .. hi (`_mirror_span`) is deg_x(phi) wide on a
+    fraction's word.  The letter loop runs at t = 2**B,
+    z = 2**(B (sigma + 1)), sigma = hi - lo, B wide enough for the z-norm:
+    evaluation at that point, so intermediate rows may overlap, and only
+    R12, the one value read, must fit its rows, as its support does.  The
+    t-slots below lo must come out 0, StructureViolation otherwise;
+    shifted off, they leave s**sigma R12 in sigma + 1 t-slots a z-row,
+    which `_shift_back` takes to y, in slots the y-norm sizes."""
     letters = _letters(word)
-    (n1, n2), h1, (lo2, hi2) = _row_span(letters, (1, 0))
+    (n1, n2), (m1, m2), h1, (lo2, hi2) = _row_span(letters, (1, 0))
     lo, hi = _mirror_span(len(letters), (h1, (lo2, hi2), (lo2 + 1, hi2 + 1)))
-    packing = Packing.covering(hi - lo, hi - lo + 1, n1 + 2 * n2)
-    b = 8 * packing.nbytes
-    c1, c2 = _word_product(letters, (1, 0), b, b * packing.slots)
+    z = Packing.covering(hi - lo, hi - lo + 1, n1 + 2 * n2)
+    b = 8 * z.nbytes
+    c1, c2 = _word_product(letters, (1, 0), b, b * z.slots)
     # R12 / s: V11 + V12 - t V12, one more power of s than V; R's
     # off-diagonal packing, one shift up and one down, is V's
     r12 = c1 + c2 - (c2 << b)
     if r12 & ((1 << b * lo) - 1):
         raise StructureViolation("R_12 has terms below its t-span")
-    return r12 >> b * lo, packing
+    packing = Packing.covering(hi - lo, hi - lo + 1, m1 + 2 * m2)
+    return _shift_back(r12 >> b * lo, z, packing), packing
 
 
-def _unimodular_trace(word: Word) -> tuple[XYPoly, tuple[int, int], Packing]:
-    """(lambda, (r12, r12_adj), packing) off both rows of V = rho(word):
-    lambda = rewrite(tr V) once det V = 1 is checked (NotUnimodular
-    otherwise), and s**sigma R12 of R = VA - BV for V and adj V, packed.
+def _unimodular_trace(word: Word, m: int | None = None
+                      ) -> tuple[XYPoly, int | None, Packing]:
+    """(lambda, r12, packing) off both rows of V = rho(word): lambda =
+    rewrite(tr V) once det V = 1 is checked (NotUnimodular otherwise), and,
+    when m is given, s**sigma R12 of R = VA - BV for V, or for adj V when
+    m < 0, packed (None otherwise).
 
     With lo .. hi the mirror-widened span (`_mirror_span`) of the four
     entries' t-hulls (`_row_span`) and t c12's, and sigma = hi - lo, each
     entry is t**lo times one in t-slots 0 .. sigma.  The letter loop runs
-    in y-rows of 2 sigma + 1 t-slots; the t-slots below lo must come out 0
+    in z-rows of 2 sigma + 1 t-slots; the t-slots below lo must come out 0
     (StructureViolation otherwise) and are shifted off.  Then
-    c11 c22 - c12 c21 = t**sigma det V, whose difference from t**sigma has
-    coefficients of at most 2 n**2 + 1 in magnitude, n the largest row
-    norm.  Slots of that many and wide enough for n**2 make it 0 exactly
-    when its integer is; c11 + c22 = s**sigma tr V is rewritten.  R12 is
+    c11 c22 - c12 c21 = t**sigma det V, whose difference from t**sigma
+    has coefficients of at most 2 n**2 + 1 in magnitude, n the largest
+    row norm in z.  Slots of that many and wide enough for n**2 make it 0
+    exactly when its integer is; det V = 1 in z is det V = 1 in y.  R12 is
     c1 + c2 - t c2 off a row 1 (c1, c2), as in `_relator_r12`: V's
-    (c11, c12) or adj V's (c22, -c12), of l1 norm at most 3 n."""
+    (c11, c12) or adj V's (c22, -c12), of l1 norm at most 3 n.  Only what
+    the caller uses, c11 + c22 = s**sigma tr V and that R12, is shifted
+    back to y (`_shift_back`), in slots sized as the y-norms size them
+    for a loop in y; the trace is rewritten."""
     letters = _letters(word)
     spans = [_row_span(letters, row) for row in ((1, 0), (0, 1))]
-    hulls = [h for _, *row_hulls in spans for h in row_hulls]  # c11, c12, c21, c22
+    hulls = [h for _, _, *row_hulls in spans for h in row_hulls]  # c11, c12, c21, c22
     lo, hi = _mirror_span(len(letters), hulls + [(hulls[1][0] + 1, hulls[1][1] + 1)])
-    sigma, n = hi - lo, max(max(n) for n, _, _ in spans)
-    packing = Packing.covering(sigma, 2 * sigma + 1, max(n * n, 3 * n))
-    b = 8 * packing.nbytes
-    rows = [_word_product(letters, row, b, b * packing.slots) for row in ((1, 0), (0, 1))]
+    sigma, (nz, ny) = hi - lo, (max(max(span[i]) for span in spans) for i in (0, 1))
+    z, packing = (Packing.covering(sigma, 2 * sigma + 1, max(n * n, 3 * n)) for n in (nz, ny))
+    b = 8 * z.nbytes
+    rows = [_word_product(letters, row, b, b * z.slots) for row in ((1, 0), (0, 1))]
     if any(c & ((1 << b * lo) - 1) for row in rows for c in row):
         raise StructureViolation("an entry has terms below its t-span")
     (c11, c12), (c21, c22) = ((c1 >> b * lo, c2 >> b * lo) for c1, c2 in rows)
     if c11 * c22 - c12 * c21 != 1 << sigma * b:
         raise NotUnimodular("determinant is not the ring unit")
-    r12s = (c11 + c12 - (c12 << b), c22 - c12 + (c12 << b))
-    return symmetric_rewrite(c11 + c22, packing), r12s, packing
+    lam = symmetric_rewrite(_shift_back(c11 + c22, z, packing), packing)
+    if m is None:
+        return lam, None, packing
+    r12 = c22 - c12 + (c12 << b) if m < 0 else c11 + c12 - (c12 << b)
+    return lam, _shift_back(r12, z, packing), packing
 
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:
@@ -276,8 +298,8 @@ def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPoly
     if m is None:
         phi = symmetric_rewrite(*_relator_r12(v))
     else:
-        lam, r12s, packing = _unimodular_trace(v)
-        alpha = symmetric_rewrite(r12s[m < 0], packing)
+        lam, r12, packing = _unimodular_trace(v, m)
+        alpha = symmetric_rewrite(r12, packing)
         phi = _chebyshev_combination(abs(m) - 1, lam, alpha, _ONE)
     tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
     return RileyPolynomial(phi, knot, tag)

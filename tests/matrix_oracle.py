@@ -2,11 +2,12 @@
 Z[s, 1/s, y] by dict polynomial arithmetic, the generator images, rho(w)
 multiplied out one letter at a time, and the two rows of s**L rho(w) in
 the form the engine's row loop (`riley._word_product`) holds them, as
-{(s_exp, y_deg): coeff} term maps of SY entries."""
+{(s_exp, y_deg): coeff} term maps of SY entries, which the loop takes
+at y = 2 + z (`in_z`)."""
 
 from collections import namedtuple
 
-from poly_oracle import SY
+from poly_oracle import SY, substitute_y
 
 from rileycert.knots import Word
 from rileycert.riley import generator_images
@@ -92,7 +93,13 @@ def packed_rows(m: PolyMatrix, length: int) -> tuple[tuple[SY, SY], ...]:
             (m.e21 * SY.s(length + 1), m.e22 * SY.s(length)))
 
 
-def row_integer(entry: SY, b: int, ys: int) -> int:
+def in_z(entry: SY) -> SY:
+    """An entry under y = 2 + z, as a polynomial in s and z (z in y's
+    place): the form the row loop multiplies in."""
+    return substitute_y(entry, SY.y() + 2)
+
+
+def row_integer(entry: SY, b: int, zs: int) -> int:
     """The t-integer of an entry with even, nonnegative s-exponents at
-    t = 2**b, y = 2**ys, as `riley._word_product` forms it."""
-    return sum(c << b * (i // 2) + ys * j for i, j, c in entry.terms())
+    t = 2**b, z = 2**zs, y = 2 + z, as `riley._word_product` forms it."""
+    return sum(c << b * (i // 2) + zs * j for i, j, c in in_z(entry).terms())

@@ -1,8 +1,8 @@
 """Exact oracles on the package's polynomial and interval types that the
 program itself does not need: the dict polynomial algebra (XY on Z[x, y],
 SY on the Laurent ring Z[s, 1/s, y]), rational evaluation, substitution in
-y, the Laurent image f(s + 1/s, y), packing a term map, the rewrite of a
-dict SY, interval Horner on DyadicInterval objects, and the Fraction value
+y, the Laurent image f(s + 1/s, y), packing a term map and unpacking it
+slot by slot, the rewrite of a dict SY, interval Horner on DyadicInterval objects, and the Fraction value
 of a Dyadic.
 
 The package builds every polynomial on packed integers and its XYPoly has
@@ -149,12 +149,16 @@ def eval_fraction(p, u: Fraction, y: Fraction) -> Fraction:
     return total
 
 
-def substitute_y(p: XYPoly, value) -> XY:
-    """Exact substitution y -> value (an XYPoly or int), Horner in y."""
-    slices = y_slices(p)
-    acc = XY.zero()
+def substitute_y(p, value):
+    """Exact substitution y -> value, Horner in y: an XY for an XYPoly,
+    an SY for an SY, value an int or a polynomial of that ring."""
+    ring = SY if isinstance(p, SY) else XY
+    slices: dict[int, dict] = {}
+    for (i, j), c in p._terms.items():
+        slices.setdefault(j, {})[(i, 0)] = c
+    acc = ring.zero()
     for j in range(max(slices, default=-1), -1, -1):
-        acc = acc * value + slices.get(j, XY.zero())
+        acc = acc * value + ring(slices.get(j, {}))
     return acc
 
 
@@ -197,6 +201,20 @@ def pack(packing: Packing, terms: dict) -> int:
         k = ((i + shift) // 2 + slots * j) * nb
         buf[k:k + nb] = (c + half).to_bytes(nb, "little")
     return int.from_bytes(buf, "little") - int.from_bytes(packing._empty() * count, "little")
+
+
+def reference_unpack(packing: Packing, value: int) -> dict:
+    """`Packing.unpack` as one Python step per slot: a slice, a divmod for
+    the slot's place and the bias taken off each nonempty digit."""
+    buf, nb, empty = packing.slot_bytes(value), packing.nbytes, packing._empty()
+    half, shift, slots = 1 << (8 * nb - 1), packing.shift, packing.slots
+    terms = {}
+    for k in range(0, len(buf), nb):
+        chunk = buf[k:k + nb]
+        if chunk != empty:
+            j, i = divmod(k // nb, slots)
+            terms[(2 * i - shift, j)] = int.from_bytes(chunk, "little") - half
+    return terms
 
 
 def rewrite_sy(p: SY) -> XYPoly:

@@ -11,8 +11,9 @@ from rileycert.knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot, TwoB
                              word_from_signs, word_kl)
 from rileycert.polyring import Packing, XYPoly
 
-from matrix_oracle import PolyMatrix, images, packed_rows, reference_evaluate_word, row_integer
-from poly_oracle import SY, XY, pack, rewrite_sy, to_sy
+from matrix_oracle import (PolyMatrix, images, in_z, packed_rows, reference_evaluate_word,
+                           row_integer)
+from poly_oracle import SY, XY, pack, rewrite_sy, substitute_y, to_sy
 
 
 def _palindromic_word(half: list[bool]) -> Word:
@@ -26,25 +27,33 @@ def _l1(entry: SY) -> int:
 
 
 def _unpacked_rows(letters) -> tuple[tuple[SY, SY], ...]:
-    # both rows of the row loop, from (1, 0) and from (0, 1), unpacked from
-    # L + 1 t-slots wide enough for the span pass's norms
+    # both rows of the row loop, from (1, 0) and from (0, 1), in s and
+    # z = y - 2, unpacked from L + 1 t-slots wide enough for the span
+    # pass's z-norms
     rows = []
     for start in ((1, 0), (0, 1)):
-        norms, _, _ = riley._row_span(letters, start)
-        packing = Packing.covering(0, len(letters) + 1, max(norms))
+        z_norms, _, _, _ = riley._row_span(letters, start)
+        packing = Packing.covering(0, len(letters) + 1, max(z_norms))
         b = 8 * packing.nbytes
         rows.append(tuple(SY(packing.unpack(c)) for c in
                           riley._word_product(letters, start, b, b * packing.slots)))
     return tuple(rows)
 
 
+def _z_rows(m: PolyMatrix, length: int) -> tuple[tuple[SY, SY], ...]:
+    # the dict oracle's rows of s**length m under y = 2 + z
+    return tuple(tuple(map(in_z, row)) for row in packed_rows(m, length))
+
+
 def _row_loop_matrix(word: Word) -> PolyMatrix:
-    # rho(word) read off both rows of the row loop: the dict oracle's
-    # product (test_packed_word_equals_dict_product), at lengths where the
-    # dict product takes seconds
+    # rho(word) read off both rows of the row loop, taken back from z to
+    # y = z + 2 by the dict oracle: the dict oracle's product
+    # (test_packed_word_equals_dict_product), at lengths where the dict
+    # product takes seconds
     letters = riley._letters(word)
     length = len(letters)
-    (w11, w12), (w21, w22) = _unpacked_rows(letters)
+    (w11, w12), (w21, w22) = (tuple(substitute_y(w, SY.y() - 2) for w in row)
+                              for row in _unpacked_rows(letters))
     return PolyMatrix(w11 * SY.s(-length), w12 * SY.s(1 - length),
                       w21 * SY.s(-1 - length), w22 * SY.s(-length))
 
@@ -61,17 +70,20 @@ def _row_loop_matrix(word: Word) -> PolyMatrix:
 @example(word_kl(KlKnot(2)))
 def test_packed_word_equals_dict_product(word):
     # from (1, 0) and from (0, 1) the row loop gives rows 1 and 2 of s**L V
-    # as the dict oracle's (V11, V12 / s) and (s V21, V22), mirror word or
-    # not; the span pass's norms bound their l1 norms and its hulls hold
-    # their t-supports
+    # as the dict oracle's (V11, V12 / s) and (s V21, V22) under
+    # y = 2 + z, mirror word or not; the span pass's z-norms bound their
+    # l1 norms, its y-norms those of the oracle's entries in y, and its
+    # hulls hold the t-supports of both
     letters = riley._letters(word)
     oracle = packed_rows(reference_evaluate_word(word), len(letters))
-    assert _unpacked_rows(letters) == oracle
-    for start, entries in zip(((1, 0), (0, 1)), oracle):
-        norms, *hulls = riley._row_span(letters, start)
-        for entry, norm, (lo, hi) in zip(entries, norms, hulls):
-            assert _l1(entry) <= norm
-            assert all(lo <= i // 2 <= hi for i, _, _ in entry.terms())
+    z_rows = _z_rows(reference_evaluate_word(word), len(letters))
+    assert _unpacked_rows(letters) == z_rows
+    for start, entries, z_entries in zip(((1, 0), (0, 1)), oracle, z_rows):
+        z_norms, y_norms, *hulls = riley._row_span(letters, start)
+        for entry, z_entry, z_norm, y_norm, (lo, hi) in zip(entries, z_entries, z_norms,
+                                                           y_norms, hulls):
+            assert _l1(z_entry) <= z_norm and _l1(entry) <= y_norm
+            assert all(lo <= i // 2 <= hi for e in (entry, z_entry) for i, _, _ in e.terms())
 
 
 # the dict oracle's cost grows steeply with letters * |m| (a 40-letter
@@ -149,8 +161,9 @@ def _full_r12(v: PolyMatrix) -> dict:
 def test_row_one_relator_equals_the_full_one(word):
     # the row-1 route's R12 has the full product's terms, in rows only as
     # wide as its t-span, and the full R22 it skips is 0, both formed on
-    # the entries of both rows of the row loop; the dict oracle's R22 is 0
-    # too, formed up to 64 letters, where it takes at most about 0.1 s
+    # the entries of both rows of the row loop, taken from z back to y by
+    # the dict oracle; the dict oracle's R22 is 0 too, formed up to 64
+    # letters, where it takes at most about 0.1 s
     assert word.mirror() == word
     v_full = _row_loop_matrix(word)
     value, packing = riley._relator_r12(word)
@@ -169,14 +182,14 @@ def test_row_one_relator_equals_the_full_one(word):
 def test_row_one_span_holds_the_relator(word):
     # every term of s**L R12 lies in t-slots lo .. hi of its y-row, the
     # mirror-widened hull of row 1's h1, h2 and h2 + 1, every coefficient
-    # within n1 + 2 n2, and the span is deg_x(phi) wide, so no narrower
-    # rows hold R12: the dict oracle's R12 up to 64 letters, the row
-    # loop's beyond that
+    # within m1 + 2 m2, of the y-norms, and the span is deg_x(phi) wide,
+    # so no narrower rows hold R12: the dict oracle's R12 up to 64
+    # letters, the row loop's beyond that
     letters = riley._letters(word)
     length = len(letters)
-    (n1, n2), h1, (lo2, hi2) = riley._row_span(letters, (1, 0))
+    _, (m1, m2), h1, (lo2, hi2) = riley._row_span(letters, (1, 0))
     lo, hi = riley._mirror_span(length, (h1, (lo2, hi2), (lo2 + 1, hi2 + 1)))
-    bound = n1 + 2 * n2
+    bound = m1 + 2 * m2
     terms = _full_r12(reference_evaluate_word(word) if length <= 64 else _row_loop_matrix(word))
     assert lo + hi == length
     assert all((i + length) % 2 == 0 and lo <= (i + length) // 2 <= hi for i, _ in terms)
@@ -219,9 +232,9 @@ def _calls(monkeypatch, name):
     # the words riley.<name> is called with, from here on
     f, calls = getattr(riley, name), []
 
-    def spy(word):
+    def spy(word, *rest):
         calls.append(word)
-        return f(word)
+        return f(word, *rest)
 
     monkeypatch.setattr(riley, name, spy)
     return calls
@@ -295,7 +308,8 @@ def test_alpha_off_both_rows_equals_the_row_one_route(k):
     # base word's one product, equals the reference: the row-1 route's
     # alpha of the word v and of the inverse word v**-1, each multiplied out
     v, _ = word_double_twist(DoubleTwistKnot(k, 2))
-    _, (r12, r12_adj), packing = riley._unimodular_trace(v)
+    (lam, r12, packing), (lam_adj, r12_adj, _) = (riley._unimodular_trace(v, m) for m in (1, -1))
+    assert lam == lam_adj and riley._unimodular_trace(v)[1] is None
     assert polyring.symmetric_rewrite(r12, packing) == polyring.symmetric_rewrite(
         *riley._relator_r12(v))
     assert polyring.symmetric_rewrite(r12_adj, packing) == polyring.symmetric_rewrite(
@@ -307,17 +321,19 @@ def test_alpha_off_both_rows_equals_the_row_one_route(k):
                                       TwoBridgeFraction(151, 57))).to_text()])
 def test_slots_cover_the_relator_bound(text):
     # R12 = V11 + V12 / s - s V12 stays within n1 + 2 n2 of row 1's span
-    # pass, the bound _relator_r12 sizes its slots by; in t = s**2 every
-    # entry of the product of L letters, and so every hull, lies in
-    # t-slots 0 .. L
+    # pass in z, the bound the letter loop's slots are sized by, and
+    # within m1 + 2 m2 in y, the bound _relator_r12 sizes its packing by;
+    # in t = s**2 every entry of the product of L letters, and so every
+    # hull, lies in t-slots 0 .. L
     word = Word.parse_text(text)
     letters = riley._letters(word)
-    (n1, n2), *hulls = riley._row_span(letters, (1, 0))
+    (n1, n2), (m1, m2), *hulls = riley._row_span(letters, (1, 0))
     assert all(0 <= lo and hi <= len(letters) for lo, hi in hulls if lo <= hi)
     v, g = reference_evaluate_word(word), images()
     r12 = (v @ g.a - g.b @ v).e12
-    assert max(abs(c) for _, _, c in r12.terms()) <= n1 + 2 * n2
-    assert 2 * (n1 + 2 * n2) < 2 ** (8 * riley._relator_r12(word)[1].nbytes)
+    assert max(abs(c) for _, _, c in in_z(r12).terms()) <= n1 + 2 * n2
+    assert max(abs(c) for _, _, c in r12.terms()) <= m1 + 2 * m2
+    assert 2 * (m1 + 2 * m2) < 2 ** (8 * riley._relator_r12(word)[1].nbytes)
 
 
 def test_unpack_borrows_across_adjacent_negative_slots():
@@ -364,17 +380,18 @@ def test_packing_round_trip(terms):
 
 def test_packed_adjugate_equals_dict_adjugate():
     # for m < 0 the power route reads alpha off row 1 of adj V = V**-1,
-    # (c22, -c12) of V's packed rows, as det V = 1: the packed rows of the
-    # inverse word w**-1, its own mirror as w is, are those of the dict
-    # adjugate; R12 off (c11, c12) is the dict V's, R12 off (c22, -c12) the
-    # dict adjugate's, and lambda is the same for both, tr adj V = tr V
+    # (c22, -c12) of V's packed rows, as det V = 1: the packed z-rows of
+    # the inverse word w**-1, its own mirror as w is, are those of the dict
+    # adjugate under y = 2 + z; R12 off (c11, c12) is the dict V's, R12 off
+    # (c22, -c12) the dict adjugate's, both packed in y, and lambda is the
+    # same for both, tr adj V = tr V
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
     inverse, plain, g = w.inverse(), reference_evaluate_word(w), images()
     assert inverse.mirror() == inverse and inverse.inverse() == w
     adj = plain.adjugate()
     letters = riley._letters(inverse)
-    assert _unpacked_rows(letters) == packed_rows(adj, len(letters))
-    lam, (r12, r12_adj), packing = riley._unimodular_trace(w)
+    assert _unpacked_rows(letters) == _z_rows(adj, len(letters))
+    (lam, r12, packing), (_, r12_adj, _) = (riley._unimodular_trace(w, m) for m in (1, -1))
     assert SY(packing.unpack(r12)) == (plain @ g.a - g.b @ plain).e12
     assert SY(packing.unpack(r12_adj)) == (adj @ g.a - g.b @ adj).e12
     assert riley._unimodular_trace(inverse)[0] == lam
@@ -420,7 +437,7 @@ def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
     # library raises, and so does the CLI's cross-check
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
     assert word_double_twist(DoubleTwistKnot(2, 4)) == (w, 4)
-    lam, (r12, r12_adj), packing = riley._unimodular_trace(w)
+    (lam, r12, packing), (_, r12_adj, _) = (riley._unimodular_trace(w, m) for m in (1, -1))
     half, product = len(riley._letters(w)) // 2, riley._word_product
 
     def sheared(letters, row, b, ys):
@@ -432,7 +449,7 @@ def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
         return c1 + (row[0] << b * half), c2
 
     for name, bad, error, message in (
-            ("_unimodular_trace", lambda word: (lam, (r12 + 1, r12_adj + 1), packing),
+            ("_unimodular_trace", lambda word, m: (lam, (r12 if m > 0 else r12_adj) + 1, packing),
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
             ("_word_product", sheared,
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
@@ -493,8 +510,11 @@ def test_the_mirror_rule_holds_for_every_power(word_and_power):
 def test_power_slots_cover_the_relator_bound(monkeypatch, k, m):
     # the power route's slots hold what it compares or unpacks: the det
     # check's the coefficients of W11 W22 and W12 W21, W = s**e V, in
-    # 2e + 1 t-slots, and the Chebyshev combination's those of phi, in
-    # deg_x(phi) / 2 + 1 u-slots; the products by the dict oracle
+    # 2e + 1 t-slots, in z = y - 2, where the check runs; those of the
+    # same products in y, in the packing sized for the y-norm, which holds
+    # the trace and R12 read back from z; and the Chebyshev combination's
+    # those of phi, in deg_x(phi) / 2 + 1 u-slots; the products by the
+    # dict oracle
     w, _ = word_double_twist(DoubleTwistKnot(k, 2))
     covering, sized = Packing.covering.__func__, []
 
@@ -505,13 +525,15 @@ def test_power_slots_cover_the_relator_bound(monkeypatch, k, m):
     monkeypatch.setattr(Packing, "covering", classmethod(spy))
     phi = riley.riley_generic(w, m).poly
     assert phi == riley.riley_double_twist(k, m).poly
-    # sized by the det check first, the combination last
-    det, combination = sized[0], sized[-1]
+    # sized by the det check first, then the read-back, the combination last
+    det, read_back, combination = sized[0], sized[1], sized[-1]
     v = reference_evaluate_word(w)
     e = _checkerboard_e(v)
-    assert (det.shift, det.slots) == (e, 2 * e + 1)
-    for product in (v.e11 * v.e22, v.e12 * v.e21):
-        assert all(abs(c) < 2 ** (8 * det.nbytes - 1) for _, _, c in product.terms())
+    assert (det.shift, det.slots) == (read_back.shift, read_back.slots) == (e, 2 * e + 1)
+    for packing, (a, b) in ((det, (in_z(v.e11) * in_z(v.e22), in_z(v.e12) * in_z(v.e21))),
+                            (read_back, (v.e11 * v.e22, v.e12 * v.e21))):
+        for product in (a, b):
+            assert all(abs(c) < 2 ** (8 * packing.nbytes - 1) for _, _, c in product.terms())
     assert combination.slots == phi.deg_x() // 2 + 1
     assert max(abs(c) for _, _, c in phi.terms()) < 2 ** (8 * combination.nbytes - 1)
 
@@ -541,56 +563,66 @@ def _checkerboard_e(m: PolyMatrix) -> int:
 
 def _trace_of_rows(monkeypatch, m: PolyMatrix) -> XYPoly:
     # lambda of _unimodular_trace for a checkerboard m injected as packed
-    # rows: those of s**e m, with the entries' l1 norms from the span pass
-    # and its t-hulls 0 .. e, but 0 .. e - 1 for s**(e - 1) m12, whose
-    # t-multiple in R12 then stays within 0 .. e too, so the trace is laid
-    # in 2e + 1 t-slots
+    # rows: those of s**e m under y = 2 + z, with the entries' l1 norms in
+    # z and in y from the span pass and its t-hulls 0 .. e, but 0 .. e - 1
+    # for s**(e - 1) m12, whose t-multiple in R12 then stays within 0 .. e
+    # too, so the trace is laid in 2e + 1 t-slots
     e = _checkerboard_e(m)
     rows = dict(zip(((1, 0), (0, 1)), packed_rows(m, e)))
     with monkeypatch.context() as patch:
         patch.setattr(riley, "_row_span", lambda letters, start: (
-            tuple(map(_l1, rows[start])), (0, e), (0, e - start[0])))
-        patch.setattr(riley, "_word_product", lambda letters, start, b, ys: tuple(
-            row_integer(entry, b, ys) for entry in rows[start]))
+            tuple(_l1(in_z(entry)) for entry in rows[start]), tuple(map(_l1, rows[start])),
+            (0, e), (0, e - start[0])))
+        patch.setattr(riley, "_word_product", lambda letters, start, b, zs: tuple(
+            row_integer(entry, b, zs) for entry in rows[start]))
         return riley._unimodular_trace(Word.parse_text("a" * e))[0]
+
+
+def _from_z(m: PolyMatrix) -> PolyMatrix:
+    # the matrix whose form under y = 2 + z is m, read as a matrix in s and z
+    return PolyMatrix(*(substitute_y(e, SY.y() - 2) for e in (m.e11, m.e12, m.e21, m.e22)))
 
 
 def test_the_trace_rejects_a_determinant_other_than_one(monkeypatch):
     # lambda and det from both rows of the base word's product: the rewrite
     # of the dict trace for words, and NotUnimodular for every matrix of
     # det != 1 injected as packed rows, however it aliases in too few or
-    # too narrow slots
+    # too narrow slots.  The det check runs in z = y - 2, so each bad
+    # matrix below is its form in s and z, where it aliases as described,
+    # and is injected as the matrix in y that has that form (_from_z)
     for text in ("", "a", "abAB", "bAbaBa", "abbbAAb"):
         word = Word.parse_text(text)
         trace = rewrite_sy(reference_evaluate_word(word).trace())
         assert riley._unimodular_trace(word)[0] == trace
         assert _trace_of_rows(monkeypatch, reference_evaluate_word(word)) == trace
-    one, zero, s, y = SY.one(), SY.zero(), SY.s(1), SY.y()
+    # z below is SY's second variable, y's place in the dict ring
+    one, zero, s, z = SY.one(), SY.zero(), SY.s(1), SY.y()
     det_s2 = PolyMatrix(s, zero, zero, s)
     det_minus_one = PolyMatrix(one, zero, zero, -one)
-    det_minus_y = PolyMatrix(s, y, one, zero)
+    det_minus_z = PolyMatrix(s, z, one, zero)
     mat = reference_evaluate_word(Word.parse_text("abAB"))
-    # V times diag(1, 1 + y): det 1 + y
-    det_one_plus_y = PolyMatrix(mat.e11, mat.e12 * (1 + y), mat.e21, mat.e22 * (1 + y))
-    # det 1 + s**4 - y/s**2, with e = 2: t**2 (det - 1) = t**4 - y t
-    # vanishes at t = 2**B, y = 2**(3B), so it takes more than e + 1 = 3
+    # a det-1 matrix times diag(1, 1 + z): det 1 + z
+    det_one_plus_z = PolyMatrix(mat.e11, mat.e12 * (1 + z), mat.e21, mat.e22 * (1 + z))
+    # det 1 + s**4 - z/s**2, with e = 2: t**2 (det - 1) = t**4 - z t
+    # vanishes at t = 2**B, z = 2**(3B), so it takes more than e + 1 = 3
     # t-slots, those of the entries, to tell it from 1
-    det_y_alias = PolyMatrix(s * s, SY.s(-1), y * SY.s(-1) - s, s * s)
-    # det 1 + s**4 - y/s**4, with e = 2: t**2 (det - 1) = t**4 - y
-    # vanishes at y = 2**(4B), so it takes 2e + 1 = 5 t-slots, those of
+    det_z_alias = PolyMatrix(s * s, SY.s(-1), z * SY.s(-1) - s, s * s)
+    # det 1 + s**4 - z/s**4, with e = 2: t**2 (det - 1) = t**4 - z
+    # vanishes at z = 2**(4B), so it takes 2e + 1 = 5 t-slots, those of
     # the products, not 2e, to tell it from 1
-    det_slot_alias = PolyMatrix(s * s + y * SY.s(-2), s,
-                                (y - 2) * SY.s(-1), s * s - SY.s(-2))
+    det_slot_alias = PolyMatrix(s * s + z * SY.s(-2), s,
+                                (z - 2) * SY.s(-1), s * s - SY.s(-2))
     # det 1 - 1/s**2 + 2**16/s**4: t**2 (det - 1) = 2**16 - t vanishes at
     # t = 2**16, so it takes slots that hold ||W_ij||_1**2 = 2**16, not
     # just the entries, to tell it from 1
     det_width_alias = PolyMatrix(one, 256 * SY.s(-1), -256 * SY.s(-3),
                                  1 - SY.s(-2))
-    assert det_slot_alias.det() == 1 + SY.s(4) - y * SY.s(-4)
-    for bad in (det_s2, det_minus_one, det_minus_y, det_one_plus_y, det_y_alias,
+    assert det_slot_alias.det() == 1 + SY.s(4) - z * SY.s(-4)
+    for bad in (det_s2, det_minus_one, det_minus_z, det_one_plus_z, det_z_alias,
                 det_slot_alias, det_width_alias, PolyMatrix(zero, zero, zero, zero)):
+        assert in_z(_from_z(bad).e11) == bad.e11 and in_z(_from_z(bad).e21) == bad.e21
         with pytest.raises(riley.NotUnimodular):
-            _trace_of_rows(monkeypatch, bad)
+            _trace_of_rows(monkeypatch, _from_z(bad))
 
 
 def test_a_term_below_the_trace_span_is_caught(monkeypatch):
@@ -601,8 +633,8 @@ def test_a_term_below_the_trace_span_is_caught(monkeypatch):
     span = riley._row_span
 
     def narrowed(letters, start):
-        norms, *hulls = span(letters, start)
-        return (norms, *((lo + 1, hi - 1) for lo, hi in hulls))
+        z_norms, y_norms, *hulls = span(letters, start)
+        return (z_norms, y_norms, *((lo + 1, hi - 1) for lo, hi in hulls))
 
     monkeypatch.setattr(riley, "_row_span", narrowed)
     with pytest.raises(riley.StructureViolation, match="below its t-span"):
@@ -628,7 +660,7 @@ def test_a_trace_slot_above_sigma_is_asymmetric():
     # arithmetic (the corrupted digits in slots 0 .. sigma are
     # test_a_corrupted_relator_digit_is_caught's)
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
-    _, (r12, _), packing = riley._unimodular_trace(w)
+    _, r12, packing = riley._unimodular_trace(w, 1)
     sigma, b = packing.shift, 8 * packing.nbytes
     rows = len(packing.slot_bytes(r12)) // (packing.nbytes * packing.slots)
     assert packing.slots == 2 * sigma + 1 and rows > 1

@@ -6,17 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rileycert import polyring
+from rileycert import polyring, riley
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.knots import TwoBridgeFraction
-from rileycert.polyring import (NotSymmetric, XYPoly, _horner, eval_interval,
-                                symmetric_rewrite, y_coefficient_bounds)
+from rileycert.polyring import (NotSymmetric, Packing, XYPoly, _horner, eval_interval,
+                                symmetric_rewrite, taylor_shift, y_coefficient_bounds)
 from rileycert.riley import riley_double_twist, riley_for_knot
 
 from matrix_oracle import PolyMatrix
 from poly_oracle import (SY, XY, as_fraction, contains_fraction, contains_interval,
-                         eval_fraction, pack, reference_eval_interval, rewrite_sy,
-                         to_sy, y_slices)
+                         eval_fraction, pack, reference_eval_interval, reference_unpack,
+                         rewrite_sy, substitute_y, to_sy, y_slices)
 
 X, Y = XY.x(), XY.y()
 
@@ -281,6 +281,92 @@ def test_the_peel_round_trips_in_slots_of_the_largest_digit(sigma_and_p):
     for j, row in rows.items():
         norm = sum(abs(c) << i for i, _, c in row.terms())
         assert norm <= sum(abs(c) * q[e] for (e, k), c in p._terms.items() if k == j and e >= 0)
+
+
+@st.composite
+def _z_rows(draw):
+    # psi in t and z, as {(s_exp, z_deg): c} with even s-exponents in
+    # t-slots 0 .. slots - 1 and 0 .. 6 z-rows, its digits drawn from
+    # slots of nbytes, a third of them at the slot extremes or 0
+    nb, slots, count = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    top = (1 << 8 * nb - 1) - 1
+    digit = st.one_of(st.sampled_from((top, -top, 0)), st.integers(-top, top))
+    digits = draw(st.lists(digit, min_size=slots * count, max_size=slots * count))
+    terms = {(2 * (k % slots), k // slots): c for k, c in enumerate(digits) if c}
+    return Packing(0, slots, nb), count, terms
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_z_rows())
+@example((Packing(0, 2, 1), 0, {}))
+@example((Packing(0, 3, 1), 1, {(0, 0): 127, (2, 0): -127}))
+@example((Packing(0, 2, 2), 2, {(0, 0): -32767, (2, 0): 32767, (0, 1): 32767, (2, 1): -32767}))
+def test_z_rows_shifted_by_minus_two_are_the_substitution(args):
+    # the t-packed z-rows of psi, shifted by -2 (m = -1, k = 1), are the
+    # y-rows of psi(t, y - 2) by the dict oracle, packed in slots sized for
+    # them and at least as wide as psi's; the whole packed integer in z,
+    # in slots of its own digits' width, comes back as that of
+    # psi(t, y - 2) through the engine's read-back, which widens every
+    # slot, digits at the extremes included
+    z, count, terms = args
+    want = substitute_y(SY(terms), SY.y() - 2)
+    packing = Packing.covering(0, z.slots, max(map(abs, want._terms.values()), default=0))
+    packing = packing._replace(nbytes=max(packing.nbytes, z.nbytes))
+    rows = [pack(packing, {(i, 0): c for (i, j), c in terms.items() if j == row})
+            for row in range(count)]
+    shifted = taylor_shift(rows, -1, 1)
+    assert len(shifted) == count
+    assert {(i, j): c for j, row in enumerate(shifted)
+            for (i, _), c in packing.unpack(row).items()} == want._terms
+    assert riley._shift_back(pack(z, terms), z, packing) == pack(packing, want._terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2 ** 200, 2 ** 200), max_size=12), st.sampled_from((1, -1)),
+       st.integers(0, 3))
+@example([], -1, 1)
+@example([5], -1, 1)
+def test_taylor_shift_is_the_substitution_and_shifts_back(rows, m, k):
+    # on plain integers, the rows of f(x + m 2**k) are the dict oracle's
+    # substitution, and the shift by -m 2**k takes them back to f's
+    f = XY({(0, j): c for j, c in enumerate(rows) if c})
+    shifted = taylor_shift(rows, m, k)
+    assert XY({(0, j): c for j, c in enumerate(shifted) if c}) == substitute_y(f, Y + m * 2 ** k)
+    assert taylor_shift(shifted, -m, k) == rows
+    with pytest.raises(ValueError):
+        taylor_shift(rows, 2 * m, k)
+
+
+@st.composite
+def _packed_terms(draw):
+    # a packing of 1 .. 12 bytes a slot and a term map in its slots, a
+    # third of the digits 0 or at the slot extremes
+    nb, slots = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    shift, count = draw(st.integers(0, 2 * slots - 1)), draw(st.integers(0, 4))
+    top = (1 << 8 * nb - 1) - 1
+    digit = st.one_of(st.sampled_from((top, -top, 0)), st.integers(-top, top))
+    digits = draw(st.lists(digit, min_size=slots * count, max_size=slots * count))
+    return Packing(shift, slots, nb), {(2 * (k % slots) - shift, k // slots): c
+                                       for k, c in enumerate(digits) if c}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_packed_terms(), st.integers(0, 3))
+@example((Packing(0, 3, 8), {(0, 0): 2 ** 63 - 1, (4, 0): -(2 ** 63 - 1)}), 2)
+@example((Packing(1, 2, 9), {(-1, 1): -(2 ** 71 - 1), (1, 1): 2 ** 71 - 1}), 1)
+@example((Packing(0, 4, 1), {}), 0)
+def test_unpack_reads_every_slot_as_the_slot_loop(packing_terms, empty_rows):
+    # Packing.unpack equals the slot-by-slot reference, keys and key order
+    # too, on packed term maps (with empty rows laid above them), on their
+    # negatives and on arbitrary integers read in the same slots
+    packing, terms = packing_terms
+    value = pack(packing, terms)
+    above = 1 << 8 * packing.nbytes * packing.slots * (max((j for _, j in terms), default=0)
+                                                       + 1 + empty_rows)
+    for v in (value, -value, value + above, value - above, value * 3 + 1):
+        got, want = packing.unpack(v), reference_unpack(packing, v)
+        assert list(got.items()) == list(want.items())
+    assert packing.unpack(value) == terms
 
 
 def test_eval_interval_contains_sqrt3_root():

@@ -107,12 +107,14 @@ class XYPoly(_SparsePoly):
         return max((i for (i, _) in self._terms), default=0)
 
 
-def symmetric_rewrite(p: int, packing: Packing) -> XYPoly:
+def symmetric_rewrite(rows: list[int], packing: Packing) -> XYPoly:
     """Rewrite an s <-> 1/s symmetric Laurent polynomial as f(x, y), x = s + 1/s.
 
-    p is the integer of s**sigma * p packed in t = s**2 by `packing`
-    (shift sigma, y outer), as the Riley engine holds R12 and traces: the
-    s-exponents of p all have sigma's parity, and only f is unpacked.
+    rows are the y-rows of s**sigma * p packed in t = s**2 by `packing`
+    (shift sigma), one integer each, as `taylor_shift` returns them and the
+    Riley engine reads R12 and traces: the s-exponents of p all have
+    sigma's parity, each row's digits fit its slots, and only f is
+    unpacked; one biased `to_bytes` a row lays out their slot bytes.
 
     Slot k of a y-row holds the coefficient of s**(2k - sigma), so p is
     symmetric exactly when every row reads the same backwards in slots
@@ -156,19 +158,20 @@ def symmetric_rewrite(p: int, packing: Packing) -> XYPoly:
     at W', and a refusal there is an AssertionError.
     """
     sigma, nb, slots = packing.shift, packing.nbytes, packing.slots
-    row_len, buf = slots * nb, packing.slot_bytes(p)
-    rows, blank = range(0, len(buf), row_len), packing._empty() * (slots - sigma - 1)
+    row_len, row_bias = slots * nb, int.from_bytes(packing._empty() * slots, "little")
+    buf = b"".join((r + row_bias).to_bytes(row_len, "little") for r in rows)
+    starts, blank = range(0, len(buf), row_len), packing._empty() * (slots - sigma - 1)
     mirrors = ((r, r + (sigma - 2 * k) * nb)                # byte r of slot k, of sigma - k
                for k in range((sigma + 1) // 2) for r in range(k * nb, k * nb + nb))
     if (any(buf[r::row_len] != buf[r2::row_len] for r, r2 in mirrors)
-            or any(buf[j + row_len - len(blank):j + row_len] != blank for j in rows)):
+            or any(buf[j + row_len - len(blank):j + row_len] != blank for j in starts)):
         raise NotSymmetric("polynomial is not invariant under s -> 1/s")
     odd, top, w = sigma & 1, sigma // 2, 8 * nb
     lo, hi = (sigma + 1) // 2 * nb, (sigma + 1) * nb    # a row's upper half
     bias = int.from_bytes(packing._empty() * (top + 1), "little")
     basis = _x_powers(top, odd, w)
     f_rows = [_peel(int.from_bytes(buf[j + lo:j + hi], "little") - bias, w, basis, odd)
-              for j in rows]
+              for j in starts]
     refused = [j for j, f in enumerate(f_rows) if f is None]
     if refused:
         half, pell = 1 << w - 1, [2, 2]          # pell: Q_0, Q_1, ..
@@ -302,14 +305,6 @@ class Packing(namedtuple("Packing", "shift slots nbytes")):
         bias = int.from_bytes((self._empty() + bytes(nbytes - nb)) * self.slots, "little")
         return [int.from_bytes(wide[j:j + row_len], "little") - bias
                 for j in range(0, len(wide), row_len)]
-
-    def from_rows(self, rows: list[int]) -> int:
-        """The packed integer whose y-rows are these packed integers, each
-        with digits that fit this packing's slots."""
-        row_len, empty = self.slots * self.nbytes, self._empty() * self.slots
-        bias = int.from_bytes(empty, "little")
-        buf = b"".join((r + bias).to_bytes(row_len, "little") for r in rows)
-        return int.from_bytes(buf, "little") - int.from_bytes(empty * len(rows), "little")
 
 
 _FLIP = bytes(c ^ 0x80 for c in range(256))             # a byte, top bit flipped

@@ -22,8 +22,8 @@ before any arithmetic (`_row_span`): a letter adds one entry, times s or
 -z s, to the other, so the l1 norm grows by 1 per b-letter, not by 3 as
 with (2 - y)s in y; the norms bound every coefficient, and a sum's
 support lies in the hull of its terms' supports.  The values read are
-shifted back (`_shift_back`) to the integer a letter loop in y would
-give, in slots the norms in y size, and the rewrite reads that.
+shifted back (`_shift_back`) to the y-rows a letter loop in y would
+give, in slots the norms in y size, and the rewrite reads them.
 R11 = 0 and R21 = (y - 2)R12 + (s - 1/s)R22 hold for every V, so
 R22 = V21 - (2 - y)V12 = 0 is the one structure condition, and the mirror
 rule decides it on the word.  With D = diag(1, 2 - y),
@@ -43,11 +43,11 @@ the pass over the word bounds (`_mirror_span`): S = sigma + 1 slots,
 sigma = deg_x(phi) on a fraction's word, where R12 reaches about 0.65 L.
 Packed arithmetic is evaluation at t = 2**B, z = 2**(B*S), a ring
 homomorphism, so the product's rows may overlap as long as R12's do not.
-R12 stays a packed integer, s**sigma R12 in t-slots (sigma the packing's
-shift), and `polyring.symmetric_rewrite` reads phi off its slot digits in
-one pass, which checks that every y-row reads the same backwards and
-proves phi exact by the bound that accepts it (a Kronecker argument; see
-there).  So phi is the one value unpacked, and no second pass checks it.
+R12 stays packed, one integer a y-row of s**sigma R12 in t-slots (sigma
+the packing's shift), and `polyring.symmetric_rewrite` reads phi off
+their digits in one pass, which checks that every y-row reads the same
+backwards and proves phi exact by the bound that accepts it (see there).
+So phi is the one value unpacked, and no second pass checks it.
 
 The power route of J(2k+1, 2m), v**m for the base word v, never forms
 the power.  R = VA - BV is linear in V and R12(I) = 1; when det V = 1,
@@ -199,21 +199,21 @@ def _mirror_span(length: int, hulls) -> tuple[int, int]:
     return lo, length - lo
 
 
-def _shift_back(value: int, z: Packing, packing: Packing) -> int:
-    """The packed integer of phi(t, y) = psi(t, y - 2), from value, psi's
+def _shift_back(value: int, z: Packing, packing: Packing) -> list[int]:
+    """The y-rows of phi(t, y) = psi(t, y - 2), from value, psi's integer
     packed by z (same shift and slots, nbytes at most packing's): each
     z-row psi_k widened to packing's slots (`Packing.rows`), times 2**k,
     shifted by -1 and y-row j divided back by 2**j (`taylor_shift`), as
     psi(y - 2) = sum_k psi_k 2**k (y / 2 - 1)**k.  Each row is its own
     integer and each step exact, so row j is phi_j at t = 2**(8 nbytes);
-    as phi's digits fit those slots, this is phi's integer under packing,
-    the one a letter loop in y gives."""
-    return packing.from_rows(taylor_shift(z.rows(value, packing.nbytes), -1, 1))
+    as phi's digits fit those slots, these are phi's rows under packing,
+    the ones a letter loop in y gives, as `symmetric_rewrite` takes them."""
+    return taylor_shift(z.rows(value, packing.nbytes), -1, 1)
 
 
-def _relator_r12(word: Word) -> tuple[int, Packing]:
-    """R12 of R = VA - BV for V = rho(word) and its packing, from row 1 of
-    the product alone, in rows only as wide as R12's t-span.
+def _relator_r12(word: Word) -> tuple[list[int], Packing]:
+    """R12 of R = VA - BV for V = rho(word), as y-rows, and its packing,
+    from row 1 of the product alone, in rows only as wide as its t-span.
 
     R12 / s = c1 + c2 - t c2 for row 1 (c1, c2) of the product (V sA minus
     sB V), so with `_row_span` from (1, 0) its t-slots lie in the hull of
@@ -227,7 +227,7 @@ def _relator_r12(word: Word) -> tuple[int, Packing]:
     R12, the one value read, must fit its rows, as its support does.  The
     t-slots below lo must come out 0, StructureViolation otherwise;
     shifted off, they leave s**sigma R12 in sigma + 1 t-slots a z-row,
-    which `_shift_back` takes to y, in slots the y-norm sizes."""
+    which `_shift_back` takes to y-rows, in slots the y-norm sizes."""
     letters = _letters(word)
     (n1, n2), (m1, m2), h1, (lo2, hi2) = _row_span(letters, (1, 0))
     lo, hi = _mirror_span(len(letters), (h1, (lo2, hi2), (lo2 + 1, hi2 + 1)))
@@ -244,11 +244,11 @@ def _relator_r12(word: Word) -> tuple[int, Packing]:
 
 
 def _unimodular_trace(word: Word, m: int | None = None
-                      ) -> tuple[XYPoly, int | None, Packing]:
+                      ) -> tuple[XYPoly, list[int] | None, Packing]:
     """(lambda, r12, packing) off both rows of V = rho(word): lambda =
     rewrite(tr V) once det V = 1 is checked (NotUnimodular otherwise), and,
     when m is given, s**sigma R12 of R = VA - BV for V, or for adj V when
-    m < 0, packed (None otherwise).
+    m < 0, as y-rows packed by packing (None otherwise).
 
     With lo .. hi the mirror-widened span (`_mirror_span`) of the four
     entries' t-hulls (`_row_span`) and t c12's, and sigma = hi - lo, each
@@ -262,14 +262,17 @@ def _unimodular_trace(word: Word, m: int | None = None
     c1 + c2 - t c2 off a row 1 (c1, c2), as in `_relator_r12`: V's
     (c11, c12) or adj V's (c22, -c12), of l1 norm at most 3 n.  Only what
     the caller uses, c11 + c22 = s**sigma tr V and that R12, is shifted
-    back to y (`_shift_back`), in slots sized as the y-norms size them
-    for a loop in y; the trace is rewritten."""
+    back to y-rows (`_shift_back`), in slots that hold 3 n of the y-norms,
+    or as wide as the z-slots if that is wider, as `Packing.rows` only
+    widens (3 n in z is at most 3 n in y, so only n**2 in z can be); the
+    trace is rewritten."""
     letters = _letters(word)
     spans = [_row_span(letters, row) for row in ((1, 0), (0, 1))]
     hulls = [h for _, _, *row_hulls in spans for h in row_hulls]  # c11, c12, c21, c22
     lo, hi = _mirror_span(len(letters), hulls + [(hulls[1][0] + 1, hulls[1][1] + 1)])
     sigma, (nz, ny) = hi - lo, (max(max(span[i]) for span in spans) for i in (0, 1))
-    z, packing = (Packing.covering(sigma, 2 * sigma + 1, max(n * n, 3 * n)) for n in (nz, ny))
+    z = Packing.covering(sigma, 2 * sigma + 1, max(nz * nz, 3 * nz))
+    packing = Packing.covering(sigma, 2 * sigma + 1, max(3 * ny, nz * nz))
     b = 8 * z.nbytes
     rows = [_word_product(letters, row, b, b * z.slots) for row in ((1, 0), (0, 1))]
     if any(c & ((1 << b * lo) - 1) for row in rows for c in row):

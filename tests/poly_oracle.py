@@ -203,6 +203,12 @@ def pack(packing: Packing, terms: dict) -> int:
     return int.from_bytes(buf, "little") - int.from_bytes(packing._empty() * count, "little")
 
 
+def unpack_rows(packing: Packing, rows: list[int]) -> dict:
+    """The {(s_exp, y_deg): coeff} term map of y-rows packed by `packing`,
+    row j the y**j part: what the engine's read-back hands the rewrite."""
+    return {(i, j): c for j, row in enumerate(rows) for (i, _), c in packing.unpack(row).items()}
+
+
 def reference_unpack(packing: Packing, value: int) -> dict:
     """`Packing.unpack` as one Python step per slot: a slice, a divmod for
     the slot's place and the bias taken off each nonempty digit."""
@@ -220,13 +226,14 @@ def reference_unpack(packing: Packing, value: int) -> dict:
 def rewrite_sy(p: SY) -> XYPoly:
     """symmetric_rewrite of a dict SY: each s-parity class packed in
     t = s**2 with shift its largest |s-exponent|, as the engine packs R12,
-    and rewritten on its own."""
+    split into its y-rows and rewritten on its own."""
     terms: dict = {}
     for parity in (0, 1):
         part = {key: c for key, c in p._terms.items() if key[0] & 1 == parity}
         deg = max((abs(i) for i, _ in part), default=parity)
         packing = Packing.covering(deg, deg + 1, max(map(abs, part.values()), default=0))
-        terms.update(symmetric_rewrite(pack(packing, part), packing)._terms)
+        rows = packing.rows(pack(packing, part), packing.nbytes)
+        terms.update(symmetric_rewrite(rows, packing)._terms)
     return XYPoly(terms)
 
 

@@ -13,7 +13,7 @@ from rileycert.polyring import Packing, XYPoly
 
 from matrix_oracle import (PolyMatrix, images, in_z, packed_rows, reference_evaluate_word,
                            row_integer)
-from poly_oracle import SY, XY, pack, rewrite_sy, substitute_y, to_sy
+from poly_oracle import SY, XY, pack, rewrite_sy, substitute_y, to_sy, unpack_rows
 
 
 def _palindromic_word(half: list[bool]) -> Word:
@@ -166,8 +166,8 @@ def test_row_one_relator_equals_the_full_one(word):
     # letters, where it takes at most about 0.1 s
     assert word.mirror() == word
     v_full = _row_loop_matrix(word)
-    value, packing = riley._relator_r12(word)
-    assert packing.unpack(value) == _full_r12(v_full)
+    rows, packing = riley._relator_r12(word)
+    assert unpack_rows(packing, rows) == _full_r12(v_full)
     assert v_full.e21 == (SY.const(2) - SY.y()) * v_full.e12
     if len(word.to_text()) <= 64:
         g, v = images(), reference_evaluate_word(word)
@@ -392,19 +392,19 @@ def test_packed_adjugate_equals_dict_adjugate():
     letters = riley._letters(inverse)
     assert _unpacked_rows(letters) == _z_rows(adj, len(letters))
     (lam, r12, packing), (_, r12_adj, _) = (riley._unimodular_trace(w, m) for m in (1, -1))
-    assert SY(packing.unpack(r12)) == (plain @ g.a - g.b @ plain).e12
-    assert SY(packing.unpack(r12_adj)) == (adj @ g.a - g.b @ adj).e12
+    assert SY(unpack_rows(packing, r12)) == (plain @ g.a - g.b @ plain).e12
+    assert SY(unpack_rows(packing, r12_adj)) == (adj @ g.a - g.b @ adj).e12
     assert riley._unimodular_trace(inverse)[0] == lam
 
 
 def test_power_path_reads_only_packed_integers(monkeypatch):
     # riley_generic(w, m) unpacks only phi, in u = x**2 slots with shift 0,
     # deg_x(phi) / 2 + 1 = 6 of them.  lambda and alpha come off the
-    # rewrite of the trace and of one R12, each a packed integer in the
-    # y-rows of 2 sigma + 1 = 5 t-slots that hold det V (the double-twist
-    # word's entries span t-slots lo .. lo + 2 of s**L V, so sigma = 2),
-    # and the rewrite unpacks nothing.  No matrix entry, R12, trace or det
-    # is turned into terms
+    # rewrite of the trace and of one R12, each a list of y-rows, one
+    # packed integer each, in 2 sigma + 1 = 5 t-slots as the z-rows that
+    # hold det V (the double-twist word's entries span t-slots lo .. lo + 2
+    # of s**L V, so sigma = 2), and the rewrite unpacks nothing.  No matrix
+    # entry, R12, trace or det is turned into terms
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
     closed = {m: riley.riley_double_twist(3, m).poly for m in (5, -5)}
     unpack, rewrite, unpacked, rewritten = Packing.unpack, riley.symmetric_rewrite, [], []
@@ -414,7 +414,7 @@ def test_power_path_reads_only_packed_integers(monkeypatch):
         return unpack(self, value)
 
     def spy_rewrite(p, packing):
-        assert type(p) is int
+        assert type(p) is list and all(type(row) is int for row in p)
         rewritten.append(packing)
         return rewrite(p, packing)
 
@@ -427,9 +427,17 @@ def test_power_path_reads_only_packed_integers(monkeypatch):
         assert [(pk.shift, pk.slots) for pk in rewritten] == [(2, 5), (2, 5)]
 
 
+def _bumped(rows: list[int], row: int, bit: int) -> list[int]:
+    # the y-rows with 2**bit added to one of them: one more in the slot
+    # that bit starts
+    bad = list(rows)
+    bad[row] += 1 << bit
+    return bad
+
+
 def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
     # each value the power route reads is checked: R12 of V and of adj V
-    # one more in t-slot 0 is asymmetric, which symmetric_rewrite's
+    # one more in t-slot 0 of y-row 0 is asymmetric, which symmetric_rewrite's
     # palindrome test finds; so is the trace of V [[1, s], [0, 1]],
     # whose det is still 1, its packed rows (c1, c1 + c2); and V with one
     # more in V11, at s**0, which is t-slot L / 2 of row 1's c1, has
@@ -449,7 +457,8 @@ def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
         return c1 + (row[0] << b * half), c2
 
     for name, bad, error, message in (
-            ("_unimodular_trace", lambda word, m: (lam, (r12 if m > 0 else r12_adj) + 1, packing),
+            ("_unimodular_trace", lambda word, m: (lam, _bumped(r12 if m > 0 else r12_adj, 0, 0),
+                                                   packing),
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
             ("_word_product", sheared,
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
@@ -506,36 +515,53 @@ def test_the_mirror_rule_holds_for_every_power(word_and_power):
     assert holds == (word.mirror() == word)
 
 
-@pytest.mark.parametrize("k, m", [(1, 2), (3, 6), (6, -6), (10, 10)])
-def test_power_slots_cover_the_relator_bound(monkeypatch, k, m):
+# J's base words for k = 1 .. 20, at m = +-2 but for four, and K_l's C,
+# through K_4
+_POWER_SLOT_CASES = [(1, 2), (3, 6), (6, -6), (10, 10)] + [
+    (k, 2 if k % 2 else -2) for k in range(1, 21) if k not in (1, 3, 6, 10)]
+
+
+@pytest.mark.parametrize("knot", [pytest.param(DoubleTwistKnot(k, m), id=f"{k}-{m}")
+                                  for k, m in _POWER_SLOT_CASES]
+                         + [pytest.param(KlKnot(4), id="KL_WORD_C")])
+def test_power_slots_cover_the_relator_bound(monkeypatch, knot):
     # the power route's slots hold what it compares or unpacks: the det
     # check's the coefficients of W11 W22 and W12 W21, W = s**e V, in
-    # 2e + 1 t-slots, in z = y - 2, where the check runs; those of the
-    # same products in y, in the packing sized for the y-norm, which holds
-    # the trace and R12 read back from z; and the Chebyshev combination's
-    # those of phi, in deg_x(phi) / 2 + 1 u-slots; the products by the
-    # dict oracle
-    w, _ = word_double_twist(DoubleTwistKnot(k, 2))
+    # 2e + 1 t-slots, in z = y - 2, where the check runs; the trace and
+    # R12 of V and of adj V in y, read back from z into the same t-slots,
+    # in slots as wide as 3 n_y needs, n_y the span pass's largest y-norm,
+    # or as the z-slots, if wider, as `Packing.rows` only widens; and the
+    # Chebyshev combination's those of phi, in deg_x(phi) / 2 + 1 u-slots;
+    # the entries, products, traces and R12s by the dict oracle
+    w = word_double_twist(knot)[0] if isinstance(knot, DoubleTwistKnot) else KL_WORD_C
     covering, sized = Packing.covering.__func__, []
 
     def spy(cls, shift, slots, bound):
         sized.append(covering(cls, shift, slots, bound))
         return sized[-1]
 
+    def fits(packing, poly):
+        return all(abs(c) < 2 ** (8 * packing.nbytes - 1) for _, _, c in poly.terms())
+
+    closed = riley.riley_for_knot(knot).poly
     monkeypatch.setattr(Packing, "covering", classmethod(spy))
-    phi = riley.riley_generic(w, m).poly
-    assert phi == riley.riley_double_twist(k, m).poly
-    # sized by the det check first, then the read-back, the combination last
-    det, read_back, combination = sized[0], sized[1], sized[-1]
-    v = reference_evaluate_word(w)
-    e = _checkerboard_e(v)
+    phi = riley.riley_for_knot(knot, engine="generic").poly
+    assert phi == closed
+    # the trace sizes the det check's packing, then the read-back's, and
+    # the combination comes last
+    det, read_back, combination = sized[-3:]
+    v, g = reference_evaluate_word(w), images()
+    adj, e = v.adjugate(), _checkerboard_e(v)
     assert (det.shift, det.slots) == (read_back.shift, read_back.slots) == (e, 2 * e + 1)
-    for packing, (a, b) in ((det, (in_z(v.e11) * in_z(v.e22), in_z(v.e12) * in_z(v.e21))),
-                            (read_back, (v.e11 * v.e22, v.e12 * v.e21))):
-        for product in (a, b):
-            assert all(abs(c) < 2 ** (8 * packing.nbytes - 1) for _, _, c in product.terms())
+    assert all(fits(det, product) for product in (in_z(v.e11) * in_z(v.e22),
+                                                  in_z(v.e12) * in_z(v.e21)))
+    assert all(fits(read_back, value) for value in (
+        v.trace(), (v @ g.a - g.b @ v).e12, (adj @ g.a - g.b @ adj).e12))
+    letters = riley._letters(w)
+    n_y = max(max(riley._row_span(letters, row)[1]) for row in ((1, 0), (0, 1)))
+    assert read_back.nbytes == max(covering(Packing, 0, 0, 3 * n_y).nbytes, det.nbytes)
     assert combination.slots == phi.deg_x() // 2 + 1
-    assert max(abs(c) for _, _, c in phi.terms()) < 2 ** (8 * combination.nbytes - 1)
+    assert fits(combination, phi)
 
 
 def test_power_route_equals_the_dict_oracle():
@@ -662,12 +688,11 @@ def test_a_trace_slot_above_sigma_is_asymmetric():
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
     _, r12, packing = riley._unimodular_trace(w, 1)
     sigma, b = packing.shift, 8 * packing.nbytes
-    rows = len(packing.slot_bytes(r12)) // (packing.nbytes * packing.slots)
-    assert packing.slots == 2 * sigma + 1 and rows > 1
+    assert packing.slots == 2 * sigma + 1 and len(r12) > 1
     polyring.symmetric_rewrite(r12, packing)
-    for row in range(rows):
+    for row in range(len(r12)):
         for slot in range(sigma + 1, packing.slots):
-            bad = r12 + (1 << b * (slot + packing.slots * row))
+            bad = _bumped(r12, row, b * slot)
             with pytest.raises(polyring.NotSymmetric):
                 polyring.symmetric_rewrite(bad, packing)
 
@@ -690,7 +715,7 @@ def test_a_narrow_row_is_peeled_again_wider(monkeypatch):
         return peel(a, w, basis, odd)
 
     monkeypatch.setattr(polyring, "_peel", spy)
-    rewritten = polyring.symmetric_rewrite(value, packing)
+    rewritten = polyring.symmetric_rewrite(packing.rows(value, packing.nbytes), packing)
     assert rewritten == f
     assert widths[0] == 24 and widths[1] >= 32
     # d = T x**2 - (T + 1)**2 adds t**9 (t - T)(T t - 1) to s**20 f(s + 1/s),
@@ -710,10 +735,10 @@ def test_a_corrupted_relator_digit_is_caught(monkeypatch, slot, row):
     # middle slot (which would keep p symmetric), in the bottom, middle or
     # top y-row: both taken from 27/11's packing, sigma + 1 slots a row
     r12, packing = _packed_r12(TwoBridgeFraction(27, 11))
-    sigma, top = packing.shift, max(j for _, j in packing.unpack(r12))
+    sigma, top = packing.shift, max(j for _, j in unpack_rows(packing, r12))
     slot = [0, 1, sigma // 2 - 1, sigma // 2 + 1, sigma - 1, sigma][slot]
     row = [0, top // 2, top][row]
-    bad = r12 + (1 << 8 * packing.nbytes * (slot + packing.slots * row))
+    bad = _bumped(r12, row, 8 * packing.nbytes * slot)
     monkeypatch.setattr(riley, "_relator_r12", lambda word: (bad, packing))
     with pytest.raises((polyring.NotSymmetric, AssertionError)):
         riley.riley_for_knot(TwoBridgeFraction(27, 11))

@@ -16,7 +16,7 @@ from rileycert.riley import riley_double_twist, riley_for_knot
 from matrix_oracle import PolyMatrix
 from poly_oracle import (SY, XY, as_fraction, contains_fraction, contains_interval,
                          eval_fraction, pack, reference_eval_interval, reference_unpack,
-                         rewrite_sy, substitute_y, to_sy, y_slices)
+                         rewrite_sy, substitute_y, to_sy, unpack_rows, y_slices)
 
 X, Y = XY.x(), XY.y()
 
@@ -158,12 +158,14 @@ def test_symmetric_rewrite_rejects_asymmetric():
 
 
 def test_symmetric_rewrite_requires_a_packing():
-    # it takes only a packed integer and its packing; rewrite_sy packs a
-    # dict SY for the tests
+    # it takes only a list of y-rows and their packing, not a whole
+    # packed integer; rewrite_sy packs a dict SY for the tests
     with pytest.raises(TypeError):
         symmetric_rewrite(SY.from_terms([(1, 0, 1), (-1, 0, 1)]))
     with pytest.raises(TypeError):
-        symmetric_rewrite(0)
+        symmetric_rewrite([0])
+    with pytest.raises(TypeError):
+        symmetric_rewrite(5, Packing(0, 1, 1))
 
 
 def test_symmetric_rewrite_round_trip_random():
@@ -275,7 +277,7 @@ def test_the_peel_round_trips_in_slots_of_the_largest_digit(sigma_and_p):
     sigma, p = sigma_and_p
     packing = polyring.Packing.covering(sigma, sigma + 1,
                                         max(map(abs, p._terms.values()), default=0))
-    f = symmetric_rewrite(pack(packing, p._terms), packing)
+    f = symmetric_rewrite(packing.rows(pack(packing, p._terms), packing.nbytes), packing)
     assert to_sy(f) == p
     q, rows = _pell_lucas(sigma), y_slices(f)
     for j, row in rows.items():
@@ -285,15 +287,21 @@ def test_the_peel_round_trips_in_slots_of_the_largest_digit(sigma_and_p):
 
 @st.composite
 def _z_rows(draw):
-    # psi in t and z, as {(s_exp, z_deg): c} with even s-exponents in
-    # t-slots 0 .. slots - 1 and 0 .. 6 z-rows, its digits drawn from
-    # slots of nbytes, a third of them at the slot extremes or 0
+    # psi in t and z, as {(s_exp, z_deg): c} in t-slots 0 .. slots - 1 and
+    # 0 .. 6 z-rows, its digits drawn from slots of nbytes, a third of
+    # them at the slot extremes or 0; with shift 0, or, for half of them,
+    # with every row a palindrome and shift slots - 1, which centres the
+    # slots on s**0 and makes psi symmetric under s -> 1/s
     nb, slots, count = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(0, 6))
     top = (1 << 8 * nb - 1) - 1
     digit = st.one_of(st.sampled_from((top, -top, 0)), st.integers(-top, top))
-    digits = draw(st.lists(digit, min_size=slots * count, max_size=slots * count))
-    terms = {(2 * (k % slots), k // slots): c for k, c in enumerate(digits) if c}
-    return Packing(0, slots, nb), count, terms
+    rows = draw(st.lists(st.lists(digit, min_size=slots, max_size=slots),
+                         min_size=count, max_size=count))
+    shift = draw(st.sampled_from((0, slots - 1)))
+    if shift:
+        rows = [row[:(slots + 1) // 2] + row[:slots // 2][::-1] for row in rows]
+    terms = {(2 * k - shift, j): c for j, row in enumerate(rows) for k, c in enumerate(row) if c}
+    return Packing(shift, slots, nb), count, terms
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -301,24 +309,34 @@ def _z_rows(draw):
 @example((Packing(0, 2, 1), 0, {}))
 @example((Packing(0, 3, 1), 1, {(0, 0): 127, (2, 0): -127}))
 @example((Packing(0, 2, 2), 2, {(0, 0): -32767, (2, 0): 32767, (0, 1): 32767, (2, 1): -32767}))
+@example((Packing(2, 3, 1), 2, {(-2, 0): 127, (0, 0): -127, (2, 0): 127,
+                                (-2, 1): -127, (2, 1): -127}))
 def test_z_rows_shifted_by_minus_two_are_the_substitution(args):
     # the t-packed z-rows of psi, shifted by -2 (m = -1, k = 1), are the
     # y-rows of psi(t, y - 2) by the dict oracle, packed in slots sized for
     # them and at least as wide as psi's; the whole packed integer in z,
-    # in slots of its own digits' width, comes back as that of
+    # in slots of its own digits' width, comes back as the rows of
     # psi(t, y - 2) through the engine's read-back, which widens every
-    # slot, digits at the extremes included
+    # slot, digits at the extremes included; and those rows rewrite as
+    # the dict oracle rewrites psi(t, y - 2), or, when psi is not
+    # symmetric, both refuse it
     z, count, terms = args
     want = substitute_y(SY(terms), SY.y() - 2)
-    packing = Packing.covering(0, z.slots, max(map(abs, want._terms.values()), default=0))
+    packing = Packing.covering(z.shift, z.slots, max(map(abs, want._terms.values()), default=0))
     packing = packing._replace(nbytes=max(packing.nbytes, z.nbytes))
     rows = [pack(packing, {(i, 0): c for (i, j), c in terms.items() if j == row})
             for row in range(count)]
     shifted = taylor_shift(rows, -1, 1)
     assert len(shifted) == count
-    assert {(i, j): c for j, row in enumerate(shifted)
-            for (i, _), c in packing.unpack(row).items()} == want._terms
-    assert riley._shift_back(pack(z, terms), z, packing) == pack(packing, want._terms)
+    assert unpack_rows(packing, shifted) == want._terms
+    back = riley._shift_back(pack(z, terms), z, packing)
+    assert back == packing.rows(pack(packing, want._terms), packing.nbytes)
+    if SY(terms).is_symmetric():
+        assert symmetric_rewrite(back, packing) == rewrite_sy(want)
+    else:
+        for rewrite in (lambda: symmetric_rewrite(back, packing), lambda: rewrite_sy(want)):
+            with pytest.raises(NotSymmetric):
+                rewrite()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

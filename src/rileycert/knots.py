@@ -14,9 +14,9 @@ from collections import namedtuple
 # Largest accepted knot parameters.  The cost of phi grows with them (about
 # as p**4 for a fraction); at these limits `riley --cross-check`, or `riley`
 # for a fraction, takes at most about 5 s on a 2-core x86 host (README.md,
-# six runs each: Kl:50 1.5-2.3 s, J:20,20 2.1-3.1 s, J:20,-20 2.2-3.4 s,
-# 501/7 4.1-5.0 s, 501/311 1.1-1.8 s, 499/97 2.6-4.0 s, Kl:50's fraction
-# 497/199 1.9-2.6 s), and one step beyond is refused before any work.  `certify` also runs the
+# six runs each: Kl:50 1.4-2.3 s, J:20,20 1.8-3.0 s, J:20,-20 1.9-3.2 s,
+# 501/7 3.1-4.6 s, 501/311 0.9-1.6 s, 499/97 2.2-3.6 s, Kl:50's fraction
+# 497/199 1.6-2.6 s), and one step beyond is refused before any work.  `certify` also runs the
 # root isolation, whose Taylor shifts grow with phi: at the default cap on that
 # host (README.md, three runs each), `certify --knot J:20,20 --n 7` took
 # 10.4-11.3 s and `certify --knot Kl:50 --n 5` 3.5-4.2 s.

@@ -107,33 +107,48 @@ class XYPoly(_SparsePoly):
         return max((i for (i, _) in self._terms), default=0)
 
 
-def symmetric_rewrite(rows: list[int], packing: Packing) -> XYPoly:
+def symmetric_rewrite(value: int, z: Packing, packing: Packing) -> XYPoly:
     """Rewrite an s <-> 1/s symmetric Laurent polynomial as f(x, y), x = s + 1/s.
 
-    rows are the y-rows of s**sigma * p packed in t = s**2 by `packing`
-    (shift sigma), one integer each, as `taylor_shift` returns them and the
-    Riley engine reads R12 and traces: the s-exponents of p all have
-    sigma's parity, each row's digits fit its slots, and only f is
-    unpacked; one biased `to_bytes` a row lays out their slot bytes.
+    value is s**sigma psi(s, z) packed by z (shift sigma), as the Riley
+    engine's letter loop reads R12 and traces at y = 2 + z: the s-exponents
+    of psi all have sigma's parity and its digits fit z's slots.  The
+    polynomial rewritten is p(s, y) = psi(s, y - 2), whose digits fit the
+    slots of packing (its shift and slots z's, nbytes at least z's, as the
+    y-norms size it), and only f is unpacked.
 
-    Slot k of a y-row holds the coefficient of s**(2k - sigma), so p is
-    symmetric exactly when every row reads the same backwards in slots
+    Slot k of a row holds the coefficient of s**(2k - sigma), so p is
+    symmetric exactly when every y-row reads the same backwards in slots
     0 .. sigma and is empty above sigma (the trace packing has 2 sigma + 1
-    slots).  One strided slice per byte compares slot k with slot
-    sigma - k in every row at once, and NotSymmetric is raised before the
-    peel.  Slot (sigma + e) / 2 of a palindromic row holds c_e, the
-    coefficient of P_e = s**e + s**-e (P_0 = 1 here), for e = pi, pi + 2,
-    .. sigma, pi = sigma mod 2, and the row is s**sigma sum_e c_e P_e.
+    slots).  The shift y = z + 2 acts on every t-slot alike, p_k(y) =
+    psi_k(y - 2) for the coefficient of t**k, and is invertible, so p_k =
+    p_(sigma - k) exactly when psi_k = psi_(sigma - k) and p_k = 0 exactly
+    when psi_k = 0: p is symmetric exactly when psi is.  So the check runs
+    in z, on psi's slot bytes, laid out by one biased `to_bytes`: one
+    strided slice per byte compares slot k with slot sigma - k in every
+    z-row at once, and NotSymmetric is raised before any shift.  Slot
+    (sigma + e) / 2 of a palindromic y-row holds c_e, the coefficient of
+    P_e = s**e + s**-e (P_0 = 1 here), for e = pi, pi + 2, .. sigma,
+    pi = sigma mod 2, and the row is s**sigma sum_e c_e P_e.
 
-    The peel.  With T = 2**W, W = 8 nbytes, the row's upper half, read as
-    one integer, is A = sum_m c_(2m+pi) T**m.  As x**n = sum_j C(n, j)
-    s**(n - 2j), x**(2k+pi) = sum_m C(2k + pi, k - m) P_(2m+pi) is the
-    integer X_k = sum_m C(2k + pi, k - m) T**m (`_x_powers`), whose top
-    digit is 1.  For k = sigma // 2 down to 0 the peel takes
-    f_(2k+pi) = q = round(A / T**k) and subtracts q X_k; at k = 0, X_0 = 1
-    and q is all that is left, so A = sum_k f_(2k+pi) X_k exactly.  The row is
-    accepted when sum_i |f_i| 2**i < 2**(W - 1).  Then
-    D(z) = sum_m c_(2m+pi) z**m - sum_k f_(2k+pi) X_k(z) vanishes at
+    The shift back.  Only a row's upper half, slots (sigma + 1) // 2 ..
+    sigma, is read.  Those bytes of each z-row are widened to packing's
+    slots (zero bytes padded onto a biased digit keep it, and the bias
+    comes off at the new width) and shifted by -1 at k = 1
+    (`taylor_shift`), as psi(y - 2) = sum_j psi_j 2**j (y / 2 - 1)**j.
+    The shift is additions and shifts of whole half-rows, so it acts on
+    every slot alike, and each step is exact: half-row j comes out as the
+    upper half of p's y-row j evaluated at T = 2**W, W = 8 nbytes, one
+    integer, faithful as p's digits fit those slots.
+
+    The peel.  That integer is A = sum_m c_(2m+pi) T**m.  As x**n =
+    sum_j C(n, j) s**(n - 2j), x**(2k+pi) = sum_m C(2k + pi, k - m)
+    P_(2m+pi) is the integer X_k = sum_m C(2k + pi, k - m) T**m
+    (`_x_powers`), whose top digit is 1.  For k = sigma // 2 down to 0 the
+    peel takes f_(2k+pi) = q = round(A / T**k) and subtracts q X_k; at
+    k = 0, X_0 = 1 and q is all that is left, so A = sum_k f_(2k+pi) X_k
+    exactly.  The row is accepted when sum_i |f_i| 2**i < 2**(W - 1).
+    Then D(z) = sum_m c_(2m+pi) z**m - sum_k f_(2k+pi) X_k(z) vanishes at
     z = T.  Each c_m is at most 2**(W - 1) in magnitude, a slot digit,
     and each coefficient of the sum over k at most
     sum_k |f_(2k+pi)| 2**(2k+pi) < 2**(W - 1), as C(n, j) <= 2**n; so D's
@@ -148,38 +163,46 @@ def symmetric_rewrite(rows: list[int], packing: Packing) -> XYPoly:
     step k the rest is sum_(m <= k) r_m T**m with r_k = f_(2k+pi) and
     every |r_m| <= sum_i |f_i| 2**i < T / 2, so the digits below k add
     less than T**k / 2 in magnitude and the rounding returns r_k.  A row
-    refused at W is peeled again at one width W' shared by every refused
-    row, 2**(W' - 1) > sum_e |c_e| Q_e for each.  P_(e+1) = x P_e - P_(e-1)
-    with P_0 = 2 in x, so the coefficients of P_e in x have absolute values
-    summing at x = 2 to at most Q_e, Q_0 = Q_1 = 2, Q_(e+1) = 2 Q_e + Q_(e-1)
-    (the Pell-Lucas numbers (1 + sqrt 2)**e + (1 - sqrt 2)**e), and to 1
-    for the constant term.  f = sum_e c_e P_e then gives
+    refused at W is peeled again, from its shifted half-row's own digits,
+    at one width W' shared by every refused row, 2**(W' - 1) >
+    sum_e |c_e| Q_e for each.  P_(e+1) = x P_e - P_(e-1) with P_0 = 2 in
+    x, so the coefficients of P_e in x have absolute values summing at
+    x = 2 to at most Q_e, Q_0 = Q_1 = 2, Q_(e+1) = 2 Q_e + Q_(e-1) (the
+    Pell-Lucas numbers (1 + sqrt 2)**e + (1 - sqrt 2)**e), and to 1 for
+    the constant term.  f = sum_e c_e P_e then gives
     sum_i |f_i| 2**i <= sum_e |c_e| Q_e, so a palindromic row always peels
     at W', and a refusal there is an AssertionError.
     """
-    sigma, nb, slots = packing.shift, packing.nbytes, packing.slots
-    row_len, row_bias = slots * nb, int.from_bytes(packing._empty() * slots, "little")
-    buf = b"".join((r + row_bias).to_bytes(row_len, "little") for r in rows)
-    starts, blank = range(0, len(buf), row_len), packing._empty() * (slots - sigma - 1)
+    sigma, nb, slots = z.shift, z.nbytes, z.slots
+    buf, row_len = z.slot_bytes(value), slots * nb
+    starts, blank = range(0, len(buf), row_len), z._empty() * (slots - sigma - 1)
     mirrors = ((r, r + (sigma - 2 * k) * nb)                # byte r of slot k, of sigma - k
                for k in range((sigma + 1) // 2) for r in range(k * nb, k * nb + nb))
     if (any(buf[r::row_len] != buf[r2::row_len] for r, r2 in mirrors)
             or any(buf[j + row_len - len(blank):j + row_len] != blank for j in starts)):
         raise NotSymmetric("polynomial is not invariant under s -> 1/s")
-    odd, top, w = sigma & 1, sigma // 2, 8 * nb
+    odd, top, wb = sigma & 1, sigma // 2, packing.nbytes
     lo, hi = (sigma + 1) // 2 * nb, (sigma + 1) * nb    # a row's upper half
-    bias = int.from_bytes(packing._empty() * (top + 1), "little")
+    halves = b"".join(buf[j + lo:j + hi] for j in starts)
+    widened, half_len = bytearray(len(halves) // nb * wb), (top + 1) * wb
+    for r in range(nb):
+        widened[r::wb] = halves[r::nb]
+    bias = int.from_bytes((z._empty() + bytes(wb - nb)) * (top + 1), "little")
+    rows = taylor_shift([int.from_bytes(widened[j:j + half_len], "little") - bias
+                         for j in range(0, len(widened), half_len)], -1, 1)
+    w = 8 * wb
     basis = _x_powers(top, odd, w)
-    f_rows = [_peel(int.from_bytes(buf[j + lo:j + hi], "little") - bias, w, basis, odd)
-              for j in starts]
+    f_rows = [_peel(a, w, basis, odd) for a in rows]
     refused = [j for j, f in enumerate(f_rows) if f is None]
     if refused:
         half, pell = 1 << w - 1, [2, 2]          # pell: Q_0, Q_1, ..
         while len(pell) <= sigma:
             pell.append(2 * pell[-1] + pell[-2])
         pell[0] = 1                              # c_0 multiplies P_0 = 1 in f
-        digits = [[int.from_bytes(buf[k:k + nb], "little") - half
-                   for k in range(j * row_len + lo, j * row_len + hi, nb)] for j in refused]
+        bias = int.from_bytes(packing._empty() * (top + 1), "little")
+        laid = ((rows[j] + bias).to_bytes(half_len, "little") for j in refused)
+        digits = [[int.from_bytes(row[k:k + wb], "little") - half
+                   for k in range(0, half_len, wb)] for row in laid]
         bound = max(sum(map(mul, map(abs, c), pell[odd::2])) for c in digits)
         wide = Packing.covering(0, 0, bound)     # W', shared by every refused row
         w, half = 8 * wide.nbytes, 1 << 8 * wide.nbytes - 1
@@ -293,18 +316,6 @@ class Packing(namedtuple("Packing", "shift slots nbytes")):
         keys = zip(cycle(range(-self.shift, 2 * slots - self.shift, 2)),
                    chain.from_iterable(map(repeat, range(count // slots), repeat(slots))))
         return dict(compress(zip(keys, digits), digits))
-
-    def rows(self, value: int, nbytes: int) -> list[int]:
-        """The y-rows of a packed integer, each a packed integer of its own,
-        in slots widened to nbytes >= self.nbytes: zero bytes padded onto
-        a biased digit keep it, and the bias comes off at the new width."""
-        nb, buf = self.nbytes, self.slot_bytes(value)
-        wide, row_len = bytearray(len(buf) // nb * nbytes), self.slots * nbytes
-        for r in range(nb):
-            wide[r::nbytes] = buf[r::nb]
-        bias = int.from_bytes((self._empty() + bytes(nbytes - nb)) * self.slots, "little")
-        return [int.from_bytes(wide[j:j + row_len], "little") - bias
-                for j in range(0, len(wide), row_len)]
 
 
 _FLIP = bytes(c ^ 0x80 for c in range(256))             # a byte, top bit flipped

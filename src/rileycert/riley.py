@@ -21,9 +21,10 @@ width B and the t-span of each entry come from one pass over the letters
 before any arithmetic (`_row_span`): a letter adds one entry, times s or
 -z s, to the other, so the l1 norm grows by 1 per b-letter, not by 3 as
 with (2 - y)s in y; the norms bound every coefficient, and a sum's
-support lies in the hull of its terms' supports.  The values read are
-shifted back (`_shift_back`) to the y-rows a letter loop in y would
-give, in slots the norms in y size, and the rewrite reads them.
+support lies in the hull of its terms' supports.  Each value read goes
+to the rewrite as it is, in z, with its packing and the one the norms in
+y size: the rewrite checks it in z and shifts back to y only the half of
+each row it reads (see `polyring.symmetric_rewrite`).
 R11 = 0 and R21 = (y - 2)R12 + (s - 1/s)R22 hold for every V, so
 R22 = V21 - (2 - y)V12 = 0 is the one structure condition, and the mirror
 rule decides it on the word.  With D = diag(1, 2 - y),
@@ -43,11 +44,12 @@ the pass over the word bounds (`_mirror_span`): S = sigma + 1 slots,
 sigma = deg_x(phi) on a fraction's word, where R12 reaches about 0.65 L.
 Packed arithmetic is evaluation at t = 2**B, z = 2**(B*S), a ring
 homomorphism, so the product's rows may overlap as long as R12's do not.
-R12 stays packed, one integer a y-row of s**sigma R12 in t-slots (sigma
-the packing's shift), and `polyring.symmetric_rewrite` reads phi off
-their digits in one pass, which checks that every y-row reads the same
-backwards and proves phi exact by the bound that accepts it (see there).
-So phi is the one value unpacked, and no second pass checks it.
+R12 stays packed, s**sigma R12 in z-rows of t-slots (sigma the
+packing's shift), and `polyring.symmetric_rewrite` reads phi off its
+digits in one pass, which checks in z that every row reads the same
+backwards, shifts the upper halves back to y, and proves phi exact by
+the bound that accepts it (see there).  So phi is the one value
+unpacked, and no second pass checks it.
 
 The power route of J(2k+1, 2m), v**m for the base word v, never forms
 the power.  R = VA - BV is linear in V and R12(I) = 1; when det V = 1,
@@ -60,7 +62,7 @@ transcribe.  All three come off both rows of v's one product
 (`_unimodular_trace`): lambda, det V = 1, the premise of Cayley-Hamilton,
 checked in z-rows of 2 sigma + 1 t-slots that hold det V, and alpha, off
 row 1 of V or, as V**-1 = adj V, off adj V's row 1 (V22, -V12); only the
-trace and that R12 are shifted back to y.
+trace and that R12 are rewritten, each half shifted back to y there.
 K_l's relator C**(l-1) D takes the same route (`_kl_readings`), off
 both rows of C and row 1 of D and of C^-1 D, so no word longer than C's
 10 letters is multiplied out; `kl_cross_check` compares those readings
@@ -90,7 +92,7 @@ from .chebyshev import _cheb_norms, _packed_cheb_pair, cheb_poly
 from .knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot,
                     TwoBridgeFraction, Word, sign_sequence, word_double_twist,
                     word_from_signs)
-from .polyring import Packing, XYPoly, _times, symmetric_rewrite, taylor_shift
+from .polyring import Packing, XYPoly, _times, symmetric_rewrite
 
 
 class StructureViolation(ValueError):
@@ -199,21 +201,11 @@ def _mirror_span(length: int, hulls) -> tuple[int, int]:
     return lo, length - lo
 
 
-def _shift_back(value: int, z: Packing, packing: Packing) -> list[int]:
-    """The y-rows of phi(t, y) = psi(t, y - 2), from value, psi's integer
-    packed by z (same shift and slots, nbytes at most packing's): each
-    z-row psi_k widened to packing's slots (`Packing.rows`), times 2**k,
-    shifted by -1 and y-row j divided back by 2**j (`taylor_shift`), as
-    psi(y - 2) = sum_k psi_k 2**k (y / 2 - 1)**k.  Each row is its own
-    integer and each step exact, so row j is phi_j at t = 2**(8 nbytes);
-    as phi's digits fit those slots, these are phi's rows under packing,
-    the ones a letter loop in y gives, as `symmetric_rewrite` takes them."""
-    return taylor_shift(z.rows(value, packing.nbytes), -1, 1)
-
-
-def _relator_r12(word: Word) -> tuple[list[int], Packing]:
-    """R12 of R = VA - BV for V = rho(word), as y-rows, and its packing,
-    from row 1 of the product alone, in rows only as wide as its t-span.
+def _relator_r12(word: Word) -> tuple[int, Packing, Packing]:
+    """R12 of R = VA - BV for V = rho(word) as `symmetric_rewrite` reads
+    it: (value, z, packing), the integer in z, its packing and the one the
+    y-norm sizes, from row 1 of the product alone, in rows only as wide as
+    its t-span.
 
     R12 / s = c1 + c2 - t c2 for row 1 (c1, c2) of the product (V sA minus
     sB V), so with `_row_span` from (1, 0) its t-slots lie in the hull of
@@ -227,7 +219,8 @@ def _relator_r12(word: Word) -> tuple[list[int], Packing]:
     R12, the one value read, must fit its rows, as its support does.  The
     t-slots below lo must come out 0, StructureViolation otherwise;
     shifted off, they leave s**sigma R12 in sigma + 1 t-slots a z-row,
-    which `_shift_back` takes to y-rows, in slots the y-norm sizes."""
+    whose upper halves the rewrite shifts back to y, in slots the y-norm
+    sizes."""
     letters = _letters(word)
     (n1, n2), (m1, m2), h1, (lo2, hi2) = _row_span(letters, (1, 0))
     lo, hi = _mirror_span(len(letters), (h1, (lo2, hi2), (lo2 + 1, hi2 + 1)))
@@ -239,16 +232,16 @@ def _relator_r12(word: Word) -> tuple[list[int], Packing]:
     r12 = c1 + c2 - (c2 << b)
     if r12 & ((1 << b * lo) - 1):
         raise StructureViolation("R_12 has terms below its t-span")
-    packing = Packing.covering(hi - lo, hi - lo + 1, m1 + 2 * m2)
-    return _shift_back(r12 >> b * lo, z, packing), packing
+    return r12 >> b * lo, z, Packing.covering(hi - lo, hi - lo + 1, m1 + 2 * m2)
 
 
 def _unimodular_trace(word: Word, m: int | None = None
-                      ) -> tuple[XYPoly, list[int] | None, Packing]:
-    """(lambda, r12, packing) off both rows of V = rho(word): lambda =
+                      ) -> tuple[XYPoly, tuple[int, Packing, Packing] | None]:
+    """(lambda, r12) off both rows of V = rho(word): lambda =
     rewrite(tr V) once det V = 1 is checked (NotUnimodular otherwise), and,
     when m is given, s**sigma R12 of R = VA - BV for V, or for adj V when
-    m < 0, as y-rows packed by packing (None otherwise).
+    m < 0, as `symmetric_rewrite` reads it, (value, z, packing) as
+    `_relator_r12` gives it (None otherwise).
 
     With lo .. hi the mirror-widened span (`_mirror_span`) of the four
     entries' t-hulls (`_row_span`) and t c12's, and sigma = hi - lo, each
@@ -261,11 +254,11 @@ def _unimodular_trace(word: Word, m: int | None = None
     exactly when its integer is; det V = 1 in z is det V = 1 in y.  R12 is
     c1 + c2 - t c2 off a row 1 (c1, c2), as in `_relator_r12`: V's
     (c11, c12) or adj V's (c22, -c12), of l1 norm at most 3 n.  Only what
-    the caller uses, c11 + c22 = s**sigma tr V and that R12, is shifted
-    back to y-rows (`_shift_back`), in slots that hold 3 n of the y-norms,
-    or as wide as the z-slots if that is wider, as `Packing.rows` only
-    widens (3 n in z is at most 3 n in y, so only n**2 in z can be); the
-    trace is rewritten."""
+    the caller uses, c11 + c22 = s**sigma tr V and that R12, is read back
+    to y, by the rewrite, in slots that hold 3 n of the y-norms, or as wide
+    as the z-slots if that is wider, as the read-back only widens (3 n in
+    z is at most 3 n in y, so only n**2 in z can be); the trace is
+    rewritten here."""
     letters = _letters(word)
     spans = [_row_span(letters, row) for row in ((1, 0), (0, 1))]
     hulls = [h for _, _, *row_hulls in spans for h in row_hulls]  # c11, c12, c21, c22
@@ -280,11 +273,11 @@ def _unimodular_trace(word: Word, m: int | None = None
     (c11, c12), (c21, c22) = ((c1 >> b * lo, c2 >> b * lo) for c1, c2 in rows)
     if c11 * c22 - c12 * c21 != 1 << sigma * b:
         raise NotUnimodular("determinant is not the ring unit")
-    lam = symmetric_rewrite(_shift_back(c11 + c22, z, packing), packing)
+    lam = symmetric_rewrite(c11 + c22, z, packing)
     if m is None:
-        return lam, None, packing
+        return lam, None
     r12 = c22 - c12 + (c12 << b) if m < 0 else c11 + c12 - (c12 << b)
-    return lam, _shift_back(r12, z, packing), packing
+    return lam, (r12, z, packing)
 
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:
@@ -301,9 +294,8 @@ def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPoly
     if m is None:
         phi = symmetric_rewrite(*_relator_r12(v))
     else:
-        lam, r12, packing = _unimodular_trace(v, m)
-        alpha = symmetric_rewrite(r12, packing)
-        phi = _chebyshev_combination(abs(m) - 1, lam, alpha, _ONE)
+        lam, r12 = _unimodular_trace(v, m)
+        phi = _chebyshev_combination(abs(m) - 1, lam, symmetric_rewrite(*r12), _ONE)
     tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
     return RileyPolynomial(phi, knot, tag)
 

@@ -203,12 +203,6 @@ def pack(packing: Packing, terms: dict) -> int:
     return int.from_bytes(buf, "little") - int.from_bytes(packing._empty() * count, "little")
 
 
-def unpack_rows(packing: Packing, rows: list[int]) -> dict:
-    """The {(s_exp, y_deg): coeff} term map of y-rows packed by `packing`,
-    row j the y**j part: what the engine's read-back hands the rewrite."""
-    return {(i, j): c for j, row in enumerate(rows) for (i, _), c in packing.unpack(row).items()}
-
-
 def reference_unpack(packing: Packing, value: int) -> dict:
     """`Packing.unpack` as one Python step per slot: a slice, a divmod for
     the slot's place and the bias taken off each nonempty digit."""
@@ -224,16 +218,19 @@ def reference_unpack(packing: Packing, value: int) -> dict:
 
 
 def rewrite_sy(p: SY) -> XYPoly:
-    """symmetric_rewrite of a dict SY: each s-parity class packed in
-    t = s**2 with shift its largest |s-exponent|, as the engine packs R12,
-    split into its y-rows and rewritten on its own."""
+    """symmetric_rewrite of a dict SY in y: each s-parity class taken to
+    z = y - 2 by `substitute_y` and packed in t = s**2 with shift its
+    largest |s-exponent|, as the engine packs R12 in z, in slots as wide as
+    the class's digits in z and in y need, and rewritten on its own."""
     terms: dict = {}
     for parity in (0, 1):
-        part = {key: c for key, c in p._terms.items() if key[0] & 1 == parity}
-        deg = max((abs(i) for i, _ in part), default=parity)
-        packing = Packing.covering(deg, deg + 1, max(map(abs, part.values()), default=0))
-        rows = packing.rows(pack(packing, part), packing.nbytes)
-        terms.update(symmetric_rewrite(rows, packing)._terms)
+        part = SY({key: c for key, c in p._terms.items() if key[0] & 1 == parity})
+        psi = substitute_y(part, SY.y() + 2)._terms
+        deg = max((abs(i) for i, _ in part._terms), default=parity)
+        z, packing = (Packing.covering(deg, deg + 1, max(map(abs, t.values()), default=0))
+                      for t in (psi, part._terms))
+        packing = packing._replace(nbytes=max(packing.nbytes, z.nbytes))
+        terms.update(symmetric_rewrite(pack(z, psi), z, packing)._terms)
     return XYPoly(terms)
 
 

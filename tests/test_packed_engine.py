@@ -13,7 +13,7 @@ from rileycert.polyring import Packing, XYPoly
 
 from matrix_oracle import (PolyMatrix, images, in_z, packed_rows, reference_evaluate_word,
                            row_integer)
-from poly_oracle import SY, XY, pack, rewrite_sy, substitute_y, to_sy, unpack_rows
+from poly_oracle import SY, XY, pack, rewrite_sy, substitute_y, to_sy
 
 
 def _palindromic_word(half: list[bool]) -> Word:
@@ -159,15 +159,18 @@ def _full_r12(v: PolyMatrix) -> dict:
 @example(word_kl(KlKnot(2)))
 @example(word_from_signs(sign_sequence(TwoBridgeFraction(151, 57))))
 def test_row_one_relator_equals_the_full_one(word):
-    # the row-1 route's R12 has the full product's terms, in rows only as
-    # wide as its t-span, and the full R22 it skips is 0, both formed on
-    # the entries of both rows of the row loop, taken from z back to y by
-    # the dict oracle; the dict oracle's R22 is 0 too, formed up to 64
-    # letters, where it takes at most about 0.1 s
+    # the row-1 route's R12 has the full product's terms under y = 2 + z,
+    # in rows only as wide as its t-span, its y-packing holds them in y,
+    # and the full R22 it skips is 0, both formed on the entries of both
+    # rows of the row loop, taken from z back to y by the dict oracle; the
+    # dict oracle's R22 is 0 too, formed up to 64 letters, where it takes
+    # at most about 0.1 s
     assert word.mirror() == word
     v_full = _row_loop_matrix(word)
-    rows, packing = riley._relator_r12(word)
-    assert unpack_rows(packing, rows) == _full_r12(v_full)
+    value, z, packing = riley._relator_r12(word)
+    r12 = SY(_full_r12(v_full))
+    assert SY(z.unpack(value)) == in_z(r12)
+    assert all(2 * abs(c) < 2 ** (8 * packing.nbytes) for _, _, c in r12.terms())
     assert v_full.e21 == (SY.const(2) - SY.y()) * v_full.e12
     if len(word.to_text()) <= 64:
         g, v = images(), reference_evaluate_word(word)
@@ -308,11 +311,11 @@ def test_alpha_off_both_rows_equals_the_row_one_route(k):
     # base word's one product, equals the reference: the row-1 route's
     # alpha of the word v and of the inverse word v**-1, each multiplied out
     v, _ = word_double_twist(DoubleTwistKnot(k, 2))
-    (lam, r12, packing), (lam_adj, r12_adj, _) = (riley._unimodular_trace(v, m) for m in (1, -1))
+    (lam, r12), (lam_adj, r12_adj) = (riley._unimodular_trace(v, m) for m in (1, -1))
     assert lam == lam_adj and riley._unimodular_trace(v)[1] is None
-    assert polyring.symmetric_rewrite(r12, packing) == polyring.symmetric_rewrite(
+    assert polyring.symmetric_rewrite(*r12) == polyring.symmetric_rewrite(
         *riley._relator_r12(v))
-    assert polyring.symmetric_rewrite(r12_adj, packing) == polyring.symmetric_rewrite(
+    assert polyring.symmetric_rewrite(*r12_adj) == polyring.symmetric_rewrite(
         *riley._relator_r12(v.inverse()))
 
 
@@ -333,7 +336,7 @@ def test_slots_cover_the_relator_bound(text):
     r12 = (v @ g.a - g.b @ v).e12
     assert max(abs(c) for _, _, c in in_z(r12).terms()) <= n1 + 2 * n2
     assert max(abs(c) for _, _, c in r12.terms()) <= m1 + 2 * m2
-    assert 2 * (m1 + 2 * m2) < 2 ** (8 * riley._relator_r12(word)[1].nbytes)
+    assert 2 * (m1 + 2 * m2) < 2 ** (8 * riley._relator_r12(word)[2].nbytes)
 
 
 def test_unpack_borrows_across_adjacent_negative_slots():
@@ -383,7 +386,7 @@ def test_packed_adjugate_equals_dict_adjugate():
     # (c22, -c12) of V's packed rows, as det V = 1: the packed z-rows of
     # the inverse word w**-1, its own mirror as w is, are those of the dict
     # adjugate under y = 2 + z; R12 off (c11, c12) is the dict V's, R12 off
-    # (c22, -c12) the dict adjugate's, both packed in y, and lambda is the
+    # (c22, -c12) the dict adjugate's, both packed in z, and lambda is the
     # same for both, tr adj V = tr V
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
     inverse, plain, g = w.inverse(), reference_evaluate_word(w), images()
@@ -391,20 +394,20 @@ def test_packed_adjugate_equals_dict_adjugate():
     adj = plain.adjugate()
     letters = riley._letters(inverse)
     assert _unpacked_rows(letters) == _z_rows(adj, len(letters))
-    (lam, r12, packing), (_, r12_adj, _) = (riley._unimodular_trace(w, m) for m in (1, -1))
-    assert SY(unpack_rows(packing, r12)) == (plain @ g.a - g.b @ plain).e12
-    assert SY(unpack_rows(packing, r12_adj)) == (adj @ g.a - g.b @ adj).e12
+    (lam, (r12, z, _)), (_, (r12_adj, _, _)) = (riley._unimodular_trace(w, m) for m in (1, -1))
+    assert SY(z.unpack(r12)) == in_z((plain @ g.a - g.b @ plain).e12)
+    assert SY(z.unpack(r12_adj)) == in_z((adj @ g.a - g.b @ adj).e12)
     assert riley._unimodular_trace(inverse)[0] == lam
 
 
 def test_power_path_reads_only_packed_integers(monkeypatch):
     # riley_generic(w, m) unpacks only phi, in u = x**2 slots with shift 0,
     # deg_x(phi) / 2 + 1 = 6 of them.  lambda and alpha come off the
-    # rewrite of the trace and of one R12, each a list of y-rows, one
-    # packed integer each, in 2 sigma + 1 = 5 t-slots as the z-rows that
-    # hold det V (the double-twist word's entries span t-slots lo .. lo + 2
-    # of s**L V, so sigma = 2), and the rewrite unpacks nothing.  No matrix
-    # entry, R12, trace or det is turned into terms
+    # rewrite of the trace and of one R12, each one packed integer in z,
+    # in 2 sigma + 1 = 5 t-slots as the z-rows that hold det V (the
+    # double-twist word's entries span t-slots lo .. lo + 2 of s**L V, so
+    # sigma = 2), and the rewrite unpacks nothing.  No matrix entry, R12,
+    # trace or det is turned into terms
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
     closed = {m: riley.riley_double_twist(3, m).poly for m in (5, -5)}
     unpack, rewrite, unpacked, rewritten = Packing.unpack, riley.symmetric_rewrite, [], []
@@ -413,10 +416,10 @@ def test_power_path_reads_only_packed_integers(monkeypatch):
         unpacked.append(self)
         return unpack(self, value)
 
-    def spy_rewrite(p, packing):
-        assert type(p) is list and all(type(row) is int for row in p)
-        rewritten.append(packing)
-        return rewrite(p, packing)
+    def spy_rewrite(value, z, packing):
+        assert type(value) is int
+        rewritten.append(z)
+        return rewrite(value, z, packing)
 
     monkeypatch.setattr(Packing, "unpack", spy_unpack)
     monkeypatch.setattr(riley, "symmetric_rewrite", spy_rewrite)
@@ -427,17 +430,14 @@ def test_power_path_reads_only_packed_integers(monkeypatch):
         assert [(pk.shift, pk.slots) for pk in rewritten] == [(2, 5), (2, 5)]
 
 
-def _bumped(rows: list[int], row: int, bit: int) -> list[int]:
-    # the y-rows with 2**bit added to one of them: one more in the slot
-    # that bit starts
-    bad = list(rows)
-    bad[row] += 1 << bit
-    return bad
+def _bumped(value: int, z: Packing, row: int, slot: int) -> int:
+    # a value packed by z with one more in one t-slot of one z-row
+    return value + (1 << 8 * z.nbytes * (slot + z.slots * row))
 
 
 def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
     # each value the power route reads is checked: R12 of V and of adj V
-    # one more in t-slot 0 of y-row 0 is asymmetric, which symmetric_rewrite's
+    # one more in t-slot 0 of z-row 0 is asymmetric, which symmetric_rewrite's
     # palindrome test finds; so is the trace of V [[1, s], [0, 1]],
     # whose det is still 1, its packed rows (c1, c1 + c2); and V with one
     # more in V11, at s**0, which is t-slot L / 2 of row 1's c1, has
@@ -445,7 +445,8 @@ def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
     # library raises, and so does the CLI's cross-check
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
     assert word_double_twist(DoubleTwistKnot(2, 4)) == (w, 4)
-    (lam, r12, packing), (_, r12_adj, _) = (riley._unimodular_trace(w, m) for m in (1, -1))
+    (lam, (r12, z, packing)), (_, (r12_adj, _, _)) = (riley._unimodular_trace(w, m)
+                                                       for m in (1, -1))
     half, product = len(riley._letters(w)) // 2, riley._word_product
 
     def sheared(letters, row, b, ys):
@@ -457,8 +458,8 @@ def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
         return c1 + (row[0] << b * half), c2
 
     for name, bad, error, message in (
-            ("_unimodular_trace", lambda word, m: (lam, _bumped(r12 if m > 0 else r12_adj, 0, 0),
-                                                   packing),
+            ("_unimodular_trace", lambda word, m: (
+                lam, (_bumped(r12 if m > 0 else r12_adj, z, 0, 0), z, packing)),
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
             ("_word_product", sheared,
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
@@ -530,7 +531,7 @@ def test_power_slots_cover_the_relator_bound(monkeypatch, knot):
     # 2e + 1 t-slots, in z = y - 2, where the check runs; the trace and
     # R12 of V and of adj V in y, read back from z into the same t-slots,
     # in slots as wide as 3 n_y needs, n_y the span pass's largest y-norm,
-    # or as the z-slots, if wider, as `Packing.rows` only widens; and the
+    # or as the z-slots, if wider, as the read-back only widens; and the
     # Chebyshev combination's those of phi, in deg_x(phi) / 2 + 1 u-slots;
     # the entries, products, traces and R12s by the dict oracle
     w = word_double_twist(knot)[0] if isinstance(knot, DoubleTwistKnot) else KL_WORD_C
@@ -680,28 +681,28 @@ def _packed_r12(fraction: TwoBridgeFraction):
 
 
 def test_a_trace_slot_above_sigma_is_asymmetric():
-    # the power route's values sit in y-rows of 2 sigma + 1 t-slots; a
+    # the power route's values sit in z-rows of 2 sigma + 1 t-slots; a
     # nonzero slot above sigma, in any row, is a term of s-degree above
     # sigma with no mirror term, which the rewrite refuses before any
     # arithmetic (the corrupted digits in slots 0 .. sigma are
     # test_a_corrupted_relator_digit_is_caught's)
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
-    _, r12, packing = riley._unimodular_trace(w, 1)
-    sigma, b = packing.shift, 8 * packing.nbytes
-    assert packing.slots == 2 * sigma + 1 and len(r12) > 1
-    polyring.symmetric_rewrite(r12, packing)
-    for row in range(len(r12)):
-        for slot in range(sigma + 1, packing.slots):
-            bad = _bumped(r12, row, b * slot)
+    _, (r12, z, packing) = riley._unimodular_trace(w, 1)
+    sigma, rows = z.shift, 1 + max(j for _, j in z.unpack(r12))
+    assert z.slots == 2 * sigma + 1 and rows > 1
+    polyring.symmetric_rewrite(r12, z, packing)
+    for row in range(rows):
+        for slot in range(sigma + 1, z.slots):
             with pytest.raises(polyring.NotSymmetric):
-                polyring.symmetric_rewrite(bad, packing)
+                polyring.symmetric_rewrite(_bumped(r12, z, row, slot), z, packing)
 
 
 def test_a_narrow_row_is_peeled_again_wider(monkeypatch):
     # p = (s**2 + 3 + s**-2)**10 = f(s + 1/s) for f = (x**2 + 1)**10, packed
-    # as the SY entry packs it: its largest coefficient fits 3 bytes, but
-    # sum |f_i| 2**i = 5**10 needs 4, so the row is refused at 24 bits and
-    # peeled again at the wide width
+    # as the SY entry packs it, one row, so that p is its own form in z:
+    # its largest coefficient fits 3 bytes, but sum |f_i| 2**i = 5**10
+    # needs 4, so the row is refused at 24 bits and peeled again at the
+    # wide width
     x = XY.x()
     f = math.prod([x * x + 1] * 10, start=XY.one())
     p = to_sy(f)._terms
@@ -715,7 +716,7 @@ def test_a_narrow_row_is_peeled_again_wider(monkeypatch):
         return peel(a, w, basis, odd)
 
     monkeypatch.setattr(polyring, "_peel", spy)
-    rewritten = polyring.symmetric_rewrite(packing.rows(value, packing.nbytes), packing)
+    rewritten = polyring.symmetric_rewrite(value, packing, packing)
     assert rewritten == f
     assert widths[0] == 24 and widths[1] >= 32
     # d = T x**2 - (T + 1)**2 adds t**9 (t - T)(T t - 1) to s**20 f(s + 1/s),
@@ -727,18 +728,44 @@ def test_a_narrow_row_is_peeled_again_wider(monkeypatch):
     assert rewritten != bad
 
 
+def test_a_refused_half_row_takes_the_wide_peel(monkeypatch):
+    # phi = f (y - 1), f = (x**2 + 1)**10, read as the engine reads it:
+    # psi = phi(t, z + 2) = f(s + 1/s) (z + 1) in z-slots sized for its
+    # largest digit, 3 bytes, and y-slots as wide.  Both half-rows
+    # shifted back to y are refused at 24 bits, as sum |f_i| 2**i = 5**10
+    # needs 4 bytes, and peeled again at one wider width from their own
+    # digits; the rewrite is phi, as the dict oracle has it
+    x, y = XY.x(), XY.y()
+    f = math.prod([x * x + 1] * 10, start=XY.one())
+    phi, p = f * (y - 1), to_sy(f)._terms
+    psi = {**p, **{(i, 1): c for (i, _), c in p.items()}}
+    assert SY(psi) == substitute_y(to_sy(phi), SY.y() + 2)
+    z = Packing.covering(20, 21, max(map(abs, psi.values())))
+    assert z.nbytes == 3
+    peel, widths = polyring._peel, []
+
+    def spy(a, w, basis, odd):
+        widths.append(w)
+        return peel(a, w, basis, odd)
+
+    monkeypatch.setattr(polyring, "_peel", spy)
+    rewritten = polyring.symmetric_rewrite(pack(z, psi), z, z)
+    assert rewritten == phi and to_sy(rewritten) == to_sy(phi)
+    assert widths[:2] == [24, 24] and len(widths) == 4 and widths[2] == widths[3] >= 32
+
+
 @pytest.mark.parametrize("slot", range(6), ids=["first", "second", "below-middle",
                                                 "above-middle", "next-to-last", "last"])
 @pytest.mark.parametrize("row", range(3), ids=["bottom", "middle", "top"])
 def test_a_corrupted_relator_digit_is_caught(monkeypatch, slot, row):
-    # one digit of the row-1 route's R12 off by one, anywhere but the
+    # one z-digit of the row-1 route's R12 off by one, anywhere but the
     # middle slot (which would keep p symmetric), in the bottom, middle or
-    # top y-row: both taken from 27/11's packing, sigma + 1 slots a row
-    r12, packing = _packed_r12(TwoBridgeFraction(27, 11))
-    sigma, top = packing.shift, max(j for _, j in unpack_rows(packing, r12))
+    # top z-row: all taken from 27/11's packing, sigma + 1 slots a row
+    r12, z, packing = _packed_r12(TwoBridgeFraction(27, 11))
+    sigma, top = z.shift, max(j for _, j in z.unpack(r12))
     slot = [0, 1, sigma // 2 - 1, sigma // 2 + 1, sigma - 1, sigma][slot]
     row = [0, top // 2, top][row]
-    bad = _bumped(r12, row, 8 * packing.nbytes * slot)
-    monkeypatch.setattr(riley, "_relator_r12", lambda word: (bad, packing))
+    bad = _bumped(r12, z, row, slot)
+    monkeypatch.setattr(riley, "_relator_r12", lambda word: (bad, z, packing))
     with pytest.raises((polyring.NotSymmetric, AssertionError)):
         riley.riley_for_knot(TwoBridgeFraction(27, 11))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rileycert import polyring, riley
+from rileycert import polyring
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.knots import TwoBridgeFraction
 from rileycert.polyring import (NotSymmetric, Packing, XYPoly, _horner, eval_interval,
@@ -16,7 +16,7 @@ from rileycert.riley import riley_double_twist, riley_for_knot
 from matrix_oracle import PolyMatrix
 from poly_oracle import (SY, XY, as_fraction, contains_fraction, contains_interval,
                          eval_fraction, pack, reference_eval_interval, reference_unpack,
-                         rewrite_sy, substitute_y, to_sy, unpack_rows, y_slices)
+                         rewrite_sy, substitute_y, to_sy, y_slices)
 
 X, Y = XY.x(), XY.y()
 
@@ -158,14 +158,17 @@ def test_symmetric_rewrite_rejects_asymmetric():
 
 
 def test_symmetric_rewrite_requires_a_packing():
-    # it takes only a list of y-rows and their packing, not a whole
-    # packed integer; rewrite_sy packs a dict SY for the tests
+    # it takes only a packed integer in z with its packing and the y-norm
+    # packing, not a polynomial, nor an integer with one packing;
+    # rewrite_sy packs a dict SY for the tests
     with pytest.raises(TypeError):
         symmetric_rewrite(SY.from_terms([(1, 0, 1), (-1, 0, 1)]))
     with pytest.raises(TypeError):
         symmetric_rewrite([0])
     with pytest.raises(TypeError):
         symmetric_rewrite(5, Packing(0, 1, 1))
+    # psi = 5 + z in one-byte slots is 5 + (y - 2)
+    assert symmetric_rewrite(5 + (1 << 8), Packing(0, 1, 1), Packing(0, 1, 1)) == Y + 3
 
 
 def test_symmetric_rewrite_round_trip_random():
@@ -270,14 +273,15 @@ def _palindromes(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_palindromes())
 def test_the_peel_round_trips_in_slots_of_the_largest_digit(sigma_and_p):
-    # packed in slots sized for p's own largest digit, so that many rows
-    # need the wide peel, p rewrites to an f with f(s + 1/s) = p, and each
-    # row's sum |f_i| 2**i is within sum_e |c_e| Q_e, the bound that sizes
-    # the wide peel
+    # p(t, z + 2) packed in slots sized for the largest digit of it and of
+    # p, so that many rows need the wide peel, p rewrites to an f with
+    # f(s + 1/s) = p, and each row's sum |f_i| 2**i is within
+    # sum_e |c_e| Q_e, the bound that sizes the wide peel
     sigma, p = sigma_and_p
-    packing = polyring.Packing.covering(sigma, sigma + 1,
-                                        max(map(abs, p._terms.values()), default=0))
-    f = symmetric_rewrite(packing.rows(pack(packing, p._terms), packing.nbytes), packing)
+    psi = substitute_y(p, SY.y() + 2)._terms
+    packing = polyring.Packing.covering(
+        sigma, sigma + 1, max(map(abs, [*p._terms.values(), *psi.values()]), default=0))
+    f = symmetric_rewrite(pack(packing, psi), packing, packing)
     assert to_sy(f) == p
     q, rows = _pell_lucas(sigma), y_slices(f)
     for j, row in rows.items():
@@ -315,11 +319,9 @@ def test_z_rows_shifted_by_minus_two_are_the_substitution(args):
     # the t-packed z-rows of psi, shifted by -2 (m = -1, k = 1), are the
     # y-rows of psi(t, y - 2) by the dict oracle, packed in slots sized for
     # them and at least as wide as psi's; the whole packed integer in z,
-    # in slots of its own digits' width, comes back as the rows of
-    # psi(t, y - 2) through the engine's read-back, which widens every
-    # slot, digits at the extremes included; and those rows rewrite as
-    # the dict oracle rewrites psi(t, y - 2), or, when psi is not
-    # symmetric, both refuse it
+    # in slots of its own digits' width, digits at the extremes included,
+    # rewrites as the dict oracle rewrites psi(t, y - 2), or, when psi is
+    # not symmetric, both refuse it
     z, count, terms = args
     want = substitute_y(SY(terms), SY.y() - 2)
     packing = Packing.covering(z.shift, z.slots, max(map(abs, want._terms.values()), default=0))
@@ -328,15 +330,77 @@ def test_z_rows_shifted_by_minus_two_are_the_substitution(args):
             for row in range(count)]
     shifted = taylor_shift(rows, -1, 1)
     assert len(shifted) == count
-    assert unpack_rows(packing, shifted) == want._terms
-    back = riley._shift_back(pack(z, terms), z, packing)
-    assert back == packing.rows(pack(packing, want._terms), packing.nbytes)
+    assert {(i, j): c for j, row in enumerate(shifted)
+            for (i, _), c in packing.unpack(row).items()} == want._terms
     if SY(terms).is_symmetric():
-        assert symmetric_rewrite(back, packing) == rewrite_sy(want)
+        assert symmetric_rewrite(pack(z, terms), z, packing) == rewrite_sy(want)
     else:
-        for rewrite in (lambda: symmetric_rewrite(back, packing), lambda: rewrite_sy(want)):
+        for rewrite in (lambda: symmetric_rewrite(pack(z, terms), z, packing),
+                        lambda: rewrite_sy(want)):
             with pytest.raises(NotSymmetric):
                 rewrite()
+
+
+@st.composite
+def _palindromic_z_values(draw):
+    # s**sigma psi for a psi symmetric under s -> 1/s: 1 .. 6 z-rows, each a
+    # palindrome in t-slots 0 .. sigma, with 0 .. sigma blank slots above
+    # (the trace packing has 2 sigma + 1), its digits drawn from slots of
+    # nbytes, a third of them at the slot extremes or 0
+    nb, sigma, count = draw(st.integers(1, 3)), draw(st.integers(0, 24)), draw(st.integers(1, 6))
+    slots = sigma + 1 + draw(st.integers(0, sigma))
+    top = (1 << 8 * nb - 1) - 1
+    digit = st.one_of(st.sampled_from((top, -top, 0)), st.integers(-top, top))
+    half = draw(st.lists(st.lists(digit, min_size=sigma // 2 + 1, max_size=sigma // 2 + 1),
+                         min_size=count, max_size=count))
+    terms = {}
+    for j, row in enumerate(half):
+        for m, c in enumerate(row):
+            e = 2 * m + sigma % 2
+            if c:
+                terms.update({(e, j): c, (-e, j): c})
+    return Packing(sigma, slots, nb), terms
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_palindromic_z_values())
+@example((Packing(0, 1, 1), {(0, 0): 127, (0, 1): -127}))
+@example((Packing(1, 3, 1), {(1, 0): -127, (-1, 0): -127, (1, 3): 127, (-1, 3): 127}))
+def test_the_rewrite_of_a_palindromic_z_value_is_the_oracle_of_its_shift(args):
+    # the rewrite of a palindromic z-value psi, in slots as wide as its
+    # digits need and y-slots as wide as those of psi(t, y - 2) need, or as
+    # psi's if wider, is rewrite_sy of psi(t, y - 2) by the dict oracle,
+    # and f(s + 1/s, y) is psi(t, y - 2)
+    z, terms = args
+    want = substitute_y(SY(terms), SY.y() - 2)
+    packing = Packing.covering(z.shift, z.slots, max(map(abs, want._terms.values()), default=0))
+    packing = packing._replace(nbytes=max(packing.nbytes, z.nbytes))
+    f = symmetric_rewrite(pack(z, terms), z, packing)
+    assert f == rewrite_sy(want)
+    assert to_sy(f) == want
+
+
+def test_a_corrupted_z_digit_is_refused_before_any_shift(monkeypatch):
+    # a trace as the power route reads it, s**2 psi in z-rows of 5 t-slots:
+    # any one byte of any slot but the middle one, in any z-row, changed
+    # alone, breaks the palindrome in slots 0 .. 2 or the blank slots 3
+    # and 4, and the rewrite refuses it in z, before taylor_shift runs
+    z, packing = Packing(2, 5, 2), Packing(2, 5, 3)
+    psi = substitute_y(SY.from_terms([(2, 0, 300), (-2, 0, 300), (0, 0, -7), (2, 1, -1),
+                                      (-2, 1, -1), (0, 2, 2)]), SY.y() + 2)._terms
+    value, shifts = pack(z, psi), []
+    monkeypatch.setattr(polyring, "taylor_shift", lambda *args: shifts.append(args))
+    buf = z.slot_bytes(value)
+    bias = int.from_bytes(z._empty() * (len(buf) // z.nbytes), "little")
+    assert len(buf) == 3 * 5 * z.nbytes
+    for k in range(len(buf)):
+        if k // z.nbytes % 5 == 1:
+            continue
+        bad = bytearray(buf)
+        bad[k] ^= 1
+        with pytest.raises(NotSymmetric):
+            symmetric_rewrite(int.from_bytes(bad, "little") - bias, z, packing)
+    assert shifts == []
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -107,15 +107,18 @@ class XYPoly(_SparsePoly):
         return max((i for (i, _) in self._terms), default=0)
 
 
-def symmetric_rewrite(value: int, z: Packing, packing: Packing) -> XYPoly:
+def symmetric_rewrite(value: int, z: Packing, y_norm: int) -> XYPoly:
     """Rewrite an s <-> 1/s symmetric Laurent polynomial as f(x, y), x = s + 1/s.
 
     value is s**sigma psi(s, z) packed by z (shift sigma), as the Riley
     engine's letter loop reads R12 and traces at y = 2 + z: the s-exponents
     of psi all have sigma's parity and its digits fit z's slots.  The
-    polynomial rewritten is p(s, y) = psi(s, y - 2), whose digits fit the
-    slots of packing (its shift and slots z's, nbytes at least z's, as the
-    y-norms size it), and only f is unpacked.
+    polynomial rewritten is p(s, y) = psi(s, y - 2), and y_norm bounds
+    every digit of p in magnitude, as a bound on its l1 norm does: the
+    y-norms of the letter loop's span pass give one.  The read-back sizes
+    its own slots by it: wb bytes, as many as `Packing.covering` gives
+    y_norm, or z's if that is more, so p's digits fit them.  Only f is
+    unpacked.
 
     Slot k of a row holds the coefficient of s**(2k - sigma), so p is
     symmetric exactly when every y-row reads the same backwards in slots
@@ -132,13 +135,13 @@ def symmetric_rewrite(value: int, z: Packing, packing: Packing) -> XYPoly:
     pi = sigma mod 2, and the row is s**sigma sum_e c_e P_e.
 
     The shift back.  Only a row's upper half, slots (sigma + 1) // 2 ..
-    sigma, is read.  Those bytes of each z-row are widened to packing's
-    slots (zero bytes padded onto a biased digit keep it, and the bias
-    comes off at the new width) and shifted by -1 at k = 1
+    sigma, is read.  Those bytes of each z-row are widened to the
+    wb-byte slots (zero bytes padded onto a biased digit keep it, and the
+    bias comes off at the new width) and shifted by -1 at k = 1
     (`taylor_shift`), as psi(y - 2) = sum_j psi_j 2**j (y / 2 - 1)**j.
     The shift is additions and shifts of whole half-rows, so it acts on
     every slot alike, and each step is exact: half-row j comes out as the
-    upper half of p's y-row j evaluated at T = 2**W, W = 8 nbytes, one
+    upper half of p's y-row j evaluated at T = 2**W, W = 8 wb, one
     integer, faithful as p's digits fit those slots.
 
     The peel.  That integer is A = sum_m c_(2m+pi) T**m.  As x**n =
@@ -181,7 +184,7 @@ def symmetric_rewrite(value: int, z: Packing, packing: Packing) -> XYPoly:
     if (any(buf[r::row_len] != buf[r2::row_len] for r, r2 in mirrors)
             or any(buf[j + row_len - len(blank):j + row_len] != blank for j in starts)):
         raise NotSymmetric("polynomial is not invariant under s -> 1/s")
-    odd, top, wb = sigma & 1, sigma // 2, packing.nbytes
+    odd, top, wb = sigma & 1, sigma // 2, max(nb, Packing.covering(0, 0, y_norm).nbytes)
     lo, hi = (sigma + 1) // 2 * nb, (sigma + 1) * nb    # a row's upper half
     halves = b"".join(buf[j + lo:j + hi] for j in starts)
     widened, half_len = bytearray(len(halves) // nb * wb), (top + 1) * wb
@@ -199,7 +202,7 @@ def symmetric_rewrite(value: int, z: Packing, packing: Packing) -> XYPoly:
         while len(pell) <= sigma:
             pell.append(2 * pell[-1] + pell[-2])
         pell[0] = 1                              # c_0 multiplies P_0 = 1 in f
-        bias = int.from_bytes(packing._empty() * (top + 1), "little")
+        bias = int.from_bytes(Packing(0, 0, wb)._empty() * (top + 1), "little")
         laid = ((rows[j] + bias).to_bytes(half_len, "little") for j in refused)
         digits = [[int.from_bytes(row[k:k + wb], "little") - half
                    for k in range(0, half_len, wb)] for row in laid]

@@ -22,9 +22,10 @@ before any arithmetic (`_row_span`): a letter adds one entry, times s or
 -z s, to the other, so the l1 norm grows by 1 per b-letter, not by 3 as
 with (2 - y)s in y; the norms bound every coefficient, and a sum's
 support lies in the hull of its terms' supports.  Each value read goes
-to the rewrite as it is, in z, with its packing and the one the norms in
-y size: the rewrite checks it in z and shifts back to y only the half of
-each row it reads (see `polyring.symmetric_rewrite`).
+to the rewrite as it is, in z, with its packing and its bound in y from
+the same pass: the rewrite checks it in z, sizes its y-slots by that
+bound and shifts back to y only the half of each row it reads (see
+`polyring.symmetric_rewrite`).
 R11 = 0 and R21 = (y - 2)R12 + (s - 1/s)R22 hold for every V, so
 R22 = V21 - (2 - y)V12 = 0 is the one structure condition, and the mirror
 rule decides it on the word.  With D = diag(1, 2 - y),
@@ -201,11 +202,10 @@ def _mirror_span(length: int, hulls) -> tuple[int, int]:
     return lo, length - lo
 
 
-def _relator_r12(word: Word) -> tuple[int, Packing, Packing]:
+def _relator_r12(word: Word) -> tuple[int, Packing, int]:
     """R12 of R = VA - BV for V = rho(word) as `symmetric_rewrite` reads
-    it: (value, z, packing), the integer in z, its packing and the one the
-    y-norm sizes, from row 1 of the product alone, in rows only as wide as
-    its t-span.
+    it: (value, z, y_norm), the integer in z, its packing and m1 + 2 m2,
+    from row 1 of the product alone, in rows only as wide as its t-span.
 
     R12 / s = c1 + c2 - t c2 for row 1 (c1, c2) of the product (V sA minus
     sB V), so with `_row_span` from (1, 0) its t-slots lie in the hull of
@@ -217,10 +217,13 @@ def _relator_r12(word: Word) -> tuple[int, Packing, Packing]:
     z = 2**(B (sigma + 1)), sigma = hi - lo, B wide enough for the z-norm:
     evaluation at that point, so intermediate rows may overlap, and only
     R12, the one value read, must fit its rows, as its support does.  The
-    t-slots below lo must come out 0, StructureViolation otherwise;
-    shifted off, they leave s**sigma R12 in sigma + 1 t-slots a z-row,
-    whose upper halves the rewrite shifts back to y, in slots the y-norm
-    sizes."""
+    t-slots below lo must come out 0; shifted off, they leave s**sigma R12
+    in sigma + 1 t-slots a z-row, whose upper halves the rewrite shifts
+    back to y, in slots it sizes by the y-norm.  The mask that raises
+    StructureViolation reads only z-row 0's slots below lo: a stray term
+    t**(lo - 1) z**j, j >= 1, is shifted into slot sigma of z-row j - 1,
+    which then no longer matches its mirror slot 0 (sigma > 0), so the
+    rewrite refuses it as NotSymmetric."""
     letters = _letters(word)
     (n1, n2), (m1, m2), h1, (lo2, hi2) = _row_span(letters, (1, 0))
     lo, hi = _mirror_span(len(letters), (h1, (lo2, hi2), (lo2 + 1, hi2 + 1)))
@@ -232,22 +235,28 @@ def _relator_r12(word: Word) -> tuple[int, Packing, Packing]:
     r12 = c1 + c2 - (c2 << b)
     if r12 & ((1 << b * lo) - 1):
         raise StructureViolation("R_12 has terms below its t-span")
-    return r12 >> b * lo, z, Packing.covering(hi - lo, hi - lo + 1, m1 + 2 * m2)
+    return r12 >> b * lo, z, m1 + 2 * m2
 
 
 def _unimodular_trace(word: Word, m: int | None = None
-                      ) -> tuple[XYPoly, tuple[int, Packing, Packing] | None]:
+                      ) -> tuple[XYPoly, tuple[int, Packing, int] | None]:
     """(lambda, r12) off both rows of V = rho(word): lambda =
     rewrite(tr V) once det V = 1 is checked (NotUnimodular otherwise), and,
     when m is given, s**sigma R12 of R = VA - BV for V, or for adj V when
-    m < 0, as `symmetric_rewrite` reads it, (value, z, packing) as
-    `_relator_r12` gives it (None otherwise).
+    m < 0, as `symmetric_rewrite` reads it, (value, z, y_norm) as
+    `_relator_r12` gives it, y_norm = 3 n_y (None otherwise).
 
     With lo .. hi the mirror-widened span (`_mirror_span`) of the four
     entries' t-hulls (`_row_span`) and t c12's, and sigma = hi - lo, each
     entry is t**lo times one in t-slots 0 .. sigma.  The letter loop runs
     in z-rows of 2 sigma + 1 t-slots; the t-slots below lo must come out 0
-    (StructureViolation otherwise) and are shifted off.  Then
+    and are shifted off.  The mask that raises StructureViolation reads
+    only z-row 0's slots below lo: a stray term t**(lo - 1) z**j, j >= 1,
+    in an entry is shifted into slot 2 sigma of z-row j - 1.  There it
+    moves det V by its product with the entry it meets in the det (c22
+    for c11, c21 for c12), so NotUnimodular is raised unless that entry
+    is 0; in the trace or an R12 it sits above sigma, where the rewrite's
+    blank check refuses it as NotSymmetric.  Then
     c11 c22 - c12 c21 = t**sigma det V, whose difference from t**sigma
     has coefficients of at most 2 n**2 + 1 in magnitude, n the largest
     row norm in z.  Slots of that many and wide enough for n**2 make it 0
@@ -255,17 +264,14 @@ def _unimodular_trace(word: Word, m: int | None = None
     c1 + c2 - t c2 off a row 1 (c1, c2), as in `_relator_r12`: V's
     (c11, c12) or adj V's (c22, -c12), of l1 norm at most 3 n.  Only what
     the caller uses, c11 + c22 = s**sigma tr V and that R12, is read back
-    to y, by the rewrite, in slots that hold 3 n of the y-norms, or as wide
-    as the z-slots if that is wider, as the read-back only widens (3 n in
-    z is at most 3 n in y, so only n**2 in z can be); the trace is
-    rewritten here."""
+    to y, by the rewrite, which sizes its slots by 3 n_y, n_y the largest
+    row norm in y; the trace is rewritten here."""
     letters = _letters(word)
     spans = [_row_span(letters, row) for row in ((1, 0), (0, 1))]
     hulls = [h for _, _, *row_hulls in spans for h in row_hulls]  # c11, c12, c21, c22
     lo, hi = _mirror_span(len(letters), hulls + [(hulls[1][0] + 1, hulls[1][1] + 1)])
     sigma, (nz, ny) = hi - lo, (max(max(span[i]) for span in spans) for i in (0, 1))
     z = Packing.covering(sigma, 2 * sigma + 1, max(nz * nz, 3 * nz))
-    packing = Packing.covering(sigma, 2 * sigma + 1, max(3 * ny, nz * nz))
     b = 8 * z.nbytes
     rows = [_word_product(letters, row, b, b * z.slots) for row in ((1, 0), (0, 1))]
     if any(c & ((1 << b * lo) - 1) for row in rows for c in row):
@@ -273,11 +279,11 @@ def _unimodular_trace(word: Word, m: int | None = None
     (c11, c12), (c21, c22) = ((c1 >> b * lo, c2 >> b * lo) for c1, c2 in rows)
     if c11 * c22 - c12 * c21 != 1 << sigma * b:
         raise NotUnimodular("determinant is not the ring unit")
-    lam = symmetric_rewrite(c11 + c22, z, packing)
+    lam = symmetric_rewrite(c11 + c22, z, 3 * ny)
     if m is None:
         return lam, None
     r12 = c22 - c12 + (c12 << b) if m < 0 else c11 + c12 - (c12 << b)
-    return lam, (r12, z, packing)
+    return lam, (r12, z, 3 * ny)
 
 
 def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPolynomial:

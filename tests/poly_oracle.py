@@ -221,40 +221,56 @@ def rewrite_sy(p: SY) -> XYPoly:
     """symmetric_rewrite of a dict SY in y: each s-parity class taken to
     z = y - 2 by `substitute_y` and packed in t = s**2 with shift its
     largest |s-exponent|, as the engine packs R12 in z, in slots as wide as
-    the class's digits in z and in y need, and rewritten on its own."""
+    the class's digits in z need, and rewritten on its own, with its
+    largest digit in y as the rewrite's y-norm."""
     terms: dict = {}
     for parity in (0, 1):
         part = SY({key: c for key, c in p._terms.items() if key[0] & 1 == parity})
         psi = substitute_y(part, SY.y() + 2)._terms
         deg = max((abs(i) for i, _ in part._terms), default=parity)
-        z, packing = (Packing.covering(deg, deg + 1, max(map(abs, t.values()), default=0))
-                      for t in (psi, part._terms))
-        packing = packing._replace(nbytes=max(packing.nbytes, z.nbytes))
-        terms.update(symmetric_rewrite(pack(z, psi), z, packing)._terms)
+        z = Packing.covering(deg, deg + 1, max(map(abs, psi.values()), default=0))
+        y_norm = max(map(abs, part._terms.values()), default=0)
+        terms.update(symmetric_rewrite(pack(z, psi), z, y_norm)._terms)
     return XYPoly(terms)
 
 
+def _interval_times(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]
+                    ) -> tuple[Fraction, Fraction]:
+    """[a0, a1] * [b0, b1]: the least and the greatest of the four
+    products of ends, for ends of any sign."""
+    products = [u * v for u in a for v in b]
+    return min(products), max(products)
+
+
+def _interval_horner(coeffs: dict, v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """sum_k coeffs[k] v**k by Horner, every value an interval (lo, hi)."""
+    lo = hi = Fraction(0)
+    for k in range(max(coeffs, default=0), -1, -1):
+        lo, hi = _interval_times((lo, hi), v)
+        c_lo, c_hi = coeffs.get(k, (0, 0))
+        lo, hi = lo + c_lo, hi + c_hi
+    return lo, hi
+
+
+def _to_dyadic(value: Fraction) -> Dyadic:
+    """A dyadic rational as a Dyadic, exactly."""
+    den = value.denominator
+    assert den & (den - 1) == 0, value
+    return Dyadic(value.numerator, 1 - den.bit_length())
+
+
 def reference_eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval) -> DyadicInterval:
-    """Horner in y then x on DyadicInterval objects: exact interval Horner.
+    """Horner in y then x on Fraction endpoints: exact interval Horner,
+    with none of the package's interval arithmetic.  x and y may have ends
+    of any sign, and y may be an interval; the ends of the result are
+    dyadic, as those of x and y are, and come back as a DyadicInterval.
 
     eval_interval must return exactly this interval at every point y; at an
     interval y it is the enclosure the witness tests use.
     """
-    slices = {}
+    slices: dict = {}
     for i, j, c in p.terms():
-        slices.setdefault(i, {})[j] = c
-    if not slices:
-        return DyadicInterval.point(0)
-
-    def horner_y(coeffs):
-        acc = DyadicInterval.point(0)
-        for j in range(max(coeffs), -1, -1):
-            acc = acc * y + coeffs.get(j, 0)
-        return acc
-
-    acc = DyadicInterval.point(0)
-    for i in range(max(slices), -1, -1):
-        acc = acc * x
-        if i in slices:
-            acc = acc + horner_y(slices[i])
-    return acc
+        slices.setdefault(i, {})[j] = (c, c)
+    xs, ys = ((as_fraction(iv.lo), as_fraction(iv.hi)) for iv in (x, y))
+    lo, hi = _interval_horner({i: _interval_horner(row, ys) for i, row in slices.items()}, xs)
+    return DyadicInterval(_to_dyadic(lo), _to_dyadic(hi))

@@ -1,5 +1,6 @@
 """The packed-integer word engine against the dict product it replaced."""
 
+import itertools
 import math
 
 import pytest
@@ -160,17 +161,17 @@ def _full_r12(v: PolyMatrix) -> dict:
 @example(word_from_signs(sign_sequence(TwoBridgeFraction(151, 57))))
 def test_row_one_relator_equals_the_full_one(word):
     # the row-1 route's R12 has the full product's terms under y = 2 + z,
-    # in rows only as wide as its t-span, its y-packing holds them in y,
+    # in rows only as wide as its t-span, its y-norm bounds them in y,
     # and the full R22 it skips is 0, both formed on the entries of both
     # rows of the row loop, taken from z back to y by the dict oracle; the
     # dict oracle's R22 is 0 too, formed up to 64 letters, where it takes
     # at most about 0.1 s
     assert word.mirror() == word
     v_full = _row_loop_matrix(word)
-    value, z, packing = riley._relator_r12(word)
+    value, z, y_norm = riley._relator_r12(word)
     r12 = SY(_full_r12(v_full))
     assert SY(z.unpack(value)) == in_z(r12)
-    assert all(2 * abs(c) < 2 ** (8 * packing.nbytes) for _, _, c in r12.terms())
+    assert all(abs(c) <= y_norm for _, _, c in r12.terms())
     assert v_full.e21 == (SY.const(2) - SY.y()) * v_full.e12
     if len(word.to_text()) <= 64:
         g, v = images(), reference_evaluate_word(word)
@@ -325,7 +326,7 @@ def test_alpha_off_both_rows_equals_the_row_one_route(k):
 def test_slots_cover_the_relator_bound(text):
     # R12 = V11 + V12 / s - s V12 stays within n1 + 2 n2 of row 1's span
     # pass in z, the bound the letter loop's slots are sized by, and
-    # within m1 + 2 m2 in y, the bound _relator_r12 sizes its packing by;
+    # within m1 + 2 m2 in y, the y-norm _relator_r12 gives the rewrite;
     # in t = s**2 every entry of the product of L letters, and so every
     # hull, lies in t-slots 0 .. L
     word = Word.parse_text(text)
@@ -336,7 +337,7 @@ def test_slots_cover_the_relator_bound(text):
     r12 = (v @ g.a - g.b @ v).e12
     assert max(abs(c) for _, _, c in in_z(r12).terms()) <= n1 + 2 * n2
     assert max(abs(c) for _, _, c in r12.terms()) <= m1 + 2 * m2
-    assert 2 * (m1 + 2 * m2) < 2 ** (8 * riley._relator_r12(word)[2].nbytes)
+    assert riley._relator_r12(word)[2] == m1 + 2 * m2
 
 
 def test_unpack_borrows_across_adjacent_negative_slots():
@@ -416,10 +417,10 @@ def test_power_path_reads_only_packed_integers(monkeypatch):
         unpacked.append(self)
         return unpack(self, value)
 
-    def spy_rewrite(value, z, packing):
-        assert type(value) is int
+    def spy_rewrite(value, z, y_norm):
+        assert type(value) is int and type(y_norm) is int
         rewritten.append(z)
-        return rewrite(value, z, packing)
+        return rewrite(value, z, y_norm)
 
     monkeypatch.setattr(Packing, "unpack", spy_unpack)
     monkeypatch.setattr(riley, "symmetric_rewrite", spy_rewrite)
@@ -445,8 +446,8 @@ def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
     # library raises, and so does the CLI's cross-check
     w, _ = word_double_twist(DoubleTwistKnot(2, 2))
     assert word_double_twist(DoubleTwistKnot(2, 4)) == (w, 4)
-    (lam, (r12, z, packing)), (_, (r12_adj, _, _)) = (riley._unimodular_trace(w, m)
-                                                       for m in (1, -1))
+    (lam, (r12, z, y_norm)), (_, (r12_adj, _, _)) = (riley._unimodular_trace(w, m)
+                                                      for m in (1, -1))
     half, product = len(riley._letters(w)) // 2, riley._word_product
 
     def sheared(letters, row, b, ys):
@@ -459,7 +460,7 @@ def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
 
     for name, bad, error, message in (
             ("_unimodular_trace", lambda word, m: (
-                lam, (_bumped(r12 if m > 0 else r12_adj, z, 0, 0), z, packing)),
+                lam, (_bumped(r12 if m > 0 else r12_adj, z, 0, 0), z, y_norm)),
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
             ("_word_product", sheared,
              polyring.NotSymmetric, "not invariant under s -> 1/s"),
@@ -529,10 +530,10 @@ def test_power_slots_cover_the_relator_bound(monkeypatch, knot):
     # the power route's slots hold what it compares or unpacks: the det
     # check's the coefficients of W11 W22 and W12 W21, W = s**e V, in
     # 2e + 1 t-slots, in z = y - 2, where the check runs; the trace and
-    # R12 of V and of adj V in y, read back from z into the same t-slots,
-    # in slots as wide as 3 n_y needs, n_y the span pass's largest y-norm,
-    # or as the z-slots, if wider, as the read-back only widens; and the
-    # Chebyshev combination's those of phi, in deg_x(phi) / 2 + 1 u-slots;
+    # R12 of V and of adj V in y, whose digits the y-norm 3 n_y that the
+    # trace gives the rewrite for each bounds, n_y the span pass's largest
+    # y-norm; and the Chebyshev combination's those of phi, in
+    # deg_x(phi) / 2 + 1 u-slots;
     # the entries, products, traces and R12s by the dict oracle
     w = word_double_twist(knot)[0] if isinstance(knot, DoubleTwistKnot) else KL_WORD_C
     covering, sized = Packing.covering.__func__, []
@@ -548,21 +549,56 @@ def test_power_slots_cover_the_relator_bound(monkeypatch, knot):
     monkeypatch.setattr(Packing, "covering", classmethod(spy))
     phi = riley.riley_for_knot(knot, engine="generic").poly
     assert phi == closed
-    # the trace sizes the det check's packing, then the read-back's, and
-    # the combination comes last
-    det, read_back, combination = sized[-3:]
+    # the trace sizes the det check's packing and the combination comes
+    # last; the rewrite's own y-slots have no t-slots
+    det, combination = [packing for packing in sized if packing.slots][-2:]
     v, g = reference_evaluate_word(w), images()
     adj, e = v.adjugate(), _checkerboard_e(v)
-    assert (det.shift, det.slots) == (read_back.shift, read_back.slots) == (e, 2 * e + 1)
+    assert (det.shift, det.slots) == (e, 2 * e + 1)
     assert all(fits(det, product) for product in (in_z(v.e11) * in_z(v.e22),
                                                   in_z(v.e12) * in_z(v.e21)))
-    assert all(fits(read_back, value) for value in (
-        v.trace(), (v @ g.a - g.b @ v).e12, (adj @ g.a - g.b @ adj).e12))
     letters = riley._letters(w)
     n_y = max(max(riley._row_span(letters, row)[1]) for row in ((1, 0), (0, 1)))
-    assert read_back.nbytes == max(covering(Packing, 0, 0, 3 * n_y).nbytes, det.nbytes)
+    rewrite, y_norms = riley.symmetric_rewrite, []
+    monkeypatch.setattr(riley, "symmetric_rewrite", lambda value, z, y_norm: (
+        y_norms.append(y_norm) or rewrite(value, z, y_norm)))
+    y_norms.append(riley._unimodular_trace(w, 1)[1][2])
+    assert y_norms == [3 * n_y, 3 * n_y]
+    assert all(abs(c) <= 3 * n_y for value in (
+        v.trace(), (v @ g.a - g.b @ v).e12, (adj @ g.a - g.b @ adj).e12)
+        for _, _, c in value.terms())
     assert combination.slots == phi.deg_x() // 2 + 1
     assert fits(combination, phi)
+
+
+# the first peel width, in bytes, of the power route's rewrites of J's
+# base word for k = 1 .. 20 and of K_l's C: the larger of the z-slots and
+# the slots Packing.covering gives 3 n_y, on each of these words the
+# z-slots, which the det check's bound n_z**2 sizes
+_READ_BACK_BYTES = dict(zip(range(1, 21), (2, 2, 3, 4, 4, 5, 6, 6, 7, 8, 8, 9, 10, 11, 11,
+                                           12, 13, 13, 14, 15)), C=2)
+
+
+@pytest.mark.parametrize("key", _READ_BACK_BYTES)
+def test_the_read_back_keeps_its_slot_widths(monkeypatch, key):
+    # the trace, and for J the R12 of V and that of adj V, are each peeled
+    # first at the pinned width (J:4 4, J:12 9, J:20 15 and C 2 bytes): a
+    # read-back sized any other way moves a width here.  C is not its own
+    # mirror, so only its trace is read
+    w = KL_WORD_C if key == "C" else word_double_twist(DoubleTwistKnot(key, 2))[0]
+    reads = [lambda: riley._unimodular_trace(w)]
+    if key != "C":
+        reads += [lambda r12=riley._unimodular_trace(w, m)[1]: polyring.symmetric_rewrite(*r12)
+                  for m in (1, -1)]
+    x_powers, widths = polyring._x_powers, []
+    monkeypatch.setattr(polyring, "_x_powers", lambda top, odd, width: (
+        widths.append(width) or x_powers(top, odd, width)))
+    first = []
+    for read in reads:
+        widths.clear()
+        read()
+        first.append(widths[0])
+    assert first == [8 * _READ_BACK_BYTES[key]] * len(reads)
 
 
 def test_power_route_equals_the_dict_oracle():
@@ -668,6 +704,40 @@ def test_a_term_below_the_trace_span_is_caught(monkeypatch):
         riley._unimodular_trace(w)
 
 
+@pytest.mark.parametrize("reader", ["r12", "trace"])
+@pytest.mark.parametrize("entry", [0, 1], ids=["c1", "c2"])
+def test_a_stray_term_below_the_span_in_a_higher_z_row_is_refused(monkeypatch, reader, entry):
+    # the below-span mask reads only z-row 0's t-slots below lo: a stray
+    # c t**(lo - 1) z**j, j >= 1, injected into one entry of the letter
+    # loop's rows passes it and is shifted into the top t-slot of z-row
+    # j - 1.  The row-1 route's R12 then fails the rewrite's mirror check;
+    # the trace's det check moves by the stray times another entry, for
+    # a stray in either row
+    span, product, los = riley._mirror_span, riley._word_product, []
+    monkeypatch.setattr(riley, "_mirror_span", lambda length, hulls: (
+        los.append(span(length, hulls)[0]) or span(length, hulls)))
+    starts = [(1, 0)] if reader == "r12" else [(1, 0), (0, 1)]
+    for start, j, c in itertools.product(starts, (1, 2, 3), (1, -1, 3)):
+        def stray(letters, row, b, zs):
+            entries = list(product(letters, row, b, zs))
+            if row == start:
+                entries[entry] += c << b * (los[-1] - 1) + zs * j
+            return tuple(entries)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(riley, "_word_product", stray)
+            if reader == "r12":
+                for fraction in (TwoBridgeFraction(17, 7), TwoBridgeFraction(45, 17)):
+                    with pytest.raises(polyring.NotSymmetric):
+                        riley.riley_for_knot(fraction)
+            else:
+                for knot in (DoubleTwistKnot(2, 3), DoubleTwistKnot(5, -2)):
+                    with pytest.raises(riley.NotUnimodular):
+                        riley.riley_for_knot(knot, engine="generic")
+                with pytest.raises(riley.NotUnimodular):
+                    riley._unimodular_trace(KL_WORD_C)
+
+
 def test_a_refused_peel_is_an_assertion(monkeypatch):
     # a palindromic row always peels at the wide width, so a peel that
     # refuses every row, at both widths, ends every build in AssertionError
@@ -687,14 +757,14 @@ def test_a_trace_slot_above_sigma_is_asymmetric():
     # arithmetic (the corrupted digits in slots 0 .. sigma are
     # test_a_corrupted_relator_digit_is_caught's)
     w, _ = word_double_twist(DoubleTwistKnot(3, 2))
-    _, (r12, z, packing) = riley._unimodular_trace(w, 1)
+    _, (r12, z, y_norm) = riley._unimodular_trace(w, 1)
     sigma, rows = z.shift, 1 + max(j for _, j in z.unpack(r12))
     assert z.slots == 2 * sigma + 1 and rows > 1
-    polyring.symmetric_rewrite(r12, z, packing)
+    polyring.symmetric_rewrite(r12, z, y_norm)
     for row in range(rows):
         for slot in range(sigma + 1, z.slots):
             with pytest.raises(polyring.NotSymmetric):
-                polyring.symmetric_rewrite(_bumped(r12, z, row, slot), z, packing)
+                polyring.symmetric_rewrite(_bumped(r12, z, row, slot), z, y_norm)
 
 
 def test_a_narrow_row_is_peeled_again_wider(monkeypatch):
@@ -716,7 +786,7 @@ def test_a_narrow_row_is_peeled_again_wider(monkeypatch):
         return peel(a, w, basis, odd)
 
     monkeypatch.setattr(polyring, "_peel", spy)
-    rewritten = polyring.symmetric_rewrite(value, packing, packing)
+    rewritten = polyring.symmetric_rewrite(value, packing, max(map(abs, p.values())))
     assert rewritten == f
     assert widths[0] == 24 and widths[1] >= 32
     # d = T x**2 - (T + 1)**2 adds t**9 (t - T)(T t - 1) to s**20 f(s + 1/s),
@@ -731,7 +801,8 @@ def test_a_narrow_row_is_peeled_again_wider(monkeypatch):
 def test_a_refused_half_row_takes_the_wide_peel(monkeypatch):
     # phi = f (y - 1), f = (x**2 + 1)**10, read as the engine reads it:
     # psi = phi(t, z + 2) = f(s + 1/s) (z + 1) in z-slots sized for its
-    # largest digit, 3 bytes, and y-slots as wide.  Both half-rows
+    # largest digit, 3 bytes, and phi's largest digit, the same, as its
+    # y-norm, so the y-slots are as wide.  Both half-rows
     # shifted back to y are refused at 24 bits, as sum |f_i| 2**i = 5**10
     # needs 4 bytes, and peeled again at one wider width from their own
     # digits; the rewrite is phi, as the dict oracle has it
@@ -749,7 +820,7 @@ def test_a_refused_half_row_takes_the_wide_peel(monkeypatch):
         return peel(a, w, basis, odd)
 
     monkeypatch.setattr(polyring, "_peel", spy)
-    rewritten = polyring.symmetric_rewrite(pack(z, psi), z, z)
+    rewritten = polyring.symmetric_rewrite(pack(z, psi), z, max(map(abs, p.values())))
     assert rewritten == phi and to_sy(rewritten) == to_sy(phi)
     assert widths[:2] == [24, 24] and len(widths) == 4 and widths[2] == widths[3] >= 32
 
@@ -761,11 +832,11 @@ def test_a_corrupted_relator_digit_is_caught(monkeypatch, slot, row):
     # one z-digit of the row-1 route's R12 off by one, anywhere but the
     # middle slot (which would keep p symmetric), in the bottom, middle or
     # top z-row: all taken from 27/11's packing, sigma + 1 slots a row
-    r12, z, packing = _packed_r12(TwoBridgeFraction(27, 11))
+    r12, z, y_norm = _packed_r12(TwoBridgeFraction(27, 11))
     sigma, top = z.shift, max(j for _, j in z.unpack(r12))
     slot = [0, 1, sigma // 2 - 1, sigma // 2 + 1, sigma - 1, sigma][slot]
     row = [0, top // 2, top][row]
     bad = _bumped(r12, z, row, slot)
-    monkeypatch.setattr(riley, "_relator_r12", lambda word: (bad, z, packing))
+    monkeypatch.setattr(riley, "_relator_r12", lambda word: (bad, z, y_norm))
     with pytest.raises((polyring.NotSymmetric, AssertionError)):
         riley.riley_for_knot(TwoBridgeFraction(27, 11))

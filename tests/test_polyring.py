@@ -158,17 +158,20 @@ def test_symmetric_rewrite_rejects_asymmetric():
 
 
 def test_symmetric_rewrite_requires_a_packing():
-    # it takes only a packed integer in z with its packing and the y-norm
-    # packing, not a polynomial, nor an integer with one packing;
-    # rewrite_sy packs a dict SY for the tests
+    # it takes only a packed integer in z with its packing and an integer
+    # y-norm, not a polynomial, nor an integer with one packing, nor a
+    # second packing in place of the y-norm; rewrite_sy packs a dict SY
+    # for the tests
     with pytest.raises(TypeError):
         symmetric_rewrite(SY.from_terms([(1, 0, 1), (-1, 0, 1)]))
     with pytest.raises(TypeError):
         symmetric_rewrite([0])
     with pytest.raises(TypeError):
         symmetric_rewrite(5, Packing(0, 1, 1))
-    # psi = 5 + z in one-byte slots is 5 + (y - 2)
-    assert symmetric_rewrite(5 + (1 << 8), Packing(0, 1, 1), Packing(0, 1, 1)) == Y + 3
+    with pytest.raises((TypeError, AttributeError)):
+        symmetric_rewrite(5, Packing(0, 1, 1), Packing(0, 1, 1))
+    # psi = 5 + z in one-byte slots is 5 + (y - 2), of y-norm 4
+    assert symmetric_rewrite(5 + (1 << 8), Packing(0, 1, 1), 4) == Y + 3
 
 
 def test_symmetric_rewrite_round_trip_random():
@@ -279,9 +282,9 @@ def test_the_peel_round_trips_in_slots_of_the_largest_digit(sigma_and_p):
     # sum_e |c_e| Q_e, the bound that sizes the wide peel
     sigma, p = sigma_and_p
     psi = substitute_y(p, SY.y() + 2)._terms
-    packing = polyring.Packing.covering(
-        sigma, sigma + 1, max(map(abs, [*p._terms.values(), *psi.values()]), default=0))
-    f = symmetric_rewrite(pack(packing, psi), packing, packing)
+    largest = max(map(abs, [*p._terms.values(), *psi.values()]), default=0)
+    z = Packing.covering(sigma, sigma + 1, largest)
+    f = symmetric_rewrite(pack(z, psi), z, largest)
     assert to_sy(f) == p
     q, rows = _pell_lucas(sigma), y_slices(f)
     for j, row in rows.items():
@@ -324,7 +327,8 @@ def test_z_rows_shifted_by_minus_two_are_the_substitution(args):
     # not symmetric, both refuse it
     z, count, terms = args
     want = substitute_y(SY(terms), SY.y() - 2)
-    packing = Packing.covering(z.shift, z.slots, max(map(abs, want._terms.values()), default=0))
+    y_norm = max(map(abs, want._terms.values()), default=0)
+    packing = Packing.covering(z.shift, z.slots, y_norm)
     packing = packing._replace(nbytes=max(packing.nbytes, z.nbytes))
     rows = [pack(packing, {(i, 0): c for (i, j), c in terms.items() if j == row})
             for row in range(count)]
@@ -333,9 +337,9 @@ def test_z_rows_shifted_by_minus_two_are_the_substitution(args):
     assert {(i, j): c for j, row in enumerate(shifted)
             for (i, _), c in packing.unpack(row).items()} == want._terms
     if SY(terms).is_symmetric():
-        assert symmetric_rewrite(pack(z, terms), z, packing) == rewrite_sy(want)
+        assert symmetric_rewrite(pack(z, terms), z, y_norm) == rewrite_sy(want)
     else:
-        for rewrite in (lambda: symmetric_rewrite(pack(z, terms), z, packing),
+        for rewrite in (lambda: symmetric_rewrite(pack(z, terms), z, y_norm),
                         lambda: rewrite_sy(want)):
             with pytest.raises(NotSymmetric):
                 rewrite()
@@ -368,14 +372,12 @@ def _palindromic_z_values(draw):
 @example((Packing(1, 3, 1), {(1, 0): -127, (-1, 0): -127, (1, 3): 127, (-1, 3): 127}))
 def test_the_rewrite_of_a_palindromic_z_value_is_the_oracle_of_its_shift(args):
     # the rewrite of a palindromic z-value psi, in slots as wide as its
-    # digits need and y-slots as wide as those of psi(t, y - 2) need, or as
-    # psi's if wider, is rewrite_sy of psi(t, y - 2) by the dict oracle,
-    # and f(s + 1/s, y) is psi(t, y - 2)
+    # digits need, with the largest digit of psi(t, y - 2) as its y-norm,
+    # is rewrite_sy of psi(t, y - 2) by the dict oracle, and f(s + 1/s, y)
+    # is psi(t, y - 2)
     z, terms = args
     want = substitute_y(SY(terms), SY.y() - 2)
-    packing = Packing.covering(z.shift, z.slots, max(map(abs, want._terms.values()), default=0))
-    packing = packing._replace(nbytes=max(packing.nbytes, z.nbytes))
-    f = symmetric_rewrite(pack(z, terms), z, packing)
+    f = symmetric_rewrite(pack(z, terms), z, max(map(abs, want._terms.values()), default=0))
     assert f == rewrite_sy(want)
     assert to_sy(f) == want
 
@@ -385,7 +387,7 @@ def test_a_corrupted_z_digit_is_refused_before_any_shift(monkeypatch):
     # any one byte of any slot but the middle one, in any z-row, changed
     # alone, breaks the palindrome in slots 0 .. 2 or the blank slots 3
     # and 4, and the rewrite refuses it in z, before taylor_shift runs
-    z, packing = Packing(2, 5, 2), Packing(2, 5, 3)
+    z = Packing(2, 5, 2)
     psi = substitute_y(SY.from_terms([(2, 0, 300), (-2, 0, 300), (0, 0, -7), (2, 1, -1),
                                       (-2, 1, -1), (0, 2, 2)]), SY.y() + 2)._terms
     value, shifts = pack(z, psi), []
@@ -399,7 +401,7 @@ def test_a_corrupted_z_digit_is_refused_before_any_shift(monkeypatch):
         bad = bytearray(buf)
         bad[k] ^= 1
         with pytest.raises(NotSymmetric):
-            symmetric_rewrite(int.from_bytes(bad, "little") - bias, z, packing)
+            symmetric_rewrite(int.from_bytes(bad, "little") - bias, z, 2 ** 16)
     assert shifts == []
 
 

@@ -16,7 +16,7 @@ from .certify import (DEFAULT_Y_MAX_CAP, MAX_Y_MAX_CAP, find_root_gt2,
                       verify_certificate)
 from .chebyshev import cheb_eval, cheb_poly
 from .dyadic import _decimal
-from .knots import (DoubleTwistKnot, KlKnot, TwoBridgeFraction, expand,
+from .knots import (L_MAX, DoubleTwistKnot, KlKnot, TwoBridgeFraction, expand,
                     hm_reduce, kl_fraction, run_length, sign_sequence,
                     sign_sequence_raw, word_double_twist, word_from_signs,
                     word_kl)
@@ -249,7 +249,7 @@ def _selftest_checks():
     yield ("K_l word synthesis",
            lambda: all(word_kl(KlKnot(l))
                        == word_from_signs(sign_sequence(kl_fraction(KlKnot(l))))
-                       for l in range(2, 7)))
+                       for l in range(2, L_MAX + 1)))
     yield ("K_l named polynomials vs engine", kl_cross_check)
     yield ("K_l alpha derivative and discriminant", kl_alpha_derivative_check)
 

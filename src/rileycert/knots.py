@@ -2,7 +2,9 @@
 
 Two-bridge fractions (p, q), their sign sequences and run-length forms, the
 Hirasawa-Murasugi reduction, and relator words for the standard presentation,
-the odd/even twist family J(2k+1, 2m), and the K_l family.
+the odd/even twist family J(2k+1, 2m), and the K_l family.  A word is its
+freely reduced letter string in a, b and their inverses A, B (`Word`), which
+the Riley engine reads letter by letter.
 """
 
 from __future__ import annotations
@@ -125,52 +127,36 @@ class RunSeq(_Checked, namedtuple("RunSeq", "runs p q")):
         return "".join(f"<{r}>" for r in self.runs)
 
 
-class Word(namedtuple("Word", "letters")):
-    """Word in the meridians a, b: letters (generator, nonzero exponent),
-    adjacent same-generator letters merged."""
+_SWAP_AB = str.maketrans("abAB", "baBA")
+
+
+class Word(_Checked, namedtuple("Word", "text")):
+    """Word in the meridians a, b and their inverses A, B, as its freely
+    reduced letter string: no aA, Aa, bB or Bb is left in it."""
 
     __slots__ = ()
 
-    @classmethod
-    def from_letters(cls, letters) -> "Word":
-        merged: list[list] = []
-        for gen, exp in letters:
-            if gen not in ("a", "b"):
-                raise ValueError(f"unknown generator {gen!r}")
-            if exp == 0:
-                continue
-            if merged and merged[-1][0] == gen:
-                merged[-1][1] += exp
-                if merged[-1][1] == 0:
-                    merged.pop()
+    def __new__(cls, text: str):
+        reduced: list[str] = []
+        for ch in text:
+            if ch not in "aAbB":
+                raise ValueError(f"unknown letter {ch!r}")
+            if reduced and reduced[-1] == ch.swapcase():
+                reduced.pop()
             else:
-                merged.append([gen, exp])
-        return cls(tuple((g, e) for g, e in merged))
+                reduced.append(ch)
+        return super().__new__(cls, "".join(reduced))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word.from_letters(self.letters + other.letters)
+        return Word(self.text + other.text)
 
     def mirror(self) -> "Word":
-        """tau(w): the letters reversed, a and b swapped, exponents kept."""
-        swap = {"a": "b", "b": "a"}
-        return Word(tuple((swap[gen], exp) for gen, exp in reversed(self.letters)))
+        """tau(w): the letters reversed, a and b swapped, case kept."""
+        return Word(self.text[::-1].translate(_SWAP_AB))
 
     def inverse(self) -> "Word":
-        """w**-1: the letters reversed, exponents negated."""
-        return Word(tuple((gen, -exp) for gen, exp in reversed(self.letters)))
-
-    def to_text(self) -> str:
-        """a/A/b/B concatenated, exponents written out letter by letter."""
-        pieces = []
-        for gen, exp in self.letters:
-            ch = gen if exp > 0 else gen.upper()
-            pieces.append(ch * abs(exp))
-        return "".join(pieces)
-
-    @classmethod
-    def parse_text(cls, text: str) -> "Word":
-        return cls.from_letters((ch.lower(), 1 if ch.islower() else -1)
-                                for ch in text)
+        """w**-1: the letters reversed, case swapped."""
+        return Word(self.text[::-1].swapcase())
 
 
 def sign_sequence_raw(p: int, q: int) -> tuple[int, ...]:
@@ -244,27 +230,22 @@ def word_from_signs(seq: SignSequence) -> Word:
     """Relator v = a^e1 b^e2 a^e3 ... b^e_{p-1} of the standard presentation."""
     if len(seq.signs) % 2 != 0:
         raise ValueError("sign sequence must have even length (p odd)")
-    gens = ("a", "b")
-    return Word.from_letters((gens[i % 2], s) for i, s in enumerate(seq.signs))
+    gens = ("aA", "bB")
+    return Word("".join(gens[i % 2][s < 0] for i, s in enumerate(seq.signs)))
 
 
 def word_double_twist(knot: DoubleTwistKnot) -> tuple[Word, int]:
     """The word w = (b a^-1)^k b a (b^-1 a)^k and the twist exponent m;
     the relator of the presentation is w^m a = b w^m."""
-    k = knot.k
-    letters = [("b", 1), ("a", -1)] * k + [("b", 1), ("a", 1)] + [("b", -1), ("a", 1)] * k
-    return Word.from_letters(letters), knot.m
+    return Word("bA" * knot.k + "ba" + "Ba" * knot.k), knot.m
 
 
 # The two building blocks of the K_l relator.
-KL_WORD_C = Word.parse_text("abABabaBAb")
-KL_WORD_D = Word.parse_text("abABab")
+KL_WORD_C = Word("abABabaBAb")
+KL_WORD_D = Word("abABab")
 
 
 def word_kl(knot: KlKnot) -> Word:
     """Relator v = c^(l-1) d; agrees letter-for-letter with the word built
     from the sign sequence of the associated fraction."""
-    word = Word.from_letters(())
-    for _ in range(knot.l - 1):
-        word = word * KL_WORD_C
-    return word * KL_WORD_D
+    return Word(KL_WORD_C.text * (knot.l - 1) + KL_WORD_D.text)

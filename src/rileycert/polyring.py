@@ -27,12 +27,10 @@ class NotSymmetric(ValueError):
 
 
 class _SparsePoly:
-    """An immutable {(first_exp, y_deg): coeff} term map: canonical order,
+    """An immutable {(x_deg, y_deg): coeff} term map: canonical order,
     text, hash and equality, with no arithmetic."""
 
     __slots__ = ("_terms", "_ordered")
-    _first_symbol = "?"
-    _first_nonneg = True
 
     def __init__(self, terms: dict, ordered: bool = False):
         # internal: callers hand over ownership of an already-clean dict,
@@ -42,11 +40,11 @@ class _SparsePoly:
 
     @classmethod
     def from_terms(cls, items: Iterable[tuple[int, int, int]]):
-        """Build from (first_exp, y_deg, coeff) triples, summing duplicates."""
+        """Build from (x_deg, y_deg, coeff) triples, summing duplicates."""
         terms: dict = {}
         for i, j, c in items:
-            if cls._first_nonneg and i < 0:
-                raise ValueError(f"negative {cls._first_symbol}-exponent {i}")
+            if i < 0:
+                raise ValueError(f"negative x-exponent {i}")
             if j < 0:
                 raise ValueError(f"negative y-exponent {j}")
             terms[(i, j)] = terms.get((i, j), 0) + c
@@ -64,7 +62,7 @@ class _SparsePoly:
         return hash((type(self).__name__, tuple(self.terms())))
 
     def terms(self) -> Iterator[tuple[int, int, int]]:
-        """(first_exp, y_deg, coeff) in canonical (y_deg, first_exp) order.
+        """(x_deg, y_deg, coeff) in canonical (y_deg, x_deg) order.
         The term map is put in that order once, on the first call, so the
         text, the hash and the JSON terms of one polynomial share a sort."""
         if not self._ordered:
@@ -76,14 +74,13 @@ class _SparsePoly:
             yield i, j, c
 
     def to_text(self) -> str:
-        """Canonical text: one `coeff * sym^i * y^j` per line, sorted."""
+        """Canonical text: one `coeff * x^i * y^j` per line, sorted."""
         if not self._terms:
             return "0"
-        sym = self._first_symbol
-        return "\n".join(f"{c} * {sym}^{i} * y^{j}" for i, j, c in self.terms())
+        return "\n".join(f"{c} * x^{i} * y^{j}" for i, j, c in self.terms())
 
     def triples(self) -> list[list]:
-        """Structured form: [first_exp, y_deg, "coeff"] triples, canonical order."""
+        """Structured form: [x_deg, y_deg, "coeff"] triples, canonical order."""
         return [[i, j, str(c)] for i, j, c in self.terms()]
 
     def content_hash(self) -> str:
@@ -97,8 +94,6 @@ class XYPoly(_SparsePoly):
     """Element of Z[x, y]; exponents of both variables are nonnegative."""
 
     __slots__ = ()
-    _first_symbol = "x"
-    _first_nonneg = True
 
     def deg_y(self) -> int:
         return max((j for (_, j) in self._terms), default=0)

@@ -10,8 +10,9 @@ The engine works on packed integers (Kronecker substitution, see
 `polyring.Packing`).  Each generator is scaled by s, so that a word of L
 letters has entries s**L * V_ij with s-exponents in [0, 2L], even on the
 diagonal and odd off it, as every product of the generators keeps them.
-Every word product is one row vector times the letters (`_word_product`),
-at y = 2 + z.  Row 1 is held as s**L (V11, V12 / s) and row 2 as
+Every word product is one row vector times the letters, read straight
+off the word's reduced string a character at a time (`_word_product`), at
+y = 2 + z.  Row 1 is held as s**L (V11, V12 / s) and row 2 as
 s**L (s V21, V22): each entry is then one integer in t = s**2 and z, at
 t = 2**B, z = 2**(B*S), and a letter maps both rows alike by a shift or
 two and an add: sA = [[t, s], [0, 1]] takes (c1, c2) to (t c1, c1 + c2),
@@ -30,7 +31,7 @@ R11 = 0 and R21 = (y - 2)R12 + (s - 1/s)R22 hold for every V, so
 R22 = V21 - (2 - y)V12 = 0 is the one structure condition, and the mirror
 rule decides it on the word.  With D = diag(1, 2 - y),
 B = D A^T D^-1 and A = D B^T D^-1, so the mirror tau(w) of a word (its
-letters reversed, a and b swapped, `Word.mirror`) has
+string reversed, a with b and A with B swapped, `Word.mirror`) has
 rho(tau(w)) = D rho(w)^T D^-1, whose (2,1) entry is (2 - y)V12: a word
 with tau(w) = w has R22 = 0, and as rho is faithful no other word has.
 Every relator word built here is its own mirror: a fraction's sign
@@ -134,28 +135,22 @@ def generator_images() -> tuple[tuple[dict, ...], tuple[dict, ...]]:
     return a, b
 
 
-def _letters(word: Word) -> list[tuple[str, bool]]:
-    """The word's letters, exponents expanded: (generator, positive)."""
-    return [(gen, exp > 0) for gen, exp in word.letters for _ in range(abs(exp))]
-
-
-def _word_product(letters: list[tuple[str, bool]], row: tuple[int, int],
-                  b: int, zs: int) -> tuple[int, int]:
-    """row times the ordered product of the letters, each scaled by s, at
-    y = 2 + z, as t-integers at t = 2**b, z = 2**zs: from (1, 0) row 1 of
-    s**L V, held as (V11, V12 / s) times s**L, and from (0, 1) row 2, held
-    as (s V21, V22) times s**L.  Each letter multiplies on the right, and
-    in that form it maps both rows alike; a b-letter's 2 - y is -z, one
-    shift."""
+def _word_product(text: str, row: tuple[int, int], b: int, zs: int
+                  ) -> tuple[int, int]:
+    """row times the ordered product of the letters of text, each scaled
+    by s, at y = 2 + z, as t-integers at t = 2**b, z = 2**zs: from (1, 0)
+    row 1 of s**L V, held as (V11, V12 / s) times s**L, and from (0, 1)
+    row 2, held as (s V21, V22) times s**L.  Each letter multiplies on the
+    right, and in that form it maps both rows alike; a b-letter's 2 - y is
+    -z, one shift."""
     c1, c2 = row
-    for gen, positive in letters:
-        if gen == "a":
-            if positive:    # sA = [[t, s], [0, 1]]
-                c2 += c1
-                c1 <<= b
-            else:           # sA^-1 = [[1, -s], [0, t]]
-                c2 = (c2 << b) - c1
-        elif positive:      # sB = [[t, 0], [-z s, 1]]
+    for ch in text:
+        if ch == "a":       # sA = [[t, s], [0, 1]]
+            c2 += c1
+            c1 <<= b
+        elif ch == "A":     # sA^-1 = [[1, -s], [0, t]]
+            c2 = (c2 << b) - c1
+        elif ch == "b":     # sB = [[t, 0], [-z s, 1]]
             c1 = (c1 - (c2 << zs)) << b
         else:               # sB^-1 = [[1, 0], [z s, t]]
             c1 += c2 << b + zs
@@ -163,9 +158,9 @@ def _word_product(letters: list[tuple[str, bool]], row: tuple[int, int],
     return c1, c2
 
 
-def _row_span(letters: list[tuple[str, bool]], row: tuple[int, int]) -> tuple:
+def _row_span(text: str, row: tuple[int, int]) -> tuple:
     """((n1, n2), (m1, m2), (lo1, hi1), (lo2, hi2)): the l1 norms of the
-    t-integers c1, c2 that `_word_product(letters, row, ...)` returns, in z
+    t-integers c1, c2 that `_word_product(text, row, ...)` returns, in z
     and in y = 2 + z, and the hulls of their t-supports, from one pass over
     the letters before any arithmetic.  A b-letter adds c2 times -z s to
     c1, norm 1 in z, 3 in y ((2 - y) s), an a-letter c1 times s to c2.
@@ -176,17 +171,17 @@ def _row_span(letters: list[tuple[str, bool]], row: tuple[int, int]) -> tuple:
     is empty, (inf, -inf)."""
     (n1, n2), (m1, m2) = row, row
     (lo1, hi1), (lo2, hi2) = ((0, 0) if c else (math.inf, -math.inf) for c in row)
-    for gen, positive in letters:
-        if gen == "a":
+    for ch in text:
+        if ch in "aA":
             n2, m2 = n2 + n1, m2 + m1
-            if positive:
+            if ch == "a":
                 lo2, hi2 = min(lo1, lo2), max(hi1, hi2)
                 lo1, hi1 = lo1 + 1, hi1 + 1
             else:
                 lo2, hi2 = min(lo1, lo2 + 1), max(hi1, hi2 + 1)
         else:
             n1, m1 = n1 + n2, m1 + 3 * m2
-            if positive:
+            if ch == "b":
                 lo1, hi1 = min(lo1, lo2) + 1, max(hi1, hi2) + 1
             else:
                 lo1, hi1 = min(lo1, lo2 + 1), max(hi1, hi2 + 1)
@@ -224,12 +219,12 @@ def _relator_r12(word: Word) -> tuple[int, Packing, int]:
     t**(lo - 1) z**j, j >= 1, is shifted into slot sigma of z-row j - 1,
     which then no longer matches its mirror slot 0 (sigma > 0), so the
     rewrite refuses it as NotSymmetric."""
-    letters = _letters(word)
-    (n1, n2), (m1, m2), h1, (lo2, hi2) = _row_span(letters, (1, 0))
-    lo, hi = _mirror_span(len(letters), (h1, (lo2, hi2), (lo2 + 1, hi2 + 1)))
+    text = word.text
+    (n1, n2), (m1, m2), h1, (lo2, hi2) = _row_span(text, (1, 0))
+    lo, hi = _mirror_span(len(text), (h1, (lo2, hi2), (lo2 + 1, hi2 + 1)))
     z = Packing.covering(hi - lo, hi - lo + 1, n1 + 2 * n2)
     b = 8 * z.nbytes
-    c1, c2 = _word_product(letters, (1, 0), b, b * z.slots)
+    c1, c2 = _word_product(text, (1, 0), b, b * z.slots)
     # R12 / s: V11 + V12 - t V12, one more power of s than V; R's
     # off-diagonal packing, one shift up and one down, is V's
     r12 = c1 + c2 - (c2 << b)
@@ -266,14 +261,14 @@ def _unimodular_trace(word: Word, m: int | None = None
     the caller uses, c11 + c22 = s**sigma tr V and that R12, is read back
     to y, by the rewrite, which sizes its slots by 3 n_y, n_y the largest
     row norm in y; the trace is rewritten here."""
-    letters = _letters(word)
-    spans = [_row_span(letters, row) for row in ((1, 0), (0, 1))]
+    text = word.text
+    spans = [_row_span(text, row) for row in ((1, 0), (0, 1))]
     hulls = [h for _, _, *row_hulls in spans for h in row_hulls]  # c11, c12, c21, c22
-    lo, hi = _mirror_span(len(letters), hulls + [(hulls[1][0] + 1, hulls[1][1] + 1)])
+    lo, hi = _mirror_span(len(text), hulls + [(hulls[1][0] + 1, hulls[1][1] + 1)])
     sigma, (nz, ny) = hi - lo, (max(max(span[i]) for span in spans) for i in (0, 1))
     z = Packing.covering(sigma, 2 * sigma + 1, max(nz * nz, 3 * nz))
     b = 8 * z.nbytes
-    rows = [_word_product(letters, row, b, b * z.slots) for row in ((1, 0), (0, 1))]
+    rows = [_word_product(text, row, b, b * z.slots) for row in ((1, 0), (0, 1))]
     if any(c & ((1 << b * lo) - 1) for row in rows for c in row):
         raise StructureViolation("an entry has terms below its t-span")
     (c11, c12), (c21, c22) = ((c1 >> b * lo, c2 >> b * lo) for c1, c2 in rows)
@@ -302,7 +297,7 @@ def riley_generic(v: Word, m: int | None = None, *, knot: str = "") -> RileyPoly
     else:
         lam, r12 = _unimodular_trace(v, m)
         phi = _chebyshev_combination(abs(m) - 1, lam, symmetric_rewrite(*r12), _ONE)
-    tag = f"word:{v.to_text()}" + ("" if m is None else f"^{m}")
+    tag = f"word:{v.text}" + ("" if m is None else f"^{m}")
     return RileyPolynomial(phi, knot, tag)
 
 
@@ -479,7 +474,7 @@ def riley_for_knot(knot, *, engine: str = "auto") -> RileyPolynomial:
     if isinstance(knot, KlKnot):
         if engine == "generic":
             phi = _chebyshev_combination(knot.l - 1, *_kl_readings())
-            tag = f"word:({KL_WORD_C.to_text()})^{knot.l - 1}{KL_WORD_D.to_text()}"
+            tag = f"word:({KL_WORD_C.text})^{knot.l - 1}{KL_WORD_D.text}"
             return RileyPolynomial(phi, knot.spec_string(), tag)
         return riley_kl(knot.l)
     if isinstance(knot, TwoBridgeFraction):

@@ -75,12 +75,10 @@ def reference_evaluate_word(word: Word) -> PolyMatrix:
     """The ordered product of the generator images by dict polynomial
     arithmetic, one letter at a time: the engine before packing."""
     g = images()
-    table = {("a", 1): g.a, ("a", -1): g.a_inv, ("b", 1): g.b, ("b", -1): g.b_inv}
+    table = {"a": g.a, "A": g.a_inv, "b": g.b, "B": g.b_inv}
     result = PolyMatrix.identity()
-    for gen, exp in word.letters:
-        factor = table[(gen, 1 if exp > 0 else -1)]
-        for _ in range(abs(exp)):
-            result = result @ factor
+    for ch in word.text:
+        result = result @ table[ch]
     return result
 
 

@@ -114,8 +114,23 @@ class SY(_Ring, _SparsePoly):
     negative."""
 
     __slots__ = ()
-    _first_symbol = "s"
-    _first_nonneg = False
+
+    @classmethod
+    def from_terms(cls, items) -> "SY":
+        """Build from (s_exp, y_deg, coeff) triples, summing duplicates; the
+        s-exponent may be negative."""
+        terms: dict = {}
+        for i, j, c in items:
+            if j < 0:
+                raise ValueError(f"negative y-exponent {j}")
+            terms[(i, j)] = terms.get((i, j), 0) + c
+        return cls({key: c for key, c in terms.items() if c})
+
+    def to_text(self) -> str:
+        """Canonical text: one `coeff * s^i * y^j` per line, sorted."""
+        if not self._terms:
+            return "0"
+        return "\n".join(f"{c} * s^{i} * y^{j}" for i, j, c in self.terms())
 
     @classmethod
     def s(cls, exp: int = 1) -> "SY":

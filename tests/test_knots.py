@@ -1,11 +1,13 @@
+import hashlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rileycert.knots import (K_MAX, L_MAX, M_MAX, P_MAX, DoubleTwistKnot, KlKnot,
-                             ReductionInapplicable,
+from rileycert.knots import (K_MAX, KL_WORD_C, KL_WORD_D, L_MAX, M_MAX, P_MAX,
+                             DoubleTwistKnot, KlKnot, ReductionInapplicable,
                              RunSeq, SignSequence, TwoBridgeFraction, Word,
                              expand, hm_reduce, kl_fraction, run_length,
                              sign_sequence, sign_sequence_raw,
@@ -148,45 +150,66 @@ def test_last_sign_positive_exhaustive():
 
 
 def test_word_normalization_and_text():
-    w = Word.from_letters([("a", 1), ("a", 1), ("b", -1), ("b", 1), ("a", 3)])
-    # aa (bB cancels) a^3 -> a^5
-    assert w.letters == (("a", 5),)
-    assert w.to_text() == "aaaaa"
-    assert Word.parse_text("aBAb").letters == \
-        (("a", 1), ("b", -1), ("a", -1), ("b", 1))
-    assert Word.parse_text("") == Word.from_letters(())
-    with pytest.raises(ValueError):
-        Word.from_letters([("c", 1)])
+    # aA, Aa, bB and Bb cancel, and a cancellation can expose another
+    assert Word("aabBaaa").text == "aaaaa"
+    assert Word("aBAb").text == "aBAb"
+    assert Word("abBA").text == Word("aaBbAA").text == ""
+    assert Word("bAaB" + "ab").text == "ab"
+    assert Word("Ab" * 3 + "Ba" * 3) == Word("")
+    with pytest.raises(ValueError, match="unknown letter 'c'"):
+        Word("abc")
+    with pytest.raises(TypeError):
+        Word((("a", 1),))
+
+
+def _free_reduction(text: str) -> str:
+    """The oracle: delete cancelling pairs until none is left."""
+    while True:
+        reduced = re.sub("aA|Aa|bB|Bb", "", text)
+        if reduced == text:
+            return text
+        text = reduced
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="aAbB", max_size=40), st.text(alphabet="aAbB", max_size=40))
+def test_word_reduction_against_the_oracle(t, u):
+    w, v = Word(t), Word(u)
+    assert w.text == _free_reduction(t) and v.text == _free_reduction(u)
+    assert w.mirror().mirror() == w and w.inverse().inverse() == w
+    assert (w * v).mirror() == v.mirror() * w.mirror()
+    assert (w * v).inverse() == v.inverse() * w.inverse()
+    assert w * w.inverse() == Word("")
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.text(alphabet="aAbB", max_size=30).map(Word.parse_text))
+@given(st.text(alphabet="aAbB", max_size=30).map(Word))
 def test_word_inverse(word):
     # w w**-1 and w**-1 w cancel letter by letter, and inversion commutes
     # with the mirror: tau(w**-1) = tau(w)**-1, so a mirror word's inverse
     # is a mirror word too
     inverse = word.inverse()
-    assert word * inverse == Word.from_letters(()) == inverse * word
-    assert inverse.inverse() == word
+    assert inverse * word == Word("")
     assert inverse.mirror() == word.mirror().inverse()
-    assert Word.parse_text("abbA").inverse().to_text() == "aBBA"
+    assert Word("abbA").inverse().text == "aBBA"
+    assert Word("abbA").mirror().text == "Baab"
 
 
 def test_word_from_signs_examples():
-    assert word_from_signs(sign_sequence(TwoBridgeFraction(5, 3))).to_text() == "aBAb"
-    assert word_from_signs(sign_sequence(TwoBridgeFraction(7, 3))).to_text() == "abABab"
+    assert word_from_signs(sign_sequence(TwoBridgeFraction(5, 3))).text == "aBAb"
+    assert word_from_signs(sign_sequence(TwoBridgeFraction(7, 3))).text == "abABab"
     v = word_from_signs(sign_sequence(TwoBridgeFraction(17, 7)))
-    assert v.to_text() == "abABabaBAb" + "abABab"  # c then d
+    assert v.text == "abABabaBAb" + "abABab"  # c then d
 
 
 def test_word_double_twist():
     w, m = word_double_twist(DoubleTwistKnot(1, 2))
-    assert w.to_text() == "bAbaBa" and m == 2
+    assert w.text == "bAbaBa" and m == 2
     w2, _ = word_double_twist(DoubleTwistKnot(2, 3))
-    assert w2.to_text() == "bAbAbaBaBa"
+    assert w2.text == "bAbAbaBaBa"
     for k in range(1, 7):
         w, _ = word_double_twist(DoubleTwistKnot(k, 2))
-        assert len(w.to_text()) == 4 * k + 2
+        assert len(w.text) == 4 * k + 2
 
 
 def test_kl_fraction():
@@ -199,9 +222,32 @@ def test_kl_fraction():
 
 
 def test_word_kl():
-    assert len(word_kl(KlKnot(2)).to_text()) == 16
-    assert len(word_kl(KlKnot(3)).to_text()) == 26
-    for l in range(2, 9):
+    assert len(word_kl(KlKnot(2)).text) == 16
+    assert len(word_kl(KlKnot(3)).text) == 26
+    for l in range(2, L_MAX + 1):
         built = word_kl(KlKnot(l))
         synthesized = word_from_signs(sign_sequence(kl_fraction(KlKnot(l))))
         assert built == synthesized, l
+
+
+def _program_words() -> list[Word]:
+    """Every word the program multiplies out, in one fixed order: the
+    fractions with p <= 151 (the riley reference specs), those with
+    p <= P_MAX at q in {1, 3, 7, 97, 199, 311}, J's base words for
+    k <= K_MAX, C, D and C^-1 D, and K_l's relator for l <= L_MAX."""
+    fractions = {(p, q) for p in range(3, 152, 2) for q in range(1, p, 2)}
+    fractions |= {(p, q) for q in (1, 3, 7, 97, 199, 311) for p in range(q + 2, P_MAX + 1, 2)}
+    words = [word_from_signs(sign_sequence(TwoBridgeFraction(p, q)))
+             for p, q in sorted(fractions) if math.gcd(p, q) == 1]
+    words += [word_double_twist(DoubleTwistKnot(k, 2))[0] for k in range(1, K_MAX + 1)]
+    words += [KL_WORD_C, KL_WORD_D, KL_WORD_C.inverse() * KL_WORD_D]
+    return words + [word_kl(KlKnot(l)) for l in range(2, L_MAX + 1)]
+
+
+def test_the_program_words_are_pinned():
+    # the letter strings of every program word, one a line, pinned by their
+    # digest: a change to how words are built or stored moves no letter
+    words = _program_words()
+    assert len(words) == 3282 and KL_WORD_C.inverse() * KL_WORD_D == Word("BabA")
+    digest = hashlib.sha256("\n".join(w.text for w in words).encode()).hexdigest()
+    assert digest == "54f9084e73f38c8e6b881e973af55e821c04a1beb7c26fca2d3f1acb4434203e"

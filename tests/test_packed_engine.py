@@ -20,7 +20,7 @@ from poly_oracle import SY, XY, pack, rewrite_sy, substitute_y, to_sy
 def _palindromic_word(half: list[bool]) -> Word:
     # a^e1 b^e2 ... with e_i = e_(p-i), as the relator word of p/q
     signs = [1 if up else -1 for up in half + half[::-1]]
-    return Word.from_letters(("ab"[i % 2], e) for i, e in enumerate(signs))
+    return Word("".join(("aA", "bB")[i % 2][e < 0] for i, e in enumerate(signs)))
 
 
 def _l1(entry: SY) -> int:
@@ -51,7 +51,7 @@ def _row_loop_matrix(word: Word) -> PolyMatrix:
     # y = z + 2 by the dict oracle: the dict oracle's product
     # (test_packed_word_equals_dict_product), at lengths where the dict
     # product takes seconds
-    letters = riley._letters(word)
+    letters = word.text
     length = len(letters)
     (w11, w12), (w21, w22) = (tuple(substitute_y(w, SY.y() - 2) for w in row)
                               for row in _unpacked_rows(letters))
@@ -60,14 +60,14 @@ def _row_loop_matrix(word: Word) -> PolyMatrix:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(st.text(alphabet="aAbB", max_size=60).map(Word.parse_text),
+@given(st.one_of(st.text(alphabet="aAbB", max_size=60).map(Word),
                  st.lists(st.booleans(), max_size=30).map(_palindromic_word)))
-@example(Word.parse_text(""))
-@example(Word.parse_text("b" * 40))
-@example(Word.parse_text("B" * 40))
-@example(Word.parse_text("a" * 40))
-@example(Word.parse_text("A" * 40))
-@example(Word.parse_text("bA" * 30))
+@example(Word(""))
+@example(Word("b" * 40))
+@example(Word("B" * 40))
+@example(Word("a" * 40))
+@example(Word("A" * 40))
+@example(Word("bA" * 30))
 @example(word_kl(KlKnot(2)))
 def test_packed_word_equals_dict_product(word):
     # from (1, 0) and from (0, 1) the row loop gives rows 1 and 2 of s**L V
@@ -75,7 +75,7 @@ def test_packed_word_equals_dict_product(word):
     # y = 2 + z, mirror word or not; the span pass's z-norms bound their
     # l1 norms, its y-norms those of the oracle's entries in y, and its
     # hulls hold the t-supports of both
-    letters = riley._letters(word)
+    letters = word.text
     oracle = packed_rows(reference_evaluate_word(word), len(letters))
     z_rows = _z_rows(reference_evaluate_word(word), len(letters))
     assert _unpacked_rows(letters) == z_rows
@@ -91,14 +91,14 @@ def test_packed_word_equals_dict_product(word):
 # word to the 6th takes 10-30 s), so the two are drawn together: up to 40
 # letters, up to |m| = 6, at most 80 letters in all
 _WORDS_AND_POWERS = st.integers(1, 6).flatmap(lambda m: st.tuples(
-    st.one_of(st.text(alphabet="aAbB", max_size=min(40, 80 // m)).map(Word.parse_text),
+    st.one_of(st.text(alphabet="aAbB", max_size=min(40, 80 // m)).map(Word),
               st.lists(st.booleans(), max_size=min(20, 40 // m)).map(_palindromic_word)),
     st.sampled_from((m, -m))))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_WORDS_AND_POWERS)
-@example((Word.parse_text("bAbaBa"), 6))
+@example((Word("bAbaBa"), 6))
 @example((word_from_signs(sign_sequence(TwoBridgeFraction(41, 15))), -2))
 def test_packed_results_equal_the_dict_oracle(word_and_power):
     word, m = word_and_power
@@ -125,8 +125,8 @@ def test_packed_results_equal_the_dict_oracle(word_and_power):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.text(alphabet="aAbB", max_size=40).map(Word.parse_text))
-@example(Word.parse_text("abABab"))
+@given(st.text(alphabet="aAbB", max_size=40).map(Word))
+@example(Word("abABab"))
 def test_mirror_word_is_the_conjugate_transpose(word):
     # with D = diag(1, 2 - y), B = D A^T D^-1 and A = D B^T D^-1, so
     # rho(tau(w)) D = D rho(w)^T: tau(w) = w gives V21 = (2 - y) V12
@@ -173,14 +173,14 @@ def test_row_one_relator_equals_the_full_one(word):
     assert SY(z.unpack(value)) == in_z(r12)
     assert all(abs(c) <= y_norm for _, _, c in r12.terms())
     assert v_full.e21 == (SY.const(2) - SY.y()) * v_full.e12
-    if len(word.to_text()) <= 64:
+    if len(word.text) <= 64:
         g, v = images(), reference_evaluate_word(word)
         assert (v @ g.a - g.b @ v).e22 == SY.zero()
 
 
 @settings(max_examples=60, deadline=None)
 @given(_MIRROR_WORDS)
-@example(Word.from_letters(()))
+@example(Word(""))
 @example(word_kl(KlKnot(10)))
 @example(word_from_signs(sign_sequence(TwoBridgeFraction(151, 57))))
 def test_row_one_span_holds_the_relator(word):
@@ -189,7 +189,7 @@ def test_row_one_span_holds_the_relator(word):
     # within m1 + 2 m2, of the y-norms, and the span is deg_x(phi) wide,
     # so no narrower rows hold R12: the dict oracle's R12 up to 64
     # letters, the row loop's beyond that
-    letters = riley._letters(word)
+    letters = word.text
     length = len(letters)
     _, (m1, m2), h1, (lo2, hi2) = riley._row_span(letters, (1, 0))
     lo, hi = riley._mirror_span(length, (h1, (lo2, hi2), (lo2 + 1, hi2 + 1)))
@@ -221,10 +221,10 @@ def test_a_narrowed_span_is_caught(monkeypatch, fraction, cut):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.text(alphabet="aAbB", min_size=1, max_size=60).map(Word.parse_text)
+@given(st.text(alphabet="aAbB", min_size=1, max_size=60).map(Word)
        .filter(lambda w: w.mirror() != w),
        st.sampled_from((None, 1, -1, 2, -3)))
-@example(Word.parse_text("a"), None)
+@example(Word("a"), None)
 @example(KL_WORD_C, None)
 def test_a_word_that_is_not_its_own_mirror_is_refused(word, m):
     # the mirror check runs on the word before any arithmetic, on both routes
@@ -265,7 +265,7 @@ def test_only_the_power_route_and_the_trace_multiply_out_whole_matrices(monkeypa
                 lengths.append(len(letters)) or product(letters, start, b, ys)))
             assert build()
         assert whole == [KL_WORD_C] and row == [KL_WORD_D, KL_WORD_C.inverse() * KL_WORD_D]
-        assert lengths and max(lengths) <= len(riley._letters(KL_WORD_C)) == 10
+        assert lengths and max(lengths) <= len(KL_WORD_C.text) == 10
     for m in (-3, 3):
         knot, products, inverted = DoubleTwistKnot(2, m), [], []
         w = word_double_twist(knot)[0]
@@ -276,7 +276,7 @@ def test_only_the_power_route_and_the_trace_multiply_out_whole_matrices(monkeypa
                 products.append((letters, start)) or product(letters, start, b, ys)))
             patch.setattr(Word, "inverse", lambda word: inverted.append(word) or inverse(word))
             riley.riley_for_knot(knot, engine="generic")
-        letters = riley._letters(w)
+        letters = w.text
         assert products == [(letters, (1, 0)), (letters, (0, 1))]
         assert whole == [w] and row == [] and inverted == []
 
@@ -297,7 +297,7 @@ def test_a_kl_reader_word_that_is_not_its_own_mirror_is_refused(monkeypatch, nam
     # D = abAB is not its own mirror; with C = ab, D is but C^-1 D = ABab
     # is not: R22 of C**(l-1) D need not vanish, so the generic K_l build
     # and kl_cross_check refuse it before any arithmetic
-    monkeypatch.setattr(riley, name, Word.parse_text(text))
+    monkeypatch.setattr(riley, name, Word(text))
     whole, row = _calls(monkeypatch, "_unimodular_trace"), _calls(monkeypatch, "_relator_r12")
     for build in (lambda: riley.riley_for_knot(KlKnot(3), engine="generic"),
                   riley.kl_cross_check):
@@ -322,15 +322,15 @@ def test_alpha_off_both_rows_equals_the_row_one_route(k):
 
 @pytest.mark.parametrize("text", ["b" * 40, "B" * 40, "bA" * 30, "abAB" * 15,
                                   word_from_signs(sign_sequence(
-                                      TwoBridgeFraction(151, 57))).to_text()])
+                                      TwoBridgeFraction(151, 57))).text])
 def test_slots_cover_the_relator_bound(text):
     # R12 = V11 + V12 / s - s V12 stays within n1 + 2 n2 of row 1's span
     # pass in z, the bound the letter loop's slots are sized by, and
     # within m1 + 2 m2 in y, the y-norm _relator_r12 gives the rewrite;
     # in t = s**2 every entry of the product of L letters, and so every
     # hull, lies in t-slots 0 .. L
-    word = Word.parse_text(text)
-    letters = riley._letters(word)
+    word = Word(text)
+    letters = word.text
     (n1, n2), (m1, m2), *hulls = riley._row_span(letters, (1, 0))
     assert all(0 <= lo and hi <= len(letters) for lo, hi in hulls if lo <= hi)
     v, g = reference_evaluate_word(word), images()
@@ -393,7 +393,7 @@ def test_packed_adjugate_equals_dict_adjugate():
     inverse, plain, g = w.inverse(), reference_evaluate_word(w), images()
     assert inverse.mirror() == inverse and inverse.inverse() == w
     adj = plain.adjugate()
-    letters = riley._letters(inverse)
+    letters = inverse.text
     assert _unpacked_rows(letters) == _z_rows(adj, len(letters))
     (lam, (r12, z, _)), (_, (r12_adj, _, _)) = (riley._unimodular_trace(w, m) for m in (1, -1))
     assert SY(z.unpack(r12)) == in_z((plain @ g.a - g.b @ plain).e12)
@@ -448,7 +448,7 @@ def test_a_corrupted_power_row_is_caught(monkeypatch, capsys):
     assert word_double_twist(DoubleTwistKnot(2, 4)) == (w, 4)
     (lam, (r12, z, y_norm)), (_, (r12_adj, _, _)) = (riley._unimodular_trace(w, m)
                                                       for m in (1, -1))
-    half, product = len(riley._letters(w)) // 2, riley._word_product
+    half, product = len(w.text) // 2, riley._word_product
 
     def sheared(letters, row, b, ys):
         c1, c2 = product(letters, row, b, ys)
@@ -493,14 +493,14 @@ def _power_of(budget: int, words):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
     _power_of(64, lambda n: st.sampled_from(_J_WORDS + [
-        w for w in _FRACTION_WORDS_TO_65 + _KL_WORDS if len(riley._letters(w)) <= n])),
+        w for w in _FRACTION_WORDS_TO_65 + _KL_WORDS if len(w.text) <= n])),
     _power_of(60, lambda n: st.text(alphabet="aAbB", min_size=1, max_size=n)
-              .map(Word.parse_text).filter(lambda w: w.mirror() != w))))
+              .map(Word).filter(lambda w: w.mirror() != w))))
 @example((_J_WORDS[3], -6))
 @example((word_kl(KlKnot(2)), 4))
 @example((word_from_signs(sign_sequence(TwoBridgeFraction(11, 3))), -6))
 @example((word_kl(KlKnot(6)), -1))
-@example((Word.parse_text("ab"), 6))
+@example((Word("ab"), 6))
 def test_the_mirror_rule_holds_for_every_power(word_and_power):
     # the power route's one structure argument: tau(w) = w gives
     # tau(w**m) = w**m, as tau reverses products, so the dict oracle's
@@ -557,7 +557,7 @@ def test_power_slots_cover_the_relator_bound(monkeypatch, knot):
     assert (det.shift, det.slots) == (e, 2 * e + 1)
     assert all(fits(det, product) for product in (in_z(v.e11) * in_z(v.e22),
                                                   in_z(v.e12) * in_z(v.e21)))
-    letters = riley._letters(w)
+    letters = w.text
     n_y = max(max(riley._row_span(letters, row)[1]) for row in ((1, 0), (0, 1)))
     rewrite, y_norms = riley.symmetric_rewrite, []
     monkeypatch.setattr(riley, "symmetric_rewrite", lambda value, z, y_norm: (
@@ -638,7 +638,7 @@ def _trace_of_rows(monkeypatch, m: PolyMatrix) -> XYPoly:
             (0, e), (0, e - start[0])))
         patch.setattr(riley, "_word_product", lambda letters, start, b, zs: tuple(
             row_integer(entry, b, zs) for entry in rows[start]))
-        return riley._unimodular_trace(Word.parse_text("a" * e))[0]
+        return riley._unimodular_trace(Word("a" * e))[0]
 
 
 def _from_z(m: PolyMatrix) -> PolyMatrix:
@@ -654,7 +654,7 @@ def test_the_trace_rejects_a_determinant_other_than_one(monkeypatch):
     # matrix below is its form in s and z, where it aliases as described,
     # and is injected as the matrix in y that has that form (_from_z)
     for text in ("", "a", "abAB", "bAbaBa", "abbbAAb"):
-        word = Word.parse_text(text)
+        word = Word(text)
         trace = rewrite_sy(reference_evaluate_word(word).trace())
         assert riley._unimodular_trace(word)[0] == trace
         assert _trace_of_rows(monkeypatch, reference_evaluate_word(word)) == trace
@@ -663,7 +663,7 @@ def test_the_trace_rejects_a_determinant_other_than_one(monkeypatch):
     det_s2 = PolyMatrix(s, zero, zero, s)
     det_minus_one = PolyMatrix(one, zero, zero, -one)
     det_minus_z = PolyMatrix(s, z, one, zero)
-    mat = reference_evaluate_word(Word.parse_text("abAB"))
+    mat = reference_evaluate_word(Word("abAB"))
     # a det-1 matrix times diag(1, 1 + z): det 1 + z
     det_one_plus_z = PolyMatrix(mat.e11, mat.e12 * (1 + z), mat.e21, mat.e22 * (1 + z))
     # det 1 + s**4 - z/s**2, with e = 2: t**2 (det - 1) = t**4 - z t

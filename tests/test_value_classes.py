@@ -16,7 +16,7 @@ def samples():
     cert = RootCertificate(knot="J:1,2", n=5, a=Dyadic(5, -1), b=Dyadic(3), sign_a=1,
                            sign_b=-1, precision=128, y_max=64, poly_hash="0" * 64)
     return [TwoBridgeFraction(5, 3), DoubleTwistKnot(1, 2), KlKnot(3),
-            SignSequence((1, -1), 3, 1), RunSeq((1, -1), 3, 1), Word.parse_text("abAB"),
+            SignSequence((1, -1), 3, 1), RunSeq((1, -1), 3, 1), Word("abAB"),
             cert, ScanReport("certified", cert, {"nodes": 1}), riley_kl(2)]
 
 
@@ -62,6 +62,8 @@ VALIDATION = [
     (lambda: KlKnot(3)._replace(l=1), f"l must lie in 2..{L_MAX}, got 1"),
     (lambda: SignSequence((1, -1), 3, 1)._replace(signs=(2,)), "signs must be +1 or -1"),
     (lambda: RunSeq((1, -1), 3, 1)._replace(runs=(0,)), "zero-length run"),
+    (lambda: Word("abc"), "unknown letter 'c'"),
+    (lambda: Word("ab")._replace(text="x"), "unknown letter 'x'"),
 ]
 
 
@@ -78,9 +80,12 @@ def test_keyword_construction_and_replace():
 
 
 def test_word_product_is_a_word():
-    w = Word.parse_text("ab") * Word.parse_text("bA")
-    assert type(w) is Word and w.letters == (("a", 1), ("b", 2), ("a", -1))
-    assert type(Word.parse_text("ab") * Word.parse_text("BA")) is Word   # empty
+    w = Word("ab") * Word("bA")
+    assert type(w) is Word and w.text == "abbA"
+    empty = Word("ab") * Word("BA")
+    assert type(empty) is Word and empty.text == ""
+    # _make, and so _replace, reduce as construction does
+    assert Word("ab")._replace(text="aAb") == Word._make(["b"]) == Word("b")
 
 
 def test_scan_report_trace_is_required():

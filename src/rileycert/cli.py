@@ -105,11 +105,6 @@ def _knot_from_args(args):
     return parse_knot_spec(args.fraction)
 
 
-# one [first_exp, y_deg, "coeff"] term as json.dumps(indent=2) lays it out
-# inside the "terms" array; a decimal coefficient needs no escaping
-_TERM = '\n    [\n      %d,\n      %d,\n      "%d"\n    ]'
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "structured":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -137,8 +132,11 @@ def cmd_riley(args) -> int:
     # the bytes of json.dumps(payload | {"terms": phi.poly.triples()},
     # sort_keys=True, indent=2), whose indenting encoder is pure Python:
     # "terms" sorts last, so its array closes the object, one template per
-    # term (phi is monic in y, so the array is never empty)
-    terms = ",".join(_TERM % term for term in phi.poly.terms())
+    # term (phi is monic in y, so the array is never empty): an
+    # [x_deg, y_deg, "coeff"] triple as json.dumps(indent=2) lays it out
+    # there, and a decimal coefficient needs no escaping
+    terms = ",".join([f'\n    [\n      {i},\n      {j},\n      "{c}"\n    ]'
+                      for (i, j), c in phi.poly.term_map().items()])
     print(f'{head[:-2]},\n  "terms": [{terms}\n  ]\n}}')
     return EXIT_OK
 

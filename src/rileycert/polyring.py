@@ -6,7 +6,8 @@ An XYPoly is an immutable {(x_deg, y_deg): coeff} term map with no
 arithmetic of its own: the program multiplies polynomials only as
 Kronecker-packed integers (`Packing`, `_times`), and unpacks each result
 once.  Canonical term order everywhere (serialization, hashing, iteration)
-is (degree-in-y, degree-in-x) ascending.
+is (degree-in-y, degree-in-x) ascending, set once per polynomial by
+`_SparsePoly.term_map`.
 """
 
 from __future__ import annotations
@@ -61,27 +62,32 @@ class _SparsePoly:
     def __hash__(self):
         return hash((type(self).__name__, tuple(self.terms())))
 
-    def terms(self) -> Iterator[tuple[int, int, int]]:
-        """(x_deg, y_deg, coeff) in canonical (y_deg, x_deg) order.
-        The term map is put in that order once, on the first call, so the
+    def term_map(self) -> dict:
+        """The term map, {(x_deg, y_deg): coeff}, in canonical (y_deg,
+        x_deg) order, which callers must not mutate.  This is where the
+        order is set: the map is put in it once, on the first call, so the
         text, the hash and the JSON terms of one polynomial share a sort."""
         if not self._ordered:
             terms = self._terms
             order = sorted(terms, key=lambda key: (key[1], key[0]))
             self._terms = {key: terms[key] for key in order}
             self._ordered = True
-        for (i, j), c in self._terms.items():
-            yield i, j, c
+        return self._terms
+
+    def terms(self) -> Iterator[tuple[int, int, int]]:
+        """(x_deg, y_deg, coeff) in canonical order, off `term_map`."""
+        return ((i, j, c) for (i, j), c in self.term_map().items())
 
     def to_text(self) -> str:
-        """Canonical text: one `coeff * x^i * y^j` per line, sorted."""
+        """Canonical text: one `coeff * x^i * y^j` per line, in the order
+        `term_map` sets."""
         if not self._terms:
             return "0"
-        return "\n".join(f"{c} * x^{i} * y^{j}" for i, j, c in self.terms())
+        return "\n".join([f"{c} * x^{i} * y^{j}" for (i, j), c in self.term_map().items()])
 
     def triples(self) -> list[list]:
         """Structured form: [x_deg, y_deg, "coeff"] triples, canonical order."""
-        return [[i, j, str(c)] for i, j, c in self.terms()]
+        return [[i, j, str(c)] for (i, j), c in self.term_map().items()]
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()

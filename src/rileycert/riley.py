@@ -14,9 +14,13 @@ Every word product is one row vector times the letters, read straight
 off the word's reduced string a character at a time (`_word_product`), at
 y = 2 + z.  Row 1 is held as s**L (V11, V12 / s) and row 2 as
 s**L (s V21, V22): each entry is then one integer in t = s**2 and z, at
-t = 2**B, z = 2**(B*S), and a letter maps both rows alike by a shift or
-two and an add: sA = [[t, s], [0, 1]] takes (c1, c2) to (t c1, c1 + c2),
-and sB = [[t, 0], [-z s, 1]] (2 - y = -z) to (t (c1 - z c2), c2).  So row
+t = 2**B, z = 2**(B*S), and a letter maps both rows alike by one add
+and powers of t and z: sA = [[t, s], [0, 1]] takes (c1, c2) to
+(t c1, c1 + c2), and sB = [[t, 0], [-z s, 1]] (2 - y = -z) to
+(t (c1 - z c2), c2).  Each entry is held as c = C t**e, e pending, so a
+factor t or z only raises e; the one shift a letter makes aligns the two
+operands of its add, and the pending shifts are applied once, at the end,
+which returns the same integers as shifting letter by letter.  So row
 1 is the product from (1, 0) and row 2 the product from (0, 1).  The slot
 width B and the t-span of each entry come from one pass over the letters
 before any arithmetic (`_row_span`): a letter adds one entry, times s or
@@ -142,20 +146,52 @@ def _word_product(text: str, row: tuple[int, int], b: int, zs: int
     row 1 of s**L V, held as (V11, V12 / s) times s**L, and from (0, 1)
     row 2, held as (s V21, V22) times s**L.  Each letter multiplies on the
     right, and in that form it maps both rows alike; a b-letter's 2 - y is
-    -z, one shift."""
+    -z, a power of t as t is.
+
+    Each entry is held as c = C t**e, C and a pending exponent kept in
+    bits (e b, and zs for z), so a letter's factor t or z only raises an
+    exponent.  The one shift a letter makes aligns the operands of its
+    add: the C with the larger exponent is shifted left by the difference,
+    and the sum takes the smaller exponent.  So c = C t**e holds after
+    every letter, and each C shifted by its exponent at the end is exactly
+    the integer that shifting letter by letter gives; only the trailing
+    zeros that no later add needs are never written."""
     c1, c2 = row
+    e1 = e2 = 0
     for ch in text:
-        if ch == "a":       # sA = [[t, s], [0, 1]]
-            c2 += c1
-            c1 <<= b
-        elif ch == "A":     # sA^-1 = [[1, -s], [0, t]]
-            c2 = (c2 << b) - c1
-        elif ch == "b":     # sB = [[t, 0], [-z s, 1]]
-            c1 = (c1 - (c2 << zs)) << b
-        else:               # sB^-1 = [[1, 0], [z s, t]]
-            c1 += c2 << b + zs
-            c2 <<= b
-    return c1, c2
+        if ch == "a":       # sA = [[t, s], [0, 1]]: c2 += c1, c1 *= t
+            d = e1 - e2
+            if d >= 0:
+                c2 += c1 << d
+            else:
+                c2 = (c2 << -d) + c1
+                e2 += d
+            e1 += b
+        elif ch == "A":     # sA^-1 = [[1, -s], [0, t]]: c2 = t c2 - c1
+            e2 += b
+            d = e1 - e2
+            if d >= 0:
+                c2 -= c1 << d
+            else:
+                c2 = (c2 << -d) - c1
+                e2 += d
+        elif ch == "b":     # sB = [[t, 0], [-z s, 1]]: c1 = t (c1 - z c2)
+            d = e2 + zs - e1
+            if d >= 0:
+                c1 -= c2 << d
+            else:
+                c1 = (c1 << -d) - c2
+                e1 += d
+            e1 += b
+        else:               # sB^-1 = [[1, 0], [z s, t]]: c1 += t z c2, c2 *= t
+            d = e2 + b + zs - e1
+            if d >= 0:
+                c1 += c2 << d
+            else:
+                c1 = (c1 << -d) + c2
+                e1 += d
+            e2 += b
+    return c1 << e1, c2 << e2
 
 
 def _row_span(text: str, row: tuple[int, int]) -> tuple:

@@ -3,7 +3,8 @@ Z[s, 1/s, y] by dict polynomial arithmetic, the generator images, rho(w)
 multiplied out one letter at a time, and the two rows of s**L rho(w) in
 the form the engine's row loop (`riley._word_product`) holds them, as
 {(s_exp, y_deg): coeff} term maps of SY entries, which the loop takes
-at y = 2 + z (`in_z`)."""
+at y = 2 + z (`in_z`); and the row loop as it first ran, each letter's
+shifts made as it comes (`reference_word_product`)."""
 
 from collections import namedtuple
 
@@ -101,3 +102,24 @@ def row_integer(entry: SY, b: int, zs: int) -> int:
     """The t-integer of an entry with even, nonnegative s-exponents at
     t = 2**b, z = 2**zs, y = 2 + z, as `riley._word_product` forms it."""
     return sum(c << b * (i // 2) + zs * j for i, j, c in in_z(entry).terms())
+
+
+def reference_word_product(text: str, row: tuple[int, int], b: int, zs: int
+                           ) -> tuple[int, int]:
+    """row times the letters of text (any string over aAbB, reduced or
+    not) at t = 2**b, z = 2**zs, each letter's shifts made as it comes:
+    the eager row loop that `riley._word_product`, which defers them, must
+    equal integer for integer."""
+    c1, c2 = row
+    for ch in text:
+        if ch == "a":       # sA = [[t, s], [0, 1]]
+            c2 += c1
+            c1 <<= b
+        elif ch == "A":     # sA^-1 = [[1, -s], [0, t]]
+            c2 = (c2 << b) - c1
+        elif ch == "b":     # sB = [[t, 0], [-z s, 1]]
+            c1 = (c1 - (c2 << zs)) << b
+        else:               # sB^-1 = [[1, 0], [z s, t]]
+            c1 += c2 << b + zs
+            c2 <<= b
+    return c1, c2

@@ -13,7 +13,7 @@ from rileycert.knots import (KL_WORD_C, KL_WORD_D, DoubleTwistKnot, KlKnot, TwoB
 from rileycert.polyring import Packing, XYPoly
 
 from matrix_oracle import (PolyMatrix, images, in_z, packed_rows, reference_evaluate_word,
-                           row_integer)
+                           reference_word_product, row_integer)
 from poly_oracle import SY, XY, pack, rewrite_sy, substitute_y, to_sy
 
 
@@ -85,6 +85,24 @@ def test_packed_word_equals_dict_product(word):
                                                            y_norms, hulls):
             assert _l1(z_entry) <= z_norm and _l1(entry) <= y_norm
             assert all(lo <= i // 2 <= hi for e in (entry, z_entry) for i, _, _ in e.terms())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="aAbB", max_size=80),
+       st.one_of(st.sampled_from([(1, 0), (0, 1)]),
+                 st.tuples(st.integers(-2**20, 2**20), st.integers(-2**20, 2**20))),
+       st.integers(1, 24), st.integers(0, 12))
+@example("aAbB" * 10, (1, 0), 8, 3)
+@example("BbAa" * 10, (0, 1), 8, 3)
+@example("B" * 20, (0, 1), 8, 3)
+@example("A" * 20, (-5, 7), 8, 3)
+def test_deferred_shifts_equal_the_eager_loop(text, row, b, slots):
+    # the row loop holds each entry as C t**e and makes only the shifts
+    # that align its adds; what it returns is the eager loop's integers,
+    # on raw strings (aA and bB unreduced), from either unit row or any
+    # small row, at any slot width
+    zs = b * slots
+    assert riley._word_product(text, row, b, zs) == reference_word_product(text, row, b, zs)
 
 
 # the dict oracle's cost grows steeply with letters * |m| (a 40-letter

@@ -101,6 +101,11 @@ def test_canonical_order_and_hash_stability():
     # same polynomial assembled differently hashes identically
     q = XYPoly.from_terms([(0, 3, -7), (2, 1, 3), (0, 0, 1)])
     assert q.content_hash() == p.content_hash()
+    # a term map out of order whose first reader is to_text reads in
+    # canonical order all the same, and leaves the map in it
+    r = XYPoly({(0, 3): -7, (2, 1): 3, (0, 0): 1})
+    assert r.to_text() == p.to_text()
+    assert list(r.term_map()) == [(0, 0), (2, 1), (0, 3)]
     # frozen regression value pins the canonical serialization format
     assert riley_double_twist(1, 2).content_hash == \
         "a080df6d37bd59f54b759934980e30a640328b7fae62b6006b4714f54f96136f"

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import __version__
+from .chebyshev import cheb_poly
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from .polyring import XYPoly, eval_interval, y_coefficient_bounds
 from .riley import RileyPolynomial
@@ -33,6 +34,21 @@ def xn_enclosure(n: int, precision: int) -> DyadicInterval:
     ValueError for n < 2.
     """
     return two_cos_pi_ratio(n, precision)
+
+
+def xn_modulus(n: int, deg_x: int) -> tuple[int, ...] | None:
+    """P_n, ascending: the monic integer polynomial with P_n(x_n**2) = 0
+    that S_{n-1}(x) = U_{n-1}(x/2) gives, S_{n-1}(x) = P_n(x**2) for odd n
+    and x P_n(x**2) for even n (every other coefficient of cheb_poly(n - 1)),
+    with P_2 = u as x_2 = 0; None when its degree floor((n - 1) / 2) passes
+    deg_x // 2, as no row of a phi of x-degree deg_x is then long enough to
+    reduce, and the O(n**2) build would buy nothing.  x_n = 2cos(pi/n) is a
+    root of S_{n-1} (its roots are 2cos(k pi/n), k = 1 .. n-1), and not 0
+    for n >= 3, so the factor x of an even n does not hold it.
+    """
+    if (n - 1) // 2 > deg_x // 2:
+        return None
+    return (0, 1) if n == 2 else cheb_poly(n - 1)[(n - 1) % 2::2]
 
 
 class RootCertificate(namedtuple("RootCertificate",
@@ -192,23 +208,40 @@ class _SignOracle:
     trials included), escalations and indefinite results.
 
     bounds = (lo, hi, e) encloses each c_j(x_n) of phi = sum_j c_j(x) y**j,
-    by interval Horner in x once per precision P on the scan's one
-    fixed-point unit 2**e, e = -(2P + 32), rounded outward: bits below that
-    lie far under the 2**-P width of x_n and only slow the arithmetic.  A
-    value is one eval_interval call per precision given these bounds, which
-    answers from them when they fix the sign and else evaluates exactly, so
-    each definite sign is the one exact evaluation would give.
+    once per precision P on the scan's one fixed-point unit 2**e,
+    e = -(2P + 32), rounded outward: bits below that lie far under the
+    2**-P width of x_n and only slow the arithmetic.  A value is one
+    eval_interval call per precision given these bounds, which answers from
+    them when they fix the sign and else evaluates exactly, so each definite
+    sign is the one exact evaluation would give.
+
+    Both run on the residues of phi's rows modulo P_n(u), u = x**2
+    (modulus, from xn_modulus; None when no row reaches its degree), in u
+    over the squares of the x_n enclosure: each c_j(x_n) is the value of its
+    residue at u_n = x_n**2, as P_n(u_n) = 0 (see eval_interval).  Every phi
+    the package builds is even in x, so the residues are polynomials in u
+    alone.  s -> -s sends A = [[s, 1], [0, 1/s]] and B = [[s, 0],
+    [2 - y, 1/s]] to -D A D**-1 and -D B D**-1, D = diag(1, -1), and so the
+    image V of a word w to (-1)**|w| D V D**-1, which is D V D**-1 for a
+    relator word, as every one has even length.  R = VA - BV then goes to
+    -D R D**-1, whose entry (1, 2) is R12 again, as conjugation by D negates
+    it: R12(-s, y) = R12(s, y).  phi(x, y) is R12 written in x = s + 1/s,
+    which s -> -s sends to -x, so phi(-x, y) = phi(x, y).  The evaluation
+    does not rely on it: an odd part is carried as x times a polynomial in
+    u.
     """
 
     def __init__(self, poly: XYPoly, n: int):
         self.poly, self.n = poly, n
+        self.modulus = xn_modulus(n, poly.deg_x())
         self._set_precision(DEFAULT_PRECISION)
         self.evaluations = self.escalations = self.indefinite = self.nodes = 0
 
     def _set_precision(self, precision: int) -> None:
         self.precision = precision
         self.xn = xn_enclosure(self.n, precision)
-        self.bounds = y_coefficient_bounds(self.poly, self.xn, -2 * precision - 32)
+        self.bounds = y_coefficient_bounds(self.poly, self.xn, -2 * precision - 32,
+                                           self.modulus)
 
     def escalate(self) -> bool:
         """Count an indefinite result and double the x_n precision; False,
@@ -227,7 +260,8 @@ class _SignOracle:
         point = DyadicInterval.point(Dyadic(y, -_MARGIN_BITS))
         while True:
             self.evaluations += 1
-            value = eval_interval(self.poly, self.xn, point, y_bounds=self.bounds)
+            value = eval_interval(self.poly, self.xn, point, y_bounds=self.bounds,
+                                  modulus=self.modulus)
             if value.sign() is not None or not self.escalate():
                 return value
 
@@ -538,8 +572,20 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
 def verify_certificate(cert: RootCertificate, phi: RileyPolynomial) -> bool:
     """Re-check a certificate from its record alone.
 
-    Shares only xn_enclosure and polynomial evaluation with the search; none
-    of the scan or refinement logic is involved.
+    Shares only xn_enclosure, xn_modulus and polynomial evaluation with the
+    search; none of the scan or refinement logic is involved.  Each sign is
+    eval_interval's exact path on phi's x-coefficients at the endpoint,
+    reduced modulo P_n(u), u = x**2, which it builds from n as it builds
+    x_n: P_n is monic with integer coefficients and P_n(x_n**2) = 0, so the
+    residue R_E(u) + x R_O(u) has the value of phi at x_n exactly, and any
+    monic integer P with that root would do as well.  phi is even in x:
+    s -> -s sends the images of a and b to -D A D**-1 and -D B D**-1,
+    D = diag(1, -1), and a relator word has even length, so R = VA - BV goes
+    to -D R D**-1 and R12(-s, y) = R12(s, y) (see _SignOracle).  So R_O is
+    zero and the sign is that of R_E over the squares of the x_n
+    enclosure, a polynomial of degree below deg P_n in place of deg_x.  A
+    record's n bounds no work: xn_modulus builds P_n only when some row of
+    phi is long enough to reduce, n <= deg_x + 2.
     """
     if cert.poly_hash != phi.content_hash:
         raise HashMismatch("certificate does not match this polynomial")
@@ -550,6 +596,9 @@ def verify_certificate(cert: RootCertificate, phi: RileyPolynomial) -> bool:
     if cert.sign_a != -cert.sign_b or cert.sign_a not in (1, -1):
         return False
     xn = xn_enclosure(cert.n, cert.precision)
-    sign_a = eval_interval(phi.poly, xn, DyadicInterval.point(cert.a)).sign()
-    sign_b = eval_interval(phi.poly, xn, DyadicInterval.point(cert.b)).sign()
+    modulus = xn_modulus(cert.n, phi.poly.deg_x())
+    sign_a = eval_interval(phi.poly, xn, DyadicInterval.point(cert.a),
+                           modulus=modulus).sign()
+    sign_b = eval_interval(phi.poly, xn, DyadicInterval.point(cert.b),
+                           modulus=modulus).sign()
     return sign_a == cert.sign_a and sign_b == cert.sign_b

@@ -21,7 +21,7 @@ from collections import namedtuple
 # 497/199 1.6-2.6 s), and one step beyond is refused before any work.  `certify` also runs the
 # root isolation, whose Taylor shifts grow with phi: at the default cap on that
 # host (README.md, three runs each), `certify --knot J:20,20 --n 7` took
-# 10.4-11.3 s and `certify --knot Kl:50 --n 5` 3.5-4.2 s.
+# 5.1-5.2 s and `certify --knot Kl:50 --n 5` 1.3 s.
 P_MAX = 501
 K_MAX = 20
 M_MAX = 20

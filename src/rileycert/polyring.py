@@ -412,39 +412,122 @@ def _point_y_coeffs(p: XYPoly, m: int, k: int) -> tuple[list[int], int]:
     return b, -k * deg
 
 
+def _residue(c: Sequence[int], modulus: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(E, O), ascending, with sum_i c_i x**i = E(u) + x O(u) modulo P(u),
+    u = x**2, for P = modulus, monic and ascending: each half of c, c[0::2]
+    and c[1::2], replaced by its remainder modulo P by long division.  P is
+    monic, so the division stays in the integers, and is exact; E has at
+    least one coefficient, O none when c has one."""
+    m, halves = len(modulus) - 1, (c[0::2], c[1::2])
+    for r in halves:
+        for k in range(len(r) - 1, m - 1, -1):
+            q = r[k]
+            if q:
+                r[k - m:k] = [a - q * b for a, b in zip(r[k - m:k], modulus)]
+        del r[m:]
+    return halves
+
+
+def _residue_rows(p: XYPoly, modulus: Sequence[int]) -> list[list[tuple[int, ...]]]:
+    """[E, O]: `_residue` of every y-row of p with terms at once, E[j] and
+    O[j] the deg P coefficients of R_E and R_O for the row c_j,
+    j = 0 .. deg_y.  The long division runs on columns, the coefficients
+    of one power of x in every row: a step subtracts q times a coefficient
+    of P from a column, q the column being divided off, one map over all
+    rows in place of a loop per row, and a zero column (all of the odd half
+    of an even p) is skipped."""
+    xs, ys = zip(*p._terms)
+    width = max(ys) + 1
+    cols = [[0] * width for _ in range(max(xs) + 1)]
+    for (i, j), c in p._terms.items():
+        cols[i][j] = c
+    m, halves = len(modulus) - 1, []
+    for half in (cols[0::2], cols[1::2]):
+        half += [[0] * width] * (m - len(half))
+        for k in range(len(half) - 1, m - 1, -1):
+            q = half[k]
+            if any(q):
+                for t in range(m):
+                    half[k - m + t] = list(map(sub, half[k - m + t],
+                                               map(mul, q, repeat(modulus[t]))))
+        halves.append(list(zip(*half[:m])))
+    return halves
+
+
+def _squares(x_lo: int, x_hi: int) -> tuple[int, int]:
+    """The range of u = v**2 for v in [x_lo, x_hi], in the square of their
+    unit."""
+    lo, hi = x_lo * x_lo, x_hi * x_hi
+    if x_lo >= 0:
+        return lo, hi
+    if x_hi <= 0:
+        return hi, lo
+    return 0, max(lo, hi)
+
+
+def _exact_horner(c: list[int], v: tuple[int, int], ev: int) -> tuple[int, int, int]:
+    """(l, h, e) with [l, h] * 2**e exact interval Horner of sum_i c_i w**i
+    over w in [v[0], v[1]] * 2**ev, ev <= 0, in the unit of c times 2**e.
+    It runs homogenized, on the integers v with k = 0 and coefficient i
+    times 2**(-ev * (d - i)), d = len(c) - 1: a positive scaling, exact in
+    interval arithmetic, so no floor of `_horner` cuts anything, and the
+    integers grow from the leading coefficient down instead of starting at
+    full width."""
+    d = len(c) - 1
+    c = [ci << -ev * (d - i) for i, ci in enumerate(c)]
+    l, h = _horner(c, c, v, 0)
+    return l, h, d * ev
+
+
 def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
-                  y_bounds: tuple[list[int], list[int], int] | None = None
-                  ) -> DyadicInterval:
-    """Interval enclosing {p(u, y) : u in x} at a point y (lo == hi; any
-    other y raises ValueError), Horner in x.
+                  y_bounds: tuple[list[int], list[int], int] | None = None,
+                  modulus: Sequence[int] | None = None) -> DyadicInterval:
+    """Interval enclosing {p(v, y) : v in x} at a point y (lo == hi; any
+    other y raises ValueError), or with a modulus P, an interval enclosing
+    p(x_n, y) for the x_n in x with P(x_n**2) = 0.
 
     With y = m * 2**e_y and x = [x_lo, x_hi] * 2**e_x (`_scaled`), the
     x-coefficients b_i = sum_j a_ij y**j are formed exactly in power form
     (`_point_y_coeffs`, faster there than Horner in y), in units of
-    2**(D * e_y), D = deg_y.  `_horner` in x then gives the result in units
-    of 2**(D * e_y + deg_x * e_x).  It runs homogenized, on the integers
-    x_lo, x_hi with k = 0 and coefficient i times 2**(-e_x * (deg_x - i)).
-    That is a positive scaling, exact in interval arithmetic, so no floor
-    cuts anything, and the integers grow from the leading coefficient down
-    instead of starting at full width.  The result is exact interval Horner
-    in x: the only width in it comes from x, and a point x gives the exact
-    value.
+    2**(D * e_y), D = deg_y.  Without a modulus, interval Horner in x then
+    gives the result, exactly (`_exact_horner`): the only width in it comes
+    from x, and a point x gives the exact value.
+
+    With a modulus.  Write b(x) = sum_i b_i x**i = E(u) + x O(u), u = x**2,
+    E and O its even and odd halves (any p: an odd part is x times a
+    polynomial in u).  P is monic with integer coefficients, so long
+    division gives E = Q_E P + R_E and O = Q_O P + R_O in Z[u], exactly
+    (`_residue`), with R_E and R_O of degree below deg P.  At u_n = x_n**2,
+    P(u_n) = 0, so b(x_n) = R_E(u_n) + x_n R_O(u_n).  P need not be the
+    minimal polynomial of u_n: any monic integer P with P(u_n) = 0 gives
+    the same value.  u_n lies in U = {v**2 : v in x} (`_squares`) when x_n
+    lies in x, so exact interval Horner of R_E and R_O in u over U, the
+    latter times x and added to the former (`_horner` at k = 0 on an
+    aligned unit), encloses b(x_n).  Its width comes from U alone, on deg P
+    steps in place of deg_x: a residue of degree 0, as at deg P = 1, is
+    exact at any width of x.  The result does not enclose p over the whole
+    of x, only at the x_n that P names.  Every phi the package builds is
+    even in x (see certify._SignOracle), so there R_O is zero and only R_E
+    is evaluated; the odd path serves any other p.
 
     y_bounds = (lo, hi, e), when given, must bound the y-coefficients of p
-    over x: lo[j] * 2**e <= c_j(u) <= hi[j] * 2**e for u in x, as
-    y_coefficient_bounds gives them.  For y = m / 2**k >= 0 the enclosure
+    as y_coefficient_bounds gives them, with the same modulus or none:
+    lo[j] * 2**e <= c_j <= hi[j] * 2**e, at every v in x or, with a
+    modulus, at x_n.  For y = m / 2**k >= 0 the enclosure
     [sum lo[j] y**j, sum hi[j] y**j] is then formed by `_horner` in y at
     [m, m], in the bounds' own unit 2**e, each product floored at its lower
     end and ceiled at its upper one, so each end only moves outward.  It is
     returned when it excludes 0; otherwise, an exact zero included, the
     exact path runs, and a negative y always takes it.  A returned result
-    has the sign the exact path gives.  Horner in x of b_i = sum_j a_ij y**j
-    (the exact path) lies inside sum_j y**j * (Horner in x of c_j) by
+    has the sign the exact path gives.  Horner of b_i = sum_j a_ij y**j
+    (the exact path) lies inside sum_j y**j * (Horner of c_j) by
     subdistributivity, (A + B) * X within A * X + B * X, with y**j >= 0 a
-    point factor; each Horner value of c_j lies in [lo[j], hi[j]] * 2**e;
-    and the floors and ceilings only widen the sum.  So the exact interval
-    is inside the returned one, and a sign definite there is the exact
-    path's sign.
+    point factor; with a modulus the residues are linear in the row, so
+    those of b are sum_j y**j times those of c_j, and the same holds for
+    Horner in u and for the product by x; each Horner value of c_j lies in
+    [lo[j], hi[j]] * 2**e; and the floors and ceilings only widen the sum.
+    So the exact interval is inside the returned one, and a sign definite
+    there is the exact path's sign.
     """
     m, y_hi, ey = _scaled(y)
     if m != y_hi:
@@ -458,34 +541,73 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
             return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
     b, e = _point_y_coeffs(p, m, -ey)
     x_lo, x_hi, ex = _scaled(x)
-    dx = len(b) - 1
-    b = [c << -ex * (dx - i) for i, c in enumerate(b)]
-    l, h = _horner(b, b, (x_lo, x_hi), 0)
-    e += dx * ex
+    if modulus is None:
+        l, h, ev = _exact_horner(b, (x_lo, x_hi), ex)
+    else:
+        even, odd = _residue(b, modulus)
+        u = _squares(x_lo, x_hi)
+        l, h, ev = _exact_horner(even, u, 2 * ex)
+        if any(odd):
+            ol, oh, eo = _exact_horner(odd, u, 2 * ex)
+            eo += ex
+            t = min(ev, eo)
+            l, h = _horner([l << ev - t, ol << eo - t], [h << ev - t, oh << eo - t],
+                           (x_lo, x_hi), 0)
+            ev = t
+    e += ev
     return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
 
 
-def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e: int
+def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e: int,
+                         modulus: Sequence[int] | None = None
                          ) -> tuple[list[int], list[int], int]:
-    """(lo, hi, e) with lo[j] * 2**e <= c_j(u) <= hi[j] * 2**e for every u in
+    """(lo, hi, e) with lo[j] * 2**e <= c_j(v) <= hi[j] * 2**e for every v in
     x, where p = sum_j c_j(x) y**j: each c_j by `_horner` in x on integers
     over 2**e, for a unit e <= 0.
 
+    With a modulus P, monic in Z[u], u = x**2, the bounds hold at the x_n
+    in x with P(x_n**2) = 0, not over the whole of x.  Each row is first
+    reduced exactly, in its own small integers: c_j(x) = E(u) + x O(u) and
+    long division by the monic P gives E = Q_E P + R_E and O = Q_O P + R_O
+    in Z[u] (`_residue_rows`, all rows at once), so c_j(x_n) =
+    R_E(u_n) + x_n R_O(u_n) as P(u_n) = 0, whether or not P is the minimal
+    polynomial of u_n.  The bounds are then `_horner` of R_E in u over
+    {v**2 : v in x}, which holds u_n, plus x times that of R_O when R_O is
+    not zero: deg P - 1 steps each in place of deg_x, and none for a
+    residue of degree 0.  Every phi the package builds is even in x (see
+    certify._SignOracle), so there R_O is zero; the odd path serves any
+    other p.
+
     On a unit at or below deg_x * e_x, e_x the exponent of x as `_scaled`
-    gives it, no floor cuts anything and the bounds are exact interval
-    Horner.  On a coarser one the floors and ceilings only widen each
-    enclosure, while the integers stay near 2**-e in place of growing by
-    the bits of x with every degree.
+    gives it, no floor cuts anything and the bounds without a modulus are
+    exact interval Horner.  On a coarser one the floors and ceilings only
+    widen each enclosure, while the integers stay near 2**-e in place of
+    growing by the bits of x with every degree.
     """
     x_lo, x_hi, ex = _scaled(x)
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), c in p._terms.items():
-        rows.setdefault(j, {})[i] = c
     lo, hi = [], []
-    for j in range(p.deg_y() + 1):
-        row = rows.get(j, {0: 0})
-        c = [row.get(i, 0) << -e for i in range(max(row) + 1)]
-        l, h = _horner(c, c, (x_lo, x_hi), -ex)
+    if modulus is None:
+        rows: dict[int, dict[int, int]] = {}
+        for (i, j), c in p._terms.items():
+            rows.setdefault(j, {})[i] = c
+        for j in range(p.deg_y() + 1):
+            row = rows.get(j, {0: 0})
+            c = [row.get(i, 0) << -e for i in range(max(row) + 1)]
+            l, h = _horner(c, c, (x_lo, x_hi), -ex)
+            lo.append(l)
+            hi.append(h)
+        return lo, hi, e
+    if not p._terms:
+        return [0], [0], e
+    even, odd = _residue_rows(p, modulus)
+    u = _squares(x_lo, x_hi)
+    for j, row in enumerate(even):
+        c = [ci << -e for ci in row]
+        l, h = _horner(c, c, u, -2 * ex)
+        if any(odd[j]):
+            c = [ci << -e for ci in odd[j]]
+            ol, oh = _horner(c, c, u, -2 * ex)
+            l, h = _horner([l, ol], [h, oh], (x_lo, x_hi), -ex)
         lo.append(l)
         hi.append(h)
     return lo, hi, e

@@ -12,9 +12,20 @@ sign and P_{j+1} = m P_j - 4**q P_{j-1}.  `xn_bracket` closes two such
 tests one grid step apart around x_n; the guess of where to make them comes
 from mpmath, but only the integer tests decide.  The signs of phi(x_n, a)
 and phi(x_n, b) come from interval Horner in x over that bracket, in
-`Fraction` arithmetic.  Interval Horner is inclusion-monotone, so on a
-bracket inside the package's x_n enclosure it is never less definite than
-the package's exact interval Horner there.
+`Fraction` arithmetic, on phi with each row (the x-polynomial of one
+y-degree) replaced by its remainder modulo S_{n-1}, or S_{n-1} / x for even
+n >= 4, where x_n is not 0 (`reduced_terms`): S_{n-1} is monic, so the
+remainder is an integer polynomial with phi's value at its root x_n.
+
+The package reduces by its own P_n(u), u = x**2, with S_{n-1}(x) =
+P_n(x**2) or x P_n(x**2), and evaluates the residue by interval Horner in
+u over the squares of its enclosure.  phi is even in x, and the remainder
+of an even polynomial by an even monic one is even, so the two residues
+are the same polynomial.  For x >= 0, [l, h] * x * x is [l, h] * x**2, so
+Horner in x of an even polynomial is Horner in u over the squares of x.
+Interval Horner is inclusion-monotone, so on a bracket inside the
+package's x_n enclosure the oracle is never less definite than the
+package's exact path there.
 """
 
 import hashlib
@@ -62,6 +73,42 @@ def xn_bracket(n: int, q: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, 1 << q), Fraction(hi, 1 << q)
 
 
+@lru_cache(maxsize=None)
+def sturm_modulus(n: int) -> tuple[int, ...]:
+    """S_{n-1} by S_{j+1} = x S_j - S_{j-1}, ascending, divided by x for
+    even n >= 4: monic, with the root x_n."""
+    prev, cur = [0], [1]
+    for _ in range(n - 1):
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return tuple(cur[1:] if n % 2 == 0 and n > 2 else cur)
+
+
+def reduced_terms(terms: list[tuple[int, int, int]], n: int) -> list[tuple[int, int, int]]:
+    """phi's terms with each row replaced by its remainder modulo
+    `sturm_modulus(n)`, by long division in integers; phi itself when no
+    row reaches the modulus' degree, which is then not built."""
+    deg = n - 1 - (n % 2 == 0 and n > 2)
+    if max((i for i, _, _ in terms), default=0) < deg:
+        return terms
+    modulus = sturm_modulus(n)
+    rows: dict[int, list[int]] = {}
+    for i, j, c in terms:
+        row = rows.setdefault(j, [])
+        row.extend([0] * (i + 1 - len(row)))
+        row[i] += c
+    out = []
+    for j, row in rows.items():
+        for k in range(len(row) - 1, deg - 1, -1):
+            q = row[k]
+            for i in range(deg + 1):
+                row[k - deg + i] -= q * modulus[i]
+        out.extend((i, j, c) for i, c in enumerate(row[:deg]) if c)
+    return out
+
+
 def content_hash(terms: list[tuple[int, int, int]]) -> str:
     """SHA-256 of phi's canonical text, one `c * x^i * y^j` line per term
     in (j, i) order, "0" for no terms: the record's poly_hash."""
@@ -103,7 +150,7 @@ def accepts(record: dict, knot: str, terms: list[tuple[int, int, int]]) -> bool:
     coeff): the hash and knot match, 2 < a < b, the signs are opposite, and
     phi(x_n, a) and phi(x_n, b) have them on the bracket of x_n two bits
     finer than the record's precision, as fine as the package's enclosure
-    endpoints."""
+    endpoints, by phi's residues (`reduced_terms`)."""
     if record["poly_hash"] != content_hash(terms) or record["knot"] != knot:
         return False
     a, b = endpoint(record["bracket"]["a"]), endpoint(record["bracket"]["b"])
@@ -111,8 +158,9 @@ def accepts(record: dict, knot: str, terms: list[tuple[int, int, int]]) -> bool:
     if not 2 < a < b or signs[0] != -signs[1]:
         return False
     x = xn_bracket(record["n"], record["precision"] + 2)
+    residues = reduced_terms(terms, record["n"])
     for y, sign in zip((a, b), signs):
-        lo, hi = interval_value(terms, x, y)
+        lo, hi = interval_value(residues, x, y)
         if not (lo > 0 if sign > 0 else hi < 0):
             return False
     return True

@@ -76,7 +76,11 @@ def test_interval_value_encloses_every_value():
             assert cert_oracle.interval_value(terms, (u, u), y) == (value, value)
 
 
-_CASES = [(DoubleTwistKnot(1, 2), 5), (DoubleTwistKnot(2, -3), 4), (KlKnot(3), 6)]
+# n = 5 and 6, where u_n = x_n**2 is irrational: at n = 2, 3 and 4 the
+# residues modulo P_n are free of x, so a one-bit enclosure of x_n signs
+# exactly and that copy is not a tampered record
+# (test_a_one_bit_record_at_n_4_holds_by_its_exact_signs)
+_CASES = [(DoubleTwistKnot(1, 2), 5), (DoubleTwistKnot(2, -3), 5), (KlKnot(3), 6)]
 
 
 def _tampered(record: dict) -> dict[str, dict]:
@@ -120,6 +124,25 @@ def test_the_oracle_and_the_verifier_agree_on_tampered_records(knot, n):
     for name, bad in _tampered(record).items():
         assert not cert_oracle.accepts(bad, phi.knot, terms), name
         assert not _package_accepts(bad, phi), name
+
+
+def test_a_one_bit_record_at_n_4_holds_by_its_exact_signs():
+    # P_4 = u - 2, so each residue of phi is a constant: the package signs
+    # phi(sqrt 2, .) exactly from a one-bit enclosure of x_4, and those are
+    # sympy's signs of phi at the bracket ends
+    import sympy
+    phi = riley_for_knot(DoubleTwistKnot(2, -3))
+    record = find_root_gt2(phi, 4, y_max_cap=64).certificate.to_json_dict()
+    record["precision"] = 1
+    cert = RootCertificate.from_json_dict(record)
+    assert verify_certificate(cert, phi)
+    assert cert_oracle.accepts(record, phi.knot, list(phi.poly.terms()))
+    x, y = sympy.symbols("x y")
+    expr = sum(c * x ** i * y ** j for i, j, c in phi.poly.terms())
+    for end, sign in ((cert.a, cert.sign_a), (cert.b, cert.sign_b)):
+        value = sympy.expand(expr.subs({x: sympy.sqrt(2), y: sympy.Rational(*as_fraction(
+            end).as_integer_ratio())}))
+        assert value.is_rational and sympy.sign(value) == sign
 
 
 def _primes_and_powers_of_two(n_max: int) -> list[int]:

@@ -14,7 +14,7 @@ from collections import namedtuple
 from . import __version__
 from .chebyshev import cheb_poly
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
-from .polyring import XYPoly, eval_interval, y_coefficient_bounds
+from .polyring import XYPoly, eval_interval, y_row_bounds, y_rows
 from .riley import RileyPolynomial
 
 
@@ -210,7 +210,9 @@ class _SignOracle:
     bounds = (lo, hi, e) encloses each c_j(x_n) of phi = sum_j c_j(x) y**j,
     once per precision P on the scan's one fixed-point unit 2**e,
     e = -(2P + 32), rounded outward: bits below that lie far under the
-    2**-P width of x_n and only slow the arithmetic.  A value is one
+    2**-P width of x_n and only slow the arithmetic.  phi's exact rows
+    (y_rows) do not depend on P, so they are formed once per scan and only
+    re-enclosed at each precision (y_row_bounds).  A value is one
     eval_interval call per precision given these bounds, which answers from
     them when they fix the sign and else evaluates exactly, so each definite
     sign is the one exact evaluation would give.
@@ -234,14 +236,14 @@ class _SignOracle:
     def __init__(self, poly: XYPoly, n: int):
         self.poly, self.n = poly, n
         self.modulus = xn_modulus(n, poly.deg_x())
+        self.rows = y_rows(poly, self.modulus)
         self._set_precision(DEFAULT_PRECISION)
         self.evaluations = self.escalations = self.indefinite = self.nodes = 0
 
     def _set_precision(self, precision: int) -> None:
         self.precision = precision
         self.xn = xn_enclosure(self.n, precision)
-        self.bounds = y_coefficient_bounds(self.poly, self.xn, -2 * precision - 32,
-                                           self.modulus)
+        self.bounds = y_row_bounds(self.rows, self.xn, -2 * precision - 32)
 
     def escalate(self) -> bool:
         """Count an indefinite result and double the x_n precision; False,
@@ -268,12 +270,15 @@ class _SignOracle:
 
 def _taylor_shift(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
     """Coefficients (constant first) of q(t + 1) from those of q(t), for
-    each of lo and hi in one pass."""
+    each of lo and hi in one pass, the new coefficient j + 1 carried to
+    step j in a local."""
     lo, hi = list(lo), list(hi)
-    for i in range(len(lo) - 1):
-        for j in range(len(lo) - 2, i - 1, -1):
-            lo[j] += lo[j + 1]
-            hi[j] += hi[j + 1]
+    d = len(lo) - 1
+    for i in range(d):
+        s, t = lo[d], hi[d]
+        for j in range(d - 1, i - 1, -1):
+            s = lo[j] = lo[j] + s
+            t = hi[j] = hi[j] + t
     return lo, hi
 
 
@@ -307,9 +312,10 @@ def _root_node(bounds: tuple[list[int], list[int], int],
     lo, hi = _halve(*_taylor_shift(_scale(bounds[0], 1), _scale(bounds[1], 1)))
     d = len(lo) - 1
     for i in range(d):
+        s, t = lo[d], hi[d]
         for j in range(d - 1, i - 1, -1):
-            lo[j] += lo[j + 1] >> _MARGIN_BITS
-            hi[j] -= -hi[j + 1] >> _MARGIN_BITS
+            s = lo[j] = lo[j] + (s >> _MARGIN_BITS)
+            t = hi[j] = hi[j] - (-t >> _MARGIN_BITS)
     return _scale(lo, k_root), _scale(hi, k_root)
 
 
@@ -320,15 +326,39 @@ def _variations(lo: list[int], hi: list[int]) -> int | None:
     By Descartes' rule the count bounds the roots of q in (0, 1) and has
     their parity: 0 means none, 1 exactly one.  Reversal and the shift have
     nonnegative weights, so lo and hi bound the transformed q as well.
+
+    Both bounds are shifted at once, each reversed pair packed as
+    p_j = lo_j + hi_j 2**w: the shift is linear, so its additions on p give
+    lo'_j + hi'_j 2**w.  With d = deg q and every |lo_j| < 2**b, lo'_j is
+    sum_{i>=j} C(i, j) lo_(d-i), and sum_{i=j..d} C(i, j) = C(d + 1, j + 1)
+    <= 2**d (two neighbours of row d of Pascal's triangle, whose sum is
+    2**d), so |lo'_j| < 2**(b + d) = 2**(w - 1) at w = b + d + 1.  hi'_j
+    needs no room: it is the top of the integer.  Each p_j then holds its
+    low slot lo'_j in [-2**(w-1), 2**(w-1)), read without unpacking: p_j
+    mod 2**w is lo'_j for lo'_j >= 0 and lo'_j + 2**w otherwise, so
+    lo'_j > 0 exactly when 0 < p_j mod 2**w < 2**(w-1); hi'_j < 0 exactly
+    when p_j < -2**(w-1); and both are 0 exactly when p_j = 0.
     """
-    count, last = 0, 0
-    for l, h in zip(*_taylor_shift(lo[::-1], hi[::-1])):
-        if l > 0 or h < 0:
-            s = 1 if l > 0 else -1
-            count += last == -s
-            last = s
-        elif l or h:
+    d = len(lo) - 1
+    w = max(max(lo), -min(lo)).bit_length() + d + 1
+    half, mask = 1 << w - 1, (1 << w) - 1
+    p = [l + (h << w) for l, h in zip(reversed(lo), reversed(hi))]
+    for i in range(d):
+        s = p[d]
+        for j in range(d - 1, i - 1, -1):
+            s = p[j] = p[j] + s
+    count, last, below = 0, 0, -half
+    for c in p:
+        if not c:
+            continue
+        if 0 < c & mask < half:
+            s = 1
+        elif c < below:
+            s = -1
+        else:
             return None
+        count += last == -s
+        last = s
     return count
 
 

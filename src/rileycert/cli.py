@@ -63,7 +63,7 @@ def _int_in_range(lo: int, hi: int | None = None):
 
 
 # Largest `lo-set --n-max`.  lo-set runs one scan per n: at the default cap
-# `lo-set --knot J:4,6 --n-max 1024` took 2.7-3.2 s on a 2-core x86 host
+# `lo-set --knot J:4,6 --n-max 1024` took 2.2-2.3 s on a 2-core x86 host
 # (README.md, three runs).
 MAX_N_MAX = 1024
 

@@ -583,30 +583,54 @@ def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e: int,
     exact interval Horner.  On a coarser one the floors and ceilings only
     widen each enclosure, while the integers stay near 2**-e in place of
     growing by the bits of x with every degree.
+
+    The rows and residues do not depend on x or e: `y_rows` forms them and
+    `y_row_bounds` encloses them, so that a caller that re-encloses at a
+    finer x reduces p only once.
     """
+    return y_row_bounds(y_rows(p, modulus), x, e)
+
+
+def y_rows(p: XYPoly, modulus: Sequence[int] | None = None
+           ) -> tuple[list[Sequence[int]], list[Sequence[int]] | None]:
+    """(even, odd), the exact part of `y_coefficient_bounds` for each
+    y-row c_j, j = 0 .. deg_y: without a modulus, even[j] lists c_j's
+    coefficients in x, ascending, and odd is None; with one, even[j] and
+    odd[j] are those of R_E and R_O in u (`_residue_rows`)."""
+    if modulus is not None:
+        if not p._terms:
+            return [(0,)], [()]
+        even, odd = _residue_rows(p, modulus)
+        return even, odd
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), c in p._terms.items():
+        rows.setdefault(j, {})[i] = c
+    even = []
+    for j in range(p.deg_y() + 1):
+        row = rows.get(j, {0: 0})
+        even.append([row.get(i, 0) for i in range(max(row) + 1)])
+    return even, None
+
+
+def y_row_bounds(rows: tuple[list[Sequence[int]], list[Sequence[int]] | None],
+                 x: DyadicInterval, e: int) -> tuple[list[int], list[int], int]:
+    """`y_coefficient_bounds` from the rows `y_rows` gives: each row's
+    integers on the unit 2**e by `_horner`, in x over x when odd is None,
+    else in u over the squares of x, plus x times the odd residue where it
+    is not zero."""
+    even, odd = rows
     x_lo, x_hi, ex = _scaled(x)
+    if odd is None:
+        v, k, odd = (x_lo, x_hi), -ex, repeat(())
+    else:
+        v, k = _squares(x_lo, x_hi), -2 * ex
     lo, hi = [], []
-    if modulus is None:
-        rows: dict[int, dict[int, int]] = {}
-        for (i, j), c in p._terms.items():
-            rows.setdefault(j, {})[i] = c
-        for j in range(p.deg_y() + 1):
-            row = rows.get(j, {0: 0})
-            c = [row.get(i, 0) << -e for i in range(max(row) + 1)]
-            l, h = _horner(c, c, (x_lo, x_hi), -ex)
-            lo.append(l)
-            hi.append(h)
-        return lo, hi, e
-    if not p._terms:
-        return [0], [0], e
-    even, odd = _residue_rows(p, modulus)
-    u = _squares(x_lo, x_hi)
-    for j, row in enumerate(even):
+    for row, odd_row in zip(even, odd):
         c = [ci << -e for ci in row]
-        l, h = _horner(c, c, u, -2 * ex)
-        if any(odd[j]):
-            c = [ci << -e for ci in odd[j]]
-            ol, oh = _horner(c, c, u, -2 * ex)
+        l, h = _horner(c, c, v, k)
+        if any(odd_row):
+            c = [ci << -e for ci in odd_row]
+            ol, oh = _horner(c, c, v, k)
             l, h = _horner([l, ol], [h, oh], (x_lo, x_hi), -ex)
         lo.append(l)
         hi.append(h)

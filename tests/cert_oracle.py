@@ -26,6 +26,12 @@ Horner in x of an even polynomial is Horner in u over the squares of x.
 Interval Horner is inclusion-monotone, so on a bracket inside the
 package's x_n enclosure the oracle is never less definite than the
 package's exact path there.
+
+It also keeps the scan's isolation kernels as they first ran, each bound
+list shifted on its own, one indexed addition a step
+(`reference_taylor_shift`, `reference_margin_shift`,
+`reference_variations`): the package's running-sum and packed versions
+must give the same integers and counts.
 """
 
 import hashlib
@@ -164,3 +170,43 @@ def accepts(record: dict, knot: str, terms: list[tuple[int, int, int]]) -> bool:
         if not (lo > 0 if sign > 0 else hi < 0):
             return False
     return True
+
+
+def reference_taylor_shift(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
+    """Coefficients (constant first) of q(t + 1) from those of q(t), for
+    each of lo and hi: the classical additive shift, c_j += c_(j+1)."""
+    lo, hi = list(lo), list(hi)
+    for i in range(len(lo) - 1):
+        for j in range(len(lo) - 2, i - 1, -1):
+            lo[j] += lo[j + 1]
+            hi[j] += hi[j + 1]
+    return lo, hi
+
+
+def reference_margin_shift(lo: list[int], hi: list[int], bits: int
+                           ) -> tuple[list[int], list[int]]:
+    """The shift of q(t) by 2**-bits on the bounds' own unit, as the root
+    node makes it: the additive shift with each added coefficient floored
+    (lo) or ceiled (hi) at 2**-bits, so the bounds only widen."""
+    lo, hi = list(lo), list(hi)
+    d = len(lo) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            lo[j] += lo[j + 1] >> bits
+            hi[j] -= -hi[j + 1] >> bits
+    return lo, hi
+
+
+def reference_variations(lo: list[int], hi: list[int]) -> int | None:
+    """Sign variations of (1 + t)**d q(1/(1 + t)) for every q with
+    lo <= coefficients <= hi, None when a coefficient sign is not fixed:
+    the reversed bounds shifted by 1 as two lists, each pair read apart."""
+    count, last = 0, 0
+    for l, h in zip(*reference_taylor_shift(lo[::-1], hi[::-1])):
+        if l > 0 or h < 0:
+            s = 1 if l > 0 else -1
+            count += last == -s
+            last = s
+        elif l or h:
+            return None
+    return count

@@ -12,8 +12,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rileycert.certify import (RootCertificate, find_root_gt2, verify_certificate,
-                               xn_enclosure, xn_modulus)
+from rileycert.certify import (RootCertificate, _SignOracle, find_root_gt2,
+                               verify_certificate, xn_enclosure, xn_modulus)
 from rileycert.cli import parse_knot_spec
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.polyring import XYPoly, eval_interval, y_coefficient_bounds
@@ -127,6 +127,20 @@ def test_a_residue_of_degree_0_is_exact_at_any_width():
     lo, hi, _ = y_coefficient_bounds(p, xn, -4, _modulus(4))
     assert lo[0] == hi[0] == -2 << 4
     assert (lo[1], hi[1]) == (2 * xn.lo.m << 4 + xn.lo.e, 2 * xn.hi.m << 4 + xn.hi.e)
+
+
+@pytest.mark.parametrize("spec, n", [("J:4,6", 5), ("J:4,6", 40), ("Kl:6", 7), ("13/5", 4)])
+def test_the_oracle_re_encloses_its_rows_as_a_fresh_reduction(spec, n):
+    # the sign oracle reduces phi once and re-encloses the kept rows at
+    # each precision: the bounds are those y_coefficient_bounds forms from
+    # phi itself, with P_n (n = 5, 7, 4) and without (n = 40)
+    phi = riley_for_knot(parse_knot_spec(spec))
+    oracle = _SignOracle(phi.poly, n)
+    assert (oracle.modulus is None) == (n == 40)
+    for _ in range(3):
+        e = -2 * oracle.precision - 32
+        assert oracle.bounds == y_coefficient_bounds(phi.poly, oracle.xn, e, oracle.modulus)
+        assert oracle.escalate()
 
 
 @pytest.mark.parametrize("spec, precision", [("Kl:50", 512), ("499/97", None)])

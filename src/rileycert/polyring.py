@@ -412,13 +412,15 @@ def _point_y_coeffs(p: XYPoly, m: int, k: int) -> tuple[list[int], int]:
     return b, -k * deg
 
 
-def _residue(c: Sequence[int], modulus: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(E, O), ascending, with sum_i c_i x**i = E(u) + x O(u) modulo P(u),
-    u = x**2, for P = modulus, monic and ascending: each half of c, c[0::2]
-    and c[1::2], replaced by its remainder modulo P by long division.  P is
-    monic, so the division stays in the integers, and is exact; E has at
-    least one coefficient, O none when c has one."""
-    m, halves = len(modulus) - 1, (c[0::2], c[1::2])
+def _residue(c: Sequence[int], modulus: Sequence[int] | None) -> tuple[list[int], list[int]]:
+    """(E, O), ascending, with sum_i c_i x**i = E(u) + x O(u), u = x**2:
+    the halves c[0::2] and c[1::2], and with a modulus P, monic and
+    ascending, each replaced by its remainder modulo P by long division, so
+    that the identity holds modulo P(u).  P is monic, so the division stays
+    in the integers, and is exact.  Without one no step divides (m is then
+    the length of c).  E has at least one coefficient, O none when c has
+    one."""
+    m, halves = len(modulus) - 1 if modulus else len(c), (c[0::2], c[1::2])
     for r in halves:
         for k in range(len(r) - 1, m - 1, -1):
             q = r[k]
@@ -428,20 +430,22 @@ def _residue(c: Sequence[int], modulus: Sequence[int]) -> tuple[list[int], list[
     return halves
 
 
-def _residue_rows(p: XYPoly, modulus: Sequence[int]) -> list[list[tuple[int, ...]]]:
-    """[E, O]: `_residue` of every y-row of p with terms at once, E[j] and
-    O[j] the deg P coefficients of R_E and R_O for the row c_j,
-    j = 0 .. deg_y.  The long division runs on columns, the coefficients
-    of one power of x in every row: a step subtracts q times a coefficient
-    of P from a column, q the column being divided off, one map over all
-    rows in place of a loop per row, and a zero column (all of the odd half
-    of an even p) is skipped."""
+def _residue_rows(p: XYPoly, modulus: Sequence[int] | None
+                  ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """(E, O): `_residue` of every y-row of p with terms at once, E[j] and
+    O[j] the m coefficients of R_E and R_O for the row c_j, j = 0 .. deg_y,
+    m = deg P, or without a modulus the length of the even half, above the
+    degree of either half, so that no step divides.  The long division runs
+    on columns, the coefficients of one power of x in every row: a step
+    subtracts q times a coefficient of P from a column, q the column being
+    divided off, one map over all rows in place of a loop per row, and a
+    zero column (all of the odd half of an even p) is skipped."""
     xs, ys = zip(*p._terms)
     width = max(ys) + 1
     cols = [[0] * width for _ in range(max(xs) + 1)]
     for (i, j), c in p._terms.items():
         cols[i][j] = c
-    m, halves = len(modulus) - 1, []
+    m, halves = len(modulus) - 1 if modulus else (len(cols) + 1) // 2, []
     for half in (cols[0::2], cols[1::2]):
         half += [[0] * width] * (m - len(half))
         for k in range(len(half) - 1, m - 1, -1):
@@ -451,7 +455,7 @@ def _residue_rows(p: XYPoly, modulus: Sequence[int]) -> list[list[tuple[int, ...
                     half[k - m + t] = list(map(sub, half[k - m + t],
                                                map(mul, q, repeat(modulus[t]))))
         halves.append(list(zip(*half[:m])))
-    return halves
+    return tuple(halves)
 
 
 def _squares(x_lo: int, x_hi: int) -> tuple[int, int]:
@@ -489,30 +493,26 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
     With y = m * 2**e_y and x = [x_lo, x_hi] * 2**e_x (`_scaled`), the
     x-coefficients b_i = sum_j a_ij y**j are formed exactly in power form
     (`_point_y_coeffs`, faster there than Horner in y), in units of
-    2**(D * e_y), D = deg_y.  Without a modulus, interval Horner in x then
-    gives the result, exactly (`_exact_horner`): the only width in it comes
-    from x, and a point x gives the exact value.
+    2**(D * e_y), D = deg_y.  Then b(x) = E(u) + x O(u), u = x**2, E and O
+    its even and odd halves, and v**2 lies in U = {w**2 : w in x}
+    (`_squares`) for every v in x, so exact interval Horner of E and O in u
+    over U, the latter times x and added to the former (`_horner` at k = 0
+    on an aligned unit), encloses b over x, and a point x gives the exact
+    value.  An odd half that is zero, as for every phi the package builds,
+    costs nothing.
 
-    With a modulus.  Write b(x) = sum_i b_i x**i = E(u) + x O(u), u = x**2,
-    E and O its even and odd halves (any p: an odd part is x times a
-    polynomial in u).  P is monic with integer coefficients, so long
-    division gives E = Q_E P + R_E and O = Q_O P + R_O in Z[u], exactly
-    (`_residue`), with R_E and R_O of degree below deg P.  At u_n = x_n**2,
-    P(u_n) = 0, so b(x_n) = R_E(u_n) + x_n R_O(u_n).  P need not be the
-    minimal polynomial of u_n: any monic integer P with P(u_n) = 0 gives
-    the same value.  u_n lies in U = {v**2 : v in x} (`_squares`) when x_n
-    lies in x, so exact interval Horner of R_E and R_O in u over U, the
-    latter times x and added to the former (`_horner` at k = 0 on an
-    aligned unit), encloses b(x_n).  Its width comes from U alone, on deg P
-    steps in place of deg_x: a residue of degree 0, as at deg P = 1, is
-    exact at any width of x.  The result does not enclose p over the whole
-    of x, only at the x_n that P names.  Every phi the package builds is
-    even in x (see certify._SignOracle), so there R_O is zero and only R_E
-    is evaluated; the odd path serves any other p.
+    With a modulus, E and O are first replaced by R_E and R_O, their
+    remainders modulo P in Z[u] (`_residue`), exact as P is monic with
+    integer coefficients.  At u_n = x_n**2, P(u_n) = 0, so b(x_n) =
+    R_E(u_n) + x_n R_O(u_n), whether or not P is the minimal polynomial of
+    u_n, and u_n lies in U when x_n lies in x.  The width then comes from U
+    alone on deg P steps in place of deg_x / 2: a residue of degree 0, as
+    at deg P = 1, is exact at any width of x.  The result does not enclose
+    p over the whole of x, only at the x_n that P names.
 
     y_bounds = (lo, hi, e), when given, must bound the y-coefficients of p
-    as y_coefficient_bounds gives them, with the same modulus or none:
-    lo[j] * 2**e <= c_j <= hi[j] * 2**e, at every v in x or, with a
+    as `y_row_bounds` gives them from `y_rows` with the same modulus or
+    none: lo[j] * 2**e <= c_j <= hi[j] * 2**e, at every v in x or, with a
     modulus, at x_n.  For y = m / 2**k >= 0 the enclosure
     [sum lo[j] y**j, sum hi[j] y**j] is then formed by `_horner` in y at
     [m, m], in the bounds' own unit 2**e, each product floored at its lower
@@ -522,9 +522,9 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
     has the sign the exact path gives.  Horner of b_i = sum_j a_ij y**j
     (the exact path) lies inside sum_j y**j * (Horner of c_j) by
     subdistributivity, (A + B) * X within A * X + B * X, with y**j >= 0 a
-    point factor; with a modulus the residues are linear in the row, so
-    those of b are sum_j y**j times those of c_j, and the same holds for
-    Horner in u and for the product by x; each Horner value of c_j lies in
+    point factor; the halves and residues are linear in the row, so those
+    of b are sum_j y**j times those of c_j, and the same holds for Horner
+    in u and for the product by x; each Horner value of c_j lies in
     [lo[j], hi[j]] * 2**e; and the floors and ceilings only widen the sum.
     So the exact interval is inside the returned one, and a sign definite
     there is the exact path's sign.
@@ -541,96 +541,53 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
             return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
     b, e = _point_y_coeffs(p, m, -ey)
     x_lo, x_hi, ex = _scaled(x)
-    if modulus is None:
-        l, h, ev = _exact_horner(b, (x_lo, x_hi), ex)
-    else:
-        even, odd = _residue(b, modulus)
-        u = _squares(x_lo, x_hi)
-        l, h, ev = _exact_horner(even, u, 2 * ex)
-        if any(odd):
-            ol, oh, eo = _exact_horner(odd, u, 2 * ex)
-            eo += ex
-            t = min(ev, eo)
-            l, h = _horner([l << ev - t, ol << eo - t], [h << ev - t, oh << eo - t],
-                           (x_lo, x_hi), 0)
-            ev = t
+    even, odd = _residue(b, modulus)
+    u = _squares(x_lo, x_hi)
+    l, h, ev = _exact_horner(even, u, 2 * ex)
+    if any(odd):
+        ol, oh, eo = _exact_horner(odd, u, 2 * ex)
+        eo += ex
+        t = min(ev, eo)
+        l, h = _horner([l << ev - t, ol << eo - t], [h << ev - t, oh << eo - t],
+                       (x_lo, x_hi), 0)
+        ev = t
     e += ev
     return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
 
 
-def y_coefficient_bounds(p: XYPoly, x: DyadicInterval, e: int,
-                         modulus: Sequence[int] | None = None
-                         ) -> tuple[list[int], list[int], int]:
-    """(lo, hi, e) with lo[j] * 2**e <= c_j(v) <= hi[j] * 2**e for every v in
-    x, where p = sum_j c_j(x) y**j: each c_j by `_horner` in x on integers
-    over 2**e, for a unit e <= 0.
+def y_rows(p: XYPoly, modulus: Sequence[int] | None = None
+           ) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
+    """(even, odd), the exact part of the y-coefficient bounds for each
+    y-row c_j(x) = E(u) + x O(u), j = 0 .. deg_y: even[j] and odd[j] list
+    the coefficients in u, ascending, of E and O, or with a modulus those
+    of R_E and R_O (`_residue_rows`).  They do not depend on x or on the
+    unit, so a caller that re-encloses at a finer x reduces p only once."""
+    return _residue_rows(p, modulus) if p._terms else ([(0,)], [()])
 
-    With a modulus P, monic in Z[u], u = x**2, the bounds hold at the x_n
-    in x with P(x_n**2) = 0, not over the whole of x.  Each row is first
-    reduced exactly, in its own small integers: c_j(x) = E(u) + x O(u) and
-    long division by the monic P gives E = Q_E P + R_E and O = Q_O P + R_O
-    in Z[u] (`_residue_rows`, all rows at once), so c_j(x_n) =
-    R_E(u_n) + x_n R_O(u_n) as P(u_n) = 0, whether or not P is the minimal
-    polynomial of u_n.  The bounds are then `_horner` of R_E in u over
-    {v**2 : v in x}, which holds u_n, plus x times that of R_O when R_O is
-    not zero: deg P - 1 steps each in place of deg_x, and none for a
-    residue of degree 0.  Every phi the package builds is even in x (see
-    certify._SignOracle), so there R_O is zero; the odd path serves any
-    other p.
+
+def y_row_bounds(rows: tuple[list[Sequence[int]], list[Sequence[int]]],
+                 x: DyadicInterval, e: int) -> tuple[list[int], list[int], int]:
+    """(lo, hi, e) with lo[j] * 2**e <= c_j(v) <= hi[j] * 2**e for every v in
+    x, or with rows reduced modulo P at the x_n in x with P(x_n**2) = 0
+    (see eval_interval), for the rows `y_rows` gives and a unit e <= 0:
+    each row's integers on the unit 2**e by `_horner` in u over the squares
+    of x, plus x times the odd half where it is not zero.
 
     On a unit at or below deg_x * e_x, e_x the exponent of x as `_scaled`
-    gives it, no floor cuts anything and the bounds without a modulus are
-    exact interval Horner.  On a coarser one the floors and ceilings only
-    widen each enclosure, while the integers stay near 2**-e in place of
-    growing by the bits of x with every degree.
-
-    The rows and residues do not depend on x or e: `y_rows` forms them and
-    `y_row_bounds` encloses them, so that a caller that re-encloses at a
-    finer x reduces p only once.
-    """
-    return y_row_bounds(y_rows(p, modulus), x, e)
-
-
-def y_rows(p: XYPoly, modulus: Sequence[int] | None = None
-           ) -> tuple[list[Sequence[int]], list[Sequence[int]] | None]:
-    """(even, odd), the exact part of `y_coefficient_bounds` for each
-    y-row c_j, j = 0 .. deg_y: without a modulus, even[j] lists c_j's
-    coefficients in x, ascending, and odd is None; with one, even[j] and
-    odd[j] are those of R_E and R_O in u (`_residue_rows`)."""
-    if modulus is not None:
-        if not p._terms:
-            return [(0,)], [()]
-        even, odd = _residue_rows(p, modulus)
-        return even, odd
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), c in p._terms.items():
-        rows.setdefault(j, {})[i] = c
-    even = []
-    for j in range(p.deg_y() + 1):
-        row = rows.get(j, {0: 0})
-        even.append([row.get(i, 0) for i in range(max(row) + 1)])
-    return even, None
-
-
-def y_row_bounds(rows: tuple[list[Sequence[int]], list[Sequence[int]] | None],
-                 x: DyadicInterval, e: int) -> tuple[list[int], list[int], int]:
-    """`y_coefficient_bounds` from the rows `y_rows` gives: each row's
-    integers on the unit 2**e by `_horner`, in x over x when odd is None,
-    else in u over the squares of x, plus x times the odd residue where it
-    is not zero."""
+    gives it, no floor cuts anything and the bounds are exact interval
+    Horner in u.  On a coarser one the floors and ceilings only widen each
+    enclosure, while the integers stay near 2**-e in place of growing by the
+    bits of x with every degree."""
     even, odd = rows
     x_lo, x_hi, ex = _scaled(x)
-    if odd is None:
-        v, k, odd = (x_lo, x_hi), -ex, repeat(())
-    else:
-        v, k = _squares(x_lo, x_hi), -2 * ex
+    u, k = _squares(x_lo, x_hi), -2 * ex
     lo, hi = [], []
     for row, odd_row in zip(even, odd):
         c = [ci << -e for ci in row]
-        l, h = _horner(c, c, v, k)
+        l, h = _horner(c, c, u, k)
         if any(odd_row):
             c = [ci << -e for ci in odd_row]
-            ol, oh = _horner(c, c, v, k)
+            ol, oh = _horner(c, c, u, k)
             l, h = _horner([l, ol], [h, oh], (x_lo, x_hi), -ex)
         lo.append(l)
         hi.append(h)

@@ -2,8 +2,8 @@
 program itself does not need: the dict polynomial algebra (XY on Z[x, y],
 SY on the Laurent ring Z[s, 1/s, y]), rational evaluation, substitution in
 y, the Laurent image f(s + 1/s, y), packing a term map and unpacking it
-slot by slot, the rewrite of a dict SY, interval Horner on DyadicInterval objects, and the Fraction value
-of a Dyadic.
+slot by slot, the rewrite of a dict SY, interval Horner on DyadicInterval
+objects, in x and in u = x**2, and the Fraction value of a Dyadic.
 
 The package builds every polynomial on packed integers and its XYPoly has
 no arithmetic; XY and SY carry the + - * operators of term-dict
@@ -289,3 +289,32 @@ def reference_eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval) -> 
     xs, ys = ((as_fraction(iv.lo), as_fraction(iv.hi)) for iv in (x, y))
     lo, hi = _interval_horner({i: _interval_horner(row, ys) for i, row in slices.items()}, xs)
     return DyadicInterval(_to_dyadic(lo), _to_dyadic(hi))
+
+
+def _interval_squares(v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """The exact range of w**2 for w in [v0, v1]."""
+    ends = sorted((v[0] * v[0], v[1] * v[1]))
+    return (Fraction(0) if v[0] <= 0 <= v[1] else ends[0]), ends[1]
+
+
+def reference_eval_interval_u(p: XYPoly, x: DyadicInterval, y: DyadicInterval) -> DyadicInterval:
+    """Horner in y, then b(x) = E(u) + x O(u), u = x**2, on Fraction
+    endpoints: exact interval Horner of E in u over the exact range
+    {v**2 : v in x}, plus x times that of O.  x and y may have ends of any
+    sign, and y may be an interval.
+
+    eval_interval without a modulus must return exactly this interval at
+    every point y; for an even p and x within [0, oo) it is the interval of
+    `reference_eval_interval` (Horner in x), as two products by a
+    nonnegative [a, b] are one product by [a**2, b**2].
+    """
+    slices: dict = {}
+    for i, j, c in p.terms():
+        slices.setdefault(i, {})[j] = (c, c)
+    xs, ys = ((as_fraction(iv.lo), as_fraction(iv.hi)) for iv in (x, y))
+    b = {i: _interval_horner(row, ys) for i, row in slices.items()}
+    us = _interval_squares(xs)
+    lo, hi = _interval_horner({i // 2: c for i, c in b.items() if i % 2 == 0}, us)
+    odd = _interval_horner({i // 2: c for i, c in b.items() if i % 2}, us)
+    x_odd = _interval_times(odd, xs)
+    return DyadicInterval(_to_dyadic(lo + x_odd[0]), _to_dyadic(hi + x_odd[1]))

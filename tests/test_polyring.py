@@ -10,13 +10,14 @@ from rileycert import polyring
 from rileycert.dyadic import Dyadic, DyadicInterval
 from rileycert.knots import TwoBridgeFraction
 from rileycert.polyring import (NotSymmetric, Packing, XYPoly, _horner, eval_interval,
-                                symmetric_rewrite, taylor_shift, y_coefficient_bounds)
+                                symmetric_rewrite, taylor_shift, y_row_bounds, y_rows)
 from rileycert.riley import riley_double_twist, riley_for_knot
 
 from matrix_oracle import PolyMatrix
 from poly_oracle import (SY, XY, as_fraction, contains_fraction, contains_interval,
-                         eval_fraction, pack, reference_eval_interval, reference_unpack,
-                         rewrite_sy, substitute_y, to_sy, y_slices)
+                         eval_fraction, pack, reference_eval_interval,
+                         reference_eval_interval_u, reference_unpack, rewrite_sy,
+                         substitute_y, to_sy, y_slices)
 
 X, Y = XY.x(), XY.y()
 
@@ -500,7 +501,7 @@ def test_eval_interval_rejects_interval_y():
             with pytest.raises(ValueError, match=re.escape(repr(y.hi))):
                 eval_interval(p, x, y)
             with pytest.raises(ValueError, match=re.escape(repr(y.hi))):
-                eval_interval(p, x, y, y_bounds=y_coefficient_bounds(p, x, -8))
+                eval_interval(p, x, y, y_bounds=_bounds(p, x, -8))
 
 
 def test_eval_interval_riley_at_exact_point():
@@ -529,13 +530,13 @@ dyadics = st.builds(Dyadic, st.integers(-(1 << 24), 1 << 24), st.integers(-40, 6
 points = dyadics.map(DyadicInterval.point)
 intervals = st.one_of(
     points, st.tuples(dyadics, dyadics).map(lambda ds: DyadicInterval(min(ds), max(ds))))
-# stands for the exact unit of y_coefficient_bounds (exact_unit)
+# stands for the exact unit of the y-coefficient bounds (exact_unit)
 EXACT = None
 
 
 def exact_unit(p, x):
-    """The coarsest unit on which y_coefficient_bounds of p over x is exact
-    interval Horner: deg_x times the exponent of x, clamped to <= 0."""
+    """The coarsest unit on which y_row_bounds of p over x is exact
+    interval Horner in u: deg_x times the exponent of x, clamped to <= 0."""
     return p.deg_x() * min(x.lo.e, x.hi.e, 0)
 
 
@@ -543,7 +544,7 @@ def exact_unit(p, x):
 @given(sparse_polys, intervals, points, st.fractions(0, 1))
 def test_eval_interval_matches_reference(p, x, y, tx):
     iv = eval_interval(p, x, y)
-    assert iv == reference_eval_interval(p, x, y)
+    assert iv == reference_eval_interval_u(p, x, y)
     u = as_fraction(x.lo) + tx * as_fraction(x.width())
     assert contains_fraction(iv, eval_fraction(p, u, as_fraction(y.lo)))
 
@@ -618,9 +619,9 @@ bounds_exponents = st.one_of(st.just(EXACT), st.integers(-90, 0))
 
 
 def _bounds(p, x, e):
-    """y_coefficient_bounds of p over x as the sign oracle forms them, on
-    the unit 2**e, or on the exact unit for EXACT."""
-    return y_coefficient_bounds(p, x, exact_unit(p, x) if e is EXACT else e)
+    """The y-coefficient bounds of p over x as the sign oracle forms them,
+    on the unit 2**e, or on the exact unit for EXACT."""
+    return y_row_bounds(y_rows(p), x, exact_unit(p, x) if e is EXACT else e)
 
 
 @settings(max_examples=300, deadline=None)
@@ -633,8 +634,8 @@ def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx, e):
     for j, (l, h) in enumerate(zip(lo, hi)):
         c = eval_fraction(slices[j], u, Fraction(0)) if j in slices else 0
         assert l * Fraction(2) ** e <= c <= h * Fraction(2) ** e
-        if e <= exact_unit(p, x):  # interval Horner in x, exactly
-            assert DyadicInterval(Dyadic(l, e), Dyadic(h, e)) == reference_eval_interval(
+        if e <= exact_unit(p, x):  # interval Horner in u, exactly
+            assert DyadicInterval(Dyadic(l, e), Dyadic(h, e)) == reference_eval_interval_u(
                 slices.get(j, XY.zero()), x, DyadicInterval.point(0))
 
 
@@ -643,25 +644,29 @@ COEFFICIENT_CASES = XY.from_terms([(0, 0, 3), (1, 1, 1), (2, 1, -2), (3, 2, 1)])
 
 
 def test_y_coefficient_bounds_straddling_x():
-    # interval Horner: c_1 = (-2 X + 1) X = [-1, 3] * [-1, 1], c_2 = X X X
+    # interval Horner in u = x**2 over U = [0, 1], the squares of
+    # X = [-1, 1]: c_1 = -2 u + x is -2 U + X = [-2, 0] + [-1, 1] = [-3, 1],
+    # and c_2 = x u is X U = [-1, 1] * [0, 1] = [-1, 1]: X enters c_1 once,
+    # where Horner in x, (-2 X + 1) X = [-3, 3], takes it twice
     x = DyadicInterval(Dyadic(-1), Dyadic(1))
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x, 0) == ([3, -3, -1], [3, 3, 1], 0)
+    assert _bounds(COEFFICIENT_CASES, x, 0) == ([3, -3, -1], [3, 1, 1], 0)
 
 
 def test_y_coefficient_bounds_negative_x():
-    # x in [-3/2, -1/2]: c_1 = (-2 X + 1) X = [2, 4] X, c_2 = X**3, on 2**-3
+    # x in X = [-3/2, -1/2], U = [1/4, 9/4]: c_1 = -2 U + X = [-6, -1],
+    # c_2 = X U = [-27/8, -1/8], on 2**-3
     x = DyadicInterval(Dyadic(-3, -1), Dyadic(-1, -1))
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x, -3) == ([24, -48, -27], [24, -8, -1], -3)
+    assert _bounds(COEFFICIENT_CASES, x, -3) == ([24, -48, -27], [24, -8, -1], -3)
 
 
 def test_y_coefficient_bounds_point_x():
-    # x = 3/4: exact on 2**-6, and so below it; on 2**-4 only the last
-    # product of x**3 = 27/64 is cut
+    # x = 3/4, u = 9/16: exact on 2**-6, and so below it; on 2**-4 only the
+    # last product, x u = 27/64, is cut
     x = DyadicInterval.point(Dyadic(3, -2))
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x, -6) == ([192, -24, 27], [192, -24, 27], -6)
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x, -10) \
+    assert _bounds(COEFFICIENT_CASES, x, -6) == ([192, -24, 27], [192, -24, 27], -6)
+    assert _bounds(COEFFICIENT_CASES, x, -10) \
         == ([3072, -384, 432], [3072, -384, 432], -10)
-    assert y_coefficient_bounds(COEFFICIENT_CASES, x, -4) == ([48, -6, 6], [48, -6, 7], -4)
+    assert _bounds(COEFFICIENT_CASES, x, -4) == ([48, -6, 6], [48, -6, 7], -4)
 
 
 # values with positive exponents (2 = 1 * 2**1): _scaled brings them to 2**0
@@ -681,7 +686,7 @@ def interval_id(iv: DyadicInterval) -> str:
                                riley_double_twist(1, 2).poly], ids=["cases", "shifted", "J34"])
 def test_positive_exponents_match_the_reference(p, x, y):
     # an interval y is a ValueError; the bounds do not depend on y
-    reference = reference_eval_interval(p, x, y)
+    reference = reference_eval_interval_u(p, x, y)
     if y.is_point():
         assert eval_interval(p, x, y) == reference
     else:
@@ -689,10 +694,10 @@ def test_positive_exponents_match_the_reference(p, x, y):
             eval_interval(p, x, y)
     slices = y_slices(p)
     for e in (0, -5):
-        bounds = y_coefficient_bounds(p, x, e)
+        bounds = _bounds(p, x, e)
         lo, hi, _ = bounds
         for j, (l, h) in enumerate(zip(lo, hi)):
-            assert DyadicInterval(Dyadic(l, e), Dyadic(h, e)) == reference_eval_interval(
+            assert DyadicInterval(Dyadic(l, e), Dyadic(h, e)) == reference_eval_interval_u(
                 slices.get(j, XY.zero()), x, DyadicInterval.point(0))
         if not y.is_point():
             continue
@@ -736,6 +741,64 @@ def test_eval_interval_matches_reference_on_riley():
         for y in (Dyadic(2), Dyadic(17, -3), Dyadic(2 ** 130 + 12345, -128)):
             point = DyadicInterval.point(y)
             assert eval_interval(phi, xn, point) == reference_eval_interval(phi, xn, point)
+
+
+even_polys = st.lists(
+    st.tuples(st.integers(0, 4).map(lambda i: 2 * i), st.integers(0, 7), st.integers(-60, 60)),
+    max_size=12).map(XYPoly.from_terms)
+nonneg_dyadics = st.builds(Dyadic, st.integers(0, 1 << 24), st.integers(-40, 6))
+nonneg_intervals = st.tuples(nonneg_dyadics, nonneg_dyadics).map(
+    lambda ds: DyadicInterval(min(ds), max(ds)))
+
+
+def _assert_as_horner_in_x(p, x, ys):
+    """eval_interval at each point y, and the y-coefficient bounds on their
+    exact unit, equal interval Horner in x."""
+    for y in ys:
+        assert eval_interval(p, x, y) == reference_eval_interval(p, x, y)
+    e = exact_unit(p, x)
+    lo, hi, _ = y_row_bounds(y_rows(p), x, e)
+    slices = y_slices(p)
+    for j, (l, h) in enumerate(zip(lo, hi)):
+        assert DyadicInterval(Dyadic(l, e), Dyadic(h, e)) == reference_eval_interval(
+            slices.get(j, XY.zero()), x, DyadicInterval.point(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(even_polys, nonneg_intervals, points)
+def test_even_polynomials_on_nonnegative_x_match_horner_in_x(p, x, y):
+    # two products by a nonnegative [a, b] are one product by [a**2, b**2],
+    # so for an even p and x within [0, oo) Horner in u gives the very
+    # interval Horner in x gave: every phi is even and every x_n >= 0, and
+    # so no record moves between the two forms
+    _assert_as_horner_in_x(p, x, [y])
+
+
+@pytest.mark.parametrize("spec, ns", [("J:4,6", (15, 40, 257)), ("Kl:6", (37, 100)),
+                                      ("J:1,2", (7, 9, 256))])
+def test_family_phi_without_a_modulus_matches_horner_in_x(spec, ns):
+    # the n that xn_modulus builds no P_n for, where the scan and the
+    # verifier evaluate phi's halves undivided
+    from rileycert.certify import xn_enclosure, xn_modulus
+    from rileycert.cli import parse_knot_spec
+    phi = riley_for_knot(parse_knot_spec(spec)).poly
+    ys = [DyadicInterval.point(y) for y in (Dyadic(2), Dyadic(17, -3),
+                                            Dyadic(2 ** 130 + 12345, -128))]
+    for n in ns:
+        assert xn_modulus(n, phi.deg_x()) is None, (spec, n)
+        for precision in (128, 256):
+            _assert_as_horner_in_x(phi, xn_enclosure(n, precision), ys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_polys, st.lists(st.integers(-60, 60), min_size=8, max_size=8))
+def test_no_modulus_is_a_modulus_above_every_half_row(p, tail):
+    # a monic P of degree deg_x // 2 + 1 divides no half-row, so the rows
+    # without a modulus are those with P in the same layout, and the gate
+    # in xn_modulus cannot change a result
+    m = p.deg_x() // 2 + 1
+    modulus = (*tail[:m], 1)
+    assert y_rows(p, None) == y_rows(p, modulus)
 
 
 def test_poly_matrix_ops():

@@ -1,6 +1,6 @@
 """phi(x_n, .) evaluated on residues modulo P_n(u), u = x**2: P_n against
 mpmath at 300 bits, the evenness of every phi the package builds, the
-enclosures of `eval_interval` and `y_coefficient_bounds` with a modulus
+enclosures of `eval_interval` and `y_row_bounds` with a modulus
 against mpmath's values at x_n, and the records at the knot limits through
 the verifier and the independent oracle of cert_oracle.py."""
 
@@ -16,7 +16,7 @@ from rileycert.certify import (RootCertificate, _SignOracle, find_root_gt2,
                                verify_certificate, xn_enclosure, xn_modulus)
 from rileycert.cli import parse_knot_spec
 from rileycert.dyadic import Dyadic, DyadicInterval
-from rileycert.polyring import XYPoly, eval_interval, y_coefficient_bounds
+from rileycert.polyring import XYPoly, eval_interval, y_row_bounds, y_rows
 from rileycert.riley import riley_for_knot
 
 import cert_oracle
@@ -106,7 +106,7 @@ def test_residue_evaluation_encloses_mpmath_at_xn(p, n, precision, y, e):
             point = DyadicInterval.point(y)
             exact = eval_interval(p, xn, point, modulus=modulus)
             assert _encloses(exact, value, size), (modulus, exact, value)
-            bounds = y_coefficient_bounds(p, xn, e, modulus)
+            bounds = y_row_bounds(y_rows(p, modulus), xn, e)
             for j, (lo, hi) in enumerate(zip(bounds[0], bounds[1])):
                 assert _encloses(DyadicInterval(Dyadic(lo, e), Dyadic(hi, e)),
                                  rows.get(j, 0), size), (j, modulus)
@@ -124,7 +124,7 @@ def test_a_residue_of_degree_0_is_exact_at_any_width():
     xn = xn_enclosure(4, 1)
     assert eval_interval(p, xn, DyadicInterval.point(0), modulus=_modulus(4)) \
         == DyadicInterval.point(-2)
-    lo, hi, _ = y_coefficient_bounds(p, xn, -4, _modulus(4))
+    lo, hi, _ = y_row_bounds(y_rows(p, _modulus(4)), xn, -4)
     assert lo[0] == hi[0] == -2 << 4
     assert (lo[1], hi[1]) == (2 * xn.lo.m << 4 + xn.lo.e, 2 * xn.hi.m << 4 + xn.hi.e)
 
@@ -132,14 +132,14 @@ def test_a_residue_of_degree_0_is_exact_at_any_width():
 @pytest.mark.parametrize("spec, n", [("J:4,6", 5), ("J:4,6", 40), ("Kl:6", 7), ("13/5", 4)])
 def test_the_oracle_re_encloses_its_rows_as_a_fresh_reduction(spec, n):
     # the sign oracle reduces phi once and re-encloses the kept rows at
-    # each precision: the bounds are those y_coefficient_bounds forms from
-    # phi itself, with P_n (n = 5, 7, 4) and without (n = 40)
+    # each precision: the bounds are those y_row_bounds forms from a fresh
+    # y_rows of phi, with P_n (n = 5, 7, 4) and without (n = 40)
     phi = riley_for_knot(parse_knot_spec(spec))
     oracle = _SignOracle(phi.poly, n)
     assert (oracle.modulus is None) == (n == 40)
     for _ in range(3):
         e = -2 * oracle.precision - 32
-        assert oracle.bounds == y_coefficient_bounds(phi.poly, oracle.xn, e, oracle.modulus)
+        assert oracle.bounds == y_row_bounds(y_rows(phi.poly, oracle.modulus), oracle.xn, e)
         assert oracle.escalate()
 
 

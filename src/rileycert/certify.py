@@ -219,19 +219,10 @@ class _SignOracle:
 
     Both run on the residues of phi's rows modulo P_n(u), u = x**2
     (modulus, from xn_modulus; None when no row reaches its degree, and
-    then on the rows' even and odd halves in u, undivided), in u over the
-    squares of the x_n enclosure: each c_j(x_n) is the value of its residue
-    at u_n = x_n**2, as P_n(u_n) = 0 (see eval_interval).  The evaluation
-    holds for any p, as an odd part is carried as x times a polynomial in
-    u; that every phi the package builds is even in x is only why the odd
-    halves cost nothing, as they are zero.  The proof: s -> -s sends
-    A = [[s, 1], [0, 1/s]] and B = [[s, 0], [2 - y, 1/s]] to -D A D**-1
-    and -D B D**-1, D = diag(1, -1), and so the image V of a word w to
-    (-1)**|w| D V D**-1, which is D V D**-1 for a relator word, as every
-    one has even length.  R = VA - BV then goes to -D R D**-1, whose entry
-    (1, 2) is R12 again, as conjugation by D negates it: R12(-s, y) =
-    R12(s, y).  phi(x, y) is R12 written in x = s + 1/s, which s -> -s
-    sends to -x, so phi(-x, y) = phi(x, y).
+    then on phi's rows in u, undivided), in u over the squares of the x_n
+    enclosure: each c_j(x_n) is the value of its residue at u_n = x_n**2,
+    as P_n(u_n) = 0 (see eval_interval).  phi is a polynomial in u, as
+    riley.RileyPolynomial proves, and y_rows refuses any other.
     """
 
     def __init__(self, poly: XYPoly, n: int):
@@ -606,15 +597,14 @@ def verify_certificate(cert: RootCertificate, phi: RileyPolynomial) -> bool:
     Shares only xn_enclosure, xn_modulus and polynomial evaluation with the
     search; none of the scan or refinement logic is involved.  Each sign is
     eval_interval's exact path on phi's x-coefficients at the endpoint, in
-    u = x**2 over the squares of the x_n enclosure and reduced modulo
-    P_n(u), which it builds from n as it builds x_n: P_n is monic with
-    integer coefficients and P_n(x_n**2) = 0, so the residue
-    R_E(u) + x R_O(u) has the value of phi at x_n exactly, and any monic
-    integer P with that root would do as well.  phi is even in x (proved
-    once, in _SignOracle), which only makes R_O zero and so free; the sign
-    does not depend on it.  A record's n bounds no work: xn_modulus builds
-    P_n only when some row of phi is long enough to reduce,
-    n <= deg_x + 2, and otherwise the halves are evaluated undivided.
+    u = x**2 (phi is even in x, see riley.RileyPolynomial) over the squares
+    of the x_n enclosure and reduced modulo P_n(u), which it builds from n
+    as it builds x_n: P_n is monic with integer coefficients and
+    P_n(x_n**2) = 0, so the residue has the value of phi at x_n exactly,
+    and any monic integer P with that root would do as well.  A record's n
+    bounds no work: xn_modulus builds P_n only when some row of phi is long
+    enough to reduce, n <= deg_x + 2, and otherwise the rows in u are
+    evaluated undivided.
     """
     if cert.poly_hash != phi.content_hash:
         raise HashMismatch("certificate does not match this polynomial")

@@ -412,50 +412,46 @@ def _point_y_coeffs(p: XYPoly, m: int, k: int) -> tuple[list[int], int]:
     return b, -k * deg
 
 
-def _residue(c: Sequence[int], modulus: Sequence[int] | None) -> tuple[list[int], list[int]]:
-    """(E, O), ascending, with sum_i c_i x**i = E(u) + x O(u), u = x**2:
-    the halves c[0::2] and c[1::2], and with a modulus P, monic and
-    ascending, each replaced by its remainder modulo P by long division, so
-    that the identity holds modulo P(u).  P is monic, so the division stays
-    in the integers, and is exact.  Without one no step divides (m is then
-    the length of c).  E has at least one coefficient, O none when c has
-    one."""
-    m, halves = len(modulus) - 1 if modulus else len(c), (c[0::2], c[1::2])
-    for r in halves:
-        for k in range(len(r) - 1, m - 1, -1):
-            q = r[k]
-            if q:
-                r[k - m:k] = [a - q * b for a, b in zip(r[k - m:k], modulus)]
-        del r[m:]
-    return halves
+def _residue(c: Sequence[int], modulus: Sequence[int] | None) -> list[int]:
+    """c[0::2], sum_i c_i x**i in u = x**2, ascending, and with a modulus P,
+    monic and ascending, its remainder modulo P by long division, in the
+    integers and exact as P is monic; without one no step divides.  Raises
+    ValueError when some c[1::2] is nonzero, the sum not being even."""
+    if any(c[1::2]):
+        raise ValueError("not even in x: a polynomial in u = x**2 has no odd x-terms")
+    r = c[0::2]
+    m = len(modulus) - 1 if modulus else len(r)
+    for k in range(len(r) - 1, m - 1, -1):
+        q = r[k]
+        if q:
+            r[k - m:k] = [a - q * b for a, b in zip(r[k - m:k], modulus)]
+    del r[m:]
+    return r
 
 
-def _residue_rows(p: XYPoly, modulus: Sequence[int] | None
-                  ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """(E, O): `_residue` of every y-row of p with terms at once, E[j] and
-    O[j] the m coefficients of R_E and R_O for the row c_j, j = 0 .. deg_y,
-    m = deg P, or without a modulus the length of the even half, above the
-    degree of either half, so that no step divides.  The long division runs
-    on columns, the coefficients of one power of x in every row: a step
+def _residue_rows(p: XYPoly, modulus: Sequence[int] | None) -> list[tuple[int, ...]]:
+    """`_residue` of every y-row of p with terms at once: row j holds the
+    m coefficients in u of c_j's residue, j = 0 .. deg_y, m = deg P, or
+    without a modulus deg_x / 2 + 1, so that no step divides.  Raises
+    ValueError on a term of odd x-degree.  The long division runs on
+    columns, the coefficients of one power of u in every row: a step
     subtracts q times a coefficient of P from a column, q the column being
-    divided off, one map over all rows in place of a loop per row, and a
-    zero column (all of the odd half of an even p) is skipped."""
+    divided off, one map over all rows in place of a loop per row."""
     xs, ys = zip(*p._terms)
     width = max(ys) + 1
-    cols = [[0] * width for _ in range(max(xs) + 1)]
+    cols = [[0] * width for _ in range(max(xs) // 2 + 1)]
     for (i, j), c in p._terms.items():
-        cols[i][j] = c
-    m, halves = len(modulus) - 1 if modulus else (len(cols) + 1) // 2, []
-    for half in (cols[0::2], cols[1::2]):
-        half += [[0] * width] * (m - len(half))
-        for k in range(len(half) - 1, m - 1, -1):
-            q = half[k]
-            if any(q):
-                for t in range(m):
-                    half[k - m + t] = list(map(sub, half[k - m + t],
-                                               map(mul, q, repeat(modulus[t]))))
-        halves.append(list(zip(*half[:m])))
-    return tuple(halves)
+        if i & 1:
+            raise ValueError(f"not even in x: a term of x-degree {i}")
+        cols[i >> 1][j] = c
+    m = len(modulus) - 1 if modulus else len(cols)
+    cols += [[0] * width] * (m - len(cols))
+    for k in range(len(cols) - 1, m - 1, -1):
+        q = cols[k]
+        if any(q):
+            for t in range(m):
+                cols[k - m + t] = list(map(sub, cols[k - m + t], map(mul, q, repeat(modulus[t]))))
+    return list(zip(*cols[:m]))
 
 
 def _squares(x_lo: int, x_hi: int) -> tuple[int, int]:
@@ -488,46 +484,35 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
                   modulus: Sequence[int] | None = None) -> DyadicInterval:
     """Interval enclosing {p(v, y) : v in x} at a point y (lo == hi; any
     other y raises ValueError), or with a modulus P, an interval enclosing
-    p(x_n, y) for the x_n in x with P(x_n**2) = 0.
+    p(x_n, y) for the x_n in x with P(x_n**2) = 0.  p(., y) must be even
+    in x, as every phi is (proved at riley.RileyPolynomial); the exact path
+    raises ValueError otherwise (`_residue`).
 
     With y = m * 2**e_y and x = [x_lo, x_hi] * 2**e_x (`_scaled`), the
     x-coefficients b_i = sum_j a_ij y**j are formed exactly in power form
     (`_point_y_coeffs`, faster there than Horner in y), in units of
-    2**(D * e_y), D = deg_y.  Then b(x) = E(u) + x O(u), u = x**2, E and O
-    its even and odd halves, and v**2 lies in U = {w**2 : w in x}
-    (`_squares`) for every v in x, so exact interval Horner of E and O in u
-    over U, the latter times x and added to the former (`_horner` at k = 0
-    on an aligned unit), encloses b over x, and a point x gives the exact
-    value.  An odd half that is zero, as for every phi the package builds,
-    costs nothing.
-
-    With a modulus, E and O are first replaced by R_E and R_O, their
-    remainders modulo P in Z[u] (`_residue`), exact as P is monic with
-    integer coefficients.  At u_n = x_n**2, P(u_n) = 0, so b(x_n) =
-    R_E(u_n) + x_n R_O(u_n), whether or not P is the minimal polynomial of
-    u_n, and u_n lies in U when x_n lies in x.  The width then comes from U
-    alone on deg P steps in place of deg_x / 2: a residue of degree 0, as
-    at deg P = 1, is exact at any width of x.  The result does not enclose
-    p over the whole of x, only at the x_n that P names.
+    2**(D * e_y), D = deg_y.  Then b(x) = E(u), u = x**2, and v**2 lies in
+    U = {w**2 : w in x} (`_squares`) for every v in x, so exact interval
+    Horner of E in u over U encloses b over x, exact at a point x.  With a
+    modulus, E is first replaced by R, its remainder modulo P in Z[u]
+    (`_residue`), exact as P is monic with integer coefficients: P(u_n) = 0
+    at u_n = x_n**2, so b(x_n) = R(u_n), and u_n lies in U when x_n lies in
+    x.  The width then comes from U alone on deg P steps in place of
+    deg_x / 2, and a residue of degree 0 is exact at any width of x; the
+    result encloses p only at the x_n that P names, not over all of x.
 
     y_bounds = (lo, hi, e), when given, must bound the y-coefficients of p
     as `y_row_bounds` gives them from `y_rows` with the same modulus or
     none: lo[j] * 2**e <= c_j <= hi[j] * 2**e, at every v in x or, with a
     modulus, at x_n.  For y = m / 2**k >= 0 the enclosure
     [sum lo[j] y**j, sum hi[j] y**j] is then formed by `_horner` in y at
-    [m, m], in the bounds' own unit 2**e, each product floored at its lower
-    end and ceiled at its upper one, so each end only moves outward.  It is
-    returned when it excludes 0; otherwise, an exact zero included, the
-    exact path runs, and a negative y always takes it.  A returned result
-    has the sign the exact path gives.  Horner of b_i = sum_j a_ij y**j
-    (the exact path) lies inside sum_j y**j * (Horner of c_j) by
+    [m, m] on the unit 2**e, each end rounded outward, and returned when it
+    excludes 0; otherwise, an exact zero included, the exact path runs, and
+    a negative y always takes it.  A returned sign is the exact path's: by
     subdistributivity, (A + B) * X within A * X + B * X, with y**j >= 0 a
-    point factor; the halves and residues are linear in the row, so those
-    of b are sum_j y**j times those of c_j, and the same holds for Horner
-    in u and for the product by x; each Horner value of c_j lies in
-    [lo[j], hi[j]] * 2**e; and the floors and ceilings only widen the sum.
-    So the exact interval is inside the returned one, and a sign definite
-    there is the exact path's sign.
+    point factor, Horner in u of b = sum_j y**j c_j (the residues being
+    linear in the row) lies inside sum_j y**j * (Horner of c_j), each term
+    within [lo[j], hi[j]] * 2**e, and the roundings only widen the sum.
     """
     m, y_hi, ey = _scaled(y)
     if m != y_hi:
@@ -541,54 +526,38 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
             return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
     b, e = _point_y_coeffs(p, m, -ey)
     x_lo, x_hi, ex = _scaled(x)
-    even, odd = _residue(b, modulus)
-    u = _squares(x_lo, x_hi)
-    l, h, ev = _exact_horner(even, u, 2 * ex)
-    if any(odd):
-        ol, oh, eo = _exact_horner(odd, u, 2 * ex)
-        eo += ex
-        t = min(ev, eo)
-        l, h = _horner([l << ev - t, ol << eo - t], [h << ev - t, oh << eo - t],
-                       (x_lo, x_hi), 0)
-        ev = t
+    l, h, ev = _exact_horner(_residue(b, modulus), _squares(x_lo, x_hi), 2 * ex)
     e += ev
     return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
 
 
-def y_rows(p: XYPoly, modulus: Sequence[int] | None = None
-           ) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
-    """(even, odd), the exact part of the y-coefficient bounds for each
-    y-row c_j(x) = E(u) + x O(u), j = 0 .. deg_y: even[j] and odd[j] list
-    the coefficients in u, ascending, of E and O, or with a modulus those
-    of R_E and R_O (`_residue_rows`).  They do not depend on x or on the
-    unit, so a caller that re-encloses at a finer x reduces p only once."""
-    return _residue_rows(p, modulus) if p._terms else ([(0,)], [()])
+def y_rows(p: XYPoly, modulus: Sequence[int] | None = None) -> list[Sequence[int]]:
+    """The exact part of the y-coefficient bounds: row j lists the y-row
+    c_j, j = 0 .. deg_y, in u = x**2, ascending, or with a modulus its
+    residue (`_residue_rows`, ValueError on an odd x-degree).  The rows do
+    not depend on x or on the unit, so a caller that re-encloses at a finer
+    x reduces p only once."""
+    return _residue_rows(p, modulus) if p._terms else [(0,)]
 
 
-def y_row_bounds(rows: tuple[list[Sequence[int]], list[Sequence[int]]],
-                 x: DyadicInterval, e: int) -> tuple[list[int], list[int], int]:
+def y_row_bounds(rows: list[Sequence[int]], x: DyadicInterval, e: int
+                 ) -> tuple[list[int], list[int], int]:
     """(lo, hi, e) with lo[j] * 2**e <= c_j(v) <= hi[j] * 2**e for every v in
     x, or with rows reduced modulo P at the x_n in x with P(x_n**2) = 0
     (see eval_interval), for the rows `y_rows` gives and a unit e <= 0:
-    each row's integers on the unit 2**e by `_horner` in u over the squares
-    of x, plus x times the odd half where it is not zero.
+    `_horner` of each row in u over the squares of x, on the unit 2**e.
 
     On a unit at or below deg_x * e_x, e_x the exponent of x as `_scaled`
     gives it, no floor cuts anything and the bounds are exact interval
     Horner in u.  On a coarser one the floors and ceilings only widen each
     enclosure, while the integers stay near 2**-e in place of growing by the
     bits of x with every degree."""
-    even, odd = rows
     x_lo, x_hi, ex = _scaled(x)
     u, k = _squares(x_lo, x_hi), -2 * ex
     lo, hi = [], []
-    for row, odd_row in zip(even, odd):
+    for row in rows:
         c = [ci << -e for ci in row]
         l, h = _horner(c, c, u, k)
-        if any(odd_row):
-            c = [ci << -e for ci in odd_row]
-            ol, oh = _horner(c, c, u, k)
-            l, h = _horner([l, ol], [h, oh], (x_lo, x_hi), -ex)
         lo.append(l)
         hi.append(h)
     return lo, hi, e

@@ -112,7 +112,19 @@ class NotUnimodular(ValueError):
 class RileyPolynomial(namedtuple("RileyPolynomial", "poly knot presentation")):
     """phi_K(x, y), an XYPoly, together with where it came from: the knot's
     label and the presentation.  No __slots__: content_hash caches in the
-    instance __dict__, which it writes directly, so assignment is refused."""
+    instance __dict__, which it writes directly, so assignment is refused.
+
+    phi is even in x, a polynomial in u = x**2, which is all that
+    polyring's evaluation takes (it raises ValueError on an odd x-term).
+    s -> -s sends A = [[s, 1], [0, 1/s]] and B = [[s, 0], [2 - y, 1/s]] to
+    -D A D**-1 and -D B D**-1, D = diag(1, -1), and so the image V of a
+    word w to (-1)**|w| D V D**-1, which is D V D**-1 for a relator word,
+    as every one has even length.  R = VA - BV then goes to -D R D**-1,
+    whose entry (1, 2) is R12 again, as conjugation by D negates it:
+    R12(-s, y) = R12(s, y).  phi(x, y) is R12 written in x = s + 1/s,
+    which s -> -s sends to -x, so phi(-x, y) = phi(x, y).  The closed
+    forms are even by their formulas: `_chebyshev_combination` packs them
+    in u and refuses an odd x-degree."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: RileyPolynomial is immutable")

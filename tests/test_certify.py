@@ -208,8 +208,9 @@ def test_find_root_examples_m2():
 
 
 def _root_factor(p: int, q: int) -> XYPoly:
-    """q y - p - x, whose root in y is (p + x_n) / q."""
-    return XY.from_terms([(0, 1, q), (0, 0, -p), (1, 0, -1)])
+    """q y - (p - 1) - x**2, even in x as every phi is; at n = 5,
+    x_5**2 = x_5 + 1, so its root in y is (p + x_5) / q."""
+    return XY.from_terms([(0, 1, q), (0, 0, 1 - p), (2, 0, -1)])
 
 
 @pytest.mark.parametrize("factors, cap, expect", [
@@ -240,10 +241,11 @@ def test_isolation_brackets_the_smallest_simple_root(factors, cap, expect):
 
 
 # Random products of linear factors for the isolation and the refinement.
-# A root spec (i, f) is the factor 2**48 y - (2**49 + i 2**16 + f) - x, whose
-# root (at x_5, the golden ratio) is 2 + i 2**-32 + (f + x_5) 2**-48: within
-# (|f| + 2) 2**-48 of the lattice point 2 + i 2**-32 of every node's
-# BRACKET_WIDTH cells (2**-64 off), and within one cell of it for |f| < 2**16.
+# A root spec (i, f) is the factor 2**48 y - (2**49 + i 2**16 + f - 1) - x**2
+# (`_root_factor`), whose root (at x_5, the golden ratio, x_5**2 = x_5 + 1)
+# is 2 + i 2**-32 + (f + x_5) 2**-48: within (|f| + 2) 2**-48 of the lattice
+# point 2 + i 2**-32 of every node's BRACKET_WIDTH cells (2**-64 off), and
+# within one cell of it for |f| < 2**16.
 
 def _spec_factor(i: int, f: int) -> XYPoly:
     return _root_factor(2**49 + (i << 16) + f, 1 << 48)

@@ -29,6 +29,11 @@ def rand_xy(rng, max_deg=4, max_coeff=9):
     return XY.from_terms(terms)
 
 
+def rand_even_xy(rng):
+    """rand_xy with every x-exponent doubled: even in x, as evaluation takes."""
+    return XY.from_terms((2 * i, j, c) for i, j, c in rand_xy(rng).terms())
+
+
 def rand_sy(rng, max_deg=4, max_coeff=9):
     terms = [(rng.randrange(-max_deg, max_deg + 1), rng.randrange(0, max_deg + 1),
               rng.randrange(-max_coeff, max_coeff + 1))
@@ -470,7 +475,7 @@ def test_eval_interval_contains_sqrt3_root():
 def test_eval_interval_point_matches_fraction_oracle():
     rng = random.Random(31)
     for _ in range(60):
-        p = rand_xy(rng)
+        p = rand_even_xy(rng)
         xn, yn = rng.randrange(-40, 40), rng.randrange(-40, 40)
         iv = eval_interval(p, DyadicInterval.point(Dyadic(xn, -3)),
                            DyadicInterval.point(Dyadic(yn, -3)))
@@ -485,7 +490,7 @@ def test_eval_interval_monotone_inclusion():
     x_outer = DyadicInterval(Dyadic(-3), Dyadic(5, -1))
     x_inner = DyadicInterval(Dyadic(-1), Dyadic(1, -1))
     for _ in range(40):
-        p = rand_xy(rng)
+        p = rand_even_xy(rng)
         for y in (Dyadic(1, -2), Dyadic(3, -1), Dyadic(-9, -2)):
             outer = eval_interval(p, x_outer, DyadicInterval.point(y))
             inner = eval_interval(p, x_inner, DyadicInterval.point(y))
@@ -526,6 +531,10 @@ def test_eval_interval_width_shrinks():
 sparse_polys = st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-60, 60)),
     max_size=12).map(XYPoly.from_terms)
+# its even variant, x-exponents 2i, for evaluation, which refuses odd x-terms
+even_polys = st.lists(
+    st.tuples(st.integers(0, 4).map(lambda i: 2 * i), st.integers(0, 7), st.integers(-60, 60)),
+    max_size=12).map(XYPoly.from_terms)
 dyadics = st.builds(Dyadic, st.integers(-(1 << 24), 1 << 24), st.integers(-40, 6))
 points = dyadics.map(DyadicInterval.point)
 intervals = st.one_of(
@@ -541,12 +550,32 @@ def exact_unit(p, x):
 
 
 @settings(max_examples=400, deadline=None)
-@given(sparse_polys, intervals, points, st.fractions(0, 1))
+@given(even_polys, intervals, points, st.fractions(0, 1))
 def test_eval_interval_matches_reference(p, x, y, tx):
     iv = eval_interval(p, x, y)
     assert iv == reference_eval_interval_u(p, x, y)
     u = as_fraction(x.lo) + tx * as_fraction(x.width())
     assert contains_fraction(iv, eval_fraction(p, u, as_fraction(y.lo)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_polys, intervals, points)
+@example(XYPoly.from_terms([(1, 1, 1), (2, 0, 3)]), DyadicInterval.point(1),
+         DyadicInterval.point(0))                   # x y + 3 x**2 at y = 0
+def test_evaluation_refuses_exactly_the_odd_x_terms(p, x, y):
+    # y_rows refuses a term of odd x-degree; the exact path refuses p(., y)
+    # only when it is not even, some odd x-coefficient nonzero at y
+    at_y = {}
+    for i, j, c in p.terms():
+        at_y[i] = at_y.get(i, 0) + c * as_fraction(y.lo) ** j
+    if any(i % 2 for i, _, _ in p.terms()):
+        with pytest.raises(ValueError, match="not even in x"):
+            y_rows(p)
+    if any(c for i, c in at_y.items() if i % 2):
+        with pytest.raises(ValueError, match="not even in x"):
+            eval_interval(p, x, y)
+    else:
+        assert eval_interval(p, x, y) == reference_eval_interval_u(p, x, y)
 
 
 def fraction_horner(lo, hi, v_lo, v_hi):
@@ -625,7 +654,7 @@ def _bounds(p, x, e):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_polys, intervals, st.fractions(0, 1), bounds_exponents)
+@given(even_polys, intervals, st.fractions(0, 1), bounds_exponents)
 def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx, e):
     lo, hi, e = _bounds(p, x, e)
     u = as_fraction(x.lo) + tx * as_fraction(x.width())
@@ -639,34 +668,38 @@ def test_y_coefficient_bounds_enclose_each_coefficient(p, x, tx, e):
                 slices.get(j, XY.zero()), x, DyadicInterval.point(0))
 
 
-# 3 + x y - 2 x**2 y + x**3 y**2: c_0 = 3, c_1 = x - 2 x**2, c_2 = x**3
-COEFFICIENT_CASES = XY.from_terms([(0, 0, 3), (1, 1, 1), (2, 1, -2), (3, 2, 1)])
+# 3 + x**2 y - 2 x**4 y + x**6 y**2, even in x: in u = x**2, c_0 = 3,
+# c_1 = u - 2 u**2 = (-2 u + 1) u and c_2 = u**3
+COEFFICIENT_CASES = XY.from_terms([(0, 0, 3), (2, 1, 1), (4, 1, -2), (6, 2, 1)])
 
 
 def test_y_coefficient_bounds_straddling_x():
-    # interval Horner in u = x**2 over U = [0, 1], the squares of
-    # X = [-1, 1]: c_1 = -2 u + x is -2 U + X = [-2, 0] + [-1, 1] = [-3, 1],
-    # and c_2 = x u is X U = [-1, 1] * [0, 1] = [-1, 1]: X enters c_1 once,
-    # where Horner in x, (-2 X + 1) X = [-3, 3], takes it twice
+    # interval Horner in u over U = [0, 1], the squares of X = [-1, 1]:
+    # c_1 is (-2 U + 1) U = [-1, 1] * [0, 1] = [-1, 1], and c_2 is
+    # U U U = [0, 1]; exact on 2**0, as x is an integer interval
     x = DyadicInterval(Dyadic(-1), Dyadic(1))
-    assert _bounds(COEFFICIENT_CASES, x, 0) == ([3, -3, -1], [3, 1, 1], 0)
+    assert _bounds(COEFFICIENT_CASES, x, 0) == ([3, -1, 0], [3, 1, 1], 0)
 
 
 def test_y_coefficient_bounds_negative_x():
-    # x in X = [-3/2, -1/2], U = [1/4, 9/4]: c_1 = -2 U + X = [-6, -1],
-    # c_2 = X U = [-27/8, -1/8], on 2**-3
+    # x in X = [-3/2, -1/2], U = [1/4, 9/4]: c_1 is (-2 U + 1) U =
+    # [-7/2, 1/2] * [1/4, 9/4] = [-63/8, 9/8], c_2 is U**3 = [1/64, 729/64],
+    # exact on 2**-6 = 2**(deg_x * -1)
     x = DyadicInterval(Dyadic(-3, -1), Dyadic(-1, -1))
-    assert _bounds(COEFFICIENT_CASES, x, -3) == ([24, -48, -27], [24, -8, -1], -3)
+    assert _bounds(COEFFICIENT_CASES, x, -6) == ([192, -504, 1], [192, 72, 729], -6)
 
 
 def test_y_coefficient_bounds_point_x():
-    # x = 3/4, u = 9/16: exact on 2**-6, and so below it; on 2**-4 only the
-    # last product, x u = 27/64, is cut
+    # x = 3/4, u = 9/16: c_1 = 9/16 - 2 * 81/256 = -9/128, c_2 = 729/4096,
+    # exact on 2**-12 and so below it.  On 2**-6, c_1 is -128 u + 64 = -8,
+    # then -8 u = -9/2, cut to [-5, -4]; c_2 is 64 u = 36, 36 u = 81/4, cut
+    # to [20, 21], then [20, 21] u = [45/4, 189/16], cut to [11, 12]
     x = DyadicInterval.point(Dyadic(3, -2))
-    assert _bounds(COEFFICIENT_CASES, x, -6) == ([192, -24, 27], [192, -24, 27], -6)
-    assert _bounds(COEFFICIENT_CASES, x, -10) \
-        == ([3072, -384, 432], [3072, -384, 432], -10)
-    assert _bounds(COEFFICIENT_CASES, x, -4) == ([48, -6, 6], [48, -6, 7], -4)
+    assert _bounds(COEFFICIENT_CASES, x, -12) \
+        == ([12288, -288, 729], [12288, -288, 729], -12)
+    assert _bounds(COEFFICIENT_CASES, x, -16) \
+        == ([196608, -4608, 11664], [196608, -4608, 11664], -16)
+    assert _bounds(COEFFICIENT_CASES, x, -6) == ([192, -5, 11], [192, -4, 12], -6)
 
 
 # values with positive exponents (2 = 1 * 2**1): _scaled brings them to 2**0
@@ -714,7 +747,7 @@ nonneg_points = st.builds(Dyadic, st.integers(0, 1 << 24),
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_polys, intervals, nonneg_points, bounds_exponents)
+@given(even_polys, intervals, nonneg_points, bounds_exponents)
 def test_eval_interval_with_y_bounds_contains_the_exact_path(p, x, y, e):
     fast = eval_interval(p, x, y, y_bounds=_bounds(p, x, e))
     exact = eval_interval(p, x, y)
@@ -726,7 +759,7 @@ def test_eval_interval_with_y_bounds_contains_the_exact_path(p, x, y, e):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_polys, intervals, points, bounds_exponents)
+@given(even_polys, intervals, points, bounds_exponents)
 def test_eval_interval_ignores_y_bounds_off_nonnegative_points(p, x, y, e):
     if y.lo.m >= 0:
         y = DyadicInterval.point(-y.lo if y.lo.m else Dyadic(-1))
@@ -743,9 +776,6 @@ def test_eval_interval_matches_reference_on_riley():
             assert eval_interval(phi, xn, point) == reference_eval_interval(phi, xn, point)
 
 
-even_polys = st.lists(
-    st.tuples(st.integers(0, 4).map(lambda i: 2 * i), st.integers(0, 7), st.integers(-60, 60)),
-    max_size=12).map(XYPoly.from_terms)
 nonneg_dyadics = st.builds(Dyadic, st.integers(0, 1 << 24), st.integers(-40, 6))
 nonneg_intervals = st.tuples(nonneg_dyadics, nonneg_dyadics).map(
     lambda ds: DyadicInterval(min(ds), max(ds)))
@@ -778,7 +808,7 @@ def test_even_polynomials_on_nonnegative_x_match_horner_in_x(p, x, y):
                                       ("J:1,2", (7, 9, 256))])
 def test_family_phi_without_a_modulus_matches_horner_in_x(spec, ns):
     # the n that xn_modulus builds no P_n for, where the scan and the
-    # verifier evaluate phi's halves undivided
+    # verifier evaluate phi's rows in u undivided
     from rileycert.certify import xn_enclosure, xn_modulus
     from rileycert.cli import parse_knot_spec
     phi = riley_for_knot(parse_knot_spec(spec)).poly
@@ -791,9 +821,9 @@ def test_family_phi_without_a_modulus_matches_horner_in_x(spec, ns):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_polys, st.lists(st.integers(-60, 60), min_size=8, max_size=8))
+@given(even_polys, st.lists(st.integers(-60, 60), min_size=8, max_size=8))
 def test_no_modulus_is_a_modulus_above_every_half_row(p, tail):
-    # a monic P of degree deg_x // 2 + 1 divides no half-row, so the rows
+    # a monic P of degree deg_x // 2 + 1 divides no row in u, so the rows
     # without a modulus are those with P in the same layout, and the gate
     # in xn_modulus cannot change a result
     m = p.deg_x() // 2 + 1

@@ -1,11 +1,13 @@
 """phi(x_n, .) evaluated on residues modulo P_n(u), u = x**2: P_n against
-mpmath at 300 bits, the evenness of every phi the package builds, the
-enclosures of `eval_interval` and `y_row_bounds` with a modulus
+mpmath at 300 bits, the evenness of every phi the package builds and the
+refusal of an odd x-term, the two long-division kernels against each
+other, the enclosures of `eval_interval` and `y_row_bounds` with a modulus
 against mpmath's values at x_n, and the records at the knot limits through
 the verifier and the independent oracle of cert_oracle.py."""
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -16,8 +18,9 @@ from rileycert.certify import (RootCertificate, _SignOracle, find_root_gt2,
                                verify_certificate, xn_enclosure, xn_modulus)
 from rileycert.cli import parse_knot_spec
 from rileycert.dyadic import Dyadic, DyadicInterval
-from rileycert.polyring import XYPoly, eval_interval, y_row_bounds, y_rows
-from rileycert.riley import riley_for_knot
+from rileycert.polyring import (XYPoly, _point_y_coeffs, _residue, eval_interval,
+                                y_row_bounds, y_rows)
+from rileycert.riley import RileyPolynomial, riley_for_knot
 
 import cert_oracle
 
@@ -80,9 +83,10 @@ def _encloses(iv: DyadicInterval, value, size) -> bool:
     return _mp(iv.lo) - slack <= value <= _mp(iv.hi) + slack
 
 
-# polynomials with odd and even x-terms, x-degree up to 13
+# polynomials even in x, as evaluation takes them, x-degree up to 12
 residue_polys = st.lists(
-    st.tuples(st.integers(0, 13), st.integers(0, 5), st.integers(-(1 << 20), 1 << 20)),
+    st.tuples(st.integers(0, 6).map(lambda i: 2 * i), st.integers(0, 5),
+              st.integers(-(1 << 20), 1 << 20)),
     min_size=1, max_size=16).map(XYPoly.from_terms).filter(bool)
 y_points = st.builds(Dyadic, st.integers(-(1 << 20), 1 << 20), st.integers(-16, 0))
 
@@ -117,16 +121,65 @@ def test_residue_evaluation_encloses_mpmath_at_xn(p, n, precision, y, e):
 
 
 def test_a_residue_of_degree_0_is_exact_at_any_width():
-    # P_4 = u - 2: x**4 - 3 x**2 + x**3 y reduces to 4 - 6 + x (2 y) =
-    # -2 + 2 x y, so its value at y = 0 and its y**0 bound are points
-    # however wide x is; the odd row keeps the width of x
-    p = XYPoly.from_terms([(4, 0, 1), (2, 0, -3), (3, 1, 1)])
+    # P_4 = u - 2: x**4 - 3 x**2 + x**6 y is u**2 - 3 u + u**3 y, which
+    # reduces to 4 - 6 + 8 y = -2 + 8 y, so its values at y = 0 and y = 1
+    # and both y-row bounds are points however wide x is
+    p = XYPoly.from_terms([(4, 0, 1), (2, 0, -3), (6, 1, 1)])
     xn = xn_enclosure(4, 1)
     assert eval_interval(p, xn, DyadicInterval.point(0), modulus=_modulus(4)) \
         == DyadicInterval.point(-2)
+    assert eval_interval(p, xn, DyadicInterval.point(1), modulus=_modulus(4)) \
+        == DyadicInterval.point(6)
     lo, hi, _ = y_row_bounds(y_rows(p, _modulus(4)), xn, -4)
     assert lo[0] == hi[0] == -2 << 4
-    assert (lo[1], hi[1]) == (2 * xn.lo.m << 4 + xn.lo.e, 2 * xn.hi.m << 4 + xn.hi.e)
+    assert lo[1] == hi[1] == 8 << 4
+
+
+# x**2 + x y - 5: its x-coefficient x y is nonzero at every y but 0
+ODD_IN_X = XYPoly.from_terms([(2, 0, 1), (1, 1, 1), (0, 0, -5)])
+
+
+def test_an_odd_x_term_is_refused():
+    # evaluation takes a polynomial in u = x**2 only, with or without P_n;
+    # every phi is one, so a hand-made RileyPolynomial that is not fails
+    # the scan and the verifier alike
+    xn, point = xn_enclosure(5, 64), DyadicInterval.point(Dyadic(3))
+    for modulus in (None, _modulus(5)):
+        with pytest.raises(ValueError, match="not even in x"):
+            y_rows(ODD_IN_X, modulus)
+        with pytest.raises(ValueError, match="not even in x"):
+            eval_interval(ODD_IN_X, xn, point, modulus=modulus)
+    phi = RileyPolynomial(ODD_IN_X, "test", "hand-made, odd in x")
+    for n in (3, 5, 40):
+        with pytest.raises(ValueError, match="not even in x"):
+            find_root_gt2(phi, n)
+        cert = RootCertificate(knot="test", n=n, a=Dyadic(3), b=Dyadic(4), sign_a=1,
+                               sign_b=-1, precision=64, y_max=64,
+                               poly_hash=phi.content_hash)
+        with pytest.raises(ValueError, match="not even in x"):
+            verify_certificate(cert, phi)
+    # p = x y at y = 0 is the zero polynomial in x, which is even: exactly 0
+    xy = XYPoly.from_terms([(1, 1, 1)])
+    for modulus in (None, _modulus(5)):
+        assert eval_interval(xy, xn, DyadicInterval.point(0), modulus=modulus) \
+            == DyadicInterval.point(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_polys, st.integers(2, 40), st.integers(-(1 << 20), 1 << 20),
+       st.integers(0, 16))
+def test_the_two_long_division_kernels_agree(p, n, m, k):
+    # the exact path divides the x-coefficients at the point y = m / 2**k
+    # (_residue), the bounds every y-row at once (_residue_rows); division
+    # by a monic P is linear, so the one residue is sum_j y**j rows[j]
+    b, e = _point_y_coeffs(p, m, k)
+    y = Fraction(m, 1 << k)
+    for modulus in (_modulus(n), None):
+        rows = y_rows(p, modulus)
+        r = _residue(b, modulus)
+        r += [0] * (len(rows[0]) - len(r))
+        assert [c * Fraction(2) ** e for c in r] == \
+            [sum(row[t] * y ** j for j, row in enumerate(rows)) for t in range(len(r))]
 
 
 @pytest.mark.parametrize("spec, n", [("J:4,6", 5), ("J:4,6", 40), ("Kl:6", 7), ("13/5", 4)])

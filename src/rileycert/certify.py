@@ -207,22 +207,22 @@ class _SignOracle:
     evaluations (eval_interval calls), nodes (Descartes counts made, gallop
     trials included), escalations and indefinite results.
 
-    bounds = (lo, hi, e) encloses each c_j(x_n) of phi = sum_j c_j(x) y**j,
-    once per precision P on the scan's one fixed-point unit 2**e,
-    e = -(2P + 32), rounded outward: bits below that lie far under the
-    2**-P width of x_n and only slow the arithmetic.  phi's exact rows
-    (y_rows) do not depend on P, so they are formed once per scan and only
-    re-enclosed at each precision (y_row_bounds).  A value is one
-    eval_interval call per precision given these bounds, which answers from
-    them when they fix the sign and else evaluates exactly, so each definite
-    sign is the one exact evaluation would give.
+    rows are phi's y-rows in u = x**2 reduced modulo P_n(u) (modulus, from
+    xn_modulus; None when no row reaches its degree, and then phi's rows in
+    u, undivided), formed once per scan by y_rows, which refuses a phi that
+    is not a polynomial in u; riley.RileyPolynomial proves every phi is
+    one.  Each c_j(x_n) of phi = sum_j c_j(x) y**j is the value of row j at
+    u_n = x_n**2, as P_n(u_n) = 0 (see eval_interval).  The rows do not
+    depend on the precision P, and both paths of a sign run on them.
 
-    Both run on the residues of phi's rows modulo P_n(u), u = x**2
-    (modulus, from xn_modulus; None when no row reaches its degree, and
-    then on phi's rows in u, undivided), in u over the squares of the x_n
-    enclosure: each c_j(x_n) is the value of its residue at u_n = x_n**2,
-    as P_n(u_n) = 0 (see eval_interval).  phi is a polynomial in u, as
-    riley.RileyPolynomial proves, and y_rows refuses any other.
+    bounds = (lo, hi, e) encloses each c_j(x_n), once per precision P, by
+    y_row_bounds in u over the squares of the x_n enclosure on the scan's
+    one fixed-point unit 2**e, e = -(2P + 32), rounded outward: bits below
+    that lie far under the 2**-P width of x_n and only slow the arithmetic.
+    A value is one eval_interval call per precision given these bounds and
+    the rows, which answers from the bounds when they fix the sign and else
+    evaluates the rows exactly at the point, so each definite sign is the
+    one exact evaluation would give.
     """
 
     def __init__(self, poly: XYPoly, n: int):
@@ -255,7 +255,7 @@ class _SignOracle:
         while True:
             self.evaluations += 1
             value = eval_interval(self.poly, self.xn, point, y_bounds=self.bounds,
-                                  modulus=self.modulus)
+                                  rows=self.rows)
             if value.sign() is not None or not self.escalate():
                 return value
 
@@ -595,16 +595,17 @@ def verify_certificate(cert: RootCertificate, phi: RileyPolynomial) -> bool:
     """Re-check a certificate from its record alone.
 
     Shares only xn_enclosure, xn_modulus and polynomial evaluation with the
-    search; none of the scan or refinement logic is involved.  Each sign is
-    eval_interval's exact path on phi's x-coefficients at the endpoint, in
-    u = x**2 (phi is even in x, see riley.RileyPolynomial) over the squares
-    of the x_n enclosure and reduced modulo P_n(u), which it builds from n
-    as it builds x_n: P_n is monic with integer coefficients and
-    P_n(x_n**2) = 0, so the residue has the value of phi at x_n exactly,
-    and any monic integer P with that root would do as well.  A record's n
-    bounds no work: xn_modulus builds P_n only when some row of phi is long
-    enough to reduce, n <= deg_x + 2, and otherwise the rows in u are
-    evaluated undivided.
+    search; none of the scan or refinement logic is involved, and none of
+    its state: the verifier reduces phi's y-rows in u = x**2 (phi is even
+    in x, see riley.RileyPolynomial) modulo P_n(u) itself, once (y_rows),
+    building P_n from n as it builds x_n.  Each sign is eval_interval's
+    exact path on those rows at the endpoint, over the squares of the x_n
+    enclosure: P_n is monic with integer coefficients and P_n(x_n**2) = 0,
+    so the residue has the value of phi at x_n exactly, and any monic
+    integer P with that root would do as well.  A record's n bounds no
+    work: xn_modulus builds P_n only when some row of phi is long enough to
+    reduce, n <= deg_x + 2, and otherwise the rows in u are evaluated
+    undivided.
     """
     if cert.poly_hash != phi.content_hash:
         raise HashMismatch("certificate does not match this polynomial")
@@ -615,9 +616,7 @@ def verify_certificate(cert: RootCertificate, phi: RileyPolynomial) -> bool:
     if cert.sign_a != -cert.sign_b or cert.sign_a not in (1, -1):
         return False
     xn = xn_enclosure(cert.n, cert.precision)
-    modulus = xn_modulus(cert.n, phi.poly.deg_x())
-    sign_a = eval_interval(phi.poly, xn, DyadicInterval.point(cert.a),
-                           modulus=modulus).sign()
-    sign_b = eval_interval(phi.poly, xn, DyadicInterval.point(cert.b),
-                           modulus=modulus).sign()
+    rows = y_rows(phi.poly, xn_modulus(cert.n, phi.poly.deg_x()))
+    sign_a, sign_b = (eval_interval(phi.poly, xn, DyadicInterval.point(end), rows=rows).sign()
+                      for end in (cert.a, cert.b))
     return sign_a == cert.sign_a and sign_b == cert.sign_b

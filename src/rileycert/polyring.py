@@ -393,50 +393,16 @@ def _horner(lo: Sequence[int], hi: Sequence[int], u: tuple[int, int], k: int
     return l, h
 
 
-def _point_y_coeffs(p: XYPoly, m: int, k: int) -> tuple[list[int], int]:
-    """(b, e) with b[i] * 2**e = sum_j a_ij * y**j exactly for y = m / 2**k,
-    i = 0 .. deg_x, and e = -k * D, for a p with terms.
-
-    With D = deg_y, y**j = m**j * 2**(k*(D - j)) / 2**(k*D), so every term is
-    one integer product against a shared weight.  Both degrees come from one
-    pass over the exponents, and the sums go straight into a list.
-    """
-    xs, ys = zip(*p._terms)
-    deg = max(ys)
-    weights = [1 << (k * deg)]
-    for _ in range(deg):
-        weights.append(weights[-1] * m >> k)
-    b = [0] * (max(xs) + 1)
-    for (i, j), c in p._terms.items():
-        b[i] += c * weights[j]
-    return b, -k * deg
-
-
-def _residue(c: Sequence[int], modulus: Sequence[int] | None) -> list[int]:
-    """c[0::2], sum_i c_i x**i in u = x**2, ascending, and with a modulus P,
-    monic and ascending, its remainder modulo P by long division, in the
-    integers and exact as P is monic; without one no step divides.  Raises
-    ValueError when some c[1::2] is nonzero, the sum not being even."""
-    if any(c[1::2]):
-        raise ValueError("not even in x: a polynomial in u = x**2 has no odd x-terms")
-    r = c[0::2]
-    m = len(modulus) - 1 if modulus else len(r)
-    for k in range(len(r) - 1, m - 1, -1):
-        q = r[k]
-        if q:
-            r[k - m:k] = [a - q * b for a, b in zip(r[k - m:k], modulus)]
-    del r[m:]
-    return r
-
-
 def _residue_rows(p: XYPoly, modulus: Sequence[int] | None) -> list[tuple[int, ...]]:
-    """`_residue` of every y-row of p with terms at once: row j holds the
-    m coefficients in u of c_j's residue, j = 0 .. deg_y, m = deg P, or
-    without a modulus deg_x / 2 + 1, so that no step divides.  Raises
-    ValueError on a term of odd x-degree.  The long division runs on
-    columns, the coefficients of one power of u in every row: a step
-    subtracts q times a coefficient of P from a column, q the column being
-    divided off, one map over all rows in place of a loop per row."""
+    """Every y-row c_j of a p with terms in u = x**2, j = 0 .. deg_y, and
+    with a modulus P, monic and ascending, its remainder modulo P by long
+    division, in the integers and exact as P is monic: row j holds the m
+    coefficients in u, ascending, m = deg P, or without a modulus
+    deg_x / 2 + 1, so that no step divides.  Raises ValueError on a term
+    of odd x-degree.  The long division runs on columns, the coefficients
+    of one power of u in every row: a step subtracts q times a coefficient
+    of P from a column, q the column being divided off, one map over all
+    rows in place of a loop per row."""
     xs, ys = zip(*p._terms)
     width = max(ys) + 1
     cols = [[0] * width for _ in range(max(xs) // 2 + 1)]
@@ -481,62 +447,70 @@ def _exact_horner(c: list[int], v: tuple[int, int], ev: int) -> tuple[int, int, 
 
 def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
                   y_bounds: tuple[list[int], list[int], int] | None = None,
-                  modulus: Sequence[int] | None = None) -> DyadicInterval:
+                  rows: list[Sequence[int]] | None = None) -> DyadicInterval:
     """Interval enclosing {p(v, y) : v in x} at a point y (lo == hi; any
-    other y raises ValueError), or with a modulus P, an interval enclosing
-    p(x_n, y) for the x_n in x with P(x_n**2) = 0.  p(., y) must be even
-    in x, as every phi is (proved at riley.RileyPolynomial); the exact path
-    raises ValueError otherwise (`_residue`).
+    other y raises ValueError), or with rows reduced modulo P, an interval
+    enclosing p(x_n, y) for the x_n in x with P(x_n**2) = 0.  rows are
+    p's y-rows in u = x**2 as `y_rows` gives them, y_rows(p) (undivided)
+    by default, which refuses a term of odd x-degree with ValueError: p
+    must be even in x, as every phi is (proved at riley.RileyPolynomial).
 
-    With y = m * 2**e_y and x = [x_lo, x_hi] * 2**e_x (`_scaled`), the
-    x-coefficients b_i = sum_j a_ij y**j are formed exactly in power form
-    (`_point_y_coeffs`, faster there than Horner in y), in units of
-    2**(D * e_y), D = deg_y.  Then b(x) = E(u), u = x**2, and v**2 lies in
-    U = {w**2 : w in x} (`_squares`) for every v in x, so exact interval
-    Horner of E in u over U encloses b over x, exact at a point x.  With a
-    modulus, E is first replaced by R, its remainder modulo P in Z[u]
-    (`_residue`), exact as P is monic with integer coefficients: P(u_n) = 0
-    at u_n = x_n**2, so b(x_n) = R(u_n), and u_n lies in U when x_n lies in
-    x.  The width then comes from U alone on deg P steps in place of
-    deg_x / 2, and a residue of degree 0 is exact at any width of x; the
-    result encloses p only at the x_n that P names, not over all of x.
+    The exact path forms the value at y of each u-column, the coefficient
+    of one power of u in every row: with y = m / 2**k (`_scaled`) and
+    D = len(rows) - 1, homogenized Horner in y over the rows,
+    acc * m + (r_j << k * (D - j)) for j = D down to 0, gives
+    sum_j r_j m**j 2**(k * (D - j)) exactly, the column's value in units of
+    2**(-k D).  That is E, p(., y) in u, or with P its remainder R modulo
+    P: long division by a monic P is linear in the row, so R is
+    sum_j y**j times the residue of row j.  v**2 lies in U = {w**2 : w in
+    x} (`_squares`) for every v in x, so exact interval Horner of E in u
+    over U (`_exact_horner`) encloses p(., y) over x, exact at a point x.
+    With P, P(u_n) = 0 at u_n = x_n**2, so p(x_n, y) = R(u_n), and u_n lies
+    in U when x_n lies in x.  The width then comes from U alone on deg P
+    steps in place of deg_x / 2, and a residue of degree 0 is exact at any
+    width of x; the result encloses p only at the x_n that P names, not
+    over all of x.
 
-    y_bounds = (lo, hi, e), when given, must bound the y-coefficients of p
-    as `y_row_bounds` gives them from `y_rows` with the same modulus or
-    none: lo[j] * 2**e <= c_j <= hi[j] * 2**e, at every v in x or, with a
-    modulus, at x_n.  For y = m / 2**k >= 0 the enclosure
-    [sum lo[j] y**j, sum hi[j] y**j] is then formed by `_horner` in y at
-    [m, m] on the unit 2**e, each end rounded outward, and returned when it
-    excludes 0; otherwise, an exact zero included, the exact path runs, and
-    a negative y always takes it.  A returned sign is the exact path's: by
-    subdistributivity, (A + B) * X within A * X + B * X, with y**j >= 0 a
-    point factor, Horner in u of b = sum_j y**j c_j (the residues being
-    linear in the row) lies inside sum_j y**j * (Horner of c_j), each term
+    y_bounds = (lo, hi, e), when given, must bound the y-coefficients the
+    rows hold, as `y_row_bounds` gives them from the same rows:
+    lo[j] * 2**e <= c_j <= hi[j] * 2**e, at every v in x or, with P, at
+    x_n.  For y >= 0 the enclosure [sum lo[j] y**j, sum hi[j] y**j] is then
+    formed by `_horner` in y at [m, m] on the unit 2**e, each end rounded
+    outward, and returned when it excludes 0; otherwise, an exact zero
+    included, the exact path runs, and a negative y always takes it.  A
+    returned sign is the exact path's: by subdistributivity, (A + B) * X
+    within A * X + B * X, with y**j >= 0 a point factor, Horner in u of
+    sum_j y**j c_j lies inside sum_j y**j * (Horner of c_j), each term
     within [lo[j], hi[j]] * 2**e, and the roundings only widen the sum.
     """
     m, y_hi, ey = _scaled(y)
     if m != y_hi:
         raise ValueError(f"eval_interval takes a point y, not {y!r}")
-    if not p._terms:
-        return DyadicInterval.point(0)
     if y_bounds is not None and m >= 0:
         lo, hi, e = y_bounds
         l, h = _horner(lo, hi, (m, m), -ey)
         if l > 0 or h < 0:
             return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
-    b, e = _point_y_coeffs(p, m, -ey)
+    if rows is None:
+        rows = y_rows(p)
+    shifts, b = [-ey * t for t in range(len(rows))], []
+    for col in zip(*rows):
+        acc = 0
+        for r, s in zip(reversed(col), shifts):     # r_j, s = k * (D - j)
+            acc = acc * m + (r << s)
+        b.append(acc)
     x_lo, x_hi, ex = _scaled(x)
-    l, h, ev = _exact_horner(_residue(b, modulus), _squares(x_lo, x_hi), 2 * ex)
-    e += ev
+    l, h, ev = _exact_horner(b, _squares(x_lo, x_hi), 2 * ex)
+    e = ey * (len(rows) - 1) + ev
     return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
 
 
 def y_rows(p: XYPoly, modulus: Sequence[int] | None = None) -> list[Sequence[int]]:
-    """The exact part of the y-coefficient bounds: row j lists the y-row
-    c_j, j = 0 .. deg_y, in u = x**2, ascending, or with a modulus its
-    residue (`_residue_rows`, ValueError on an odd x-degree).  The rows do
-    not depend on x or on the unit, so a caller that re-encloses at a finer
-    x reduces p only once."""
+    """The rows that exact evaluation and the y-coefficient bounds run on:
+    row j lists the y-row c_j, j = 0 .. deg_y, in u = x**2, ascending, or
+    with a modulus its residue (`_residue_rows`, ValueError on an odd
+    x-degree).  The rows depend on neither x, y nor the unit, so a caller
+    that signs at many points or re-encloses at a finer x reduces p once."""
     return _residue_rows(p, modulus) if p._terms else [(0,)]
 
 
@@ -557,6 +531,8 @@ def y_row_bounds(rows: list[Sequence[int]], x: DyadicInterval, e: int
     lo, hi = [], []
     for row in rows:
         c = [ci << -e for ci in row]
+        while len(c) > 1 and not c[-1]:     # Horner on leading zeros is 0
+            c.pop()
         l, h = _horner(c, c, u, k)
         lo.append(l)
         hi.append(h)

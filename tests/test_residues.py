@@ -1,28 +1,31 @@
 """phi(x_n, .) evaluated on residues modulo P_n(u), u = x**2: P_n against
 mpmath at 300 bits, the evenness of every phi the package builds and the
-refusal of an odd x-term, the two long-division kernels against each
-other, the enclosures of `eval_interval` and `y_row_bounds` with a modulus
-against mpmath's values at x_n, and the records at the knot limits through
-the verifier and the independent oracle of cert_oracle.py."""
+refusal of an odd x-term, the reduced rows against cert_oracle.py's own
+long division, the enclosures of `eval_interval` and `y_row_bounds` on
+reduced rows against mpmath's values at x_n, the rows as the one source
+of every exact sign, and the records at the knot limits through the
+verifier and the independent oracle of cert_oracle.py."""
 
 import json
 import random
-from fractions import Fraction
+import time
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rileycert import certify
 from rileycert.certify import (RootCertificate, _SignOracle, find_root_gt2,
                                verify_certificate, xn_enclosure, xn_modulus)
 from rileycert.cli import parse_knot_spec
 from rileycert.dyadic import Dyadic, DyadicInterval
-from rileycert.polyring import (XYPoly, _point_y_coeffs, _residue, eval_interval,
-                                y_row_bounds, y_rows)
+from rileycert.polyring import XYPoly, eval_interval, y_row_bounds, y_rows
 from rileycert.riley import RileyPolynomial, riley_for_knot
 
 import cert_oracle
+from poly_oracle import reference_eval_interval_u
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "riley_reference.json"
 
@@ -107,14 +110,14 @@ def test_residue_evaluation_encloses_mpmath_at_xn(p, n, precision, y, e):
             size += abs(c * 2 ** i * yv ** j)  # as 0 <= x_n < 2
         value = sum(c * yv ** j for j, c in rows.items())
         for modulus in (_modulus(n), xn_modulus(n, p.deg_x())):
-            point = DyadicInterval.point(y)
-            exact = eval_interval(p, xn, point, modulus=modulus)
+            point, reduced = DyadicInterval.point(y), y_rows(p, modulus)
+            exact = eval_interval(p, xn, point, rows=reduced)
             assert _encloses(exact, value, size), (modulus, exact, value)
-            bounds = y_row_bounds(y_rows(p, modulus), xn, e)
+            bounds = y_row_bounds(reduced, xn, e)
             for j, (lo, hi) in enumerate(zip(bounds[0], bounds[1])):
                 assert _encloses(DyadicInterval(Dyadic(lo, e), Dyadic(hi, e)),
                                  rows.get(j, 0), size), (j, modulus)
-            fast = eval_interval(p, xn, point, y_bounds=bounds, modulus=modulus)
+            fast = eval_interval(p, xn, point, y_bounds=bounds, rows=reduced)
             assert _encloses(fast, value, size)
             if fast.sign() is not None:
                 assert fast.sign() == exact.sign()
@@ -125,12 +128,12 @@ def test_a_residue_of_degree_0_is_exact_at_any_width():
     # reduces to 4 - 6 + 8 y = -2 + 8 y, so its values at y = 0 and y = 1
     # and both y-row bounds are points however wide x is
     p = XYPoly.from_terms([(4, 0, 1), (2, 0, -3), (6, 1, 1)])
-    xn = xn_enclosure(4, 1)
-    assert eval_interval(p, xn, DyadicInterval.point(0), modulus=_modulus(4)) \
+    xn, rows = xn_enclosure(4, 1), y_rows(p, _modulus(4))
+    assert eval_interval(p, xn, DyadicInterval.point(0), rows=rows) \
         == DyadicInterval.point(-2)
-    assert eval_interval(p, xn, DyadicInterval.point(1), modulus=_modulus(4)) \
+    assert eval_interval(p, xn, DyadicInterval.point(1), rows=rows) \
         == DyadicInterval.point(6)
-    lo, hi, _ = y_row_bounds(y_rows(p, _modulus(4)), xn, -4)
+    lo, hi, _ = y_row_bounds(rows, xn, -4)
     assert lo[0] == hi[0] == -2 << 4
     assert lo[1] == hi[1] == 8 << 4
 
@@ -147,8 +150,8 @@ def test_an_odd_x_term_is_refused():
     for modulus in (None, _modulus(5)):
         with pytest.raises(ValueError, match="not even in x"):
             y_rows(ODD_IN_X, modulus)
-        with pytest.raises(ValueError, match="not even in x"):
-            eval_interval(ODD_IN_X, xn, point, modulus=modulus)
+    with pytest.raises(ValueError, match="not even in x"):
+        eval_interval(ODD_IN_X, xn, point)
     phi = RileyPolynomial(ODD_IN_X, "test", "hand-made, odd in x")
     for n in (3, 5, 40):
         with pytest.raises(ValueError, match="not even in x"):
@@ -158,28 +161,28 @@ def test_an_odd_x_term_is_refused():
                                poly_hash=phi.content_hash)
         with pytest.raises(ValueError, match="not even in x"):
             verify_certificate(cert, phi)
-    # p = x y at y = 0 is the zero polynomial in x, which is even: exactly 0
+    # the term is refused, not its value: p = x y is refused at y = 0,
+    # where it vanishes
     xy = XYPoly.from_terms([(1, 1, 1)])
-    for modulus in (None, _modulus(5)):
-        assert eval_interval(xy, xn, DyadicInterval.point(0), modulus=modulus) \
-            == DyadicInterval.point(0)
+    with pytest.raises(ValueError, match="not even in x"):
+        eval_interval(xy, xn, DyadicInterval.point(0))
+
+
+# x of any sign and width, for the reduced path's exact Horner in u
+x_intervals = st.tuples(y_points, y_points).map(lambda ds: DyadicInterval(min(ds), max(ds)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(residue_polys, st.integers(2, 40), st.integers(-(1 << 20), 1 << 20),
-       st.integers(0, 16))
-def test_the_two_long_division_kernels_agree(p, n, m, k):
-    # the exact path divides the x-coefficients at the point y = m / 2**k
-    # (_residue), the bounds every y-row at once (_residue_rows); division
-    # by a monic P is linear, so the one residue is sum_j y**j rows[j]
-    b, e = _point_y_coeffs(p, m, k)
-    y = Fraction(m, 1 << k)
-    for modulus in (_modulus(n), None):
-        rows = y_rows(p, modulus)
-        r = _residue(b, modulus)
-        r += [0] * (len(rows[0]) - len(r))
-        assert [c * Fraction(2) ** e for c in r] == \
-            [sum(row[t] * y ** j for j, row in enumerate(rows)) for t in range(len(r))]
+@given(residue_polys, st.integers(2, 40), x_intervals, y_points)
+def test_reduced_rows_evaluate_as_the_oracle_reduction(p, n, x, y):
+    # rows reduced modulo P_n evaluate as phi reduced by cert_oracle's own
+    # long division in x, which shares no code with _residue_rows; the
+    # rows undivided evaluate as p itself
+    point = DyadicInterval.point(y)
+    reduced = XYPoly.from_terms(cert_oracle.reduced_terms(list(p.terms()), n))
+    assert eval_interval(p, x, point, rows=y_rows(p, _modulus(n))) \
+        == reference_eval_interval_u(reduced, x, point)
+    assert eval_interval(p, x, point) == reference_eval_interval_u(p, x, point)
 
 
 @pytest.mark.parametrize("spec, n", [("J:4,6", 5), ("J:4,6", 40), ("Kl:6", 7), ("13/5", 4)])
@@ -196,9 +199,73 @@ def test_the_oracle_re_encloses_its_rows_as_a_fresh_reduction(spec, n):
         assert oracle.escalate()
 
 
+@lru_cache(maxsize=None)
+def _phi(spec: str) -> RileyPolynomial:
+    """phi of a knot spec, built once per session: the limit knots take
+    seconds to build."""
+    return riley_for_knot(parse_knot_spec(spec))
+
+
+@pytest.mark.parametrize("spec, n", [("J:4,6", 7), ("17/7", 5), ("J:1,2", 40), ("499/97", 4)])
+def test_every_exact_sign_comes_from_rows_reduced_once(monkeypatch, spec, n):
+    # y_rows runs once per scan and once per verification, and every
+    # eval_interval call gets the rows of its own caller: the scan's sign
+    # oracle, or the verifier's reduction modulo the P_n it builds itself
+    phi = _phi(spec)
+    built, passed = [], []
+    real_rows, real_eval = certify.y_rows, certify.eval_interval
+
+    def rows_spy(poly, modulus=None):
+        built.append((poly, modulus, real_rows(poly, modulus)))
+        return built[-1][2]
+
+    def eval_spy(p, x, y, **kwargs):
+        passed.append(kwargs["rows"])
+        return real_eval(p, x, y, **kwargs)
+
+    monkeypatch.setattr(certify, "y_rows", rows_spy)
+    monkeypatch.setattr(certify, "eval_interval", eval_spy)
+    report = find_root_gt2(phi, n)
+    assert report.certified and len(built) == 1
+    modulus = xn_modulus(n, phi.poly.deg_x())
+    assert (modulus is None) == (n == 40)
+    assert built[0][:2] == (phi.poly, modulus)
+    scan_rows = built[0][2]
+    assert len(passed) == report.trace["evaluations"] > 0
+    assert all(rows is scan_rows for rows in passed)
+    built.clear()
+    passed.clear()
+    assert verify_certificate(report.certificate, phi)
+    assert len(built) == 1 and built[0][:2] == (phi.poly, modulus)
+    assert built[0][2] is not scan_rows
+    assert len(passed) == 2 and all(rows is built[0][2] for rows in passed)
+
+
+def test_the_largest_fraction_scans_and_verifies_within_its_bounds():
+    # 499/97 at n = 4: a float-guess near miss sends 34 refinement signs to
+    # the exact path, on rows reduced modulo P_4 = u - 2.  The build (about
+    # 2 s) is timed apart.  Measured on a 2-core x86 host, min of 2: the
+    # scan 0.057-0.073 s and the verification 0.013-0.015 s, against 4.3 s
+    # and 0.24 s when each exact sign walked phi's terms.  The bounds,
+    # 1.0 s and 0.1 s, leave margins of about 14x and 7x for a slower or
+    # loaded host, and a walk of phi's terms at each point still fails them.
+    phi = _phi("499/97")
+    scans, checks = [], []
+    for _ in range(2):
+        start = time.perf_counter()
+        report = find_root_gt2(phi, 4)
+        scans.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        assert verify_certificate(report.certificate, phi)
+        checks.append(time.perf_counter() - start)
+    assert report.certified and report.certificate.precision == 128
+    assert min(scans) < 1.0, scans
+    assert min(checks) < 0.1, checks
+
+
 @pytest.mark.parametrize("spec, precision", [("Kl:50", 512), ("499/97", None)])
 def test_the_limit_records_verify_and_pass_the_oracle(spec, precision):
-    phi = riley_for_knot(parse_knot_spec(spec))
+    phi = _phi(spec)
     report = find_root_gt2(phi, 5)
     assert report.certified
     record = report.certificate.to_json_dict()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import __version__
-from .chebyshev import cheb_poly
 from .dyadic import Dyadic, DyadicInterval, two_cos_pi_ratio
 from .polyring import XYPoly, eval_interval, y_row_bounds, y_rows
 from .riley import RileyPolynomial
@@ -34,21 +33,6 @@ def xn_enclosure(n: int, precision: int) -> DyadicInterval:
     ValueError for n < 2.
     """
     return two_cos_pi_ratio(n, precision)
-
-
-def xn_modulus(n: int, deg_x: int) -> tuple[int, ...] | None:
-    """P_n, ascending: the monic integer polynomial with P_n(x_n**2) = 0
-    that S_{n-1}(x) = U_{n-1}(x/2) gives, S_{n-1}(x) = P_n(x**2) for odd n
-    and x P_n(x**2) for even n (every other coefficient of cheb_poly(n - 1)),
-    with P_2 = u as x_2 = 0; None when its degree floor((n - 1) / 2) passes
-    deg_x // 2, as no row of a phi of x-degree deg_x is then long enough to
-    reduce, and the O(n**2) build would buy nothing.  x_n = 2cos(pi/n) is a
-    root of S_{n-1} (its roots are 2cos(k pi/n), k = 1 .. n-1), and not 0
-    for n >= 3, so the factor x of an even n does not hold it.
-    """
-    if (n - 1) // 2 > deg_x // 2:
-        return None
-    return (0, 1) if n == 2 else cheb_poly(n - 1)[(n - 1) % 2::2]
 
 
 class RootCertificate(namedtuple("RootCertificate",
@@ -207,13 +191,12 @@ class _SignOracle:
     evaluations (eval_interval calls), nodes (Descartes counts made, gallop
     trials included), escalations and indefinite results.
 
-    rows are phi's y-rows in u = x**2 reduced modulo P_n(u) (modulus, from
-    xn_modulus; None when no row reaches its degree, and then phi's rows in
-    u, undivided), formed once per scan by y_rows, which refuses a phi that
-    is not a polynomial in u; riley.RileyPolynomial proves every phi is
-    one.  Each c_j(x_n) of phi = sum_j c_j(x) y**j is the value of row j at
-    u_n = x_n**2, as P_n(u_n) = 0 (see eval_interval).  The rows do not
-    depend on the precision P, and both paths of a sign run on them.
+    rows are phi's y-rows in u = x**2 modulo P_n(u), formed once per scan
+    by y_rows(poly, n), which refuses a phi that is not a polynomial in u
+    (riley.RileyPolynomial proves every phi is one).  Each c_j(x_n) of
+    phi = sum_j c_j(x) y**j is the value of row j at u_n = x_n**2, as
+    P_n(u_n) = 0 (see eval_interval).  The rows do not depend on the
+    precision P, and both paths of a sign run on them.
 
     bounds = (lo, hi, e) encloses each c_j(x_n), once per precision P, by
     y_row_bounds in u over the squares of the x_n enclosure on the scan's
@@ -227,8 +210,7 @@ class _SignOracle:
 
     def __init__(self, poly: XYPoly, n: int):
         self.poly, self.n = poly, n
-        self.modulus = xn_modulus(n, poly.deg_x())
-        self.rows = y_rows(poly, self.modulus)
+        self.rows = y_rows(poly, n)
         self._set_precision(DEFAULT_PRECISION)
         self.evaluations = self.escalations = self.indefinite = self.nodes = 0
 
@@ -594,18 +576,16 @@ def find_root_gt2(phi: RileyPolynomial, n: int, *,
 def verify_certificate(cert: RootCertificate, phi: RileyPolynomial) -> bool:
     """Re-check a certificate from its record alone.
 
-    Shares only xn_enclosure, xn_modulus and polynomial evaluation with the
-    search; none of the scan or refinement logic is involved, and none of
-    its state: the verifier reduces phi's y-rows in u = x**2 (phi is even
-    in x, see riley.RileyPolynomial) modulo P_n(u) itself, once (y_rows),
-    building P_n from n as it builds x_n.  Each sign is eval_interval's
-    exact path on those rows at the endpoint, over the squares of the x_n
-    enclosure: P_n is monic with integer coefficients and P_n(x_n**2) = 0,
-    so the residue has the value of phi at x_n exactly, and any monic
-    integer P with that root would do as well.  A record's n bounds no
-    work: xn_modulus builds P_n only when some row of phi is long enough to
-    reduce, n <= deg_x + 2, and otherwise the rows in u are evaluated
-    undivided.
+    Shares only xn_enclosure and exact evaluation (y_rows, eval_interval)
+    with the search; none of the scan or refinement logic is involved, and
+    none of its state: the verifier reduces phi's y-rows in u = x**2 (phi
+    is even in x, see riley.RileyPolynomial) modulo P_n(u) itself, once,
+    by y_rows(phi.poly, cert.n), which builds P_n from n.  Each sign is
+    eval_interval's exact path on those rows at the endpoint, over the
+    squares of the x_n enclosure: P_n is monic in Z[u] and P_n(x_n**2) = 0,
+    so the residue has the value of phi at x_n exactly.  A record's n
+    bounds no work: y_rows builds P_n only when some row of phi reaches
+    it, n <= deg_x + 2, and otherwise evaluates the rows undivided.
     """
     if cert.poly_hash != phi.content_hash:
         raise HashMismatch("certificate does not match this polynomial")
@@ -616,7 +596,7 @@ def verify_certificate(cert: RootCertificate, phi: RileyPolynomial) -> bool:
     if cert.sign_a != -cert.sign_b or cert.sign_a not in (1, -1):
         return False
     xn = xn_enclosure(cert.n, cert.precision)
-    rows = y_rows(phi.poly, xn_modulus(cert.n, phi.poly.deg_x()))
+    rows = y_rows(phi.poly, cert.n)
     sign_a, sign_b = (eval_interval(phi.poly, xn, DyadicInterval.point(end), rows=rows).sign()
                       for end in (cert.a, cert.b))
     return sign_a == cert.sign_a and sign_b == cert.sign_b

@@ -112,8 +112,10 @@ def symmetric_rewrite(value: int, z: Packing, y_norm: int) -> XYPoly:
     """Rewrite an s <-> 1/s symmetric Laurent polynomial as f(x, y), x = s + 1/s.
 
     value is s**sigma psi(s, z) packed by z (shift sigma), as the Riley
-    engine's letter loop reads R12 and traces at y = 2 + z: the s-exponents
-    of psi all have sigma's parity and its digits fit z's slots.  The
+    engine's letter loop reads R12 and traces at y = 2 + z: sigma is even
+    (ValueError otherwise), as sigma = L - 2 lo has the parity of a mirror
+    word's even length L (see riley.RileyPolynomial), so the s-exponents
+    of psi are even, and its digits fit z's slots.  The
     polynomial rewritten is p(s, y) = psi(s, y - 2), and y_norm bounds
     every digit of p in magnitude, as a bound on its l1 norm does: the
     y-norms of the letter loop's span pass give one.  The read-back sizes
@@ -132,11 +134,11 @@ def symmetric_rewrite(value: int, z: Packing, y_norm: int) -> XYPoly:
     strided slice per byte compares slot k with slot sigma - k in every
     z-row at once, and NotSymmetric is raised before any shift.  Slot
     (sigma + e) / 2 of a palindromic y-row holds c_e, the coefficient of
-    P_e = s**e + s**-e (P_0 = 1 here), for e = pi, pi + 2, .. sigma,
-    pi = sigma mod 2, and the row is s**sigma sum_e c_e P_e.
+    P_e = s**e + s**-e (P_0 = 1 here), for e = 0, 2, .. sigma, and the
+    row is s**sigma sum_e c_e P_e.
 
-    The shift back.  Only a row's upper half, slots (sigma + 1) // 2 ..
-    sigma, is read.  Those bytes of each z-row are widened to the
+    The shift back.  Only a row's upper half, slots sigma / 2 .. sigma,
+    is read.  Those bytes of each z-row are widened to the
     wb-byte slots (zero bytes padded onto a biased digit keep it, and the
     bias comes off at the new width) and shifted by -1 at k = 1
     (`taylor_shift`), as psi(y - 2) = sum_j psi_j 2**j (y / 2 - 1)**j.
@@ -145,17 +147,17 @@ def symmetric_rewrite(value: int, z: Packing, y_norm: int) -> XYPoly:
     upper half of p's y-row j evaluated at T = 2**W, W = 8 wb, one
     integer, faithful as p's digits fit those slots.
 
-    The peel.  That integer is A = sum_m c_(2m+pi) T**m.  As x**n =
-    sum_j C(n, j) s**(n - 2j), x**(2k+pi) = sum_m C(2k + pi, k - m)
-    P_(2m+pi) is the integer X_k = sum_m C(2k + pi, k - m) T**m
-    (`_x_powers`), whose top digit is 1.  For k = sigma // 2 down to 0 the
-    peel takes f_(2k+pi) = q = round(A / T**k) and subtracts q X_k; at
-    k = 0, X_0 = 1 and q is all that is left, so A = sum_k f_(2k+pi) X_k
-    exactly.  The row is accepted when sum_i |f_i| 2**i < 2**(W - 1).
-    Then D(z) = sum_m c_(2m+pi) z**m - sum_k f_(2k+pi) X_k(z) vanishes at
+    The peel.  That integer is A = sum_m c_(2m) T**m.  As x**n =
+    sum_j C(n, j) s**(n - 2j), x**(2k) = sum_m C(2k, k - m) P_(2m) is the
+    integer X_k = sum_m C(2k, k - m) T**m (`_x_powers`), whose top digit
+    is 1.  For k = sigma / 2 down to 0 the peel takes f_(2k) = q =
+    round(A / T**k) and subtracts q X_k; at k = 0, X_0 = 1 and q is all
+    that is left, so A = sum_k f_(2k) X_k exactly.  The row is accepted
+    when sum_i |f_i| 2**i < 2**(W - 1).
+    Then D(z) = sum_m c_(2m) z**m - sum_k f_(2k) X_k(z) vanishes at
     z = T.  Each c_m is at most 2**(W - 1) in magnitude, a slot digit,
     and each coefficient of the sum over k at most
-    sum_k |f_(2k+pi)| 2**(2k+pi) < 2**(W - 1), as C(n, j) <= 2**n; so D's
+    sum_k |f_(2k)| 2**(2k) < 2**(W - 1), as C(n, j) <= 2**n; so D's
     coefficients are below T in magnitude, and a nonzero such polynomial
     does not vanish at T (its lowest nonzero coefficient would be a
     multiple of T).  So D = 0, sum_i f_i x**i = sum_e c_e P_e, and with
@@ -164,7 +166,7 @@ def symmetric_rewrite(value: int, z: Packing, y_norm: int) -> XYPoly:
     pass that computes f.
 
     The two widths.  The peel finds f whenever f meets that bound: before
-    step k the rest is sum_(m <= k) r_m T**m with r_k = f_(2k+pi) and
+    step k the rest is sum_(m <= k) r_m T**m with r_k = f_(2k) and
     every |r_m| <= sum_i |f_i| 2**i < T / 2, so the digits below k add
     less than T**k / 2 in magnitude and the rounding returns r_k.  A row
     refused at W is peeled again, from its shifted half-row's own digits,
@@ -178,15 +180,17 @@ def symmetric_rewrite(value: int, z: Packing, y_norm: int) -> XYPoly:
     at W', and a refusal there is an AssertionError.
     """
     sigma, nb, slots = z.shift, z.nbytes, z.slots
-    buf, row_len = z.slot_bytes(value), slots * nb
+    if sigma & 1:
+        raise ValueError(f"odd shift {sigma}: a mirror word has even length")
+    buf, row_len, top = z.slot_bytes(value), slots * nb, sigma // 2
     starts, blank = range(0, len(buf), row_len), z._empty() * (slots - sigma - 1)
     mirrors = ((r, r + (sigma - 2 * k) * nb)                # byte r of slot k, of sigma - k
-               for k in range((sigma + 1) // 2) for r in range(k * nb, k * nb + nb))
+               for k in range(top) for r in range(k * nb, k * nb + nb))
     if (any(buf[r::row_len] != buf[r2::row_len] for r, r2 in mirrors)
             or any(buf[j + row_len - len(blank):j + row_len] != blank for j in starts)):
         raise NotSymmetric("polynomial is not invariant under s -> 1/s")
-    odd, top, wb = sigma & 1, sigma // 2, max(nb, Packing.covering(0, 0, y_norm).nbytes)
-    lo, hi = (sigma + 1) // 2 * nb, (sigma + 1) * nb    # a row's upper half
+    wb = max(nb, Packing.covering(0, 0, y_norm).nbytes)
+    lo, hi = top * nb, (sigma + 1) * nb                 # a row's upper half
     halves = b"".join(buf[j + lo:j + hi] for j in starts)
     widened, half_len = bytearray(len(halves) // nb * wb), (top + 1) * wb
     for r in range(nb):
@@ -195,8 +199,8 @@ def symmetric_rewrite(value: int, z: Packing, y_norm: int) -> XYPoly:
     rows = taylor_shift([int.from_bytes(widened[j:j + half_len], "little") - bias
                          for j in range(0, len(widened), half_len)], -1, 1)
     w = 8 * wb
-    basis = _x_powers(top, odd, w)
-    f_rows = [_peel(a, w, basis, odd) for a in rows]
+    basis = _x_powers(top, w)
+    f_rows = [_peel(a, w, basis) for a in rows]
     refused = [j for j, f in enumerate(f_rows) if f is None]
     if refused:
         half, pell = 1 << w - 1, [2, 2]          # pell: Q_0, Q_1, ..
@@ -207,24 +211,24 @@ def symmetric_rewrite(value: int, z: Packing, y_norm: int) -> XYPoly:
         laid = ((rows[j] + bias).to_bytes(half_len, "little") for j in refused)
         digits = [[int.from_bytes(row[k:k + wb], "little") - half
                    for k in range(0, half_len, wb)] for row in laid]
-        bound = max(sum(map(mul, map(abs, c), pell[odd::2])) for c in digits)
+        bound = max(sum(map(mul, map(abs, c), pell[::2])) for c in digits)
         wide = Packing.covering(0, 0, bound)     # W', shared by every refused row
         w, half = 8 * wide.nbytes, 1 << 8 * wide.nbytes - 1
         bias = int.from_bytes(wide._empty() * (top + 1), "little")
-        basis = _x_powers(top, odd, w)
+        basis = _x_powers(top, w)
         for j, c in zip(refused, digits):
             a = int.from_bytes(b"".join((d + half).to_bytes(wide.nbytes, "little") for d in c),
                                "little") - bias
-            f_rows[j] = _peel(a, w, basis, odd)
+            f_rows[j] = _peel(a, w, basis)
             if f_rows[j] is None:
                 raise AssertionError("symmetric rewrite: a palindromic row failed the wide peel")
-    return XYPoly({(2 * k + odd, j): c for j, f in enumerate(f_rows)
+    return XYPoly({(2 * k, j): c for j, f in enumerate(f_rows)
                    for k, c in enumerate(f) if c}, ordered=True)
 
 
-def _x_powers(top: int, odd: int, w: int) -> list[int]:
-    """X_k = sum_m C(n, k - m) T**m, n = 2k + odd, T = 2**w, k = 0 .. top:
-    x**n in the basis P_(2m+odd) of `symmetric_rewrite`, its digits packed
+def _x_powers(top: int, w: int) -> list[int]:
+    """X_k = sum_m C(n, k - m) T**m, n = 2k, T = 2**w, k = 0 .. top:
+    x**n in the basis P_(2m) of `symmetric_rewrite`, its digits packed
     at T.  Digit m of X_(k+1) is C(n + 2, k + 1 - m) = C(n, k - 1 - m) +
     2 C(n, k - m) + C(n, k + 1 - m) by Pascal's rule twice, the digits
     m + 1, m and m - 1 of X_k, so X_(k+1) = T X_k + 2 X_k + (X_k - C(n, k)) / T
@@ -233,20 +237,20 @@ def _x_powers(top: int, odd: int, w: int) -> list[int]:
     evaluated."""
     xs = [1]
     for k in range(top):
-        n, x = 2 * k + odd, xs[-1]
+        n, x = 2 * k, xs[-1]
         xs.append((x << w) + 2 * x + ((x - comb(n, k)) >> w) + comb(n, k + 1))
     return xs
 
 
-def _peel(a: int, w: int, basis: list[int], odd: int) -> list[int] | None:
-    """[f_odd, f_(2+odd), ..] with a = sum_k f_(2k+odd) basis[k], each
-    f_(2k+odd) rounded off the top of the rest (all of it at k = 0), or
-    None once sum_i |f_i| 2**i reaches 2**(w - 1) (`symmetric_rewrite`)."""
+def _peel(a: int, w: int, basis: list[int]) -> list[int] | None:
+    """[f_0, f_2, ..] with a = sum_k f_(2k) basis[k], each f_(2k) rounded
+    off the top of the rest (all of it at k = 0), or None once
+    sum_i |f_i| 2**i reaches 2**(w - 1) (`symmetric_rewrite`)."""
     limit, norm, f = 1 << w - 1, 0, [0] * len(basis)
     for k in range(len(basis) - 1, -1, -1):
         q = ((a >> w * k - 1) + 1) >> 1 if k else a
         if q:
-            norm += abs(q) << 2 * k + odd
+            norm += abs(q) << 2 * k
             if norm >= limit:
                 return None
             a -= q * basis[k]
@@ -370,39 +374,47 @@ def _horner(lo: Sequence[int], hi: Sequence[int], u: tuple[int, int], k: int
             ) -> tuple[int, int]:
     """Integer bounds (l, h) on sum_j c_j v**j for every c_j in [lo[j], hi[j]]
     and v in [u[0], u[1]] * 2**-k, in the units of lo and hi: the one
-    interval Horner of this module.
+    interval Horner of this module.  v >= 0 (ValueError on u[0] < 0), as
+    every caller's is: the squares of an x interval, or a point y >= 0.
 
     Each step multiplies [l, h] by [u[0], u[1]] (the two endpoint products
-    that can be extreme when u[0] >= 0, else the least and greatest of all
-    four), floors the lower end of the product at a unit and ceils the
-    upper one, and adds [lo[j], hi[j]].  Interval arithmetic is
-    inclusion-monotone, so the floors and ceilings only widen the result.
+    that can be extreme), floors the lower end of the product at a unit
+    and ceils the upper one, and adds [lo[j], hi[j]].  Interval arithmetic
+    is inclusion-monotone, so the floors and ceilings only widen the result.
     On a unit fine enough that no floor cuts anything, as when every lo[j]
     and hi[j] is a multiple of 2**(k * (len(lo) - 1)), the result is exact
     interval Horner.
     """
     u_lo, u_hi = u
+    if u_lo < 0:
+        raise ValueError(f"_horner takes v >= 0, not a lower end {u_lo}")
     l, h = lo[-1], hi[-1]
     for j in range(len(lo) - 2, -1, -1):
-        if u_lo >= 0:
-            a, b = l * (u_lo if l >= 0 else u_hi), h * (u_hi if h >= 0 else u_lo)
-        else:
-            c = (l * u_lo, l * u_hi, h * u_lo, h * u_hi)
-            a, b = min(c), max(c)
+        a, b = l * (u_lo if l >= 0 else u_hi), h * (u_hi if h >= 0 else u_lo)
         l, h = (a >> k) + lo[j], hi[j] - (-b >> k)
     return l, h
 
 
-def _residue_rows(p: XYPoly, modulus: Sequence[int] | None) -> list[tuple[int, ...]]:
-    """Every y-row c_j of a p with terms in u = x**2, j = 0 .. deg_y, and
-    with a modulus P, monic and ascending, its remainder modulo P by long
-    division, in the integers and exact as P is monic: row j holds the m
-    coefficients in u, ascending, m = deg P, or without a modulus
-    deg_x / 2 + 1, so that no step divides.  Raises ValueError on a term
-    of odd x-degree.  The long division runs on columns, the coefficients
-    of one power of u in every row: a step subtracts q times a coefficient
-    of P from a column, q the column being divided off, one map over all
-    rows in place of a loop per row."""
+def _xn_modulus(n: int) -> tuple[int, ...]:
+    """P_n, ascending, n >= 2: monic in Z[u] with P_n(x_n**2) = 0.
+    S_{n-1}(x) = sum_k (-1)**k C(n - 1 - k, k) x**(n - 1 - 2k) is P_n(x**2)
+    for odd n and x P_n(x**2) for even n; its roots are 2cos(k pi/n),
+    k = 1 .. n - 1, and x_n != 0 for n >= 3.  P_2 = u, as x_2 = 0."""
+    if n == 2:
+        return (0, 1)
+    top = (n - 1) // 2
+    return tuple((-1) ** k * comb(n - 1 - k, k) for k in range(top, -1, -1))
+
+
+def _residue_rows(p: XYPoly, n: int | None) -> list[tuple[int, ...]]:
+    """Every y-row c_j of a p with terms in u = x**2, j = 0 .. deg_y, in
+    u, ascending; given n, its remainder modulo P_n (`_xn_modulus`) by
+    long division, exact as P_n is monic, whenever deg P_n is below the
+    count of u-columns, deg_x / 2 + 1: no row reaches a larger P_n, which
+    is then not built, however large n is.  Raises ValueError on a term of
+    odd x-degree.  The division runs on columns, the coefficients of one
+    power of u in every row: a step subtracts q times a coefficient of
+    P_n from a column, q the column divided off, one map over all rows."""
     xs, ys = zip(*p._terms)
     width = max(ys) + 1
     cols = [[0] * width for _ in range(max(xs) // 2 + 1)]
@@ -410,8 +422,10 @@ def _residue_rows(p: XYPoly, modulus: Sequence[int] | None) -> list[tuple[int, .
         if i & 1:
             raise ValueError(f"not even in x: a term of x-degree {i}")
         cols[i >> 1][j] = c
-    m = len(modulus) - 1 if modulus else len(cols)
-    cols += [[0] * width] * (m - len(cols))
+    if n is None or (n - 1) // 2 >= len(cols):
+        return list(zip(*cols))
+    modulus = _xn_modulus(n)
+    m = len(modulus) - 1
     for k in range(len(cols) - 1, m - 1, -1):
         q = cols[k]
         if any(q):
@@ -449,11 +463,12 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
                   y_bounds: tuple[list[int], list[int], int] | None = None,
                   rows: list[Sequence[int]] | None = None) -> DyadicInterval:
     """Interval enclosing {p(v, y) : v in x} at a point y (lo == hi; any
-    other y raises ValueError), or with rows reduced modulo P, an interval
-    enclosing p(x_n, y) for the x_n in x with P(x_n**2) = 0.  rows are
-    p's y-rows in u = x**2 as `y_rows` gives them, y_rows(p) (undivided)
-    by default, which refuses a term of odd x-degree with ValueError: p
-    must be even in x, as every phi is (proved at riley.RileyPolynomial).
+    other y raises ValueError), or with rows reduced modulo P = P_n
+    (y_rows(p, n)), an interval enclosing p(x_n, y) for the x_n in x, as
+    P(x_n**2) = 0.  rows are p's y-rows in u = x**2 as `y_rows` gives
+    them, y_rows(p) (undivided) by default, which refuses a term of odd
+    x-degree with ValueError: p must be even in x, as every phi is (proved
+    at riley.RileyPolynomial).
 
     The exact path forms the value at y of each u-column, the coefficient
     of one power of u in every row: with y = m / 2**k (`_scaled`) and
@@ -505,21 +520,22 @@ def eval_interval(p: XYPoly, x: DyadicInterval, y: DyadicInterval, *,
     return DyadicInterval(Dyadic(l, e), Dyadic(h, e))
 
 
-def y_rows(p: XYPoly, modulus: Sequence[int] | None = None) -> list[Sequence[int]]:
+def y_rows(p: XYPoly, n: int | None = None) -> list[Sequence[int]]:
     """The rows that exact evaluation and the y-coefficient bounds run on:
     row j lists the y-row c_j, j = 0 .. deg_y, in u = x**2, ascending, or
-    with a modulus its residue (`_residue_rows`, ValueError on an odd
-    x-degree).  The rows depend on neither x, y nor the unit, so a caller
-    that signs at many points or re-encloses at a finer x reduces p once."""
-    return _residue_rows(p, modulus) if p._terms else [(0,)]
+    given n >= 2 its residue modulo P_n (`_residue_rows`, ValueError on an
+    odd x-degree).  The rows depend on neither x, y nor the unit, so a
+    caller that signs at many points or re-encloses at a finer x reduces
+    p once."""
+    return _residue_rows(p, n) if p._terms else [(0,)]
 
 
 def y_row_bounds(rows: list[Sequence[int]], x: DyadicInterval, e: int
                  ) -> tuple[list[int], list[int], int]:
     """(lo, hi, e) with lo[j] * 2**e <= c_j(v) <= hi[j] * 2**e for every v in
-    x, or with rows reduced modulo P at the x_n in x with P(x_n**2) = 0
-    (see eval_interval), for the rows `y_rows` gives and a unit e <= 0:
-    `_horner` of each row in u over the squares of x, on the unit 2**e.
+    x, or with rows reduced modulo P_n at the x_n in x (see eval_interval),
+    for the rows `y_rows` gives and a unit e <= 0: `_horner` of each row
+    in u over the squares of x, on the unit 2**e.
 
     On a unit at or below deg_x * e_x, e_x the exponent of x as `_scaled`
     gives it, no floor cuts anything and the bounds are exact interval

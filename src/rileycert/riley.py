@@ -79,13 +79,10 @@ form or power route (`_chebyshev_combination`), runs the recurrence
 S_{j+1} = t S_j - S_{j-1} on packed integers too, multiplying by t one
 term at a time (a shift and a small-integer multiple).  It packs
 u = x**2 into the inner slots, as many as the result's x-degree, and y
-into the outer ones: lambda, a and b have even x-degrees only, those of
-the closed forms by their formulas and those read off a word because it
-has even length (a mirror word's letters pair off about the middle, a
-with b, and C has 10).  The
-slots are sized before any arithmetic by N_{j+1} = ||t||_1 N_j + N_{j-1},
-which bounds the l1 norm of S_j(t), so the one value unpacked, phi, is
-faithful.
+into the outer ones: lambda, a and b have even x-degrees only (see
+`RileyPolynomial`).  The slots are sized before any arithmetic by
+N_{j+1} = ||t||_1 N_j + N_{j-1}, which bounds the l1 norm of S_j(t), so
+the one value unpacked, phi, is faithful.
 """
 
 from __future__ import annotations
@@ -124,7 +121,11 @@ class RileyPolynomial(namedtuple("RileyPolynomial", "poly knot presentation")):
     R12(-s, y) = R12(s, y).  phi(x, y) is R12 written in x = s + 1/s,
     which s -> -s sends to -x, so phi(-x, y) = phi(x, y).  The closed
     forms are even by their formulas: `_chebyshev_combination` packs them
-    in u and refuses an odd x-degree."""
+    in u and refuses an odd x-degree.  Each shift sigma = L - 2 lo
+    (`_mirror_span`) that `symmetric_rewrite` reads has the parity of the
+    word's length L, so it is even, as the rewrite requires: a mirror
+    word's letters pair off about the middle, a with b (a middle letter
+    would be its own swap), and C has 10."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: RileyPolynomial is immutable")

@@ -232,21 +232,23 @@ def reference_unpack(packing: Packing, value: int) -> dict:
     return terms
 
 
+def pack_sy(p: SY) -> tuple[int, Packing, int]:
+    """A dict SY in y as the engine hands R12 to `symmetric_rewrite`:
+    (value, z, y_norm), p taken to z = y - 2 by `substitute_y` and packed
+    in t = s**2 with shift its largest |s-exponent|, in slots as wide as
+    its digits in z need, with its largest digit in y as the y-norm."""
+    psi = substitute_y(p, SY.y() + 2)._terms
+    deg = max((abs(i) for i, _ in p._terms), default=0)
+    z = Packing.covering(deg, deg + 1, max(map(abs, psi.values()), default=0))
+    return pack(z, psi), z, max(map(abs, p._terms.values()), default=0)
+
+
 def rewrite_sy(p: SY) -> XYPoly:
-    """symmetric_rewrite of a dict SY in y: each s-parity class taken to
-    z = y - 2 by `substitute_y` and packed in t = s**2 with shift its
-    largest |s-exponent|, as the engine packs R12 in z, in slots as wide as
-    the class's digits in z need, and rewritten on its own, with its
-    largest digit in y as the rewrite's y-norm."""
-    terms: dict = {}
-    for parity in (0, 1):
-        part = SY({key: c for key, c in p._terms.items() if key[0] & 1 == parity})
-        psi = substitute_y(part, SY.y() + 2)._terms
-        deg = max((abs(i) for i, _ in part._terms), default=parity)
-        z = Packing.covering(deg, deg + 1, max(map(abs, psi.values()), default=0))
-        y_norm = max(map(abs, part._terms.values()), default=0)
-        terms.update(symmetric_rewrite(pack(z, psi), z, y_norm)._terms)
-    return XYPoly(terms)
+    """symmetric_rewrite of a dict SY in y (`pack_sy`): the class of even
+    s-exponents alone, as a mirror word gives no other, so the class of
+    odd ones must be empty."""
+    assert not any(i & 1 for i, _ in p._terms), "an odd s-exponent"
+    return symmetric_rewrite(*pack_sy(p))
 
 
 def _interval_times(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -87,3 +88,22 @@ def test_no_polynomial_class_defines_arithmetic():
                 if names & ARITHMETIC:
                     owners.add((path.stem, cls.name))
     assert owners == ARITHMETIC_CLASSES
+
+
+# The verifier shares only x_n's enclosure and exact evaluation with the
+# search: these are all the module globals verify_certificate reads, so a
+# scan helper, or a P_n built anywhere but in y_rows, fails here.
+VERIFIER_GLOBALS = {"HashMismatch", "Dyadic", "DyadicInterval", "xn_enclosure", "y_rows",
+                    "eval_interval"}
+
+
+def test_the_verifier_reads_only_the_shared_kernels():
+    tree = ast.parse((SRC / "rileycert" / "certify.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "verify_certificate")
+    # the body only: the annotations are strings under postponed evaluation
+    names = [node for stmt in func.body for node in ast.walk(stmt) if isinstance(node, ast.Name)]
+    local = {arg.arg for arg in func.args.args} | {
+        node.id for node in names if isinstance(node.ctx, ast.Store)}
+    loaded = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+    assert loaded - local - set(dir(builtins)) == VERIFIER_GLOBALS

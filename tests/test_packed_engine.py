@@ -226,7 +226,8 @@ def test_row_one_span_holds_the_relator(word):
 def test_a_narrowed_span_is_caught(monkeypatch, fraction, cut):
     # the span is tight: a slot off its low end, its high end or both loses
     # terms of R12 or lays them off-centre, which the low-slot check, the
-    # rewrite's palindrome test or its peel must catch
+    # rewrite's palindrome test or its peel must catch; a slot off one end
+    # alone makes the shift odd, which the rewrite refuses first
     span = riley._mirror_span
 
     def narrowed(length, hulls):
@@ -234,8 +235,12 @@ def test_a_narrowed_span_is_caught(monkeypatch, fraction, cut):
         return lo + cut[0], hi - cut[1]
 
     monkeypatch.setattr(riley, "_mirror_span", narrowed)
-    with pytest.raises((riley.StructureViolation, polyring.NotSymmetric, AssertionError)):
-        riley.riley_for_knot(fraction)
+    if sum(cut) % 2:
+        with pytest.raises(ValueError, match="odd shift"):
+            riley.riley_for_knot(fraction)
+    else:
+        with pytest.raises((riley.StructureViolation, polyring.NotSymmetric, AssertionError)):
+            riley.riley_for_knot(fraction)
 
 
 @settings(max_examples=60, deadline=None)
@@ -609,8 +614,8 @@ def test_the_read_back_keeps_its_slot_widths(monkeypatch, key):
         reads += [lambda r12=riley._unimodular_trace(w, m)[1]: polyring.symmetric_rewrite(*r12)
                   for m in (1, -1)]
     x_powers, widths = polyring._x_powers, []
-    monkeypatch.setattr(polyring, "_x_powers", lambda top, odd, width: (
-        widths.append(width) or x_powers(top, odd, width)))
+    monkeypatch.setattr(polyring, "_x_powers", lambda top, width: (
+        widths.append(width) or x_powers(top, width)))
     first = []
     for read in reads:
         widths.clear()
@@ -673,6 +678,15 @@ def test_the_trace_rejects_a_determinant_other_than_one(monkeypatch):
     # and is injected as the matrix in y that has that form (_from_z)
     for text in ("", "a", "abAB", "bAbaBa", "abbbAAb"):
         word = Word(text)
+        if len(text) % 2:
+            # an odd length makes the trace's shift odd, which the rewrite
+            # refuses: no relator word has one
+            assert any(i & 1 for i, _ in reference_evaluate_word(word).trace()._terms)
+            for read in (lambda: riley._unimodular_trace(word),
+                         lambda: _trace_of_rows(monkeypatch, reference_evaluate_word(word))):
+                with pytest.raises(ValueError, match="odd shift"):
+                    read()
+            continue
         trace = rewrite_sy(reference_evaluate_word(word).trace())
         assert riley._unimodular_trace(word)[0] == trace
         assert _trace_of_rows(monkeypatch, reference_evaluate_word(word)) == trace
@@ -759,7 +773,7 @@ def test_a_stray_term_below_the_span_in_a_higher_z_row_is_refused(monkeypatch, r
 def test_a_refused_peel_is_an_assertion(monkeypatch):
     # a palindromic row always peels at the wide width, so a peel that
     # refuses every row, at both widths, ends every build in AssertionError
-    monkeypatch.setattr(polyring, "_peel", lambda a, w, basis, odd: None)
+    monkeypatch.setattr(polyring, "_peel", lambda a, w, basis: None)
     with pytest.raises(AssertionError):
         riley.riley_for_knot(TwoBridgeFraction(7, 3))
 
@@ -799,9 +813,9 @@ def test_a_narrow_row_is_peeled_again_wider(monkeypatch):
     value = pack(packing, p)
     peel, widths = polyring._peel, []
 
-    def spy(a, w, basis, odd):
+    def spy(a, w, basis):
         widths.append(w)
-        return peel(a, w, basis, odd)
+        return peel(a, w, basis)
 
     monkeypatch.setattr(polyring, "_peel", spy)
     rewritten = polyring.symmetric_rewrite(value, packing, max(map(abs, p.values())))
@@ -833,9 +847,9 @@ def test_a_refused_half_row_takes_the_wide_peel(monkeypatch):
     assert z.nbytes == 3
     peel, widths = polyring._peel, []
 
-    def spy(a, w, basis, odd):
+    def spy(a, w, basis):
         widths.append(w)
-        return peel(a, w, basis, odd)
+        return peel(a, w, basis)
 
     monkeypatch.setattr(polyring, "_peel", spy)
     rewritten = polyring.symmetric_rewrite(pack(z, psi), z, max(map(abs, p.values())))

@@ -16,7 +16,7 @@ from rileycert.riley import riley_double_twist, riley_for_knot
 from matrix_oracle import PolyMatrix
 from poly_oracle import (SY, XY, as_fraction, contains_fraction, contains_interval,
                          eval_fraction, pack, reference_eval_interval,
-                         reference_eval_interval_u, reference_unpack, rewrite_sy,
+                         pack_sy, reference_eval_interval_u, reference_unpack, rewrite_sy,
                          substitute_y, to_sy, y_slices)
 
 X, Y = XY.x(), XY.y()
@@ -153,19 +153,34 @@ def test_terms_are_sorted_once(monkeypatch):
         assert calls == []
 
 
+def _refuses_odd_shift(p):
+    """p, of odd s-exponents, packed as the engine packs R12 (`pack_sy`):
+    its shift is odd, and the rewrite refuses it before reading a digit."""
+    value, z, y_norm = pack_sy(p)
+    assert z.shift % 2
+    with pytest.raises(ValueError, match="odd shift"):
+        symmetric_rewrite(value, z, y_norm)
+
+
 def test_symmetric_rewrite_examples():
-    assert rewrite_sy(SY.from_terms([(1, 0, 1), (-1, 0, 1)])) == X
     assert rewrite_sy(SY.from_terms([(2, 0, 1), (-2, 0, 1)])) == X * X - 2
-    assert rewrite_sy(SY.from_terms([(3, 1, 1), (-3, 1, 1)])) \
-        == (X * X * X - 3 * X) * Y
+    assert rewrite_sy(SY.from_terms([(4, 1, 1), (-4, 1, 1)])) \
+        == (X * X * X * X - 4 * X * X + 2) * Y
     assert rewrite_sy(SY.const(5)) == XY.const(5)
+    # x = s + 1/s and x**3 - 3x = s**3 + s**-3 are odd: no mirror word
+    # gives them, and the rewrite refuses their odd shift
+    _refuses_odd_shift(SY.from_terms([(1, 0, 1), (-1, 0, 1)]))
+    _refuses_odd_shift(SY.from_terms([(3, 1, 1), (-3, 1, 1)]))
 
 
 def test_symmetric_rewrite_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
-        rewrite_sy(SY.s(1))
+        rewrite_sy(SY.s(2))
     with pytest.raises(NotSymmetric):
-        rewrite_sy(SY.from_terms([(1, 0, 1), (-1, 0, 2)]))
+        rewrite_sy(SY.from_terms([(2, 0, 1), (-2, 0, 2)]))
+    # an odd shift is refused before the palindrome is read
+    _refuses_odd_shift(SY.s(1))
+    _refuses_odd_shift(SY.from_terms([(1, 0, 1), (-1, 0, 2)]))
 
 
 def test_symmetric_rewrite_requires_a_packing():
@@ -185,13 +200,22 @@ def test_symmetric_rewrite_requires_a_packing():
     assert symmetric_rewrite(5 + (1 << 8), Packing(0, 1, 1), 4) == Y + 3
 
 
+def _parity_classes(f):
+    """(even, odd): the terms of f of even and of odd x-degree."""
+    return tuple(XY.from_terms(t for t in f.terms() if t[0] % 2 == parity) for parity in (0, 1))
+
+
 def test_symmetric_rewrite_round_trip_random():
+    # the class of even x-degrees round-trips; that of odd ones, which no
+    # mirror word gives, is refused
     rng = random.Random(23)
     for _ in range(40):
-        f = rand_xy(rng)
+        f, odd = _parity_classes(rand_xy(rng))
         p = to_sy(f)
         assert p.is_symmetric()
         assert rewrite_sy(p) == f
+        if odd:
+            _refuses_odd_shift(to_sy(odd))
     # and from the Laurent side: sums of c*(s^k + s^-k)*y^j
     for _ in range(40):
         terms = []
@@ -200,9 +224,12 @@ def test_symmetric_rewrite_round_trip_random():
             j = rng.randrange(0, 4)
             c = rng.randrange(-9, 10)
             terms += [(k, j, c), (-k, j, c)] if k else [(0, j, c)]
-        p = SY.from_terms(terms)
+        p = SY.from_terms([t for t in terms if t[0] % 2 == 0])
         f = rewrite_sy(p)
         assert to_sy(f) == p
+        odd = SY.from_terms([t for t in terms if t[0] % 2])
+        if odd:
+            _refuses_odd_shift(odd)
 
 
 _PARITY_DEGREES = {"even": st.integers(0, 12).map(lambda k: 2 * k),
@@ -225,28 +252,35 @@ def _xy_polys(draw, parity):
     lambda parity: st.tuples(st.just(parity), _xy_polys(parity))))
 def test_symmetric_rewrite_inverts_to_sy(parity_and_f):
     # f(s + 1/s, y) is symmetric, and its rewrite is f again, whatever the
-    # s-parity classes of p and the size of its coefficients
+    # size of its coefficients, for the even s-parity class of p; the odd
+    # class is refused
     _, f = parity_and_f
+    f, odd = _parity_classes(f)
     p = to_sy(f)
     assert p.is_symmetric()
     assert rewrite_sy(p) == f
     assert rewrite_sy(p + SY.const(2 ** 70)) == f + 2 ** 70
+    if odd:
+        _refuses_odd_shift(to_sy(odd))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5),
                           st.integers(-2 ** 100, 2 ** 100)), max_size=12))
 def test_symmetric_rewrite_of_symmetric_sums(terms):
-    # sums of c (s**k + s**-k) y**j (c y**j for k = 0) rewrite to an f with
-    # f(s + 1/s, y) = p, and a change of one coefficient of s**k alone,
-    # k != 0, makes p asymmetric
-    p = SY.from_terms([t for k, j, c in terms
-                           for t in ([(k, j, c), (-k, j, c)] if k else [(0, j, c)])])
+    # sums of c (s**k + s**-k) y**j (c y**j for k = 0), k even, rewrite to
+    # an f with f(s + 1/s, y) = p, and a change of one coefficient of s**k
+    # alone, k != 0, makes p asymmetric; such sums of odd k are refused
+    p, odd = (SY.from_terms([t for k, j, c in terms if k % 2 == parity
+                             for t in ([(k, j, c), (-k, j, c)] if k else [(0, j, c)])])
+              for parity in (0, 1))
     assert to_sy(rewrite_sy(p)) == p
     for k, j, _ in terms:
-        if k:
+        if k and k % 2 == 0:
             with pytest.raises(NotSymmetric):
                 rewrite_sy(p + SY.from_terms([(k, j, 2 ** 65)]))
+    if odd:
+        _refuses_odd_shift(odd)
 
 
 def _pell_lucas(sigma: int) -> list[int]:
@@ -290,11 +324,16 @@ def test_the_peel_round_trips_in_slots_of_the_largest_digit(sigma_and_p):
     # p(t, z + 2) packed in slots sized for the largest digit of it and of
     # p, so that many rows need the wide peel, p rewrites to an f with
     # f(s + 1/s) = p, and each row's sum |f_i| 2**i is within
-    # sum_e |c_e| Q_e, the bound that sizes the wide peel
+    # sum_e |c_e| Q_e, the bound that sizes the wide peel; an odd sigma is
+    # refused
     sigma, p = sigma_and_p
     psi = substitute_y(p, SY.y() + 2)._terms
     largest = max(map(abs, [*p._terms.values(), *psi.values()]), default=0)
     z = Packing.covering(sigma, sigma + 1, largest)
+    if sigma % 2:
+        with pytest.raises(ValueError, match="odd shift"):
+            symmetric_rewrite(pack(z, psi), z, largest)
+        return
     f = symmetric_rewrite(pack(z, psi), z, largest)
     assert to_sy(f) == p
     q, rows = _pell_lucas(sigma), y_slices(f)
@@ -347,7 +386,10 @@ def test_z_rows_shifted_by_minus_two_are_the_substitution(args):
     assert len(shifted) == count
     assert {(i, j): c for j, row in enumerate(shifted)
             for (i, _), c in packing.unpack(row).items()} == want._terms
-    if SY(terms).is_symmetric():
+    if z.shift % 2:
+        with pytest.raises(ValueError, match="odd shift"):
+            symmetric_rewrite(pack(z, terms), z, y_norm)
+    elif SY(terms).is_symmetric():
         assert symmetric_rewrite(pack(z, terms), z, y_norm) == rewrite_sy(want)
     else:
         for rewrite in (lambda: symmetric_rewrite(pack(z, terms), z, y_norm),
@@ -381,14 +423,20 @@ def _palindromic_z_values(draw):
 @given(_palindromic_z_values())
 @example((Packing(0, 1, 1), {(0, 0): 127, (0, 1): -127}))
 @example((Packing(1, 3, 1), {(1, 0): -127, (-1, 0): -127, (1, 3): 127, (-1, 3): 127}))
+@example((Packing(2, 5, 1), {(2, 0): -127, (-2, 0): -127, (2, 3): 127, (-2, 3): 127}))
 def test_the_rewrite_of_a_palindromic_z_value_is_the_oracle_of_its_shift(args):
     # the rewrite of a palindromic z-value psi, in slots as wide as its
     # digits need, with the largest digit of psi(t, y - 2) as its y-norm,
     # is rewrite_sy of psi(t, y - 2) by the dict oracle, and f(s + 1/s, y)
-    # is psi(t, y - 2)
+    # is psi(t, y - 2); an odd shift is refused
     z, terms = args
     want = substitute_y(SY(terms), SY.y() - 2)
-    f = symmetric_rewrite(pack(z, terms), z, max(map(abs, want._terms.values()), default=0))
+    y_norm = max(map(abs, want._terms.values()), default=0)
+    if z.shift % 2:
+        with pytest.raises(ValueError, match="odd shift"):
+            symmetric_rewrite(pack(z, terms), z, y_norm)
+        return
+    f = symmetric_rewrite(pack(z, terms), z, y_norm)
     assert f == rewrite_sy(want)
     assert to_sy(f) == want
 
@@ -606,7 +654,12 @@ def _horner_arguments(draw):
 @settings(max_examples=400, deadline=None)
 @given(_horner_arguments(), st.lists(st.fractions(0, 1), min_size=10, max_size=10))
 def test_horner_matches_fraction_interval_horner(args, ts):
+    # a u below 0, which no caller passes, is refused
     lo, hi, u, k = args
+    if u[0] < 0:
+        with pytest.raises(ValueError):
+            _horner(lo, hi, u, k)
+        return
     d = len(lo) - 1
     v_lo, v_hi = Fraction(u[0], 1 << k), Fraction(u[1], 1 << k)
     l, h = _horner(lo, hi, u, k)
@@ -633,8 +686,14 @@ def test_horner_takes_two_products_per_step_for_nonnegative_u():
 
     lo, hi = [5, -3, 7, 2], [6, -1, 9, 4]
     for u, products in (((1, 3), 6), ((0, 0), 6), ((5, 5), 6),
-                        ((-3, 1), 12), ((-3, -1), 12), ((-2, -2), 12)):
+                        ((-3, 1), 0), ((-3, -1), 0), ((-2, -2), 0)):
         calls.clear()
+        if u[0] < 0:
+            # a negative or straddling u is refused before any product
+            with pytest.raises(ValueError):
+                _horner(lo, hi, tuple(map(Counted, u)), 2)
+            assert calls == [], u
+            continue
         result = _horner(lo, hi, tuple(map(Counted, u)), 2)
         assert len(calls) == products, u
         assert result == _horner(lo, hi, u, 2)
@@ -802,29 +861,32 @@ def test_even_polynomials_on_nonnegative_x_match_horner_in_x(p, x, y):
 
 @pytest.mark.parametrize("spec, ns", [("J:4,6", (15, 40, 257)), ("Kl:6", (37, 100)),
                                       ("J:1,2", (7, 9, 256))])
-def test_family_phi_without_a_modulus_matches_horner_in_x(spec, ns):
-    # the n that xn_modulus builds no P_n for, where the scan and the
-    # verifier evaluate phi's rows in u undivided
-    from rileycert.certify import xn_enclosure, xn_modulus
+def test_family_phi_without_a_modulus_matches_horner_in_x(monkeypatch, spec, ns):
+    # the n that y_rows builds no P_n for, where the scan and the verifier
+    # evaluate phi's rows in u undivided
+    from rileycert.certify import xn_enclosure
     from rileycert.cli import parse_knot_spec
     phi = riley_for_knot(parse_knot_spec(spec)).poly
     ys = [DyadicInterval.point(y) for y in (Dyadic(2), Dyadic(17, -3),
                                             Dyadic(2 ** 130 + 12345, -128))]
+    built = []
+    monkeypatch.setattr(polyring, "_xn_modulus", lambda n: built.append(n))
     for n in ns:
-        assert xn_modulus(n, phi.deg_x()) is None, (spec, n)
+        assert y_rows(phi, n) == y_rows(phi) and built == [], (spec, n)
         for precision in (128, 256):
             _assert_as_horner_in_x(phi, xn_enclosure(n, precision), ys)
 
 
 @settings(max_examples=200, deadline=None)
-@given(even_polys, st.lists(st.integers(-60, 60), min_size=8, max_size=8))
-def test_no_modulus_is_a_modulus_above_every_half_row(p, tail):
-    # a monic P of degree deg_x // 2 + 1 divides no row in u, so the rows
-    # without a modulus are those with P in the same layout, and the gate
-    # in xn_modulus cannot change a result
+@given(even_polys, st.integers(0, 1), st.integers(0, 2 ** 70))
+def test_no_modulus_is_a_modulus_above_every_half_row(p, parity, extra):
+    # a monic P_n of degree deg_x // 2 + 1 or more divides no row in u, so
+    # y_rows with such an n gives the rows without one, and the gate that
+    # skips its build cannot change a result
     m = p.deg_x() // 2 + 1
-    modulus = (*tail[:m], 1)
-    assert y_rows(p, None) == y_rows(p, modulus)
+    for n in (2 * m + 1 + parity, 2 * m + 1 + parity + extra):
+        assert (n - 1) // 2 >= m
+        assert y_rows(p, n) == y_rows(p, None)
 
 
 def test_poly_matrix_ops():

@@ -1,10 +1,12 @@
 """phi(x_n, .) evaluated on residues modulo P_n(u), u = x**2: P_n against
-mpmath at 300 bits, the evenness of every phi the package builds and the
-refusal of an odd x-term, the reduced rows against cert_oracle.py's own
-long division, the enclosures of `eval_interval` and `y_row_bounds` on
-reduced rows against mpmath's values at x_n, the rows as the one source
-of every exact sign, and the records at the knot limits through the
-verifier and the independent oracle of cert_oracle.py."""
+mpmath at 300 bits and cert_oracle.py's own recurrence, the rule that
+builds it only for a row that reaches it, the evenness of every phi the
+package builds and the refusal of an odd x-term, the reduced rows against
+cert_oracle.py's own long division, the enclosures of `eval_interval`
+and `y_row_bounds` on reduced rows against mpmath's values at x_n, the
+rows as the one source of every exact sign, and the records at the knot
+limits through the verifier and the independent oracle of
+cert_oracle.py."""
 
 import json
 import random
@@ -16,23 +18,18 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rileycert import certify
+from rileycert import certify, polyring
 from rileycert.certify import (RootCertificate, _SignOracle, find_root_gt2,
-                               verify_certificate, xn_enclosure, xn_modulus)
+                               verify_certificate, xn_enclosure)
 from rileycert.cli import parse_knot_spec
 from rileycert.dyadic import Dyadic, DyadicInterval
-from rileycert.polyring import XYPoly, eval_interval, y_row_bounds, y_rows
+from rileycert.polyring import XYPoly, _xn_modulus, eval_interval, y_row_bounds, y_rows
 from rileycert.riley import RileyPolynomial, riley_for_knot
 
 import cert_oracle
 from poly_oracle import reference_eval_interval_u
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "riley_reference.json"
-
-
-def _modulus(n: int) -> tuple[int, ...]:
-    """P_n, with a phi long enough that xn_modulus builds it."""
-    return xn_modulus(n, 2 * n)
 
 
 def _sampled_n() -> list[int]:
@@ -42,8 +39,11 @@ def _sampled_n() -> list[int]:
 
 @pytest.mark.parametrize("n", _sampled_n())
 def test_xn_modulus_is_monic_of_its_degree_with_root_xn_squared(n):
-    p = _modulus(n)
+    # the closed form is every other coefficient of S_{n-1} by its
+    # recurrence, divided by x for even n (cert_oracle), for n >= 3
+    p = _xn_modulus(n)
     assert p[-1] == 1 and len(p) - 1 == max((n - 1) // 2, 1)
+    assert p == ((0, 1) if n == 2 else cert_oracle.sturm_modulus(n)[::2])
     # each term of P_n(u_n) is below 4**n in magnitude, so 2n guard bits
     # above 300 leave a rounding error under 2**-300
     with mpmath.workprec(300 + 2 * n + 16):
@@ -51,12 +51,42 @@ def test_xn_modulus_is_monic_of_its_degree_with_root_xn_squared(n):
         assert abs(mpmath.polyval(p[::-1], u)) < mpmath.mpf(2) ** -300
 
 
-def test_xn_modulus_is_built_only_for_a_row_that_reaches_it():
-    assert xn_modulus(2, 0) == (0, 1)
-    for n in range(2, 40):
-        for deg_x in range(0, 40):
-            built = xn_modulus(n, deg_x) is not None
-            assert built == ((n - 1) // 2 <= deg_x // 2), (n, deg_x)
+def _spy_builds(monkeypatch) -> list[int]:
+    """The n of every P_n that polyring builds from now on."""
+    built, real = [], polyring._xn_modulus
+    monkeypatch.setattr(polyring, "_xn_modulus", lambda n: built.append(n) or real(n))
+    return built
+
+
+def test_xn_modulus_is_built_only_for_a_row_that_reaches_it(monkeypatch):
+    # y_rows(p, n) builds P_n exactly when floor((n - 1) / 2) <= deg_x / 2,
+    # below the count of p's u-columns, on both sides of that line, and
+    # otherwise gives p's rows undivided
+    built = _spy_builds(monkeypatch)
+    for deg_x in range(0, 40, 2):
+        p = XYPoly.from_terms([(deg_x, 0, 1), (0, 1, -3)])
+        for n in range(2, 2 * deg_x + 8):
+            built.clear()
+            rows = y_rows(p, n)
+            reaches = (n - 1) // 2 <= deg_x // 2
+            assert built == ([n] if reaches else []), (n, deg_x)
+            if reaches:
+                assert len(rows[0]) == len(_xn_modulus(n)) - 1
+            else:
+                assert rows == y_rows(p)
+
+
+def test_a_301_digit_n_builds_no_modulus(monkeypatch):
+    # a hostile n costs nothing: no row of phi reaches P_n, so neither
+    # y_rows nor the scan nor the verifier builds it, and the rows are
+    # phi's own
+    n = 10 ** 300 + 7
+    phi = riley_for_knot(parse_knot_spec("J:1,2"))
+    built = _spy_builds(monkeypatch)
+    assert y_rows(phi.poly, n) == y_rows(phi.poly)
+    report = find_root_gt2(phi, n)
+    assert report.certified and verify_certificate(report.certificate, phi)
+    assert built == []
 
 
 def _even_specs() -> list[str]:
@@ -98,7 +128,8 @@ y_points = st.builds(Dyadic, st.integers(-(1 << 20), 1 << 20), st.integers(-16, 
 @given(residue_polys, st.integers(2, 17), st.sampled_from([2, 16, 128]), y_points,
        st.sampled_from([-8, None]))
 def test_residue_evaluation_encloses_mpmath_at_xn(p, n, precision, y, e):
-    # the modulus as the scan and the verifier pass it, or always built
+    # the rows as the scan and the verifier reduce them, or undivided,
+    # which enclose phi over all of the x_n enclosure
     xn = xn_enclosure(n, precision)
     e = -2 * precision - 32 if e is None else e
     with mpmath.workprec(300):
@@ -109,14 +140,14 @@ def test_residue_evaluation_encloses_mpmath_at_xn(p, n, precision, y, e):
             rows[j] = rows.get(j, 0) + c * x ** i
             size += abs(c * 2 ** i * yv ** j)  # as 0 <= x_n < 2
         value = sum(c * yv ** j for j, c in rows.items())
-        for modulus in (_modulus(n), xn_modulus(n, p.deg_x())):
-            point, reduced = DyadicInterval.point(y), y_rows(p, modulus)
+        for reduce_by in (n, None):
+            point, reduced = DyadicInterval.point(y), y_rows(p, reduce_by)
             exact = eval_interval(p, xn, point, rows=reduced)
-            assert _encloses(exact, value, size), (modulus, exact, value)
+            assert _encloses(exact, value, size), (reduce_by, exact, value)
             bounds = y_row_bounds(reduced, xn, e)
             for j, (lo, hi) in enumerate(zip(bounds[0], bounds[1])):
                 assert _encloses(DyadicInterval(Dyadic(lo, e), Dyadic(hi, e)),
-                                 rows.get(j, 0), size), (j, modulus)
+                                 rows.get(j, 0), size), (j, reduce_by)
             fast = eval_interval(p, xn, point, y_bounds=bounds, rows=reduced)
             assert _encloses(fast, value, size)
             if fast.sign() is not None:
@@ -128,7 +159,7 @@ def test_a_residue_of_degree_0_is_exact_at_any_width():
     # reduces to 4 - 6 + 8 y = -2 + 8 y, so its values at y = 0 and y = 1
     # and both y-row bounds are points however wide x is
     p = XYPoly.from_terms([(4, 0, 1), (2, 0, -3), (6, 1, 1)])
-    xn, rows = xn_enclosure(4, 1), y_rows(p, _modulus(4))
+    xn, rows = xn_enclosure(4, 1), y_rows(p, 4)
     assert eval_interval(p, xn, DyadicInterval.point(0), rows=rows) \
         == DyadicInterval.point(-2)
     assert eval_interval(p, xn, DyadicInterval.point(1), rows=rows) \
@@ -147,9 +178,9 @@ def test_an_odd_x_term_is_refused():
     # every phi is one, so a hand-made RileyPolynomial that is not fails
     # the scan and the verifier alike
     xn, point = xn_enclosure(5, 64), DyadicInterval.point(Dyadic(3))
-    for modulus in (None, _modulus(5)):
+    for n in (None, 5):
         with pytest.raises(ValueError, match="not even in x"):
-            y_rows(ODD_IN_X, modulus)
+            y_rows(ODD_IN_X, n)
     with pytest.raises(ValueError, match="not even in x"):
         eval_interval(ODD_IN_X, xn, point)
     phi = RileyPolynomial(ODD_IN_X, "test", "hand-made, odd in x")
@@ -180,22 +211,23 @@ def test_reduced_rows_evaluate_as_the_oracle_reduction(p, n, x, y):
     # rows undivided evaluate as p itself
     point = DyadicInterval.point(y)
     reduced = XYPoly.from_terms(cert_oracle.reduced_terms(list(p.terms()), n))
-    assert eval_interval(p, x, point, rows=y_rows(p, _modulus(n))) \
+    assert eval_interval(p, x, point, rows=y_rows(p, n)) \
         == reference_eval_interval_u(reduced, x, point)
     assert eval_interval(p, x, point) == reference_eval_interval_u(p, x, point)
 
 
 @pytest.mark.parametrize("spec, n", [("J:4,6", 5), ("J:4,6", 40), ("Kl:6", 7), ("13/5", 4)])
-def test_the_oracle_re_encloses_its_rows_as_a_fresh_reduction(spec, n):
+def test_the_oracle_re_encloses_its_rows_as_a_fresh_reduction(monkeypatch, spec, n):
     # the sign oracle reduces phi once and re-encloses the kept rows at
     # each precision: the bounds are those y_row_bounds forms from a fresh
     # y_rows of phi, with P_n (n = 5, 7, 4) and without (n = 40)
     phi = riley_for_knot(parse_knot_spec(spec))
+    built = _spy_builds(monkeypatch)
     oracle = _SignOracle(phi.poly, n)
-    assert (oracle.modulus is None) == (n == 40)
+    assert built == ([] if n == 40 else [n])
     for _ in range(3):
         e = -2 * oracle.precision - 32
-        assert oracle.bounds == y_row_bounds(y_rows(phi.poly, oracle.modulus), oracle.xn, e)
+        assert oracle.bounds == y_row_bounds(y_rows(phi.poly, n), oracle.xn, e)
         assert oracle.escalate()
 
 
@@ -212,11 +244,11 @@ def test_every_exact_sign_comes_from_rows_reduced_once(monkeypatch, spec, n):
     # eval_interval call gets the rows of its own caller: the scan's sign
     # oracle, or the verifier's reduction modulo the P_n it builds itself
     phi = _phi(spec)
-    built, passed = [], []
+    built, passed, moduli = [], [], _spy_builds(monkeypatch)
     real_rows, real_eval = certify.y_rows, certify.eval_interval
 
-    def rows_spy(poly, modulus=None):
-        built.append((poly, modulus, real_rows(poly, modulus)))
+    def rows_spy(poly, n=None):
+        built.append((poly, n, real_rows(poly, n)))
         return built[-1][2]
 
     def eval_spy(p, x, y, **kwargs):
@@ -227,16 +259,16 @@ def test_every_exact_sign_comes_from_rows_reduced_once(monkeypatch, spec, n):
     monkeypatch.setattr(certify, "eval_interval", eval_spy)
     report = find_root_gt2(phi, n)
     assert report.certified and len(built) == 1
-    modulus = xn_modulus(n, phi.poly.deg_x())
-    assert (modulus is None) == (n == 40)
-    assert built[0][:2] == (phi.poly, modulus)
+    assert built[0][:2] == (phi.poly, n)
+    assert moduli == ([] if n == 40 else [n])
     scan_rows = built[0][2]
     assert len(passed) == report.trace["evaluations"] > 0
     assert all(rows is scan_rows for rows in passed)
     built.clear()
     passed.clear()
     assert verify_certificate(report.certificate, phi)
-    assert len(built) == 1 and built[0][:2] == (phi.poly, modulus)
+    assert len(built) == 1 and built[0][:2] == (phi.poly, n)
+    assert moduli == ([] if n == 40 else [n, n])
     assert built[0][2] is not scan_rows
     assert len(passed) == 2 and all(rows is built[0][2] for rows in passed)
 
